@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/protocols/fd"
 )
 
@@ -197,14 +198,15 @@ func (ps *peerStat) mean() int64 {
 	return ps.sum / int64(ps.count)
 }
 
-// tick arms the periodic suspicion check.
+// tick starts the periodic suspicion check on one re-armed timer.
 func (a *adaptive) tick() {
-	a.s.env.After(a.interval, func() {
+	var t proto.Timer
+	t = a.s.env.After(a.interval, func() {
 		if a.s.stopped {
 			return
 		}
 		a.check()
-		a.tick()
+		t.Reset(a.interval)
 	})
 }
 

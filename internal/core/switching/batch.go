@@ -64,6 +64,8 @@ type batcher struct {
 	cast  batchAcc
 	sends []dstAcc
 	armed bool
+	// timer is the flush timer's one handle, re-armed by arm.
+	timer proto.Timer
 
 	// flushFn is the arm callback, bound once so scheduling a flush
 	// does not allocate a fresh closure per event-loop step.
@@ -162,7 +164,7 @@ func (b *batcher) arm() {
 		return
 	}
 	b.armed = true
-	b.s.env.After(0, b.flushFn)
+	b.timer = proto.Rearm(b.s.env, b.timer, 0, b.flushFn)
 }
 
 // flush emits every pending batch: the broadcast group first, then the

@@ -18,10 +18,15 @@ import (
 // directly with a minimal environment so the batch boundaries are
 // observable frame by frame.
 
-type fakeTimer struct{}
+// fakeTimer re-queues its callback on Reset, as a re-armed timer would.
+type fakeTimer struct {
+	env *fakeEnv
+	fn  func()
+}
 
-func (fakeTimer) Stop() bool   { return false }
-func (fakeTimer) Active() bool { return false }
+func (fakeTimer) Stop() bool            { return false }
+func (fakeTimer) Active() bool          { return false }
+func (t fakeTimer) Reset(time.Duration) { t.env.q = append(t.env.q, t.fn) }
 
 // fakeEnv queues After callbacks and runs them on demand — the unit
 // stand-in for the DES's deterministic same-timestamp FIFO.
@@ -50,7 +55,7 @@ func (f *fakeEnv) Now() time.Duration    { return 0 }
 func (f *fakeEnv) Rand() *rand.Rand      { return rand.New(rand.NewSource(1)) }
 func (f *fakeEnv) After(d time.Duration, fn func()) proto.Timer {
 	f.q = append(f.q, fn)
-	return fakeTimer{}
+	return fakeTimer{env: f, fn: fn}
 }
 func (f *fakeEnv) run() {
 	for len(f.q) > 0 {

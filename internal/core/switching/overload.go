@@ -315,7 +315,7 @@ func (o *overload) armIngress() {
 		return
 	}
 	o.draining = true
-	o.ingressTimer = o.s.env.After(o.cfg.ServiceInterval, o.serveFn)
+	o.ingressTimer = proto.Rearm(o.s.env, o.ingressTimer, o.cfg.ServiceInterval, o.serveFn)
 }
 
 // serveIngress hands queued frames to the demultiplexer, round-robin
@@ -422,7 +422,7 @@ func (o *overload) armEgress() {
 		return
 	}
 	o.sending = true
-	o.egressTimer = o.s.env.After(o.cfg.ServiceInterval, o.drainFn)
+	o.egressTimer = proto.Rearm(o.s.env, o.egressTimer, o.cfg.ServiceInterval, o.drainFn)
 }
 
 // drainEgress hands queued casts to their epoch's protocol: one per

@@ -333,12 +333,14 @@ func (r *recovery) timeout() time.Duration {
 	return backoffTimeout(base, shift) + time.Duration(r.livePosition())*r.s.cfg.TokenInterval
 }
 
-// arm (re)starts the wedge timer.
+// arm (re)starts the wedge timer: one handle, re-armed on every token
+// sighting.
 func (r *recovery) arm() {
-	if r.timer != nil {
-		r.timer.Stop()
+	if r.timer == nil {
+		r.timer = r.s.env.After(r.timeout(), r.onWedge)
+		return
 	}
-	r.timer = r.s.env.After(r.timeout(), r.onWedge)
+	r.timer.Reset(r.timeout())
 }
 
 // onSuspect aborts and retries an in-flight switch round when the member

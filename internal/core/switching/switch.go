@@ -239,7 +239,9 @@ type Switch struct {
 	// heldFlush is a FLUSH token waiting for local completion.
 	heldFlush *Token
 
-	timer   proto.Timer
+	// held is the current token hold (see tokenHold), nil until the
+	// first one.
+	held    *tokenHold
 	stopped bool
 	stats   Stats
 	records []Record
@@ -381,12 +383,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 	}
 	// The first ring member injects the NORMAL token.
 	if env.Self() == env.Ring().Members()[0] {
-		s.timer = env.After(cfg.TokenInterval, func() {
-			if s.stopped {
-				return
-			}
-			s.passToken(Token{Mode: ModeNormal, Initiator: env.Self()})
-		})
+		s.hold(Token{Mode: ModeNormal, Initiator: env.Self()}, holdInject)
 	}
 	return s, nil
 }
@@ -443,8 +440,8 @@ func (s *Switch) recvFrame(src ids.ProcID, pkt []byte, owned bool) {
 // Stop shuts down the switch and its sub-stacks.
 func (s *Switch) Stop() {
 	s.stopped = true
-	if s.timer != nil {
-		s.timer.Stop()
+	if s.held != nil {
+		s.held.timer.Stop()
 	}
 	if s.rec != nil {
 		s.rec.stop()
@@ -879,17 +876,62 @@ func (s *Switch) forwardFlushWhenDone(t Token) {
 // it on (idle rotation pacing).
 func (s *Switch) holdThenPass(t Token) {
 	s.obs.Record(obs.TokenHold(s.env.Now(), s.env.Self(), uint8(t.Mode), t.Epoch, t.Gen))
-	s.timer = s.env.After(s.cfg.TokenInterval, func() {
-		if s.stopped {
-			return
-		}
-		// A request may have arrived while holding the NORMAL token.
-		if t.Mode == ModeNormal && s.wantSwitch && !s.Switching() {
-			s.onToken(t)
-			return
-		}
+	s.hold(t, holdPass)
+}
+
+// holdAction says what becomes of a held token when the hold ends.
+type holdAction uint8
+
+const (
+	// holdInject: the first ring member puts the NORMAL token into
+	// circulation.
+	holdInject holdAction = iota
+	// holdPass: idle rotation pacing — pass the token on, unless a switch
+	// request arrived while holding it.
+	holdPass
+	// holdLoop: this member is alone, so the token comes straight back.
+	holdLoop
+)
+
+// tokenHold is the token this member is sitting on and the timer that
+// ends the hold. The switch keeps one and re-arms it hop after hop, so a
+// rotation allocates no closure, timer or token copy.
+type tokenHold struct {
+	s      *Switch
+	t      Token
+	action holdAction
+	timer  proto.Timer
+}
+
+// hold keeps t for one TokenInterval. A second token arriving while one
+// is still held (a regenerated lineage meeting the original) gets a hold
+// of its own, so neither is lost.
+func (s *Switch) hold(t Token, action holdAction) {
+	h := s.held
+	if h != nil && !h.timer.Active() {
+		h.t, h.action = t, action
+		h.timer.Reset(s.cfg.TokenInterval)
+		return
+	}
+	h = &tokenHold{s: s, t: t, action: action}
+	h.timer = s.env.After(s.cfg.TokenInterval, h.expire)
+	s.held = h
+}
+
+func (h *tokenHold) expire() {
+	s, t := h.s, h.t
+	if s.stopped {
+		return
+	}
+	switch {
+	case h.action == holdLoop:
+		s.onToken(t)
+	case h.action == holdPass && t.Mode == ModeNormal && s.wantSwitch && !s.Switching():
+		// A request arrived while holding the NORMAL token.
+		s.onToken(t)
+	default:
 		s.passToken(t)
-	})
+	}
 }
 
 // passToken sends the token to the ring successor — skipping suspected
@@ -909,12 +951,7 @@ func (s *Switch) passToken(t Token) {
 	s.stats.TokenPasses++
 	s.obs.Record(obs.TokenPass(s.env.Now(), s.env.Self(), succ, uint8(t.Mode), t.Epoch, t.Gen))
 	if succ == s.env.Self() {
-		s.timer = s.env.After(s.cfg.TokenInterval, func() {
-			if s.stopped {
-				return
-			}
-			s.onToken(t)
-		})
+		s.hold(t, holdLoop)
 		return
 	}
 	_ = s.ctl.Send(succ, t.Encode())

@@ -12,9 +12,9 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -22,19 +22,45 @@ import (
 // concurrent use: all handlers run on the caller's goroutine, one at a
 // time, which is precisely what makes executions deterministic.
 type Sim struct {
-	now    time.Duration
-	queue  eventHeap
+	now time.Duration
+	// queue is a binary min-heap of event values ordered by (when, id).
+	// Entries are plain structs sifted in place: scheduling boxes nothing
+	// and allocates nothing once the backing array has grown to the
+	// in-flight high-water mark.
+	queue  []event
 	nextID uint64
 	rng    *rand.Rand
 	// executed counts handler invocations, for run-away detection and
 	// statistics.
 	executed uint64
-	// stopped counts Stop()ed timers still sitting in the queue. When
+	// stopped counts dead entries still sitting in the queue: the arm of
+	// a Stop()ed timer, or the superseded arm of a Reset() one. When
 	// they outnumber the live entries the heap is compacted, so
 	// stop-heavy workloads (fifo resend, heartbeat, and recovery timers
-	// that are almost always cancelled before firing) cannot bloat the
-	// queue with dead entries.
+	// that are almost always cancelled or re-armed before firing) cannot
+	// bloat the queue with dead entries — or keep more than that many
+	// cancelled callbacks reachable.
 	stopped int
+}
+
+// event is one queue entry. id is the scheduling sequence number: ids are
+// handed out in call order, one per Schedule/At/After/Reset, and break
+// ties between equal timestamps, so (when, id) is a total order and the
+// execution order is a function of the call sequence alone.
+type event struct {
+	when time.Duration
+	id   uint64
+	fn   func()
+	// t is the handle the event was armed through, nil for Schedule. The
+	// entry is live only while t still points back at it (t.pending and
+	// t.id == id); Stop and Reset kill an entry by breaking that link, not
+	// by searching the heap.
+	t *Timer
+}
+
+// live reports whether the entry should still fire.
+func (e *event) live() bool {
+	return e.t == nil || (e.t.pending && e.t.id == e.id)
 }
 
 // New returns a simulator whose random stream is derived from seed.
@@ -55,76 +81,94 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Executed() uint64 { return s.executed }
 
 // Timer is a handle to a scheduled event; it can be stopped before it
-// fires.
+// fires, and re-armed — before or after — without allocating.
 type Timer struct {
-	when    time.Duration
+	sim  *Sim
+	fn   func()
+	when time.Duration
+	// id is the sequence number of the current arm's queue entry.
 	id      uint64
-	fn      func()
-	sim     *Sim
-	stopped bool
-	fired   bool
+	pending bool
 }
 
 // Stop cancels the timer if it has not fired yet. It reports whether the
 // call prevented the timer from firing. The queue entry is reclaimed
 // lazily: either when it surfaces at the top of the heap, or by a bulk
-// compaction once stopped entries outnumber live ones.
+// compaction once dead entries outnumber live ones — which also bounds
+// how long the queue keeps a cancelled callback reachable.
 func (t *Timer) Stop() bool {
-	if t == nil || t.fired || t.stopped {
+	if t == nil || !t.pending {
 		return false
 	}
-	t.stopped = true
-	t.fn = nil
-	if t.sim != nil {
-		t.sim.stopped++
-		t.sim.compact()
-	}
+	t.pending = false
+	t.sim.stopped++
+	t.sim.compact()
 	return true
 }
 
+// Reset re-arms the timer to run its callback d from now, whether it is
+// pending, has fired, or was stopped. It is exactly Stop followed by
+// After with the same callback — one new event id, taken at the call —
+// minus the allocation, so swapping one for the other leaves the
+// execution order untouched.
+func (t *Timer) Reset(d time.Duration) {
+	s := t.sim
+	if d < 0 {
+		d = 0
+	}
+	superseded := t.pending
+	s.arm(t, s.now+d)
+	if superseded {
+		s.stopped++
+		s.compact()
+	}
+}
+
 // Active reports whether the timer is still pending.
-func (t *Timer) Active() bool { return t != nil && !t.fired && !t.stopped }
+func (t *Timer) Active() bool { return t != nil && t.pending }
 
 // When returns the virtual time at which the timer fires (or fired).
 func (t *Timer) When() time.Duration { return t.when }
 
-// At schedules fn to run at absolute virtual time when. Scheduling in
-// the past (or present) runs the event at the current time, after all
-// events already queued for that time. Events at equal times fire in
-// scheduling order (deterministic FIFO tie-break).
-func (s *Sim) At(when time.Duration, fn func()) *Timer {
+// Schedule runs fn at absolute virtual time when, with At's clamping and
+// tie-break rules but without a handle: the event cannot be stopped, and
+// scheduling it allocates nothing. It is the call for events nobody
+// cancels (the network model's frame and delivery events).
+func (s *Sim) Schedule(when time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: nil event function")
 	}
 	if when < s.now {
 		when = s.now
 	}
-	t := &Timer{when: when, id: s.nextID, fn: fn, sim: s}
+	s.push(event{when: when, id: s.nextID, fn: fn})
 	s.nextID++
-	heap.Push(&s.queue, t)
+}
+
+// At schedules fn to run at absolute virtual time when. Scheduling in
+// the past (or present) runs the event at the current time, after all
+// events already queued for that time. Events at equal times fire in
+// scheduling order (deterministic FIFO tie-break). The returned handle is
+// the only allocation; callers that never stop or re-arm the event should
+// use Schedule.
+func (s *Sim) At(when time.Duration, fn func()) *Timer {
+	if fn == nil {
+		panic("des: nil event function")
+	}
+	t := &Timer{sim: s, fn: fn}
+	s.arm(t, when)
 	return t
 }
 
-// compact rebuilds the heap without its stopped entries once they make
-// up more than half the queue (and the queue is big enough to matter).
-// The rebuild keeps the (when, id) total order, so execution order — and
-// thus determinism — is unaffected.
-func (s *Sim) compact() {
-	if len(s.queue) < 64 || s.stopped*2 <= len(s.queue) {
-		return
+// arm queues a fresh entry for t under the next event id; any entry of
+// an earlier arm goes stale because t.id no longer matches it.
+func (s *Sim) arm(t *Timer, when time.Duration) {
+	if when < s.now {
+		when = s.now
 	}
-	live := s.queue[:0]
-	for _, t := range s.queue {
-		if !t.stopped {
-			live = append(live, t)
-		}
-	}
-	for i := len(live); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = live
-	heap.Init(&s.queue)
-	s.stopped = 0
+	t.when, t.id, t.pending = when, s.nextID, true
+	s.nextID++
+	s.push(event{when: when, id: t.id, fn: t.fn, t: t})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -135,24 +179,58 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	return s.At(s.now+d, fn)
 }
 
+// compact rebuilds the heap without its dead entries once they make up
+// more than half the queue (and the queue is big enough to matter).
+// The rebuild keeps the (when, id) total order, so execution order — and
+// thus determinism — is unaffected.
+func (s *Sim) compact() {
+	if len(s.queue) < 64 || s.stopped*2 <= len(s.queue) {
+		return
+	}
+	live := s.queue[:0]
+	for i := range s.queue {
+		if s.queue[i].live() {
+			live = append(live, s.queue[i])
+		}
+	}
+	clear(s.queue[len(live):])
+	s.queue = live
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		s.siftDown(i, live[i])
+	}
+	s.stopped = 0
+}
+
+// yieldEvery is how many events Step runs between yields of the
+// processor. A simulation is one goroutine that never blocks, so where it
+// has a single P to itself the collector's background mark worker runs
+// only when the runtime preempts that goroutine, every 10 ms. A cycle
+// whose last work is waiting for the worker then stalls while the
+// simulation allocates on: once most garbage was byte buffers (little to
+// scan, so few mark assists) the heap overshot its goal two- to
+// threefold about once a second on the paper experiment. A yield costs
+// well under a nanosecond per event at this spacing and lets the cycle
+// finish within ~0.3 ms; with idle Ps around it changes nothing.
+const yieldEvery = 1024
+
 // Step executes the next pending event, if any, advancing the clock to
 // its timestamp. It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	for s.queue.Len() > 0 {
-		t, ok := heap.Pop(&s.queue).(*Timer)
-		if !ok {
-			panic("des: heap corrupted")
+	for len(s.queue) > 0 {
+		e := s.pop()
+		if t := e.t; t != nil {
+			if !e.live() {
+				s.stopped--
+				continue
+			}
+			t.pending = false
 		}
-		if t.stopped {
-			s.stopped--
-			continue
-		}
-		s.now = t.when
-		t.fired = true
-		fn := t.fn
-		t.fn = nil
+		s.now = e.when
 		s.executed++
-		fn()
+		if s.executed%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+		e.fn()
 		return true
 	}
 	return false
@@ -186,53 +264,82 @@ func (s *Sim) RunUntil(deadline time.Duration) {
 	}
 }
 
-// Pending returns the number of queued (unstopped) events.
+// Pending returns the number of queued live events.
 func (s *Sim) Pending() int {
 	return len(s.queue) - s.stopped
 }
 
 // peek returns the timestamp of the next live event.
 func (s *Sim) peek() (time.Duration, bool) {
-	for s.queue.Len() > 0 {
-		t := s.queue[0]
-		if t.stopped {
-			heap.Pop(&s.queue)
-			s.stopped--
-			continue
+	for len(s.queue) > 0 {
+		if e := &s.queue[0]; e.live() {
+			return e.when, true
 		}
-		return t.when, true
+		s.pop()
+		s.stopped--
 	}
 	return 0, false
 }
 
-// eventHeap orders timers by (when, id) so simultaneous events fire in
+// less orders entries by (when, id) so simultaneous events fire in
 // scheduling order.
-type eventHeap []*Timer
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func less(a, b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	t, ok := x.(*Timer)
-	if !ok {
-		panic("des: pushed non-timer")
+// push adds e to the heap: the hole opened at the end climbs until e's
+// parent sorts before it, so each level costs one move instead of a swap.
+func (s *Sim) push(e event) {
+	s.queue = append(s.queue, event{})
+	q := s.queue
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(&e, &q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	*h = append(*h, t)
+	q[i] = e
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+// pop removes and returns the earliest entry. The vacated tail slot is
+// zeroed so the backing array keeps no callback or handle reachable.
+func (s *Sim) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	s.queue = q[:n]
+	if n > 0 {
+		s.siftDown(0, last)
+	}
+	return top
+}
+
+// siftDown places e at or below index i: the hole sinks past every child
+// that sorts before e.
+func (s *Sim) siftDown(i int, e event) {
+	q := s.queue
+	n := len(q)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && less(&q[r], &q[child]) {
+			child = r
+		}
+		if !less(&q[child], &e) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = e
 }

@@ -29,6 +29,27 @@ type Timer interface {
 	Stop() bool
 	// Active reports whether the timer is still pending.
 	Active() bool
+	// Reset re-arms the timer to run its callback d from now, whether it
+	// is pending (the earlier arm is cancelled), has fired, or was
+	// stopped. It is Stop followed by Env.After with the same callback,
+	// without allocating a new handle.
+	Reset(d time.Duration)
+}
+
+// Rearm is Env.After for a callback that is armed over and over — a
+// periodic tick, a hold or service timer — reusing one handle instead of
+// allocating one per arm. t is the handle the previous call returned (nil
+// the first time) and fn must be the same callback every time. Rearm
+// never cancels anything: while t is still pending it leaves that arm
+// running and returns a fresh handle, exactly as a second After would, so
+// replacing `t = env.After(d, fn)` by `t = Rearm(env, t, d, fn)` cannot
+// change an execution.
+func Rearm(env Env, t Timer, d time.Duration, fn func()) Timer {
+	if t == nil || t.Active() {
+		return env.After(d, fn)
+	}
+	t.Reset(d)
+	return t
 }
 
 // Env provides the runtime services available to a layer at one process.

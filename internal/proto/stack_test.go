@@ -36,8 +36,9 @@ func (e *fakeEnv) Rand() *rand.Rand      { return e.rng }
 
 type fakeTimer struct{}
 
-func (fakeTimer) Stop() bool   { return false }
-func (fakeTimer) Active() bool { return false }
+func (fakeTimer) Stop() bool          { return false }
+func (fakeTimer) Active() bool        { return false }
+func (fakeTimer) Reset(time.Duration) {}
 
 func (e *fakeEnv) After(time.Duration, func()) Timer { return fakeTimer{} }
 

@@ -90,22 +90,20 @@ func (d *Detector) Init(env proto.Env, down proto.Down) error {
 	return nil
 }
 
+// tick runs fn every interval on one re-armed timer.
 func (d *Detector) tick(every time.Duration, fn func()) {
-	var arm func()
-	arm = func() {
+	var t proto.Timer
+	t = d.env.After(every, func() {
 		if d.stopped {
 			return
 		}
-		t := d.env.After(every, func() {
-			if d.stopped {
-				return
-			}
-			fn()
-			arm()
-		})
-		d.timers = append(d.timers, t)
-	}
-	arm()
+		fn()
+		if d.stopped {
+			return
+		}
+		t.Reset(every)
+	})
+	d.timers = append(d.timers, t)
 }
 
 // Stop halts heartbeating and checking.

@@ -182,13 +182,10 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 }
 
 // scheduleTick arms a self-rearming timer. The callback is built once
-// and the timer keeps one fixed slot in l.timers, so steady-state
-// re-arming allocates neither a closure nor a slice slot per tick.
+// and re-arms its own handle, so a steady-state tick allocates nothing.
 func (l *Layer) scheduleTick(d time.Duration, fn func()) {
-	idx := len(l.timers)
-	l.timers = append(l.timers, nil)
-	var cb func()
-	cb = func() {
+	var t proto.Timer
+	t = l.env.After(d, func() {
 		if l.stopped {
 			return
 		}
@@ -196,9 +193,9 @@ func (l *Layer) scheduleTick(d time.Duration, fn func()) {
 		if l.stopped {
 			return
 		}
-		l.timers[idx] = l.env.After(d, cb)
-	}
-	l.timers[idx] = l.env.After(d, cb)
+		t.Reset(d)
+	})
+	l.timers = append(l.timers, t)
 }
 
 // Stop implements proto.Layer.

@@ -61,6 +61,9 @@ func (NopTimer) Stop() bool { return false }
 // Active implements proto.Timer.
 func (NopTimer) Active() bool { return false }
 
+// Reset implements proto.Timer.
+func (NopTimer) Reset(time.Duration) {}
+
 // RecordDown records everything pushed through it.
 type RecordDown struct {
 	Casts [][]byte

@@ -78,8 +78,13 @@ type Layer struct {
 	nextDeliver uint64
 	pending     map[uint64]dataMsg
 
-	timer   proto.Timer
-	stopped bool
+	// timer starts the rotation (and keeps a singleton's token turning);
+	// holdTimer, re-armed on every token visit, ends a hold by running
+	// release.
+	timer     proto.Timer
+	holdTimer proto.Timer
+	release   func()
+	stopped   bool
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
 	malformed uint64
@@ -107,6 +112,12 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 		return fmt.Errorf("tokenorder: nil wiring")
 	}
 	l.env, l.down, l.up = env, down, up
+	l.release = func() {
+		if l.stopped {
+			return
+		}
+		l.passToken()
+	}
 	if env.Self() == env.Members()[0] {
 		// Start the rotation once the whole group is wired; the zero
 		// delay defers to after initialization completes.
@@ -125,6 +136,9 @@ func (l *Layer) Stop() {
 	l.stopped = true
 	if l.timer != nil {
 		l.timer.Stop()
+	}
+	if l.holdTimer != nil {
+		l.holdTimer.Stop()
 	}
 }
 
@@ -155,17 +169,7 @@ func (l *Layer) acquireToken(seq uint64) {
 	l.holding = true
 	l.tokenSeq = seq
 	l.flush()
-	release := func() {
-		if l.stopped {
-			return
-		}
-		l.passToken()
-	}
-	if l.cfg.HoldDelay > 0 {
-		l.timer = l.env.After(l.cfg.HoldDelay, release)
-		return
-	}
-	release()
+	l.holdTimer = proto.Rearm(l.env, l.holdTimer, l.cfg.HoldDelay, l.release)
 }
 
 // flush multicasts queued messages while the token is held: one frame

@@ -189,45 +189,77 @@ func (n *Node) Rand() *rand.Rand { return n.rng }
 
 // rtTimer adapts time.Timer to proto.Timer.
 type rtTimer struct {
-	t       *time.Timer
+	n  *Node
+	fn func()
+
 	mu      sync.Mutex
-	stopped bool
-	fired   bool
+	t       *time.Timer
+	pending bool
+	// skip counts expirations that were already running, but had not yet
+	// taken mu, when a Stop or Reset superseded them; each one is
+	// swallowed instead of posting the callback.
+	skip int
 }
 
 // Stop implements proto.Timer.
 func (t *rtTimer) Stop() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stopped || t.fired {
+	if !t.pending {
 		return false
 	}
-	t.stopped = true
-	t.t.Stop()
+	t.cancel()
 	return true
+}
+
+// cancel retires the pending arm. Caller holds mu.
+func (t *rtTimer) cancel() {
+	t.pending = false
+	if !t.t.Stop() {
+		t.skip++
+	}
 }
 
 // Active implements proto.Timer.
 func (t *rtTimer) Active() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return !t.stopped && !t.fired
+	return t.pending
+}
+
+// Reset implements proto.Timer on the same time.Timer.
+func (t *rtTimer) Reset(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pending {
+		t.cancel()
+	}
+	t.pending = true
+	t.t.Reset(d)
+}
+
+// expire runs on the time.Timer's goroutine when an arm comes due.
+func (t *rtTimer) expire() {
+	t.mu.Lock()
+	if t.skip > 0 {
+		t.skip--
+		t.mu.Unlock()
+		return
+	}
+	t.pending = false
+	t.mu.Unlock()
+	t.n.post(t.fn)
 }
 
 // After implements proto.Env: the callback is posted to the node's
 // event loop, preserving the single-threaded layer discipline.
 func (n *Node) After(d time.Duration, fn func()) proto.Timer {
-	rt := &rtTimer{}
-	rt.t = time.AfterFunc(d, func() {
-		rt.mu.Lock()
-		if rt.stopped {
-			rt.mu.Unlock()
-			return
-		}
-		rt.fired = true
-		rt.mu.Unlock()
-		n.post(fn)
-	})
+	rt := &rtTimer{n: n, fn: fn, pending: true}
+	// Hold mu across the assignment: an arm that expires at once must not
+	// reach a callback that Resets before rt.t is set.
+	rt.mu.Lock()
+	rt.t = time.AfterFunc(d, rt.expire)
+	rt.mu.Unlock()
 	return rt
 }
 

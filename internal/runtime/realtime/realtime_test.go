@@ -80,6 +80,92 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestTimerReset re-arms a wall-clock timer from each of its states:
+// pending (the earlier arm must not fire), fired, and stopped.
+func TestTimerReset(t *testing.T) {
+	g, err := NewGroup(Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	fires := make(chan time.Duration, 8)
+	n := g.Node(0)
+	tm := n.After(20*time.Millisecond, func() { fires <- n.Now() })
+	expect := func(what string, notBefore time.Duration) {
+		t.Helper()
+		select {
+		case at := <-fires:
+			if at < notBefore {
+				t.Fatalf("%s: fired at %v, before %v", what, at, notBefore)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: timer did not fire", what)
+		}
+	}
+	quiet := func(what string, d time.Duration) {
+		t.Helper()
+		select {
+		case at := <-fires:
+			t.Fatalf("%s: unexpected firing at %v", what, at)
+		case <-time.After(d):
+		}
+	}
+
+	start := n.Now()
+	tm.Reset(80 * time.Millisecond) // pending: the 20 ms arm is cancelled
+	if !tm.Active() {
+		t.Error("re-armed timer inactive")
+	}
+	expect("pending", start+80*time.Millisecond)
+	quiet("pending", 40*time.Millisecond) // and only one of the two arms fired
+	if tm.Active() || tm.Stop() {
+		t.Error("fired timer still active/stoppable")
+	}
+
+	start = n.Now()
+	tm.Reset(10 * time.Millisecond) // fired
+	expect("fired", start+10*time.Millisecond)
+
+	tm.Reset(10 * time.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("Stop of a re-armed timer reported false")
+	}
+	quiet("stopped", 40*time.Millisecond)
+	start = n.Now()
+	tm.Reset(10 * time.Millisecond) // stopped
+	if !tm.Active() {
+		t.Error("timer re-armed after Stop is inactive")
+	}
+	expect("stopped", start+10*time.Millisecond)
+	quiet("stopped", 40*time.Millisecond)
+}
+
+// TestTimerResetFromCallback is the periodic-tick pattern on the wall
+// clock: the callback re-arms its own handle from the node's loop.
+func TestTimerResetFromCallback(t *testing.T) {
+	g, err := NewGroup(Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	ticks := make(chan struct{}, 16)
+	ready := make(chan struct{})
+	var tm proto.Timer
+	tm = g.Node(0).After(time.Millisecond, func() {
+		<-ready
+		ticks <- struct{}{}
+		tm.Reset(time.Millisecond)
+	})
+	close(ready)
+	for i := 0; i < 5; i++ {
+		select {
+		case <-ticks:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("tick %d never came", i)
+		}
+	}
+}
+
 func TestRunExecutesOnLoop(t *testing.T) {
 	g, err := NewGroup(Config{Nodes: 1})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ids"
+	"repro/internal/proto"
 	"repro/internal/simnet"
 )
 
@@ -113,5 +114,74 @@ func TestTransportSendIsPointToPoint(t *testing.T) {
 	}
 	if counts[2] != 1 || counts[0] != 0 || counts[1] != 0 {
 		t.Errorf("counts = %v, want only p2", counts)
+	}
+}
+
+// TestTimerReset re-arms a node timer from each of its states: pending
+// (the earlier arm must not fire), fired, and stopped.
+func TestTimerReset(t *testing.T) {
+	sim, g := newGroup(t, 1)
+	n := g.Node(0)
+	var fired []time.Duration
+	tm := n.After(10*time.Millisecond, func() { fired = append(fired, n.Now()) })
+
+	tm.Reset(25 * time.Millisecond) // pending
+	sim.RunUntil(20 * time.Millisecond)
+	if len(fired) != 0 || !tm.Active() {
+		t.Fatalf("after re-arming a pending timer: fired=%v active=%v", fired, tm.Active())
+	}
+	sim.RunUntil(30 * time.Millisecond)
+	if len(fired) != 1 || fired[0] != 25*time.Millisecond || tm.Active() {
+		t.Fatalf("fired=%v active=%v, want one firing at 25ms", fired, tm.Active())
+	}
+
+	tm.Reset(10 * time.Millisecond) // fired
+	sim.RunUntil(50 * time.Millisecond)
+	if len(fired) != 2 || fired[1] != 40*time.Millisecond {
+		t.Fatalf("fired=%v, want a second firing at 40ms", fired)
+	}
+
+	tm.Reset(10 * time.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("Stop of a re-armed timer reported false")
+	}
+	tm.Reset(20 * time.Millisecond) // stopped
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 3 || fired[2] != 70*time.Millisecond {
+		t.Fatalf("fired=%v, want a third firing at 70ms", fired)
+	}
+}
+
+// TestRearm: proto.Rearm reuses an idle handle, and while the handle is
+// still pending behaves exactly like a second After — both arms fire.
+func TestRearm(t *testing.T) {
+	sim, g := newGroup(t, 1)
+	n := g.Node(0)
+	count := 0
+	fn := func() { count++ }
+	first := proto.Rearm(n, nil, time.Millisecond, fn)
+	if first == nil || !first.Active() {
+		t.Fatal("Rearm(nil) did not arm a timer")
+	}
+	second := proto.Rearm(n, first, 2*time.Millisecond, fn)
+	if second == first {
+		t.Fatal("Rearm reused a pending handle: the earlier arm would be lost")
+	}
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if count != 2 {
+		t.Fatalf("fired %d times, want both arms", count)
+	}
+	if third := proto.Rearm(n, second, time.Millisecond, fn); third != second {
+		t.Error("Rearm allocated a new handle for an idle timer")
+	}
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if count != 3 {
+		t.Errorf("fired %d times, want 3", count)
 	}
 }

@@ -144,6 +144,68 @@ type frame struct {
 	tx        time.Duration
 }
 
+// txRecord carries one frame from Unicast/Multicast through the sender's
+// CPU, its egress queue and the wire. Its two event callbacks are method
+// values bound once, when the record is first created, and records are
+// recycled through Network.txFree — so a frame in steady state costs the
+// simulator no closure, no timer and no record. The network owns the
+// record; the record owns the frame's payload snapshot until the
+// transmission completes.
+type txRecord struct {
+	n *Network
+	f frame
+	// enqueueFn is r.enqueue (send CPU done: join the egress queue);
+	// doneFn is r.done (transmission complete: fan out, free the wire).
+	enqueueFn, doneFn func()
+}
+
+// rxRecord carries one delivery — one frame at one receiver — from the
+// fault pipeline to the handler, through the receiver's CPU queue. Bound
+// and recycled like txRecord (Network.rxFree). It is released *before*
+// the handler runs, so a handler that sends re-enters the network with
+// the record already back on the free list; the bytes are the receiver's
+// from then on and the network keeps no reference to them.
+type rxRecord struct {
+	n        *Network
+	src, dst ids.ProcID
+	buf      []byte
+	// h is the handler resolved at arrival, kept for the CPU-queued leg.
+	h Handler
+	// arriveFn is r.arrive (packet reaches the node); handleFn is
+	// r.handle (receive processing done: run the handler).
+	arriveFn, handleFn func()
+}
+
+// egressQueue is one node's FIFO of frames waiting for the medium: a
+// head-indexed ring over a power-of-two array. Serving a frame clears its
+// slot, so the array never keeps a served frame (or its payload)
+// reachable, and a queue that drains and refills reuses its array
+// instead of creeping along it and re-allocating.
+type egressQueue struct {
+	buf   []*txRecord
+	head  int
+	count int
+}
+
+func (q *egressQueue) push(r *txRecord) {
+	if q.count == len(q.buf) {
+		grown := make([]*txRecord, max(8, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.count)&(len(q.buf)-1)] = r
+	q.count++
+}
+
+func (q *egressQueue) pop() *txRecord {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.count--
+	return r
+}
+
 // Network is the simulated medium plus the per-node CPU model.
 //
 // Medium arbitration: each node has its own egress queue and the shared
@@ -160,7 +222,7 @@ type Network struct {
 	handlers []Handler
 	// egress[i] is node i's queued frames; the wire serves queues
 	// round-robin starting after lastServed.
-	egress     [][]frame
+	egress     []egressQueue
 	wireBusy   bool
 	lastServed int
 	// cpuFree[i] is when node i's CPU becomes idle.
@@ -188,6 +250,11 @@ type Network struct {
 	// flapEpoch invalidates a link's scheduled flap toggles when a
 	// newer SetFlapping call supersedes them.
 	flapEpoch map[linkKey]int
+	// txFree and rxFree are the free lists of event records. They grow to
+	// the in-flight high-water mark and hold no payloads: a record is
+	// cleared when it is released.
+	txFree []*txRecord
+	rxFree []*rxRecord
 }
 
 // capturedFrame is one recorded wire delivery, replayable verbatim.
@@ -205,7 +272,7 @@ func New(sim *des.Sim, cfg Config) (*Network, error) {
 		sim:        sim,
 		cfg:        cfg,
 		handlers:   make([]Handler, cfg.Nodes),
-		egress:     make([][]frame, cfg.Nodes),
+		egress:     make([]egressQueue, cfg.Nodes),
 		cpuFree:    make([]time.Duration, cfg.Nodes),
 		blocked:    make(map[ids.ProcID]map[ids.ProcID]bool),
 		crashed:    make(map[ids.ProcID]bool),
@@ -228,7 +295,7 @@ func (n *Network) Crash(p ids.ProcID) {
 		return
 	}
 	n.crashed[p] = true
-	n.egress[p] = nil
+	n.egress[p] = egressQueue{}
 	n.rec.Record(obs.Crash(n.sim.Now(), p))
 }
 
@@ -428,7 +495,7 @@ func (n *Network) SetFlapping(from, to ids.ProcID, period, until time.Duration) 
 			n.Block(from, to)
 		}
 		blocked = !blocked
-		n.sim.After(period, toggle)
+		n.sim.Schedule(n.sim.Now()+period, toggle)
 	}
 	toggle()
 	return nil
@@ -479,11 +546,11 @@ func (n *Network) SampleQueueDepths(every, until time.Duration) error {
 			return
 		}
 		for i := range n.egress {
-			n.rec.Record(obs.QueueDepth(now, ids.ProcID(i), len(n.egress[i])))
+			n.rec.Record(obs.QueueDepth(now, ids.ProcID(i), n.egress[i].count))
 		}
-		n.sim.After(every, tick)
+		n.sim.Schedule(now+every, tick)
 	}
-	n.sim.After(every, tick)
+	n.sim.Schedule(n.sim.Now()+every, tick)
 	return nil
 }
 
@@ -505,7 +572,7 @@ func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 	}
 	n.stats.GarbageInjected++
 	n.rec.Record(obs.Garbage(n.sim.Now(), dst, src, size))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
 	return nil
 }
 
@@ -529,7 +596,7 @@ func (n *Network) InjectForged(src, dst ids.ProcID, payload []byte) error {
 	copy(buf, payload)
 	n.stats.Forged++
 	n.rec.Record(obs.Forged(n.sim.Now(), dst, src, len(buf)))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
 	return nil
 }
 
@@ -562,7 +629,7 @@ func (n *Network) InjectReplay(i int) error {
 	copy(buf, f.payload)
 	n.stats.Replayed++
 	n.rec.Record(obs.Replayed(n.sim.Now(), f.dst, f.src, len(buf)))
-	n.scheduleDelivery(f.src, f.dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.scheduleDelivery(f.src, f.dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
 	return nil
 }
 
@@ -599,15 +666,47 @@ func (n *Network) acquireCPU(p ids.ProcID, t time.Duration, d time.Duration) tim
 	return done
 }
 
-// enqueueFrame places a frame on src's egress queue at virtual time t
-// (after the sender's CPU cost) and kicks the medium if idle.
-func (n *Network) enqueueFrame(src ids.ProcID, f frame, t time.Duration) {
-	n.sim.At(t, func() {
-		n.egress[src] = append(n.egress[src], f)
-		if !n.wireBusy {
-			n.serveNext()
-		}
-	})
+// newTx takes a transmission record off the free list, binding its
+// callbacks if it is a fresh one.
+func (n *Network) newTx(f frame) *txRecord {
+	var r *txRecord
+	if k := len(n.txFree); k > 0 {
+		r = n.txFree[k-1]
+		n.txFree = n.txFree[:k-1]
+	} else {
+		r = &txRecord{n: n}
+		r.enqueueFn, r.doneFn = r.enqueue, r.done
+	}
+	r.f = f
+	return r
+}
+
+// newRx is newTx for delivery records.
+func (n *Network) newRx(src, dst ids.ProcID, buf []byte) *rxRecord {
+	var r *rxRecord
+	if k := len(n.rxFree); k > 0 {
+		r = n.rxFree[k-1]
+		n.rxFree = n.rxFree[:k-1]
+	} else {
+		r = &rxRecord{n: n}
+		r.arriveFn, r.handleFn = r.arrive, r.handle
+	}
+	r.src, r.dst, r.buf = src, dst, buf
+	return r
+}
+
+// enqueueFrame places a frame on its sender's egress queue at virtual
+// time t (after the sender's CPU cost) and kicks the medium if idle.
+func (n *Network) enqueueFrame(f frame, t time.Duration) {
+	n.sim.Schedule(t, n.newTx(f).enqueueFn)
+}
+
+func (r *txRecord) enqueue() {
+	n := r.n
+	n.egress[r.f.src].push(r)
+	if !n.wireBusy {
+		n.serveNext()
+	}
 }
 
 // serveNext grants the medium to the next node, round-robin, with a
@@ -615,40 +714,49 @@ func (n *Network) enqueueFrame(src ids.ProcID, f frame, t time.Duration) {
 func (n *Network) serveNext() {
 	for i := 1; i <= n.cfg.Nodes; i++ {
 		idx := (n.lastServed + i) % n.cfg.Nodes
-		if len(n.egress[idx]) == 0 {
+		if n.egress[idx].count == 0 {
 			continue
 		}
-		f := n.egress[idx][0]
-		n.egress[idx] = n.egress[idx][1:]
+		r := n.egress[idx].pop()
 		n.lastServed = idx
 		n.wireBusy = true
-		n.stats.WireBytes += uint64(len(f.payload) + n.cfg.FrameOverhead)
-		n.sim.After(f.tx, func() {
-			n.wireBusy = false
-			n.completeFrame(f)
-			n.serveNext()
-		})
+		n.stats.WireBytes += uint64(len(r.f.payload) + n.cfg.FrameOverhead)
+		n.sim.Schedule(n.sim.Now()+r.f.tx, r.doneFn)
 		return
 	}
 }
 
-// completeFrame fans a finished transmission out to its receivers.
+// done ends the record's transmission: the record goes back to the free
+// list, the frame fans out to its receivers and the wire serves the next
+// queue.
+func (r *txRecord) done() {
+	n, f := r.n, r.f
+	r.f = frame{}
+	n.txFree = append(n.txFree, r)
+	n.wireBusy = false
+	n.completeFrame(f)
+	n.serveNext()
+}
+
+// completeFrame fans a finished transmission out to its receivers. The
+// frame's buffer goes to the last of them; the others get copies.
 func (n *Network) completeFrame(f frame) {
 	now := n.sim.Now()
 	if !f.multicast {
-		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay)
+		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay, true)
 		return
 	}
-	for i := 0; i < n.cfg.Nodes; i++ {
+	last := n.cfg.Nodes - 1
+	for i := 0; i <= last; i++ {
 		dst := ids.ProcID(i)
+		arrival := now + n.cfg.PropDelay
 		if dst == f.src {
 			// Sender loops its own multicast back without re-crossing
 			// the wire (but after the transmission completes, as a real
 			// interface would).
-			n.scheduleDelivery(f.src, dst, f.payload, now)
-			continue
+			arrival = now
 		}
-		n.scheduleDelivery(f.src, dst, f.payload, now+n.cfg.PropDelay)
+		n.scheduleDelivery(f.src, dst, f.payload, arrival, i == last)
 	}
 }
 
@@ -673,11 +781,10 @@ func (n *Network) Unicast(src, dst ids.ProcID, payload []byte) error {
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
 	if src == dst {
 		// Local loopback: costs send CPU only.
-		n.scheduleDelivery(src, dst, buf, sent)
+		n.scheduleDelivery(src, dst, buf, sent, true)
 		return nil
 	}
-	f := frame{src: src, dst: dst, payload: buf, tx: n.txTime(len(payload))}
-	n.enqueueFrame(src, f, sent)
+	n.enqueueFrame(frame{src: src, dst: dst, payload: buf, tx: n.txTime(len(payload))}, sent)
 	return nil
 }
 
@@ -700,8 +807,7 @@ func (n *Network) Multicast(src ids.ProcID, payload []byte) error {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
-	f := frame{src: src, multicast: true, payload: buf, tx: n.txTime(len(payload))}
-	n.enqueueFrame(src, f, sent)
+	n.enqueueFrame(frame{src: src, multicast: true, payload: buf, tx: n.txTime(len(payload))}, sent)
 	return nil
 }
 
@@ -712,13 +818,18 @@ func (n *Network) Inject(src, dst ids.ProcID, payload []byte) error {
 	if !n.valid(src) || !n.valid(dst) {
 		return fmt.Errorf("simnet: inject %v -> %v out of range", src, dst)
 	}
-	n.scheduleDelivery(src, dst, payload, n.sim.Now()+n.cfg.PropDelay)
+	n.scheduleDelivery(src, dst, payload, n.sim.Now()+n.cfg.PropDelay, false)
 	return nil
 }
 
 // scheduleDelivery applies the per-receiver fault model and queues the
-// handler invocation behind dst's CPU.
-func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration) {
+// handler invocation behind dst's CPU. Receivers own their bytes: every
+// delivery gets a buffer of its own. owned says the caller is done with
+// payload — it is the transmission's snapshot and this is its last
+// receiver — so the last delivery made here takes payload itself instead
+// of a copy; earlier ones (a duplicate) are copied first, so corruption
+// still mutates one delivery only.
+func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration, owned bool) {
 	// Replay capture records the frame before the fault model touches it
 	// — the adversary's tap sees what the sender put on the wire. No RNG
 	// is consumed here, so enabling capture never perturbs a schedule.
@@ -775,9 +886,11 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				n.rec.Record(obs.Delay(n.sim.Now(), dst, src, j))
 			}
 		}
-		// Copy the payload per delivery: receivers own their bytes.
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
+		buf := payload
+		if !owned || c < copies-1 {
+			buf = make([]byte, len(payload))
+			copy(buf, payload)
+		}
 		// Corruption faults mutate this delivery's copy only, and every
 		// draw is guarded by its probability so that configurations
 		// without corruption consume exactly the legacy RNG stream.
@@ -800,20 +913,40 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				n.rec.Record(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))
 			}
 		}
-		n.sim.At(at, func() {
-			h := n.handlers[dst]
-			if h == nil || n.crashed[dst] {
-				return
-			}
-			// Charge receive processing to dst's CPU queue; the handler
-			// logically runs when processing completes.
-			doneAt := n.acquireCPU(dst, n.sim.Now(), n.cfg.RecvCPU)
-			n.stats.Delivered++
-			if doneAt == n.sim.Now() {
-				h(src, buf)
-				return
-			}
-			n.sim.At(doneAt, func() { h(src, buf) })
-		})
+		n.sim.Schedule(at, n.newRx(src, dst, buf).arriveFn)
 	}
+}
+
+// arrive runs when the packet reaches its receiver: it charges receive
+// processing to the node's CPU queue; the handler logically runs when
+// processing completes.
+func (r *rxRecord) arrive() {
+	n := r.n
+	h := n.handlers[r.dst]
+	if h == nil || n.crashed[r.dst] {
+		r.release()
+		return
+	}
+	now := n.sim.Now()
+	doneAt := n.acquireCPU(r.dst, now, n.cfg.RecvCPU)
+	n.stats.Delivered++
+	r.h = h
+	if doneAt == now {
+		r.handle()
+		return
+	}
+	n.sim.Schedule(doneAt, r.handleFn)
+}
+
+// handle releases the record and then runs the handler, which from here
+// on owns the bytes.
+func (r *rxRecord) handle() {
+	h, src, buf := r.h, r.src, r.buf
+	r.release()
+	h(src, buf)
+}
+
+func (r *rxRecord) release() {
+	r.buf, r.h = nil, nil
+	r.n.rxFree = append(r.n.rxFree, r)
 }
