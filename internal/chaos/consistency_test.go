@@ -39,7 +39,7 @@ func TestStatsTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
 		col := obs.NewCollector()
-		res, c, err := run(sched, RunConfig{Recorder: col})
+		res, c, err := run(sched, RunConfig{Recorder: col}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -140,7 +140,7 @@ func TestOverloadTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
 		col := obs.NewCollector()
-		res, c, err := run(sched, RunConfig{Recorder: col})
+		res, c, err := run(sched, RunConfig{Recorder: col}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -230,7 +230,7 @@ func TestGrayTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
 		col := obs.NewCollector()
-		res, c, err := run(sched, RunConfig{Recorder: col})
+		res, c, err := run(sched, RunConfig{Recorder: col}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}

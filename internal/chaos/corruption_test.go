@@ -183,7 +183,7 @@ func TestMalformedTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
 		col := obs.NewCollector()
-		res, c, err := run(sched, RunConfig{Recorder: col})
+		res, c, err := run(sched, RunConfig{Recorder: col}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}

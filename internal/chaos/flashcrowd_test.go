@@ -99,7 +99,7 @@ func TestSweepFlashCrowd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, c, err := run(sched, RunConfig{})
+		res, c, err := run(sched, RunConfig{}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

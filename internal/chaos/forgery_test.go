@@ -111,7 +111,7 @@ func TestSweepForgery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, c, err := run(sched, RunConfig{})
+		res, c, err := run(sched, RunConfig{}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -187,7 +187,7 @@ func TestAuthTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
 		col := obs.NewCollector()
-		res, c, err := run(sched, RunConfig{Recorder: col})
+		res, c, err := run(sched, RunConfig{Recorder: col}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}

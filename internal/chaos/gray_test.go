@@ -136,7 +136,7 @@ func TestSweepGray(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, c, err := run(sched, RunConfig{})
+		res, c, err := run(sched, RunConfig{}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -197,13 +197,15 @@ func pair() []switching.ProtocolFactory {
 // Run replays one schedule and checks the invariants. The simulation is
 // seeded from the schedule, so the whole run is deterministic.
 func Run(sched Schedule, cfg RunConfig) (*Result, error) {
-	res, _, err := run(sched, cfg)
+	res, _, err := run(sched, cfg, nil)
 	return res, err
 }
 
 // run is Run with the cluster exposed, so white-box tests can compare
-// the event-derived metrics against the protocol's own counters.
-func run(sched Schedule, cfg RunConfig) (*Result, *swtest.SwitchedCluster, error) {
+// the event-derived metrics against the protocol's own counters — and,
+// through prepare, reach the cluster once it is built and before
+// anything is scheduled on it.
+func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (*Result, *swtest.SwitchedCluster, error) {
 	cfg.defaults()
 	metrics := obs.NewMetrics()
 	flight := obs.NewFlightRecorder(cfg.FlightSize)
@@ -287,6 +289,9 @@ func run(sched Schedule, cfg RunConfig) (*Result, *swtest.SwitchedCluster, error
 		return nil, nil, fmt.Errorf("chaos: build cluster: %w", err)
 	}
 	c.Net.SetRecorder(rec)
+	if prepare != nil {
+		prepare(c)
+	}
 	if sched.HasForgery() {
 		// The adversary's packet tap: record genuine wire frames so the
 		// KindReplay events have material to re-inject. Capturing draws

@@ -93,8 +93,9 @@ type Layer struct {
 	members []ids.ProcID
 
 	// Outgoing multicast stream.
-	castSeq uint64            // next seq to assign
-	castOut map[uint64][]byte // unacked sent casts, for repair
+	castSeq  uint64            // next seq to assign
+	castOut  map[uint64][]byte // unacked sent casts [castBase, castSeq), for repair
+	castBase uint64            // lowest seq not yet reclaimed by onAck
 	// Outgoing unicast streams, per destination.
 	sendSeq map[ids.ProcID]uint64
 	sendOut map[ids.ProcID]map[uint64][]byte
@@ -132,26 +133,20 @@ func New(cfg Config) *Layer {
 	}
 }
 
-// maxSeqAhead bounds how far beyond the in-order horizon an arriving
-// seq (data or heartbeat) may claim to be. A legitimate stream only
-// runs ahead by the messages actually in flight; a corrupted or forged
-// seq far beyond that would poison the reorder buffer's horizon and
-// make gap repair enumerate the whole range. Anything further ahead is
-// dropped as malformed, before any state mutation.
-const maxSeqAhead = 1 << 20
-
-// reorderBuf reassembles one FIFO stream.
+// reorderBuf reassembles one incoming FIFO stream.
 type reorderBuf struct {
-	next    uint64            // next seq to deliver
-	pending map[uint64][]byte // out-of-order arrivals
+	proto.Reorder[[]byte]
 	// highest is the largest seq we know exists (from data or
 	// heartbeats); used to detect tail gaps.
 	highest uint64
 	hasHigh bool
 }
 
-func newReorderBuf() *reorderBuf {
-	return &reorderBuf{pending: make(map[uint64][]byte)}
+// sawSeq raises the stream's known horizon to seq.
+func (r *reorderBuf) sawSeq(seq uint64) {
+	if !r.hasHigh || seq > r.highest {
+		r.highest, r.hasHigh = seq, true
+	}
 }
 
 // gaps returns the missing sequence numbers below the known horizon.
@@ -159,13 +154,7 @@ func (r *reorderBuf) gaps() []uint64 {
 	if !r.hasHigh {
 		return nil
 	}
-	var out []uint64
-	for s := r.next; s <= r.highest; s++ {
-		if _, ok := r.pending[s]; !ok {
-			out = append(out, s)
-		}
-	}
-	return out
+	return r.Missing(r.highest)
 }
 
 // Init implements proto.Layer.
@@ -327,42 +316,28 @@ func (l *Layer) MalformedDropped() uint64 { return l.malformed }
 func (l *Layer) streamIn(m map[ids.ProcID]*reorderBuf, src ids.ProcID) *reorderBuf {
 	r := m[src]
 	if r == nil {
-		r = newReorderBuf()
+		r = new(reorderBuf)
 		m[src] = r
 	}
 	return r
 }
 
-// onData stores an arrival and delivers any in-order run.
+// onData takes an arrival and delivers any in-order run it completes. A
+// seq absurdly far ahead (proto.MaxSeqAhead: adversarial or corrupted) is
+// dropped as malformed before any state mutation.
 func (l *Layer) onData(r *reorderBuf, src ids.ProcID, seq uint64, payload []byte) {
-	if seq < r.next {
-		l.stats.DupsSuppressed++
-		return // already delivered
-	}
-	if seq > r.next+maxSeqAhead {
-		l.malformed++
-		return // absurd horizon jump: adversarial or corrupted seq
-	}
-	if _, dup := r.pending[seq]; dup {
+	switch r.Push(seq, payload, func(p []byte) { l.up.Deliver(src, p) }) {
+	case proto.Duplicate:
 		l.stats.DupsSuppressed++
 		return
+	case proto.TooFarAhead:
+		l.malformed++
+		return
 	}
-	r.pending[seq] = payload
-	if !r.hasHigh || seq > r.highest {
-		r.highest, r.hasHigh = seq, true
-	}
-	for {
-		p, ok := r.pending[r.next]
-		if !ok {
-			break
-		}
-		delete(r.pending, r.next)
-		r.next++
-		l.up.Deliver(src, p)
-	}
+	r.sawSeq(seq)
 	// Immediate gap repair: if this arrival exposed a hole, ask now
 	// rather than waiting for the resend tick.
-	if len(r.pending) > 0 {
+	if r.Pending() > 0 {
 		l.requestRepairs(src, r)
 	}
 }
@@ -409,8 +384,8 @@ func (l *Layer) onAck(src ids.ProcID, castNext, sendNext uint64) {
 	// has progressed past it.
 	min := l.castSeq
 	if r := l.castIn[l.env.Self()]; r != nil {
-		if r.next < min {
-			min = r.next
+		if r.Next() < min {
+			min = r.Next()
 		}
 	} else if min > 0 {
 		min = 0
@@ -423,10 +398,8 @@ func (l *Layer) onAck(src ids.ProcID, castNext, sendNext uint64) {
 			min = l.castAcked[m]
 		}
 	}
-	for seq := range l.castOut {
-		if seq < min {
-			delete(l.castOut, seq)
-		}
+	for ; l.castBase < min; l.castBase++ {
+		delete(l.castOut, l.castBase)
 	}
 	for seq := range l.sendOut[src] {
 		if seq < sendNext {
@@ -452,13 +425,11 @@ func (l *Layer) onHeartbeat(src ids.ProcID, stream uint8, next uint64) {
 		return
 	}
 	top := next - 1
-	if top > r.next+maxSeqAhead {
+	if top > r.Next()+proto.MaxSeqAhead {
 		l.malformed++
 		return // absurd horizon jump: adversarial or corrupted seq
 	}
-	if !r.hasHigh || top > r.highest {
-		r.highest, r.hasHigh = top, true
-	}
+	r.sawSeq(top)
 	if len(r.gaps()) > 0 {
 		l.requestRepairs(src, r)
 	}
@@ -490,10 +461,10 @@ func (l *Layer) ackTick() {
 		}
 		var castNext, sendNext uint64
 		if r := l.castIn[p]; r != nil {
-			castNext = r.next
+			castNext = r.Next()
 		}
 		if r := l.sendIn[p]; r != nil {
-			sendNext = r.next
+			sendNext = r.Next()
 		}
 		e := wire.GetEncoder()
 		e.U8(kindAck).Uvarint(castNext).Uvarint(sendNext)

@@ -26,14 +26,6 @@ const (
 	kindOrder
 )
 
-// maxSeqAhead bounds how far beyond the delivery horizon an arriving
-// global sequence number may claim to be. The sequencer assigns seqs
-// densely, so a legitimate seq only runs ahead by the messages in
-// flight; a corrupted or forged seq far beyond that would poison the
-// pending buffer with an entry the delivery loop can never reach.
-// Anything further ahead is dropped as malformed.
-const maxSeqAhead = 1 << 20
-
 // Layer is one process's instance of the protocol.
 type Layer struct {
 	sequencer ids.ProcID
@@ -44,11 +36,10 @@ type Layer struct {
 	// Sequencer state: next global sequence number to assign.
 	nextSeq uint64
 
-	// Receiver state: next global seq to deliver and the reordering
-	// buffer (defensive — the fifo below already delivers the
-	// sequencer's stream in order, but the layer does not rely on it).
-	nextDeliver uint64
-	pending     map[uint64]orderedMsg
+	// Receiver state: the global sequence, reassembled (defensive — the
+	// fifo below already delivers the sequencer's stream in order, but
+	// the layer does not rely on it).
+	in proto.Reorder[orderedMsg]
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
 	malformed uint64
@@ -64,10 +55,7 @@ var _ proto.Layer = (*Layer)(nil)
 // New creates a sequencer-ordered layer. sequencer designates the member
 // acting as the sequencer (conventionally member 0).
 func New(sequencer ids.ProcID) *Layer {
-	return &Layer{
-		sequencer: sequencer,
-		pending:   make(map[uint64]orderedMsg),
-	}
+	return &Layer{sequencer: sequencer}
 }
 
 // Init implements proto.Layer.
@@ -136,30 +124,21 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 	case kindOrder:
 		seq := d.Uvarint()
 		origin := d.Proc()
-		if d.Err() != nil || seq > l.nextDeliver+maxSeqAhead {
+		if d.Err() != nil {
 			l.malformed++
 			return
 		}
-		if seq < l.nextDeliver {
-			return // duplicate
-		}
-		if _, dup := l.pending[seq]; dup {
-			return
-		}
-		l.pending[seq] = orderedMsg{origin: origin, payload: d.Remaining()}
-		for {
-			m, ok := l.pending[l.nextDeliver]
-			if !ok {
-				break
-			}
-			delete(l.pending, l.nextDeliver)
-			l.nextDeliver++
-			l.up.Deliver(m.origin, m.payload)
+		// A duplicate is ignored; a seq beyond proto.MaxSeqAhead (the
+		// sequencer assigns densely, so corrupted or forged) is malformed.
+		if l.in.Push(seq, orderedMsg{origin: origin, payload: d.Remaining()}, l.deliver) == proto.TooFarAhead {
+			l.malformed++
 		}
 	default:
 		l.malformed++
 	}
 }
+
+func (l *Layer) deliver(m orderedMsg) { l.up.Deliver(m.origin, m.payload) }
 
 // MalformedDropped returns how many packets the defensive ingress
 // rejected (decode failure or unknown kind).

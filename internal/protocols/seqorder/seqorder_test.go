@@ -1,6 +1,7 @@
 package seqorder
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -190,5 +191,27 @@ func TestLatencyIsAboutTwoHops(t *testing.T) {
 	}
 	if d[0].At != 2*time.Millisecond {
 		t.Errorf("latency = %v, want 2ms (two network hops)", d[0].At)
+	}
+}
+
+// TestInOrderRecvAllocs: a sequenced message that arrives in order goes
+// from Recv to the layer above without an allocation.
+func TestInOrderRecvAllocs(t *testing.T) {
+	l := New(0)
+	delivered := 0
+	up := proto.UpFunc(func(ids.ProcID, []byte) { delivered++ })
+	if err := l.Init(ptest.NewFakeEnv(1, 3), &ptest.RecordDown{}, up); err != nil {
+		t.Fatal(err)
+	}
+	pkt := make([]byte, 0, 32)
+	seq := uint64(0)
+	got := testing.AllocsPerRun(1000, func() {
+		pkt = binary.AppendUvarint(append(pkt[:0], kindOrder), seq)
+		pkt = append(binary.AppendVarint(pkt, 2), "hello"...) // origin 2
+		l.Recv(0, pkt)
+		seq++
+	})
+	if got != 0 || delivered != 1001 {
+		t.Errorf("an in-order Recv allocates %v (delivered %d), want 0", got, delivered)
 	}
 }

@@ -33,14 +33,6 @@ const (
 	kindBatch
 )
 
-// maxSeqAhead bounds how far beyond the delivery horizon an arriving
-// sequence number (token or data) may claim to be. Legitimate seqs only
-// run ahead by the messages in flight; a corrupted or forged seq far
-// beyond that would poison the pending buffer (data) or the token
-// lineage (token) with values the protocol can never reach. Anything
-// further ahead is dropped as malformed, before any state mutation.
-const maxSeqAhead = 1 << 20
-
 // Config tunes the token rotation.
 type Config struct {
 	// HoldDelay is how long a member holds the token before passing it
@@ -74,9 +66,8 @@ type Layer struct {
 	// tokenSeq is the token's next-sequence value while held.
 	tokenSeq uint64
 
-	// Receiver state.
-	nextDeliver uint64
-	pending     map[uint64]dataMsg
+	// Receiver state: the token-stamped sequence, reassembled.
+	in proto.Reorder[dataMsg]
 
 	// timer starts the rotation (and keeps a singleton's token turning);
 	// holdTimer, re-armed on every token visit, ends a hold by running
@@ -102,7 +93,7 @@ func New(cfg Config) *Layer {
 	if cfg.HoldDelay <= 0 {
 		cfg.HoldDelay = time.Millisecond
 	}
-	return &Layer{cfg: cfg, pending: make(map[uint64]dataMsg)}
+	return &Layer{cfg: cfg}
 }
 
 // Init implements proto.Layer. Member 0 of the ring injects the initial
@@ -232,20 +223,24 @@ func (l *Layer) passToken() {
 	wire.PutEncoder(e)
 }
 
-// Recv implements proto.Layer.
+// Recv implements proto.Layer. A sequence number (token or data) more
+// than proto.MaxSeqAhead beyond the delivery horizon — legitimate seqs
+// only run ahead by the messages in flight — would poison the token
+// lineage or the reorder buffer; it is dropped as malformed, before any
+// state mutation.
 func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 	d := wire.NewDecoder(pkt)
 	switch d.U8() {
 	case kindToken:
 		seq := d.Uvarint()
-		if d.Err() != nil || seq > l.nextDeliver+maxSeqAhead {
+		if d.Err() != nil || seq > l.in.Next()+proto.MaxSeqAhead {
 			l.malformed++
 			return
 		}
 		l.acquireToken(seq)
 	case kindData:
 		seq := d.Uvarint()
-		if d.Err() != nil || seq > l.nextDeliver+maxSeqAhead {
+		if d.Err() != nil {
 			l.malformed++
 			return
 		}
@@ -257,7 +252,7 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 		// exceed the remaining bytes in a well-formed batch; the horizon
 		// guard bounds the whole range, not just the first seq.
 		if d.Err() != nil || count == 0 || count > uint64(len(d.Remaining()))+1 ||
-			first+count > l.nextDeliver+maxSeqAhead {
+			first+count > l.in.Next()+proto.MaxSeqAhead {
 			l.malformed++
 			return
 		}
@@ -277,25 +272,15 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 	}
 }
 
-// onData buffers one sequenced arrival and delivers any in-order run.
+// onData takes one sequenced arrival and delivers any in-order run it
+// completes; a duplicate is ignored.
 func (l *Layer) onData(src ids.ProcID, seq uint64, payload []byte) {
-	if seq < l.nextDeliver {
-		return // duplicate
-	}
-	if _, dup := l.pending[seq]; dup {
-		return
-	}
-	l.pending[seq] = dataMsg{origin: src, payload: payload}
-	for {
-		m, ok := l.pending[l.nextDeliver]
-		if !ok {
-			break
-		}
-		delete(l.pending, l.nextDeliver)
-		l.nextDeliver++
-		l.up.Deliver(m.origin, m.payload)
+	if l.in.Push(seq, dataMsg{origin: src, payload: payload}, l.deliver) == proto.TooFarAhead {
+		l.malformed++
 	}
 }
+
+func (l *Layer) deliver(m dataMsg) { l.up.Deliver(m.origin, m.payload) }
 
 // MalformedDropped returns how many packets the defensive ingress
 // rejected (decode failure or unknown kind).

@@ -8,6 +8,7 @@
 package realtime
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -300,17 +301,17 @@ func (t rtTransport) delay() time.Duration {
 	return d
 }
 
-// deliver schedules a packet at dst after the network delay.
-func (t rtTransport) deliver(dst *Node, src ids.ProcID, payload []byte) {
+// deliver schedules a frame at dst after the network delay. frame is the
+// transmission's one snapshot of the sender's payload: every receiver is
+// handed the same bytes, read-only, exactly as on the simulated network.
+func (t rtTransport) deliver(dst *Node, src ids.ProcID, frame []byte) {
 	if t.n.group.isStopped() {
 		return
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
 	time.AfterFunc(t.delay(), func() {
 		dst.post(func() {
 			if dst.recv != nil {
-				dst.recv(src, buf)
+				dst.recv(src, frame)
 			}
 		})
 	})
@@ -318,8 +319,9 @@ func (t rtTransport) deliver(dst *Node, src ids.ProcID, payload []byte) {
 
 // Cast implements proto.Down.
 func (t rtTransport) Cast(payload []byte) error {
+	frame := bytes.Clone(payload)
 	for _, dst := range t.n.group.nodes {
-		t.deliver(dst, t.n.self, payload)
+		t.deliver(dst, t.n.self, frame)
 	}
 	return nil
 }
@@ -329,6 +331,6 @@ func (t rtTransport) Send(dst ids.ProcID, payload []byte) error {
 	if dst < 0 || int(dst) >= len(t.n.group.nodes) {
 		return fmt.Errorf("realtime: send to unknown node %v", dst)
 	}
-	t.deliver(t.n.group.nodes[dst], t.n.self, payload)
+	t.deliver(t.n.group.nodes[dst], t.n.self, bytes.Clone(payload))
 	return nil
 }

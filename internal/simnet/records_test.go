@@ -14,12 +14,11 @@ func drain(sim *des.Sim) {
 	}
 }
 
-// TestMulticastAllocs: a multicast to N bound receivers allocates the N
-// receiver-owned payload buffers (the sender's snapshot, which the last
-// receiver inherits, and a copy for each of the others) and nothing else
-// — no closure, timer or record per frame or per delivery. The model is
-// the paper's Ethernet, so both event legs of a delivery (arrival, then
-// the CPU-queued handler) are on the path.
+// TestMulticastAllocs: a multicast allocates the one snapshot of the
+// sender's payload — the frame every receiver is handed — and nothing
+// else: no buffer per receiver, no closure, timer or record per frame or
+// per delivery. The model is the paper's Ethernet, so both event legs of
+// a delivery (arrival, then the CPU-queued handler) are on the path.
 func TestMulticastAllocs(t *testing.T) {
 	const nodes = 6
 	sim, net := newNet(t, Ethernet10Mbit(nodes))
@@ -40,17 +39,16 @@ func TestMulticastAllocs(t *testing.T) {
 		round()
 	}
 	delivered = 0
-	got := testing.AllocsPerRun(200, round)
-	if want := float64(3 * nodes); got > want {
-		t.Errorf("3 multicasts to %d receivers allocate %v, want at most %v (one buffer per receiver)", nodes, got, want)
+	if got := testing.AllocsPerRun(200, round); got != 3 {
+		t.Errorf("3 multicasts to %d receivers allocate %v, want exactly 3 (one snapshot per transmission)", nodes, got)
 	}
 	if delivered != 201*3*nodes {
 		t.Errorf("delivered %d, want %d", delivered, 201*3*nodes)
 	}
 }
 
-// TestUnicastAllocs: a unicast is copied once — the snapshot the one
-// receiver ends up owning.
+// TestUnicastAllocs: a unicast is copied once — the snapshot its one
+// receiver is handed.
 func TestUnicastAllocs(t *testing.T) {
 	sim, net := newNet(t, Ethernet10Mbit(3))
 	for p := 0; p < 3; p++ {
@@ -72,51 +70,112 @@ func TestUnicastAllocs(t *testing.T) {
 	}
 }
 
-// TestReceiversOwnTheirBytes: whichever delivery inherits the
-// transmission's buffer, no two deliveries share one and none aliases the
-// sender's slice — with duplication on, so a frame fans out to more
-// deliveries than receivers.
-func TestReceiversOwnTheirBytes(t *testing.T) {
+// sameArray reports whether a and b start at the same byte of the same
+// backing array (either may be a prefix of the other).
+func sameArray(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestDeliveriesShareOneImmutableFrame: a transmission is snapshotted
+// once and that one frame is what every receiver, and every duplicate, is
+// handed; it never aliases the sender's slice, which the sender may reuse
+// at once; Inject copies the caller's slice. With corruption and
+// truncation on, the delivery a fault hits is private resp. shorter, and
+// every other delivery of the same frame is intact.
+func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 	const nodes = 5
-	cfg := Ethernet10Mbit(nodes)
-	cfg.DupProb = 0.4
-	sim, net := newNet(t, cfg)
 	want := []byte("the quick brown fox jumps over the lazy dog")
-	deliveries := 0
+	cfg := Ethernet10Mbit(nodes)
+	cfg.DupProb = 0.3
+	sim, net := newNet(t, cfg)
+	var got [][]byte
 	for p := 0; p < nodes; p++ {
-		if err := net.Bind(ids.ProcID(p), func(_ ids.ProcID, b []byte) {
-			if !bytes.Equal(b, want) {
-				t.Errorf("delivery %d carries %q", deliveries, b)
-			}
-			deliveries++
-			for i := range b { // a receiver may do what it likes with its bytes
-				b[i] = 0xFF
-			}
-		}); err != nil {
+		if err := net.Bind(ids.ProcID(p), func(_ ids.ProcID, b []byte) { got = append(got, b) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sent := append([]byte(nil), want...)
+	// transmit hands tx a slice holding want, overwrites that slice while
+	// the frame is still in flight, and returns it with what was delivered.
+	transmit := func(tx func(payload []byte)) (deliveries [][]byte, sent []byte) {
+		got = nil
+		sent = append([]byte(nil), want...)
+		tx(sent)
+		for i := range sent {
+			sent[i] = 0xFF
+		}
+		drain(sim)
+		return got, sent
+	}
+
 	for i := 0; i < 50; i++ {
-		_ = net.Multicast(ids.ProcID(i%nodes), sent)
-		_ = net.Unicast(ids.ProcID(i%nodes), ids.ProcID((i+1)%nodes), sent)
-		_ = net.Inject(0, ids.ProcID(i%nodes), sent) // caller keeps ownership of sent
+		deliveries, sent := transmit(func(b []byte) { _ = net.Multicast(ids.ProcID(i%nodes), b) })
+		for _, d := range deliveries {
+			if !bytes.Equal(d, want) {
+				t.Fatalf("multicast %d delivered %q: the sender's later write showed through", i, d)
+			}
+			if !sameArray(d, deliveries[0]) || sameArray(d, sent) {
+				t.Fatalf("multicast %d: a delivery has a buffer of its own, or the sender's", i)
+			}
+		}
 	}
-	drain(sim)
-	if !bytes.Equal(sent, want) {
-		t.Errorf("the sender's slice was written through: %q", sent)
+	if st := net.Stats(); st.Duplicated == 0 || st.Delivered != 50*nodes+st.Duplicated {
+		t.Fatalf("%d deliveries with %d duplicates, want frames that fan out to more deliveries than receivers", st.Delivered, st.Duplicated)
 	}
-	if st := net.Stats(); st.Duplicated == 0 || deliveries != 50*(nodes+2)+int(st.Duplicated) {
-		t.Errorf("deliveries = %d with %d duplicates, want %d", deliveries, st.Duplicated, 50*(nodes+2)+int(st.Duplicated))
+
+	deliveries, sent := transmit(func(b []byte) {
+		_ = net.Inject(0, 1, b)
+		_ = net.Unicast(0, 2, b)
+		_ = net.Unicast(3, 3, b)
+	})
+	if len(deliveries) < 3 {
+		t.Fatalf("%d deliveries of an inject and two unicasts", len(deliveries))
+	}
+	for _, d := range deliveries {
+		if !bytes.Equal(d, want) || sameArray(d, sent) {
+			t.Errorf("delivery %q aliases, or follows, the caller's slice", d)
+		}
+	}
+
+	if err := net.SetCorruption(0.3, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	var private, shorter int
+	for i := 0; i < 50; i++ {
+		net.SetReplayCapture(0)
+		net.SetReplayCapture(1) // the tap holds the frame itself
+		deliveries, _ := transmit(func(b []byte) { _ = net.Multicast(ids.ProcID(i%nodes), b) })
+		frame := net.captured[0].payload
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("multicast %d: the frame was written to: %q", i, frame)
+		}
+		for _, d := range deliveries {
+			switch {
+			case len(d) == 0:
+			case !sameArray(d, frame):
+				private++ // only a corruption hit takes a copy
+			case !bytes.Equal(d, want[:len(d)]):
+				t.Fatalf("multicast %d: a delivery of the shared frame reads %q", i, d)
+			}
+			if len(d) < len(want) {
+				shorter++
+			}
+		}
+	}
+	st := net.Stats()
+	if st.Corrupted == 0 || st.Truncated == 0 || shorter == 0 {
+		t.Errorf("corrupted %d, truncated %d (%d seen): a fault class never fired", st.Corrupted, st.Truncated, shorter)
+	}
+	if private == 0 || private > int(st.Corrupted) {
+		t.Errorf("%d deliveries had a buffer of their own for %d corruption hits", private, st.Corrupted)
 	}
 }
 
 // TestReentrantHandlerIsRecordSafe: event records are recycled, and a
 // delivery's record is released before its handler runs. A handler that
-// re-enters the network from inside delivery — sends, scribbles over its
-// bytes, rebinds itself, crashes a peer — must not disturb any other
-// delivery in flight: every other receiver still sees the bytes that
-// were sent, from the right sender, round after round of record reuse.
+// re-enters the network from inside delivery — sends, rebinds itself,
+// crashes a peer — must not disturb any other delivery in flight: every
+// other receiver still sees the bytes that were sent, from the right
+// sender, round after round of record reuse.
 func TestReentrantHandlerIsRecordSafe(t *testing.T) {
 	const nodes = 5
 	const rounds = 40
@@ -153,9 +212,6 @@ func TestReentrantHandlerIsRecordSafe(t *testing.T) {
 		// record went back to a moment ago.
 		_ = net.Multicast(1, echo)
 		_ = net.Unicast(1, 3, echo)
-		for i := range b {
-			b[i] = 0
-		}
 		if err := net.Bind(1, meddle); err != nil {
 			t.Error(err)
 		}

@@ -17,6 +17,7 @@
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -102,6 +103,9 @@ func Ethernet10Mbit(nodes int) Config {
 }
 
 // Handler receives packets addressed to a node. src is the sending node.
+// payload is read-only and may be shared with the other receivers of the
+// same transmission: a handler may retain it, or any sub-slice of it, for
+// as long as it likes, and must copy before writing.
 type Handler func(src ids.ProcID, payload []byte)
 
 // Stats aggregates network-level counters.
@@ -149,8 +153,8 @@ type frame struct {
 // values bound once, when the record is first created, and records are
 // recycled through Network.txFree — so a frame in steady state costs the
 // simulator no closure, no timer and no record. The network owns the
-// record; the record owns the frame's payload snapshot until the
-// transmission completes.
+// record and the frame: f.payload is the snapshot taken at the send, and
+// nothing writes to it afterwards.
 type txRecord struct {
 	n *Network
 	f frame
@@ -163,8 +167,9 @@ type txRecord struct {
 // fault pipeline to the handler, through the receiver's CPU queue. Bound
 // and recycled like txRecord (Network.rxFree). It is released *before*
 // the handler runs, so a handler that sends re-enters the network with
-// the record already back on the free list; the bytes are the receiver's
-// from then on and the network keeps no reference to them.
+// the record already back on the free list. buf is the transmission's
+// frame (or a prefix of it, or the private copy a corruption fault took):
+// every other receiver of that transmission may be handed the same bytes.
 type rxRecord struct {
 	n        *Network
 	src, dst ids.ProcID
@@ -572,7 +577,7 @@ func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 	}
 	n.stats.GarbageInjected++
 	n.rec.Record(obs.Garbage(n.sim.Now(), dst, src, size))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
+	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
 
@@ -596,7 +601,7 @@ func (n *Network) InjectForged(src, dst ids.ProcID, payload []byte) error {
 	copy(buf, payload)
 	n.stats.Forged++
 	n.rec.Record(obs.Forged(n.sim.Now(), dst, src, len(buf)))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
+	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
 
@@ -625,11 +630,9 @@ func (n *Network) InjectReplay(i int) error {
 		return fmt.Errorf("simnet: replay index %d out of range [0,%d)", i, len(n.captured))
 	}
 	f := n.captured[i]
-	buf := make([]byte, len(f.payload))
-	copy(buf, f.payload)
 	n.stats.Replayed++
-	n.rec.Record(obs.Replayed(n.sim.Now(), f.dst, f.src, len(buf)))
-	n.scheduleDelivery(f.src, f.dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
+	n.rec.Record(obs.Replayed(n.sim.Now(), f.dst, f.src, len(f.payload)))
+	n.scheduleDelivery(f.src, f.dst, f.payload, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
 
@@ -738,16 +741,15 @@ func (r *txRecord) done() {
 	n.serveNext()
 }
 
-// completeFrame fans a finished transmission out to its receivers. The
-// frame's buffer goes to the last of them; the others get copies.
+// completeFrame fans a finished transmission out to its receivers: one
+// frame, heard by all of them.
 func (n *Network) completeFrame(f frame) {
 	now := n.sim.Now()
 	if !f.multicast {
-		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay, true)
+		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay)
 		return
 	}
-	last := n.cfg.Nodes - 1
-	for i := 0; i <= last; i++ {
+	for i := 0; i < n.cfg.Nodes; i++ {
 		dst := ids.ProcID(i)
 		arrival := now + n.cfg.PropDelay
 		if dst == f.src {
@@ -756,7 +758,7 @@ func (n *Network) completeFrame(f frame) {
 			// interface would).
 			arrival = now
 		}
-		n.scheduleDelivery(f.src, dst, f.payload, arrival, i == last)
+		n.scheduleDelivery(f.src, dst, f.payload, arrival)
 	}
 }
 
@@ -781,7 +783,7 @@ func (n *Network) Unicast(src, dst ids.ProcID, payload []byte) error {
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
 	if src == dst {
 		// Local loopback: costs send CPU only.
-		n.scheduleDelivery(src, dst, buf, sent, true)
+		n.scheduleDelivery(src, dst, buf, sent)
 		return nil
 	}
 	n.enqueueFrame(frame{src: src, dst: dst, payload: buf, tx: n.txTime(len(payload))}, sent)
@@ -818,25 +820,23 @@ func (n *Network) Inject(src, dst ids.ProcID, payload []byte) error {
 	if !n.valid(src) || !n.valid(dst) {
 		return fmt.Errorf("simnet: inject %v -> %v out of range", src, dst)
 	}
-	n.scheduleDelivery(src, dst, payload, n.sim.Now()+n.cfg.PropDelay, false)
+	// The caller keeps its slice, so the frame is a copy of it.
+	n.scheduleDelivery(src, dst, bytes.Clone(payload), n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
 
 // scheduleDelivery applies the per-receiver fault model and queues the
-// handler invocation behind dst's CPU. Receivers own their bytes: every
-// delivery gets a buffer of its own. owned says the caller is done with
-// payload — it is the transmission's snapshot and this is its last
-// receiver — so the last delivery made here takes payload itself instead
-// of a copy; earlier ones (a duplicate) are copied first, so corruption
-// still mutates one delivery only.
-func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration, owned bool) {
+// handler invocation behind dst's CPU. payload is a frame: immutable from
+// here on, and handed as it is to this receiver, to its duplicate and —
+// by the caller — to every other receiver of the transmission. Handlers
+// only read it. A truncation fault is a shorter view of it; a corruption
+// fault, the one thing that writes, takes a private copy first.
+func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration) {
 	// Replay capture records the frame before the fault model touches it
 	// — the adversary's tap sees what the sender put on the wire. No RNG
 	// is consumed here, so enabling capture never perturbs a schedule.
 	if n.capMax > 0 && len(n.captured) < n.capMax {
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
-		n.captured = append(n.captured, capturedFrame{src: src, dst: dst, payload: buf})
+		n.captured = append(n.captured, capturedFrame{src: src, dst: dst, payload: payload})
 	}
 	if n.isBlocked(src, dst) || n.crashed[src] || n.crashed[dst] {
 		n.stats.Dropped++
@@ -887,14 +887,11 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 			}
 		}
 		buf := payload
-		if !owned || c < copies-1 {
-			buf = make([]byte, len(payload))
-			copy(buf, payload)
-		}
-		// Corruption faults mutate this delivery's copy only, and every
-		// draw is guarded by its probability so that configurations
+		// Corruption faults mutate a private copy of this one delivery, and
+		// every draw is guarded by its probability so that configurations
 		// without corruption consume exactly the legacy RNG stream.
 		if n.cfg.CorruptProb > 0 && len(buf) > 0 && rng.Float64() < n.cfg.CorruptProb {
+			buf = bytes.Clone(payload)
 			flips := 1 + rng.Intn(3)
 			for i := 0; i < flips; i++ {
 				bit := rng.Intn(len(buf) * 8)
@@ -938,8 +935,8 @@ func (r *rxRecord) arrive() {
 	n.sim.Schedule(doneAt, r.handleFn)
 }
 
-// handle releases the record and then runs the handler, which from here
-// on owns the bytes.
+// handle releases the record and then runs the handler on the borrowed,
+// read-only bytes.
 func (r *rxRecord) handle() {
 	h, src, buf := r.h, r.src, r.buf
 	r.release()
