@@ -77,7 +77,8 @@ func (g *frameGuard) verify(t *testing.T) {
 }
 
 // guardedTraffic runs senders casting every gap, with a switch requested
-// every 500 ms, for d of virtual time on a guarded cluster.
+// every 500 ms, for d of virtual time on a guarded cluster; the run must
+// cross switches with new-epoch traffic buffered.
 func guardedTraffic(t *testing.T, netCfg simnet.Config, swCfg switching.Config, senders int, gap, d time.Duration) {
 	t.Helper()
 	c, err := swtest.NewSwitched(1, netCfg, netCfg.Nodes, swCfg)
@@ -105,6 +106,18 @@ func guardedTraffic(t *testing.T, netCfg simnet.Config, swCfg switching.Config, 
 	c.Stop()
 	if got := c.Members[0].Switch.Stats().SwitchesCompleted; got < 2 {
 		t.Errorf("%d switches completed; the run is meant to cross protocols", got)
+	}
+	// The views a stack retains — new-epoch messages held in Switch.buffer
+	// until a switch completes, frames waiting in the overload ingress
+	// queue — are under the guard only if the run actually holds some.
+	var buffered uint64
+	queued := 0
+	for _, m := range c.Members {
+		buffered += m.Switch.Stats().Buffered
+		queued = max(queued, m.Switch.OverloadAccounting().IngressMaxDepth)
+	}
+	if buffered == 0 || (swCfg.Overload != nil && queued < 2) {
+		t.Errorf("%d messages buffered across a switch, ingress depth %d: the run retains no view to guard", buffered, queued)
 	}
 	want := senders * int((d+gap-1)/gap)
 	for _, m := range c.Members {

@@ -216,7 +216,7 @@ func (a *adaptive) tick() {
 func (a *adaptive) check() {
 	now := a.s.env.Now()
 	self := a.s.env.Self()
-	for _, p := range a.s.env.Ring().Members() {
+	for _, p := range a.s.members {
 		if p == self {
 			continue
 		}

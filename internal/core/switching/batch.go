@@ -241,19 +241,12 @@ func (s *Switch) recvBatch(src ids.ProcID, pkt []byte) {
 		s.countMalformed(src, obs.MalformedDecode)
 		return
 	}
-	// Second pass: route. With the overload layer active the ingress
-	// queue retains frames past this callback, so own the whole batch
-	// body with a single copy and admit aliasing sub-slices — one
-	// allocation per batch instead of one per inner frame. Without the
-	// layer every frame is consumed synchronously and can alias pkt.
-	owned := s.ovl != nil
-	if owned {
-		body = append([]byte(nil), body...)
-	}
+	// Second pass: route views of the verified frame. The ingress queue
+	// and the layers above retain them; nothing up here writes to one.
 	for i := uint64(0); i < count; i++ {
 		ln, n := binary.Uvarint(body[off:])
 		off += n
-		s.recvFrame(src, body[off:off+int(ln)], owned)
+		s.recvFrame(src, body[off:off+int(ln)])
 		off += int(ln)
 	}
 }

@@ -1,6 +1,7 @@
 package switching_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,7 +10,11 @@ import (
 	"repro/internal/core/switching"
 	"repro/internal/ids"
 	"repro/internal/proto"
+	"repro/internal/protocols/fifo"
+	"repro/internal/protocols/seqorder"
+	"repro/internal/protocols/tokenorder"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // Integration tests for egress batching (OverloadConfig.BatchMax > 1):
@@ -254,4 +259,110 @@ func TestBatchedAcrossSwitch(t *testing.T) {
 		}
 	}
 	assertAgreement(t, c, n*per)
+}
+
+var junk = bytes.Repeat([]byte{0xAA}, 4096)
+
+// scribblePools takes every pooled encoder and seal buffer the senders
+// can have used, overwrites it to its full capacity, and puts it back —
+// what the next hundred sends would do to them.
+func scribblePools() {
+	var encs []*wire.Encoder
+	var bufs []*[]byte
+	for i := 0; i < 32; i++ {
+		e := wire.GetEncoder()
+		e.Frame(junk)
+		encs = append(encs, e)
+		bp := wire.GetBuf()
+		b := (*bp)[:cap(*bp)]
+		for j := range b {
+			b[j] = 0xAA
+		}
+		bufs = append(bufs, bp)
+	}
+	for i := range encs {
+		wire.PutEncoder(encs[i])
+		wire.PutBuf(bufs[i])
+	}
+}
+
+// TestRetainedViewsSurviveBufferReuse pins what the zero-copy up-path
+// rests on: simnet snapshots a frame when it is sent, so the views of it
+// that receivers retain — frames waiting in the overload ingress queue,
+// token-batch entries, new-epoch messages held in Switch.buffer across a
+// switch — still read correctly after the sender has re-used every
+// pooled buffer the frame was built in.
+func TestRetainedViewsSurviveBufferReuse(t *testing.T) {
+	const n, per = 4, 20
+	cfg := switching.Config{
+		TokenInterval: 2 * time.Millisecond,
+		// Token order first: it drains slowly, so sequencer traffic sent
+		// after PREPARE overtakes it and is buffered.
+		Protocols: []switching.ProtocolFactory{
+			func(proto.Env) []proto.Layer {
+				return []proto.Layer{
+					tokenorder.New(tokenorder.Config{HoldDelay: 2 * time.Millisecond, BatchFlush: true}),
+					fifo.New(fifo.Config{}),
+				}
+			},
+			func(proto.Env) []proto.Layer {
+				return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
+			},
+		},
+		Defense: &switching.DefenseConfig{
+			QuarantineThreshold: 1000,
+			Auth:                &switching.AuthConfig{SessionKey: []byte("zero-copy session key")},
+		},
+		Overload: &switching.OverloadConfig{
+			IngressQueueCap: 32,
+			EgressQueueCap:  32,
+			ServiceInterval: 200 * time.Microsecond,
+			BatchMax:        4,
+		},
+	}
+	c := newCluster(t, 17, simnet.Config{Nodes: n, PropDelay: 100 * time.Microsecond}, n, cfg)
+	want := map[string]bool{}
+	for p := 0; p < n; p++ {
+		for i := 0; i < per; i++ {
+			p, i := p, i
+			body := fmt.Sprintf("f%d.%02d", p, i)
+			want[body] = true
+			c.Sim.At(time.Duration(i)*time.Millisecond, func() {
+				m := proto.AppMsg{ID: proto.MakeMsgID(ids.ProcID(p), uint32(i)), Sender: ids.ProcID(p), Body: []byte(body)}
+				_ = c.Members[p].Switch.Cast(m.Encode())
+			})
+		}
+	}
+	c.Sim.At(8*time.Millisecond, func() { c.Members[0].Switch.RequestSwitch() })
+	for at := time.Duration(0); at < 100*time.Millisecond; at += 50 * time.Microsecond {
+		c.Sim.At(at, scribblePools)
+	}
+	c.Run(500 * time.Millisecond)
+	c.Stop()
+
+	var buffered uint64
+	queued := 0
+	for p := 0; p < n; p++ {
+		st := c.Members[p].Switch.Stats()
+		if st.AuthFailed != 0 || st.MalformedDropped != 0 || st.Shed != 0 || st.SwitchesCompleted != 1 {
+			t.Errorf("member %d: auth failed %d, malformed %d, shed %d, switches %d; want 0, 0, 0, 1",
+				p, st.AuthFailed, st.MalformedDropped, st.Shed, st.SwitchesCompleted)
+		}
+		buffered += st.Buffered
+		queued = max(queued, c.Members[p].Switch.OverloadAccounting().IngressMaxDepth)
+	}
+	if buffered == 0 || queued < 2 {
+		t.Fatalf("scenario retained too little: %d messages buffered across the switch, ingress depth %d", buffered, queued)
+	}
+	assertAgreement(t, c, n*per)
+	got, err := c.AppBodies(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range got {
+		if !want[b] {
+			t.Fatalf("delivered a body nobody sent (or sent twice): %q", b)
+		}
+		delete(want, b)
+	}
 }

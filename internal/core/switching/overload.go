@@ -143,30 +143,6 @@ type OverloadAccounting struct {
 	IngressCap, EgressCap int
 }
 
-// ingressQ is one peer's bounded ingress queue. A head index instead
-// of re-slicing keeps the backing array reusable: serving a frame
-// advances head, and an emptied queue resets to its full capacity, so
-// the steady state appends without reallocating.
-type ingressQ struct {
-	frames [][]byte
-	head   int
-}
-
-func (q *ingressQ) depth() int { return len(q.frames) - q.head }
-
-func (q *ingressQ) push(pkt []byte) { q.frames = append(q.frames, pkt) }
-
-func (q *ingressQ) pop() []byte {
-	pkt := q.frames[q.head]
-	q.frames[q.head] = nil // release for GC: the slot may idle in the backing array
-	q.head++
-	if q.head == len(q.frames) {
-		q.frames = q.frames[:0]
-		q.head = 0
-	}
-	return pkt
-}
-
 // egressEntry is one queued (or retrying) application cast. The epoch
 // is captured when the application called Cast, so the wire frame and
 // any caller-side epoch tagging agree even when the send is delayed
@@ -183,12 +159,10 @@ type overload struct {
 
 	// ingress holds per-peer bounded queues of verified mux frames;
 	// service is one frame per interval, round-robin in ring order
-	// (serveIdx) so draining is deterministic. members caches the ring
-	// order (Ring.Members copies on every call — too hot for a per-tick
-	// path) and serveFn/drainFn are the timer callbacks, bound once so
-	// arming a timer does not allocate a method-value closure.
-	ingress      map[ids.ProcID]*ingressQ
-	members      []ids.ProcID
+	// (serveIdx) so draining is deterministic. serveFn/drainFn are the
+	// timer callbacks, bound once so arming a timer does not allocate a
+	// method-value closure.
+	ingress      map[ids.ProcID]*proto.Queue[[]byte]
 	serveFn      func()
 	drainFn      func()
 	serveIdx     int
@@ -197,7 +171,7 @@ type overload struct {
 
 	// egress is the bounded queue of outgoing casts; paused is the
 	// backpressure state; retrying counts casts waiting on a retry.
-	egress      []egressEntry
+	egress      proto.Queue[egressEntry]
 	sending     bool
 	egressTimer proto.Timer
 	paused      bool
@@ -239,7 +213,7 @@ func newOverload(s *Switch, cfg OverloadConfig) (*overload, error) {
 	o := &overload{
 		s:       s,
 		cfg:     cfg,
-		ingress: make(map[ids.ProcID]*ingressQ),
+		ingress: make(map[ids.ProcID]*proto.Queue[[]byte]),
 	}
 	o.serveFn = o.serveIngress
 	o.drainFn = o.drainEgress
@@ -277,11 +251,9 @@ func (o *overload) shed(peer ids.ProcID, reason int64, depth int) {
 // channel and failure-detector heartbeats, which keep their direct
 // path — and for frames whose channel header does not decode (the
 // demultiplexer owns malformed accounting). Everything else is consumed:
-// queued under its sender, or shed drop-newest at the cap. owned tells
-// the layer the frame's bytes already outlive the network callback
-// (recvBatch copies a whole batch body once and admits aliasing
-// sub-slices); otherwise the queue takes its own copy.
-func (o *overload) admitIngress(src ids.ProcID, pkt []byte, owned bool) bool {
+// queued under its sender, or shed drop-newest at the cap. The queue
+// holds pkt itself: a delivered frame is immutable and may be retained.
+func (o *overload) admitIngress(src ids.ProcID, pkt []byte) bool {
 	d := wire.NewDecoder(pkt)
 	ch := d.Channel()
 	if d.Err() != nil || ch == ids.ControlChannel || ch == detectorChannel {
@@ -289,21 +261,17 @@ func (o *overload) admitIngress(src ids.ProcID, pkt []byte, owned bool) bool {
 	}
 	q := o.ingress[src]
 	if q == nil {
-		q = &ingressQ{}
+		q = &proto.Queue[[]byte]{}
 		o.ingress[src] = q
 	}
-	if q.depth() >= o.cfg.IngressQueueCap {
+	if q.Len() >= o.cfg.IngressQueueCap {
 		o.acct.IngressShed++
-		o.shed(src, obs.ShedIngress, q.depth())
+		o.shed(src, obs.ShedIngress, q.Len())
 		return true
 	}
-	// Own the bytes: the frame outlives the network callback.
-	if !owned {
-		pkt = append([]byte(nil), pkt...)
-	}
-	q.push(pkt)
+	q.Push(pkt)
 	o.acct.IngressAdmitted++
-	if d := q.depth(); d > o.acct.IngressMaxDepth {
+	if d := q.Len(); d > o.acct.IngressMaxDepth {
 		o.acct.IngressMaxDepth = d
 	}
 	o.armIngress()
@@ -336,20 +304,17 @@ func (o *overload) serveIngress() {
 	if max < 1 {
 		max = 1
 	}
-	if o.members == nil {
-		o.members = s.env.Ring().Members()
-	}
-	members := o.members
+	members := s.members
 	for n := 0; n < max && !s.stopped; n++ {
 		served := false
 		for range members {
 			p := members[o.serveIdx%len(members)]
 			o.serveIdx++
 			q := o.ingress[p]
-			if q == nil || q.depth() == 0 {
+			if q == nil || q.Len() == 0 {
 				continue
 			}
-			pkt := q.pop()
+			pkt := q.Pop()
 			o.acct.IngressServed++
 			s.mux.Recv(p, pkt)
 			served = true
@@ -359,17 +324,9 @@ func (o *overload) serveIngress() {
 			break
 		}
 	}
-	if o.ingressQueued() > 0 {
+	if o.acct.IngressAdmitted > o.acct.IngressServed {
 		o.armIngress()
 	}
-}
-
-func (o *overload) ingressQueued() int {
-	n := 0
-	for _, q := range o.ingress {
-		n += q.depth()
-	}
-	return n
 }
 
 // --- egress ---
@@ -381,12 +338,13 @@ func (o *overload) admitCast(payload []byte) error {
 	s := o.s
 	o.acct.Casts++
 	epoch := s.sendEpoch
-	// The queue retains the frame, so it must be independently owned:
-	// one right-sized allocation via Frame (Prepend would cost two).
+	// The queue retains the frame and the caller keeps payload, so the
+	// frame is a copy: one right-sized allocation via Frame (Prepend
+	// would cost two).
 	e := wire.NewEncoder(10 + len(payload))
 	e.Uvarint(epoch)
 	ent := egressEntry{frame: e.Frame(payload), epoch: epoch}
-	if len(o.egress) >= o.cfg.EgressQueueCap {
+	if o.egress.Len() >= o.cfg.EgressQueueCap {
 		o.scheduleRetry(ent, 1)
 		return nil
 	}
@@ -401,15 +359,15 @@ func (o *overload) admitCast(payload []byte) error {
 func (o *overload) enqueueEgress(ent egressEntry) {
 	s := o.s
 	s.sent[ent.epoch]++
-	o.egress = append(o.egress, ent)
+	o.egress.Push(ent)
 	o.acct.EgressAdmitted++
-	if d := len(o.egress); d > o.acct.EgressMaxDepth {
+	if d := o.egress.Len(); d > o.acct.EgressMaxDepth {
 		o.acct.EgressMaxDepth = d
 	}
-	if !o.paused && len(o.egress) >= o.cfg.HighWatermark {
+	if !o.paused && o.egress.Len() >= o.cfg.HighWatermark {
 		o.paused = true
 		s.stats.Backpressured++
-		s.obs.Record(obs.BackpressureOn(s.env.Now(), s.env.Self(), len(o.egress)))
+		s.obs.Record(obs.BackpressureOn(s.env.Now(), s.env.Self(), o.egress.Len()))
 		if o.cfg.OnBackpressure != nil {
 			o.cfg.OnBackpressure(true)
 		}
@@ -418,7 +376,7 @@ func (o *overload) enqueueEgress(ent egressEntry) {
 }
 
 func (o *overload) armEgress() {
-	if o.sending || o.s.stopped || len(o.egress) == 0 {
+	if o.sending || o.s.stopped || o.egress.Len() == 0 {
 		return
 	}
 	o.sending = true
@@ -433,23 +391,22 @@ func (o *overload) armEgress() {
 func (o *overload) drainEgress() {
 	o.sending = false
 	s := o.s
-	if s.stopped || len(o.egress) == 0 {
+	if s.stopped || o.egress.Len() == 0 {
 		return
 	}
 	max := o.cfg.BatchMax
 	if max < 1 {
 		max = 1
 	}
-	epoch := o.egress[0].epoch
-	for n := 0; n < max && len(o.egress) > 0 && o.egress[0].epoch == epoch; n++ {
-		ent := o.egress[0]
-		o.egress = o.egress[1:]
+	epoch := o.egress.At(0).epoch
+	for n := 0; n < max && o.egress.Len() > 0 && o.egress.At(0).epoch == epoch; n++ {
+		ent := o.egress.Pop()
 		o.acct.EgressSent++
 		_ = s.protos[ent.epoch%uint64(len(s.protos))].Cast(ent.frame)
 	}
-	if o.paused && len(o.egress) <= o.cfg.LowWatermark {
+	if o.paused && o.egress.Len() <= o.cfg.LowWatermark {
 		o.paused = false
-		s.obs.Record(obs.BackpressureOff(s.env.Now(), s.env.Self(), len(o.egress)))
+		s.obs.Record(obs.BackpressureOff(s.env.Now(), s.env.Self(), o.egress.Len()))
 		if o.cfg.OnBackpressure != nil {
 			o.cfg.OnBackpressure(false)
 		}
@@ -465,7 +422,7 @@ func (o *overload) scheduleRetry(ent egressEntry, attempt int) {
 	s := o.s
 	if attempt > o.cfg.MaxRetryShift {
 		o.acct.EgressShed++
-		o.shed(obs.NoPeer, obs.ShedEgress, len(o.egress))
+		o.shed(obs.NoPeer, obs.ShedEgress, o.egress.Len())
 		return
 	}
 	backoff := o.cfg.RetryBackoff << (attempt - 1)
@@ -478,7 +435,7 @@ func (o *overload) scheduleRetry(ent egressEntry, attempt int) {
 			return // ledger freezes where it was: the cast stays "retrying"
 		}
 		o.retrying--
-		if len(o.egress) < o.cfg.EgressQueueCap {
+		if o.egress.Len() < o.cfg.EgressQueueCap {
 			o.enqueueEgress(ent)
 			return
 		}
@@ -486,11 +443,15 @@ func (o *overload) scheduleRetry(ent egressEntry, attempt int) {
 	})
 }
 
-// accounting snapshots the conservation ledger.
+// accounting snapshots the conservation ledger. IngressQueued is
+// counted from the queues themselves, so the ledger identity checks the
+// Admitted − Served difference serveIngress re-arms on.
 func (o *overload) accounting() OverloadAccounting {
 	a := o.acct
-	a.IngressQueued = uint64(o.ingressQueued())
-	a.EgressQueued = uint64(len(o.egress))
+	for _, q := range o.ingress {
+		a.IngressQueued += uint64(q.Len())
+	}
+	a.EgressQueued = uint64(o.egress.Len())
 	a.EgressRetrying = o.retrying
 	return a
 }

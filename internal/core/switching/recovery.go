@@ -307,7 +307,7 @@ func (r *recovery) successor(self ids.ProcID) ids.ProcID {
 // ring order — the stagger that makes concurrent regenerations unlikely.
 func (r *recovery) livePosition() int {
 	pos := 0
-	for _, p := range r.s.env.Ring().Members() {
+	for _, p := range r.s.members {
 		if p == r.s.env.Self() {
 			return pos
 		}

@@ -207,6 +207,9 @@ type Switch struct {
 	env proto.Env
 	app proto.Up
 	mux *Multiplex
+	// members is the ring order, read once (Ring.Members copies — too
+	// dear for the ingress-service, suspicion and wedge-timeout ticks).
+	members []ids.ProcID
 
 	ctl    *proto.Stack   // control channel (token transport)
 	protos []*proto.Stack // sub-protocol stacks, one per factory
@@ -306,13 +309,14 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 		cfg.TokenInterval = 5 * time.Millisecond
 	}
 	s := &Switch{
-		cfg:    cfg,
-		env:    env,
-		app:    app,
-		sent:   make(map[uint64]uint64),
-		recv:   make(map[uint64][]uint64),
-		buffer: make(map[uint64][]bufEntry),
-		obs:    obs.OrNop(cfg.Recorder),
+		cfg:     cfg,
+		env:     env,
+		app:     app,
+		members: env.Ring().Members(),
+		sent:    make(map[uint64]uint64),
+		recv:    make(map[uint64][]uint64),
+		buffer:  make(map[uint64][]bufEntry),
+		obs:     obs.OrNop(cfg.Recorder),
 	}
 	if cfg.Defense != nil {
 		// Seal below the multiplex: one envelope covers the mux header
@@ -382,7 +386,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 		s.ovl = ovl
 	}
 	// The first ring member injects the NORMAL token.
-	if env.Self() == env.Ring().Members()[0] {
+	if env.Self() == s.members[0] {
 		s.hold(Token{Mode: ModeNormal, Initiator: env.Self()}, holdInject)
 	}
 	return s, nil
@@ -423,15 +427,14 @@ func (s *Switch) Recv(src ids.ProcID, pkt []byte) {
 		s.recvBatch(src, pkt)
 		return
 	}
-	s.recvFrame(src, pkt, false)
+	s.recvFrame(src, pkt)
 }
 
 // recvFrame routes one verified, unbatched mux frame. The overload
 // layer consumes data frames (queueing or shedding them); token and
-// heartbeat frames keep their direct path. owned marks frames whose
-// bytes already survive this callback (see admitIngress).
-func (s *Switch) recvFrame(src ids.ProcID, pkt []byte, owned bool) {
-	if s.ovl != nil && s.ovl.admitIngress(src, pkt, owned) {
+// heartbeat frames keep their direct path.
+func (s *Switch) recvFrame(src ids.ProcID, pkt []byte) {
+	if s.ovl != nil && s.ovl.admitIngress(src, pkt) {
 		return
 	}
 	s.mux.Recv(src, pkt)

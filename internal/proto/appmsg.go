@@ -27,7 +27,8 @@ func (m AppMsg) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeApp unmarshals an application message.
+// DecodeApp unmarshals an application message. Body is a view of b, not
+// a copy.
 func DecodeApp(b []byte) (AppMsg, error) {
 	d := wire.NewDecoder(b)
 	m := AppMsg{
@@ -43,10 +44,10 @@ func DecodeApp(b []byte) (AppMsg, error) {
 	return m, nil
 }
 
-// DecodeAppID unmarshals just the message id — the first encoded field
-// — without copying the body. Per-delivery consumers that only need
-// the identity (the throughput collector) use this to stay off the
-// allocator; DecodeApp would copy the body per message just to drop it.
+// DecodeAppID unmarshals just the message id — the first encoded field.
+// Per-delivery consumers that only need the identity (the throughput
+// collector) use this to stay off the allocator; DecodeApp would decode
+// the view list per message just to drop it.
 func DecodeAppID(b []byte) (ids.MsgID, error) {
 	d := wire.NewDecoder(b)
 	id := d.Msg()

@@ -60,6 +60,7 @@ type Env interface {
 	// Self returns this process's identity.
 	Self() ids.ProcID
 	// Members returns the group membership (stable for an execution).
+	// The slice may be shared between callers: read it, do not modify it.
 	Members() []ids.ProcID
 	// Ring returns the logical ring over the membership.
 	Ring() *ids.Ring
@@ -85,7 +86,10 @@ type Down interface {
 // application).
 type Up interface {
 	// Deliver passes a payload up. src is the message's original sender
-	// as reconstructed by the delivering layer.
+	// as reconstructed by the delivering layer. payload is read-only: it
+	// is usually a view of the frame the network delivered, which other
+	// receivers and other layers may hold too. It may be retained, whole
+	// or in part, for as long as the receiver likes; copy before writing.
 	Deliver(src ids.ProcID, payload []byte)
 }
 
@@ -109,7 +113,9 @@ type Layer interface {
 	// Layers without point-to-point semantics return ErrUnsupported.
 	Send(dst ids.ProcID, payload []byte) error
 	// Recv handles a payload arriving from the layer below; src is the
-	// sender as reported by that layer.
+	// sender as reported by that layer. Same contract as Up.Deliver:
+	// payload is read-only, may be shared, may be retained. Stripping a
+	// header is a reslice; a layer copies only before it writes.
 	Recv(src ids.ProcID, payload []byte)
 	// Stop cancels timers and releases resources. Idempotent.
 	Stop()

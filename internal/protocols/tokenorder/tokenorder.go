@@ -60,7 +60,7 @@ type Layer struct {
 	up   proto.Up
 
 	// queue holds payloads awaiting the token.
-	queue [][]byte
+	queue proto.Queue[[]byte]
 	// holding reports whether this member currently holds the token.
 	holding bool
 	// tokenSeq is the token's next-sequence value while held.
@@ -138,13 +138,13 @@ func (l *Layer) Stop() {
 func (l *Layer) Holding() bool { return l.holding }
 
 // QueueLen returns the number of messages awaiting the token.
-func (l *Layer) QueueLen() int { return len(l.queue) }
+func (l *Layer) QueueLen() int { return l.queue.Len() }
 
 // Cast implements proto.Layer: enqueue until the token arrives.
 func (l *Layer) Cast(payload []byte) error {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	l.queue = append(l.queue, buf)
+	l.queue.Push(buf)
 	if l.holding {
 		l.flush()
 	}
@@ -167,7 +167,7 @@ func (l *Layer) acquireToken(seq uint64) {
 // per message, or — with BatchFlush and more than one queued — a single
 // multi-message frame for the whole visit.
 func (l *Layer) flush() {
-	n := len(l.queue)
+	n := l.queue.Len()
 	if l.cfg.MaxPerToken > 0 && n > l.cfg.MaxPerToken {
 		n = l.cfg.MaxPerToken
 	}
@@ -178,25 +178,22 @@ func (l *Layer) flush() {
 		e := wire.GetEncoder()
 		e.U8(kindBatch).Uvarint(l.tokenSeq).Uvarint(uint64(n))
 		for i := 0; i < n; i++ {
-			e.BytesField(l.queue[i])
+			e.BytesField(l.queue.Pop())
 		}
 		l.tokenSeq += uint64(n)
 		_ = l.down.Cast(e.Bytes())
 		wire.PutEncoder(e)
-		l.queue = l.queue[n:]
 		return
 	}
 	for i := 0; i < n; i++ {
-		payload := l.queue[i]
 		e := wire.GetEncoder()
 		e.U8(kindData).Uvarint(l.tokenSeq)
 		l.tokenSeq++
 		// The fifo layer below copies anything it retains, so the frame
 		// can ride a pooled encoder.
-		_ = l.down.Cast(e.Frame(payload))
+		_ = l.down.Cast(e.Frame(l.queue.Pop()))
 		wire.PutEncoder(e)
 	}
-	l.queue = l.queue[n:]
 }
 
 // passToken hands the token to the ring successor.
@@ -251,21 +248,24 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 		// Each entry costs at least one length byte, so count can never
 		// exceed the remaining bytes in a well-formed batch; the horizon
 		// guard bounds the whole range, not just the first seq.
-		if d.Err() != nil || count == 0 || count > uint64(len(d.Remaining()))+1 ||
+		if d.Err() != nil || count == 0 || count > uint64(len(d.Remaining())) ||
 			first+count > l.in.Next()+proto.MaxSeqAhead {
 			l.malformed++
 			return
 		}
+		// All or nothing: fifo below has consumed this packet, so entries
+		// delivered ahead of a damaged one would leave a gap nothing
+		// repairs. Entries are views, so walking them all first copies nothing.
+		walk := *d
 		for i := uint64(0); i < count; i++ {
-			payload := d.BytesField()
-			if d.Err() != nil {
-				l.malformed++
-				return
-			}
-			l.onData(src, first+i, payload)
+			walk.BytesField()
 		}
-		if len(d.Remaining()) != 0 {
-			l.malformed++ // trailing garbage after the declared entries
+		if walk.Err() != nil || len(walk.Remaining()) != 0 {
+			l.malformed++ // a damaged length, or trailing garbage
+			return
+		}
+		for i := uint64(0); i < count; i++ {
+			l.onData(src, first+i, d.BytesField())
 		}
 	default:
 		l.malformed++

@@ -245,3 +245,62 @@ func TestInOrderRecvAllocs(t *testing.T) {
 		t.Errorf("an in-order Recv allocates %v (delivered %d), want 0", got, delivered)
 	}
 }
+
+// batchFrame encodes a kindBatch frame carrying n entries from first.
+func batchFrame(dst []byte, first uint64, n int, body string) []byte {
+	dst = binary.AppendUvarint(binary.AppendUvarint(append(dst, kindBatch), first), uint64(n))
+	for i := 0; i < n; i++ {
+		dst = append(binary.AppendUvarint(dst, uint64(len(body))), body...)
+	}
+	return dst
+}
+
+// TestInOrderBatchRecvAllocs: the entries of an in-order kindBatch go up
+// as views of the frame — no per-entry copy, no allocation.
+func TestInOrderBatchRecvAllocs(t *testing.T) {
+	l := New(Config{BatchFlush: true})
+	delivered := 0
+	up := proto.UpFunc(func(ids.ProcID, []byte) { delivered++ })
+	if err := l.Init(ptest.NewFakeEnv(1, 3), &ptest.RecordDown{}, up); err != nil {
+		t.Fatal(err)
+	}
+	pkt := make([]byte, 0, 128)
+	seq := uint64(0)
+	got := testing.AllocsPerRun(1000, func() {
+		pkt = batchFrame(pkt[:0], seq, 8, "hello")
+		l.Recv(0, pkt)
+		seq += 8
+	})
+	if got != 0 || delivered != 8*1001 {
+		t.Errorf("an in-order 8-entry batch allocates %v (delivered %d), want 0", got, delivered)
+	}
+}
+
+// TestBatchIsAllOrNothing: fifo below has already consumed the packet,
+// so a batch damaged at its k-th entry must not deliver entries 0..k-1 —
+// nothing would ever repair the rest and the stream would wedge.
+func TestBatchIsAllOrNothing(t *testing.T) {
+	good := batchFrame(nil, 0, 4, "hello")
+	for name, pkt := range map[string][]byte{
+		"truncated":        good[:len(good)-3],
+		"trailing garbage": append(append([]byte(nil), good...), 0xEE),
+		"count too large":  append([]byte{kindBatch, 0, 3}, 0, 0),
+	} {
+		l := New(Config{BatchFlush: true})
+		delivered := 0
+		up := proto.UpFunc(func(ids.ProcID, []byte) { delivered++ })
+		if err := l.Init(ptest.NewFakeEnv(1, 3), &ptest.RecordDown{}, up); err != nil {
+			t.Fatal(err)
+		}
+		l.Recv(0, pkt)
+		if delivered != 0 || l.MalformedDropped() != 1 || l.in.Next() != 0 || l.in.Pending() != 0 {
+			t.Errorf("%s: delivered %d, malformed %d, next %d, pending %d; want 0, 1, 0, 0",
+				name, delivered, l.MalformedDropped(), l.in.Next(), l.in.Pending())
+		}
+		// The intact frame still goes through afterwards.
+		l.Recv(0, good)
+		if delivered != 4 || l.in.Next() != 4 {
+			t.Errorf("%s: intact batch afterwards delivered %d, next %d; want 4, 4", name, delivered, l.in.Next())
+		}
+	}
+}

@@ -18,10 +18,11 @@ import (
 
 // Group is a simulated set of processes sharing a network.
 type Group struct {
-	sim   *des.Sim
-	net   *simnet.Network
-	ring  *ids.Ring
-	nodes []*Node
+	sim     *des.Sim
+	net     *simnet.Network
+	ring    *ids.Ring
+	members []ids.ProcID // ring order, read once: Ring.Members copies
+	nodes   []*Node
 }
 
 // NewGroup creates n nodes over the given simulator and network. The
@@ -34,7 +35,7 @@ func NewGroup(sim *des.Sim, net *simnet.Network, n int) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{sim: sim, net: net, ring: ring}
+	g := &Group{sim: sim, net: net, ring: ring, members: ring.Members()}
 	g.nodes = make([]*Node, n)
 	for i := range g.nodes {
 		g.nodes[i] = &Node{group: g, self: ids.ProcID(i)}
@@ -70,8 +71,8 @@ var _ proto.Env = (*Node)(nil)
 // Self implements proto.Env.
 func (n *Node) Self() ids.ProcID { return n.self }
 
-// Members implements proto.Env.
-func (n *Node) Members() []ids.ProcID { return n.group.ring.Members() }
+// Members implements proto.Env. Every call returns the same slice.
+func (n *Node) Members() []ids.ProcID { return n.group.members }
 
 // Ring implements proto.Env.
 func (n *Node) Ring() *ids.Ring { return n.group.ring }

@@ -227,7 +227,9 @@ func (d *Decoder) Varint() int64 {
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // BytesField consumes a length-prefixed byte string. The result is a
-// copy, safe to retain.
+// read-only view of the decoder's buffer, retainable for as long as the
+// buffer is; its capacity is clipped to its length, so an append by the
+// caller reallocates instead of scribbling on the next field.
 func (d *Decoder) BytesField() []byte {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
@@ -237,9 +239,9 @@ func (d *Decoder) BytesField() []byte {
 		d.fail(ErrTooLong)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
+	end := d.off + int(n)
+	out := d.buf[d.off:end:end]
+	d.off = end
 	return out
 }
 

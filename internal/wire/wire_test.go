@@ -189,15 +189,27 @@ func TestNegativeProcRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBytesFieldCopies(t *testing.T) {
+// BytesField hands out a view, not a copy: it aliases the buffer, and
+// its capacity stops at its own last byte, so a caller's append cannot
+// scribble on the field behind it.
+func TestBytesFieldIsClippedView(t *testing.T) {
 	e := NewEncoder(0)
-	e.BytesField([]byte("abc"))
+	e.BytesField([]byte("abc")).BytesField(nil).BytesField([]byte("next"))
 	buf := e.Bytes()
 	d := NewDecoder(buf)
 	got := d.BytesField()
-	buf[len(buf)-1] = 'X'
-	if string(got) != "abc" {
-		t.Error("BytesField result aliases the input buffer")
+	if string(got) != "abc" || cap(got) != len(got) {
+		t.Fatalf("BytesField = %q, len %d cap %d; want \"abc\" with cap == len", got, len(got), cap(got))
+	}
+	if &got[0] != &buf[1] {
+		t.Error("BytesField copied: the result does not alias the decoder's buffer")
+	}
+	_ = append(got, "XXXXXX"...)
+	if empty := d.BytesField(); empty != nil || d.Err() != nil {
+		t.Errorf("zero-length field = %v, err %v; want nil, nil", empty, d.Err())
+	}
+	if next := d.BytesField(); string(next) != "next" || d.Err() != nil || len(d.Remaining()) != 0 {
+		t.Errorf("field after an append to its neighbour = %q, err %v", next, d.Err())
 	}
 }
 
