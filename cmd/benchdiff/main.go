@@ -6,7 +6,7 @@
 //
 // The exit status encodes the comparison: 0 when nothing regressed, 1
 // on a regression, 2 on usage or decode errors. A regression is a
-// delta no perf-tracking run should wave through silently:
+// delta no tracking run should wave through silently:
 //
 //   - "failed" counts that rose (invariant violations appeared),
 //   - "passed" or "delivered" counts that fell (coverage or throughput
@@ -15,18 +15,11 @@
 //     the same workload),
 //   - "switch_aborts", "token_regens", or "violations" that rose (the
 //     E20 gray-stability rows: recovery churn under flapping grew, or a
-//     cell started breaching an always-on invariant),
-//   - "allocs_per_msg" that rose beyond the noise band (new*1.1+1 —
-//     the hot path started allocating; the E18 perf gate), or
+//     cell started breaching an always-on invariant), or
 //   - telemetry coverage that fell: "windows", "rounds", or
 //     "rounds_complete" in BENCH_telemetry.json (the sweep sampled or
 //     audited less of the same seeded workload — all deterministic
 //     fields, so any drop is a real behavior change).
-//
-// "msgs_per_sec" drops beyond 20% are marked with "~" as warnings,
-// printing baseline vs. current and the percent delta — wall-clock
-// throughput is too host-dependent to hard-fail CI on, but the drop
-// should be visible in the log (the soft half of the perf gate).
 //
 // Everything else — latency drift, event-count changes, new fields from
 // a schema bump — is printed for the record but does not gate, so the
@@ -63,12 +56,9 @@ func run(args []string, w io.Writer) int {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		return 2
 	}
-	changed, regressions, warnings := diff(oldDoc, newDoc, w)
+	changed, regressions := diff(oldDoc, newDoc, w)
 	if changed == 0 {
 		fmt.Fprintln(w, "artifacts identical (timing ignored)")
-	}
-	if warnings > 0 {
-		fmt.Fprintf(w, "\n%d throughput warning(s) (non-gating)\n", warnings)
 	}
 	if regressions > 0 {
 		fmt.Fprintf(w, "\n%d regression(s)\n", regressions)
@@ -77,9 +67,9 @@ func run(args []string, w io.Writer) int {
 	return 0
 }
 
-// diff prints every changed leaf and returns the change/regression/
-// warning counts.
-func diff(oldDoc, newDoc any, w io.Writer) (changed, regressions, warnings int) {
+// diff prints every changed leaf and returns the change and regression
+// counts.
+func diff(oldDoc, newDoc any, w io.Writer) (changed, regressions int) {
 	oldFlat := benchkit.Flatten("", oldDoc, true)
 	newFlat := benchkit.Flatten("", newDoc, true)
 
@@ -107,28 +97,21 @@ func diff(oldDoc, newDoc any, w io.Writer) (changed, regressions, warnings int) 
 			fmt.Fprintf(w, "- %s (was %v)\n", k, ov)
 			changed++
 		case ov != nv:
-			switch {
-			case regressed(k, ov, nv):
+			if regressed(k, ov, nv) {
 				regressions++
 				fmt.Fprintf(w, "! %s: %v -> %v\n", k, ov, nv)
-			case slowed(k, ov, nv):
-				warnings++
-				of, nf := ov.(float64), nv.(float64)
-				fmt.Fprintf(w, "~ %s: baseline %.1f -> current %.1f (%+.1f%%)\n",
-					k, of, nf, (nf-of)/of*100)
-			default:
+			} else {
 				fmt.Fprintf(w, "  %s: %v -> %v\n", k, ov, nv)
 			}
 			changed++
 		}
 	}
-	return changed, regressions, warnings
+	return changed, regressions
 }
 
 // regressed reports whether the (old, new) delta at this key is one of
 // the gating directions. JSON numbers decode as float64. Every gated
-// field except allocs_per_msg is deterministic per seed, so the
-// comparisons are exact.
+// field is deterministic per seed, so the comparisons are exact.
 func regressed(key string, ov, nv any) bool {
 	of, ok1 := ov.(float64)
 	nf, ok2 := nv.(float64)
@@ -136,11 +119,11 @@ func regressed(key string, ov, nv any) bool {
 		return false
 	}
 	switch leaf := benchkit.Leaf(key); {
-	case leaf == "failed" || strings.HasSuffix(leaf,"_failed"):
+	case leaf == "failed" || strings.HasSuffix(leaf, "_failed"):
 		return nf > of
 	case leaf == "passed" || leaf == "delivered":
 		return nf < of
-	case leaf == "shed" || strings.HasSuffix(leaf,"_shed"):
+	case leaf == "shed" || strings.HasSuffix(leaf, "_shed"):
 		return nf > of
 	case leaf == "switch_aborts" || leaf == "token_regens" || leaf == "violations":
 		// Gray-failure stability (the E20 rows in BENCH_chaos.json):
@@ -154,23 +137,6 @@ func regressed(key string, ov, nv any) bool {
 		// must not sample fewer windows or audit fewer (completed)
 		// switch rounds for the same seed.
 		return nf < of
-	case leaf == "allocs_per_msg":
-		// Hard perf gate with a noise band: 10% plus one absolute
-		// allocation per message. Allocation counts are near-deterministic,
-		// so anything past the band means the hot path regressed.
-		return nf > of*1.1+1
 	}
 	return false
-}
-
-// slowed reports a warn-only throughput drop: msgs_per_sec fell by more
-// than 20%. Wall-clock throughput varies with the host, so this marks
-// the log without failing the run.
-func slowed(key string, ov, nv any) bool {
-	of, ok1 := ov.(float64)
-	nf, ok2 := nv.(float64)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return benchkit.Leaf(key) == "msgs_per_sec" && nf < of*0.8
 }

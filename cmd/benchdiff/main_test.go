@@ -22,7 +22,7 @@ func TestDiffGatesTelemetryCoverage(t *testing.T) {
 	// Fewer windows, fewer rounds, fewer completions: three regressions.
 	newDoc := parse(t, `{"schema":"switchbench/telemetry","windows":150,"rounds":12,"rounds_complete":11,"rounds_aborted":1}`)
 	var out bytes.Buffer
-	_, regressions, _ := diff(oldDoc, newDoc, &out)
+	_, regressions := diff(oldDoc, newDoc, &out)
 	if regressions != 3 {
 		t.Errorf("regressions = %d, want 3:\n%s", regressions, out.String())
 	}
@@ -35,29 +35,8 @@ func TestDiffGatesTelemetryCoverage(t *testing.T) {
 	// Growth in any of them does not gate; rounds_aborted never gates.
 	grown := parse(t, `{"schema":"switchbench/telemetry","windows":200,"rounds":20,"rounds_complete":18,"rounds_aborted":2}`)
 	out.Reset()
-	if _, regressions, _ := diff(oldDoc, grown, &out); regressions != 0 {
+	if _, regressions := diff(oldDoc, grown, &out); regressions != 0 {
 		t.Errorf("growth gated: %d regressions\n%s", regressions, out.String())
-	}
-}
-
-func TestDiffWarnsThroughputWithPercentDelta(t *testing.T) {
-	oldDoc := parse(t, `{"rows":[{"msgs_per_sec":1000.0,"allocs_per_msg":2.0}]}`)
-	newDoc := parse(t, `{"rows":[{"msgs_per_sec":700.0,"allocs_per_msg":2.0}]}`)
-	var out bytes.Buffer
-	_, regressions, warnings := diff(oldDoc, newDoc, &out)
-	if regressions != 0 || warnings != 1 {
-		t.Fatalf("regressions=%d warnings=%d:\n%s", regressions, warnings, out.String())
-	}
-	want := "~ rows[0].msgs_per_sec: baseline 1000.0 -> current 700.0 (-30.0%)"
-	if !strings.Contains(out.String(), want) {
-		t.Errorf("warning line missing %q:\n%s", want, out.String())
-	}
-
-	// A 10% dip stays inside the band: printed, not marked.
-	mild := parse(t, `{"rows":[{"msgs_per_sec":900.0,"allocs_per_msg":2.0}]}`)
-	out.Reset()
-	if _, _, warnings := diff(oldDoc, mild, &out); warnings != 0 {
-		t.Errorf("mild dip warned:\n%s", out.String())
 	}
 }
 
@@ -67,7 +46,7 @@ func TestDiffGatesGrayStability(t *testing.T) {
 	// More churn or a new violation: three regressions (delivered held).
 	newDoc := parse(t, `{"gray":[{"period_ms":30,"detector":"adaptive","switch_aborts":9,"token_regens":80,"victim_regens":61,"violations":1,"delivered":831}]}`)
 	var out bytes.Buffer
-	_, regressions, _ := diff(oldDoc, newDoc, &out)
+	_, regressions := diff(oldDoc, newDoc, &out)
 	if regressions != 3 {
 		t.Errorf("regressions = %d, want 3:\n%s", regressions, out.String())
 	}
@@ -81,17 +60,17 @@ func TestDiffGatesGrayStability(t *testing.T) {
 	// member's own backoff-bounded regenerations are not group churn).
 	better := parse(t, `{"gray":[{"period_ms":30,"detector":"adaptive","switch_aborts":5,"token_regens":40,"victim_regens":90,"violations":0,"delivered":831}]}`)
 	out.Reset()
-	if _, regressions, _ := diff(oldDoc, better, &out); regressions != 0 {
+	if _, regressions := diff(oldDoc, better, &out); regressions != 0 {
 		t.Errorf("improvement gated: %d regressions\n%s", regressions, out.String())
 	}
 }
 
 func TestDiffClassicGatesStillFire(t *testing.T) {
-	oldDoc := parse(t, `{"failed":0,"passed":20,"delivered":474,"switching":{"shed":5},"rows":[{"allocs_per_msg":1.0}]}`)
-	newDoc := parse(t, `{"failed":1,"passed":19,"delivered":400,"switching":{"shed":9},"rows":[{"allocs_per_msg":3.0}]}`)
+	oldDoc := parse(t, `{"failed":0,"passed":20,"delivered":474,"switching":{"shed":5}}`)
+	newDoc := parse(t, `{"failed":1,"passed":19,"delivered":400,"switching":{"shed":9}}`)
 	var out bytes.Buffer
-	_, regressions, _ := diff(oldDoc, newDoc, &out)
-	if regressions != 5 {
-		t.Errorf("regressions = %d, want 5:\n%s", regressions, out.String())
+	_, regressions := diff(oldDoc, newDoc, &out)
+	if regressions != 4 {
+		t.Errorf("regressions = %d, want 4:\n%s", regressions, out.String())
 	}
 }

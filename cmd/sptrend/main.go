@@ -5,8 +5,8 @@
 // half of a paper-style experiment pipeline (run N repeats, then reduce
 // to mean ± std).
 //
-//	sptrend runs/*/BENCH_perf.json
-//	sptrend -match msgs_per_sec runs/*/BENCH_perf.json
+//	sptrend runs/*/BENCH_chaos.json
+//	sptrend -match wall_ms runs/*/BENCH_chaos.json
 //	sptrend -all run1/BENCH_telemetry.json run2/BENCH_telemetry.json
 //
 // By default only leaves that vary across the group are printed —

@@ -4,17 +4,13 @@
 //	switchbench -experiment overhead    # switch overhead near the crossover (~31 ms in the paper)
 //	switchbench -experiment hysteresis  # oscillation with and without hysteresis
 //	switchbench -experiment chaos       # E13: fault-schedule sweep vs. the self-healing SP
-//	switchbench -experiment perf        # E18: stack throughput (msgs/sec, allocs/msg) per protocol
 //	switchbench -experiment all
 //
 // All experiments run on the deterministic discrete-event simulator, so
 // results are reproducible for a given -seed. Sweeps execute their
 // independent DES runs on a worker pool (-parallel N, default
 // GOMAXPROCS); tables and artifacts are byte-identical for any worker
-// count — only the wall clock changes. The one exception is the E18
-// perf table, whose msgs/sec and allocs/msg columns are host-side
-// wall-clock measurements by design (the virtual workload underneath
-// is still deterministic per seed).
+// count — only the wall clock changes.
 //
 // With -json <dir>, each experiment also writes a machine-readable
 // BENCH_<experiment>.json artifact (schema "switchbench/<experiment>",
@@ -63,15 +59,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("switchbench", flag.ContinueOnError)
 	var (
-		experiment   = fs.String("experiment", "all", "figure2 | overhead | hysteresis | p2p | chaos | perf | all")
+		experiment   = fs.String("experiment", "all", "figure2 | overhead | hysteresis | p2p | chaos | all")
 		seed         = fs.Int64("seed", 1, "simulation seed")
 		schedules    = fs.Int("schedules", 200, "fault schedules for the chaos sweep")
 		chaosSettle  = fs.Duration("chaos-settle", 0, "chaos: settle window after faults heal (0: package default)")
 		chaosDrain   = fs.Duration("chaos-drain", 0, "chaos: drain window for liveness probes (0: package default)")
-		chaosCorrupt = fs.Bool("chaos-corruption", false, "chaos: add corruption/truncation/garbage faults (E15) and enable the defensive ingress")
-		chaosForgery = fs.Bool("chaos-forgery", false, "chaos: add forged-frame/wire-replay faults (E16) and enable the authenticated ingress")
-		chaosCrowd   = fs.Bool("chaos-flashcrowd", false, "chaos: add flash-crowd faults and the overload layer, plus the E17 latency/shed study")
-		chaosGray    = fs.Bool("chaos-gray", false, "chaos: add gray-failure faults (slow nodes, asymmetric links, flapping) and the adaptive detector, plus the E20 stability study")
+		chaosCorrupt = fs.Bool("chaos-corruption", false, "chaos: add corruption/truncation/garbage faults (E15)")
+		chaosForgery = fs.Bool("chaos-forgery", false, "chaos: add forged-frame/wire-replay faults (E16)")
+		chaosCrowd   = fs.Bool("chaos-flashcrowd", false, "chaos: add flash-crowd faults, plus the E17 latency/shed study")
+		chaosGray    = fs.Bool("chaos-gray", false, "chaos: add gray-failure faults (slow nodes, asymmetric links, flapping), plus the E20 stability study")
 		senders      = fs.Int("senders", 10, "maximum active senders for figure2")
 		measure      = fs.Duration("measure", 10*time.Second, "virtual measurement window per point")
 		warmup       = fs.Duration("warmup", 2*time.Second, "virtual warmup discarded from statistics")
@@ -288,22 +284,6 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	doPerf := func() error {
-		fmt.Println("=== E18: stack throughput ===")
-		// The perf grid runs strictly serially regardless of -parallel:
-		// allocation accounting and wall-clock throughput would otherwise
-		// attribute one run's cost to another (see perf.go).
-		cfg := harness.PerfConfig{Seed: *seed}
-		start := time.Now()
-		rows, err := harness.RunPerf(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderPerf(rows))
-		art := harness.NewBenchPerf(cfg, rows)
-		art.SetTiming(time.Since(start), 1)
-		return writeBench("perf", art)
-	}
 	doP2P := func() error {
 		fmt.Println("=== E11: point-to-point specialization ===")
 		cfg := harness.DefaultP2PConfig()
@@ -331,8 +311,6 @@ func run(args []string) error {
 		return doP2P()
 	case "chaos":
 		return doChaos()
-	case "perf":
-		return doPerf()
 	case "all":
 		if err := doFigure2(); err != nil {
 			return err
@@ -344,9 +322,6 @@ func run(args []string) error {
 			return err
 		}
 		if err := doP2P(); err != nil {
-			return err
-		}
-		if err := doPerf(); err != nil {
 			return err
 		}
 		return doChaos()

@@ -46,8 +46,11 @@ func TestHysteresisExperiment(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-experiment", "nope"}); err == nil {
-		t.Error("unknown experiment accepted")
+	// "perf" was E18, retired with the instrument bench/ replaced.
+	for _, name := range []string{"nope", "perf"} {
+		if err := run([]string{"-experiment", name}); err == nil {
+			t.Errorf("unknown experiment %q accepted", name)
+		}
 	}
 }
 
@@ -137,61 +140,6 @@ func scrubArtifact(t *testing.T, path string) []byte {
 	return b
 }
 
-// scrubPerfSection removes the E18 stack-throughput block from
-// captured stdout: its msgs/sec, allocs/msg, and speedup columns are
-// wall-clock measurements (like an artifact's timing section) and
-// legitimately differ between runs. Fails the test if the block is
-// missing — "all" must still run the experiment.
-func scrubPerfSection(t *testing.T, out []byte) []byte {
-	t.Helper()
-	header := []byte("=== E18: stack throughput ===")
-	start := bytes.Index(out, header)
-	if start < 0 {
-		t.Fatal("stdout has no E18 section — perf missing from -experiment all")
-	}
-	rest := out[start+len(header):]
-	end := bytes.Index(rest, []byte("=== "))
-	if end < 0 {
-		return out[:start]
-	}
-	scrubbed := append([]byte(nil), out[:start]...)
-	return append(scrubbed, rest[end:]...)
-}
-
-// scrubPerfArtifact is scrubArtifact plus removal of the perf rows'
-// host-side fields (wall_ms, msgs_per_sec, allocs_per_msg), which sit
-// outside the timing section on purpose so benchdiff can gate on them.
-func scrubPerfArtifact(t *testing.T, path string) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	delete(m, "timing")
-	rows, ok := m["rows"].([]any)
-	if !ok || len(rows) == 0 {
-		t.Fatalf("%s has no rows", path)
-	}
-	for _, r := range rows {
-		row, ok := r.(map[string]any)
-		if !ok {
-			t.Fatalf("%s: malformed row %v", path, r)
-		}
-		delete(row, "wall_ms")
-		delete(row, "msgs_per_sec")
-		delete(row, "allocs_per_msg")
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestJSONArtifactsWritten checks that -json writes one valid
 // BENCH_<experiment>.json per experiment with the expected schema tag.
 func TestJSONArtifactsWritten(t *testing.T) {
@@ -201,7 +149,7 @@ func TestJSONArtifactsWritten(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"figure2", "overhead", "hysteresis", "p2p", "chaos", "perf"} {
+	for _, name := range []string{"figure2", "overhead", "hysteresis", "p2p", "chaos"} {
 		path := filepath.Join(dir, "BENCH_"+name+".json")
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -224,12 +172,7 @@ func TestJSONArtifactsWritten(t *testing.T) {
 			t.Errorf("%s: no timing section", path)
 			continue
 		}
-		// The perf grid runs serially by design regardless of -parallel.
-		wantWorkers := float64(2)
-		if name == "perf" {
-			wantWorkers = 1
-		}
-		if timing["parallel"] != wantWorkers {
+		if timing["parallel"] != float64(2) {
 			t.Errorf("%s: timing.parallel = %v", path, timing["parallel"])
 		}
 		if timing["wall_ms"] == float64(0) {
@@ -241,9 +184,7 @@ func TestJSONArtifactsWritten(t *testing.T) {
 // TestParallelOutputByteIdentical is the CLI-level acceptance check:
 // the rendered tables on stdout and the JSON artifacts (minus the
 // wall-clock timing section) are byte-identical at -parallel 1 and
-// -parallel 4. The E18 perf table reports wall-clock throughput — the
-// stdout counterpart of the artifacts' timing section — so it is
-// scrubbed the same way (after checking both runs printed it).
+// -parallel 4.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	runAt := func(workers string) (stdout []byte, dir string) {
 		dir = t.TempDir()
@@ -254,8 +195,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	seqOut, seqDir := runAt("1")
 	parOut, parDir := runAt("4")
-	seqOut = scrubPerfSection(t, seqOut)
-	parOut = scrubPerfSection(t, parOut)
 	if !bytes.Equal(seqOut, parOut) {
 		t.Errorf("stdout differs between -parallel 1 and 4:\n--- parallel 1 ---\n%s\n--- parallel 4 ---\n%s",
 			seqOut, parOut)
@@ -264,18 +203,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		file := "BENCH_" + name + ".json"
 		seq := scrubArtifact(t, filepath.Join(seqDir, file))
 		par := scrubArtifact(t, filepath.Join(parDir, file))
-		if !bytes.Equal(seq, par) {
-			t.Errorf("%s differs between -parallel 1 and 4:\n%s\nvs\n%s", file, seq, par)
-		}
-	}
-	// The perf artifact's rows carry host-side fields (wall_ms,
-	// msgs_per_sec, allocs_per_msg) by design — benchdiff gates on them —
-	// so those are scrubbed along with timing; the virtual payload
-	// (config, delivered, events per row) must still match exactly.
-	{
-		file := "BENCH_perf.json"
-		seq := scrubPerfArtifact(t, filepath.Join(seqDir, file))
-		par := scrubPerfArtifact(t, filepath.Join(parDir, file))
 		if !bytes.Equal(seq, par) {
 			t.Errorf("%s differs between -parallel 1 and 4:\n%s\nvs\n%s", file, seq, par)
 		}

@@ -36,13 +36,13 @@ func run() error {
 	rc.Measure = 24 * time.Second
 	rc.Drain = 4 * time.Second
 
-	run, err := harness.NewSwitchedRun(rc, switching.Config{
-		OnSwitchComplete: func(r switching.Record) {
-			fmt.Printf("  t=%-6v switch by %v closed epoch %d (took %v)\n",
-				r.Started.Round(time.Millisecond), r.Initiator, r.Epoch,
-				r.Duration().Round(time.Millisecond))
-		},
-	})
+	swCfg := switching.PaperExact(harness.Factories(rc.TokenHold)...)
+	swCfg.OnSwitchComplete = func(r switching.Record) {
+		fmt.Printf("  t=%-6v switch by %v closed epoch %d (took %v)\n",
+			r.Started.Round(time.Millisecond), r.Initiator, r.Epoch,
+			r.Duration().Round(time.Millisecond))
+	}
+	run, err := harness.NewSwitchedRun(rc, swCfg)
 	if err != nil {
 		return err
 	}

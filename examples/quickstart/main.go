@@ -52,6 +52,13 @@ func run() error {
 		},
 	}
 
+	cfg := switching.PaperExact(protocols...)
+	cfg.TokenInterval = 5 * time.Millisecond
+	cfg.OnSwitchComplete = func(r switching.Record) {
+		fmt.Printf("  [switch] initiator=%v closed epoch %d in %v\n",
+			r.Initiator, r.Epoch, r.Duration().Round(time.Millisecond))
+	}
+
 	var mu sync.Mutex
 	delivered := make(map[ids.ProcID][]string, members)
 	switches := make([]*switching.Switch, members)
@@ -70,14 +77,7 @@ func run() error {
 		var sw *switching.Switch
 		var buildErr error
 		node.Run(func() {
-			sw, buildErr = switching.New(node, app, node.Transport(), switching.Config{
-				Protocols:     protocols,
-				TokenInterval: 5 * time.Millisecond,
-				OnSwitchComplete: func(r switching.Record) {
-					fmt.Printf("  [switch] initiator=%v closed epoch %d in %v\n",
-						r.Initiator, r.Epoch, r.Duration().Round(time.Millisecond))
-				},
-			})
+			sw, buildErr = switching.New(node, app, node.Transport(), cfg)
 		})
 		if buildErr != nil {
 			return buildErr

@@ -65,18 +65,16 @@ func run() error {
 		}
 		return []proto.Layer{seqorder.New(0), integrity.New(mk), c, fifo.New(fifo.Config{})}
 	}
-	cfg := switching.Config{
-		Protocols: []switching.ProtocolFactory{
-			// Epoch 0: plain stack — no authentication at all.
-			func(proto.Env) []proto.Layer {
-				return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
-			},
-			// Epoch 1: authenticated + encrypted stack.
-			secured,
+	cfg := switching.PaperExact(
+		// Epoch 0: plain stack — no authentication at all.
+		func(proto.Env) []proto.Layer {
+			return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
 		},
-		OnSwitchComplete: func(r switching.Record) {
-			fmt.Printf("  security switch completed in %v\n", r.Duration().Round(time.Millisecond))
-		},
+		// Epoch 1: authenticated + encrypted stack.
+		secured,
+	)
+	cfg.OnSwitchComplete = func(r switching.Record) {
+		fmt.Printf("  security switch completed in %v\n", r.Duration().Round(time.Millisecond))
 	}
 	cluster, err := swtest.NewSwitched(11, simnet.Ethernet10Mbit(members), members, cfg)
 	if err != nil {
@@ -164,14 +162,10 @@ func runWireAdversary() error {
 			return []proto.Layer{seqorder.New(ids.ProcID(n)), fifo.New(fifo.Config{})}
 		}
 	}
-	cfg := switching.Config{
-		Protocols:     []switching.ProtocolFactory{plain(0), plain(1)},
-		TokenInterval: 2 * time.Millisecond,
-		Defense: &switching.DefenseConfig{
-			QuarantineThreshold: 50,
-			Auth:                &switching.AuthConfig{SessionKey: sessionKey, Grace: 20 * time.Millisecond},
-		},
-	}
+	cfg := switching.Hardened(sessionKey, plain(0), plain(1))
+	cfg.TokenInterval = 2 * time.Millisecond
+	cfg.Defense.QuarantineThreshold = 50
+	cfg.Defense.Auth.Grace = 20 * time.Millisecond
 	cluster, err := swtest.NewSwitched(12, simnet.Config{Nodes: members, PropDelay: 300 * time.Microsecond}, members, cfg)
 	if err != nil {
 		return err

@@ -36,21 +36,19 @@ func main() {
 
 func run() error {
 	const members = 5
-	cfg := switching.Config{
-		Protocols: []switching.ProtocolFactory{
-			// v1: sequencer at member 0.
-			func(proto.Env) []proto.Layer {
-				return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
-			},
-			// v2: sequencer at member 4.
-			func(proto.Env) []proto.Layer {
-				return []proto.Layer{seqorder.New(4), fifo.New(fifo.Config{})}
-			},
+	cfg := switching.PaperExact(
+		// v1: sequencer at member 0.
+		func(proto.Env) []proto.Layer {
+			return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
 		},
-		OnSwitchComplete: func(r switching.Record) {
-			fmt.Printf("  upgrade completed in %v (initiated by %v)\n",
-				r.Duration().Round(time.Millisecond), r.Initiator)
+		// v2: sequencer at member 4.
+		func(proto.Env) []proto.Layer {
+			return []proto.Layer{seqorder.New(4), fifo.New(fifo.Config{})}
 		},
+	)
+	cfg.OnSwitchComplete = func(r switching.Record) {
+		fmt.Printf("  upgrade completed in %v (initiated by %v)\n",
+			r.Duration().Round(time.Millisecond), r.Initiator)
 	}
 	cluster, err := swtest.NewSwitched(7, simnet.Ethernet10Mbit(members), members, cfg)
 	if err != nil {

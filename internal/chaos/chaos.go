@@ -162,10 +162,7 @@ type Schedule struct {
 }
 
 // HasCorruption reports whether the schedule contains any adversarial
-// input fault (corruption, truncation, or garbage injection). The
-// runner enables the switching layer's defensive ingress — integrity
-// envelope plus quarantine — exactly when this is true, so legacy
-// schedules keep the legacy wire format byte for byte.
+// input fault (corruption, truncation, or garbage injection).
 func (s Schedule) HasCorruption() bool {
 	for _, e := range s.Events {
 		switch e.Kind {
@@ -177,10 +174,8 @@ func (s Schedule) HasCorruption() bool {
 }
 
 // HasForgery reports whether the schedule contains any authentication
-// fault (forged frames or wire replays). The runner upgrades the
-// defensive ingress to the authenticated envelope — epoch-keyed MACs
-// plus replay capture — exactly when this is true, so corruption-only
-// and legacy schedules keep their wire formats byte for byte.
+// fault (forged frames or wire replays). The runner arms the
+// adversary's replay tap exactly when this is true.
 func (s Schedule) HasForgery() bool {
 	for _, e := range s.Events {
 		switch e.Kind {
@@ -192,10 +187,8 @@ func (s Schedule) HasForgery() bool {
 }
 
 // HasFlashCrowd reports whether the schedule contains a flash-crowd
-// sender spike. The runner enables the switching layer's overload
-// protection (bounded queues, backpressure, shedding) exactly when
-// this is true, so every other schedule keeps the legacy unqueued
-// message path.
+// sender spike. The runner samples egress queue depths into the trace
+// exactly when this is true.
 func (s Schedule) HasFlashCrowd() bool {
 	for _, e := range s.Events {
 		if e.Kind == KindFlashCrowd {
@@ -206,11 +199,7 @@ func (s Schedule) HasFlashCrowd() bool {
 }
 
 // HasGrayFailure reports whether the schedule contains any gray fault
-// (slow node, asymmetric link, or flapping link). The runner enables
-// the switching layer's adaptive suspicion and flap damping — and gives
-// the simulated network nonzero per-packet CPU costs so slow nodes
-// actually lag — exactly when this is true, so every other schedule
-// keeps the legacy fixed detector and free-CPU timing byte for byte.
+// (slow node, asymmetric link, or flapping link).
 func (s Schedule) HasGrayFailure() bool {
 	for _, e := range s.Events {
 		switch e.Kind {
@@ -257,8 +246,8 @@ type GenConfig struct {
 	// Corruption enables the adversarial-input fault classes with
 	// default probabilities (CorruptProb 0.5, TruncateProb 0.4,
 	// GarbageProb 0.4). With it false and the probabilities zero, the
-	// generator's random draw sequence is identical to the legacy
-	// generator, so legacy seeds expand to the same schedules.
+	// generator draws exactly the base tier's random sequence, so a
+	// seed expands to the same base schedule.
 	Corruption bool
 	// CorruptProb / TruncateProb / GarbageProb are the independent
 	// probabilities of each adversarial-input fault class appearing in
@@ -268,7 +257,7 @@ type GenConfig struct {
 	GarbageProb  float64
 	// Forgery enables the authentication fault classes with default
 	// probabilities (ForgeProb 0.5, ReplayProb 0.5). Their draws come
-	// after every legacy and corruption draw, so enabling forgery only
+	// after every base-tier and corruption draw, so enabling forgery only
 	// appends to the schedules the other configs would generate.
 	Forgery bool
 	// ForgeProb / ReplayProb are the independent probabilities of each
@@ -278,7 +267,7 @@ type GenConfig struct {
 	ReplayProb float64
 	// FlashCrowd enables the flash-crowd fault class with its default
 	// probability (FlashCrowdProb 0.6). Its draws come after every
-	// legacy, corruption and forgery draw, so enabling flash crowds
+	// base-tier, corruption and forgery draw, so enabling flash crowds
 	// only appends to the schedules the other configs would generate.
 	FlashCrowd bool
 	// FlashCrowdProb is the probability of a flash-crowd spike
@@ -287,7 +276,7 @@ type GenConfig struct {
 	FlashCrowdProb float64
 	// GrayFailure enables the gray fault classes with default
 	// probabilities (SlowNodeProb 0.5, LinkFaultProb 0.5, FlapProb
-	// 0.6). Their draws come after every legacy, corruption, forgery
+	// 0.6). Their draws come after every base-tier, corruption, forgery
 	// and flash-crowd draw, so enabling gray failures only appends to
 	// the schedules the other configs would generate.
 	GrayFailure bool
@@ -418,10 +407,10 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 	}
 	sort.Slice(s.Traffic, func(i, j int) bool { return s.Traffic[i].At < s.Traffic[j].At })
 
-	// Adversarial-input faults. Their draws come after every legacy
-	// draw (and are skipped entirely at probability zero), so a legacy
-	// config consumes exactly the legacy random stream and expands to a
-	// byte-identical schedule.
+	// Adversarial-input faults. Their draws come after every base-tier
+	// draw (and are skipped entirely at probability zero), so a base
+	// config consumes exactly the base tier's random stream and expands
+	// to a byte-identical schedule.
 	var corr []Event
 	if cfg.CorruptProb > 0 && rng.Float64() < cfg.CorruptProb {
 		at, until := window(0.1, 0.8)
@@ -475,9 +464,9 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 		sort.SliceStable(s.Events, func(i, j int) bool { return s.Events[i].At < s.Events[j].At })
 	}
 
-	// Authentication faults. Their draws come after every legacy and
+	// Authentication faults. Their draws come after every base-tier and
 	// corruption draw (and are skipped entirely at probability zero), so
-	// corruption-only and legacy configs consume exactly their own
+	// corruption-only and base configs consume exactly their own
 	// random streams and expand to byte-identical schedules.
 	var forg []Event
 	if cfg.ForgeProb > 0 && rng.Float64() < cfg.ForgeProb {
@@ -534,7 +523,7 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 		sort.SliceStable(s.Events, func(i, j int) bool { return s.Events[i].At < s.Events[j].At })
 	}
 
-	// Flash-crowd faults. Their draws come after every legacy,
+	// Flash-crowd faults. Their draws come after every base-tier,
 	// corruption and forgery draw (and are skipped entirely at
 	// probability zero), so all earlier tiers consume exactly their own
 	// random streams and expand to byte-identical schedules.
@@ -548,7 +537,7 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 		sort.SliceStable(s.Events, func(i, j int) bool { return s.Events[i].At < s.Events[j].At })
 	}
 
-	// Gray faults. Their draws come after every legacy, corruption,
+	// Gray faults. Their draws come after every base-tier, corruption,
 	// forgery and flash-crowd draw (and are skipped entirely at
 	// probability zero), so all earlier tiers consume exactly their own
 	// random streams and expand to byte-identical schedules. Every gray

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
@@ -136,5 +138,45 @@ func TestRunReportsRecoveryWork(t *testing.T) {
 	}
 	if res.Delivered == 0 {
 		t.Error("no deliveries recorded")
+	}
+}
+
+// TestGenerateIsPinned holds Generate's output byte for byte: committed
+// baselines and the bench's fault_mix workload are functions of these
+// schedules, so a change to any draw — its order, its range, which tier
+// makes it — must show up here first. The digests are FNV-64a of the
+// schedule's %+v rendering, taken before the runner moved to one stack.
+func TestGenerateIsPinned(t *testing.T) {
+	seeds := []int64{1, 7, 41, 1000}
+	tiers := []struct {
+		name string
+		gen  GenConfig
+		want [4]uint64
+	}{
+		{"base", GenConfig{},
+			[4]uint64{0x828a055cc934d92a, 0x8289a1b0dbf51fe, 0xd7d03909b0720ec6, 0x1b37de0fb369ee80}},
+		{"corruption", GenConfig{Corruption: true},
+			[4]uint64{0x859a81c8047af8db, 0xf68b572890ce71b8, 0x55bcaa16d4512136, 0x7c0f7be4151d3594}},
+		{"forgery", GenConfig{Corruption: true, Forgery: true},
+			[4]uint64{0xeb566db2e561980b, 0x30eaec898051e5a8, 0x55bcaa16d4512136, 0x1e5e364666f4fd94}},
+		{"flashcrowd", GenConfig{FlashCrowd: true},
+			[4]uint64{0x828a055cc934d92a, 0xfeb8dd216375855c, 0xd7d03909b0720ec6, 0x1b37de0fb369ee80}},
+		{"gray", GenConfig{GrayFailure: true},
+			[4]uint64{0x1245f401108d873, 0x2f19a11cb3c83fbf, 0xe540a43fd122b90f, 0x9c7e17900bc1fc34}},
+		{"all", GenConfig{Corruption: true, Forgery: true, FlashCrowd: true, GrayFailure: true},
+			[4]uint64{0x4a62f6739785a274, 0xcadbe9b77ffb2488, 0xa05db122e712f1d0, 0x1f18369e5921fb80}},
+	}
+	for _, tier := range tiers {
+		for i, seed := range seeds {
+			s, err := Generate(seed, tier.gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%+v", s)
+			if got := h.Sum64(); got != tier.want[i] {
+				t.Errorf("%s tier, seed %d: schedule digest %#x, pinned %#x", tier.name, seed, got, tier.want[i])
+			}
+		}
 	}
 }

@@ -4,28 +4,93 @@ import (
 	"testing"
 
 	"repro/internal/core/switching"
+	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
 	"repro/internal/obs"
 )
 
-// memberCounts tallies the switching-layer events one member emitted.
-type memberCounts struct {
-	passes, completed, buffered, stale uint64
-	wedges, regens, aborts, forced     uint64
-	suspects                           uint64
+// traceStats rebuilds every member's switching.Stats from the event
+// stream alone: each counter has exactly one event type emitted at the
+// site that increments it, so the tally must equal Switch.Stats() field
+// for field — for every counter, whichever faults the schedule holds.
+func traceStats(events []obs.Event) map[ids.ProcID]switching.Stats {
+	out := make(map[ids.ProcID]switching.Stats)
+	for _, e := range events {
+		st := out[e.Proc]
+		switch e.Type {
+		case obs.EvTokenPass:
+			st.TokenPasses++
+		case obs.EvEpochAdvance:
+			st.SwitchesCompleted++
+		case obs.EvBuffered:
+			st.Buffered++
+		case obs.EvStaleDrop:
+			st.StaleDropped++
+		case obs.EvWedgeTimeout:
+			st.WedgeTimeouts++
+		case obs.EvTokenRegen:
+			st.TokensRegenerated++
+		case obs.EvSwitchAbort:
+			st.SwitchesAborted++
+		case obs.EvEpochForced:
+			st.ForcedAdvances++
+		case obs.EvSuspicionRaise:
+			st.SuspicionsRaised++
+		case obs.EvSuspicionClear:
+			st.SuspicionsCleared++
+		case obs.EvFlapPenalty:
+			st.FlapPenalties++
+		case obs.EvDegradedSkip:
+			st.DegradedSkips++
+		case obs.EvReinclude:
+			st.Reincludes++
+		case obs.EvMalformedDrop:
+			st.MalformedDropped++
+		case obs.EvQuarantine:
+			st.Quarantines++
+		case obs.EvAuthFail:
+			st.AuthFailed++
+		case obs.EvShed:
+			st.Shed++
+		case obs.EvBackpressureOn:
+			st.Backpressured++
+		case obs.EvRetrySend:
+			st.RetriedSends++
+		default:
+			continue
+		}
+		out[e.Proc] = st
+	}
+	return out
 }
 
-// TestStatsTraceConsistency replays seeded chaos schedules with a
-// collector attached and cross-checks three views of the same run:
-//
-//  1. each live member's own switching.Stats() against the event
-//     counts that member emitted into the trace,
-//  2. Result.Stats (derived from the metrics registry) against the
-//     manual sum of the live members' Stats(), and
-//  3. the causal ordering invariant: at every prefix of a member's
-//     event stream, token regenerations never outnumber the wedge
-//     timeouts and suspicions that justify them — every replacement
-//     token has a recorded cause.
+// checkStatsViews cross-checks the three views of one run's counters:
+// each live member's own Switch.Stats() against the trace tally
+// (traceStats), and Result.Stats — derived from the metrics registry —
+// against the manual sum of the live members' Stats().
+func checkStatsViews(t *testing.T, seed int64, res *Result, c *swtest.SwitchedCluster, events []obs.Event) {
+	t.Helper()
+	fromTrace := traceStats(events)
+	var manual switching.Stats
+	for _, p := range res.Live {
+		st := c.Members[p].Switch.Stats()
+		manual.Add(st)
+		if got := fromTrace[p]; got != st {
+			t.Errorf("seed %d: member %v: trace-derived stats %+v != Switch.Stats() %+v", seed, p, got, st)
+		}
+	}
+	if res.Stats != manual {
+		t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v", seed, res.Stats, manual)
+	}
+}
+
+// TestStatsTraceConsistency replays seeded chaos schedules — base tier
+// and every fault tier composed, since all of them run the one stack —
+// with a collector attached and checks the three counter views agree on
+// every counter (checkStatsViews), plus the causal ordering invariant:
+// at every prefix of a member's event stream, token regenerations never
+// outnumber the wedge timeouts and suspicions that justify them — every
+// replacement token has a recorded cause.
 //
 // The seed range is chosen so the sweep provably exercises wedge
 // timeouts, regenerations, and aborted switch rounds; if generator
@@ -33,90 +98,38 @@ type memberCounts struct {
 // than passing vacuously.
 func TestStatsTraceConsistency(t *testing.T) {
 	var sawWedge, sawRegen, sawAbort bool
+	allTiers := GenConfig{Corruption: true, Forgery: true, FlashCrowd: true, GrayFailure: true}
 	for seed := int64(1); seed <= 25; seed++ {
-		sched, err := Generate(seed, GenConfig{})
-		if err != nil {
-			t.Fatalf("seed %d: generate: %v", seed, err)
-		}
-		col := obs.NewCollector()
-		res, c, err := run(sched, RunConfig{Recorder: col}, nil)
-		if err != nil {
-			t.Fatalf("seed %d: run: %v", seed, err)
-		}
-		if res.Failed() {
-			t.Fatalf("seed %d: invariants violated: %v", seed, res.Violations)
-		}
-
-		// Tally per-member switching events, checking the causal prefix
-		// invariant as the stream replays in emission order.
-		counts := make(map[ids.ProcID]*memberCounts)
-		at := func(p ids.ProcID) *memberCounts {
-			mc := counts[p]
-			if mc == nil {
-				mc = &memberCounts{}
-				counts[p] = mc
+		for _, gc := range []GenConfig{{}, allTiers} {
+			sched, err := Generate(seed, gc)
+			if err != nil {
+				t.Fatalf("seed %d: generate: %v", seed, err)
 			}
-			return mc
-		}
-		for _, e := range col.Events() {
-			mc := at(e.Proc)
-			switch e.Type {
-			case obs.EvTokenPass:
-				mc.passes++
-			case obs.EvEpochAdvance:
-				mc.completed++
-			case obs.EvBuffered:
-				mc.buffered++
-			case obs.EvStaleDrop:
-				mc.stale++
-			case obs.EvWedgeTimeout:
-				mc.wedges++
-			case obs.EvSuspect:
-				mc.suspects++
-			case obs.EvTokenRegen:
-				mc.regens++
-				if mc.regens > mc.wedges+mc.suspects {
-					t.Errorf("seed %d: member %v regenerated a token at t=%v with no preceding wedge timeout or suspicion",
-						seed, e.Proc, e.At)
+			col := obs.NewCollector()
+			res, c, err := run(sched, RunConfig{Recorder: col}, nil)
+			if err != nil {
+				t.Fatalf("seed %d: run: %v", seed, err)
+			}
+			if res.Failed() {
+				t.Fatalf("seed %d: invariants violated: %v", seed, res.Violations)
+			}
+			causes := map[ids.ProcID]int{}
+			for _, e := range col.Events() {
+				switch e.Type {
+				case obs.EvWedgeTimeout, obs.EvSuspect:
+					causes[e.Proc]++
+				case obs.EvTokenRegen:
+					if causes[e.Proc]--; causes[e.Proc] < 0 {
+						t.Errorf("seed %d: member %v regenerated a token at t=%v with no preceding wedge timeout or suspicion",
+							seed, e.Proc, e.At)
+					}
 				}
-			case obs.EvSwitchAbort:
-				mc.aborts++
-			case obs.EvEpochForced:
-				mc.forced++
 			}
+			checkStatsViews(t, seed, res, c, col.Events())
+			sawWedge = sawWedge || res.Stats.WedgeTimeouts > 0
+			sawRegen = sawRegen || res.Stats.TokensRegenerated > 0
+			sawAbort = sawAbort || res.Stats.SwitchesAborted > 0
 		}
-
-		// View 1: every live member's own counters equal its trace.
-		var manual switching.Stats
-		for _, p := range res.Live {
-			st := c.Members[p].Switch.Stats()
-			manual.Add(st)
-			mc := at(p)
-			got := switching.Stats{
-				SwitchesCompleted: mc.completed,
-				Buffered:          mc.buffered,
-				StaleDropped:      mc.stale,
-				TokenPasses:       mc.passes,
-				WedgeTimeouts:     mc.wedges,
-				TokensRegenerated: mc.regens,
-				SwitchesAborted:   mc.aborts,
-				ForcedAdvances:    mc.forced,
-			}
-			if got != st {
-				t.Errorf("seed %d: member %v: trace-derived stats %+v != Switch.Stats() %+v",
-					seed, p, got, st)
-			}
-		}
-
-		// View 2: the metrics-derived aggregate equals the manual sum.
-		if res.Stats != manual {
-			t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v",
-				seed, res.Stats, manual)
-		}
-
-		sawWedge = sawWedge || res.Stats.WedgeTimeouts > 0
-		sawRegen = sawRegen || res.Stats.TokensRegenerated > 0
-		sawAbort = sawAbort || res.Stats.SwitchesAborted > 0
 	}
 	if !sawWedge || !sawRegen || !sawAbort {
 		t.Errorf("sweep never exercised the recovery path (wedge=%v regen=%v abort=%v) — widen the seed range",
@@ -125,13 +138,11 @@ func TestStatsTraceConsistency(t *testing.T) {
 }
 
 // TestOverloadTraceConsistency extends the obs-consistency invariant to
-// the overload counters: across seeded flash-crowd schedules, each live
-// member's EvShed / EvBackpressureOn / EvRetrySend trace events must
-// equal that member's own Stats().Shed / Backpressured / RetriedSends,
-// the per-peer ingress-shed attribution must equal ShedFrom, the
-// metrics-derived Result.Stats must equal the manual sum, and the
-// watermark edges must pair up (never more resumes than pauses at any
-// prefix). The sweep must be non-vacuous on all three counters.
+// what the counters alone cannot say about the overload layer: across
+// seeded flash-crowd schedules the per-peer ingress-shed attribution in
+// the trace must equal ShedFrom, and the watermark edges must pair up
+// (never more resumes than pauses at any prefix). The sweep must be
+// non-vacuous on sheds, pauses and retries.
 func TestOverloadTraceConsistency(t *testing.T) {
 	var sawShed, sawPause, sawRetry bool
 	for seed := int64(1); seed <= 30; seed++ {
@@ -148,15 +159,11 @@ func TestOverloadTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: invariants violated: %v", seed, res.Violations)
 		}
 
-		shedBy := map[ids.ProcID]uint64{}
 		shedByPeer := map[ids.ProcID]map[ids.ProcID]uint64{}
-		pauses := map[ids.ProcID]uint64{}
-		resumes := map[ids.ProcID]uint64{}
-		retries := map[ids.ProcID]uint64{}
+		paused := map[ids.ProcID]int{}
 		for _, e := range col.Events() {
 			switch e.Type {
 			case obs.EvShed:
-				shedBy[e.Proc]++
 				if e.Args[0] == obs.ShedIngress {
 					if shedByPeer[e.Proc] == nil {
 						shedByPeer[e.Proc] = map[ids.ProcID]uint64{}
@@ -164,47 +171,26 @@ func TestOverloadTraceConsistency(t *testing.T) {
 					shedByPeer[e.Proc][e.Peer]++
 				}
 			case obs.EvBackpressureOn:
-				pauses[e.Proc]++
+				paused[e.Proc]++
 			case obs.EvBackpressureOff:
-				resumes[e.Proc]++
-				if resumes[e.Proc] > pauses[e.Proc] {
+				if paused[e.Proc]--; paused[e.Proc] < 0 {
 					t.Errorf("seed %d: member %v resumed at t=%v with no preceding pause",
 						seed, e.Proc, e.At)
 				}
-			case obs.EvRetrySend:
-				retries[e.Proc]++
 			}
 		}
-		var manual switching.Stats
+		checkStatsViews(t, seed, res, c, col.Events())
 		for _, p := range res.Live {
-			st := c.Members[p].Switch.Stats()
-			manual.Add(st)
-			if shedBy[p] != st.Shed {
-				t.Errorf("seed %d: member %v: trace shows %d sheds, Switch.Stats() %d",
-					seed, p, shedBy[p], st.Shed)
-			}
-			if pauses[p] != st.Backpressured {
-				t.Errorf("seed %d: member %v: trace shows %d pauses, Switch.Stats() %d",
-					seed, p, pauses[p], st.Backpressured)
-			}
-			if retries[p] != st.RetriedSends {
-				t.Errorf("seed %d: member %v: trace shows %d retries, Switch.Stats() %d",
-					seed, p, retries[p], st.RetriedSends)
-			}
 			for peer, n := range shedByPeer[p] {
 				if got := c.Members[p].Switch.ShedFrom(peer); got != n {
 					t.Errorf("seed %d: member %v: trace attributes %d ingress sheds to peer %v, ShedFrom %d",
 						seed, p, n, peer, got)
 				}
 			}
-			sawShed = sawShed || st.Shed > 0
-			sawPause = sawPause || st.Backpressured > 0
-			sawRetry = sawRetry || st.RetriedSends > 0
 		}
-		if res.Stats != manual {
-			t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v",
-				seed, res.Stats, manual)
-		}
+		sawShed = sawShed || res.Stats.Shed > 0
+		sawPause = sawPause || res.Stats.Backpressured > 0
+		sawRetry = sawRetry || res.Stats.RetriedSends > 0
 	}
 	if !sawShed || !sawPause || !sawRetry {
 		t.Errorf("sweep never exercised the overload path (shed=%v pause=%v retry=%v) — widen the seed range",
@@ -213,12 +199,8 @@ func TestOverloadTraceConsistency(t *testing.T) {
 }
 
 // TestGrayTraceConsistency extends the obs-consistency invariant to the
-// adaptive-detector counters: across seeded gray schedules, each live
-// member's EvSuspicionRaise / EvSuspicionClear / EvFlapPenalty /
-// EvDegradedSkip / EvReinclude trace events must equal that member's
-// own Stats() gray counters, the metrics-derived Result.Stats must
-// equal the manual sum, and two causal prefix invariants must hold at
-// every point of a member's stream: a graded suspicion never clears
+// adaptive detector's causal order: across seeded gray schedules, at
+// every point of a member's stream a graded suspicion never clears
 // without a preceding raise, and a peer is never re-included without a
 // preceding flap penalty. The sweep must be non-vacuous on raises,
 // penalties and skips.
@@ -238,51 +220,30 @@ func TestGrayTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: invariants violated: %v", seed, res.Violations)
 		}
 
-		raises := map[ids.ProcID]uint64{}
-		clears := map[ids.ProcID]uint64{}
-		penalties := map[ids.ProcID]uint64{}
-		skips := map[ids.ProcID]uint64{}
-		reincludes := map[ids.ProcID]uint64{}
+		raised := map[ids.ProcID]int{}
+		penalized := map[ids.ProcID]int{}
 		for _, e := range col.Events() {
 			switch e.Type {
 			case obs.EvSuspicionRaise:
-				raises[e.Proc]++
+				raised[e.Proc]++
 			case obs.EvSuspicionClear:
-				clears[e.Proc]++
-				if clears[e.Proc] > raises[e.Proc] {
+				if raised[e.Proc]--; raised[e.Proc] < 0 {
 					t.Errorf("seed %d: member %v cleared a graded suspicion at t=%v with no preceding raise",
 						seed, e.Proc, e.At)
 				}
 			case obs.EvFlapPenalty:
-				penalties[e.Proc]++
-			case obs.EvDegradedSkip:
-				skips[e.Proc]++
+				penalized[e.Proc]++
 			case obs.EvReinclude:
-				reincludes[e.Proc]++
-				if reincludes[e.Proc] > penalties[e.Proc] {
+				if penalized[e.Proc]--; penalized[e.Proc] < 0 {
 					t.Errorf("seed %d: member %v re-included a peer at t=%v with no preceding flap penalty",
 						seed, e.Proc, e.At)
 				}
 			}
 		}
-		var manual switching.Stats
-		for _, p := range res.Live {
-			st := c.Members[p].Switch.Stats()
-			manual.Add(st)
-			if raises[p] != st.SuspicionsRaised || clears[p] != st.SuspicionsCleared ||
-				penalties[p] != st.FlapPenalties || skips[p] != st.DegradedSkips ||
-				reincludes[p] != st.Reincludes {
-				t.Errorf("seed %d: member %v: trace shows raise=%d clear=%d penalty=%d skip=%d reinclude=%d, Switch.Stats() %+v",
-					seed, p, raises[p], clears[p], penalties[p], skips[p], reincludes[p], st)
-			}
-			sawRaise = sawRaise || st.SuspicionsRaised > 0
-			sawPenalty = sawPenalty || st.FlapPenalties > 0
-			sawSkip = sawSkip || st.DegradedSkips > 0
-		}
-		if res.Stats != manual {
-			t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v",
-				seed, res.Stats, manual)
-		}
+		checkStatsViews(t, seed, res, c, col.Events())
+		sawRaise = sawRaise || res.Stats.SuspicionsRaised > 0
+		sawPenalty = sawPenalty || res.Stats.FlapPenalties > 0
+		sawSkip = sawSkip || res.Stats.DegradedSkips > 0
 	}
 	if !sawRaise || !sawPenalty || !sawSkip {
 		t.Errorf("sweep never exercised the adaptive path (raise=%v penalty=%v skip=%v) — widen the seed range",

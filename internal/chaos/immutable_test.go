@@ -148,7 +148,7 @@ func TestStackNeverWritesDeliveredBytes(t *testing.T) {
 	t.Run("paper-exact", func(t *testing.T) {
 		// §7's set-up: plain frames on the shared 10 Mbit Ethernet, where a
 		// multicast reaches all ten members as one frame.
-		guardedTraffic(t, simnet.Ethernet10Mbit(10), switching.Config{Protocols: guardedProtocols(false)},
+		guardedTraffic(t, simnet.Ethernet10Mbit(10), switching.PaperExact(guardedProtocols(false)...),
 			5, 50*time.Millisecond, 3*time.Second)
 	})
 	t.Run("all-on", func(t *testing.T) {
@@ -159,19 +159,7 @@ func TestStackNeverWritesDeliveredBytes(t *testing.T) {
 			Nodes: 6, PropDelay: 50 * time.Microsecond, BitsPerSecond: 100e6, FrameOverhead: 64,
 			RecvCPU: 20 * time.Microsecond, SendCPU: 10 * time.Microsecond,
 		}
-		swCfg := switching.Config{
-			Protocols: guardedProtocols(true),
-			Defense: &switching.DefenseConfig{
-				QuarantineThreshold: 1 << 20,
-				Auth:                &switching.AuthConfig{SessionKey: []byte("guard session key")},
-			},
-			Overload: &switching.OverloadConfig{
-				IngressQueueCap: 4096, EgressQueueCap: 4096, LowWatermark: 64, HighWatermark: 2048,
-				ServiceInterval: 100 * time.Microsecond, RetryBackoff: time.Millisecond, MaxRetryShift: 2,
-				BatchMax: 8,
-			},
-			Recovery: &switching.RecoveryConfig{Adaptive: &switching.AdaptiveConfig{}},
-		}
+		swCfg := switching.Hardened([]byte("guard session key"), guardedProtocols(true)...)
 		guardedTraffic(t, netCfg, swCfg, 3, 2*time.Millisecond, 2*time.Second)
 	})
 	t.Run("chaos", func(t *testing.T) {
@@ -200,7 +188,7 @@ func TestStackNeverWritesDeliveredBytes(t *testing.T) {
 // TestFrameGuardCatchesAWrite: the guard is only worth its name if a
 // receiver that does scribble fails it.
 func TestFrameGuardCatchesAWrite(t *testing.T) {
-	c, err := swtest.NewSwitched(1, simnet.Ethernet10Mbit(4), 4, switching.Config{Protocols: guardedProtocols(false)})
+	c, err := swtest.NewSwitched(1, simnet.Ethernet10Mbit(4), 4, switching.PaperExact(guardedProtocols(false)...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,8 +359,8 @@ func MeasureRecovery(seed int64, n int, ti time.Duration) (time.Duration, error)
 // member at a seeded random time. It returns the virtual time from the
 // crash to the first suspicion of the victim at any live member —
 // under the legacy fixed-timeout detector when fixed is true, or the
-// same adaptive layering the chaos runner enables on gray schedules
-// (adaptiveConfig) when false. Both arms emit EvSuspect at the moment
+// same adaptive layering the chaos runner sweeps (adaptiveConfig) when
+// false. Both arms emit EvSuspect at the moment
 // the victim is suspected (the graded path funnels through
 // ForceSuspect), so one scan measures both.
 func MeasureDetection(seed int64, n int, ti time.Duration, fixed bool) (time.Duration, error) {

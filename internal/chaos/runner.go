@@ -47,10 +47,9 @@ type RunConfig struct {
 	// fan-out of telemetry-free runs (and the obs.Nop fast path when
 	// nothing else records).
 	Telemetry *telemetry.Config
-	// FixedDetector keeps the legacy fixed-timeout failure detector
-	// even on gray-failure schedules (which otherwise enable adaptive
-	// suspicion and flap damping) — the baseline arm of the E20
-	// stability study.
+	// FixedDetector runs the legacy fixed-timeout failure detector
+	// alone, without adaptive suspicion and flap damping — the baseline
+	// arm of the E20 stability study.
 	FixedDetector bool
 	// DisruptionBudget caps the recovery actions (token regenerations
 	// plus switch-round aborts, summed over members) the
@@ -117,8 +116,7 @@ func (d *disruptionTracker) Record(e obs.Event) {
 // that, against a steady heartbeat stream, the graded path is the one
 // that detects true crashes (at effectively the same latency) — while
 // a peer whose observed cadence has stretched gets a proportionally
-// longer leash instead of a false suspicion. Gray-free schedules leave
-// Adaptive nil so their runs stay byte-identical.
+// longer leash instead of a false suspicion.
 func adaptiveConfig(ti time.Duration) *switching.AdaptiveConfig {
 	return &switching.AdaptiveConfig{
 		RaiseLevel: 4 * obs.SuspicionScale,
@@ -172,11 +170,11 @@ type Result struct {
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// quarantineThreshold is the defensive ingress's escalation point under
-// corruption schedules: a peer delivering this many malformed packets
-// is force-suspected. It is set high enough that a victim of a
-// corruption window is not quarantined by a handful of damaged frames,
-// yet low enough that garbage floods escalate within a schedule.
+// quarantineThreshold is the defensive ingress's escalation point: a
+// peer delivering this many rejected packets is force-suspected. It is
+// set high enough that a victim of a corruption window is not
+// quarantined by a handful of damaged frames, yet low enough that
+// garbage floods escalate within a schedule.
 const quarantineThreshold = 25
 
 // pair returns the two sub-protocols used under chaos: sequencer-based
@@ -224,65 +222,41 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 	}
 	rec := obs.Multi(recs...)
 	ti := cfg.TokenInterval
-	swCfg := switching.Config{
-		Protocols:     pair(),
-		TokenInterval: ti,
-		Recovery: &switching.RecoveryConfig{
-			Detector: fd.Config{Interval: ti},
-		},
-		Recorder: rec,
+	// One stack for every schedule: Hardened, at values tight enough that
+	// each defence is exercised whichever faults the schedule holds.
+	swCfg := switching.Hardened(chaosSessionKey, pair()...)
+	swCfg.TokenInterval = ti
+	swCfg.Recorder = rec
+	swCfg.Recovery.Detector = fd.Config{Interval: ti}
+	swCfg.Recovery.Adaptive = adaptiveConfig(ti)
+	if cfg.FixedDetector {
+		swCfg.Recovery.Adaptive = nil
 	}
-	if sched.HasGrayFailure() && !cfg.FixedDetector {
-		swCfg.Recovery.Adaptive = adaptiveConfig(ti)
+	swCfg.Defense.QuarantineThreshold = quarantineThreshold
+	// The caps are deliberately tight against the flash-crowd cadence
+	// (~30µs between spike casts vs a 200µs-per-frame service pace) so a
+	// spike exercises shedding, backpressure and retries rather than
+	// being absorbed. BatchMax 2 keeps the batch wire format under every
+	// sweep; the service interval is doubled against it so the
+	// frames-per-second capacity is that of one frame per 200µs.
+	swCfg.Overload = &switching.OverloadConfig{
+		IngressQueueCap: 16,
+		EgressQueueCap:  8,
+		LowWatermark:    2,
+		HighWatermark:   6,
+		ServiceInterval: 400 * time.Microsecond,
+		RetryBackoff:    800 * time.Microsecond,
+		MaxRetryShift:   3,
+		BatchMax:        2,
 	}
-	if sched.HasForgery() {
-		// An active adversary on the wire: upgrade the defensive ingress
-		// to the authenticated envelope — per-epoch MAC keys derived from
-		// the group session key — which also covers corruption.
-		swCfg.Defense = &switching.DefenseConfig{
-			QuarantineThreshold: quarantineThreshold,
-			Auth:                &switching.AuthConfig{SessionKey: chaosSessionKey},
-		}
-	} else if sched.HasCorruption() {
-		// Adversarial input on the wire: turn on the integrity envelope
-		// and the quarantine escalation. Legacy schedules leave Defense
-		// nil so their wire traffic (and artifacts) stay byte-identical.
-		swCfg.Defense = &switching.DefenseConfig{QuarantineThreshold: quarantineThreshold}
-	}
-	if sched.HasFlashCrowd() {
-		// A sender spike is coming: bound every per-member queue. The
-		// caps are deliberately tight against the spike cadence (~30µs
-		// between spike casts vs a 200µs service interval) so the runs
-		// actually exercise shedding, backpressure and retries rather
-		// than absorbing the crowd. Spike-free schedules leave Overload
-		// nil so their message path stays byte-identical. BatchMax puts
-		// the egress batcher (and the batch wire format) under the same
-		// chaos coverage: sweeps must stay byte-identical at any
-		// -parallel with batching on. The service interval doubles
-		// against BatchMax 2 so the frames-per-second capacity is
-		// unchanged from the pre-batching tier — the spike still
-		// overruns the queues, so shedding, backpressure and retries
-		// all stay exercised.
-		swCfg.Overload = &switching.OverloadConfig{
-			IngressQueueCap: 16,
-			EgressQueueCap:  8,
-			LowWatermark:    2,
-			HighWatermark:   6,
-			ServiceInterval: 400 * time.Microsecond,
-			RetryBackoff:    800 * time.Microsecond,
-			MaxRetryShift:   3,
-			BatchMax:        2,
-		}
-	}
-	netCfg := simnet.Config{Nodes: sched.N, PropDelay: cfg.PropDelay}
-	if sched.HasGrayFailure() {
-		// Gray schedules charge per-packet CPU so KindSlowNode has a
-		// resource to stretch; the costs are small against the 5ms
-		// heartbeat cadence so an unstretched member is unaffected.
-		// Gray-free schedules keep the legacy free-CPU timing byte for
-		// byte.
-		netCfg.RecvCPU = 50 * time.Microsecond
-		netCfg.SendCPU = 30 * time.Microsecond
+	// Per-packet CPU gives KindSlowNode a resource to stretch; the costs
+	// are small against the 5ms heartbeat cadence so an unstretched
+	// member is unaffected.
+	netCfg := simnet.Config{
+		Nodes:     sched.N,
+		PropDelay: cfg.PropDelay,
+		RecvCPU:   50 * time.Microsecond,
+		SendCPU:   30 * time.Microsecond,
 	}
 	c, err := swtest.NewSwitched(sched.Seed, netCfg, sched.N, swCfg)
 	if err != nil {
@@ -543,14 +517,14 @@ func statsFromMetrics(m *obs.Metrics, live []ids.ProcID) switching.Stats {
 }
 
 // spikeCastsPerMult and spikeCastSpacing shape the flash crowd: Size×8
-// extra casts at a fixed 30µs cadence — far below the overload tier's
-// 200µs service interval, so the queues genuinely fill.
+// extra casts at a fixed 30µs cadence — far below the overload layer's
+// 200µs-per-frame service pace, so the queues genuinely fill.
 const (
 	spikeCastsPerMult = 8
 	spikeCastSpacing  = 30 * time.Microsecond
 )
 
-// chaosSessionKey is the fixed group session key of forgery runs: every
+// chaosSessionKey is the fixed group session key of every run: every
 // member derives the same epoch keys from it, and the generated forgers
 // do not hold it.
 var chaosSessionKey = []byte("chaos harness group session key")

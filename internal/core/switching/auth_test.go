@@ -124,7 +124,7 @@ func TestAuthCrossEpochReplayRejected(t *testing.T) {
 }
 
 // TestAuthForgeryRejectedBeforeStateMutation: frames sealed under a
-// wrong key, an absent key (plain CRC envelope), and raw garbage are
+// wrong key, an absent key (a CRC envelope), and raw garbage are
 // all counted and dropped at the trust boundary; the forged body never
 // reaches any application and the ring keeps rotating.
 func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
@@ -148,7 +148,7 @@ func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
 	}
 	forged := [][]byte{
 		wire.SealAuth(wire.DeriveEpochKey([]byte("wrong session"), 0), 0, forgeInner("FORGED wrong key")),
-		wire.Seal(forgeInner("FORGED absent key")), // CRC envelope, no MAC at all
+		crcEnveloped(forgeInner("FORGED absent key")), // checksummed, no MAC at all
 		[]byte("raw garbage, not an envelope"),
 	}
 	for i, pkt := range forged {

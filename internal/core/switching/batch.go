@@ -14,9 +14,8 @@ import (
 // the multiplex and the envelope, so every mux frame generated within
 // one event-loop step — the overload layer draining several queued
 // casts in one service tick, a sub-protocol emitting data plus acks —
-// coalesces into a single sealed transport write per destination. In
-// auth mode that is the big win: one MAC per batch instead of one per
-// frame.
+// coalesces into a single sealed transport write per destination:
+// one MAC per batch instead of one per frame.
 //
 // Batch frame layout: [magic 0xB3][count uvarint][count × (len uvarint,
 // mux frame)]. The magic cannot collide with a mux channel header:
@@ -27,7 +26,7 @@ import (
 // Three rules keep the batcher invisible to everything above it:
 //
 //   - Control frames (the token channel) and failure-detector
-//     heartbeats bypass batching entirely and keep their legacy bytes:
+//     heartbeats bypass batching entirely, one frame per wire write:
 //     the switch state machine and the suspicion timeouts must never
 //     be reordered behind a data flush.
 //   - A flush never straddles a key roll: setSendEpoch and the
@@ -107,7 +106,7 @@ func newBatcher(s *Switch, down proto.Down, max int) *batcher {
 
 // bypassBatch reports whether a mux frame must skip the batcher: the
 // token channel and failure-detector heartbeats keep their direct,
-// legacy-format path (frames whose channel header does not decode also
+// one-frame-per-write path (frames whose channel header does not decode also
 // pass through — the receiving demultiplexer owns malformed
 // accounting).
 func bypassBatch(payload []byte) bool {

@@ -13,30 +13,28 @@ import (
 // DefenseConfig enables the adversarial-input hardening of the
 // switching stack. The §2 protocol (like the Horus stacks it models)
 // assumes a benign network; with Defense set, every transport packet is
-// wrapped in wire's integrity envelope on egress and verified on
-// ingress, so bit rot, truncation, and cross-version garbage are
-// detected at the trust boundary — below every protocol header — and
+// wrapped in wire's authenticated envelope on egress and verified on
+// ingress, so forgery, bit rot, truncation, and cross-version garbage
+// are detected at the trust boundary — below every protocol header — and
 // dropped before they can reach protocol state. A rejected frame looks
 // like a loss to the stack above, which the FIFO layer's retransmission
 // already repairs, so corruption degrades into latency rather than
 // wedges or garbled deliveries.
 //
-// Nil Defense preserves the legacy wire format byte-for-byte: no
-// envelope, no per-packet overhead, identical experiment artifacts.
+// Nil Defense is PaperExact's plain wire format: no envelope, no
+// per-packet overhead.
 type DefenseConfig struct {
 	// QuarantineThreshold is how many malformed messages apparently
 	// from one peer this member tolerates before raising a suspicion
 	// against it instead of wedging on its garbage. Required (> 0).
-	// With Auth enabled, authentication failures advance the same
-	// per-peer count.
+	// Authentication failures advance the same per-peer count.
 	QuarantineThreshold int
 	// OnQuarantine, if set, is invoked (once per peer) when the
 	// threshold is crossed.
 	OnQuarantine func(ids.ProcID)
-	// Auth, when non-nil, upgrades the integrity envelope to the
-	// authenticated envelope: frames are MACed under a per-epoch key
-	// derived from the group session key, so forgery — not just
-	// corruption — is rejected at the trust boundary. See AuthConfig.
+	// Auth keys the envelope: frames are MACed under a per-epoch key
+	// derived from the group session key. Required — there is one
+	// envelope, and it is authenticated. See AuthConfig.
 	Auth *AuthConfig
 }
 
@@ -68,46 +66,22 @@ func (c DefenseConfig) Validate() error {
 	if c.QuarantineThreshold <= 0 {
 		return fmt.Errorf("switching: quarantine threshold %d must be positive", c.QuarantineThreshold)
 	}
-	if c.Auth != nil {
-		if len(c.Auth.SessionKey) == 0 {
-			return fmt.Errorf("switching: auth mode requires a non-empty session key")
-		}
-		if c.Auth.Grace < 0 {
-			return fmt.Errorf("switching: negative auth grace window %v", c.Auth.Grace)
-		}
+	if c.Auth == nil {
+		return fmt.Errorf("switching: Defense requires Auth (the envelope is authenticated; start from Hardened)")
+	}
+	if len(c.Auth.SessionKey) == 0 {
+		return fmt.Errorf("switching: auth mode requires a non-empty session key")
+	}
+	if c.Auth.Grace < 0 {
+		return fmt.Errorf("switching: negative auth grace window %v", c.Auth.Grace)
 	}
 	return nil
 }
 
-// sealedTransport wraps the real transport, sealing every outgoing
-// packet in the integrity envelope. It sits below the multiplex, so one
-// envelope covers the mux header and everything above it.
-type sealedTransport struct {
-	down proto.Down
-}
-
-func (t sealedTransport) Cast(payload []byte) error {
-	bp := wire.GetBuf()
-	pkt := wire.SealTo(*bp, payload)
-	err := t.down.Cast(pkt)
-	*bp = pkt[:0]
-	wire.PutBuf(bp)
-	return err
-}
-
-func (t sealedTransport) Send(dst ids.ProcID, payload []byte) error {
-	bp := wire.GetBuf()
-	pkt := wire.SealTo(*bp, payload)
-	err := t.down.Send(dst, pkt)
-	*bp = pkt[:0]
-	wire.PutBuf(bp)
-	return err
-}
-
 // countMalformed records a defensively-dropped message apparently from
 // src and, with Defense enabled, advances src toward quarantine. It is
-// called from every ingress rejection site — envelope failures, token
-// decode/range failures, epoch-header failures — so Stats and the
+// called from every rejection site above the envelope — mux, token
+// decode/range and epoch-header failures — so Stats and the
 // malformed_drop trace stay mutually consistent.
 func (s *Switch) countMalformed(src ids.ProcID, reason int64) {
 	s.stats.MalformedDropped++
@@ -234,7 +208,7 @@ func (s *Switch) epochSealer(epoch uint64) *wire.AuthSealer {
 // the schedule. Called from every site that advances sendEpoch, so the
 // key schedule rolls atomically with the switch round.
 func (s *Switch) rollEpochKey() {
-	if s.cfg.Defense == nil || s.cfg.Defense.Auth == nil {
+	if s.cfg.Defense == nil {
 		return
 	}
 	s.keyRolledAt = s.env.Now()

@@ -1,7 +1,9 @@
-package hardening
+package switching_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,9 +41,18 @@ func forgedInner(epoch uint64, seq uint64, tag int) []byte {
 	return e.Prepend(app.Encode())
 }
 
+// crcEnveloped wraps payload in the retired CRC-only envelope
+// ([0xD5][crc32c LE][payload]): intact, self-consistent, and carrying no
+// MAC at all — what a sender without the session key can always produce.
+func crcEnveloped(payload []byte) []byte {
+	hdr := []byte{0xD5, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[1:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(hdr, payload...)
+}
+
 // forgedCorpus is the structured sibling of inputs(): count frames an
 // adversary without the session key could actually put on the wire —
-// auth envelopes sealed under guessed keys, legacy CRC envelopes around
+// auth envelopes sealed under guessed keys, CRC envelopes around
 // valid-looking frames, auth headers spliced onto random bytes — rather
 // than uniform noise.
 func forgedCorpus(seed int64, count int) [][]byte {
@@ -55,8 +66,8 @@ func forgedCorpus(seed int64, count int) [][]byte {
 			key := make([]byte, 16)
 			rng.Read(key)
 			out = append(out, wire.SealAuth(wire.DeriveEpochKey(key, epoch), epoch, inner))
-		case 1: // no key at all: the legacy CRC envelope
-			out = append(out, wire.Seal(inner))
+		case 1: // no key at all: a checksum where the MAC should be
+			out = append(out, crcEnveloped(inner))
 		case 2: // auth header spliced onto noise
 			b := make([]byte, 1+rng.Intn(48))
 			rng.Read(b)
@@ -124,14 +135,7 @@ func TestLayerIngressSurvivesForgedFrames(t *testing.T) {
 func TestSwitchIngressSurvivesForgedAndReplayed(t *testing.T) {
 	const grace = 5 * time.Millisecond
 	cfg := switching.Config{
-		Protocols: []switching.ProtocolFactory{
-			func(proto.Env) []proto.Layer {
-				return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
-			},
-			func(proto.Env) []proto.Layer {
-				return []proto.Layer{seqorder.New(1), fifo.New(fifo.Config{})}
-			},
-		},
+		Protocols:     recPair(),
 		TokenInterval: 2 * time.Millisecond,
 		Defense: &switching.DefenseConfig{
 			QuarantineThreshold: 100,

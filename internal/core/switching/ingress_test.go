@@ -1,4 +1,6 @@
-// Package hardening holds the cross-layer adversarial-ingress
+package switching_test
+
+// This file and forged_test.go are the cross-layer adversarial-ingress
 // regression suite: every protocol layer and the switching stack must
 // survive arbitrary bytes on their Recv paths — no panics, no state
 // corruption — counting what they reject instead. This is the
@@ -6,7 +8,6 @@
 // corpus of 1000 random byte strings replayed on every layer, so the
 // guarantee is pinned in the ordinary test suite (and under -race),
 // not only when a fuzzer happens to run.
-package hardening
 
 import (
 	"math/rand"
@@ -91,34 +92,25 @@ func TestLayerIngressSurvivesRandomBytes(t *testing.T) {
 }
 
 // TestSwitchIngressSurvivesRandomBytes replays the same corpus against
-// the full switching stack, with and without the defensive envelope. In
-// both modes the cluster must not panic and must keep operating (the
-// token keeps rotating after the garbage). With Defense enabled, every
-// random packet fails the integrity envelope, so the malformed counter
-// must account for the entire corpus and the flood must cross the
-// quarantine threshold.
+// both shipped stacks. On either the cluster must not panic and must
+// keep operating (the token keeps rotating after the garbage). On
+// Hardened every random packet fails the authenticated envelope, so the
+// auth-rejection counter must account for the entire corpus and the
+// flood must cross the quarantine threshold.
 func TestSwitchIngressSurvivesRandomBytes(t *testing.T) {
 	corpus := inputs(7, 1000)
+	hardened := switching.Hardened(hardeningSessionKey, recPair()...)
+	hardened.Defense.QuarantineThreshold = 100
 	for _, tc := range []struct {
-		name    string
-		defense *switching.DefenseConfig
+		name string
+		cfg  switching.Config
 	}{
-		{"legacy", nil},
-		{"defense", &switching.DefenseConfig{QuarantineThreshold: 100}},
+		{"paper-exact", switching.PaperExact(recPair()...)},
+		{"hardened", hardened},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := switching.Config{
-				Protocols: []switching.ProtocolFactory{
-					func(proto.Env) []proto.Layer {
-						return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
-					},
-					func(proto.Env) []proto.Layer {
-						return []proto.Layer{seqorder.New(1), fifo.New(fifo.Config{})}
-					},
-				},
-				TokenInterval: 2 * time.Millisecond,
-				Defense:       tc.defense,
-			}
+			cfg := tc.cfg
+			cfg.TokenInterval = 2 * time.Millisecond
 			c, err := swtest.NewSwitched(1, simnet.Config{Nodes: 4, PropDelay: 100 * time.Microsecond}, 4, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -134,16 +126,16 @@ func TestSwitchIngressSurvivesRandomBytes(t *testing.T) {
 			c.Stop()
 
 			st := c.Members[0].Switch.Stats()
-			if tc.defense != nil {
-				if st.MalformedDropped < uint64(len(corpus)) {
-					t.Errorf("defense dropped %d of %d adversarial packets", st.MalformedDropped, len(corpus))
+			if cfg.Defense != nil {
+				if st.AuthFailed < uint64(len(corpus)) {
+					t.Errorf("defense rejected %d of %d adversarial packets", st.AuthFailed, len(corpus))
 				}
 				if st.Quarantines != 1 {
 					t.Errorf("quarantines = %d, want 1 (threshold %d, corpus %d)",
-						st.Quarantines, tc.defense.QuarantineThreshold, len(corpus))
+						st.Quarantines, cfg.Defense.QuarantineThreshold, len(corpus))
 				}
-				if got := c.Members[0].Switch.MalformedFrom(2); got < uint64(len(corpus)) {
-					t.Errorf("MalformedFrom(2) = %d, want >= %d", got, len(corpus))
+				if got := c.Members[0].Switch.AuthFailedFrom(2); got < uint64(len(corpus)) {
+					t.Errorf("AuthFailedFrom(2) = %d, want >= %d", got, len(corpus))
 				}
 			}
 			// The stack survived: the ring is still rotating.

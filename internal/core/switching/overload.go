@@ -17,7 +17,7 @@ import (
 // jittered retry/backoff for application sends rejected at the egress
 // limit.
 //
-// Nil Config.Overload preserves the legacy message path exactly: no
+// Nil Config.Overload is PaperExact's message path: no
 // queueing, no pacing, no shedding. With the layer enabled, switch-round
 // control frames (the token channel) and failure-detector heartbeats
 // always bypass the ingress queue — overload must never stall the
@@ -63,8 +63,8 @@ type OverloadConfig struct {
 	// service tick drains up to BatchMax same-epoch casts instead of
 	// one, and every mux frame generated within one event-loop step
 	// coalesces into a single sealed wire write per destination (one
-	// envelope — and in auth mode one MAC — per batch; see batch.go).
-	// 0 or 1 preserves the legacy one-frame-per-write format exactly.
+	// envelope, one MAC, per batch; see batch.go).
+	// 0 or 1 keeps the one-frame-per-write format.
 	// Must be set uniformly across the group: an unbatched receiver
 	// counts batch frames as malformed. Must be at most 256.
 	BatchMax int
@@ -288,7 +288,7 @@ func (o *overload) armIngress() {
 
 // serveIngress hands queued frames to the demultiplexer, round-robin
 // over the ring order, then re-arms while work remains: one frame per
-// service tick in the legacy configuration, up to BatchMax per tick
+// service tick unbatched, up to BatchMax per tick
 // with batching enabled — the ingress mirror of drainEgress's
 // multi-drain. Serving a batch's worth of frames in one event is what
 // lets the responses they trigger (a sequencer's ordered multicasts,
@@ -384,7 +384,7 @@ func (o *overload) armEgress() {
 }
 
 // drainEgress hands queued casts to their epoch's protocol: one per
-// service tick in the legacy configuration, up to BatchMax per tick
+// service tick unbatched, up to BatchMax per tick
 // with batching enabled — but only a same-epoch prefix, so a single
 // tick's worth of frames (which the batcher coalesces into one wire
 // write) never mixes epochs.

@@ -58,8 +58,8 @@ type RecoveryConfig struct {
 	// Adaptive enables the gray-failure detector extensions: graded
 	// phi-accrual-style suspicion over per-peer heartbeat inter-arrival
 	// statistics, and BGP-style flap damping that routes repeatedly
-	// flapping peers around in degraded mode. Nil keeps the fixed
-	// detector byte-for-byte.
+	// flapping peers around in degraded mode. Nil keeps the
+	// fixed-timeout detector alone (E20's comparison arm).
 	Adaptive *AdaptiveConfig
 }
 

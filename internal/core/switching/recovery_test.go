@@ -2,12 +2,14 @@ package switching_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/protocols/fd"
 	"repro/internal/protocols/fifo"
@@ -341,7 +343,10 @@ func TestConfigValidate(t *testing.T) {
 		{"with recovery", switching.Config{Protocols: orderedPair(),
 			Recovery: &switching.RecoveryConfig{}}},
 		{"with defense", switching.Config{Protocols: orderedPair(),
-			Defense: &switching.DefenseConfig{QuarantineThreshold: 10}}},
+			Defense: &switching.DefenseConfig{QuarantineThreshold: 10,
+				Auth: &switching.AuthConfig{SessionKey: []byte("k")}}}},
+		{"PaperExact", switching.PaperExact(orderedPair()...)},
+		{"Hardened", switching.Hardened([]byte("k"), orderedPair()...)},
 	}
 	for _, tc := range valid {
 		if err := tc.cfg.Validate(); err != nil {
@@ -364,11 +369,19 @@ func TestConfigValidate(t *testing.T) {
 			Defense: &switching.DefenseConfig{}}},
 		{"negative quarantine threshold", switching.Config{Protocols: orderedPair(),
 			Defense: &switching.DefenseConfig{QuarantineThreshold: -3}}},
+		{"Hardened without a session key", switching.Hardened(nil, orderedPair()...)},
 	}
 	for _, tc := range invalid {
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: bad config accepted", tc.name)
 		}
+	}
+	// There is one envelope and it is keyed: Defense without Auth is
+	// refused, and the error says where to start instead.
+	unkeyed := switching.Config{Protocols: orderedPair(),
+		Defense: &switching.DefenseConfig{QuarantineThreshold: 1}}
+	if err := unkeyed.Validate(); err == nil || !strings.Contains(err.Error(), "Hardened") {
+		t.Errorf("Defense without Auth: err = %v, want a rejection naming Hardened", err)
 	}
 }
 
@@ -387,5 +400,45 @@ func TestTokenGenRoundtrip(t *testing.T) {
 	}
 	if out.Gen != 9 || out.Origin != 2 || out.Epoch != 7 || out.Mode != switching.ModePrepare {
 		t.Errorf("roundtrip mangled token: %+v", out)
+	}
+}
+
+// TestLoneSurvivorHoldsOneLineage: a token that loops straight back to a
+// member alone in its view goes through the same lineage admission as a
+// token off the wire. Without it the loop-back never re-armed the wedge
+// timer, so a sole survivor regenerated on every wedge timeout for ever
+// and rotated all of those lineages side by side.
+func TestLoneSurvivorHoldsOneLineage(t *testing.T) {
+	cfg := recConfig()
+	col := obs.NewCollector()
+	cfg.Recorder = col
+	c, err := swtest.NewSwitched(3, simnet.Config{Nodes: 2, PropDelay: 300 * time.Microsecond}, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti := cfg.TokenInterval
+	c.Sim.At(5*ti, func() { c.Net.Crash(1) })
+	// By 50 intervals the survivor has suspected its peer (25 ms detector
+	// timeout) and regenerated the token the peer took down with it.
+	alone := 50 * ti
+	c.Run(alone)
+	survivor := c.Members[0].Switch
+	regens := survivor.Stats().TokensRegenerated
+	if regens == 0 {
+		t.Fatal("the survivor never regenerated the lost token; the test is not reaching the lone-member ring")
+	}
+	c.Run(alone + 100*ti)
+	c.Stop()
+	if got := survivor.Stats().TokensRegenerated; got != regens {
+		t.Errorf("alone for 100 token intervals with its token looping back, the survivor regenerated %d more times", got-regens)
+	}
+	gens := map[uint64]int{}
+	for _, e := range col.Events() {
+		if e.Type == obs.EvTokenPass && e.Proc == 0 && e.At > alone {
+			gens[e.Gen]++
+		}
+	}
+	if len(gens) != 1 {
+		t.Errorf("the lone survivor rotates %d token lineages at once (passes by generation: %v), want 1", len(gens), gens)
 	}
 }

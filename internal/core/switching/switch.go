@@ -53,15 +53,15 @@ type Config struct {
 	// crash. Nil preserves the paper's crash-free §2 protocol exactly.
 	Recovery *RecoveryConfig
 	// Defense, when non-nil, enables the adversarial-input hardening:
-	// an integrity envelope around every transport packet, defensive
-	// drops of malformed input, and per-peer quarantine. Nil preserves
-	// the legacy wire format byte-for-byte.
+	// the authenticated envelope around every transport packet,
+	// defensive drops of malformed input, and per-peer quarantine. Nil
+	// is PaperExact's plain wire format.
 	Defense *DefenseConfig
 	// Overload, when non-nil, enables the overload-protection layer:
 	// bounded per-peer ingress and egress queues, watermark
 	// backpressure toward local senders, deterministic load shedding at
 	// the hard limits, and seeded retry/backoff for rejected sends. Nil
-	// preserves the legacy unbounded message path exactly.
+	// is PaperExact's unbounded message path.
 	Overload *OverloadConfig
 	// Recorder receives the structured observability events (token
 	// lifecycle, phase transitions, epoch advances, recovery actions).
@@ -147,17 +147,16 @@ type Stats struct {
 	// Defensive-ingress counters; see Config.Defense. MalformedDropped
 	// also counts token/header decode failures when Defense is nil.
 
-	// MalformedDropped counts messages the defensive ingress rejected
-	// without mutating state (bad envelope, checksum mismatch, decode
-	// or range failure).
+	// MalformedDropped counts messages rejected above the envelope
+	// without mutating state (mux, token or epoch-header decode failure,
+	// out-of-range token field). Envelope failures are AuthFailed.
 	MalformedDropped uint64
 	// Quarantines counts peers whose malformed count crossed the
 	// quarantine threshold and raised a suspicion.
 	Quarantines uint64
 	// AuthFailed counts arrivals the authenticated ingress rejected:
 	// forged frames (bad MAC), structurally broken auth envelopes, and
-	// cross-epoch replays (retired epoch). Zero unless Defense.Auth is
-	// set.
+	// cross-epoch replays (retired epoch). Zero unless Defense is set.
 	AuthFailed uint64
 
 	// Overload counters; all zero unless Config.Overload is set.
@@ -254,11 +253,11 @@ type Switch struct {
 	malformedBy map[ids.ProcID]uint64
 	// authFailedBy tracks per-peer authentication-failure counts; it
 	// advances the same quarantine progress as malformedBy (allocated
-	// lazily; nil unless Defense.Auth is set and a failure occurred).
+	// lazily; nil unless Defense is set and a failure occurred).
 	authFailedBy map[ids.ProcID]uint64
 	// epochSealers memoizes the per-epoch authenticated sealer — derived
 	// key plus cached keyed HMAC — so steady-state sealing and opening
-	// allocate nothing (auth mode).
+	// allocate nothing.
 	epochSealers map[uint64]*wire.AuthSealer
 	// keyRolledAt is when sendEpoch last advanced — the start of the
 	// grace window during which the previous epoch's key is still
@@ -287,7 +286,7 @@ type Switch struct {
 
 	// batch is the egress frame batcher; nil unless
 	// Config.Overload.BatchMax > 1, in which case every frame is its own
-	// wire write (the legacy format).
+	// wire write.
 	batch *batcher
 }
 
@@ -321,20 +320,16 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 	if cfg.Defense != nil {
 		// Seal below the multiplex: one envelope covers the mux header
 		// and every protocol header above it.
-		if cfg.Defense.Auth != nil {
-			s.authGrace = cfg.Defense.Auth.Grace
-			if s.authGrace == 0 {
-				s.authGrace = 10 * cfg.TokenInterval
-			}
-			transport = authTransport{s: s, down: transport}
-		} else {
-			transport = sealedTransport{down: transport}
+		s.authGrace = cfg.Defense.Auth.Grace
+		if s.authGrace == 0 {
+			s.authGrace = 10 * cfg.TokenInterval
 		}
+		transport = authTransport{s: s, down: transport}
 	}
 	if cfg.Overload != nil && cfg.Overload.BatchMax > 1 {
 		// Batch between the multiplex and the envelope: one sealed wire
 		// write carries up to BatchMax mux frames per destination per
-		// event, and in auth mode the whole batch costs one MAC. Must be
+		// event, so the whole batch costs one MAC. Must be
 		// enabled uniformly across the group (like the session key) — an
 		// unbatched receiver sees batch frames as malformed.
 		s.batch = newBatcher(s, transport, cfg.Overload.BatchMax)
@@ -393,30 +388,16 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 }
 
 // Recv routes an incoming transport packet; bind the node's network
-// handler here. With Defense enabled the envelope is verified and
-// stripped first — the authenticated envelope when Defense.Auth is set,
-// the integrity envelope otherwise: a packet that fails the check is
-// counted and dropped before any protocol layer sees it.
+// handler here. With Defense enabled the authenticated envelope is
+// verified and stripped first: a packet that fails the check is counted
+// and dropped before any protocol layer sees it.
 func (s *Switch) Recv(src ids.ProcID, pkt []byte) {
-	if d := s.cfg.Defense; d != nil {
-		if d.Auth != nil {
-			payload, ok := s.recvAuth(src, pkt)
-			if !ok {
-				return
-			}
-			pkt = payload
-		} else {
-			payload, err := wire.Open(pkt)
-			if err != nil {
-				reason := obs.MalformedFrame
-				if err == wire.ErrChecksum {
-					reason = obs.MalformedChecksum
-				}
-				s.countMalformed(src, reason)
-				return
-			}
-			pkt = payload
+	if s.cfg.Defense != nil {
+		payload, ok := s.recvAuth(src, pkt)
+		if !ok {
+			return
 		}
+		pkt = payload
 	}
 	// A batch frame (one envelope, many mux frames) is unpacked here —
 	// inside the trust boundary, after the envelope verified — and each
@@ -928,7 +909,12 @@ func (h *tokenHold) expire() {
 	}
 	switch {
 	case h.action == holdLoop:
-		s.onToken(t)
+		// A loop-back is an arrival like any other: through the lineage
+		// filter, so it re-arms the wedge timer and a superseded token
+		// dies here instead of rotating beside its replacement.
+		if s.rec == nil || s.rec.admit(t) {
+			s.onToken(t)
+		}
 	case h.action == holdPass && t.Mode == ModeNormal && s.wantSwitch && !s.Switching():
 		// A request arrived while holding the NORMAL token.
 		s.onToken(t)

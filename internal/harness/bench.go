@@ -374,7 +374,7 @@ func (r *SwitchedRun) Finish() Result {
 // through the given oracle.
 func RunSwitched(rc RunConfig, oracle switching.Oracle, pollEvery time.Duration) (Result, error) {
 	rc = rc.withDefaults()
-	run, err := NewSwitchedRun(rc, switching.Config{})
+	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories(rc.TokenHold)...))
 	if err != nil {
 		return Result{}, err
 	}

@@ -49,12 +49,8 @@ import (
 // (all omitted when zero or absent, so crowd-free artifacts keep their
 // v4 shape).
 //
-// Version 6: the perf artifact (E18) — stack-throughput rows per
-// protocol × envelope × batching cell, carrying the deterministic
-// delivery/event counts plus the two host-side numbers the perf gate
-// watches: msgs_per_sec (warn-only) and allocs_per_msg (hard-gated).
-// Unlike wall_ms these live at row level, outside the scrubbed
-// "timing" section, because the gate must see them.
+// Version 6: the perf artifact (E18), since retired — performance
+// claims go through bench/ (EXPERIMENTS.md, "Perf ledger").
 //
 // Version 7: the telemetry artifact (E19) — the windowed time-series
 // and switch-decision audit trail of a chaos sweep, emitted as
@@ -290,7 +286,7 @@ type BenchChaos struct {
 	WithPartitions int `json:"with_partitions"`
 	WithBursts     int `json:"with_bursts"`
 	// Adversarial-input fault classes (E15); zero on corruption-free
-	// sweeps, and then omitted so legacy artifacts keep their shape.
+	// sweeps, and then omitted so earlier artifacts keep their shape.
 	WithCorruption int `json:"with_corruption,omitempty"`
 	WithTruncation int `json:"with_truncation,omitempty"`
 	WithGarbage    int `json:"with_garbage,omitempty"`
@@ -550,36 +546,6 @@ func NewBenchP2P(seed int64, rows []P2PRow) *BenchP2P {
 	return out
 }
 
-// BenchPerf is the E18 stack-throughput artifact (see perf.go): one row
-// per protocol × envelope × batching cell. delivered and events are
-// deterministic per seed; msgs_per_sec and allocs_per_msg are the
-// host-side numbers the CI perf gate compares against the committed
-// baseline (allocs hard, throughput warn-only — see cmd/benchdiff).
-type BenchPerf struct {
-	BenchMeta
-	Group    int            `json:"group"`
-	Senders  int            `json:"senders"`
-	Burst    int            `json:"burst"`
-	BatchMax int            `json:"batch_max"`
-	MsgBytes int            `json:"msg_bytes"`
-	Rows     []BenchPerfRow `json:"rows"`
-}
-
-// BenchPerfRow is one grid cell. The host-side fields sit at row level
-// — not in the scrubbed "timing" section — because the perf gate reads
-// them; everything deterministic doubles as a correctness gate
-// (delivered must not drop).
-type BenchPerfRow struct {
-	Protocol     string  `json:"protocol"`
-	Variant      string  `json:"variant"`
-	Batched      bool    `json:"batched"`
-	Delivered    uint64  `json:"delivered"`
-	Events       uint64  `json:"events"`
-	WallMS       float64 `json:"wall_ms"`
-	MsgsPerSec   float64 `json:"msgs_per_sec"`
-	AllocsPerMsg float64 `json:"allocs_per_msg"`
-}
-
 // BenchTelemetry is the E19 artifact: the chaos sweep's windowed
 // time-series and switch-decision audit trail. The summary counters at
 // the top are what cmd/benchdiff gates (windows and audited rounds must
@@ -619,33 +585,5 @@ func NewBenchTelemetry(seed int64, interval time.Duration, res *ChaosSweepResult
 		}
 	}
 	out.BenchMeta = benchMeta("telemetry", seed, res.Events)
-	return out
-}
-
-// NewBenchPerf converts the E18 grid into its artifact.
-func NewBenchPerf(cfg PerfConfig, rows []PerfRow) *BenchPerf {
-	cfg = cfg.withDefaults()
-	out := &BenchPerf{
-		Group:    cfg.Run.Group,
-		Senders:  cfg.Run.ActiveSenders,
-		Burst:    cfg.Burst,
-		BatchMax: cfg.BatchMax,
-		MsgBytes: cfg.Run.MsgBytes,
-	}
-	var events uint64
-	for _, r := range rows {
-		out.Rows = append(out.Rows, BenchPerfRow{
-			Protocol:     r.Protocol,
-			Variant:      r.Variant,
-			Batched:      r.Batched,
-			Delivered:    r.Delivered,
-			Events:       r.Events,
-			WallMS:       Millis(r.Wall),
-			MsgsPerSec:   r.MsgsPerSec,
-			AllocsPerMsg: r.AllocsPerMsg,
-		})
-		events += r.Events
-	}
-	out.BenchMeta = benchMeta("perf", cfg.Seed, events)
 	return out
 }

@@ -271,27 +271,21 @@ func (r *ChaosSweepResult) Render() string {
 	fmt.Fprintf(&b, "tokens regenerated       %10d\n", r.Stats.TokensRegenerated)
 	fmt.Fprintf(&b, "switch rounds retried    %10d\n", r.Stats.SwitchesAborted)
 	fmt.Fprintf(&b, "forced epoch advances    %10d\n", r.Stats.ForcedAdvances)
-	if r.Stats.MalformedDropped > 0 || r.Stats.Quarantines > 0 {
-		fmt.Fprintf(&b, "malformed pkts dropped   %10d\n", r.Stats.MalformedDropped)
-		fmt.Fprintf(&b, "peers quarantined        %10d\n", r.Stats.Quarantines)
-	}
-	if r.Forged > 0 || r.Replayed > 0 || r.Stats.AuthFailed > 0 {
-		fmt.Fprintf(&b, "forged frames injected   %10d\n", r.Forged)
-		fmt.Fprintf(&b, "captured frames replayed %10d\n", r.Replayed)
-		fmt.Fprintf(&b, "auth rejections          %10d\n", r.Stats.AuthFailed)
-	}
-	if r.Stats.Shed > 0 || r.Stats.Backpressured > 0 || r.Stats.RetriedSends > 0 {
-		fmt.Fprintf(&b, "frames shed              %10d\n", r.Stats.Shed)
-		fmt.Fprintf(&b, "backpressure pauses      %10d\n", r.Stats.Backpressured)
-		fmt.Fprintf(&b, "sends retried            %10d\n", r.Stats.RetriedSends)
-	}
-	if r.Stats.SuspicionsRaised > 0 || r.Stats.FlapPenalties > 0 || r.Stats.DegradedSkips > 0 {
-		fmt.Fprintf(&b, "graded suspicions        %10d\n", r.Stats.SuspicionsRaised)
-		fmt.Fprintf(&b, "graded clears            %10d\n", r.Stats.SuspicionsCleared)
-		fmt.Fprintf(&b, "flap penalties           %10d\n", r.Stats.FlapPenalties)
-		fmt.Fprintf(&b, "degraded-mode skips      %10d\n", r.Stats.DegradedSkips)
-		fmt.Fprintf(&b, "peers re-included        %10d\n", r.Stats.Reincludes)
-	}
+	// The defences are on in every tier (one stack), so their counters
+	// print in every tier.
+	fmt.Fprintf(&b, "malformed pkts dropped   %10d\n", r.Stats.MalformedDropped)
+	fmt.Fprintf(&b, "peers quarantined        %10d\n", r.Stats.Quarantines)
+	fmt.Fprintf(&b, "forged frames injected   %10d\n", r.Forged)
+	fmt.Fprintf(&b, "captured frames replayed %10d\n", r.Replayed)
+	fmt.Fprintf(&b, "auth rejections          %10d\n", r.Stats.AuthFailed)
+	fmt.Fprintf(&b, "frames shed              %10d\n", r.Stats.Shed)
+	fmt.Fprintf(&b, "backpressure pauses      %10d\n", r.Stats.Backpressured)
+	fmt.Fprintf(&b, "sends retried            %10d\n", r.Stats.RetriedSends)
+	fmt.Fprintf(&b, "graded suspicions        %10d\n", r.Stats.SuspicionsRaised)
+	fmt.Fprintf(&b, "graded clears            %10d\n", r.Stats.SuspicionsCleared)
+	fmt.Fprintf(&b, "flap penalties           %10d\n", r.Stats.FlapPenalties)
+	fmt.Fprintf(&b, "degraded-mode skips      %10d\n", r.Stats.DegradedSkips)
+	fmt.Fprintf(&b, "peers re-included        %10d\n", r.Stats.Reincludes)
 	fmt.Fprintf(&b, "worst in-round recovery  %10s (bound %s)\n",
 		FormatMillis(r.WorstRecovery), FormatMillis(r.Bound))
 	for _, f := range r.Failures {

@@ -15,8 +15,8 @@ import (
 // — blocked for one half-cycle, open for the next — is driven at a
 // swept cadence against two detector arms: the legacy fixed-timeout
 // failure detector, and the adaptive layer (graded phi-accrual
-// suspicion plus BGP-style flap damping) the chaos runner enables on
-// gray schedules. The study reports switch-round aborts and token
+// suspicion plus BGP-style flap damping) every chaos sweep runs. The
+// study reports switch-round aborts and token
 // regenerations per arm and cadence, answering the ROADMAP's question:
 // does damping actually buy stability under membership flapping — and
 // the companion crash-detection-latency measurement shows the price is
@@ -97,7 +97,7 @@ type GrayStudyRow struct {
 }
 
 // grayStudySchedule expands a seed into the cell's schedule: the
-// legacy generator's traffic and switch requests (no legacy faults),
+// base-tier generator's traffic and switch requests (none of its faults),
 // plus a flapping member — every link out of member 2 blocks and
 // reopens in lockstep at the requested cadence from 0.1×horizon to
 // 0.7×horizon. This is the scenario flap damping exists for: during

@@ -82,7 +82,7 @@ func RunHysteresis(cfg HysteresisConfig, oracle switching.Oracle, policy string)
 		col = obs.NewCollector()
 		rc.Recorder = col
 	}
-	run, err := NewSwitchedRun(rc, switching.Config{})
+	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories(rc.TokenHold)...))
 	if err != nil {
 		return nil, err
 	}

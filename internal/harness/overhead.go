@@ -68,10 +68,8 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 		protos[0], protos[1] = protos[1], protos[0]
 	}
 	var rec *switching.Record
-	swCfg := switching.Config{
-		Protocols:        protos,
-		OnSwitchComplete: func(r switching.Record) { rec = &r },
-	}
+	swCfg := switching.PaperExact(protos...)
+	swCfg.OnSwitchComplete = func(r switching.Record) { rec = &r }
 	var col *obs.Collector
 	if cfg.Trace {
 		col = obs.NewCollector()

@@ -173,8 +173,8 @@ func TestChaosCorruptionSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(seqJSON, parJSON) {
 		t.Errorf("corruption sweep JSON differs across worker counts:\n%s\nvs\n%s", seqJSON, parJSON)
 	}
-	if seq.Stats.MalformedDropped == 0 {
-		t.Error("corruption sweep dropped no malformed packets — hardening not exercised")
+	if seq.Stats.AuthFailed+seq.Stats.MalformedDropped == 0 {
+		t.Error("corruption sweep rejected no damaged packets — hardening not exercised")
 	}
 	if n := seq.KindCounts[chaos.KindCorrupt] + seq.KindCounts[chaos.KindTruncate] + seq.KindCounts[chaos.KindGarbage]; n == 0 {
 		t.Error("corruption sweep generated no corruption faults")

@@ -434,14 +434,9 @@ func Garbage(at time.Duration, proc, peer ids.ProcID, size int) Event {
 }
 
 // MalformedReason codes (Args[0] of EvMalformedDrop) name the ingress
-// check that rejected the message.
+// check that rejected the message. Codes 0 and 1 belonged to the retired
+// CRC envelope and are not reused, so old traces still read correctly.
 const (
-	// MalformedFrame: the integrity envelope was too short or carried
-	// the wrong magic byte.
-	MalformedFrame int64 = 0
-	// MalformedChecksum: the envelope checksum did not match the
-	// payload.
-	MalformedChecksum int64 = 1
 	// MalformedDecode: a header or token failed to decode.
 	MalformedDecode int64 = 2
 	// MalformedRange: a decoded field was outside its valid range

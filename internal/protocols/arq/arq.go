@@ -112,7 +112,7 @@ func (c *common) Stop() {
 func (c *common) Stats() Stats { return c.stats }
 
 // DelayAcks enables coalesced cumulative acknowledgements: instead of
-// acking every data frame immediately (the legacy behaviour, kept when
+// acking every data frame immediately (the behaviour kept when
 // d <= 0), the receiver schedules one ack per stream per delay window,
 // so a pipelined burst is answered by a single cumulative ack. The
 // delay must stay well below the sender's retransmission timeout or

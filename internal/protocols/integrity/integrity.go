@@ -11,16 +11,12 @@ package integrity
 
 import (
 	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 
 	"repro/internal/ids"
 	"repro/internal/proto"
 	"repro/internal/wire"
 )
-
-// macSize is the truncated MAC length carried on the wire.
-const macSize = 16
 
 // Layer authenticates every payload through it.
 type Layer struct {
@@ -124,16 +120,10 @@ func (l *Layer) Rejected() uint64 { return l.rejected }
 // cross-epoch replays, in epoch-keyed mode.
 func (l *Layer) StaleRejected() uint64 { return l.staleRejected }
 
-func macSum(key, payload []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(payload)
-	return mac.Sum(nil)[:macSize]
-}
-
 func (l *Layer) seal(payload []byte) []byte {
-	sum := macSum(l.macKey(l.epoch), payload)
-	e := wire.NewEncoder(macSize + 2)
-	e.BytesField(sum)
+	sum := wire.MAC(l.macKey(l.epoch), nil, payload)
+	e := wire.NewEncoder(wire.MACSize + 2)
+	e.BytesField(sum[:])
 	return e.Prepend(payload)
 }
 
@@ -155,13 +145,13 @@ func (l *Layer) Send(dst ids.ProcID, payload []byte) error {
 func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 	d := wire.NewDecoder(pkt)
 	sum := d.BytesField()
-	if d.Err() != nil || len(sum) != macSize {
+	if d.Err() != nil || len(sum) != wire.MACSize {
 		l.rejected++
 		return
 	}
 	payload := d.Remaining()
 	if !l.epochKeyed {
-		if !hmac.Equal(sum, macSum(l.key, payload)) {
+		if want := wire.MAC(l.key, nil, payload); !hmac.Equal(sum, want[:]) {
 			l.rejected++
 			return
 		}
@@ -174,7 +164,7 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 		n = 2
 	}
 	for _, e := range candidates[:n] {
-		if hmac.Equal(sum, macSum(l.macKey(e), payload)) {
+		if want := wire.MAC(l.macKey(e), nil, payload); hmac.Equal(sum, want[:]) {
 			l.up.Deliver(src, payload)
 			return
 		}

@@ -47,7 +47,7 @@ type Config struct {
 	// one frame — and one envelope, one MAC — per visit instead of one
 	// per message. Each inner payload still carries its own epoch header
 	// from the layer above, so switch-round accounting is unchanged.
-	// Off preserves the legacy one-frame-per-message bytes exactly.
+	// Off keeps one frame per message.
 	// Must be enabled uniformly across the group.
 	BatchFlush bool
 }

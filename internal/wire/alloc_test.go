@@ -54,34 +54,6 @@ func TestFrameBytesMatchPrepend(t *testing.T) {
 	}
 }
 
-func TestSealToAllocs(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xCD}, 256)
-	dst := make([]byte, 0, SealOverhead+len(payload))
-	allocs := testing.AllocsPerRun(100, func() {
-		benchSink = SealTo(dst, payload)
-	})
-	if allocs != 0 {
-		t.Fatalf("SealTo into preallocated dst allocated %.1f times per op, want 0", allocs)
-	}
-	if want := Seal(payload); !bytes.Equal(SealTo(nil, payload), want) {
-		t.Fatal("SealTo bytes differ from Seal")
-	}
-	// Pooled round trip: seal into a pooled buffer, open, return it.
-	allocs = testing.AllocsPerRun(100, func() {
-		bp := GetBuf()
-		pkt := SealTo(*bp, payload)
-		p, err := Open(pkt)
-		if err != nil || len(p) != len(payload) {
-			t.Fatal("round trip failed")
-		}
-		*bp = pkt[:0]
-		PutBuf(bp)
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled SealTo/Open round trip allocated %.1f times per op, want 0", allocs)
-	}
-}
-
 func TestSealAuthToBytesMatchSealAuth(t *testing.T) {
 	key := DeriveEpochKey([]byte("alloc test session"), 3)
 	payload := []byte("authenticated payload")

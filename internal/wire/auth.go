@@ -8,12 +8,12 @@ import (
 	"hash"
 )
 
-// This file is the authenticated envelope: the keyed sibling of the CRC
-// envelope in seal.go. The CRC envelope detects accidental damage; this
-// one rejects deliberate forgery. The MAC key is not used directly —
-// each switching epoch derives its own subkey from the group session
-// key (DeriveEpochKey), so a frame authenticates both its bytes AND the
-// epoch it was sealed in. That per-epoch binding is what lets the
+// This file is the authenticated envelope, the one envelope the
+// switching layer's defensive ingress speaks: it rejects deliberate
+// forgery and, being a MAC over every byte, accidental damage with it.
+// The MAC key is not used directly — each switching epoch derives its
+// own subkey from the group session key (DeriveEpochKey), so a frame
+// authenticates both its bytes AND the epoch it was sealed in. That per-epoch binding is what lets the
 // switching layer reject a frame captured in epoch N and replayed after
 // the group has moved to epoch N+1: the recorded MAC only verifies
 // under epoch N's key, and the receiver stopped accepting that key when
@@ -26,18 +26,18 @@ import (
 // bytes. The epoch header bytes are inside the MAC so an attacker
 // cannot splice a valid epoch-N frame into an epoch-M envelope.
 
-// authMagic distinguishes authenticated frames from CRC-sealed frames
-// (0xD5) and stray bytes before any crypto runs.
+// authMagic distinguishes authenticated frames from stray bytes before
+// any crypto runs.
 const authMagic = 0xA7
 
-// authMACSize is the truncated HMAC-SHA256 length. 128 bits keeps the
+// MACSize is the truncated HMAC-SHA256 length. 128 bits keeps the
 // per-frame overhead comparable to a UUID while leaving forgery
 // probability negligible for a session's lifetime.
-const authMACSize = 16
+const MACSize = 16
 
 // MaxAuthOverhead bounds the envelope size: magic + max uvarint epoch
 // (10 bytes) + MAC.
-const MaxAuthOverhead = 1 + binary.MaxVarintLen64 + authMACSize
+const MaxAuthOverhead = 1 + binary.MaxVarintLen64 + MACSize
 
 // ErrAuthFrame is returned by OpenAuth and AuthEpoch for input that is
 // not structurally an authenticated envelope (too short, wrong magic,
@@ -62,16 +62,17 @@ func DeriveEpochKey(sessionKey []byte, epoch uint64) []byte {
 	return mac.Sum(nil)
 }
 
-// authMAC computes the truncated envelope MAC over the epoch header
-// bytes followed by the payload.
-func authMAC(key, epochHeader, payload []byte) [authMACSize]byte {
+// MAC is the repository's one keyed MAC: HMAC-SHA256 over header (may
+// be nil) followed by payload, truncated to MACSize. The envelope passes
+// its epoch header bytes; protocols/integrity MACs the bare payload.
+func MAC(key, header, payload []byte) [MACSize]byte {
 	mac := hmac.New(sha256.New, key)
-	mac.Write(epochHeader)
+	mac.Write(header)
 	mac.Write(payload)
 	var sum [sha256.Size]byte
 	mac.Sum(sum[:0])
-	var out [authMACSize]byte
-	copy(out[:], sum[:authMACSize])
+	var out [MACSize]byte
+	copy(out[:], sum[:MACSize])
 	return out
 }
 
@@ -90,7 +91,7 @@ func SealAuthTo(dst []byte, key []byte, epoch uint64, payload []byte) []byte {
 	base := len(dst)
 	dst = append(dst, authMagic)
 	dst = binary.AppendUvarint(dst, epoch)
-	mac := authMAC(key, dst[base+1:], payload)
+	mac := MAC(key, dst[base+1:], payload)
 	dst = append(dst, mac[:]...)
 	return append(dst, payload...)
 }
@@ -140,7 +141,7 @@ func (a *AuthSealer) computeMAC(epochHeader, payload []byte) []byte {
 func (a *AuthSealer) SealTo(dst, payload []byte) []byte {
 	sum := a.computeMAC(a.hdr[1:a.hdrLen], payload)
 	dst = append(dst, a.hdr[:a.hdrLen]...)
-	dst = append(dst, sum[:authMACSize]...)
+	dst = append(dst, sum[:MACSize]...)
 	return append(dst, payload...)
 }
 
@@ -153,15 +154,15 @@ func (a *AuthSealer) Open(pkt []byte) ([]byte, error) {
 		return nil, ErrAuthFrame
 	}
 	epoch, n := binary.Uvarint(pkt[1:])
-	if n <= 0 || len(pkt) < 1+n+authMACSize {
+	if n <= 0 || len(pkt) < 1+n+MACSize {
 		return nil, ErrAuthFrame
 	}
 	if epoch != a.epoch {
 		return nil, ErrAuth
 	}
-	payload := pkt[1+n+authMACSize:]
+	payload := pkt[1+n+MACSize:]
 	want := a.computeMAC(pkt[1:1+n], payload)
-	if !hmac.Equal(want[:authMACSize], pkt[1+n:1+n+authMACSize]) {
+	if !hmac.Equal(want[:MACSize], pkt[1+n:1+n+MACSize]) {
 		return nil, ErrAuth
 	}
 	return payload, nil
@@ -177,7 +178,7 @@ func AuthEpoch(pkt []byte) (uint64, error) {
 		return 0, ErrAuthFrame
 	}
 	epoch, n := binary.Uvarint(pkt[1:])
-	if n <= 0 || len(pkt) < 1+n+authMACSize {
+	if n <= 0 || len(pkt) < 1+n+MACSize {
 		return 0, ErrAuthFrame
 	}
 	return epoch, nil
@@ -193,13 +194,13 @@ func OpenAuth(key []byte, pkt []byte) ([]byte, error) {
 		return nil, ErrAuthFrame
 	}
 	_, n := binary.Uvarint(pkt[1:])
-	if n <= 0 || len(pkt) < 1+n+authMACSize {
+	if n <= 0 || len(pkt) < 1+n+MACSize {
 		return nil, ErrAuthFrame
 	}
 	epochHeader := pkt[1 : 1+n]
-	payload := pkt[1+n+authMACSize:]
-	want := authMAC(key, epochHeader, payload)
-	if !hmac.Equal(want[:], pkt[1+n:1+n+authMACSize]) {
+	payload := pkt[1+n+MACSize:]
+	want := MAC(key, epochHeader, payload)
+	if !hmac.Equal(want[:], pkt[1+n:1+n+MACSize]) {
 		return nil, ErrAuth
 	}
 	return payload, nil

@@ -83,10 +83,10 @@ func TestOpenAuthRejectsMalformed(t *testing.T) {
 		nil,
 		{},
 		{authMagic},
-		{sealMagic, 0, 0, 0, 0, 0}, // CRC envelope magic, not auth
-		{authMagic, 0x80},          // truncated uvarint
-		append([]byte{authMagic, 0}, make([]byte, authMACSize-1)...), // short MAC
-		bytes.Repeat([]byte{0x80}, 32),                               // unterminated varint
+		{0xD5, 0, 0, 0, 0, 0}, // the retired CRC envelope's magic, not auth
+		{authMagic, 0x80},     // truncated uvarint
+		append([]byte{authMagic, 0}, make([]byte, MACSize-1)...), // short MAC
+		bytes.Repeat([]byte{0x80}, 32),                           // unterminated varint
 	}
 	for i, pkt := range cases {
 		if _, err := OpenAuth(key, pkt); !errors.Is(err, ErrAuthFrame) {
@@ -94,7 +94,7 @@ func TestOpenAuthRejectsMalformed(t *testing.T) {
 		}
 		if _, err := AuthEpoch(pkt); err == nil && len(pkt) > 0 && pkt[0] == authMagic {
 			// AuthEpoch may succeed only on structurally complete envelopes.
-			if len(pkt) < 1+1+authMACSize {
+			if len(pkt) < 1+1+MACSize {
 				t.Errorf("case %d: AuthEpoch accepted a short envelope", i)
 			}
 		}
@@ -127,15 +127,11 @@ func TestDeriveEpochKeyIndependence(t *testing.T) {
 }
 
 func TestAuthAndCRCEnvelopesAreDisjoint(t *testing.T) {
-	// A CRC-sealed frame must never open as an auth frame and vice
-	// versa: the switching layer dispatches on the leading magic.
+	// A frame in the retired CRC envelope ([0xD5][crc32c LE][payload])
+	// must never open as an auth frame: the leading magic differs.
 	key := DeriveEpochKey([]byte("k"), 1)
-	crc := Seal([]byte("plain"))
+	crc := append([]byte{0xD5, 0x9F, 0x3B, 0x6A, 0x11}, "plain"...)
 	if _, err := OpenAuth(key, crc); !errors.Is(err, ErrAuthFrame) {
 		t.Errorf("OpenAuth(crc frame) = %v, want ErrAuthFrame", err)
-	}
-	auth := SealAuth(key, 1, []byte("authed"))
-	if _, err := Open(auth); !errors.Is(err, ErrFrame) {
-		t.Errorf("Open(auth frame) = %v, want ErrFrame", err)
 	}
 }

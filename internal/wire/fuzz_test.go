@@ -21,8 +21,8 @@ func FuzzDecode(f *testing.F) {
 		Proc(ids.ProcID(5)).Msg(ids.MsgID(9)).Channel(ids.ChannelID(2)).
 		Procs([]ids.ProcID{0, 1, 2}).Counts([]uint64{4, 5, 6})
 	f.Add(append([]byte(nil), e.Bytes()...))
-	// A sealed frame, so Open sees realistic envelopes too.
-	f.Add(Seal([]byte("sealed payload")))
+	// An enveloped frame, so the decoder walks realistic wire bytes too.
+	f.Add(SealAuth(DeriveEpochKey([]byte("fuzz session"), 1), 1, []byte("sealed payload")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
@@ -65,20 +65,11 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("error not sticky: %v replaced %v", d.Err(), first)
 			}
 		}
-
-		// Open must never panic, and an accepted envelope must be
-		// canonical: re-sealing the payload reproduces the input.
-		if payload, err := Open(data); err == nil {
-			if !bytes.Equal(Seal(payload), data) {
-				t.Fatal("Open accepted a non-canonical envelope")
-			}
-		}
 	})
 }
 
 // FuzzRoundTrip encodes fuzzer-chosen values through every encoder
-// field type, decodes them back, and requires exact equality — then
-// checks the integrity envelope detects a single flipped bit.
+// field type, decodes them back, and requires exact equality.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(0), int64(0), false, []byte(nil), "", int64(0), uint16(0))
 	f.Add(uint8(255), uint64(1)<<63, int64(-1)<<62, true, []byte("abc"), "xyz", int64(-1), uint16(0xFFFF))
@@ -118,19 +109,6 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if len(d.Remaining()) != 0 {
 			t.Fatalf("%d bytes left after round trip", len(d.Remaining()))
-		}
-
-		// Envelope round trip, then single-bit damage: CRC-32C detects
-		// every 1-bit error, so Open must reject the mutation.
-		sealed := Seal(bs)
-		payload, err := Open(sealed)
-		if err != nil || !bytes.Equal(payload, bs) {
-			t.Fatalf("Open(Seal(%q)) = %q, %v", bs, payload, err)
-		}
-		bit := int(uv % uint64(len(sealed)*8))
-		sealed[bit/8] ^= 1 << uint(bit%8)
-		if _, err := Open(sealed); err == nil {
-			t.Fatalf("Open accepted a 1-bit-damaged envelope (bit %d)", bit)
 		}
 	})
 }

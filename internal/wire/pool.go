@@ -47,10 +47,10 @@ var bufPool = sync.Pool{
 
 // GetBuf returns a pooled zero-length byte slice (behind a pointer, to
 // keep the Put path allocation-free) for append-style builders such as
-// SealTo and SealAuthTo. Typical use:
+// AuthSealer.SealTo and SealAuthTo. Typical use:
 //
 //	bp := wire.GetBuf()
-//	pkt := wire.SealTo(*bp, payload)
+//	pkt := sealer.SealTo(*bp, payload)
 //	... hand pkt downstream ...
 //	*bp = pkt[:0] // keep any growth
 //	wire.PutBuf(bp)

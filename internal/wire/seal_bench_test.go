@@ -2,9 +2,8 @@ package wire
 
 import "testing"
 
-// Micro-benchmarks comparing the CRC envelope with the authenticated
-// envelope: the baseline for the zero-alloc envelope roadmap item. Run
-// with `go test -bench Envelope -benchmem ./internal/wire`.
+// Micro-benchmarks of the authenticated envelope. Run with
+// `go test -bench Envelope -benchmem ./internal/wire`.
 
 var benchPayload = func() []byte {
 	b := make([]byte, 256)
@@ -15,28 +14,6 @@ var benchPayload = func() []byte {
 }()
 
 var benchSink []byte
-
-func BenchmarkEnvelopeSeal(b *testing.B) {
-	b.ReportAllocs()
-	b.SetBytes(int64(len(benchPayload)))
-	for i := 0; i < b.N; i++ {
-		benchSink = Seal(benchPayload)
-	}
-}
-
-func BenchmarkEnvelopeOpen(b *testing.B) {
-	pkt := Seal(benchPayload)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(benchPayload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := Open(pkt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = p
-	}
-}
 
 func BenchmarkEnvelopeSealAuth(b *testing.B) {
 	key := DeriveEpochKey([]byte("bench session"), 1)
@@ -60,16 +37,6 @@ func BenchmarkEnvelopeOpenAuth(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = p
-	}
-}
-
-func BenchmarkEnvelopeSealTo(b *testing.B) {
-	dst := make([]byte, 0, SealOverhead+len(benchPayload))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(benchPayload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = SealTo(dst, benchPayload)
 	}
 }
 
