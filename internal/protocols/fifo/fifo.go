@@ -35,8 +35,14 @@ type Config struct {
 	// ResendInterval is how often a receiver re-requests missing
 	// packets while it has gaps.
 	ResendInterval time.Duration
-	// AckInterval is how often a receiver sends cumulative acks (which
-	// garbage-collect the sender's retransmission buffers).
+	// AckInterval is how often a receiver considers sending cumulative
+	// acks (which garbage-collect the sender's retransmission buffers).
+	// A tick acks peer p only when the ack says something new — its
+	// (castNext, sendNext) differs from the last ack sent to p, so the
+	// sender can free data — or p asked for one: a heartbeat from p
+	// arrived since that ack. A sender heartbeats only while it holds
+	// unacknowledged data, so a lost ack is re-sent on the next tick,
+	// and an idle stream costs no frames at all.
 	AckInterval time.Duration
 	// HeartbeatInterval is how often a sender with unacknowledged data
 	// announces its stream position so receivers can detect tail loss.
@@ -106,6 +112,9 @@ type Layer struct {
 
 	// Cumulative acks received, per peer, for GC of castOut.
 	castAcked map[ids.ProcID]uint64
+	// Cumulative acks sent, per peer: what ackTick last told the peer,
+	// and whether the peer has heartbeated since.
+	acksOut map[ids.ProcID]ackMark
 
 	// castQueue holds casts awaiting flow-control window space.
 	castQueue [][]byte
@@ -130,7 +139,16 @@ func New(cfg Config) *Layer {
 		castIn:    make(map[ids.ProcID]*reorderBuf),
 		sendIn:    make(map[ids.ProcID]*reorderBuf),
 		castAcked: make(map[ids.ProcID]uint64),
+		acksOut:   make(map[ids.ProcID]ackMark),
 	}
+}
+
+// ackMark is the last cumulative ack sent to one peer (zero before the
+// first: an ack of (0, 0) tells a sender nothing) and whether the peer
+// has asked for a fresh one since.
+type ackMark struct {
+	castNext, sendNext uint64
+	solicited          bool
 }
 
 // reorderBuf reassembles one incoming FIFO stream.
@@ -430,6 +448,11 @@ func (l *Layer) onHeartbeat(src ids.ProcID, stream uint8, next uint64) {
 		return // absurd horizon jump: adversarial or corrupted seq
 	}
 	r.sawSeq(top)
+	// The sender still holds unacked data: answer on the next ack tick
+	// even if the ack repeats one it may have lost.
+	m := l.acksOut[src]
+	m.solicited = true
+	l.acksOut[src] = m
 	if len(r.gaps()) > 0 {
 		l.requestRepairs(src, r)
 	}
@@ -449,25 +472,27 @@ func (l *Layer) resendTick() {
 	}
 }
 
-// ackTick sends cumulative acks to every peer we have streams from, in
-// ring order (determinism, as in resendTick).
+// ackTick sends a cumulative ack to every peer it says something new to
+// or that asked for one (Config.AckInterval), in ring order (determinism,
+// as in resendTick).
 func (l *Layer) ackTick() {
 	for _, p := range l.members {
 		if p == l.env.Self() {
 			continue
 		}
-		if l.castIn[p] == nil && l.sendIn[p] == nil {
-			continue
-		}
-		var castNext, sendNext uint64
+		var m ackMark
 		if r := l.castIn[p]; r != nil {
-			castNext = r.Next()
+			m.castNext = r.Next()
 		}
 		if r := l.sendIn[p]; r != nil {
-			sendNext = r.Next()
+			m.sendNext = r.Next()
 		}
+		if l.acksOut[p] == m {
+			continue // nothing new, and not asked for
+		}
+		l.acksOut[p] = m
 		e := wire.GetEncoder()
-		e.U8(kindAck).Uvarint(castNext).Uvarint(sendNext)
+		e.U8(kindAck).Uvarint(m.castNext).Uvarint(m.sendNext)
 		_ = l.down.Send(p, e.Bytes())
 		wire.PutEncoder(e)
 	}
