@@ -1,20 +1,16 @@
 // Package chaos is a seeded fault-injection harness for the switching
-// protocol's recovery layer (E13) and its adversarial-input hardening
-// (E15). A generator expands a seed into a deterministic schedule of
-// faults — crash-stop failures, partitions, drop/duplicate/reorder
-// bursts, and (when enabled) bit-flip corruption, truncation, and
-// garbage-injection attacks — at random virtual times over an
-// internal/simnet run. The runner replays a schedule against a cluster
-// of recovery-enabled switches (with the defensive ingress and
-// integrity envelope turned on whenever the schedule carries
-// corruption), drives background traffic and switch requests through
-// it, heals all faults, and then checks the system's invariants: no
-// panic anywhere in the stack (a panic is converted into a violation
-// with the flight recorder's tail), the ring is not deadlocked
-// (post-heal probes reach every live member), the preserved Table 1
-// properties hold on the survivors' traces (pairwise common delivery
-// order, old-before-new epoch boundary), and every live member
-// converged to one epoch.
+// protocol (E13 and its later fault tiers). A generator expands a seed
+// into a deterministic schedule of faults — crashes, partitions, bursts
+// and, per enabled tier, corruption, forgery and replay, flash crowds and
+// gray failures — at random virtual times over an internal/simnet run.
+// The runner replays it against the one switching.Hardened stack with
+// traffic and switch requests, heals every fault, and checks one trace of
+// the survivors' deliveries with the paper's own predicates:
+// property.TotalOrder, property.Integrity and property.NoReplay. The
+// invariants Table 1 has no counterpart for sit beside them: no panic
+// (reported with the flight recorder's tail), post-heal liveness, the
+// epoch boundary, convergence, bounded memory, no silent loss, bounded
+// disruption and re-inclusion.
 //
 // Everything is deterministic per seed: the same seed generates the
 // same schedule and the same simulation, which makes every sweep

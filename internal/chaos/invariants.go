@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -10,8 +12,11 @@ import (
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
 	"repro/internal/obs"
+	"repro/internal/property"
+	"repro/internal/proto"
 	"repro/internal/protocols/fd"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // checkConverged asserts the no-deadlock end state: every live member
@@ -32,22 +37,102 @@ func checkConverged(c *swtest.SwitchedCluster, live []ids.ProcID) []string {
 	return v
 }
 
+// runTrace decodes every live member's deliveries once into one trace:
+// members in id order, each in its own delivery order. Every delivery
+// invariant reads this trace.
+func runTrace(c *swtest.SwitchedCluster, live []ids.ProcID) (trace.Trace, error) {
+	n := 0
+	for _, p := range live {
+		n += len(c.Members[p].Delivered)
+	}
+	tr := make(trace.Trace, 0, n)
+	for _, p := range live {
+		for _, d := range c.Members[p].Delivered {
+			m, err := proto.DecodeApp(d.Payload)
+			if err != nil {
+				return nil, fmt.Errorf("chaos: member %v trace: %w", p, err)
+			}
+			tr = append(tr, trace.Deliver(p, m.TraceMessage()))
+		}
+	}
+	return tr, nil
+}
+
+// block returns member p's deliveries: its contiguous run in a trace
+// laid out as runTrace lays it out.
+func block(tr trace.Trace, p ids.ProcID) trace.Trace {
+	lo := sort.Search(len(tr), func(i int) bool { return tr[i].Deliverer >= p })
+	hi := sort.Search(len(tr), func(i int) bool { return tr[i].Deliverer > p })
+	return tr[lo:hi]
+}
+
+// deliveryProperties is the fixed list of paper predicates every run's
+// trace is checked against: Total Order and Integrity, which Table 2 says
+// SP preserves, and No Replay, which it does not (not Composable, §6.2)
+// but Hardened's per-epoch key schedule provides across epochs.
+// Integrity trusts the n members; forgedFrame names a sender outside.
+func deliveryProperties(n int) []property.Property {
+	trusted := make(map[ids.ProcID]bool, n)
+	for p := range n {
+		trusted[ids.ProcID(p)] = true
+	}
+	return []property.Property{
+		property.TotalOrder{},
+		property.Integrity{Trusted: trusted},
+		property.NoReplay{},
+	}
+}
+
+// checkDeliveries runs every delivery invariant on the run trace of the
+// live members of an n-member group: liveness, the epoch boundary, and
+// each of deliveryProperties. Violations come out in a fixed order.
+func checkDeliveries(tr trace.Trace, live []ids.ProcID, n int) []string {
+	v := checkLiveness(tr, live)
+	v = append(v, checkEpochBoundary(tr, live)...)
+	for _, prop := range deliveryProperties(n) {
+		if !prop.Holds(tr) {
+			v = append(v, narrow(prop, tr, live))
+		}
+	}
+	return v
+}
+
+// narrow names who broke prop: the first live member whose deliveries
+// alone fail it, else the first pair (Total Order is pairwise), at the
+// delivery where that narrowed trace first fails. Failure path only.
+func narrow(prop property.Property, tr trace.Trace, live []ids.ProcID) string {
+	for _, p := range live {
+		if sub := block(tr, p); !prop.Holds(sub) {
+			return fmt.Sprintf("%s: member %v delivered %v", prop.Name(), p, sub[firstFailure(prop, sub)].Msg)
+		}
+	}
+	for i, a := range live {
+		for _, b := range live[i+1:] {
+			sub := append(block(tr, a).Clone(), block(tr, b)...)
+			if !prop.Holds(sub) {
+				return fmt.Sprintf("%s: members %v and %v disagree at member %v's delivery of %v", prop.Name(), a, b, b, sub[firstFailure(prop, sub)].Msg)
+			}
+		}
+	}
+	return prop.Name() + ": violated by the run trace"
+}
+
+// firstFailure returns the index of the event that makes a prefix of tr
+// first fail prop. Every checked property is a safety property (Table 2),
+// so once a prefix fails every longer one does, and bisection finds it.
+func firstFailure(prop property.Property, tr trace.Trace) int {
+	return sort.Search(len(tr), func(i int) bool { return !prop.Holds(tr[:i+1]) })
+}
+
 // checkLiveness asserts that every live member delivered every live
 // member's post-heal probe — the ring and both sub-protocols are still
 // moving traffic after the faults.
-func checkLiveness(bodies map[ids.ProcID][]string, live []ids.ProcID) []string {
+func checkLiveness(tr trace.Trace, live []ids.ProcID) []string {
 	var v []string
 	for _, m := range live {
+		got := block(tr, m)
 		for _, p := range live {
-			want := fmt.Sprintf("-probe%d", p)
-			found := false
-			for _, b := range bodies[m] {
-				if strings.HasSuffix(b, want) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.ContainsFunc(got, func(e trace.Event) bool { return e.Msg.Sender == p && strings.Contains(e.Msg.Body, "-probe") }) {
 				v = append(v, fmt.Sprintf("liveness: member %v never delivered member %v's post-heal probe", m, p))
 			}
 		}
@@ -55,77 +140,36 @@ func checkLiveness(bodies map[ids.ProcID][]string, live []ids.ProcID) []string {
 	return v
 }
 
-// checkCommonOrder asserts the preserved Table 1 ordering property on
-// the survivors' traces: for every pair of live members, the messages
-// both delivered appear in the same relative order. (Messages a member
-// missed entirely — stale-dropped after a round closed without counting
-// a faulty sender — are excluded: total order is only claimed over
-// common deliveries, exactly property.TotalOrder's pairwise rule.)
-func checkCommonOrder(bodies map[ids.ProcID][]string, live []ids.ProcID) []string {
+// checkEpochBoundary asserts the SP's own §2 contract (Table 1 has no
+// such property): all old-protocol messages are delivered before any
+// new-protocol ones, so the "e<epoch>-" tags are nondecreasing in each
+// member's deliveries. It reports each member's first offending one.
+func checkEpochBoundary(tr trace.Trace, live []ids.ProcID) []string {
 	var v []string
-	for i := 0; i < len(live); i++ {
-		for j := i + 1; j < len(live); j++ {
-			a, b := live[i], live[j]
-			if msg, ok := commonOrderAgrees(bodies[a], bodies[b]); !ok {
-				v = append(v, fmt.Sprintf("common order: members %v and %v disagree at %q", a, b, msg))
-			}
-		}
-	}
-	return v
-}
-
-// commonOrderAgrees filters both sequences to their common elements and
-// compares. Bodies are unique per message, so set membership is enough.
-func commonOrderAgrees(a, b []string) (string, bool) {
-	inA := make(map[string]bool, len(a))
-	for _, m := range a {
-		inA[m] = true
-	}
-	inB := make(map[string]bool, len(b))
-	for _, m := range b {
-		inB[m] = true
-	}
-	var fa, fb []string
-	for _, m := range a {
-		if inB[m] {
-			fa = append(fa, m)
-		}
-	}
-	for _, m := range b {
-		if inA[m] {
-			fb = append(fb, m)
-		}
-	}
-	for k := range fa {
-		if fa[k] != fb[k] {
-			return fa[k], false
-		}
-	}
-	return "", true
-}
-
-// checkEpochBoundary asserts the SP's §2 guarantee per member: all
-// old-protocol messages are delivered before any new-protocol ones, so
-// the "e<epoch>" tags are nondecreasing in each member's trace.
-func checkEpochBoundary(bodies map[ids.ProcID][]string) []string {
-	var v []string
-	for p, got := range bodies {
+	for _, p := range live {
 		maxEpoch := -1
-		for i, b := range got {
-			var e int
-			if _, err := fmt.Sscanf(b, "e%d-", &e); err != nil {
-				v = append(v, fmt.Sprintf("epoch boundary: member %v delivered untagged body %q", p, b))
-				continue
+		for i, e := range block(tr, p) {
+			epoch, ok := epochTag(e.Msg.Body)
+			if !ok {
+				v = append(v, fmt.Sprintf("epoch boundary: member %v delivered untagged body %q", p, e.Msg.Body))
+				break
 			}
-			if e < maxEpoch {
-				v = append(v, fmt.Sprintf("epoch boundary: member %v delivered epoch-%d %q at index %d after epoch-%d traffic", p, e, b, i, maxEpoch))
+			if epoch < maxEpoch {
+				v = append(v, fmt.Sprintf("epoch boundary: member %v delivered epoch-%d %q at index %d after epoch-%d traffic", p, epoch, e.Msg.Body, i, maxEpoch))
+				break
 			}
-			if e > maxEpoch {
-				maxEpoch = e
-			}
+			maxEpoch = max(maxEpoch, epoch)
 		}
 	}
 	return v
+}
+
+// epochTag parses the "e<epoch>-" prefix cast puts on every body.
+func epochTag(body string) (int, bool) {
+	rest, tagged := strings.CutPrefix(body, "e")
+	digits, _, dashed := strings.Cut(rest, "-")
+	epoch, err := strconv.Atoi(digits)
+	return epoch, tagged && dashed && err == nil
 }
 
 // checkBoundedMemory asserts the overload layer's first guarantee: no
@@ -165,44 +209,6 @@ func checkNoSilentLoss(c *swtest.SwitchedCluster, live []ids.ProcID) []string {
 		}
 		if a.IngressAdmitted != a.IngressServed+a.IngressQueued {
 			v = append(v, fmt.Sprintf("silent loss: member %v ingress admitted=%d != served=%d + queued=%d", p, a.IngressAdmitted, a.IngressServed, a.IngressQueued))
-		}
-	}
-	return v
-}
-
-// checkNoForgedDelivery asserts the authenticated session's first
-// guarantee: no frame fabricated without the group session key ever
-// reaches an application layer. Every forged frame the generator
-// injects carries the FORGED marker in its body, so a marked body in
-// any member's trace means the trust boundary leaked.
-func checkNoForgedDelivery(bodies map[ids.ProcID][]string) []string {
-	var v []string
-	for p, got := range bodies {
-		for i, b := range got {
-			if strings.Contains(b, "FORGED") {
-				v = append(v, fmt.Sprintf("forged delivery: member %v delivered forged body %q at index %d", p, b, i))
-			}
-		}
-	}
-	return v
-}
-
-// checkNoDoubleDelivery asserts the authenticated session's second
-// guarantee: no frame is accepted twice across any epoch sequence.
-// Chaos traffic bodies are unique per cast (sender, sequence, and epoch
-// tag all baked in), so the same body twice in one member's trace means
-// a replay — wire-level, cross-epoch, or duplicate-induced — got past
-// both the transport dedup and the epoch key schedule.
-func checkNoDoubleDelivery(bodies map[ids.ProcID][]string) []string {
-	var v []string
-	for p, got := range bodies {
-		seen := make(map[string]int, len(got))
-		for i, b := range got {
-			if j, dup := seen[b]; dup {
-				v = append(v, fmt.Sprintf("double delivery: member %v accepted body %q at indices %d and %d", p, b, j, i))
-				continue
-			}
-			seen[b] = i
 		}
 	}
 	return v
@@ -357,11 +363,11 @@ func MeasureRecovery(seed int64, n int, ti time.Duration) (time.Duration, error)
 // long warmup of steady heartbeats (so the adaptive detector's
 // inter-arrival window is full), then a crash-stop of a non-sequencer
 // member at a seeded random time. It returns the virtual time from the
-// crash to the first suspicion of the victim at any live member —
-// under the legacy fixed-timeout detector when fixed is true, or the
-// same adaptive layering the chaos runner sweeps (adaptiveConfig) when
-// false. Both arms emit EvSuspect at the moment
-// the victim is suspected (the graded path funnels through
+// crash to the first suspicion of the victim at any live member. With
+// fixed true the fixed-timeout detector (RunConfig.FixedDetector's arm)
+// runs alone; with fixed false it runs under the adaptive layering the
+// chaos runner sweeps (adaptiveConfig). Both arms emit EvSuspect at the
+// moment the victim is suspected (the graded path funnels through
 // ForceSuspect), so one scan measures both.
 func MeasureDetection(seed int64, n int, ti time.Duration, fixed bool) (time.Duration, error) {
 	col := obs.NewCollector()

@@ -47,9 +47,9 @@ type RunConfig struct {
 	// fan-out of telemetry-free runs (and the obs.Nop fast path when
 	// nothing else records).
 	Telemetry *telemetry.Config
-	// FixedDetector runs the legacy fixed-timeout failure detector
-	// alone, without adaptive suspicion and flap damping — the baseline
-	// arm of the E20 stability study.
+	// FixedDetector runs the fixed-timeout failure detector alone,
+	// without adaptive suspicion and flap damping — the baseline arm of
+	// the E20 stability study.
 	FixedDetector bool
 	// DisruptionBudget caps the recovery actions (token regenerations
 	// plus switch-round aborts, summed over members) the
@@ -411,49 +411,38 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 	// run is converted into an invariant violation with the flight
 	// recorder's tail attached, instead of crashing the sweep.
 	horizon := probeAt + cfg.Drain
-	if msg := capturePanic(func() { c.Run(horizon) }); msg != "" {
+	panicked := capturePanic(func() { c.Run(horizon) })
+	if panicked == "" {
+		c.Stop()
+	} else {
 		_ = capturePanic(c.Stop)
-		res.Events = c.Sim.Executed()
-		ns := c.Net.Stats()
-		res.Forged, res.Replayed = ns.Forged, ns.Replayed
-		res.Violations = append(res.Violations, msg)
-		res.FlightRecord = flight.Snapshot()
-		res.FlightDropped = flight.Dropped()
-		res.attachTelemetry(tel, horizon)
-		return res, c, nil
+		res.Violations = append(res.Violations, panicked)
 	}
-	c.Stop()
 	res.Events = c.Sim.Executed()
 	ns := c.Net.Stats()
 	res.Forged, res.Replayed = ns.Forged, ns.Replayed
 
-	for p := 0; p < sched.N; p++ {
-		if !c.Net.Crashed(ids.ProcID(p)) {
-			res.Live = append(res.Live, ids.ProcID(p))
+	if panicked == "" {
+		for p := 0; p < sched.N; p++ {
+			if !c.Net.Crashed(ids.ProcID(p)) {
+				res.Live = append(res.Live, ids.ProcID(p))
+			}
 		}
-	}
-	bodies := make(map[ids.ProcID][]string, len(res.Live))
-	for _, p := range res.Live {
-		b, err := c.AppBodies(p)
+		tr, err := runTrace(c, res.Live)
 		if err != nil {
-			return nil, nil, fmt.Errorf("chaos: member %v trace: %w", p, err)
+			return nil, nil, err
 		}
-		bodies[p] = b
-		res.Delivered += len(b)
-	}
-	res.Stats = statsFromMetrics(metrics, res.Live)
-	res.FinalEpoch = c.Members[res.Live[0]].Switch.Epoch()
+		res.Delivered = len(tr)
+		res.Stats = statsFromMetrics(metrics, res.Live)
+		res.FinalEpoch = c.Members[res.Live[0]].Switch.Epoch()
 
-	res.Violations = append(res.Violations, checkConverged(c, res.Live)...)
-	res.Violations = append(res.Violations, checkLiveness(bodies, res.Live)...)
-	res.Violations = append(res.Violations, checkCommonOrder(bodies, res.Live)...)
-	res.Violations = append(res.Violations, checkEpochBoundary(bodies)...)
-	res.Violations = append(res.Violations, checkNoForgedDelivery(bodies)...)
-	res.Violations = append(res.Violations, checkNoDoubleDelivery(bodies)...)
-	res.Violations = append(res.Violations, checkBoundedMemory(c, res.Live)...)
-	res.Violations = append(res.Violations, checkNoSilentLoss(c, res.Live)...)
-	res.Violations = append(res.Violations, checkBoundedDisruption(disrupt, cfg.DisruptionBudget)...)
-	res.Violations = append(res.Violations, checkEventualReinclusion(c, res.Live)...)
+		res.Violations = append(res.Violations, checkConverged(c, res.Live)...)
+		res.Violations = append(res.Violations, checkDeliveries(tr, res.Live, sched.N)...)
+		res.Violations = append(res.Violations, checkBoundedMemory(c, res.Live)...)
+		res.Violations = append(res.Violations, checkNoSilentLoss(c, res.Live)...)
+		res.Violations = append(res.Violations, checkBoundedDisruption(disrupt, cfg.DisruptionBudget)...)
+		res.Violations = append(res.Violations, checkEventualReinclusion(c, res.Live)...)
+	}
 	if res.Failed() {
 		res.FlightRecord = flight.Snapshot()
 		res.FlightDropped = flight.Dropped()
@@ -532,16 +521,20 @@ var chaosSessionKey = []byte("chaos harness group session key")
 // replayCaptureMax bounds the adversary tap's buffer per run.
 const replayCaptureMax = 512
 
+// adversary is the sender every forged message names, outside any group
+// the generator builds, so a forged delivery fails property.Integrity. 63
+// is the largest ProcID whose zig-zag varint is one byte, as a member's is.
+const adversary ids.ProcID = 63
+
 // forgedFrame crafts the wire bytes of a KindForge event: a
 // syntactically valid protocol frame — mux header, FIFO cast, epoch
-// tag, well-formed application message — sealed under a key derived
-// from a guessed session secret. Everything about it parses; only the
-// MAC cannot verify. The body carries the FORGED marker the
-// no-forged-delivery invariant scans for.
+// tag, well-formed application message from the adversary — sealed
+// under a key derived from a guessed session secret. Everything about it
+// parses; only the MAC cannot verify.
 func forgedFrame(ev Event) []byte {
 	app := proto.AppMsg{
 		ID:     proto.MakeMsgID(ev.From, uint32(40000+ev.Size)),
-		Sender: ev.From,
+		Sender: adversary,
 		Body:   []byte(fmt.Sprintf("e%d-FORGED.%d", ev.Epoch, ev.Size)),
 	}
 	e := wire.NewEncoder(16)

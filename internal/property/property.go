@@ -93,12 +93,13 @@ func (TotalOrder) Holds(tr trace.Trace) bool {
 	for p := range order {
 		procs = append(procs, p)
 	}
+	var common []ids.MsgID
 	for i := 0; i < len(procs); i++ {
 		for j := i + 1; j < len(procs); j++ {
 			p, q := procs[i], procs[j]
 			// Extract p's order restricted to messages q also delivered
 			// and compare with q's.
-			var common []ids.MsgID
+			common = common[:0]
 			for _, m := range order[p] {
 				if _, ok := position[q][m]; ok {
 					common = append(common, m)
