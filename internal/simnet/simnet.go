@@ -14,6 +14,15 @@
 //   - *per-node CPU queues*: a centralized sequencer saturates as the
 //     number of active senders grows, while a rotating token spreads
 //     work evenly.
+//
+// Every frame is a short run of simulator events: the sender's CPU is
+// done, the transmission is done, the frame arrives, the receiver's CPU is
+// done. Deliveries that share an instant share an event: a multicast's
+// arrivals at the other members form one arrival chain, and the receive
+// completions of members whose CPU was idle form one completion chain.
+// Running such a chain receiver by receiver, in the order the separate
+// events would have fired, is indistinguishable from firing them one by
+// one, so a chain moves no delivery in time or order (DESIGN.md §2.2).
 package simnet
 
 import (
@@ -127,11 +136,6 @@ type Stats struct {
 	FlapSets        uint64
 }
 
-// linkKey identifies a directed link for per-link fault overrides.
-type linkKey struct {
-	from, to ids.ProcID
-}
-
 // linkFault holds the per-directed-link fault overrides layered over
 // the global knobs (the gray-failure model's asymmetric links).
 type linkFault struct {
@@ -176,9 +180,19 @@ type rxRecord struct {
 	buf      []byte
 	// h is the handler resolved at arrival, kept for the CPU-queued leg.
 	h Handler
-	// arriveFn is r.arrive (packet reaches the node); handleFn is
-	// r.handle (receive processing done: run the handler).
+	// next is the record after this one in its chain: the deliveries
+	// that run, in order, in the same event.
+	next *rxRecord
+	// arriveFn is r.arrive (the chain reaches its nodes); handleFn is
+	// r.handle (receive processing done: run the handlers).
 	arriveFn, handleFn func()
+}
+
+// chain is an open run of same-instant delivery records: tail is the last
+// record joined, and the head's callback is the one event scheduled at at.
+type chain struct {
+	at   time.Duration
+	tail *rxRecord
 }
 
 // egressQueue is one node's FIFO of frames waiting for the medium: a
@@ -232,29 +246,34 @@ type Network struct {
 	lastServed int
 	// cpuFree[i] is when node i's CPU becomes idle.
 	cpuFree []time.Duration
-	// blocked[src][dst] suppresses delivery (partition injection).
-	blocked map[ids.ProcID]map[ids.ProcID]bool
+	// The fault tables below are indexed by node, or by link(from, to).
 	// crashed nodes neither send nor receive (crash-stop injection).
-	crashed map[ids.ProcID]bool
-	stats   Stats
-	rec     obs.Recorder
+	crashed []bool
+	// blocked suppresses delivery on a directed link (partition
+	// injection); nBlocked counts the blocked links.
+	blocked  []bool
+	nBlocked int
+	// linkFaults holds per-directed-link overrides layered over the
+	// global fault knobs (gray asymmetric links); an unset link is the
+	// zero value and draws nothing.
+	linkFaults []linkFault
+	// slowFactor stretches a node's CPU charges (gray slow node); 0 or 1
+	// means full speed.
+	slowFactor []int
+	// flapEpoch invalidates a link's scheduled flap toggles when a
+	// newer SetFlapping call supersedes them.
+	flapEpoch []int
+	stats     Stats
+	rec       obs.Recorder
 	// captured holds wire frames recorded for later replay injection
 	// (SetReplayCapture); capMax bounds the buffer.
 	captured []capturedFrame
 	capMax   int
-	// spikeMult is the flash-crowd sender multiplier (1 = baseline);
-	// workload generators consult it via SpikeMultiplier.
-	spikeMult int
-	// linkFaults holds per-directed-link overrides layered over the
-	// global fault knobs (gray asymmetric links); absent links use the
-	// zero value and draw nothing.
-	linkFaults map[linkKey]linkFault
-	// slowFactor stretches a node's CPU charges (gray slow node);
-	// absent or 1 means full speed.
-	slowFactor map[ids.ProcID]int
-	// flapEpoch invalidates a link's scheduled flap toggles when a
-	// newer SetFlapping call supersedes them.
-	flapEpoch map[linkKey]int
+	// fanning is set while completeFrame fans a frame out or an arrival
+	// chain charges receive CPU; only then may a delivery join one of the
+	// chains opened since (open) instead of taking an event of its own.
+	fanning bool
+	open    []chain
 	// txFree and rxFree are the free lists of event records. They grow to
 	// the in-flight high-water mark and hold no payloads: a record is
 	// cleared when it is released.
@@ -273,18 +292,19 @@ func New(sim *des.Sim, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	links := cfg.Nodes * cfg.Nodes
 	return &Network{
 		sim:        sim,
 		cfg:        cfg,
 		handlers:   make([]Handler, cfg.Nodes),
 		egress:     make([]egressQueue, cfg.Nodes),
 		cpuFree:    make([]time.Duration, cfg.Nodes),
-		blocked:    make(map[ids.ProcID]map[ids.ProcID]bool),
-		crashed:    make(map[ids.ProcID]bool),
+		crashed:    make([]bool, cfg.Nodes),
+		blocked:    make([]bool, links),
+		linkFaults: make([]linkFault, links),
+		slowFactor: make([]int, cfg.Nodes),
+		flapEpoch:  make([]int, links),
 		rec:        obs.Nop,
-		linkFaults: make(map[linkKey]linkFault),
-		slowFactor: make(map[ids.ProcID]int),
-		flapEpoch:  make(map[linkKey]int),
 	}, nil
 }
 
@@ -293,8 +313,12 @@ func New(sim *des.Sim, cfg Config) (*Network, error) {
 func (n *Network) SetRecorder(r obs.Recorder) { n.rec = obs.OrNop(r) }
 
 // Crash fails node p crash-stop: everything it sends from now on is
-// discarded (including frames already queued on its egress), and
-// nothing is delivered to it. There is no recovery in this model.
+// discarded, and so is every frame it sent that has not reached the wire
+// yet — still in its send CPU or queued on its egress. A frame already on
+// the wire finishes its transmission and is dropped at every receiver.
+// Nothing arrives at p from now on; a frame that arrived before the crash
+// and waits on p's CPU is still handed to p's handler. There is no
+// recovery in this model.
 func (n *Network) Crash(p ids.ProcID) {
 	if !n.valid(p) || n.crashed[p] {
 		return
@@ -305,7 +329,7 @@ func (n *Network) Crash(p ids.ProcID) {
 }
 
 // Crashed reports whether p has been crash-stopped.
-func (n *Network) Crashed(p ids.ProcID) bool { return n.crashed[p] }
+func (n *Network) Crashed(p ids.ProcID) bool { return n.valid(p) && n.crashed[p] }
 
 // Bind installs the packet handler for node p. It returns an error for
 // an unknown node; rebinding replaces the handler.
@@ -323,19 +347,32 @@ func (n *Network) Stats() Stats { return n.stats }
 // Nodes returns the group size.
 func (n *Network) Nodes() int { return n.cfg.Nodes }
 
-// Block suppresses packets from src to dst (partition injection).
+// link indexes the per-link tables for the directed link from→to.
+func (n *Network) link(from, to ids.ProcID) int {
+	return int(from)*n.cfg.Nodes + int(to)
+}
+
+// Block suppresses packets from src to dst (partition injection). A link
+// to or from an unknown node is ignored.
 func (n *Network) Block(src, dst ids.ProcID) {
-	m := n.blocked[src]
-	if m == nil {
-		m = make(map[ids.ProcID]bool)
-		n.blocked[src] = m
+	if !n.valid(src) || !n.valid(dst) {
+		return
 	}
-	m[dst] = true
+	if l := n.link(src, dst); !n.blocked[l] {
+		n.blocked[l] = true
+		n.nBlocked++
+	}
 }
 
 // Unblock re-enables packets from src to dst.
 func (n *Network) Unblock(src, dst ids.ProcID) {
-	delete(n.blocked[src], dst)
+	if !n.valid(src) || !n.valid(dst) {
+		return
+	}
+	if l := n.link(src, dst); n.blocked[l] {
+		n.blocked[l] = false
+		n.nBlocked--
+	}
 }
 
 // Partition splits the group: every pair crossing the cut between side a
@@ -354,19 +391,13 @@ func (n *Network) Partition(a, b []ids.ProcID) {
 
 // Heal removes every pairwise block, ending all partitions at once.
 func (n *Network) Heal() {
-	n.blocked = make(map[ids.ProcID]map[ids.ProcID]bool)
+	clear(n.blocked)
+	n.nBlocked = 0
 	n.rec.Record(obs.Heal(n.sim.Now()))
 }
 
 // Partitioned reports whether any pairwise block is currently in place.
-func (n *Network) Partitioned() bool {
-	for _, m := range n.blocked {
-		if len(m) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (n *Network) Partitioned() bool { return n.nBlocked > 0 }
 
 // SetFaults replaces the per-receiver fault knobs at run time — the hook
 // the chaos harness uses to inject drop/duplicate/reorder bursts at
@@ -404,12 +435,10 @@ func (n *Network) SetCorruption(corruptProb, truncateProb float64) error {
 // link from→to, layered over the global SetFaults knobs: an extra drop
 // probability, an extra duplication probability, and a fixed extra
 // delay — the gray-failure model's asymmetric link. Passing all-zero
-// knobs clears the override. Overridden links draw their extra
-// randomness after the global draws and only when their own
-// probability is non-zero, so schedules without link faults consume
-// exactly the legacy RNG stream. It returns an error (changing
-// nothing) for values the static Config would reject for the global
-// knobs.
+// knobs clears the override. A link draws its extra randomness after
+// the global draws, and only for a probability that is non-zero. It
+// returns an error (changing nothing) for values the static Config would
+// reject for the global knobs.
 func (n *Network) SetLinkFaults(from, to ids.ProcID, drop, dup float64, extra time.Duration) error {
 	if !n.valid(from) || !n.valid(to) {
 		return fmt.Errorf("simnet: link fault %v -> %v out of range", from, to)
@@ -423,12 +452,7 @@ func (n *Network) SetLinkFaults(from, to ids.ProcID, drop, dup float64, extra ti
 	if extra < 0 {
 		return fmt.Errorf("simnet: negative link extra delay %v", extra)
 	}
-	key := linkKey{from, to}
-	if drop == 0 && dup == 0 && extra == 0 {
-		delete(n.linkFaults, key)
-	} else {
-		n.linkFaults[key] = linkFault{drop: drop, dup: dup, extra: extra}
-	}
+	n.linkFaults[n.link(from, to)] = linkFault{drop: drop, dup: dup, extra: extra}
 	n.stats.LinkFaultSets++
 	n.rec.Record(obs.LinkFaultSet(n.sim.Now(), from, to,
 		int64(drop*1000), int64(dup*1000), extra))
@@ -447,11 +471,7 @@ func (n *Network) SetSlowNode(p ids.ProcID, factor int) error {
 	if factor < 1 {
 		return fmt.Errorf("simnet: slow-node factor %d must be at least 1", factor)
 	}
-	if factor == 1 {
-		delete(n.slowFactor, p)
-	} else {
-		n.slowFactor[p] = factor
-	}
+	n.slowFactor[p] = factor
 	n.stats.SlowNodeSets++
 	n.rec.Record(obs.SlowNodeSet(n.sim.Now(), p, factor))
 	return nil
@@ -475,9 +495,9 @@ func (n *Network) SetFlapping(from, to ids.ProcID, period, until time.Duration) 
 	if period > 0 && until <= n.sim.Now() {
 		return fmt.Errorf("simnet: flap horizon %v not in the future", until)
 	}
-	key := linkKey{from, to}
-	n.flapEpoch[key]++
-	epoch := n.flapEpoch[key]
+	l := n.link(from, to)
+	n.flapEpoch[l]++
+	epoch := n.flapEpoch[l]
 	n.stats.FlapSets++
 	n.rec.Record(obs.FlapSet(n.sim.Now(), from, to, period, until))
 	if period == 0 {
@@ -487,7 +507,7 @@ func (n *Network) SetFlapping(from, to ids.ProcID, period, until time.Duration) 
 	blocked := false
 	var toggle func()
 	toggle = func() {
-		if n.flapEpoch[key] != epoch {
+		if n.flapEpoch[l] != epoch {
 			return // superseded by a newer SetFlapping call
 		}
 		if n.sim.Now() >= until {
@@ -506,30 +526,18 @@ func (n *Network) SetFlapping(from, to ids.ProcID, period, until time.Duration) 
 	return nil
 }
 
-// SetSenderSpike replaces the flash-crowd sender multiplier at run
-// time — the hook the chaos harness uses to multiply the active sender
-// population mid-run. The network cannot originate application traffic
-// itself; workload generators consult SpikeMultiplier and scale their
-// send rate by it, so the spike stays seeded and deterministic. A
-// multiplier of 1 restores the baseline. It returns an error (changing
-// nothing) for a non-positive multiplier.
+// SetSenderSpike marks the start (mult > 1) or end (mult 1) of a
+// flash-crowd sender spike in the stats and the event trace. The network
+// cannot originate application traffic itself: the workload generator
+// that multiplies its active senders calls this so the trace shows when.
+// It returns an error (changing nothing) for a non-positive multiplier.
 func (n *Network) SetSenderSpike(mult int) error {
 	if mult < 1 {
 		return fmt.Errorf("simnet: sender spike multiplier %d must be at least 1", mult)
 	}
-	n.spikeMult = mult
 	n.stats.SenderSpikes++
 	n.rec.Record(obs.SenderSpike(n.sim.Now(), mult))
 	return nil
-}
-
-// SpikeMultiplier returns the current flash-crowd sender multiplier
-// (1 when no spike is in effect).
-func (n *Network) SpikeMultiplier() int {
-	if n.spikeMult < 1 {
-		return 1
-	}
-	return n.spikeMult
 }
 
 // SampleQueueDepths emits a per-node egress queue-depth gauge event
@@ -587,9 +595,8 @@ func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 // exact frame (a syntactically valid protocol message sealed under the
 // wrong — or no — key, say), modeling an adversary who knows the wire
 // format but not the group secret. The bytes bypass the sender-side
-// model but still traverse the receiver-side fault pipeline. Consumes
-// no RNG beyond what delivery itself draws, so forgery-free schedules
-// keep the legacy random stream.
+// model but still traverse the receiver-side fault pipeline. It draws
+// nothing beyond what delivery itself draws.
 func (n *Network) InjectForged(src, dst ids.ProcID, payload []byte) error {
 	if !n.valid(src) || !n.valid(dst) {
 		return fmt.Errorf("simnet: forged %v -> %v out of range", src, dst)
@@ -636,10 +643,6 @@ func (n *Network) InjectReplay(i int) error {
 	return nil
 }
 
-func (n *Network) isBlocked(src, dst ids.ProcID) bool {
-	return n.blocked[src][dst]
-}
-
 func (n *Network) valid(p ids.ProcID) bool {
 	return p >= 0 && int(p) < n.cfg.Nodes
 }
@@ -684,6 +687,12 @@ func (n *Network) newTx(f frame) *txRecord {
 	return r
 }
 
+// release clears the record and puts it back on the free list.
+func (r *txRecord) release() {
+	r.f = frame{}
+	r.n.txFree = append(r.n.txFree, r)
+}
+
 // newRx is newTx for delivery records.
 func (n *Network) newRx(src, dst ids.ProcID, buf []byte) *rxRecord {
 	var r *rxRecord
@@ -704,8 +713,19 @@ func (n *Network) enqueueFrame(f frame, t time.Duration) {
 	n.sim.Schedule(t, n.newTx(f).enqueueFn)
 }
 
+// enqueue runs when the sender's CPU is done with the frame. A sender
+// that crashed in the meantime never puts it on the wire.
 func (r *txRecord) enqueue() {
 	n := r.n
+	if src := r.f.src; n.crashed[src] {
+		dst := r.f.dst
+		if r.f.multicast {
+			dst = obs.NoProc
+		}
+		n.dropSend(src, dst)
+		r.release()
+		return
+	}
 	n.egress[r.f.src].push(r)
 	if !n.wireBusy {
 		n.serveNext()
@@ -734,32 +754,34 @@ func (n *Network) serveNext() {
 // queue.
 func (r *txRecord) done() {
 	n, f := r.n, r.f
-	r.f = frame{}
-	n.txFree = append(n.txFree, r)
+	r.release()
 	n.wireBusy = false
 	n.completeFrame(f)
 	n.serveNext()
 }
 
 // completeFrame fans a finished transmission out to its receivers: one
-// frame, heard by all of them.
+// frame, heard by all of them. Deliveries it makes at the same instant
+// share one arrival chain.
 func (n *Network) completeFrame(f frame) {
 	now := n.sim.Now()
+	n.fanning = true
 	if !f.multicast {
 		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay)
-		return
-	}
-	for i := 0; i < n.cfg.Nodes; i++ {
-		dst := ids.ProcID(i)
-		arrival := now + n.cfg.PropDelay
-		if dst == f.src {
-			// Sender loops its own multicast back without re-crossing
-			// the wire (but after the transmission completes, as a real
-			// interface would).
-			arrival = now
+	} else {
+		for i := 0; i < n.cfg.Nodes; i++ {
+			dst := ids.ProcID(i)
+			arrival := now + n.cfg.PropDelay
+			if dst == f.src {
+				// Sender loops its own multicast back without re-crossing
+				// the wire (but after the transmission completes, as a real
+				// interface would).
+				arrival = now
+			}
+			n.scheduleDelivery(f.src, dst, f.payload, arrival)
 		}
-		n.scheduleDelivery(f.src, dst, f.payload, arrival)
 	}
+	n.closeChains()
 }
 
 // Unicast sends payload from src to dst. Passing an unknown node is a
@@ -771,10 +793,7 @@ func (n *Network) Unicast(src, dst ids.ProcID, payload []byte) error {
 		return fmt.Errorf("simnet: unicast %v -> %v out of range", src, dst)
 	}
 	if n.crashed[src] {
-		n.stats.Dropped++
-		if n.rec.Enabled() {
-			n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
-		}
+		n.dropSend(src, dst)
 		return nil // a dead process's residual timers send into the void
 	}
 	n.stats.Unicasts++
@@ -799,10 +818,7 @@ func (n *Network) Multicast(src ids.ProcID, payload []byte) error {
 		return fmt.Errorf("simnet: multicast from unknown node %v", src)
 	}
 	if n.crashed[src] {
-		n.stats.Dropped++
-		if n.rec.Enabled() {
-			n.rec.Record(obs.Drop(n.sim.Now(), obs.NoProc, src, obs.DropBlocked))
-		}
+		n.dropSend(src, obs.NoProc)
 		return nil
 	}
 	n.stats.Multicasts++
@@ -811,6 +827,15 @@ func (n *Network) Multicast(src ids.ProcID, payload []byte) error {
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
 	n.enqueueFrame(frame{src: src, multicast: true, payload: buf, tx: n.txTime(len(payload))}, sent)
 	return nil
+}
+
+// dropSend counts a crashed sender's frame to dst (obs.NoProc for a
+// multicast) as dropped.
+func (n *Network) dropSend(src, dst ids.ProcID) {
+	n.stats.Dropped++
+	if n.rec.Enabled() {
+		n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
+	}
 }
 
 // Inject delivers a raw packet to dst appearing to come from src,
@@ -838,7 +863,8 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 	if n.capMax > 0 && len(n.captured) < n.capMax {
 		n.captured = append(n.captured, capturedFrame{src: src, dst: dst, payload: payload})
 	}
-	if n.isBlocked(src, dst) || n.crashed[src] || n.crashed[dst] {
+	l := n.link(src, dst)
+	if n.blocked[l] || n.crashed[src] || n.crashed[dst] {
 		n.stats.Dropped++
 		if n.rec.Enabled() {
 			n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
@@ -854,10 +880,9 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 		return
 	}
 	// Per-link overrides (SetLinkFaults) layer over the global knobs.
-	// Their draws come after the global draws and each is guarded by the
-	// link's own probability, so schedules without link faults consume
-	// exactly the legacy RNG stream. An unset link reads the zero value.
-	lf := n.linkFaults[linkKey{from: src, to: dst}]
+	// Their draws come after the global draws, and a draw happens only
+	// when its probability is non-zero. An unset link reads the zero value.
+	lf := n.linkFaults[l]
 	if lf.drop > 0 && rng.Float64() < lf.drop {
 		n.stats.Dropped++
 		if n.rec.Enabled() {
@@ -887,9 +912,8 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 			}
 		}
 		buf := payload
-		// Corruption faults mutate a private copy of this one delivery, and
-		// every draw is guarded by its probability so that configurations
-		// without corruption consume exactly the legacy RNG stream.
+		// Corruption faults mutate a private copy of this one delivery. A
+		// draw happens only when its probability is non-zero.
 		if n.cfg.CorruptProb > 0 && len(buf) > 0 && rng.Float64() < n.cfg.CorruptProb {
 			buf = bytes.Clone(payload)
 			flips := 1 + rng.Intn(3)
@@ -910,14 +934,55 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				n.rec.Record(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))
 			}
 		}
-		n.sim.Schedule(at, n.newRx(src, dst, buf).arriveFn)
+		r := n.newRx(src, dst, buf)
+		n.queue(r, at, r.arriveFn)
 	}
 }
 
-// arrive runs when the packet reaches its receiver: it charges receive
-// processing to the node's CPU queue; the handler logically runs when
-// processing completes.
+// queue schedules fn, the callback of r's chain, at at. During a fan-out
+// r instead joins the chain most recently opened at at: the network alone
+// schedules while a fan-out is open, so nothing else was scheduled at
+// that instant since, and r's own event would have fired right after the
+// chain's last one.
+func (n *Network) queue(r *rxRecord, at time.Duration, fn func()) {
+	if n.fanning {
+		for i := len(n.open) - 1; i >= 0; i-- {
+			if c := &n.open[i]; c.at == at {
+				c.tail.next, c.tail = r, r
+				return
+			}
+		}
+		n.open = append(n.open, chain{at: at, tail: r})
+	}
+	n.sim.Schedule(at, fn)
+}
+
+// closeChains ends a fan-out: no later delivery joins a chain opened
+// before.
+func (n *Network) closeChains() {
+	n.fanning = false
+	n.open = n.open[:0]
+}
+
+// arrive runs when the chain's packets reach their receivers: in chain
+// order, each charges receive processing to its node's CPU queue, and its
+// handler logically runs when processing completes. Completions that fall
+// on the same instant share one completion chain.
 func (r *rxRecord) arrive() {
+	n := r.n
+	n.fanning = true
+	for r != nil {
+		next := r.next
+		r.next = nil
+		r.charge()
+		r = next
+	}
+	n.closeChains()
+}
+
+// charge is one record's arrival: it queues the record's handler behind
+// its receiver's CPU, or runs it at once if receiving costs no CPU.
+func (r *rxRecord) charge() {
 	n := r.n
 	h := n.handlers[r.dst]
 	if h == nil || n.crashed[r.dst] {
@@ -929,21 +994,28 @@ func (r *rxRecord) arrive() {
 	n.stats.Delivered++
 	r.h = h
 	if doneAt == now {
+		// An inline handler may schedule anything, so nothing joins a
+		// chain opened before it runs.
+		n.closeChains()
 		r.handle()
+		n.fanning = true
 		return
 	}
-	n.sim.Schedule(doneAt, r.handleFn)
+	n.queue(r, doneAt, r.handleFn)
 }
 
-// handle releases the record and then runs the handler on the borrowed,
-// read-only bytes.
+// handle runs the chain's handlers in order. Each record is released
+// before its handler runs on the borrowed, read-only bytes.
 func (r *rxRecord) handle() {
-	h, src, buf := r.h, r.src, r.buf
-	r.release()
-	h(src, buf)
+	for r != nil {
+		next, h, src, buf := r.next, r.h, r.src, r.buf
+		r.release()
+		h(src, buf)
+		r = next
+	}
 }
 
 func (r *rxRecord) release() {
-	r.buf, r.h = nil, nil
+	r.buf, r.h, r.next = nil, nil, nil
 	r.n.rxFree = append(r.n.rxFree, r)
 }
