@@ -19,22 +19,23 @@
 //   - telemetry coverage that fell: "windows", "rounds", or
 //     "rounds_complete" in BENCH_telemetry.json (the sweep sampled or
 //     audited less of the same seeded workload — all deterministic
-//     fields, so any drop is a real behavior change).
+//     fields, so any drop is a real behavior change), or
+//   - any of those gated leaves missing from the new artifact (a lost
+//     row or summary field would otherwise disarm its gate).
 //
 // Everything else — latency drift, event-count changes, new fields from
-// a schema bump — is printed for the record but does not gate, so the
-// tool is useful as a non-blocking CI step against a committed
-// baseline.
+// a schema bump — is printed for the record but does not gate, so CI
+// can hold every smoke artifact to a committed baseline without pinning
+// fields that are meant to move.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
-
-	"repro/internal/benchkit"
 )
 
 func main() {
@@ -46,12 +47,12 @@ func run(args []string, w io.Writer) int {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff <old.json> <new.json>")
 		return 2
 	}
-	oldDoc, err := benchkit.Load(args[0])
+	oldDoc, err := load(args[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		return 2
 	}
-	newDoc, err := benchkit.Load(args[1])
+	newDoc, err := load(args[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		return 2
@@ -70,8 +71,8 @@ func run(args []string, w io.Writer) int {
 // diff prints every changed leaf and returns the change and regression
 // counts.
 func diff(oldDoc, newDoc any, w io.Writer) (changed, regressions int) {
-	oldFlat := benchkit.Flatten("", oldDoc, true)
-	newFlat := benchkit.Flatten("", newDoc, true)
+	oldFlat := flatten("", oldDoc)
+	newFlat := flatten("", newDoc)
 
 	keys := map[string]bool{}
 	for k := range oldFlat {
@@ -94,7 +95,12 @@ func diff(oldDoc, newDoc any, w io.Writer) (changed, regressions int) {
 			fmt.Fprintf(w, "+ %s = %v\n", k, nv)
 			changed++
 		case !inNew:
-			fmt.Fprintf(w, "- %s (was %v)\n", k, ov)
+			if gate(k) != 0 {
+				regressions++
+				fmt.Fprintf(w, "! - %s (was %v)\n", k, ov)
+			} else {
+				fmt.Fprintf(w, "- %s (was %v)\n", k, ov)
+			}
 			changed++
 		case ov != nv:
 			if regressed(k, ov, nv) {
@@ -118,25 +124,89 @@ func regressed(key string, ov, nv any) bool {
 	if !ok1 || !ok2 {
 		return false
 	}
-	switch leaf := benchkit.Leaf(key); {
-	case leaf == "failed" || strings.HasSuffix(leaf, "_failed"):
+	switch gate(key) {
+	case +1:
 		return nf > of
-	case leaf == "passed" || leaf == "delivered":
+	case -1:
 		return nf < of
-	case leaf == "shed" || strings.HasSuffix(leaf, "_shed"):
-		return nf > of
-	case leaf == "switch_aborts" || leaf == "token_regens" || leaf == "violations":
+	}
+	return false
+}
+
+// gate returns the direction in which the leaf at key regresses: +1
+// when a rise regresses, -1 when a fall does, 0 when it does not gate.
+func gate(key string) int {
+	switch l := leaf(key); {
+	case l == "failed" || strings.HasSuffix(l, "_failed"):
+		return +1
+	case l == "passed" || l == "delivered":
+		return -1
+	case l == "shed" || strings.HasSuffix(l, "_shed"):
+		return +1
+	case l == "switch_aborts" || l == "token_regens" || l == "violations":
 		// Gray-failure stability (the E20 rows in BENCH_chaos.json):
 		// recovery churn — aborted switch rounds and token
 		// regenerations — at a given flap cadence and detector arm must
 		// not rise against the committed baseline, and no cell may start
 		// violating an always-on invariant. Deterministic per seed.
-		return nf > of
-	case leaf == "windows" || leaf == "rounds" || leaf == "rounds_complete":
+		return +1
+	case l == "windows" || l == "rounds" || l == "rounds_complete":
 		// Telemetry coverage (BENCH_telemetry.json summary): the sweep
 		// must not sample fewer windows or audit fewer (completed)
 		// switch rounds for the same seed.
-		return nf < of
+		return -1
 	}
-	return false
+	return 0
+}
+
+// load reads and decodes one artifact.
+func load(path string) (any, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, nil
+}
+
+// flatten turns nested JSON into "a.b[2].c" -> scalar, skipping every
+// "timing" object — the only non-deterministic section of an artifact.
+func flatten(prefix string, v any) map[string]any {
+	out := map[string]any{}
+	switch t := v.(type) {
+	case map[string]any:
+		for k, child := range t {
+			if k == "timing" {
+				continue
+			}
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			for fk, fv := range flatten(p, child) {
+				out[fk] = fv
+			}
+		}
+	case []any:
+		for i, child := range t {
+			for fk, fv := range flatten(fmt.Sprintf("%s[%d]", prefix, i), child) {
+				out[fk] = fv
+			}
+		}
+	default:
+		out[prefix] = v
+	}
+	return out
+}
+
+// leaf returns the last dotted component of a flattened key (with any
+// "[i]" index suffix intact): the name gates match on.
+func leaf(key string) string {
+	if i := strings.LastIndex(key, "."); i >= 0 {
+		return key[i+1:]
+	}
+	return key
 }

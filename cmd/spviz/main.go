@@ -2,14 +2,9 @@
 // writes under -trace (TRACE_<experiment>.jsonl, see internal/obs):
 //
 //	spviz -check trace.jsonl [more.jsonl ...]  # validate traces
-//	spviz -checkprom telemetry.prom [...]      # validate Prometheus expositions
 //	spviz -o out.trace.json trace.jsonl        # convert to Chrome JSON
 //	spviz trace.jsonl > out.trace.json         # same, to stdout
 //	spviz < trace.jsonl > out.trace.json       # reads stdin with no args
-//
-// -checkprom validates the Prometheus text exposition switchbench
-// writes under -telemetry (TYPE declarations, label syntax, histogram
-// bucket monotonicity — see internal/obs/telemetry.ValidateProm).
 //
 // The converted file loads in Perfetto (https://ui.perfetto.dev) or
 // chrome://tracing: one process per sweep run, one thread per member,
@@ -24,7 +19,6 @@ import (
 	"os"
 
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
 func main() {
@@ -37,31 +31,11 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spviz", flag.ContinueOnError)
 	var (
-		check     = fs.Bool("check", false, "validate the traces instead of converting")
-		checkProm = fs.Bool("checkprom", false, "validate Prometheus text expositions instead of converting")
-		out       = fs.String("o", "", "output file for the Chrome trace (default: stdout)")
+		check = fs.Bool("check", false, "validate the traces instead of converting")
+		out   = fs.String("o", "", "output file for the Chrome trace (default: stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *checkProm {
-		if fs.NArg() == 0 {
-			return fmt.Errorf("-checkprom needs at least one exposition file")
-		}
-		for _, path := range fs.Args() {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			n, err := telemetry.ValidateProm(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			fmt.Fprintf(stdout, "%s: %d samples ok\n", path, n)
-		}
-		return nil
 	}
 
 	if *check {

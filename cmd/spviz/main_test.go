@@ -13,12 +13,12 @@ import (
 
 func writeSample(t *testing.T) string {
 	t.Helper()
-	events := obs.TagRun(0, []obs.Event{
+	events := obs.MergeRuns([][]obs.Event{{
 		obs.TokenPass(time.Millisecond, 0, 1, 1, 0, 0),
 		obs.SwitchStart(3*time.Millisecond, 0, 0, 0),
 		obs.SwitchComplete(34*time.Millisecond, 0, 0, 0, 31*time.Millisecond),
 		obs.Heal(40 * time.Millisecond),
-	})
+	}})
 	b, err := obs.MarshalJSONL(events)
 	if err != nil {
 		t.Fatal(err)
@@ -51,33 +51,6 @@ func TestCheckRejectsBadTrace(t *testing.T) {
 	}
 	if err := run([]string{"-check"}, nil, &bytes.Buffer{}); err == nil {
 		t.Fatal("check accepted an empty file list")
-	}
-}
-
-func TestCheckPromValidatesExpositions(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "telemetry.prom")
-	if err := os.WriteFile(good, []byte(
-		"# TYPE sp_events_total counter\nsp_events_total{member=\"0\",key=\"switching/token_passes\"} 42\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"-checkprom", good}, nil, &out); err != nil {
-		t.Fatalf("checkprom failed on a valid exposition: %v", err)
-	}
-	if !strings.Contains(out.String(), "1 samples ok") {
-		t.Errorf("checkprom output = %q", out.String())
-	}
-
-	bad := filepath.Join(dir, "bad.prom")
-	if err := os.WriteFile(bad, []byte("sp_untyped{a=b} pancake\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-checkprom", bad}, nil, &bytes.Buffer{}); err == nil {
-		t.Fatal("checkprom accepted a malformed exposition")
-	}
-	if err := run([]string{"-checkprom"}, nil, &bytes.Buffer{}); err == nil {
-		t.Fatal("checkprom accepted an empty file list")
 	}
 }
 

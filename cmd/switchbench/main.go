@@ -3,6 +3,7 @@
 //	switchbench -experiment figure2     # Figure 2: latency vs. active senders
 //	switchbench -experiment overhead    # switch overhead near the crossover (~31 ms in the paper)
 //	switchbench -experiment hysteresis  # oscillation with and without hysteresis
+//	switchbench -experiment p2p         # E11: point-to-point ARQ specialization
 //	switchbench -experiment chaos       # E13: fault-schedule sweep vs. the self-healing SP
 //	switchbench -experiment all
 //
@@ -25,21 +26,23 @@
 // spviz -check.
 //
 // With -telemetry <dir>, the chaos sweep additionally runs the live
-// telemetry layer (internal/obs/telemetry) and writes two outputs
-// there: BENCH_telemetry.json — the windowed time-series and the
-// switch-decision audit trail (schema "switchbench/telemetry") — and
-// telemetry.prom, the Prometheus text exposition of the sweep's merged
-// counters and histograms (validate with spviz -checkprom). Both are
-// deterministic per seed; compare artifacts across runs with
-// cmd/sptrend.
+// telemetry layer (internal/obs/telemetry) and writes
+// BENCH_telemetry.json there: the windowed time-series and the
+// switch-decision audit trail (schema "switchbench/telemetry"),
+// deterministic per seed. Compare artifacts across runs with
+// cmd/benchdiff.
+//
+// The chaos-only flags (-schedules, -telemetry and every -chaos-*) are
+// rejected unless the experiment is chaos or all, so a flag that would
+// be silently ignored fails before anything runs.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,11 +79,23 @@ func run(args []string) error {
 		parallel     = fs.Int("parallel", 0, "worker count for sweep runs (<= 0: GOMAXPROCS); results are identical for any value")
 		jsonDir      = fs.String("json", "", "directory to write BENCH_<experiment>.json artifacts (empty: no artifacts)")
 		traceDir     = fs.String("trace", "", "directory to write TRACE_<experiment>.jsonl event streams (empty: no traces)")
-		telemetryDir = fs.String("telemetry", "", "directory to write the chaos sweep's telemetry (BENCH_telemetry.json + telemetry.prom; empty: telemetry off)")
+		telemetryDir = fs.String("telemetry", "", "directory to write the chaos sweep's telemetry (BENCH_telemetry.json; empty: telemetry off)")
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *experiment != "chaos" && *experiment != "all" {
+		var chaosOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "schedules" || f.Name == "telemetry" || strings.HasPrefix(f.Name, "chaos-") {
+				chaosOnly = append(chaosOnly, "-"+f.Name)
+			}
+		})
+		if len(chaosOnly) > 0 {
+			return fmt.Errorf("%s: only -experiment chaos or all uses it, not %q",
+				strings.Join(chaosOnly, ", "), *experiment)
+		}
 	}
 	// Validate output directories before running anything: experiments
 	// take minutes, and a typo'd path should fail in milliseconds.
@@ -265,15 +280,6 @@ func run(args []string) error {
 			}
 			path := filepath.Join(*telemetryDir, "BENCH_telemetry.json")
 			if err := os.WriteFile(path, b, 0o644); err != nil {
-				return err
-			}
-			progress("wrote " + path)
-			var prom bytes.Buffer
-			if err := telemetry.WriteMetricsProm(&prom, res.Metrics); err != nil {
-				return err
-			}
-			path = filepath.Join(*telemetryDir, "telemetry.prom")
-			if err := os.WriteFile(path, prom.Bytes(), 0o644); err != nil {
 				return err
 			}
 			progress("wrote " + path)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +52,30 @@ func TestUnknownExperiment(t *testing.T) {
 		if err := run([]string{"-experiment", name}); err == nil {
 			t.Errorf("unknown experiment %q accepted", name)
 		}
+	}
+}
+
+// TestChaosOnlyFlagsRejected: a chaos-only flag given to an experiment
+// that would ignore it fails before anything runs — naming the flag, and
+// without creating the -telemetry directory.
+func TestChaosOnlyFlagsRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tel")
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-experiment", "p2p", "-telemetry", dir, "-chaos-gray", "-quiet"}, "-telemetry"},
+		{[]string{"-experiment", "figure2", "-schedules", "5", "-quiet"}, "-schedules"},
+		{[]string{"-experiment", "overhead", "-chaos-settle", "1ms", "-quiet"}, "-chaos-settle"},
+		{[]string{"-experiment", "hysteresis", "-chaos-forgery", "-quiet"}, "-chaos-forgery"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected run created the -telemetry directory (stat: %v)", err)
 	}
 }
 

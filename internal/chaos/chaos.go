@@ -157,18 +157,6 @@ type Schedule struct {
 	Traffic  []Send
 }
 
-// HasCorruption reports whether the schedule contains any adversarial
-// input fault (corruption, truncation, or garbage injection).
-func (s Schedule) HasCorruption() bool {
-	for _, e := range s.Events {
-		switch e.Kind {
-		case KindCorrupt, KindTruncate, KindGarbage:
-			return true
-		}
-	}
-	return false
-}
-
 // HasForgery reports whether the schedule contains any authentication
 // fault (forged frames or wire replays). The runner arms the
 // adversary's replay tap exactly when this is true.
@@ -188,18 +176,6 @@ func (s Schedule) HasForgery() bool {
 func (s Schedule) HasFlashCrowd() bool {
 	for _, e := range s.Events {
 		if e.Kind == KindFlashCrowd {
-			return true
-		}
-	}
-	return false
-}
-
-// HasGrayFailure reports whether the schedule contains any gray fault
-// (slow node, asymmetric link, or flapping link).
-func (s Schedule) HasGrayFailure() bool {
-	for _, e := range s.Events {
-		switch e.Kind {
-		case KindSlowNode, KindLinkFault, KindFlap:
 			return true
 		}
 	}

@@ -139,9 +139,8 @@ func TestStatsTraceConsistency(t *testing.T) {
 
 // TestOverloadTraceConsistency extends the obs-consistency invariant to
 // what the counters alone cannot say about the overload layer: across
-// seeded flash-crowd schedules the per-peer ingress-shed attribution in
-// the trace must equal ShedFrom, and the watermark edges must pair up
-// (never more resumes than pauses at any prefix). The sweep must be
+// seeded flash-crowd schedules the watermark edges must pair up (never
+// more resumes than pauses at any prefix). The sweep must be
 // non-vacuous on sheds, pauses and retries.
 func TestOverloadTraceConsistency(t *testing.T) {
 	var sawShed, sawPause, sawRetry bool
@@ -159,17 +158,9 @@ func TestOverloadTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: invariants violated: %v", seed, res.Violations)
 		}
 
-		shedByPeer := map[ids.ProcID]map[ids.ProcID]uint64{}
 		paused := map[ids.ProcID]int{}
 		for _, e := range col.Events() {
 			switch e.Type {
-			case obs.EvShed:
-				if e.Args[0] == obs.ShedIngress {
-					if shedByPeer[e.Proc] == nil {
-						shedByPeer[e.Proc] = map[ids.ProcID]uint64{}
-					}
-					shedByPeer[e.Proc][e.Peer]++
-				}
 			case obs.EvBackpressureOn:
 				paused[e.Proc]++
 			case obs.EvBackpressureOff:
@@ -180,14 +171,6 @@ func TestOverloadTraceConsistency(t *testing.T) {
 			}
 		}
 		checkStatsViews(t, seed, res, c, col.Events())
-		for _, p := range res.Live {
-			for peer, n := range shedByPeer[p] {
-				if got := c.Members[p].Switch.ShedFrom(peer); got != n {
-					t.Errorf("seed %d: member %v: trace attributes %d ingress sheds to peer %v, ShedFrom %d",
-						seed, p, n, peer, got)
-				}
-			}
-		}
 		sawShed = sawShed || res.Stats.Shed > 0
 		sawPause = sawPause || res.Stats.Backpressured > 0
 		sawRetry = sawRetry || res.Stats.RetriedSends > 0

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -72,10 +73,10 @@ func TestGenerateCorruption(t *testing.T) {
 			}
 			kinds[ev.Kind]++
 		}
-		if a.HasCorruption() != (len(a.Events) > len(legacy.Events)) {
-			t.Errorf("seed %d: HasCorruption()=%v disagrees with event list", seed, a.HasCorruption())
+		if got := hasKind(a, KindCorrupt, KindTruncate, KindGarbage); got != (len(a.Events) > len(legacy.Events)) {
+			t.Errorf("seed %d: corruption kinds present=%v disagrees with event list", seed, got)
 		}
-		if legacy.HasCorruption() {
+		if hasKind(legacy, KindCorrupt, KindTruncate, KindGarbage) {
 			t.Errorf("seed %d: legacy schedule claims corruption", seed)
 		}
 	}
@@ -218,4 +219,9 @@ func TestMalformedTraceConsistency(t *testing.T) {
 		t.Errorf("sweep never exercised the hardening path (rejected=%v corrupt=%v truncate=%v garbage=%v) — widen the seed range",
 			sawRejected, sawCorrupt, sawTruncate, sawGarbage)
 	}
+}
+
+// hasKind reports whether any of kinds is among the schedule's Kinds().
+func hasKind(s Schedule, kinds ...Kind) bool {
+	return slices.ContainsFunc(s.Kinds(), func(k Kind) bool { return slices.Contains(kinds, k) })
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/ids"
 	"repro/internal/obs"
 )
 
@@ -174,10 +173,10 @@ func TestRunDeterministicForgery(t *testing.T) {
 }
 
 // TestAuthTraceConsistency extends the obs-consistency invariant to
-// what the counters alone cannot say about authentication: across
-// seeded forgery schedules the per-peer EvAuthFail attribution must
-// equal AuthFailedFrom, and the network-level forgery/replay events
-// must equal the simnet Stats counters. The sweep must be non-vacuous.
+// authentication: across seeded forgery schedules the switching
+// counters must equal the trace (checkStatsViews), and the
+// network-level forgery/replay events must equal the simnet Stats
+// counters. The sweep must be non-vacuous.
 func TestAuthTraceConsistency(t *testing.T) {
 	var sawAuthFail, sawForged, sawReplayed bool
 	for seed := int64(1); seed <= 25; seed++ {
@@ -194,15 +193,9 @@ func TestAuthTraceConsistency(t *testing.T) {
 			t.Fatalf("seed %d: invariants violated: %v", seed, res.Violations)
 		}
 
-		authByPeer := map[ids.ProcID]map[ids.ProcID]uint64{}
 		var forged, replayed uint64
 		for _, e := range col.Events() {
 			switch e.Type {
-			case obs.EvAuthFail:
-				if authByPeer[e.Proc] == nil {
-					authByPeer[e.Proc] = map[ids.ProcID]uint64{}
-				}
-				authByPeer[e.Proc][e.Peer]++
 			case obs.EvForged:
 				forged++
 			case obs.EvReplayed:
@@ -210,14 +203,6 @@ func TestAuthTraceConsistency(t *testing.T) {
 			}
 		}
 		checkStatsViews(t, seed, res, c, col.Events())
-		for _, p := range res.Live {
-			for peer, n := range authByPeer[p] {
-				if got := c.Members[p].Switch.AuthFailedFrom(peer); got != n {
-					t.Errorf("seed %d: member %v: trace attributes %d auth failures to peer %v, AuthFailedFrom %d",
-						seed, p, n, peer, got)
-				}
-			}
-		}
 		sawAuthFail = sawAuthFail || res.Stats.AuthFailed > 0
 		ns := c.Net.Stats()
 		if forged != ns.Forged || replayed != ns.Replayed {

@@ -103,10 +103,10 @@ func TestGenerateGray(t *testing.T) {
 				}
 			}
 		}
-		if a.HasGrayFailure() != (len(a.Events) > len(full.Events)) {
-			t.Errorf("seed %d: HasGrayFailure()=%v disagrees with event list", seed, a.HasGrayFailure())
+		if got := hasKind(a, KindSlowNode, KindLinkFault, KindFlap); got != (len(a.Events) > len(full.Events)) {
+			t.Errorf("seed %d: gray kinds present=%v disagrees with event list", seed, got)
 		}
-		if full.HasGrayFailure() || legacy.HasGrayFailure() {
+		if hasKind(full, KindSlowNode, KindLinkFault, KindFlap) || hasKind(legacy, KindSlowNode, KindLinkFault, KindFlap) {
 			t.Errorf("seed %d: gray-free schedule claims a gray failure", seed)
 		}
 	}

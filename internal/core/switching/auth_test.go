@@ -8,6 +8,7 @@ import (
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/protocols/fifo"
 	"repro/internal/simnet"
@@ -37,6 +38,18 @@ func authConfig(grace time.Duration) switching.Config {
 	}
 }
 
+// authFailsFrom counts the auth_fail events member p recorded against
+// peer: the per-peer attribution the trace carries.
+func authFailsFrom(events []obs.Event, p, peer ids.ProcID) uint64 {
+	var n uint64
+	for _, e := range events {
+		if e.Type == obs.EvAuthFail && e.Proc == p && e.Peer == peer {
+			n++
+		}
+	}
+	return n
+}
+
 // epochFrame builds the exact transport bytes member sender would emit
 // for a cast at the given epoch: [auth envelope [mux channel][fifo
 // cast seq][switch epoch][app msg]]. Replaying these bytes is
@@ -60,8 +73,10 @@ func epochFrame(epoch uint64, sender ids.ProcID, seq uint64, body string) []byte
 // the grace window (in flight during the switch) is still delivered.
 func TestAuthCrossEpochReplayRejected(t *testing.T) {
 	const grace = 30 * time.Millisecond
-	c, err := swtest.NewSwitched(41, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond}, 4,
-		authConfig(grace))
+	cfg := authConfig(grace)
+	col := obs.NewCollector()
+	cfg.Recorder = col
+	c, err := swtest.NewSwitched(41, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond}, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +132,8 @@ func TestAuthCrossEpochReplayRejected(t *testing.T) {
 	if stats.AuthFailed != 1 {
 		t.Errorf("AuthFailed = %d, want 1 (the replay)", stats.AuthFailed)
 	}
-	if got := victim.Switch.AuthFailedFrom(3); got != 1 {
-		t.Errorf("AuthFailedFrom(3) = %d, want 1", got)
+	if got := authFailsFrom(col.Events(), 1, 3); got != 1 {
+		t.Errorf("auth failures from 3 = %d, want 1", got)
 	}
 	c.Stop()
 }
@@ -132,6 +147,8 @@ func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
 	cfg.Defense.QuarantineThreshold = 5
 	var quarantined []ids.ProcID
 	cfg.Defense.OnQuarantine = func(p ids.ProcID) { quarantined = append(quarantined, p) }
+	col := obs.NewCollector()
+	cfg.Recorder = col
 	c, err := swtest.NewSwitched(42, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond}, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +185,8 @@ func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
 	if stats.AuthFailed != 5 {
 		t.Errorf("AuthFailed = %d, want 5", stats.AuthFailed)
 	}
-	if got := victim.Switch.AuthFailedFrom(2); got != 5 {
-		t.Errorf("AuthFailedFrom(2) = %d, want 5", got)
+	if got := authFailsFrom(col.Events(), 0, 2); got != 5 {
+		t.Errorf("auth failures from 2 = %d, want 5", got)
 	}
 	if stats.Quarantines != 1 {
 		t.Errorf("Quarantines = %d, want 1", stats.Quarantines)
@@ -192,6 +209,57 @@ func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
 		}
 	}
 	c.Stop()
+}
+
+// TestQuarantineCountsBothDropKinds: a peer's authentication failures
+// and its malformed frames advance one quarantine count. Peer 2 sends k
+// forgeries, then validly sealed frames whose mux header does not
+// decode; the T-th drop of either kind quarantines it, once, and the
+// (T-1)-th does not.
+func TestQuarantineCountsBothDropKinds(t *testing.T) {
+	const threshold, k = 6, 2
+	cfg := switching.Hardened(hardeningSessionKey, recPair()...)
+	cfg.TokenInterval = 2 * time.Millisecond
+	cfg.Defense.QuarantineThreshold = threshold
+	var quarantined []ids.ProcID
+	cfg.Defense.OnQuarantine = func(p ids.ProcID) { quarantined = append(quarantined, p) }
+	c, err := swtest.NewSwitched(44, simnet.Config{Nodes: 4, PropDelay: 100 * time.Microsecond}, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := c.Members[0].Switch
+	forged := wire.SealAuth(wire.DeriveEpochKey([]byte("wrong session"), 0), 0, []byte("forged"))
+	undecodable := wire.SealAuth(wire.DeriveEpochKey(hardeningSessionKey, 0), 0, nil)
+	c.Sim.At(20*time.Millisecond, func() {
+		for i := 0; i < k; i++ {
+			victim.Recv(2, forged)
+		}
+		for i := k; i < threshold-1; i++ {
+			victim.Recv(2, undecodable)
+		}
+		st := victim.Stats()
+		if st.AuthFailed != k || st.MalformedDropped != threshold-1-k {
+			t.Fatalf("after %d drops: auth failed %d, malformed %d; want %d, %d",
+				threshold-1, st.AuthFailed, st.MalformedDropped, k, threshold-1-k)
+		}
+		if st.Quarantines != 0 || len(quarantined) != 0 {
+			t.Errorf("quarantined at drop %d of threshold %d", threshold-1, threshold)
+		}
+		victim.Recv(2, undecodable)
+	})
+	c.Run(60 * time.Millisecond)
+	c.Stop()
+
+	st := victim.Stats()
+	if st.AuthFailed != k || st.MalformedDropped != threshold-k {
+		t.Errorf("auth failed %d, malformed %d; want %d, %d", st.AuthFailed, st.MalformedDropped, k, threshold-k)
+	}
+	if st.Quarantines != 1 {
+		t.Errorf("Quarantines = %d, want 1", st.Quarantines)
+	}
+	if len(quarantined) != 1 || quarantined[0] != 2 {
+		t.Errorf("OnQuarantine fired for %v, want [2]", quarantined)
+	}
 }
 
 // TestAuthSessionEndToEnd runs real traffic across a switch with auth

@@ -86,13 +86,6 @@ func (c DefenseConfig) Validate() error {
 func (s *Switch) countMalformed(src ids.ProcID, reason int64) {
 	s.stats.MalformedDropped++
 	s.obs.Record(obs.MalformedDrop(s.env.Now(), s.env.Self(), src, reason))
-	if s.cfg.Defense == nil {
-		return
-	}
-	if s.malformedBy == nil {
-		s.malformedBy = make(map[ids.ProcID]uint64)
-	}
-	s.malformedBy[src]++
 	s.noteDefenseDrop(src)
 }
 
@@ -104,22 +97,22 @@ func (s *Switch) countMalformed(src ids.ProcID, reason int64) {
 func (s *Switch) countAuthFailed(src ids.ProcID, epoch uint64, reason int64) {
 	s.stats.AuthFailed++
 	s.obs.Record(obs.AuthFail(s.env.Now(), s.env.Self(), src, epoch, reason))
-	if s.authFailedBy == nil {
-		s.authFailedBy = make(map[ids.ProcID]uint64)
-	}
-	s.authFailedBy[src]++
 	s.noteDefenseDrop(src)
 }
 
-// noteDefenseDrop advances src's combined defensive-drop count toward
-// quarantine. The combined count (malformed + auth-failed) crosses the
-// threshold exactly once, so the suspicion fires exactly once per peer.
+// noteDefenseDrop advances src's defensive-drop count (malformed and
+// auth-failed alike) toward quarantine. The count crosses the threshold
+// exactly once, so the suspicion fires exactly once per peer.
 func (s *Switch) noteDefenseDrop(src ids.ProcID) {
 	d := s.cfg.Defense
 	if d == nil {
 		return
 	}
-	if s.malformedBy[src]+s.authFailedBy[src] != uint64(d.QuarantineThreshold) {
+	if s.droppedBy == nil {
+		s.droppedBy = make(map[ids.ProcID]uint64)
+	}
+	s.droppedBy[src]++
+	if s.droppedBy[src] != uint64(d.QuarantineThreshold) {
 		return
 	}
 	// Crossing the threshold raises a suspicion instead of wedging:
@@ -134,14 +127,6 @@ func (s *Switch) noteDefenseDrop(src ids.ProcID) {
 		d.OnQuarantine(src)
 	}
 }
-
-// MalformedFrom returns how many malformed messages apparently from p
-// this member has dropped (quarantine progress).
-func (s *Switch) MalformedFrom(p ids.ProcID) uint64 { return s.malformedBy[p] }
-
-// AuthFailedFrom returns how many arrivals apparently from p failed
-// authentication at this member (quarantine progress).
-func (s *Switch) AuthFailedFrom(p ids.ProcID) uint64 { return s.authFailedBy[p] }
 
 // authTransport wraps the real transport, sealing every outgoing packet
 // in the authenticated envelope under the owner's current send-epoch

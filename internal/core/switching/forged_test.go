@@ -12,6 +12,7 @@ import (
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/protocols/arq"
 	"repro/internal/protocols/causal"
@@ -134,9 +135,11 @@ func TestLayerIngressSurvivesForgedFrames(t *testing.T) {
 // rotating.
 func TestSwitchIngressSurvivesForgedAndReplayed(t *testing.T) {
 	const grace = 5 * time.Millisecond
+	col := obs.NewCollector()
 	cfg := switching.Config{
 		Protocols:     recPair(),
 		TokenInterval: 2 * time.Millisecond,
+		Recorder:      col,
 		Defense: &switching.DefenseConfig{
 			QuarantineThreshold: 100,
 			Auth:                &switching.AuthConfig{SessionKey: hardeningSessionKey, Grace: grace},
@@ -176,8 +179,8 @@ func TestSwitchIngressSurvivesForgedAndReplayed(t *testing.T) {
 	if st.AuthFailed < total {
 		t.Errorf("auth rejected %d of %d adversarial packets", st.AuthFailed, total)
 	}
-	if got := c.Members[0].Switch.AuthFailedFrom(2); got < total {
-		t.Errorf("AuthFailedFrom(2) = %d, want >= %d", got, total)
+	if got := authFailsFrom(col.Events(), 0, 2); got < total {
+		t.Errorf("auth failures from 2 = %d, want >= %d", got, total)
 	}
 	if st.Quarantines != 1 {
 		t.Errorf("quarantines = %d, want 1 (threshold 100, corpus %d)", st.Quarantines, total)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/protocols/arq"
 	"repro/internal/protocols/causal"
@@ -111,6 +112,8 @@ func TestSwitchIngressSurvivesRandomBytes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.TokenInterval = 2 * time.Millisecond
+			col := obs.NewCollector()
+			cfg.Recorder = col
 			c, err := swtest.NewSwitched(1, simnet.Config{Nodes: 4, PropDelay: 100 * time.Microsecond}, 4, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -134,8 +137,8 @@ func TestSwitchIngressSurvivesRandomBytes(t *testing.T) {
 					t.Errorf("quarantines = %d, want 1 (threshold %d, corpus %d)",
 						st.Quarantines, cfg.Defense.QuarantineThreshold, len(corpus))
 				}
-				if got := c.Members[0].Switch.AuthFailedFrom(2); got < uint64(len(corpus)) {
-					t.Errorf("AuthFailedFrom(2) = %d, want >= %d", got, len(corpus))
+				if got := authFailsFrom(col.Events(), 0, 2); got < uint64(len(corpus)) {
+					t.Errorf("auth failures from 2 = %d, want >= %d", got, len(corpus))
 				}
 			}
 			// The stack survived: the ring is still rotating.

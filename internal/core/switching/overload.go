@@ -177,9 +177,6 @@ type overload struct {
 	paused      bool
 	retrying    uint64
 
-	// shedBy is the per-peer ingress shed breakdown (lazy).
-	shedBy map[ids.ProcID]uint64
-
 	acct OverloadAccounting
 }
 
@@ -235,12 +232,6 @@ func (o *overload) stop() {
 func (o *overload) shed(peer ids.ProcID, reason int64, depth int) {
 	s := o.s
 	s.stats.Shed++
-	if reason == obs.ShedIngress {
-		if o.shedBy == nil {
-			o.shedBy = make(map[ids.ProcID]uint64)
-		}
-		o.shedBy[peer]++
-	}
 	s.obs.Record(obs.Shed(s.env.Now(), s.env.Self(), peer, reason, depth))
 }
 
@@ -469,13 +460,4 @@ func (s *Switch) OverloadAccounting() OverloadAccounting {
 // local senders to pause (always false when Config.Overload is nil).
 func (s *Switch) Backpressured() bool {
 	return s.ovl != nil && s.ovl.paused
-}
-
-// ShedFrom returns how many ingress frames from peer p this member has
-// shed at the queue cap.
-func (s *Switch) ShedFrom(p ids.ProcID) uint64 {
-	if s.ovl == nil {
-		return 0
-	}
-	return s.ovl.shedBy[p]
 }

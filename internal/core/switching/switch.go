@@ -162,8 +162,8 @@ type Stats struct {
 	// Overload counters; all zero unless Config.Overload is set.
 
 	// Shed counts messages dropped at a hard queue limit: ingress
-	// frames at a full per-peer queue (drop-newest; per-peer breakdown
-	// via ShedFrom) and application casts abandoned after the retry
+	// frames at a full per-peer queue (drop-newest; each shed event
+	// names its peer) and application casts abandoned after the retry
 	// budget.
 	Shed uint64
 	// Backpressured counts pause transitions: the egress queue crossed
@@ -247,14 +247,10 @@ type Switch struct {
 	stopped bool
 	stats   Stats
 	records []Record
-	// malformedBy tracks per-peer malformed counts toward quarantine
-	// (allocated lazily; nil unless Config.Defense is set and a drop
-	// occurred).
-	malformedBy map[ids.ProcID]uint64
-	// authFailedBy tracks per-peer authentication-failure counts; it
-	// advances the same quarantine progress as malformedBy (allocated
-	// lazily; nil unless Defense is set and a failure occurred).
-	authFailedBy map[ids.ProcID]uint64
+	// droppedBy counts each peer's malformed and auth-failed drops
+	// toward quarantine (allocated lazily; nil unless Config.Defense is
+	// set and a drop occurred).
+	droppedBy map[ids.ProcID]uint64
 	// epochSealers memoizes the per-epoch authenticated sealer — derived
 	// key plus cached keyed HMAC — so steady-state sealing and opening
 	// allocate nothing.

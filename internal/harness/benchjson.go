@@ -549,9 +549,8 @@ func NewBenchP2P(seed int64, rows []P2PRow) *BenchP2P {
 // BenchTelemetry is the E19 artifact: the chaos sweep's windowed
 // time-series and switch-decision audit trail. The summary counters at
 // the top are what cmd/benchdiff gates (windows and audited rounds must
-// not fall, aborted rounds must not rise — all deterministic per seed);
-// the series and audit sections are the full data cmd/sptrend and
-// humans read.
+// not fall — all deterministic per seed); the series and audit sections
+// are the full data.
 type BenchTelemetry struct {
 	BenchMeta
 	IntervalMS float64 `json:"interval_ms"`

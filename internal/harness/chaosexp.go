@@ -89,9 +89,7 @@ type ChaosSweepResult struct {
 	// ChaosSweepConfig.Trace was set.
 	Trace []obs.Event
 	// Windows and Rounds merge the per-run telemetry series in run-index
-	// order when ChaosSweepConfig.Telemetry was set. The Prometheus
-	// exposition reads Metrics above — the sampler's cumulative registry
-	// is the same event-derived data.
+	// order when ChaosSweepConfig.Telemetry was set.
 	Windows []telemetry.Window
 	Rounds  []telemetry.Round
 	// FlashCrowd holds the E17 rows when ChaosSweepConfig.FlashCrowd was

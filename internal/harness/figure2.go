@@ -62,12 +62,6 @@ type Figure2Config struct {
 	Progress func(msg string)
 }
 
-// DefaultFigure2Config mirrors §7: a 10-member group, 1..10 active
-// senders, 50 msgs/s each.
-func DefaultFigure2Config() Figure2Config {
-	return Figure2Config{Run: DefaultRunConfig(), MaxSenders: 10}
-}
-
 // RunFigure2 sweeps the active-sender axis and measures each protocol.
 //
 // The sweep runs in two phases. Phase 1 measures the raw sequencer and

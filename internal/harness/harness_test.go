@@ -309,10 +309,11 @@ func TestP2PTable(t *testing.T) {
 	cfg := DefaultP2PConfig()
 	cfg.RunFor = 300 * time.Millisecond
 	cfg.Offered = 50
-	out, err := P2PTable(cfg)
+	rows, err := RunP2PSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := RenderP2PTable(rows)
 	for _, want := range []string{"stop-and-wait", "go-back-N", "selective-repeat", "lossy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)

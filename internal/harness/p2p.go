@@ -197,12 +197,3 @@ func RenderP2PTable(rows []P2PRow) string {
 	}
 	return b.String()
 }
-
-// P2PTable runs the sweep and renders the E11 table.
-func P2PTable(base P2PConfig) (string, error) {
-	rows, err := RunP2PSweep(base)
-	if err != nil {
-		return "", err
-	}
-	return RenderP2PTable(rows), nil
-}

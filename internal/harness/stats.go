@@ -52,7 +52,7 @@ func Summarize(samples []time.Duration) LatencyStats {
 		hist.Observe(s)
 	}
 	// Quantiles come from the bucketed histogram — the same estimator
-	// the telemetry windows use, so offline tables and live exposition
+	// the telemetry windows use, so offline tables and the windows
 	// agree — clamped to the observed range (interpolation inside the
 	// outermost buckets can otherwise step outside the sample).
 	pct := func(q float64) time.Duration {

@@ -41,9 +41,6 @@ type Checker struct {
 	Seed int64
 }
 
-// DefaultChecker returns the configuration used to regenerate Table 2.
-func DefaultChecker() Checker { return Checker{Trials: 400, Seed: 1} }
-
 // CheckRelation searches for a counterexample to Equation 1 for one
 // (property, relation) cell. It returns nil if none was found after the
 // configured trials (the cell is ✓ empirically), or the first

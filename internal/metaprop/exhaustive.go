@@ -30,15 +30,6 @@ type EnumConfig struct {
 	MaxLen int
 }
 
-// DefaultEnumConfig is small enough to finish quickly yet large enough
-// to exhibit every non-view Table 2 violation: 2 processes, 2 messages,
-// traces of up to 6 events. View-sensitive cells (Virtual Synchrony ×
-// Memoryless) additionally need the exclude/re-admit view pair, which
-// appears from Messages >= 4.
-func DefaultEnumConfig() EnumConfig {
-	return EnumConfig{Procs: 2, Messages: 2, MaxLen: 6}
-}
-
 // universe builds the event alphabet: one Send per message and one
 // Deliver per (process, message) pair.
 //

@@ -63,7 +63,7 @@ func TestJSONLDeterministicBytes(t *testing.T) {
 }
 
 func TestValidateJSONL(t *testing.T) {
-	good, err := MarshalJSONL(TagRun(0, sampleTrace()))
+	good, err := MarshalJSONL(MergeRuns([][]Event{sampleTrace()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestValidateJSONL(t *testing.T) {
 }
 
 func TestChromeTraceSpans(t *testing.T) {
-	b, err := ChromeTrace(TagRun(0, sampleTrace()))
+	b, err := ChromeTrace(MergeRuns([][]Event{sampleTrace()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestChromeTraceSpans(t *testing.T) {
 	if strings.Contains(s, "token_pass") {
 		t.Error("token passes leaked into the chrome trace")
 	}
-	a, _ := ChromeTrace(TagRun(0, sampleTrace()))
+	a, _ := ChromeTrace(MergeRuns([][]Event{sampleTrace()}))
 	if !bytes.Equal(a, b) {
 		t.Error("chrome trace bytes not deterministic")
 	}

@@ -681,17 +681,6 @@ func (m multi) Record(e Event) {
 
 func (m multi) Enabled() bool { return true }
 
-// TagRun returns a copy of events with every Run field set — used when
-// merging per-job traces from a sweep into one stream.
-func TagRun(run int, events []Event) []Event {
-	out := make([]Event, len(events))
-	for i, e := range events {
-		e.Run = run
-		out[i] = e
-	}
-	return out
-}
-
 // MergeRuns concatenates per-run traces in index order, tagging each
 // event with its run. Sweeps collect traces by job index, so the merge
 // is identical for any worker count.

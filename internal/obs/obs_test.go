@@ -104,11 +104,9 @@ func TestMergeRunsTagsInOrder(t *testing.T) {
 			t.Errorf("event %d run = %d, want %d", i, e.Run, wantRuns[i])
 		}
 	}
-	// TagRun must not mutate its input.
-	src := []Event{EpochAdvance(1, 0, 1)}
-	TagRun(7, src)
-	if src[0].Run != 0 {
-		t.Error("TagRun mutated its input")
+	// MergeRuns must not mutate its input.
+	if traces[2][0].Run != 0 {
+		t.Error("MergeRuns mutated its input")
 	}
 }
 

@@ -86,22 +86,18 @@ type memberAccum struct {
 	counters map[string]uint64
 	hist     obs.Histogram
 	depth    int64
-	sampled  bool
 	suspects int
 }
 
-// Sampler consumes events and maintains the rolling window, the
-// append-only series of closed windows, and a cumulative metrics
-// registry for exposition. It is a single-run recorder: sweeps build
-// one per run and merge the outputs in run-index order.
+// Sampler consumes events and maintains the rolling window and the
+// append-only series of closed windows. It is a single-run recorder:
+// sweeps build one per run and merge the outputs in run-index order.
 type Sampler struct {
 	interval time.Duration
 	cur      int64 // open window index (-1 until the first advance)
 	open     map[ids.ProcID]*memberAccum
 	series   []Window
-	total    *obs.Metrics
 	suspects map[ids.ProcID]map[ids.ProcID]struct{}
-	depth    map[ids.ProcID]int64 // latest sampled queue depth (gauges)
 }
 
 // NewSampler returns an empty sampler with the configured window width.
@@ -114,9 +110,7 @@ func NewSampler(cfg Config) *Sampler {
 		interval: iv,
 		cur:      -1,
 		open:     make(map[ids.ProcID]*memberAccum),
-		total:    obs.NewMetrics(),
 		suspects: make(map[ids.ProcID]map[ids.ProcID]struct{}),
-		depth:    make(map[ids.ProcID]int64),
 	}
 }
 
@@ -128,7 +122,7 @@ func (s *Sampler) Enabled() bool { return true }
 
 // Record consumes one event: windows strictly before the event's
 // timestamp are closed first, then the event lands in the now-open
-// window and the cumulative registry.
+// window.
 func (s *Sampler) Record(e obs.Event) {
 	s.Tick(e.At)
 	acc := s.open[e.Proc]
@@ -138,16 +132,12 @@ func (s *Sampler) Record(e obs.Event) {
 	}
 	if key := obs.CounterKey(e.Type); key != "" {
 		acc.counters[key]++
-		s.total.Add(e.Proc, key, 1)
 	}
 	switch e.Type {
 	case obs.EvSwitchComplete:
-		d := time.Duration(e.Args[0])
-		acc.hist.Observe(d)
-		s.total.Observe(e.Proc, obs.KeySwitchDuration, d)
+		acc.hist.Observe(time.Duration(e.Args[0]))
 	case obs.EvQueueDepth:
-		acc.depth, acc.sampled = e.Args[0], true
-		s.depth[e.Proc] = e.Args[0]
+		acc.depth = e.Args[0]
 	case obs.EvSuspect:
 		set := s.suspects[e.Proc]
 		if set == nil {
@@ -230,35 +220,6 @@ func (s *Sampler) flush() {
 // Windows returns the closed-window series recorded so far (the
 // sampler's own slice; callers must not mutate while still recording).
 func (s *Sampler) Windows() []Window { return s.series }
-
-// Metrics returns the cumulative registry fed alongside the windows —
-// the exposition source, and the reference the consistency tests
-// compare windowed sums against.
-func (s *Sampler) Metrics() *obs.Metrics { return s.total }
-
-// QueueDepth returns the latest sampled queue depth for a member.
-func (s *Sampler) QueueDepth(p ids.ProcID) int64 { return s.depth[p] }
-
-// SuspectCount returns the member's current count of distinct
-// suspected peers.
-func (s *Sampler) SuspectCount(p ids.ProcID) int { return len(s.suspects[p]) }
-
-// gaugeProcs returns every member with a live gauge, sorted.
-func (s *Sampler) gaugeProcs() []ids.ProcID {
-	seen := make(map[ids.ProcID]struct{}, len(s.depth)+len(s.suspects))
-	for p := range s.depth {
-		seen[p] = struct{}{}
-	}
-	for p := range s.suspects {
-		seen[p] = struct{}{}
-	}
-	out := make([]ids.ProcID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // MergeWindows concatenates per-run window series in index order,
 // tagging each window with its run — the same merge rule as

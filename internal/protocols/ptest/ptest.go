@@ -94,11 +94,6 @@ func (c *Cluster) Cast(p ids.ProcID, payload []byte) error {
 	return c.Members[p].Stack.Cast(payload)
 }
 
-// CastApp multicasts an app message (encoded) from its sender.
-func (c *Cluster) CastApp(m proto.AppMsg) error {
-	return c.Members[m.Sender].Stack.Cast(m.Encode())
-}
-
 // Run drives the simulation until the deadline.
 func (c *Cluster) Run(d time.Duration) { c.Sim.RunUntil(d) }
 
@@ -119,41 +114,16 @@ func (c *Cluster) Bodies(p ids.ProcID) []string {
 	return out
 }
 
-// AppBodies decodes deliveries at member p as AppMsgs and returns their
-// bodies in delivery order.
-func (c *Cluster) AppBodies(p ids.ProcID) ([]string, error) {
-	var out []string
-	for _, d := range c.Members[p].Delivered {
-		m, err := proto.DecodeApp(d.Payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, string(m.Body))
-	}
-	return out, nil
-}
-
-// Trace reconstructs a paper-style trace from recorded sends and
-// deliveries. Deliveries must decode as AppMsgs. Send events are
-// supplied by the caller (it knows when it cast what); they are placed
-// before all deliveries.
-func (c *Cluster) Trace(sent []proto.AppMsg) (trace.Trace, error) {
-	timed := make([]SentMsg, len(sent))
-	for i, m := range sent {
-		timed[i] = SentMsg{At: -1, Msg: m} // before every delivery
-	}
-	return c.TraceTimed(timed)
-}
-
 // SentMsg records when an application message was cast.
 type SentMsg struct {
 	At  time.Duration
 	Msg proto.AppMsg
 }
 
-// TraceTimed reconstructs a trace with Send events interleaved at their
-// actual times — required for properties that constrain send ordering
-// (Amoeba). Ties are broken with Sends first.
+// TraceTimed reconstructs a paper-style trace from recorded sends and
+// deliveries (which must decode as AppMsgs), with Send events
+// interleaved at their actual times — required for properties that
+// constrain send ordering (Amoeba). Ties are broken with Sends first.
 func (c *Cluster) TraceTimed(sent []SentMsg) (trace.Trace, error) {
 	type timed struct {
 		at     time.Duration

@@ -193,17 +193,6 @@ func (tr Trace) ValidateAtMostOnce() error {
 	return nil
 }
 
-// Sends returns the Send events of the trace, in order.
-func (tr Trace) Sends() []Event {
-	var out []Event
-	for _, e := range tr {
-		if e.Kind == SendKind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // DeliveriesAt returns, in order, the messages delivered at process p.
 func (tr Trace) DeliveriesAt(p ids.ProcID) []Message {
 	var out []Message
