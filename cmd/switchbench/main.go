@@ -97,6 +97,9 @@ func run(args []string) error {
 				strings.Join(chaosOnly, ", "), *experiment)
 		}
 	}
+	if *schedules < 0 {
+		return fmt.Errorf("-schedules %d: must not be negative", *schedules)
+	}
 	// Validate output directories before running anything: experiments
 	// take minutes, and a typo'd path should fail in milliseconds.
 	for _, d := range []struct{ flag, dir string }{{"-json", *jsonDir}, {"-trace", *traceDir}, {"-telemetry", *telemetryDir}} {

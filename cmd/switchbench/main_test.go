@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -76,6 +78,29 @@ func TestChaosOnlyFlagsRejected(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("rejected run created the -telemetry directory (stat: %v)", err)
+	}
+}
+
+// TestNegativeSchedulesExits: a negative -schedules makes the command
+// exit 1 with an error naming the flag, before anything runs — not
+// panic inside the sweep.
+func TestNegativeSchedulesExits(t *testing.T) {
+	if os.Getenv("SWITCHBENCH_RUN_MAIN") == "1" {
+		os.Args = []string{"switchbench", "-experiment", "chaos", "-schedules", "-1", "-quiet"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSchedulesExits$")
+	cmd.Env = append(os.Environ(), "SWITCHBENCH_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1; stderr:\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); strings.Contains(msg, "panic") || !strings.Contains(msg, "-schedules") {
+		t.Errorf("stderr = %q, want an error naming -schedules and no panic", msg)
 	}
 }
 

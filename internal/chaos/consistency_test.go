@@ -1,93 +1,43 @@
 package chaos
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
 	"repro/internal/obs"
 )
 
-// traceStats rebuilds every member's switching.Stats from the event
-// stream alone: each counter has exactly one event type emitted at the
-// site that increments it, so the tally must equal Switch.Stats() field
-// for field — for every counter, whichever faults the schedule holds.
-func traceStats(events []obs.Event) map[ids.ProcID]switching.Stats {
-	out := make(map[ids.ProcID]switching.Stats)
-	for _, e := range events {
-		st := out[e.Proc]
-		switch e.Type {
-		case obs.EvTokenPass:
-			st.TokenPasses++
-		case obs.EvEpochAdvance:
-			st.SwitchesCompleted++
-		case obs.EvBuffered:
-			st.Buffered++
-		case obs.EvStaleDrop:
-			st.StaleDropped++
-		case obs.EvWedgeTimeout:
-			st.WedgeTimeouts++
-		case obs.EvTokenRegen:
-			st.TokensRegenerated++
-		case obs.EvSwitchAbort:
-			st.SwitchesAborted++
-		case obs.EvEpochForced:
-			st.ForcedAdvances++
-		case obs.EvSuspicionRaise:
-			st.SuspicionsRaised++
-		case obs.EvSuspicionClear:
-			st.SuspicionsCleared++
-		case obs.EvFlapPenalty:
-			st.FlapPenalties++
-		case obs.EvDegradedSkip:
-			st.DegradedSkips++
-		case obs.EvReinclude:
-			st.Reincludes++
-		case obs.EvMalformedDrop:
-			st.MalformedDropped++
-		case obs.EvQuarantine:
-			st.Quarantines++
-		case obs.EvAuthFail:
-			st.AuthFailed++
-		case obs.EvShed:
-			st.Shed++
-		case obs.EvBackpressureOn:
-			st.Backpressured++
-		case obs.EvRetrySend:
-			st.RetriedSends++
-		default:
-			continue
-		}
-		out[e.Proc] = st
-	}
-	return out
-}
-
-// checkStatsViews cross-checks the three views of one run's counters:
-// each live member's own Switch.Stats() against the trace tally
-// (traceStats), and Result.Stats — derived from the metrics registry —
-// against the manual sum of the live members' Stats().
+// checkStatsViews replays the run's events into a metrics registry and
+// checks each live member's Switch.Stats() against it field by field,
+// under the key "switching/" plus the field's json tag: an event
+// recorded without being counted, or a count without its event, shows
+// up as a mismatch.
 func checkStatsViews(t *testing.T, seed int64, res *Result, c *swtest.SwitchedCluster, events []obs.Event) {
 	t.Helper()
-	fromTrace := traceStats(events)
-	var manual switching.Stats
-	for _, p := range res.Live {
-		st := c.Members[p].Switch.Stats()
-		manual.Add(st)
-		if got := fromTrace[p]; got != st {
-			t.Errorf("seed %d: member %v: trace-derived stats %+v != Switch.Stats() %+v", seed, p, got, st)
-		}
+	m := obs.NewMetrics()
+	rec := m.Recorder()
+	for _, e := range events {
+		rec.Record(e)
 	}
-	if res.Stats != manual {
-		t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v", seed, res.Stats, manual)
+	for _, p := range res.Live {
+		st := reflect.ValueOf(c.Members[p].Switch.Stats())
+		for i := 0; i < st.NumField(); i++ {
+			tag, _, _ := strings.Cut(st.Type().Field(i).Tag.Get("json"), ",")
+			if got, want := st.Field(i).Uint(), m.Counter(p, "switching/"+tag); got != want {
+				t.Errorf("seed %d: member %v: Stats.%s = %d, trace counts %d",
+					seed, p, st.Type().Field(i).Name, got, want)
+			}
+		}
 	}
 }
 
 // TestStatsTraceConsistency replays seeded chaos schedules — base tier
 // and every fault tier composed, since all of them run the one stack —
-// with a collector attached and checks the three counter views agree on
-// every counter (checkStatsViews), plus the causal ordering invariant:
+// with a collector attached and checks every member's counters against
+// its trace (checkStatsViews), plus the causal ordering invariant:
 // at every prefix of a member's event stream, token regenerations never
 // outnumber the wedge timeouts and suspicions that justify them — every
 // replacement token has a recorded cause.

@@ -149,7 +149,7 @@ type Result struct {
 	// passed.
 	Violations []string
 	// Metrics is the per-member registry built from the run's event
-	// stream; Stats above is derived from it for the live members.
+	// stream, crashed members included.
 	Metrics *obs.Metrics
 	// FlightRecord is the tail of the event stream (oldest first) when
 	// the run failed an invariant; nil on a clean run. FlightDropped is
@@ -433,7 +433,9 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 			return nil, nil, err
 		}
 		res.Delivered = len(tr)
-		res.Stats = statsFromMetrics(metrics, res.Live)
+		for _, p := range res.Live {
+			res.Stats.Add(c.Members[p].Switch.Stats())
+		}
 		res.FinalEpoch = c.Members[res.Live[0]].Switch.Epoch()
 
 		res.Violations = append(res.Violations, checkConverged(c, res.Live)...)
@@ -473,36 +475,6 @@ func (r *Result) attachTelemetry(tel *telemetry.Telemetry, end time.Duration) {
 		}
 		r.TelemetryTail = tail
 	}
-}
-
-// statsFromMetrics rebuilds the aggregate switching.Stats of the live
-// members from the event-derived registry. Every Stats field has a 1:1
-// event emission, so this equals summing the members' own counters —
-// the consistency test asserts exactly that.
-func statsFromMetrics(m *obs.Metrics, live []ids.ProcID) switching.Stats {
-	var s switching.Stats
-	for _, p := range live {
-		s.TokenPasses += m.Counter(p, obs.KeyTokenPasses)
-		s.SwitchesCompleted += m.Counter(p, obs.KeySwitchesCompleted)
-		s.Buffered += m.Counter(p, obs.KeyBuffered)
-		s.StaleDropped += m.Counter(p, obs.KeyStaleDropped)
-		s.WedgeTimeouts += m.Counter(p, obs.KeyWedgeTimeouts)
-		s.TokensRegenerated += m.Counter(p, obs.KeyTokensRegenerated)
-		s.SwitchesAborted += m.Counter(p, obs.KeySwitchesAborted)
-		s.ForcedAdvances += m.Counter(p, obs.KeyForcedAdvances)
-		s.MalformedDropped += m.Counter(p, obs.KeyMalformedDropped)
-		s.Quarantines += m.Counter(p, obs.KeyQuarantines)
-		s.AuthFailed += m.Counter(p, obs.KeyAuthFailed)
-		s.Shed += m.Counter(p, obs.KeyShed)
-		s.Backpressured += m.Counter(p, obs.KeyBackpressured)
-		s.RetriedSends += m.Counter(p, obs.KeyRetriedSends)
-		s.SuspicionsRaised += m.Counter(p, obs.KeySuspicionsRaised)
-		s.SuspicionsCleared += m.Counter(p, obs.KeySuspicionsCleared)
-		s.FlapPenalties += m.Counter(p, obs.KeyFlapPenalties)
-		s.DegradedSkips += m.Counter(p, obs.KeyDegradedSkips)
-		s.Reincludes += m.Counter(p, obs.KeyReincludes)
-	}
-	return s
 }
 
 // spikeCastsPerMult and spikeCastSpacing shape the flash crowd: Size×8

@@ -238,8 +238,7 @@ func (a *adaptive) check() {
 			continue
 		}
 		ps.suspicious = true
-		a.s.stats.SuspicionsRaised++
-		a.s.obs.Record(obs.SuspicionRaise(now, self, p, level))
+		a.s.emit(obs.SuspicionRaise(now, self, p, level))
 		// Escalate into the fixed detector so ring arithmetic, round
 		// aborts, and the suspect gauge all see one suspicion state.
 		a.r.det.ForceSuspect(p)
@@ -255,14 +254,12 @@ func (a *adaptive) onRestore(p ids.ProcID) {
 	ps := a.stat(p)
 	if ps.suspicious {
 		ps.suspicious = false
-		a.s.stats.SuspicionsCleared++
-		a.s.obs.Record(obs.SuspicionClear(now, self, p))
+		a.s.emit(obs.SuspicionClear(now, self, p))
 	}
 	ps.flaps++
 	ps.penalty = a.decayed(ps, now) + a.cfg.FlapPenalty
 	ps.penaltyAt = now
-	a.s.stats.FlapPenalties++
-	a.s.obs.Record(obs.FlapPenalty(now, self, p, ps.penalty, ps.flaps))
+	a.s.emit(obs.FlapPenalty(now, self, p, ps.penalty, ps.flaps))
 	if !ps.damped && ps.penalty >= a.cfg.SuppressAt {
 		ps.damped = true
 		a.armReinclude(p)
@@ -298,8 +295,7 @@ func (a *adaptive) armReinclude(p ids.ProcID) {
 		if pen := a.decayed(ps, now); pen <= a.cfg.ReuseAt && !a.r.det.Suspected(p) {
 			ps.damped = false
 			ps.penalty, ps.penaltyAt = pen, now
-			a.s.stats.Reincludes++
-			a.s.obs.Record(obs.Reinclude(now, a.s.env.Self(), p, pen))
+			a.s.emit(obs.Reinclude(now, a.s.env.Self(), p, pen))
 			return
 		}
 		a.armReinclude(p)
@@ -314,6 +310,5 @@ func (a *adaptive) isDamped(p ids.ProcID) bool {
 
 // noteSkip records one degraded-mode bypass of p in ring rotation.
 func (a *adaptive) noteSkip(p ids.ProcID) {
-	a.s.stats.DegradedSkips++
-	a.s.obs.Record(obs.DegradedSkip(a.s.env.Now(), a.s.env.Self(), p))
+	a.s.emit(obs.DegradedSkip(a.s.env.Now(), a.s.env.Self(), p))
 }

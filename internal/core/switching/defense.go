@@ -81,11 +81,9 @@ func (c DefenseConfig) Validate() error {
 // countMalformed records a defensively-dropped message apparently from
 // src and, with Defense enabled, advances src toward quarantine. It is
 // called from every rejection site above the envelope — mux, token
-// decode/range and epoch-header failures — so Stats and the
-// malformed_drop trace stay mutually consistent.
+// decode/range and epoch-header failures.
 func (s *Switch) countMalformed(src ids.ProcID, reason int64) {
-	s.stats.MalformedDropped++
-	s.obs.Record(obs.MalformedDrop(s.env.Now(), s.env.Self(), src, reason))
+	s.emit(obs.MalformedDrop(s.env.Now(), s.env.Self(), src, reason))
 	s.noteDefenseDrop(src)
 }
 
@@ -95,8 +93,7 @@ func (s *Switch) countMalformed(src ids.ProcID, reason int64) {
 // quarantine progress as malformed drops: a peer spraying forgeries is
 // routed around exactly like one spraying garbage.
 func (s *Switch) countAuthFailed(src ids.ProcID, epoch uint64, reason int64) {
-	s.stats.AuthFailed++
-	s.obs.Record(obs.AuthFail(s.env.Now(), s.env.Self(), src, epoch, reason))
+	s.emit(obs.AuthFail(s.env.Now(), s.env.Self(), src, epoch, reason))
 	s.noteDefenseDrop(src)
 }
 
@@ -118,8 +115,7 @@ func (s *Switch) noteDefenseDrop(src ids.ProcID) {
 	// Crossing the threshold raises a suspicion instead of wedging:
 	// the ring routes around the peer exactly as it would around a
 	// crash, and a later healthy heartbeat restores it.
-	s.stats.Quarantines++
-	s.obs.Record(obs.Quarantine(s.env.Now(), s.env.Self(), src, d.QuarantineThreshold))
+	s.emit(obs.Quarantine(s.env.Now(), s.env.Self(), src, d.QuarantineThreshold))
 	if s.rec != nil {
 		s.rec.det.ForceSuspect(src)
 	}

@@ -228,13 +228,6 @@ func (o *overload) stop() {
 	}
 }
 
-// shed counts one shed message at the exact site its event is recorded.
-func (o *overload) shed(peer ids.ProcID, reason int64, depth int) {
-	s := o.s
-	s.stats.Shed++
-	s.obs.Record(obs.Shed(s.env.Now(), s.env.Self(), peer, reason, depth))
-}
-
 // --- ingress ---
 
 // admitIngress classifies one verified transport frame. It returns
@@ -257,7 +250,7 @@ func (o *overload) admitIngress(src ids.ProcID, pkt []byte) bool {
 	}
 	if q.Len() >= o.cfg.IngressQueueCap {
 		o.acct.IngressShed++
-		o.shed(src, obs.ShedIngress, q.Len())
+		o.s.emit(obs.Shed(o.s.env.Now(), o.s.env.Self(), src, obs.ShedIngress, q.Len()))
 		return true
 	}
 	q.Push(pkt)
@@ -357,8 +350,7 @@ func (o *overload) enqueueEgress(ent egressEntry) {
 	}
 	if !o.paused && o.egress.Len() >= o.cfg.HighWatermark {
 		o.paused = true
-		s.stats.Backpressured++
-		s.obs.Record(obs.BackpressureOn(s.env.Now(), s.env.Self(), o.egress.Len()))
+		s.emit(obs.BackpressureOn(s.env.Now(), s.env.Self(), o.egress.Len()))
 		if o.cfg.OnBackpressure != nil {
 			o.cfg.OnBackpressure(true)
 		}
@@ -397,7 +389,7 @@ func (o *overload) drainEgress() {
 	}
 	if o.paused && o.egress.Len() <= o.cfg.LowWatermark {
 		o.paused = false
-		s.obs.Record(obs.BackpressureOff(s.env.Now(), s.env.Self(), o.egress.Len()))
+		s.emit(obs.BackpressureOff(s.env.Now(), s.env.Self(), o.egress.Len()))
 		if o.cfg.OnBackpressure != nil {
 			o.cfg.OnBackpressure(false)
 		}
@@ -413,13 +405,12 @@ func (o *overload) scheduleRetry(ent egressEntry, attempt int) {
 	s := o.s
 	if attempt > o.cfg.MaxRetryShift {
 		o.acct.EgressShed++
-		o.shed(obs.NoPeer, obs.ShedEgress, o.egress.Len())
+		s.emit(obs.Shed(s.env.Now(), s.env.Self(), obs.NoPeer, obs.ShedEgress, o.egress.Len()))
 		return
 	}
 	backoff := o.cfg.RetryBackoff << (attempt - 1)
 	backoff += time.Duration(s.env.Rand().Int63n(int64(backoff/2) + 1))
-	s.stats.RetriedSends++
-	s.obs.Record(obs.RetrySend(s.env.Now(), s.env.Self(), attempt, backoff))
+	s.emit(obs.RetrySend(s.env.Now(), s.env.Self(), attempt, backoff))
 	o.retrying++
 	s.env.After(backoff, func() {
 		if s.stopped {

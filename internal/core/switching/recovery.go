@@ -142,7 +142,7 @@ func newRecovery(s *Switch, cfg RecoveryConfig) (*recovery, error) {
 		// The suspicion is recorded before any regeneration it triggers,
 		// so every EvTokenRegen in a trace is preceded by the
 		// EvWedgeTimeout or EvSuspect that caused it.
-		s.obs.Record(obs.Suspect(s.env.Now(), s.env.Self(), p))
+		s.emit(obs.Suspect(s.env.Now(), s.env.Self(), p))
 		r.onSuspect(p)
 		if userSuspect != nil {
 			userSuspect(p)
@@ -152,7 +152,7 @@ func newRecovery(s *Switch, cfg RecoveryConfig) (*recovery, error) {
 	dcfg.OnRestore = func(p ids.ProcID) {
 		// The falling edge paired with EvSuspect, so suspect gauges can
 		// drop when a peer recovers.
-		s.obs.Record(obs.SuspectCleared(s.env.Now(), s.env.Self(), p))
+		s.emit(obs.SuspectCleared(s.env.Now(), s.env.Self(), p))
 		if r.ad != nil {
 			r.ad.onRestore(p)
 		}
@@ -246,8 +246,7 @@ func (r *recovery) admit(t Token) bool {
 		// it will rejoin the retry as an ordinary participant.
 		if s.initiating && t.Initiator != s.env.Self() {
 			s.initiating = false
-			s.stats.SwitchesAborted++
-			s.obs.Record(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
+			s.emit(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
 		}
 	}
 	if t.Epoch > r.maxEpoch {
@@ -370,11 +369,10 @@ func (r *recovery) onWedge() {
 	if s.stopped {
 		return
 	}
-	s.stats.WedgeTimeouts++
 	if r.strikes < r.cfg.MaxBackoffShift {
 		r.strikes++
 	}
-	s.obs.Record(obs.WedgeTimeout(s.env.Now(), s.env.Self(), r.strikes))
+	s.emit(obs.WedgeTimeout(s.env.Now(), s.env.Self(), r.strikes))
 	r.regenerate()
 }
 
@@ -386,15 +384,13 @@ func (r *recovery) regenerate() {
 	s := r.s
 	r.gen++
 	r.origin = s.env.Self()
-	s.stats.TokensRegenerated++
-	s.obs.Record(obs.TokenRegen(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
+	s.emit(obs.TokenRegen(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
 	if s.heldFlush != nil {
 		s.heldFlush = nil
 	}
 	if s.Switching() {
 		if s.initiating {
-			s.stats.SwitchesAborted++
-			s.obs.Record(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
+			s.emit(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
 		}
 		r.retryRound(r.gen, s.env.Self())
 		r.arm()
@@ -426,7 +422,7 @@ func (r *recovery) retryRound(gen uint64, origin ids.ProcID) {
 		// round, not just the first.
 		s.initiating = true
 		s.started = s.env.Now()
-		s.obs.Record(obs.SwitchStart(s.started, s.env.Self(), s.deliverEpoch, gen))
+		s.emit(obs.SwitchStart(s.started, s.env.Self(), s.deliverEpoch, gen))
 	}
 	s.expected = nil
 	prep := Token{

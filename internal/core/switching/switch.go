@@ -65,10 +65,12 @@ type Config struct {
 	Overload *OverloadConfig
 	// Recorder receives the structured observability events (token
 	// lifecycle, phase transitions, epoch advances, recovery actions).
-	// Every event is emitted at the exact site the matching Stats
-	// counter increments, so traces and counters stay mutually
-	// consistent. Nil means obs.Nop: the instrumented paths then cost a
-	// struct construction and a no-op interface call, nothing more.
+	// Stats counts the same events whether or not a recorder is set,
+	// so each counter equals its event type's count in the trace; the
+	// obs registry key is "switching/" plus the Stats json tag (pinned
+	// by TestStatsCountersMatchEvents). Nil means obs.Nop: the
+	// instrumented paths then cost a struct construction, a counter
+	// increment and a no-op interface call, nothing more.
 	Recorder obs.Recorder
 }
 
@@ -99,50 +101,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts switch-layer activity at one member.
+// Stats counts switch-layer activity at one member. Each counter is
+// the number of events of one type the member emitted (see counter);
+// the json tags are the BENCH artifacts' keys and, prefixed with
+// "switching/", the obs registry's. Field order is the artifacts' key
+// order.
 type Stats struct {
 	// SwitchesCompleted counts switches this member has completed
 	// (locally: delivered all old-epoch messages and moved on).
-	SwitchesCompleted uint64
+	SwitchesCompleted uint64 `json:"switches_completed"`
 	// Buffered counts new-epoch messages buffered during switches.
-	Buffered uint64
+	Buffered uint64 `json:"buffered"`
 	// StaleDropped counts data that arrived for an already-closed epoch.
-	StaleDropped uint64
+	StaleDropped uint64 `json:"stale_dropped"`
 	// TokenPasses counts tokens forwarded by this member.
-	TokenPasses uint64
+	TokenPasses uint64 `json:"token_passes"`
 
 	// Recovery counters; all zero unless Config.Recovery is set.
 
 	// WedgeTimeouts counts wedge-detector expiries (token presumed
 	// lost) at this member.
-	WedgeTimeouts uint64
+	WedgeTimeouts uint64 `json:"wedge_timeouts"`
 	// TokensRegenerated counts replacement tokens this member created.
-	TokensRegenerated uint64
+	TokensRegenerated uint64 `json:"tokens_regenerated"`
 	// SwitchesAborted counts switch rounds this member abandoned or
 	// re-ran because the token was lost or the member set changed
 	// mid-round.
-	SwitchesAborted uint64
+	SwitchesAborted uint64 `json:"switches_aborted"`
 	// ForcedAdvances counts epochs this member adopted from a token
 	// after missing the switch round itself (rejoin fast-forward).
-	ForcedAdvances uint64
-
-	// Gray-failure counters; all zero unless Recovery.Adaptive is set.
-
-	// SuspicionsRaised counts graded suspicions the adaptive detector
-	// raised (heartbeat silence beyond the phi-style threshold).
-	SuspicionsRaised uint64
-	// SuspicionsCleared counts graded suspicions that cleared when the
-	// peer's heartbeats resumed.
-	SuspicionsCleared uint64
-	// FlapPenalties counts flap-damping penalty charges (one per
-	// completed suspect→restore cycle of a peer).
-	FlapPenalties uint64
-	// DegradedSkips counts ring rotations that bypassed a damped peer
-	// without a token regeneration (degraded-mode repair).
-	DegradedSkips uint64
-	// Reincludes counts damped peers re-included after their penalty
-	// decayed.
-	Reincludes uint64
+	ForcedAdvances uint64 `json:"forced_advances"`
 
 	// Defensive-ingress counters; see Config.Defense. MalformedDropped
 	// also counts token/header decode failures when Defense is nil.
@@ -150,14 +138,14 @@ type Stats struct {
 	// MalformedDropped counts messages rejected above the envelope
 	// without mutating state (mux, token or epoch-header decode failure,
 	// out-of-range token field). Envelope failures are AuthFailed.
-	MalformedDropped uint64
+	MalformedDropped uint64 `json:"malformed_dropped,omitempty"`
 	// Quarantines counts peers whose malformed count crossed the
 	// quarantine threshold and raised a suspicion.
-	Quarantines uint64
+	Quarantines uint64 `json:"quarantines,omitempty"`
 	// AuthFailed counts arrivals the authenticated ingress rejected:
 	// forged frames (bad MAC), structurally broken auth envelopes, and
 	// cross-epoch replays (retired epoch). Zero unless Defense is set.
-	AuthFailed uint64
+	AuthFailed uint64 `json:"auth_failed,omitempty"`
 
 	// Overload counters; all zero unless Config.Overload is set.
 
@@ -165,13 +153,78 @@ type Stats struct {
 	// frames at a full per-peer queue (drop-newest; each shed event
 	// names its peer) and application casts abandoned after the retry
 	// budget.
-	Shed uint64
+	Shed uint64 `json:"shed,omitempty"`
 	// Backpressured counts pause transitions: the egress queue crossed
 	// its high watermark and local senders were asked to pause.
-	Backpressured uint64
+	Backpressured uint64 `json:"backpressured,omitempty"`
 	// RetriedSends counts retry attempts scheduled for application
 	// casts rejected at the egress cap.
-	RetriedSends uint64
+	RetriedSends uint64 `json:"retried_sends,omitempty"`
+
+	// Gray-failure counters; all zero unless Recovery.Adaptive is set.
+
+	// SuspicionsRaised counts graded suspicions the adaptive detector
+	// raised (heartbeat silence beyond the phi-style threshold).
+	SuspicionsRaised uint64 `json:"suspicions_raised,omitempty"`
+	// SuspicionsCleared counts graded suspicions that cleared when the
+	// peer's heartbeats resumed.
+	SuspicionsCleared uint64 `json:"suspicions_cleared,omitempty"`
+	// FlapPenalties counts flap-damping penalty charges (one per
+	// completed suspect→restore cycle of a peer).
+	FlapPenalties uint64 `json:"flap_penalties,omitempty"`
+	// DegradedSkips counts ring rotations that bypassed a damped peer
+	// without a token regeneration (degraded-mode repair).
+	DegradedSkips uint64 `json:"degraded_skips,omitempty"`
+	// Reincludes counts damped peers re-included after their penalty
+	// decayed.
+	Reincludes uint64 `json:"reincludes,omitempty"`
+}
+
+// counter returns the field that counts events of type t, or nil for a
+// type no field counts. It is the one place the event → counter mapping
+// is written.
+func (s *Stats) counter(t obs.EventType) *uint64 {
+	switch t {
+	case obs.EvEpochAdvance:
+		return &s.SwitchesCompleted
+	case obs.EvBuffered:
+		return &s.Buffered
+	case obs.EvStaleDrop:
+		return &s.StaleDropped
+	case obs.EvTokenPass:
+		return &s.TokenPasses
+	case obs.EvWedgeTimeout:
+		return &s.WedgeTimeouts
+	case obs.EvTokenRegen:
+		return &s.TokensRegenerated
+	case obs.EvSwitchAbort:
+		return &s.SwitchesAborted
+	case obs.EvEpochForced:
+		return &s.ForcedAdvances
+	case obs.EvMalformedDrop:
+		return &s.MalformedDropped
+	case obs.EvQuarantine:
+		return &s.Quarantines
+	case obs.EvAuthFail:
+		return &s.AuthFailed
+	case obs.EvShed:
+		return &s.Shed
+	case obs.EvBackpressureOn:
+		return &s.Backpressured
+	case obs.EvRetrySend:
+		return &s.RetriedSends
+	case obs.EvSuspicionRaise:
+		return &s.SuspicionsRaised
+	case obs.EvSuspicionClear:
+		return &s.SuspicionsCleared
+	case obs.EvFlapPenalty:
+		return &s.FlapPenalties
+	case obs.EvDegradedSkip:
+		return &s.DegradedSkips
+	case obs.EvReinclude:
+		return &s.Reincludes
+	}
+	return nil
 }
 
 // Add accumulates another member's (or run's) counters into s — the
@@ -185,17 +238,17 @@ func (s *Stats) Add(o Stats) {
 	s.TokensRegenerated += o.TokensRegenerated
 	s.SwitchesAborted += o.SwitchesAborted
 	s.ForcedAdvances += o.ForcedAdvances
-	s.SuspicionsRaised += o.SuspicionsRaised
-	s.SuspicionsCleared += o.SuspicionsCleared
-	s.FlapPenalties += o.FlapPenalties
-	s.DegradedSkips += o.DegradedSkips
-	s.Reincludes += o.Reincludes
 	s.MalformedDropped += o.MalformedDropped
 	s.Quarantines += o.Quarantines
 	s.AuthFailed += o.AuthFailed
 	s.Shed += o.Shed
 	s.Backpressured += o.Backpressured
 	s.RetriedSends += o.RetriedSends
+	s.SuspicionsRaised += o.SuspicionsRaised
+	s.SuspicionsCleared += o.SuspicionsCleared
+	s.FlapPenalties += o.FlapPenalties
+	s.DegradedSkips += o.DegradedSkips
+	s.Reincludes += o.Reincludes
 }
 
 // Switch is one member's instance of the switching protocol. The
@@ -476,6 +529,16 @@ func (s *Switch) Switching() bool { return s.sendEpoch != s.deliverEpoch }
 // Stats returns a copy of the counters.
 func (s *Switch) Stats() Stats { return s.stats }
 
+// emit counts e in its Stats field, if any, and records it. Every event
+// the member emits goes through here, so each counter is the count of
+// its event type in the trace.
+func (s *Switch) emit(e obs.Event) {
+	if c := s.stats.counter(e.Type); c != nil {
+		*c++
+	}
+	s.obs.Record(e)
+}
+
 // Records returns the switches this member initiated.
 func (s *Switch) Records() []Record {
 	out := make([]Record, len(s.records))
@@ -537,14 +600,12 @@ func (s *Switch) onData(src ids.ProcID, pkt []byte) {
 	case epoch > s.deliverEpoch:
 		// New-protocol traffic rides ahead of the switch: buffer it.
 		s.countRecv(epoch, src)
-		s.stats.Buffered++
-		s.obs.Record(obs.Buffered(s.env.Now(), s.env.Self(), src, epoch))
+		s.emit(obs.Buffered(s.env.Now(), s.env.Self(), src, epoch))
 		s.buffer[epoch] = append(s.buffer[epoch], bufEntry{src: src, payload: payload})
 	default:
 		// The vector guaranteed every old message arrived before we
 		// completed; anything else is a late duplicate.
-		s.stats.StaleDropped++
-		s.obs.Record(obs.StaleDrop(s.env.Now(), s.env.Self(), src, epoch))
+		s.emit(obs.StaleDrop(s.env.Now(), s.env.Self(), src, epoch))
 	}
 }
 
@@ -600,8 +661,7 @@ func (s *Switch) onToken(t Token) {
 				// A regenerated NORMAL token reached a member whose
 				// switch round is still half-applied (the original
 				// round's token died): re-run the round from PREPARE.
-				s.stats.SwitchesAborted++
-				s.obs.Record(obs.SwitchAbort(s.env.Now(), self, s.deliverEpoch, t.Gen))
+				s.emit(obs.SwitchAbort(s.env.Now(), self, s.deliverEpoch, t.Gen))
 				s.rec.retryRound(t.Gen, t.Origin)
 				return
 			}
@@ -612,7 +672,7 @@ func (s *Switch) onToken(t Token) {
 			s.wantSwitch = false
 			s.initiating = true
 			s.started = s.env.Now()
-			s.obs.Record(obs.SwitchStart(s.started, self, s.deliverEpoch, t.Gen))
+			s.emit(obs.SwitchStart(s.started, self, s.deliverEpoch, t.Gen))
 			prep := Token{
 				Mode:      ModePrepare,
 				Epoch:     s.deliverEpoch,
@@ -666,7 +726,7 @@ func (s *Switch) onToken(t Token) {
 				// (it was suspected). Redirect now; the vector is
 				// already fixed without its counts.
 				s.setSendEpoch(t.Epoch + 1)
-				s.obs.Record(obs.Phase(s.env.Now(), self, uint8(ModeSwitch), t.Epoch, t.Gen))
+				s.emit(obs.Phase(s.env.Now(), self, uint8(ModeSwitch), t.Epoch, t.Gen))
 			}
 		}
 		s.learnVector(t.Vector, t.Epoch)
@@ -688,7 +748,7 @@ func (s *Switch) onToken(t Token) {
 			}
 			s.records = append(s.records, rec)
 			s.initiating = false
-			s.obs.Record(obs.SwitchComplete(rec.Finished, self, t.Epoch, t.Gen, rec.Duration()))
+			s.emit(obs.SwitchComplete(rec.Finished, self, t.Epoch, t.Gen, rec.Duration()))
 			if s.cfg.OnSwitchComplete != nil {
 				s.cfg.OnSwitchComplete(rec)
 			}
@@ -737,7 +797,7 @@ func (s *Switch) setSendEpoch(epoch uint64) {
 func (s *Switch) applyPrepare(t *Token) {
 	if t.Epoch == s.deliverEpoch && !s.Switching() {
 		s.setSendEpoch(t.Epoch + 1)
-		s.obs.Record(obs.Phase(s.env.Now(), s.env.Self(), uint8(ModePrepare), t.Epoch, t.Gen))
+		s.emit(obs.Phase(s.env.Now(), s.env.Self(), uint8(ModePrepare), t.Epoch, t.Gen))
 	}
 	if t.Epoch >= s.sendEpoch {
 		return // defensive: an epoch still open for sends; count not final
@@ -759,8 +819,7 @@ func (s *Switch) forceAdvance(target uint64) {
 		s.deliverEpoch++
 		s.expected = nil
 		delete(s.recv, old)
-		s.stats.ForcedAdvances++
-		s.obs.Record(obs.EpochForced(s.env.Now(), s.env.Self(), s.deliverEpoch))
+		s.emit(obs.EpochForced(s.env.Now(), s.env.Self(), s.deliverEpoch))
 		pend := s.buffer[s.deliverEpoch]
 		delete(s.buffer, s.deliverEpoch)
 		for _, b := range pend {
@@ -825,8 +884,7 @@ func (s *Switch) checkComplete() {
 			delete(s.sent, e)
 		}
 	}
-	s.stats.SwitchesCompleted++
-	s.obs.Record(obs.EpochAdvance(s.env.Now(), s.env.Self(), s.deliverEpoch))
+	s.emit(obs.EpochAdvance(s.env.Now(), s.env.Self(), s.deliverEpoch))
 	if s.rec != nil {
 		s.rec.noteEpoch(s.deliverEpoch)
 	}
@@ -855,7 +913,7 @@ func (s *Switch) forwardFlushWhenDone(t Token) {
 // holdThenPass keeps the token for the configured interval, then passes
 // it on (idle rotation pacing).
 func (s *Switch) holdThenPass(t Token) {
-	s.obs.Record(obs.TokenHold(s.env.Now(), s.env.Self(), uint8(t.Mode), t.Epoch, t.Gen))
+	s.emit(obs.TokenHold(s.env.Now(), s.env.Self(), uint8(t.Mode), t.Epoch, t.Gen))
 	s.hold(t, holdPass)
 }
 
@@ -933,8 +991,7 @@ func (s *Switch) passToken(t Token) {
 			return
 		}
 	}
-	s.stats.TokenPasses++
-	s.obs.Record(obs.TokenPass(s.env.Now(), s.env.Self(), succ, uint8(t.Mode), t.Epoch, t.Gen))
+	s.emit(obs.TokenPass(s.env.Now(), s.env.Self(), succ, uint8(t.Mode), t.Epoch, t.Gen))
 	if succ == s.env.Self() {
 		s.hold(t, holdLoop)
 		return

@@ -303,9 +303,9 @@ type BenchChaos struct {
 
 	Delivered int `json:"delivered"`
 	// Forged/Replayed total the adversary's wire-level injections.
-	ForgedFrames   uint64           `json:"forged_frames,omitempty"`
-	ReplayedFrames uint64           `json:"replayed_frames,omitempty"`
-	Switching      BenchSwitchStats `json:"switching"`
+	ForgedFrames   uint64          `json:"forged_frames,omitempty"`
+	ReplayedFrames uint64          `json:"replayed_frames,omitempty"`
+	Switching      switching.Stats `json:"switching"`
 
 	WorstRecoveryMS float64 `json:"worst_recovery_ms"`
 	RecoveryBoundMS float64 `json:"recovery_bound_ms"`
@@ -365,53 +365,6 @@ type BenchFlashCrowdRow struct {
 	Events          uint64     `json:"events"`
 }
 
-// BenchSwitchStats mirrors switching.Stats with stable snake_case keys.
-type BenchSwitchStats struct {
-	SwitchesCompleted uint64 `json:"switches_completed"`
-	Buffered          uint64 `json:"buffered"`
-	StaleDropped      uint64 `json:"stale_dropped"`
-	TokenPasses       uint64 `json:"token_passes"`
-	WedgeTimeouts     uint64 `json:"wedge_timeouts"`
-	TokensRegenerated uint64 `json:"tokens_regenerated"`
-	SwitchesAborted   uint64 `json:"switches_aborted"`
-	ForcedAdvances    uint64 `json:"forced_advances"`
-	MalformedDropped  uint64 `json:"malformed_dropped,omitempty"`
-	Quarantines       uint64 `json:"quarantines,omitempty"`
-	AuthFailed        uint64 `json:"auth_failed,omitempty"`
-	Shed              uint64 `json:"shed,omitempty"`
-	Backpressured     uint64 `json:"backpressured,omitempty"`
-	RetriedSends      uint64 `json:"retried_sends,omitempty"`
-	SuspicionsRaised  uint64 `json:"suspicions_raised,omitempty"`
-	SuspicionsCleared uint64 `json:"suspicions_cleared,omitempty"`
-	FlapPenalties     uint64 `json:"flap_penalties,omitempty"`
-	DegradedSkips     uint64 `json:"degraded_skips,omitempty"`
-	Reincludes        uint64 `json:"reincludes,omitempty"`
-}
-
-func toBenchSwitchStats(s switching.Stats) BenchSwitchStats {
-	return BenchSwitchStats{
-		SwitchesCompleted: s.SwitchesCompleted,
-		Buffered:          s.Buffered,
-		StaleDropped:      s.StaleDropped,
-		TokenPasses:       s.TokenPasses,
-		WedgeTimeouts:     s.WedgeTimeouts,
-		TokensRegenerated: s.TokensRegenerated,
-		SwitchesAborted:   s.SwitchesAborted,
-		ForcedAdvances:    s.ForcedAdvances,
-		MalformedDropped:  s.MalformedDropped,
-		Quarantines:       s.Quarantines,
-		AuthFailed:        s.AuthFailed,
-		Shed:              s.Shed,
-		Backpressured:     s.Backpressured,
-		RetriedSends:      s.RetriedSends,
-		SuspicionsRaised:  s.SuspicionsRaised,
-		SuspicionsCleared: s.SuspicionsCleared,
-		FlapPenalties:     s.FlapPenalties,
-		DegradedSkips:     s.DegradedSkips,
-		Reincludes:        s.Reincludes,
-	}
-}
-
 // BenchChaosFailure is one schedule that violated invariants, with
 // enough detail to replay it (the seed regenerates the schedule) and
 // the flight recorder's tail of events leading up to the failure.
@@ -449,7 +402,7 @@ func NewBenchChaos(seed int64, res *ChaosSweepResult) *BenchChaos {
 		Delivered:       res.Delivered,
 		ForgedFrames:    res.Forged,
 		ReplayedFrames:  res.Replayed,
-		Switching:       toBenchSwitchStats(res.Stats),
+		Switching:       res.Stats,
 		WorstRecoveryMS: Millis(res.WorstRecovery),
 		RecoveryBoundMS: Millis(res.Bound),
 	}

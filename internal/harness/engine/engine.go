@@ -120,9 +120,10 @@ func (p *Pool) Run(n int, baseSeed int64, fn func(Job) error) error {
 
 // Map runs fn for every index in [0, n) on the pool and returns the
 // results collected by index. It is the typed convenience wrapper
-// around [Pool.Run] for sweeps whose jobs produce one value each.
+// around [Pool.Run] for sweeps whose jobs produce one value each; like
+// Run, it runs nothing for n <= 0.
 func Map[T any](p *Pool, n int, baseSeed int64, fn func(Job) (T, error)) ([]T, error) {
-	out := make([]T, n)
+	out := make([]T, max(n, 0))
 	err := p.Run(n, baseSeed, func(j Job) error {
 		v, err := fn(j)
 		if err != nil {

@@ -104,6 +104,13 @@ func TestRunEmptyAndSequentialOrder(t *testing.T) {
 	}
 }
 
+func TestMapNegativeIsEmpty(t *testing.T) {
+	out, err := Map(New(2), -1, 0, func(Job) (int, error) { t.Error("job ran"); return 0, nil })
+	if err != nil || len(out) != 0 {
+		t.Errorf("Map(-1) = %v, %v; want an empty result", out, err)
+	}
+}
+
 func TestWorkersCappedToJobs(t *testing.T) {
 	// More workers than jobs must not deadlock or panic.
 	out, err := Map(New(16), 2, 0, func(j Job) (int, error) { return j.Index * 2, nil })

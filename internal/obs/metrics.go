@@ -8,9 +8,10 @@ import (
 	"repro/internal/ids"
 )
 
-// Counter keys are "<layer>/<name>". The switching-layer keys mirror
-// switching.Stats field names, so event-derived counters and the
-// protocol's own counters can be compared one-to-one.
+// Counter keys are "<layer>/<name>". A switching-layer key that counts
+// a switching.Stats field is "switching/" plus that field's json tag
+// (pinned by switching's TestStatsCountersMatchEvents), so a member's
+// registry counters and its Stats() compare field by field.
 const (
 	KeyTokenPasses       = "switching/token_passes"
 	KeySwitchesCompleted = "switching/switches_completed"

@@ -14,8 +14,8 @@
 // The default recorder is Nop, which is allocation-free: Event is a
 // plain value struct with no pointer fields, so constructing one and
 // passing it to Nop.Record costs a few register moves and no heap
-// traffic. Instrumented hot paths additionally guard per-packet events
-// behind Enabled().
+// traffic. Instrumented hot paths additionally guard high-volume
+// trace-only events behind Enabled().
 package obs
 
 import (
@@ -606,9 +606,9 @@ func FlapSet(at time.Duration, from, to ids.ProcID, period time.Duration, until 
 type Recorder interface {
 	Record(Event)
 	// Enabled reports whether events are consumed at all. Hot paths
-	// that would emit high-volume per-packet events (drops, delays) may
-	// skip constructing them when Enabled is false; low-volume emitters
-	// call Record unconditionally.
+	// that would emit high-volume trace-only events (delays, queue
+	// samples) may skip constructing them when Enabled is false; an
+	// event a counter counts is emitted unconditionally.
 	Enabled() bool
 }
 

@@ -117,7 +117,10 @@ func Ethernet10Mbit(nodes int) Config {
 // as long as it likes, and must copy before writing.
 type Handler func(src ids.ProcID, payload []byte)
 
-// Stats aggregates network-level counters.
+// Stats aggregates network-level counters. Each fault counter is the
+// number of events of one type the network emitted (see counter);
+// Unicasts, Multicasts, Delivered, Duplicated and WireBytes count
+// traffic no event names.
 type Stats struct {
 	Unicasts        uint64
 	Multicasts      uint64
@@ -134,6 +137,35 @@ type Stats struct {
 	LinkFaultSets   uint64
 	SlowNodeSets    uint64
 	FlapSets        uint64
+}
+
+// counter returns the field that counts events of type t, or nil for a
+// type no field counts. It is the one place the event → counter mapping
+// is written.
+func (s *Stats) counter(t obs.EventType) *uint64 {
+	switch t {
+	case obs.EvDrop:
+		return &s.Dropped
+	case obs.EvCorrupt:
+		return &s.Corrupted
+	case obs.EvTruncate:
+		return &s.Truncated
+	case obs.EvGarbage:
+		return &s.GarbageInjected
+	case obs.EvForged:
+		return &s.Forged
+	case obs.EvReplayed:
+		return &s.Replayed
+	case obs.EvSenderSpike:
+		return &s.SenderSpikes
+	case obs.EvLinkFaultSet:
+		return &s.LinkFaultSets
+	case obs.EvSlowNodeSet:
+		return &s.SlowNodeSets
+	case obs.EvFlapSet:
+		return &s.FlapSets
+	}
+	return nil
 }
 
 // linkFault holds the per-directed-link fault overrides layered over
@@ -325,7 +357,7 @@ func (n *Network) Crash(p ids.ProcID) {
 	}
 	n.crashed[p] = true
 	n.egress[p] = egressQueue{}
-	n.rec.Record(obs.Crash(n.sim.Now(), p))
+	n.emit(obs.Crash(n.sim.Now(), p))
 }
 
 // Crashed reports whether p has been crash-stopped.
@@ -343,6 +375,16 @@ func (n *Network) Bind(p ids.ProcID, h Handler) error {
 
 // Stats returns a copy of the counters.
 func (n *Network) Stats() Stats { return n.stats }
+
+// emit counts e in its Stats field, if any, and records it. Every event
+// the network emits goes through here, so each fault counter is the
+// count of its event type in the trace.
+func (n *Network) emit(e obs.Event) {
+	if c := n.stats.counter(e.Type); c != nil {
+		*c++
+	}
+	n.rec.Record(e)
+}
 
 // Nodes returns the group size.
 func (n *Network) Nodes() int { return n.cfg.Nodes }
@@ -385,7 +427,7 @@ func (n *Network) Partition(a, b []ids.ProcID) {
 			n.Block(p, q)
 			n.Block(q, p)
 		}
-		n.rec.Record(obs.Partition(n.sim.Now(), p, len(b)))
+		n.emit(obs.Partition(n.sim.Now(), p, len(b)))
 	}
 }
 
@@ -393,7 +435,7 @@ func (n *Network) Partition(a, b []ids.ProcID) {
 func (n *Network) Heal() {
 	clear(n.blocked)
 	n.nBlocked = 0
-	n.rec.Record(obs.Heal(n.sim.Now()))
+	n.emit(obs.Heal(n.sim.Now()))
 }
 
 // Partitioned reports whether any pairwise block is currently in place.
@@ -410,7 +452,7 @@ func (n *Network) SetFaults(dropProb, dupProb float64, jitter time.Duration) err
 		return err
 	}
 	n.cfg = probe
-	n.rec.Record(obs.FaultSet(n.sim.Now(),
+	n.emit(obs.FaultSet(n.sim.Now(),
 		int64(dropProb*1000), int64(dupProb*1000), jitter))
 	return nil
 }
@@ -426,7 +468,7 @@ func (n *Network) SetCorruption(corruptProb, truncateProb float64) error {
 		return err
 	}
 	n.cfg = probe
-	n.rec.Record(obs.CorruptSet(n.sim.Now(),
+	n.emit(obs.CorruptSet(n.sim.Now(),
 		int64(corruptProb*1000), int64(truncateProb*1000)))
 	return nil
 }
@@ -453,8 +495,7 @@ func (n *Network) SetLinkFaults(from, to ids.ProcID, drop, dup float64, extra ti
 		return fmt.Errorf("simnet: negative link extra delay %v", extra)
 	}
 	n.linkFaults[n.link(from, to)] = linkFault{drop: drop, dup: dup, extra: extra}
-	n.stats.LinkFaultSets++
-	n.rec.Record(obs.LinkFaultSet(n.sim.Now(), from, to,
+	n.emit(obs.LinkFaultSet(n.sim.Now(), from, to,
 		int64(drop*1000), int64(dup*1000), extra))
 	return nil
 }
@@ -472,8 +513,7 @@ func (n *Network) SetSlowNode(p ids.ProcID, factor int) error {
 		return fmt.Errorf("simnet: slow-node factor %d must be at least 1", factor)
 	}
 	n.slowFactor[p] = factor
-	n.stats.SlowNodeSets++
-	n.rec.Record(obs.SlowNodeSet(n.sim.Now(), p, factor))
+	n.emit(obs.SlowNodeSet(n.sim.Now(), p, factor))
 	return nil
 }
 
@@ -498,8 +538,7 @@ func (n *Network) SetFlapping(from, to ids.ProcID, period, until time.Duration) 
 	l := n.link(from, to)
 	n.flapEpoch[l]++
 	epoch := n.flapEpoch[l]
-	n.stats.FlapSets++
-	n.rec.Record(obs.FlapSet(n.sim.Now(), from, to, period, until))
+	n.emit(obs.FlapSet(n.sim.Now(), from, to, period, until))
 	if period == 0 {
 		n.Unblock(from, to)
 		return nil
@@ -535,8 +574,7 @@ func (n *Network) SetSenderSpike(mult int) error {
 	if mult < 1 {
 		return fmt.Errorf("simnet: sender spike multiplier %d must be at least 1", mult)
 	}
-	n.stats.SenderSpikes++
-	n.rec.Record(obs.SenderSpike(n.sim.Now(), mult))
+	n.emit(obs.SenderSpike(n.sim.Now(), mult))
 	return nil
 }
 
@@ -559,7 +597,7 @@ func (n *Network) SampleQueueDepths(every, until time.Duration) error {
 			return
 		}
 		for i := range n.egress {
-			n.rec.Record(obs.QueueDepth(now, ids.ProcID(i), n.egress[i].count))
+			n.emit(obs.QueueDepth(now, ids.ProcID(i), n.egress[i].count))
 		}
 		n.sim.Schedule(now+every, tick)
 	}
@@ -583,8 +621,7 @@ func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 	for i := range buf {
 		buf[i] = byte(rng.Intn(256))
 	}
-	n.stats.GarbageInjected++
-	n.rec.Record(obs.Garbage(n.sim.Now(), dst, src, size))
+	n.emit(obs.Garbage(n.sim.Now(), dst, src, size))
 	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
@@ -606,8 +643,7 @@ func (n *Network) InjectForged(src, dst ids.ProcID, payload []byte) error {
 	}
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	n.stats.Forged++
-	n.rec.Record(obs.Forged(n.sim.Now(), dst, src, len(buf)))
+	n.emit(obs.Forged(n.sim.Now(), dst, src, len(buf)))
 	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
@@ -637,8 +673,7 @@ func (n *Network) InjectReplay(i int) error {
 		return fmt.Errorf("simnet: replay index %d out of range [0,%d)", i, len(n.captured))
 	}
 	f := n.captured[i]
-	n.stats.Replayed++
-	n.rec.Record(obs.Replayed(n.sim.Now(), f.dst, f.src, len(f.payload)))
+	n.emit(obs.Replayed(n.sim.Now(), f.dst, f.src, len(f.payload)))
 	n.scheduleDelivery(f.src, f.dst, f.payload, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
@@ -832,10 +867,7 @@ func (n *Network) Multicast(src ids.ProcID, payload []byte) error {
 // dropSend counts a crashed sender's frame to dst (obs.NoProc for a
 // multicast) as dropped.
 func (n *Network) dropSend(src, dst ids.ProcID) {
-	n.stats.Dropped++
-	if n.rec.Enabled() {
-		n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
-	}
+	n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
 }
 
 // Inject delivers a raw packet to dst appearing to come from src,
@@ -865,18 +897,12 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 	}
 	l := n.link(src, dst)
 	if n.blocked[l] || n.crashed[src] || n.crashed[dst] {
-		n.stats.Dropped++
-		if n.rec.Enabled() {
-			n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
-		}
+		n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
 		return
 	}
 	rng := n.sim.Rand()
 	if n.cfg.DropProb > 0 && rng.Float64() < n.cfg.DropProb {
-		n.stats.Dropped++
-		if n.rec.Enabled() {
-			n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropRandom))
-		}
+		n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropRandom))
 		return
 	}
 	// Per-link overrides (SetLinkFaults) layer over the global knobs.
@@ -884,10 +910,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 	// when its probability is non-zero. An unset link reads the zero value.
 	lf := n.linkFaults[l]
 	if lf.drop > 0 && rng.Float64() < lf.drop {
-		n.stats.Dropped++
-		if n.rec.Enabled() {
-			n.rec.Record(obs.Drop(n.sim.Now(), dst, src, obs.DropRandom))
-		}
+		n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropRandom))
 		return
 	}
 	copies := 1
@@ -908,7 +931,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 			j := time.Duration(rng.Int63n(int64(n.cfg.Jitter)))
 			at += j
 			if n.rec.Enabled() {
-				n.rec.Record(obs.Delay(n.sim.Now(), dst, src, j))
+				n.emit(obs.Delay(n.sim.Now(), dst, src, j))
 			}
 		}
 		buf := payload
@@ -921,18 +944,12 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				bit := rng.Intn(len(buf) * 8)
 				buf[bit/8] ^= 1 << uint(bit%8)
 			}
-			n.stats.Corrupted++
-			if n.rec.Enabled() {
-				n.rec.Record(obs.Corrupt(n.sim.Now(), dst, src, flips))
-			}
+			n.emit(obs.Corrupt(n.sim.Now(), dst, src, flips))
 		}
 		if n.cfg.TruncateProb > 0 && len(buf) > 0 && rng.Float64() < n.cfg.TruncateProb {
 			keep := rng.Intn(len(buf))
 			buf = buf[:keep]
-			n.stats.Truncated++
-			if n.rec.Enabled() {
-				n.rec.Record(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))
-			}
+			n.emit(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))
 		}
 		r := n.newRx(src, dst, buf)
 		n.queue(r, at, r.arriveFn)
