@@ -45,8 +45,8 @@ func TestBatchMaxValidate(t *testing.T) {
 		batchMax int
 		wantErr  string
 	}{
-		{0, ""},   // legacy: batching off
-		{1, ""},   // explicit one-per-write: batching off
+		{0, ""}, // legacy: batching off
+		{1, ""}, // explicit one-per-write: batching off
 		{4, ""},
 		{256, ""}, // ceiling
 		{-1, "batch max"},

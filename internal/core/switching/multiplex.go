@@ -28,7 +28,9 @@ import (
 // protocol.
 type Multiplex struct {
 	down proto.Down
-	ups  map[ids.ChannelID]proto.Up
+	// ups is indexed by channel; a nil entry, or a channel past the end,
+	// is unbound.
+	ups []proto.Up
 	// dropped counts packets for unbound channels.
 	dropped uint64
 	// onMalformed, if set, is told about packets whose channel header
@@ -42,11 +44,14 @@ func NewMultiplex(down proto.Down) (*Multiplex, error) {
 	if down == nil {
 		return nil, fmt.Errorf("switching: multiplex needs a transport")
 	}
-	return &Multiplex{down: down, ups: make(map[ids.ChannelID]proto.Up)}, nil
+	return &Multiplex{down: down}, nil
 }
 
 // Bind attaches the receiver for one channel. Rebinding replaces it.
 func (m *Multiplex) Bind(ch ids.ChannelID, up proto.Up) {
+	if int(ch) >= len(m.ups) {
+		m.ups = append(m.ups, make([]proto.Up, int(ch)+1-len(m.ups))...)
+	}
 	m.ups[ch] = up
 }
 
@@ -65,12 +70,11 @@ func (m *Multiplex) Recv(src ids.ProcID, pkt []byte) {
 		}
 		return
 	}
-	up, ok := m.ups[ch]
-	if !ok {
+	if int(ch) >= len(m.ups) || m.ups[ch] == nil {
 		m.dropped++
 		return
 	}
-	up.Deliver(src, d.Remaining())
+	m.ups[ch].Deliver(src, d.Remaining())
 }
 
 // Port returns the Down endpoint of one channel: everything pushed into

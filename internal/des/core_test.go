@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -128,8 +129,8 @@ func TestResetEqualsStopAfter(t *testing.T) {
 
 // TestResetCompaction is the re-arm counterpart of the stop-heavy test:
 // a wedge timer that is re-armed on every token sighting and (almost)
-// never fires must not grow the queue, and what compaction and popping
-// leave behind in the backing array must hold no callback or handle.
+// never fires must not grow the queue, and every call slot that
+// compaction and popping free must hold no callback or handle.
 func TestResetCompaction(t *testing.T) {
 	s := New(1)
 	s.Schedule(time.Hour, func() {})
@@ -144,22 +145,47 @@ func TestResetCompaction(t *testing.T) {
 			t.Fatalf("queue holds %d entries with 2 live events", len(s.queue))
 		}
 	}
-	spare := s.queue[len(s.queue):cap(s.queue)]
-	for i := range spare {
-		if spare[i].fn != nil || spare[i].t != nil {
-			t.Fatalf("slot %d past the queue still holds a callback or handle", len(s.queue)+i)
-		}
-	}
+	checkFreeSlots(t, s, "after compaction")
 	if err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
 		t.Errorf("re-armed timer fired %d times, want 1", fired)
 	}
-	spare = s.queue[:cap(s.queue)]
-	for i := range spare {
-		if spare[i].fn != nil || spare[i].t != nil {
-			t.Fatalf("drained queue still holds a callback or handle in slot %d", i)
+	if len(s.free) != len(s.calls) {
+		t.Fatalf("drained queue: %d of %d call slots free", len(s.free), len(s.calls))
+	}
+	checkFreeSlots(t, s, "after the queue drained")
+}
+
+// checkFreeSlots fails if a free call slot still holds a callback or
+// handle, or if the free slots and the queued entries' slots do not
+// partition the table.
+func checkFreeSlots(t *testing.T, s *Sim, when string) {
+	t.Helper()
+	if len(s.free)+len(s.queue) != len(s.calls) {
+		t.Fatalf("%s: %d free + %d queued slots, table holds %d", when, len(s.free), len(s.queue), len(s.calls))
+	}
+	for _, slot := range s.free {
+		if c := s.calls[slot]; c.fn != nil || c.t != nil {
+			t.Fatalf("%s: free call slot %d still holds a callback or handle", when, slot)
+		}
+	}
+}
+
+// TestQueueEntryHasNoPointers pins the heap's design: its elements are
+// plain words, so sifting them needs no GC write barrier. A field that can
+// hold a pointer belongs in the call table.
+func TestQueueEntryHasNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Sim{}.queue).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("heap element %v: field %s is a %v, which can hold a pointer", typ, f.Name, f.Type)
 		}
 	}
 }
@@ -207,20 +233,31 @@ type realWorld struct {
 	timers []*Timer
 	rearms map[int]int
 	fired  []firing
+	// highWater is the most entries the queue has held at once.
+	highWater int
 }
+
+// grew notes a queue length the queue reached.
+func (w *realWorld) grew(n int) { w.highWater = max(w.highWater, n) }
 
 func (w *realWorld) now() time.Duration { return w.s.Now() }
 func (w *realWorld) schedule(when time.Duration, tag int) {
 	w.s.Schedule(when, func() { onFire(w, w.rearms, tag, -1, w.record) })
+	w.grew(len(w.s.queue))
 }
 func (w *realWorld) at(when time.Duration, tag int) int {
 	h := len(w.timers)
 	w.timers = append(w.timers, nil)
 	w.timers[h] = w.s.At(when, func() { onFire(w, w.rearms, tag, h, w.record) })
+	w.grew(len(w.s.queue))
 	return h
 }
-func (w *realWorld) stop(h int) bool                 { return w.timers[h].Stop() }
-func (w *realWorld) reset(h int, d time.Duration)    { w.timers[h].Reset(d) }
+func (w *realWorld) stop(h int) bool { return w.timers[h].Stop() }
+func (w *realWorld) reset(h int, d time.Duration) {
+	// Reset pushes the new arm before it may compact.
+	w.grew(len(w.s.queue) + 1)
+	w.timers[h].Reset(d)
+}
 func (w *realWorld) active(h int) bool               { return w.timers[h].Active() }
 func (w *realWorld) pending() int                    { return w.s.Pending() }
 func (w *realWorld) step() bool                      { return w.s.Step() }
@@ -403,6 +440,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		}
 		if compactions == 0 {
 			t.Fatalf("seed %d: the heap never compacted; the script is not stop-heavy enough", seed)
+		}
+		if len(sim.calls) > real.highWater {
+			t.Fatalf("seed %d: call table holds %d slots, queue high-water mark %d: slots are not reused",
+				seed, len(sim.calls), real.highWater)
 		}
 	}
 }

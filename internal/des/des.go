@@ -23,11 +23,17 @@ import (
 // time, which is precisely what makes executions deterministic.
 type Sim struct {
 	now time.Duration
-	// queue is a binary min-heap of event values ordered by (when, id).
-	// Entries are plain structs sifted in place: scheduling boxes nothing
-	// and allocates nothing once the backing array has grown to the
-	// in-flight high-water mark.
-	queue  []event
+	// queue is a binary min-heap of entries ordered by (when, id).
+	// Entries hold no pointer — an entry's callback and handle sit in
+	// calls[slot] — so sifting moves plain words with no GC write
+	// barrier. Scheduling boxes nothing and allocates nothing once queue,
+	// calls and free have grown to the in-flight high-water mark.
+	queue []entry
+	// calls holds each queued entry's callback and handle, indexed by the
+	// entry's slot; free lists the unused slots. A slot is zeroed when it
+	// is freed, so calls keeps nothing reachable that the queue does not.
+	calls  []call
+	free   []int
 	nextID uint64
 	rng    *rand.Rand
 	// executed counts handler invocations, for run-away detection and
@@ -43,24 +49,53 @@ type Sim struct {
 	stopped int
 }
 
-// event is one queue entry. id is the scheduling sequence number: ids are
+// entry is one queue entry. id is the scheduling sequence number: ids are
 // handed out in call order, one per Schedule/At/After/Reset, and break
 // ties between equal timestamps, so (when, id) is a total order and the
-// execution order is a function of the call sequence alone.
-type event struct {
+// execution order is a function of the call sequence alone. slot indexes
+// the entry's call in Sim.calls.
+type entry struct {
 	when time.Duration
 	id   uint64
-	fn   func()
-	// t is the handle the event was armed through, nil for Schedule. The
+	slot int
+}
+
+// call is what a queued entry runs.
+type call struct {
+	fn func()
+	// t is the handle the entry was armed through, nil for Schedule. The
 	// entry is live only while t still points back at it (t.pending and
-	// t.id == id); Stop and Reset kill an entry by breaking that link, not
-	// by searching the heap.
+	// t.id == the entry's id); Stop and Reset kill an entry by breaking
+	// that link, not by searching the heap.
 	t *Timer
 }
 
-// live reports whether the entry should still fire.
-func (e *event) live() bool {
-	return e.t == nil || (e.t.pending && e.t.id == e.id)
+// live reports whether e should still fire.
+func (s *Sim) live(e *entry) bool {
+	t := s.calls[e.slot].t
+	return t == nil || (t.pending && t.id == e.id)
+}
+
+// enqueue stores c in a free slot and pushes its entry.
+func (s *Sim) enqueue(when time.Duration, id uint64, c call) {
+	var slot int
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.calls[slot] = c
+	} else {
+		slot = len(s.calls)
+		s.calls = append(s.calls, c)
+	}
+	s.push(entry{when: when, id: id, slot: slot})
+}
+
+// release takes the call out of slot, zeroes the slot and frees it.
+func (s *Sim) release(slot int) call {
+	c := s.calls[slot]
+	s.calls[slot] = call{}
+	s.free = append(s.free, slot)
+	return c
 }
 
 // New returns a simulator whose random stream is derived from seed.
@@ -141,7 +176,7 @@ func (s *Sim) Schedule(when time.Duration, fn func()) {
 	if when < s.now {
 		when = s.now
 	}
-	s.push(event{when: when, id: s.nextID, fn: fn})
+	s.enqueue(when, s.nextID, call{fn: fn})
 	s.nextID++
 }
 
@@ -168,7 +203,7 @@ func (s *Sim) arm(t *Timer, when time.Duration) {
 	}
 	t.when, t.id, t.pending = when, s.nextID, true
 	s.nextID++
-	s.push(event{when: when, id: t.id, fn: t.fn, t: t})
+	s.enqueue(when, t.id, call{fn: t.fn, t: t})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -189,11 +224,12 @@ func (s *Sim) compact() {
 	}
 	live := s.queue[:0]
 	for i := range s.queue {
-		if s.queue[i].live() {
+		if s.live(&s.queue[i]) {
 			live = append(live, s.queue[i])
+		} else {
+			s.release(s.queue[i].slot)
 		}
 	}
-	clear(s.queue[len(live):])
 	s.queue = live
 	for i := len(live)/2 - 1; i >= 0; i-- {
 		s.siftDown(i, live[i])
@@ -218,8 +254,9 @@ const yieldEvery = 1024
 func (s *Sim) Step() bool {
 	for len(s.queue) > 0 {
 		e := s.pop()
-		if t := e.t; t != nil {
-			if !e.live() {
+		c := s.release(e.slot)
+		if t := c.t; t != nil {
+			if !t.pending || t.id != e.id {
 				s.stopped--
 				continue
 			}
@@ -230,7 +267,7 @@ func (s *Sim) Step() bool {
 		if s.executed%yieldEvery == 0 {
 			runtime.Gosched()
 		}
-		e.fn()
+		c.fn()
 		return true
 	}
 	return false
@@ -272,10 +309,10 @@ func (s *Sim) Pending() int {
 // peek returns the timestamp of the next live event.
 func (s *Sim) peek() (time.Duration, bool) {
 	for len(s.queue) > 0 {
-		if e := &s.queue[0]; e.live() {
+		if e := &s.queue[0]; s.live(e) {
 			return e.when, true
 		}
-		s.pop()
+		s.release(s.pop().slot)
 		s.stopped--
 	}
 	return 0, false
@@ -283,7 +320,7 @@ func (s *Sim) peek() (time.Duration, bool) {
 
 // less orders entries by (when, id) so simultaneous events fire in
 // scheduling order.
-func less(a, b *event) bool {
+func less(a, b *entry) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -292,8 +329,8 @@ func less(a, b *event) bool {
 
 // push adds e to the heap: the hole opened at the end climbs until e's
 // parent sorts before it, so each level costs one move instead of a swap.
-func (s *Sim) push(e event) {
-	s.queue = append(s.queue, event{})
+func (s *Sim) push(e entry) {
+	s.queue = append(s.queue, entry{})
 	q := s.queue
 	i := len(q) - 1
 	for i > 0 {
@@ -307,14 +344,13 @@ func (s *Sim) push(e event) {
 	q[i] = e
 }
 
-// pop removes and returns the earliest entry. The vacated tail slot is
-// zeroed so the backing array keeps no callback or handle reachable.
-func (s *Sim) pop() event {
+// pop removes and returns the earliest entry; the caller releases its
+// slot.
+func (s *Sim) pop() entry {
 	q := s.queue
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{}
 	s.queue = q[:n]
 	if n > 0 {
 		s.siftDown(0, last)
@@ -324,7 +360,7 @@ func (s *Sim) pop() event {
 
 // siftDown places e at or below index i: the hole sinks past every child
 // that sorts before e.
-func (s *Sim) siftDown(i int, e event) {
+func (s *Sim) siftDown(i int, e entry) {
 	q := s.queue
 	n := len(q)
 	for {

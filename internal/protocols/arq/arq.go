@@ -64,13 +64,13 @@ type common struct {
 	// ackDelay > 0 defers cumulative acks (see DelayAcks): a burst of
 	// data frames is answered by one coalesced ack instead of one each.
 	ackDelay time.Duration
-	env     proto.Env
-	down    proto.Down
-	up      proto.Up
-	out     map[ids.ProcID]*outState
-	in      map[ids.ProcID]*inState
-	stopped bool
-	stats   Stats
+	env      proto.Env
+	down     proto.Down
+	up       proto.Up
+	out      map[ids.ProcID]*outState
+	in       map[ids.ProcID]*inState
+	stopped  bool
+	stats    Stats
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
 	malformed uint64

@@ -59,8 +59,10 @@ type Detector struct {
 	env  proto.Env
 	down proto.Down
 
-	lastSeen  map[ids.ProcID]time.Duration
-	suspected map[ids.ProcID]bool
+	// lastSeen and suspected are indexed by ProcID and sized at Init to
+	// cover every member.
+	lastSeen  []time.Duration
+	suspected []bool
 
 	timers  []proto.Timer
 	stopped bool
@@ -68,11 +70,7 @@ type Detector struct {
 
 // New creates a detector.
 func New(cfg Config) *Detector {
-	return &Detector{
-		cfg:       cfg.withDefaults(),
-		lastSeen:  make(map[ids.ProcID]time.Duration),
-		suspected: make(map[ids.ProcID]bool),
-	}
+	return &Detector{cfg: cfg.withDefaults()}
 }
 
 // Init wires the detector to its channel and starts heartbeating.
@@ -81,8 +79,14 @@ func (d *Detector) Init(env proto.Env, down proto.Down) error {
 		return fmt.Errorf("fd: nil wiring")
 	}
 	d.env, d.down = env, down
+	members := env.Members()
+	size := 0
+	for _, p := range members {
+		size = max(size, int(p)+1)
+	}
+	d.lastSeen, d.suspected = make([]time.Duration, size), make([]bool, size)
 	// Everyone starts un-suspected with a fresh grace period.
-	for _, p := range env.Members() {
+	for _, p := range members {
 		d.lastSeen[p] = env.Now()
 	}
 	d.tick(d.cfg.Interval, d.beat)
@@ -121,11 +125,13 @@ func (d *Detector) Recv(src ids.ProcID, _ []byte) {
 	if d.stopped {
 		return
 	}
-	d.lastSeen[src] = d.env.Now()
-	if d.suspected[src] {
-		delete(d.suspected, src)
-		if d.cfg.OnRestore != nil {
-			d.cfg.OnRestore(src)
+	if d.member(src) {
+		d.lastSeen[src] = d.env.Now()
+		if d.suspected[src] {
+			d.suspected[src] = false
+			if d.cfg.OnRestore != nil {
+				d.cfg.OnRestore(src)
+			}
 		}
 	}
 	if d.cfg.OnHeartbeat != nil {
@@ -133,18 +139,22 @@ func (d *Detector) Recv(src ids.ProcID, _ []byte) {
 	}
 }
 
+// member reports whether p has an entry in the detector's tables.
+func (d *Detector) member(p ids.ProcID) bool { return uint(p) < uint(len(d.suspected)) }
+
 // Suspected reports whether p is currently suspected.
-func (d *Detector) Suspected(p ids.ProcID) bool { return d.suspected[p] }
+func (d *Detector) Suspected(p ids.ProcID) bool { return d.member(p) && d.suspected[p] }
 
 // ForceSuspect marks p suspected immediately, without waiting for its
 // heartbeats to lapse — the hook the switching layer's quarantine uses
 // when a peer's traffic is persistently malformed. Self cannot be
-// suspected. The suspicion is withdrawn like any other when a heartbeat
-// arrives, so a transiently-noisy link does not evict a member forever;
-// its timestamp is rewound so a quiet peer lapses again on the next
-// check rather than re-earning the full grace period.
+// suspected, and neither can a non-member. The suspicion is withdrawn
+// like any other when a heartbeat arrives, so a transiently-noisy link
+// does not evict a member forever; its timestamp is rewound so a quiet
+// peer lapses again on the next check rather than re-earning the full
+// grace period.
 func (d *Detector) ForceSuspect(p ids.ProcID) {
-	if d.stopped || d.env == nil || p == d.env.Self() || d.suspected[p] {
+	if d.stopped || d.env == nil || p == d.env.Self() || !d.member(p) || d.suspected[p] {
 		return
 	}
 	d.suspected[p] = true

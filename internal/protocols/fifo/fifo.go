@@ -94,27 +94,17 @@ type Layer struct {
 	env  proto.Env
 	down proto.Down
 	up   proto.Up
-	// members caches the ring order at Init (Env.Members copies on
-	// every call — too hot for the periodic ticks).
+	// members caches the ring order at Init: the periodic ticks walk it
+	// on every firing. (simenv and ptest.FakeEnv return one shared slice
+	// from Env.Members, but the goroutine runtime copies on every call.)
 	members []ids.ProcID
 
-	// Outgoing multicast stream.
-	castSeq  uint64            // next seq to assign
-	castOut  map[uint64][]byte // unacked sent casts [castBase, castSeq), for repair
-	castBase uint64            // lowest seq not yet reclaimed by onAck
-	// Outgoing unicast streams, per destination.
-	sendSeq map[ids.ProcID]uint64
-	sendOut map[ids.ProcID]map[uint64][]byte
-
-	// Incoming streams, per peer.
-	castIn map[ids.ProcID]*reorderBuf
-	sendIn map[ids.ProcID]*reorderBuf
-
-	// Cumulative acks received, per peer, for GC of castOut.
-	castAcked map[ids.ProcID]uint64
-	// Cumulative acks sent, per peer: what ackTick last told the peer,
-	// and whether the peer has heartbeated since.
-	acksOut map[ids.ProcID]ackMark
+	// castOut is the outgoing multicast stream: the unacked casts, kept
+	// for repair, and the next seq to assign.
+	castOut retransmitRing
+	// peers holds the per-peer state, indexed by ProcID and sized at Init
+	// to cover every member. A packet from outside it is malformed.
+	peers []peer
 
 	// castQueue holds casts awaiting flow-control window space.
 	castQueue [][]byte
@@ -131,15 +121,68 @@ var _ proto.Layer = (*Layer)(nil)
 
 // New creates a fifo layer.
 func New(cfg Config) *Layer {
-	return &Layer{
-		cfg:       cfg.withDefaults(),
-		castOut:   make(map[uint64][]byte),
-		sendSeq:   make(map[ids.ProcID]uint64),
-		sendOut:   make(map[ids.ProcID]map[uint64][]byte),
-		castIn:    make(map[ids.ProcID]*reorderBuf),
-		sendIn:    make(map[ids.ProcID]*reorderBuf),
-		castAcked: make(map[ids.ProcID]uint64),
-		acksOut:   make(map[ids.ProcID]ackMark),
+	return &Layer{cfg: cfg.withDefaults()}
+}
+
+// peer is everything one process keeps about one peer. The zero value is
+// a peer nothing has been exchanged with: its incoming streams expect
+// seq 0 and have no gaps.
+type peer struct {
+	// castIn and sendIn reassemble the peer's multicast stream and its
+	// unicast stream to this process.
+	castIn, sendIn reorderBuf
+	// sendOut is the unicast stream to the peer.
+	sendOut retransmitRing
+	// castAcked is the peer's latest cumulative ack of castOut.
+	castAcked uint64
+	// acked is what ackTick last told the peer, and whether the peer has
+	// heartbeated since.
+	acked ackMark
+}
+
+// retransmitRing is one outgoing stream's retransmission buffer. It holds
+// the packets of seqs [base, base+n) — those sent and not yet acked — in
+// a power-of-two slice indexed by seq, reused as acks free it. base+n is
+// the next seq to assign.
+type retransmitRing struct {
+	buf  [][]byte
+	base uint64
+	n    int
+}
+
+// next returns the next seq to assign.
+func (r *retransmitRing) next() uint64 { return r.base + uint64(r.n) }
+
+// add retains pkt under seq next().
+func (r *retransmitRing) add(pkt []byte) {
+	if r.n == len(r.buf) {
+		grown := make([][]byte, max(8, 2*len(r.buf)))
+		for seq := r.base; seq < r.next(); seq++ {
+			grown[seq&uint64(len(grown)-1)] = r.at(seq)
+		}
+		r.buf = grown
+	}
+	r.buf[r.next()&uint64(len(r.buf)-1)] = pkt
+	r.n++
+}
+
+// at returns the packet retained under seq, which must be held.
+func (r *retransmitRing) at(seq uint64) []byte { return r.buf[seq&uint64(len(r.buf)-1)] }
+
+// get returns the packet retained under seq, or nil if it was released or
+// never sent.
+func (r *retransmitRing) get(seq uint64) []byte {
+	if seq < r.base || seq >= r.next() {
+		return nil
+	}
+	return r.at(seq)
+}
+
+// release drops every packet below seq, clearing its slot.
+func (r *retransmitRing) release(seq uint64) {
+	for ; r.n > 0 && r.base < seq; r.base++ {
+		r.buf[r.base&uint64(len(r.buf)-1)] = nil
+		r.n--
 	}
 }
 
@@ -182,6 +225,11 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 	}
 	l.env, l.down, l.up = env, down, up
 	l.members = env.Members()
+	size := 0
+	for _, m := range l.members {
+		size = max(size, int(m)+1)
+	}
+	l.peers = make([]peer, size)
 	l.scheduleTick(l.cfg.ResendInterval, l.resendTick)
 	l.scheduleTick(l.cfg.AckInterval, l.ackTick)
 	l.scheduleTick(l.cfg.HeartbeatInterval, l.heartbeatTick)
@@ -220,7 +268,7 @@ func (l *Layer) Stats() Stats { return l.stats }
 // Cast implements proto.Layer: reliable FIFO multicast, subject to the
 // flow-control window.
 func (l *Layer) Cast(payload []byte) error {
-	if l.cfg.CastWindow > 0 && len(l.castOut) >= l.cfg.CastWindow {
+	if l.cfg.CastWindow > 0 && l.castOut.n >= l.cfg.CastWindow {
 		buf := make([]byte, len(payload))
 		copy(buf, payload)
 		l.castQueue = append(l.castQueue, buf)
@@ -231,10 +279,8 @@ func (l *Layer) Cast(payload []byte) error {
 }
 
 func (l *Layer) castNow(payload []byte) error {
-	seq := l.castSeq
-	l.castSeq++
-	pkt := encodeData(kindCast, seq, payload)
-	l.castOut[seq] = pkt
+	pkt := encodeData(kindCast, l.castOut.next(), payload)
+	l.castOut.add(pkt)
 	l.stats.CastsSent++
 	return l.down.Cast(pkt)
 }
@@ -242,7 +288,7 @@ func (l *Layer) castNow(payload []byte) error {
 // drainCastQueue sends queued casts as window space frees up.
 func (l *Layer) drainCastQueue() {
 	for len(l.castQueue) > 0 {
-		if l.cfg.CastWindow > 0 && len(l.castOut) >= l.cfg.CastWindow {
+		if l.cfg.CastWindow > 0 && l.castOut.n >= l.cfg.CastWindow {
 			return
 		}
 		payload := l.castQueue[0]
@@ -254,17 +300,14 @@ func (l *Layer) drainCastQueue() {
 // QueuedCasts returns the number of casts waiting for window space.
 func (l *Layer) QueuedCasts() int { return len(l.castQueue) }
 
-// Send implements proto.Layer: reliable FIFO unicast.
+// Send implements proto.Layer: reliable FIFO unicast to a member.
 func (l *Layer) Send(dst ids.ProcID, payload []byte) error {
-	seq := l.sendSeq[dst]
-	l.sendSeq[dst] = seq + 1
-	pkt := encodeData(kindSend, seq, payload)
-	out := l.sendOut[dst]
-	if out == nil {
-		out = make(map[uint64][]byte)
-		l.sendOut[dst] = out
+	p := l.peer(dst)
+	if p == nil {
+		return fmt.Errorf("fifo: send to non-member %v", dst)
 	}
-	out[seq] = pkt
+	pkt := encodeData(kindSend, p.sendOut.next(), payload)
+	p.sendOut.add(pkt)
 	l.stats.SendsSent++
 	return l.down.Send(dst, pkt)
 }
@@ -281,6 +324,11 @@ func encodeData(kind uint8, seq uint64, payload []byte) []byte {
 
 // Recv implements proto.Layer.
 func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
+	p := l.peer(src)
+	if p == nil {
+		l.malformed++
+		return
+	}
 	d := wire.NewDecoder(pkt)
 	kind := d.U8()
 	switch kind {
@@ -290,14 +338,14 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 			l.malformed++
 			return
 		}
-		l.onData(l.streamIn(l.castIn, src), src, seq, d.Remaining())
+		l.onData(&p.castIn, src, kindCast, seq, d.Remaining())
 	case kindSend:
 		seq := d.Uvarint()
 		if d.Err() != nil {
 			l.malformed++
 			return
 		}
-		l.onData(l.streamIn(l.sendIn, src), src, seq, d.Remaining())
+		l.onData(&p.sendIn, src, kindSend, seq, d.Remaining())
 	case kindNack:
 		stream := d.U8()
 		seq := d.Uvarint()
@@ -305,7 +353,7 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 			l.malformed++
 			return
 		}
-		l.onNack(src, stream, seq)
+		l.onNack(src, p, stream, seq)
 	case kindAck:
 		castNext := d.Uvarint()
 		sendNext := d.Uvarint()
@@ -313,7 +361,7 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 			l.malformed++
 			return
 		}
-		l.onAck(src, castNext, sendNext)
+		l.onAck(p, castNext, sendNext)
 	case kindHeartbeat:
 		stream := d.U8()
 		next := d.Uvarint()
@@ -321,29 +369,29 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 			l.malformed++
 			return
 		}
-		l.onHeartbeat(src, stream, next)
+		l.onHeartbeat(src, p, stream, next)
 	default:
 		l.malformed++
 	}
 }
 
 // MalformedDropped returns how many packets the defensive ingress
-// rejected (decode failure or unknown kind).
+// rejected (non-member source, decode failure or unknown kind).
 func (l *Layer) MalformedDropped() uint64 { return l.malformed }
 
-func (l *Layer) streamIn(m map[ids.ProcID]*reorderBuf, src ids.ProcID) *reorderBuf {
-	r := m[src]
-	if r == nil {
-		r = new(reorderBuf)
-		m[src] = r
+// peer returns id's entry in the peer table, or nil if id is not in it.
+func (l *Layer) peer(id ids.ProcID) *peer {
+	if uint(id) >= uint(len(l.peers)) {
+		return nil
 	}
-	return r
+	return &l.peers[id]
 }
 
-// onData takes an arrival and delivers any in-order run it completes. A
-// seq absurdly far ahead (proto.MaxSeqAhead: adversarial or corrupted) is
-// dropped as malformed before any state mutation.
-func (l *Layer) onData(r *reorderBuf, src ids.ProcID, seq uint64, payload []byte) {
+// onData takes an arrival on src's stream r (of kind stream) and delivers
+// any in-order run it completes. A seq absurdly far ahead
+// (proto.MaxSeqAhead: adversarial or corrupted) is dropped as malformed
+// before any state mutation.
+func (l *Layer) onData(r *reorderBuf, src ids.ProcID, stream uint8, seq uint64, payload []byte) {
 	switch r.Push(seq, payload, func(p []byte) { l.up.Deliver(src, p) }) {
 	case proto.Duplicate:
 		l.stats.DupsSuppressed++
@@ -356,16 +404,13 @@ func (l *Layer) onData(r *reorderBuf, src ids.ProcID, seq uint64, payload []byte
 	// Immediate gap repair: if this arrival exposed a hole, ask now
 	// rather than waiting for the resend tick.
 	if r.Pending() > 0 {
-		l.requestRepairs(src, r)
+		l.requestRepairs(src, stream, r)
 	}
 }
 
-// requestRepairs NACKs every missing seq of one peer's streams.
-func (l *Layer) requestRepairs(src ids.ProcID, r *reorderBuf) {
-	stream := kindCast
-	if r == l.sendIn[src] {
-		stream = kindSend
-	}
+// requestRepairs NACKs every missing seq of src's stream r, of kind
+// stream.
+func (l *Layer) requestRepairs(src ids.ProcID, stream uint8, r *reorderBuf) {
 	for _, seq := range r.gaps() {
 		e := wire.GetEncoder()
 		e.U8(kindNack).U8(stream).Uvarint(seq)
@@ -377,13 +422,13 @@ func (l *Layer) requestRepairs(src ids.ProcID, r *reorderBuf) {
 }
 
 // onNack retransmits the requested packet to the requester.
-func (l *Layer) onNack(src ids.ProcID, stream uint8, seq uint64) {
+func (l *Layer) onNack(src ids.ProcID, p *peer, stream uint8, seq uint64) {
 	var pkt []byte
 	switch stream {
 	case kindCast:
-		pkt = l.castOut[seq]
+		pkt = l.castOut.get(seq)
 	case kindSend:
-		pkt = l.sendOut[src][seq]
+		pkt = p.sendOut.get(seq)
 	}
 	if pkt == nil {
 		return // GCed or never existed
@@ -392,55 +437,33 @@ func (l *Layer) onNack(src ids.ProcID, stream uint8, seq uint64) {
 	_ = l.down.Send(src, pkt)
 }
 
-// onAck garbage-collects acknowledged packets.
-func (l *Layer) onAck(src ids.ProcID, castNext, sendNext uint64) {
-	if castNext > l.castAcked[src] {
-		l.castAcked[src] = castNext
-	}
+// onAck garbage-collects the packets peer p acknowledged.
+func (l *Layer) onAck(p *peer, castNext, sendNext uint64) {
+	p.castAcked = max(p.castAcked, castNext)
 	// A cast packet is reclaimable once every member — including this
 	// process's own loopback stream, whose delivery can also be lost —
 	// has progressed past it.
-	min := l.castSeq
-	if r := l.castIn[l.env.Self()]; r != nil {
-		if r.Next() < min {
-			min = r.Next()
-		}
-	} else if min > 0 {
-		min = 0
-	}
+	self := l.env.Self()
+	acked := min(l.castOut.next(), l.peers[self].castIn.Next())
 	for _, m := range l.members {
-		if m == l.env.Self() {
-			continue
-		}
-		if l.castAcked[m] < min {
-			min = l.castAcked[m]
+		if m != self {
+			acked = min(acked, l.peers[m].castAcked)
 		}
 	}
-	for ; l.castBase < min; l.castBase++ {
-		delete(l.castOut, l.castBase)
-	}
-	for seq := range l.sendOut[src] {
-		if seq < sendNext {
-			delete(l.sendOut[src], seq)
-		}
-	}
+	l.castOut.release(acked)
+	p.sendOut.release(sendNext)
 	l.drainCastQueue()
 }
 
 // onHeartbeat learns the sender's stream horizon and repairs tail loss.
 // stream says which of the peer's streams the horizon describes.
-func (l *Layer) onHeartbeat(src ids.ProcID, stream uint8, next uint64) {
+func (l *Layer) onHeartbeat(src ids.ProcID, p *peer, stream uint8, next uint64) {
 	if next == 0 {
 		return
 	}
-	var r *reorderBuf
-	switch stream {
-	case kindCast:
-		r = l.streamIn(l.castIn, src)
-	case kindSend:
-		r = l.streamIn(l.sendIn, src)
-	default:
-		return
+	r := &p.castIn
+	if stream == kindSend {
+		r = &p.sendIn
 	}
 	top := next - 1
 	if top > r.Next()+proto.MaxSeqAhead {
@@ -450,25 +473,18 @@ func (l *Layer) onHeartbeat(src ids.ProcID, stream uint8, next uint64) {
 	r.sawSeq(top)
 	// The sender still holds unacked data: answer on the next ack tick
 	// even if the ack repeats one it may have lost.
-	m := l.acksOut[src]
-	m.solicited = true
-	l.acksOut[src] = m
-	if len(r.gaps()) > 0 {
-		l.requestRepairs(src, r)
-	}
+	p.acked.solicited = true
+	l.requestRepairs(src, stream, r)
 }
 
 // resendTick re-requests all outstanding gaps (NACKs may be lost too).
-// Peers are visited in ring order: map iteration order would vary run to
-// run, desynchronizing the network's seeded fault stream.
+// Peers are visited in ring order, so the NACKs go out in the same order
+// on every run and the network's seeded fault stream stays in step.
 func (l *Layer) resendTick() {
 	for _, src := range l.members {
-		if r := l.castIn[src]; r != nil && len(r.gaps()) > 0 {
-			l.requestRepairs(src, r)
-		}
-		if r := l.sendIn[src]; r != nil && len(r.gaps()) > 0 {
-			l.requestRepairs(src, r)
-		}
+		p := &l.peers[src]
+		l.requestRepairs(src, kindCast, &p.castIn)
+		l.requestRepairs(src, kindSend, &p.sendIn)
 	}
 }
 
@@ -476,24 +492,20 @@ func (l *Layer) resendTick() {
 // or that asked for one (Config.AckInterval), in ring order (determinism,
 // as in resendTick).
 func (l *Layer) ackTick() {
-	for _, p := range l.members {
-		if p == l.env.Self() {
+	self := l.env.Self()
+	for _, id := range l.members {
+		if id == self {
 			continue
 		}
-		var m ackMark
-		if r := l.castIn[p]; r != nil {
-			m.castNext = r.Next()
-		}
-		if r := l.sendIn[p]; r != nil {
-			m.sendNext = r.Next()
-		}
-		if l.acksOut[p] == m {
+		p := &l.peers[id]
+		m := ackMark{castNext: p.castIn.Next(), sendNext: p.sendIn.Next()}
+		if p.acked == m {
 			continue // nothing new, and not asked for
 		}
-		l.acksOut[p] = m
+		p.acked = m
 		e := wire.GetEncoder()
 		e.U8(kindAck).Uvarint(m.castNext).Uvarint(m.sendNext)
-		_ = l.down.Send(p, e.Bytes())
+		_ = l.down.Send(id, e.Bytes())
 		wire.PutEncoder(e)
 	}
 }
@@ -501,18 +513,19 @@ func (l *Layer) ackTick() {
 // heartbeatTick announces stream horizons while data is unacked, so
 // receivers can detect tail loss on both multicast and unicast streams.
 func (l *Layer) heartbeatTick() {
-	if len(l.castOut) > 0 {
+	if l.castOut.n > 0 {
 		e := wire.GetEncoder()
-		e.U8(kindHeartbeat).U8(kindCast).Uvarint(l.castSeq)
+		e.U8(kindHeartbeat).U8(kindCast).Uvarint(l.castOut.next())
 		_ = l.down.Cast(e.Bytes())
 		wire.PutEncoder(e)
 	}
 	for _, dst := range l.members {
-		if len(l.sendOut[dst]) == 0 {
+		out := &l.peers[dst].sendOut
+		if out.n == 0 {
 			continue
 		}
 		e := wire.GetEncoder()
-		e.U8(kindHeartbeat).U8(kindSend).Uvarint(l.sendSeq[dst])
+		e.U8(kindHeartbeat).U8(kindSend).Uvarint(out.next())
 		_ = l.down.Send(dst, e.Bytes())
 		wire.PutEncoder(e)
 	}

@@ -1,7 +1,9 @@
 package fifo
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -194,7 +196,7 @@ func TestGarbageCollection(t *testing.T) {
 	}
 	c.Run(2 * time.Second)
 	sender := layers[0]
-	if n := len(sender.castOut); n != 0 {
+	if n := sender.castOut.n; n != 0 {
 		t.Errorf("castOut retained %d packets after acks; GC failed", n)
 	}
 }
@@ -269,7 +271,7 @@ func TestIdleStreamIsNotReacked(t *testing.T) {
 	if got := c.Bodies(1); len(got) != 1 {
 		t.Fatalf("receiver delivered %v", got)
 	}
-	if n := len(layers[0].castOut); n != 0 {
+	if n := layers[0].castOut.n; n != 0 {
 		t.Errorf("castOut retained %d packets", n)
 	}
 	// One tick per 10 ms would be ~100 acks.
@@ -289,13 +291,13 @@ func TestHeartbeatSolicitsLostAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(100 * time.Millisecond)
-	if taps[1].acks == 0 || len(layers[0].castOut) == 0 {
+	if taps[1].acks == 0 || layers[0].castOut.n == 0 {
 		t.Fatalf("set-up: %d acks sent, %d casts held; want acks lost and the cast held",
-			taps[1].acks, len(layers[0].castOut))
+			taps[1].acks, layers[0].castOut.n)
 	}
 	c.Net.Unblock(1, 0)
 	c.Run(time.Second)
-	if n := len(layers[0].castOut); n != 0 {
+	if n := layers[0].castOut.n; n != 0 {
 		t.Errorf("castOut retained %d packets after the link healed; lost ack never re-sent", n)
 	}
 }
@@ -545,5 +547,177 @@ func TestInOrderRecvAllocs(t *testing.T) {
 	// encodeData's own buffer is the one allocation.
 	if got != 1 || delivered != 1001 {
 		t.Errorf("an in-order Recv allocates %v beside its packet (delivered %d), want 0", got-1, delivered)
+	}
+}
+
+// TestRetransmitRing: the ring returns every held packet by seq across
+// growth and wrap-around, nothing outside [base, next), and a released
+// packet's slot no longer references it.
+func TestRetransmitRing(t *testing.T) {
+	var r retransmitRing
+	pkt := func(seq uint64) []byte { return []byte(fmt.Sprint(seq)) }
+	released := uint64(0)
+	for seq := uint64(0); seq < 100; seq++ {
+		if r.next() != seq {
+			t.Fatalf("next seq = %d, want %d", r.next(), seq)
+		}
+		r.add(pkt(seq))
+		if seq%7 == 6 {
+			released = seq - 3
+			r.release(released)
+		}
+		for s := uint64(0); s <= seq+1; s++ {
+			got := r.get(s)
+			if held := s >= released && s <= seq; held != (got != nil) || held && string(got) != string(pkt(s)) {
+				t.Fatalf("after add %d, release below %d: get(%d) = %q", seq, released, s, got)
+			}
+		}
+	}
+	if len(r.buf)&(len(r.buf)-1) != 0 {
+		t.Errorf("ring length %d is not a power of two", len(r.buf))
+	}
+	r.release(r.next() + 5) // an ack past the stream's end frees what is held
+	if r.n != 0 || r.next() != 100 {
+		t.Fatalf("after releasing all: %d held, next %d; want 0, 100", r.n, r.next())
+	}
+	for i, p := range r.buf {
+		if p != nil {
+			t.Fatalf("slot %d still holds %q after every packet was released", i, p)
+		}
+	}
+}
+
+// TestAckedPacketsAreNotRetained: once every packet is acked, no slot of
+// the multicast ring or of any unicast ring still references one.
+func TestAckedPacketsAreNotRetained(t *testing.T) {
+	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
+	c, layers, _ := tappedCluster(t, 1, cfg, 3, Config{AckInterval: 10 * time.Millisecond})
+	for i := 0; i < 20; i++ {
+		if err := c.Cast(0, []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Members[0].Stack.Send(ids.ProcID(1+i%2), []byte("s")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(time.Second)
+	sender := layers[0]
+	rings := map[string]*retransmitRing{"castOut": &sender.castOut}
+	for p := range sender.peers {
+		rings[fmt.Sprintf("sendOut[%d]", p)] = &sender.peers[p].sendOut
+	}
+	for name, r := range rings {
+		if r.n != 0 {
+			t.Errorf("%s holds %d packets after the acks", name, r.n)
+		}
+		for i, p := range r.buf {
+			if p != nil {
+				t.Errorf("%s slot %d still references a released packet", name, i)
+			}
+		}
+	}
+	if len(sender.castOut.buf) == 0 || len(sender.peers[1].sendOut.buf) == 0 {
+		t.Error("set-up: the rings never held a packet")
+	}
+}
+
+// TestNonMemberSource: a packet from outside the peer table is counted as
+// malformed and creates no state; a send to a non-member is an error.
+func TestNonMemberSource(t *testing.T) {
+	l := New(Config{})
+	up := &ptest.RecordUp{}
+	down := &ptest.RecordDown{}
+	if err := l.Init(ptest.NewFakeEnv(0, 3), down, up); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []ids.ProcID{3, 99, ids.Nobody} {
+		l.Recv(src, encodeData(kindCast, 0, []byte("x")))
+		l.Recv(src, []byte{kindHeartbeat, kindCast, 5})
+	}
+	if got := l.MalformedDropped(); got != 6 {
+		t.Errorf("MalformedDropped = %d, want 6", got)
+	}
+	if len(up.Deliveries) != 0 || len(down.Casts)+len(down.Sends) != 0 {
+		t.Errorf("non-member packets produced %d deliveries and %d frames",
+			len(up.Deliveries), len(down.Casts)+len(down.Sends))
+	}
+	if len(l.peers) != 3 {
+		t.Fatalf("peer table grew to %d entries", len(l.peers))
+	}
+	for p := range l.peers {
+		if !reflect.DeepEqual(l.peers[p], peer{}) {
+			t.Errorf("peer %d has state after non-member traffic: %+v", p, l.peers[p])
+		}
+	}
+	if err := l.Send(3, []byte("x")); err == nil {
+		t.Error("Send to a non-member succeeded")
+	}
+}
+
+// idleLayer returns member 0 of a 10-member group after it has received
+// one cast from every peer and acked it: every stream is in order and
+// every ack is up to date.
+func idleLayer(tb testing.TB) (*Layer, *ptest.RecordDown) {
+	tb.Helper()
+	l := New(Config{})
+	down := &ptest.RecordDown{}
+	if err := l.Init(ptest.NewFakeEnv(0, 10), down, proto.UpFunc(func(ids.ProcID, []byte) {})); err != nil {
+		tb.Fatal(err)
+	}
+	for p := ids.ProcID(1); p < 10; p++ {
+		l.Recv(p, encodeData(kindCast, 0, []byte("x")))
+	}
+	l.ackTick()
+	if len(down.Sends) != 9 {
+		tb.Fatalf("set-up: the first ack tick sent %d acks, want 9", len(down.Sends))
+	}
+	return l, down
+}
+
+// TestIdleTickAllocs: on an idle 10-member layer the resend, ack and
+// heartbeat ticks send nothing and allocate nothing.
+func TestIdleTickAllocs(t *testing.T) {
+	l, down := idleLayer(t)
+	sent := len(down.Casts) + len(down.Sends)
+	if n := testing.AllocsPerRun(1000, func() {
+		l.resendTick()
+		l.ackTick()
+		l.heartbeatTick()
+	}); n != 0 {
+		t.Errorf("idle ticks allocate %v per run, want 0", n)
+	}
+	if got := len(down.Casts) + len(down.Sends); got != sent {
+		t.Errorf("idle ticks sent %d frames", got-sent)
+	}
+}
+
+// BenchmarkIdleTicks is one firing of each periodic tick on an idle
+// 10-member layer.
+func BenchmarkIdleTicks(b *testing.B) {
+	l, _ := idleLayer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.resendTick()
+		l.ackTick()
+		l.heartbeatTick()
+	}
+}
+
+// BenchmarkInOrderRecv is one in-order data packet, from Recv to the
+// layer above, with the sender rotating over nine peers.
+func BenchmarkInOrderRecv(b *testing.B) {
+	l := New(Config{})
+	if err := l.Init(ptest.NewFakeEnv(0, 10), &ptest.RecordDown{}, proto.UpFunc(func(ids.ProcID, []byte) {})); err != nil {
+		b.Fatal(err)
+	}
+	var pkt []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The layer delivers an in-order packet at once and keeps none of
+		// it, so one buffer serves every iteration.
+		pkt = append(binary.AppendUvarint(append(pkt[:0], kindCast), uint64(i/9)), "hello"...)
+		l.Recv(ids.ProcID(1+i%9), pkt)
 	}
 }
