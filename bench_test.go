@@ -7,7 +7,6 @@
 //
 // Mapping to DESIGN.md §4:
 //
-//	E1  BenchmarkTable1Properties
 //	E2  BenchmarkTable2Matrix
 //	E3  BenchmarkFigure2Sequencer / BenchmarkFigure2Token / BenchmarkFigure2Hybrid
 //	E4  the crossover is asserted in BenchmarkFigure2Crossover
@@ -20,7 +19,6 @@ package repro
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -30,7 +28,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/ids"
 	"repro/internal/metaprop"
-	"repro/internal/property"
 	"repro/internal/proto"
 	"repro/internal/protocols/arq"
 	"repro/internal/protocols/ptest"
@@ -202,42 +199,17 @@ func BenchmarkHysteresis(b *testing.B) {
 	})
 }
 
-// BenchmarkTable2Matrix reproduces E2: the full meta-property matrix
-// computation (randomized falsifier plus witness verification).
+// BenchmarkTable2Matrix reproduces E2: the full meta-property matrix,
+// decided by bounded exhaustive enumeration.
 func BenchmarkTable2Matrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := metaprop.Compute(metaprop.Checker{Trials: 100, Seed: int64(i + 1)}, metaprop.DefaultGenConfig())
+		m, err := metaprop.Compute(false)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ok, err := m.AllPreserved("Total Order")
 		if err != nil || !ok {
 			b.Fatal("matrix wrong")
-		}
-	}
-}
-
-// BenchmarkTable1Properties measures E1: evaluating every Table 1
-// predicate over generated traces.
-func BenchmarkTable1Properties(b *testing.B) {
-	gc := metaprop.DefaultGenConfig()
-	rng := rand.New(rand.NewSource(1))
-	props := property.Table1(gc.Procs)
-	// Pre-generate one satisfying trace per property; the benchmark
-	// measures predicate evaluation, not generation.
-	gens := make(map[string]func() bool, len(props))
-	for _, p := range props {
-		p := p
-		gen := gc.ForProperty(p)
-		tr := gen(rng)
-		gens[p.Name()] = func() bool { return p.Holds(tr) }
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, check := range gens {
-			if !check() {
-				b.Fatal("generated trace violates its property")
-			}
 		}
 	}
 }

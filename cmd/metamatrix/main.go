@@ -1,77 +1,52 @@
 // Command metamatrix regenerates Table 2 of the paper: which of the
 // eight Table 1 communication properties satisfy which of the six
-// meta-properties. A '+' cell survived an adversarial randomized search
-// for counterexamples; a '-' cell is witnessed by a concrete
-// counterexample (printed with -verbose). The final column marks the
-// §6.3 class: properties with all six meta-properties are provably
-// preserved by the switching protocol.
+// meta-properties. Every cell is decided by bounded exhaustive
+// enumeration: a '+' cell is a proof up to the per-cell bound, and a
+// '-' cell comes with a shortest counterexample (printed with
+// -verbose). The final column marks the §6.3 class: properties with all
+// six meta-properties are provably preserved by the switching protocol.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/metaprop"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "metamatrix:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("metamatrix", flag.ContinueOnError)
 	var (
-		trials     = fs.Int("trials", 400, "randomized trials per cell")
-		seed       = fs.Int64("seed", 1, "search seed")
-		procs      = fs.Int("procs", 4, "process population for generated traces")
-		msgs       = fs.Int("msgs", 8, "messages per generated trace")
 		verbose    = fs.Bool("verbose", false, "print the counterexample behind every '-' cell")
 		extensions = fs.Bool("extensions", false, "include the repository's extension rows (Causal Order, Every Second Delivered)")
-		exhaustive = fs.Bool("exhaustive", false, "bounded-exhaustive enumeration instead of randomized search: every '-' is a minimal counterexample, every '+' a proof up to the per-cell bound")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var m *metaprop.Matrix
-	var err error
-	if *exhaustive {
-		m, err = metaprop.ComputeExhaustive(*extensions)
-	} else {
-		checker := metaprop.Checker{Trials: *trials, Seed: *seed}
-		gc := metaprop.GenConfig{Procs: *procs, Messages: *msgs}
-		compute := metaprop.Compute
-		if *extensions {
-			compute = metaprop.ComputeWithExtensions
-		}
-		m, err = compute(checker, gc)
-	}
+	m, err := metaprop.Compute(*extensions)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Table 2 — which properties satisfy which meta-properties?")
-	if *exhaustive {
-		fmt.Println("(bounded-exhaustive: '-' is a minimal counterexample; '+' is a proof up to the per-cell bound)")
-		fmt.Println()
-	} else {
-		fmt.Printf("(+ preserved: no counterexample in %d trials; - witnessed counterexample)\n\n", *trials)
-	}
-	fmt.Println(m.Render())
+	fmt.Fprintln(out, "Table 2 — which properties satisfy which meta-properties?")
+	fmt.Fprintln(out, "('+' is a proof up to the per-cell bound; '-' comes with a shortest counterexample)")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, m.Render())
 	if *verbose {
-		fmt.Println("Counterexamples:")
+		fmt.Fprintln(out, "Counterexamples:")
 		for _, prop := range m.Order {
 			for _, cell := range m.Rows[prop] {
-				if cell.Counterexample == nil {
-					continue
+				if cell.Counterexample != nil {
+					fmt.Fprintf(out, "\n--- %s × %s ---\n%s\n", prop, cell.Meta, cell.Counterexample)
 				}
-				source := "randomized search"
-				if cell.FromWitness {
-					source = "registered witness"
-				}
-				fmt.Printf("\n--- %s × %s (%s) ---\n%s\n", prop, cell.Meta, source, cell.Counterexample)
 			}
 		}
 	}

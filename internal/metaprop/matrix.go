@@ -12,13 +12,10 @@ type Cell struct {
 	Property string
 	Meta     string
 	// Preserved is the cell's value: true = ✓ (no counterexample
-	// exists/was found), false = ✗ (witnessed).
+	// within the cell's bound), false = ✗.
 	Preserved bool
 	// Counterexample is non-nil exactly when Preserved is false.
 	Counterexample *Counterexample
-	// FromWitness reports whether the counterexample came from the
-	// hand-built registry rather than the randomized search.
-	FromWitness bool
 }
 
 // Matrix is the computed Table 2.
@@ -41,115 +38,78 @@ func MetaNames(n int) []string {
 	return append(names, "Composable")
 }
 
-// Compute regenerates Table 2 for the standard population: for every
-// Table 1 property and every meta-property, check the hand-built
-// witness (if any), then run the randomized falsifier.
-func Compute(c Checker, gc GenConfig) (*Matrix, error) {
-	return ComputeFor(c, gc, property.Table1(gc.withDefaults().Procs))
-}
-
-// ComputeWithExtensions regenerates Table 2 plus the repository's
-// extension rows (Causal Order).
-func ComputeWithExtensions(c Checker, gc GenConfig) (*Matrix, error) {
-	gc = gc.withDefaults()
-	props := property.Table1(gc.Procs)
-	props = append(props, property.Extensions(gc.Procs)...)
-	return ComputeFor(c, gc, props)
-}
-
-// ComputeFor runs the matrix over an explicit property list; every
-// property must have a registered generator (GenConfig.ForProperty).
-func ComputeFor(c Checker, gc GenConfig, props []property.Property) (*Matrix, error) {
-	gc = gc.withDefaults()
-	rels := Relations(gc.Procs)
-	witnesses := Witnesses()
-
-	findWitness := func(prop, meta string) *Witness {
-		for i := range witnesses {
-			if witnesses[i].Property == prop && witnesses[i].Relation == meta {
-				return &witnesses[i]
-			}
-		}
-		return nil
+// cellEnumConfig returns the enumeration bound for one cell: the bound
+// a '+' in that cell is a proof up to. ✗ cells whose shortest
+// counterexamples need several messages from one sender (Amoeba, Every
+// Second Delivered) or the exclude/re-admit view pair (Virtual
+// Synchrony × Memoryless) get larger universes; everything else uses a
+// compact default. Composable cells bound each side of the pair at 3
+// events: pairs grow quadratically, and every composability violation
+// needs at most a send and a delivery per side.
+func cellEnumConfig(prop, meta string) EnumConfig {
+	c := EnumConfig{Procs: 2, Messages: 2, MaxLen: 5}
+	switch {
+	case prop == "Amoeba":
+		c.Messages, c.MaxLen = 5, 4
+	case prop == "Every Second Delivered" && meta == "Memoryless":
+		c.Messages = 5
+	case prop == "Every Second Delivered":
+		c.Messages, c.MaxLen = 5, 4
+	case prop == "Virtual Synchrony" && meta == "Memoryless":
+		c.Messages, c.MaxLen = 4, 6
+	case prop == "Virtual Synchrony" && meta == "Composable":
+		// The violation needs the excluding view (message 3) on one
+		// side and the excluded sender's data on the other.
+		c.Messages = 3
 	}
+	if meta == "Composable" {
+		c.MaxLen = 3
+	}
+	return c
+}
 
+// Compute regenerates Table 2 by bounded exhaustive enumeration: every
+// cell's verdict is either a shortest counterexample or a proof of
+// preservation up to the per-cell bound (see cellEnumConfig). With
+// extensions=true the extension rows are included.
+func Compute(extensions bool) (*Matrix, error) {
+	const procs = 2 // cellEnumConfig universes are 2-process
+	props := property.Table1(procs)
+	if extensions {
+		props = append(props, property.Extensions(procs)...)
+	}
 	m := &Matrix{
-		Metas: MetaNames(gc.Procs),
+		Metas: MetaNames(procs),
 		Rows:  make(map[string][]Cell),
 	}
 	for _, p := range props {
 		m.Order = append(m.Order, p.Name())
-		gen := gc.ForProperty(p)
 		var row []Cell
-		check := func(meta string, search func() (*Counterexample, error)) error {
-			cell := Cell{Property: p.Name(), Meta: meta, Preserved: true}
-			if w := findWitness(p.Name(), meta); w != nil {
-				cex, err := verifyWitness(p, w)
-				if err != nil {
-					return err
-				}
-				cell.Preserved = false
-				cell.Counterexample = cex
-				cell.FromWitness = true
-			} else {
-				cex, err := search()
-				if err != nil {
-					return err
-				}
-				if cex != nil {
-					cell.Preserved = false
-					cell.Counterexample = cex
-				}
+		add := func(meta string, cex *Counterexample, err error) error {
+			if err != nil {
+				return fmt.Errorf("metaprop: %s × %s: %w", p.Name(), meta, err)
 			}
-			row = append(row, cell)
+			row = append(row, Cell{
+				Property:       p.Name(),
+				Meta:           meta,
+				Preserved:      cex == nil,
+				Counterexample: cex,
+			})
 			return nil
 		}
-		for _, r := range rels {
-			r := r
-			if err := check(r.Name(), func() (*Counterexample, error) {
-				return c.CheckRelation(p, r, gen)
-			}); err != nil {
+		for _, r := range Relations(procs) {
+			cex, err := EnumCheck(p, r, cellEnumConfig(p.Name(), r.Name()))
+			if err := add(r.Name(), cex, err); err != nil {
 				return nil, err
 			}
 		}
-		if err := check("Composable", func() (*Counterexample, error) {
-			return c.CheckComposable(p, gen)
-		}); err != nil {
+		cex, err := EnumCheckComposable(p, cellEnumConfig(p.Name(), "Composable"))
+		if err := add("Composable", cex, err); err != nil {
 			return nil, err
 		}
 		m.Rows[p.Name()] = row
 	}
 	return m, nil
-}
-
-// verifyWitness checks that a registered witness really is a
-// counterexample: Below (and Extra) satisfy the property, the violating
-// trace does not.
-func verifyWitness(p property.Property, w *Witness) (*Counterexample, error) {
-	if !p.Holds(w.Below) {
-		return nil, fmt.Errorf("metaprop: witness %s/%s: tr_below violates the property", w.Property, w.Relation)
-	}
-	above := w.Above
-	if w.Relation == "Composable" {
-		if !p.Holds(w.Extra) {
-			return nil, fmt.Errorf("metaprop: witness %s/%s: tr_2 violates the property", w.Property, w.Relation)
-		}
-		var err error
-		above, err = w.Below.Concat(w.Extra)
-		if err != nil {
-			return nil, fmt.Errorf("metaprop: witness %s/%s: %w", w.Property, w.Relation, err)
-		}
-	}
-	if p.Holds(above) {
-		return nil, fmt.Errorf("metaprop: witness %s/%s: tr_above does not violate the property", w.Property, w.Relation)
-	}
-	return &Counterexample{
-		Property: w.Property,
-		Relation: w.Relation,
-		Below:    w.Below,
-		Extra:    w.Extra,
-		Above:    above,
-	}, nil
 }
 
 // Preserved reports one cell's value; it returns an error for unknown

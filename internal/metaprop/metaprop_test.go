@@ -1,12 +1,12 @@
 package metaprop
 
 import (
-	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ids"
-	"repro/internal/property"
 	"repro/internal/trace"
 )
 
@@ -25,13 +25,21 @@ var expectedMatrix = map[string][6]bool{
 	"Virtual Synchrony":    {true, true, true, true, false, false},
 }
 
+var (
+	matrixOnce sync.Once
+	matrix     *Matrix
+	matrixErr  error
+)
+
+// computeMatrix returns the Table 2 matrix with the extension rows,
+// computed once and shared by every test in the package.
 func computeMatrix(t *testing.T) *Matrix {
 	t.Helper()
-	m, err := Compute(Checker{Trials: 150, Seed: 7}, DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
+	matrixOnce.Do(func() { matrix, matrixErr = Compute(true) })
+	if matrixErr != nil {
+		t.Fatal(matrixErr)
 	}
-	return m
+	return matrix
 }
 
 func TestMatrixMatchesDerivation(t *testing.T) {
@@ -102,10 +110,7 @@ func TestAllPreservedClass(t *testing.T) {
 // has every meta-property except Delayable — the same "outside the
 // class yet preserved by SP" status the paper gives Reliability.
 func TestExtensionMatrixCausalOrder(t *testing.T) {
-	m, err := ComputeWithExtensions(Checker{Trials: 150, Seed: 7}, DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := computeMatrix(t)
 	want := map[string]bool{
 		"Safety":       true,
 		"Asynchronous": true,
@@ -149,96 +154,105 @@ func TestExtensionMatrixCausalOrder(t *testing.T) {
 			t.Errorf("Every Second Delivered × %s = %v, want %v", meta, got, w)
 		}
 	}
-	// The random search also finds the Delayable violation unaided.
-	props := property.Extensions(4)
-	gc := DefaultGenConfig()
-	cex, err := Checker{Trials: 2000, Seed: 3}.CheckRelation(props[0], Delayable{}, gc.ForProperty(props[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cex == nil {
-		t.Error("random search failed to break Causal Order × Delayable")
+}
+
+// TestWitnessesAllVerify checks every cell of the computed matrix: a ✓
+// cell carries no counterexample, and the counterexample that witnesses
+// a ✗ cell is genuine — tr_below satisfies the property, tr_above
+// violates it, and tr_above is one elementary rewrite of tr_below (or,
+// for Composable, the concatenation of two satisfying traces).
+func TestWitnessesAllVerify(t *testing.T) {
+	m := computeMatrix(t)
+	for _, prop := range m.Order {
+		p := propByName(t, prop)
+		for _, c := range m.Rows[prop] {
+			cex := c.Counterexample
+			if c.Preserved != (cex == nil) {
+				t.Errorf("%s × %s: Preserved=%v with counterexample %v", prop, c.Meta, c.Preserved, cex)
+				continue
+			}
+			if cex == nil {
+				continue
+			}
+			if cex.Property != prop || cex.Relation != c.Meta {
+				t.Errorf("%s × %s: mislabelled counterexample %s × %s", prop, c.Meta, cex.Property, cex.Relation)
+			}
+			if !p.Holds(cex.Below) || p.Holds(cex.Above) {
+				t.Errorf("%s × %s: bogus counterexample:\n%v", prop, c.Meta, cex)
+			}
+			if cex.String() == "" {
+				t.Error("empty counterexample rendering")
+			}
+			if c.Meta == "Composable" {
+				glued, err := cex.Below.Concat(cex.Extra)
+				if err != nil || !p.Holds(cex.Extra) || !reflect.DeepEqual(glued, cex.Above) {
+					t.Errorf("%s × Composable: tr_above is not tr_below ++ tr_2 of satisfying traces:\n%v", prop, cex)
+				}
+				continue
+			}
+			related := false
+			relByName(t, c.Meta, 2).Rewrites(cex.Below, func(above trace.Trace) bool {
+				related = reflect.DeepEqual(above, cex.Above)
+				return !related
+			})
+			if !related {
+				t.Errorf("%s × %s: tr_above is not a rewrite of tr_below:\n%v", prop, c.Meta, cex)
+			}
+		}
 	}
 }
 
-func TestWitnessesAllVerify(t *testing.T) {
-	props := append(property.Table1(4), property.Extensions(4)...)
-	byName := map[string]property.Property{}
-	for _, p := range props {
-		byName[p.Name()] = p
+// TestShortestCounterexamples pins the length of the shortest
+// counterexample for the ✗ cells: len(tr_below), plus len(tr_2) for
+// Composable. The enumerator searches by increasing length, so these
+// are the minimum over the cell's bound, not the first hit of a
+// depth-first walk.
+func TestShortestCounterexamples(t *testing.T) {
+	m := computeMatrix(t)
+	want := map[[2]string]int{
+		{"Reliability", "Safety"}:                  3, // Send, then both deliveries
+		{"Reliability", "Send Enabled"}:            1,
+		{"Prioritized Delivery", "Asynchronous"}:   2, // master first, then the other
+		{"Amoeba", "Delayable"}:                    3,
+		{"Amoeba", "Send Enabled"}:                 1,
+		{"Virtual Synchrony", "Memoryless"}:        3, // exclude, re-admit, late delivery
+		{"No Replay", "Composable"}:                2, // one delivery of body "b" per side
+		{"Causal Order", "Delayable"}:              3,
+		{"Every Second Delivered", "Safety"}:       4,
+		{"Every Second Delivered", "Memoryless"}:   5,
+		{"Every Second Delivered", "Composable"}:   2,
+		{"Every Second Delivered", "Send Enabled"}: 1,
 	}
-	for _, w := range Witnesses() {
-		p, ok := byName[w.Property]
-		if !ok {
-			t.Fatalf("witness references unknown property %q", w.Property)
+	for cell, n := range want {
+		prop, meta := cell[0], cell[1]
+		var cex *Counterexample
+		for _, c := range m.Rows[prop] {
+			if c.Meta == meta {
+				cex = c.Counterexample
+			}
 		}
-		cex, err := verifyWitness(p, &w)
-		if err != nil {
-			t.Errorf("witness %s/%s does not verify: %v", w.Property, w.Relation, err)
+		if cex == nil {
+			t.Errorf("%s × %s: no counterexample", prop, meta)
 			continue
 		}
-		if cex.Property != w.Property || cex.Relation != w.Relation {
-			t.Errorf("witness %s/%s produced mislabelled counterexample", w.Property, w.Relation)
-		}
-		if cex.String() == "" {
-			t.Error("empty counterexample rendering")
+		if got := len(cex.Below) + len(cex.Extra); got != n {
+			t.Errorf("%s × %s: counterexample has %d events, want the shortest, %d:\n%v", prop, meta, got, n, cex)
 		}
 	}
 }
 
-func TestGeneratorsSatisfyTheirProperties(t *testing.T) {
-	gc := DefaultGenConfig()
-	rng := rand.New(rand.NewSource(3))
-	for _, p := range append(property.Table1(gc.Procs), property.Extensions(gc.Procs)...) {
-		gen := gc.ForProperty(p)
-		for i := 0; i < 200; i++ {
-			tr := gen(rng)
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("%s generator emitted invalid trace: %v", p.Name(), err)
-			}
-			if !p.Holds(tr) {
-				t.Fatalf("%s generator emitted violating trace:\n%v", p.Name(), tr)
-			}
-		}
-	}
-}
-
-func TestForPropertyUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ForProperty(unknown) did not panic")
-		}
-	}()
-	DefaultGenConfig().ForProperty(fakeProp{})
-}
-
-type fakeProp struct{}
-
-func (fakeProp) Name() string              { return "Fake" }
-func (fakeProp) Holds(tr trace.Trace) bool { return true }
-
+// TestRelationsPerturbStayRelated checks that every elementary rewrite
+// (perturbation) keeps its relation's defining constraint: a prefix,
+// per-process order kept, one same-process Send/Deliver swap, only a
+// Send appended, a whole message erased.
 func TestRelationsPerturbStayRelated(t *testing.T) {
-	// Structural sanity: each relation's output obeys its defining
-	// constraints (prefix / same multiset up to allowed rewrites).
-	rng := rand.New(rand.NewSource(5))
-	gc := DefaultGenConfig()
-	base := gc.GenTotalOrder(rng)
-
-	pre := Safety{}.Perturb(rng, base)
-	if len(pre) > len(base) {
-		t.Error("Safety produced a longer trace")
+	m1 := trace.Message{ID: 1, Sender: 0, Body: "a"}
+	m2 := trace.Message{ID: 2, Sender: 1, Body: "b"}
+	m3 := trace.Message{ID: 3, Sender: 0, Body: "c"}
+	base := trace.Trace{
+		trace.Send(m1), trace.Deliver(1, m1), trace.Send(m2), trace.Deliver(0, m1),
+		trace.Deliver(0, m2), trace.Send(m3), trace.Deliver(1, m2), trace.Deliver(1, m3),
 	}
-	for i := range pre {
-		if pre[i].String() != base[i].String() {
-			t.Error("Safety did not produce a prefix")
-		}
-	}
-
-	async := Asynchrony{}.Perturb(rng, base)
-	if len(async) != len(base) {
-		t.Error("Asynchrony changed the length")
-	}
-	// Per-process subsequences must be identical.
 	perProc := func(tr trace.Trace, p ids.ProcID) string {
 		var b strings.Builder
 		for _, e := range tr {
@@ -248,28 +262,6 @@ func TestRelationsPerturbStayRelated(t *testing.T) {
 		}
 		return b.String()
 	}
-	for _, p := range base.Processes() {
-		if perProc(base, p) != perProc(async, p) {
-			t.Errorf("Asynchrony reordered events of %v", p)
-		}
-	}
-
-	se := SendEnabled{Procs: 4}.Perturb(rng, base)
-	if len(se) <= len(base) {
-		t.Error("SendEnabled added nothing")
-	}
-	for _, e := range se[len(base):] {
-		if e.Kind != trace.SendKind {
-			t.Error("SendEnabled appended a non-Send event")
-		}
-	}
-
-	mem := Memoryless{}.Perturb(rng, base)
-	if len(mem) >= len(base) {
-		t.Error("Memoryless removed nothing")
-	}
-	// Erasure must be whole-message: every surviving id keeps all its
-	// events.
 	count := func(tr trace.Trace, id ids.MsgID) int {
 		n := 0
 		for _, e := range tr {
@@ -279,41 +271,92 @@ func TestRelationsPerturbStayRelated(t *testing.T) {
 		}
 		return n
 	}
-	for _, id := range mem.MessageIDs() {
-		if count(mem, id) != count(base, id) {
-			t.Errorf("Memoryless partially erased message %v", id)
+	// swapped returns the index i where above is base with events i and
+	// i+1 exchanged, or -1.
+	swapped := func(above trace.Trace) int {
+		for i := 0; i+1 < len(base); i++ {
+			if !reflect.DeepEqual(above[i], base[i]) {
+				if reflect.DeepEqual(above[i], base[i+1]) && reflect.DeepEqual(above[i+1], base[i]) &&
+					reflect.DeepEqual(above[i+2:], base[i+2:]) {
+					return i
+				}
+				return -1
+			}
+		}
+		return -1
+	}
+	checks := map[string]func(above trace.Trace) bool{
+		"Safety": func(above trace.Trace) bool {
+			return len(above) < len(base) && reflect.DeepEqual(above, base[:len(above)])
+		},
+		"Asynchronous": func(above trace.Trace) bool {
+			i := swapped(above)
+			if i < 0 || base[i].Proc() == base[i+1].Proc() {
+				return false
+			}
+			for _, p := range base.Processes() {
+				if perProc(base, p) != perProc(above, p) {
+					return false
+				}
+			}
+			return true
+		},
+		"Delayable": func(above trace.Trace) bool {
+			i := swapped(above)
+			return i >= 0 && base[i].Proc() == base[i+1].Proc() && base[i].Kind != base[i+1].Kind
+		},
+		"Send Enabled": func(above trace.Trace) bool {
+			return len(above) == len(base)+1 && reflect.DeepEqual(above[:len(base)], base) &&
+				above[len(base)].Kind == trace.SendKind && count(base, above[len(base)].Msg.ID) == 0
+		},
+		"Memoryless": func(above trace.Trace) bool {
+			if len(above.MessageIDs()) != len(base.MessageIDs())-1 {
+				return false
+			}
+			for _, id := range above.MessageIDs() {
+				if count(above, id) != count(base, id) {
+					return false
+				}
+			}
+			return true
+		},
+	}
+	for _, r := range Relations(2) {
+		check := checks[r.Name()]
+		if check == nil {
+			t.Fatalf("no check for relation %s", r.Name())
+		}
+		n := 0
+		r.Rewrites(base, func(above trace.Trace) bool {
+			n++
+			if !check(above) {
+				t.Errorf("%s rewrote\n%v\ninto an unrelated\n%v", r.Name(), base, above)
+			}
+			return true
+		})
+		if n < 2 {
+			t.Errorf("%s has %d rewrites of\n%v, want several", r.Name(), n, base)
+		}
+		n = 0
+		r.Rewrites(base, func(trace.Trace) bool { n++; return false })
+		if n != 1 {
+			t.Errorf("%s yielded %d rewrites after yield returned false, want 1", r.Name(), n)
 		}
 	}
 }
 
+// TestPerturbEmptyTraces: on an empty trace only Send Enabled has
+// anything to rewrite, and its rewrites are single Sends.
 func TestPerturbEmptyTraces(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for _, r := range Relations(4) {
-		out := r.Perturb(rng, nil)
-		if len(out) != 0 && r.Name() != "Send Enabled" {
-			t.Errorf("%s invented events from an empty trace", r.Name())
-		}
-	}
-}
-
-func TestCheckerCatchesGeneratorBugs(t *testing.T) {
-	bad := func(rng *rand.Rand) trace.Trace {
-		m := wmsg(1, 3, "forged") // untrusted sender delivered
-		return trace.Trace{trace.Deliver(0, m)}
-	}
-	props := property.Table1(4)
-	var integ property.Property
-	for _, p := range props {
-		if p.Name() == "Integrity" {
-			integ = p
-		}
-	}
-	c := Checker{Trials: 5, Seed: 1}
-	if _, err := c.CheckRelation(integ, Safety{}, bad); err == nil {
-		t.Error("CheckRelation accepted a violating generator")
-	}
-	if _, err := c.CheckComposable(integ, bad); err == nil {
-		t.Error("CheckComposable accepted a violating generator")
+		r.Rewrites(nil, func(above trace.Trace) bool {
+			if r.Name() != "Send Enabled" {
+				t.Errorf("%s invented %v from an empty trace", r.Name(), above)
+			} else if len(above) != 1 || above[0].Kind != trace.SendKind {
+				t.Errorf("Send Enabled rewrote an empty trace into %v, want one Send", above)
+			}
+			return true
+		})
 	}
 }
 
@@ -327,8 +370,8 @@ func TestMatrixRender(t *testing.T) {
 		t.Error("render missing SP-safe column")
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 9 { // header + 8 properties
-		t.Errorf("render has %d lines, want 9:\n%s", len(lines), out)
+	if len(lines) != 11 { // header + 8 properties + 2 extension rows
+		t.Errorf("render has %d lines, want 11:\n%s", len(lines), out)
 	}
 }
 
@@ -342,52 +385,5 @@ func TestMatrixUnknownLookups(t *testing.T) {
 	}
 	if _, err := m.AllPreserved("Nope"); err == nil {
 		t.Error("unknown property accepted by AllPreserved")
-	}
-}
-
-// TestRandomSearchFindsViolationsWithoutWitnesses removes the witness
-// shortcut and checks the falsifier alone discovers at least the
-// classic ✗ cells — evidence the search is genuinely adversarial.
-func TestRandomSearchFindsViolationsWithoutWitnesses(t *testing.T) {
-	gc := DefaultGenConfig()
-	c := Checker{Trials: 2000, Seed: 11}
-	props := property.Table1(gc.Procs)
-	byName := map[string]property.Property{}
-	for _, p := range props {
-		byName[p.Name()] = p
-	}
-	relByName := map[string]Relation{}
-	for _, r := range Relations(gc.Procs) {
-		relByName[r.Name()] = r
-	}
-	cases := []struct{ prop, meta string }{
-		{"Reliability", "Safety"},
-		{"Reliability", "Send Enabled"},
-		{"Prioritized Delivery", "Asynchronous"},
-		{"Amoeba", "Delayable"},
-		{"Amoeba", "Send Enabled"},
-		{"Virtual Synchrony", "Memoryless"},
-	}
-	for _, tc := range cases {
-		p := byName[tc.prop]
-		gen := gc.ForProperty(p)
-		cex, err := c.CheckRelation(p, relByName[tc.meta], gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cex == nil {
-			t.Errorf("random search failed to break %s × %s", tc.prop, tc.meta)
-		}
-	}
-	// Composable ✗ cells.
-	for _, prop := range []string{"No Replay", "Virtual Synchrony", "Amoeba"} {
-		p := byName[prop]
-		cex, err := c.CheckComposable(p, gc.ForProperty(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cex == nil {
-			t.Errorf("random search failed to break %s × Composable", prop)
-		}
 	}
 }

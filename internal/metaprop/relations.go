@@ -8,58 +8,54 @@
 // Asynchrony, Delayable, Send Enabled, Memoryless); the sixth,
 // Composable, is a binary condition on concatenation. The paper proved
 // in Nuprl that a property with all six is preserved by the switching
-// protocol; this package substitutes an executable *falsifier*: every ✗
-// cell of Table 2 is witnessed by a machine-checked counterexample, and
-// every ✓ cell survives an adversarial randomized search (see
-// DESIGN.md §2 for the substitution rationale).
+// protocol; this package substitutes bounded exhaustive enumeration:
+// every ✗ cell of Table 2 comes with a shortest counterexample, and
+// every ✓ cell is a proof up to the per-cell bound — no trace within
+// it breaks Equation 1 (see DESIGN.md §2 for the substitution
+// rationale).
 package metaprop
 
 import (
-	"math/rand"
-
 	"repro/internal/ids"
 	"repro/internal/trace"
 )
 
-// Relation is one of the paper's trace relations. Perturb produces a
-// random tr_above related to tr_below (the reflexive-transitive closure
-// of the relation's elementary rewrites).
+// Relation is one of the paper's trace relations: the
+// reflexive-transitive closure of its elementary rewrites.
 type Relation interface {
 	// Name returns the meta-property's §5–6 name.
 	Name() string
-	// Perturb returns some tr_above with tr_above R tr_below.
-	Perturb(rng *rand.Rand, below trace.Trace) trace.Trace
+	// Rewrites calls yield with each tr_above one elementary rewrite of
+	// below produces, and stops as soon as yield returns false.
+	Rewrites(below trace.Trace, yield func(above trace.Trace) bool)
 }
 
 // Safety (§5.1): tr_above is a prefix of tr_below — "taking events off
 // the end of a trace" must not break the property.
 type Safety struct{}
 
-var _ Relation = Safety{}
-
 // Name implements Relation.
 func (Safety) Name() string { return "Safety" }
 
-// Perturb implements Relation.
-func (Safety) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
-	if len(below) == 0 {
-		return below.Clone()
+// Rewrites implements Relation: every proper prefix.
+func (Safety) Rewrites(below trace.Trace, yield func(trace.Trace) bool) {
+	for k := 0; k < len(below); k++ {
+		if !yield(below.Prefix(k)) {
+			return
+		}
 	}
-	return below.Prefix(rng.Intn(len(below) + 1))
 }
 
 // Asynchrony (§5.2): adjacent events of *different* processes may be
 // swapped — global orderings can be lost to delays between processes.
 type Asynchrony struct{}
 
-var _ Relation = Asynchrony{}
-
 // Name implements Relation.
 func (Asynchrony) Name() string { return "Asynchronous" }
 
-// Perturb implements Relation.
-func (Asynchrony) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
-	return perturbSwaps(rng, below, trace.Trace.CanSwapAsync)
+// Rewrites implements Relation.
+func (Asynchrony) Rewrites(below trace.Trace, yield func(trace.Trace) bool) {
+	swaps(below, trace.Trace.CanSwapAsync, yield)
 }
 
 // Delayable (§5.3): adjacent Send and Deliver events of the *same*
@@ -67,42 +63,25 @@ func (Asynchrony) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
 // going up.
 type Delayable struct{}
 
-var _ Relation = Delayable{}
-
 // Name implements Relation.
 func (Delayable) Name() string { return "Delayable" }
 
-// Perturb implements Relation.
-func (Delayable) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
-	return perturbSwaps(rng, below, trace.Trace.CanSwapDelayable)
+// Rewrites implements Relation.
+func (Delayable) Rewrites(below trace.Trace, yield func(trace.Trace) bool) {
+	swaps(below, trace.Trace.CanSwapDelayable, yield)
 }
 
-// perturbSwaps applies a random number of random legal adjacent swaps.
-func perturbSwaps(rng *rand.Rand, below trace.Trace, can func(trace.Trace, int) bool) trace.Trace {
-	cur := below.Clone()
-	if len(cur) < 2 {
-		return cur
+// swaps yields every legal adjacent swap of below.
+func swaps(below trace.Trace, can func(trace.Trace, int) bool, yield func(trace.Trace) bool) {
+	for i := 0; i+1 < len(below); i++ {
+		if !can(below, i) {
+			continue
+		}
+		above, err := below.SwapAdjacent(i)
+		if err != nil || !yield(above) {
+			return
+		}
 	}
-	swaps := 1 + rng.Intn(2*len(cur))
-	for s := 0; s < swaps; s++ {
-		// Collect currently legal swap points; stop if none.
-		var legal []int
-		for i := 0; i+1 < len(cur); i++ {
-			if can(cur, i) {
-				legal = append(legal, i)
-			}
-		}
-		if len(legal) == 0 {
-			break
-		}
-		i := legal[rng.Intn(len(legal))]
-		next, err := cur.SwapAdjacent(i)
-		if err != nil {
-			break
-		}
-		cur = next
-	}
-	return cur
 }
 
 // SendEnabled (§5.4): new Send events may be appended — a protocol
@@ -112,29 +91,26 @@ type SendEnabled struct {
 	Procs int
 }
 
-var _ Relation = SendEnabled{}
-
 // Name implements Relation.
 func (SendEnabled) Name() string { return "Send Enabled" }
 
-// Perturb implements Relation.
-func (r SendEnabled) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
+// Rewrites implements Relation: one fresh Send appended, from any
+// process, with a body that collides with the enumerator's ("b") or a
+// fresh one ("x").
+func (r SendEnabled) Rewrites(below trace.Trace, yield func(trace.Trace) bool) {
 	n := r.Procs
 	if n <= 0 {
 		n = 2
 	}
-	count := 1 + rng.Intn(3)
-	next := ids.MsgID(below.MaxMsgID() + 1)
-	msgs := make([]trace.Message, 0, count)
-	for i := 0; i < count; i++ {
-		msgs = append(msgs, trace.Message{
-			ID:     next,
-			Sender: ids.ProcID(rng.Intn(n)),
-			Body:   randBody(rng),
-		})
-		next++
+	next := below.MaxMsgID() + 1
+	for s := 0; s < n; s++ {
+		for _, body := range []string{"b", "x"} {
+			m := trace.Message{ID: next, Sender: ids.ProcID(s), Body: body}
+			if !yield(below.AppendSends(m)) {
+				return
+			}
+		}
 	}
-	return below.AppendSends(msgs...)
 }
 
 // Memoryless (§6.1): all events pertaining to some messages may be
@@ -142,33 +118,17 @@ func (r SendEnabled) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
 // longer of importance".
 type Memoryless struct{}
 
-var _ Relation = Memoryless{}
-
 // Name implements Relation.
 func (Memoryless) Name() string { return "Memoryless" }
 
-// Perturb implements Relation.
-func (Memoryless) Perturb(rng *rand.Rand, below trace.Trace) trace.Trace {
-	idsSeen := below.MessageIDs()
-	if len(idsSeen) == 0 {
-		return below.Clone()
-	}
-	doomed := make(map[ids.MsgID]bool)
-	for _, id := range idsSeen {
-		if rng.Float64() < 0.4 {
-			doomed[id] = true
+// Rewrites implements Relation: every message erased whole, one at a
+// time.
+func (Memoryless) Rewrites(below trace.Trace, yield func(trace.Trace) bool) {
+	for _, id := range below.MessageIDs() {
+		if !yield(below.EraseMessages(map[ids.MsgID]bool{id: true})) {
+			return
 		}
 	}
-	if len(doomed) == 0 {
-		doomed[idsSeen[rng.Intn(len(idsSeen))]] = true
-	}
-	return below.EraseMessages(doomed)
-}
-
-// randBody draws a short body from a small alphabet so collisions occur
-// (needed to probe No Replay).
-func randBody(rng *rand.Rand) string {
-	return string(rune('a' + rng.Intn(4)))
 }
 
 // Relations returns the five unary relations in Table 2 column order

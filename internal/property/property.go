@@ -5,8 +5,8 @@
 // Each property may carry parameters (the trusted set, the master
 // process, the initial view); the predicates are pure functions of the
 // trace, so they can be applied to recorded executions (cmd/tracecheck,
-// the switching integration tests) and to the meta-property falsifier
-// (package metaprop, Table 2).
+// the switching integration tests) and to every trace the meta-property
+// enumerator builds (package metaprop, Table 2).
 package property
 
 import (
@@ -295,8 +295,7 @@ func (v VirtualSynchrony) Holds(tr trace.Trace) bool {
 // Table1 returns the paper's eight properties with conventional
 // parameters for a group of n processes: the full group as receivers and
 // initial view, processes 0..n-2 trusted (the last process untrusted),
-// and process 0 as master. These parameter choices are shared by the
-// metaprop generators.
+// and process 0 as master.
 func Table1(n int) []Property {
 	if n < 2 {
 		panic(fmt.Sprintf("property: Table1 needs n >= 2, got %d", n))
