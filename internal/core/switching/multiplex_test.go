@@ -2,7 +2,6 @@ package switching
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/proto"
@@ -173,40 +172,5 @@ func TestRecordDuration(t *testing.T) {
 	r := Record{Started: 10, Finished: 25}
 	if r.Duration() != 15 {
 		t.Errorf("Duration = %v", r.Duration())
-	}
-}
-
-func TestLatencyTracker(t *testing.T) {
-	tr := NewLatencyTracker(0.5)
-	if tr.Mean() != 0 || tr.Count() != 0 {
-		t.Error("fresh tracker not zero")
-	}
-	tr.Observe(10 * time.Millisecond)
-	if tr.Mean() != 10*time.Millisecond {
-		t.Errorf("first sample Mean = %v", tr.Mean())
-	}
-	tr.Observe(20 * time.Millisecond)
-	if tr.Mean() != 15*time.Millisecond { // 0.5*20 + 0.5*10
-		t.Errorf("EWMA = %v, want 15ms", tr.Mean())
-	}
-	if tr.MetricMillis() != 15 {
-		t.Errorf("MetricMillis = %v", tr.MetricMillis())
-	}
-	if tr.Count() != 2 {
-		t.Errorf("Count = %d", tr.Count())
-	}
-	// Recency bias: a burst of slow samples dominates quickly.
-	for i := 0; i < 10; i++ {
-		tr.Observe(100 * time.Millisecond)
-	}
-	if tr.Mean() < 90*time.Millisecond {
-		t.Errorf("EWMA too sluggish: %v", tr.Mean())
-	}
-	// Bad alpha defaults sanely.
-	def := NewLatencyTracker(7)
-	def.Observe(time.Millisecond)
-	def.Observe(3 * time.Millisecond)
-	if def.Mean() <= time.Millisecond || def.Mean() >= 3*time.Millisecond {
-		t.Errorf("default-alpha EWMA = %v", def.Mean())
 	}
 }

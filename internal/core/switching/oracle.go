@@ -65,59 +65,6 @@ func (o *HysteresisOracle) Preferred(metric float64) int {
 	return o.cur
 }
 
-// LatencyTracker turns observed delivery latencies into the smoothed
-// metric an oracle consumes — the realistic alternative to an
-// externally supplied load figure. It keeps an exponentially weighted
-// moving average: cheap, window-free, and biased toward recent
-// behaviour, which is what a switching decision should react to.
-//
-// Feed it from the application's delivery path (Observe) and wire
-// MetricMillis as the Controller's metric function. Note the feedback
-// caveat §7 implies: after switching to the slower protocol, measured
-// latency legitimately rises — thresholds must be set against each
-// protocol's own expected range (or use hysteresis generously) or the
-// controller will flap.
-type LatencyTracker struct {
-	// Alpha is the EWMA weight of a new sample (0 < Alpha <= 1).
-	alpha float64
-	ewma  float64
-	seen  bool
-	count uint64
-}
-
-// NewLatencyTracker creates a tracker; alpha outside (0, 1] defaults to
-// 0.1.
-func NewLatencyTracker(alpha float64) *LatencyTracker {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.1
-	}
-	return &LatencyTracker{alpha: alpha}
-}
-
-// Observe folds one delivery latency into the average.
-func (t *LatencyTracker) Observe(d time.Duration) {
-	t.count++
-	v := float64(d)
-	if !t.seen {
-		t.ewma = v
-		t.seen = true
-		return
-	}
-	t.ewma = t.alpha*v + (1-t.alpha)*t.ewma
-}
-
-// Mean returns the current smoothed latency (0 before any sample).
-func (t *LatencyTracker) Mean() time.Duration { return time.Duration(t.ewma) }
-
-// Count returns the number of samples observed.
-func (t *LatencyTracker) Count() uint64 { return t.count }
-
-// MetricMillis adapts the tracker to a Controller metric function
-// (milliseconds, the unit of the paper's Figure 2 axis).
-func (t *LatencyTracker) MetricMillis() float64 {
-	return t.ewma / float64(time.Millisecond)
-}
-
 // Controller periodically samples a load metric, consults the oracle,
 // and requests a switch whenever the preferred protocol differs from
 // the one new sends are using. One controller (the "manager") per group

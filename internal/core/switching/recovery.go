@@ -108,12 +108,9 @@ type recovery struct {
 
 	// gen/origin are the watermark of the newest token lineage seen.
 	// Tokens ordered before the watermark are stale duplicates and are
-	// dropped on arrival.
+	// dropped on arrival (Switch.classify).
 	gen    uint64
 	origin ids.ProcID
-	// maxEpoch is the highest epoch observed in any token — the seed
-	// for regenerated tokens.
-	maxEpoch uint64
 	// lastMode is the mode of the last token seen or passed; it selects
 	// the wedge timeout (rounds rotate much faster than idle NORMAL).
 	lastMode Mode
@@ -214,12 +211,11 @@ func (r *recovery) supersedes(t Token) bool {
 	return t.Origin <= r.origin
 }
 
-// admit applies the generation filter to an arriving token. It returns
-// false for a stale token (drop it); otherwise it advances the
-// watermark, discards state belonging to superseded rounds, notes the
-// sighting, and re-arms the wedge timer.
+// admit records the sighting of a token classify found current or
+// future: it advances the watermark, relieves an initiator whose round
+// a newer lineage superseded, and re-arms the wedge timer.
 //
-// A damped peer's tokens are deliberately NOT refused here. A flapping
+// A damped peer's tokens are deliberately NOT refused. A flapping
 // member that has been routed around keeps wedge-timing-out and
 // regenerating (its backoff doubles, so the stream is bounded), and an
 // early design refused those lineages at ingress — but damping state
@@ -227,43 +223,20 @@ func (r *recovery) supersedes(t Token) bool {
 // not-yet-damped member died at the next damped hop, losing the token
 // inside the healthy group. Accepting the lineage costs one watermark
 // bump; refusing it cost a group-wide wedge.
-func (r *recovery) admit(t Token) bool {
-	if !r.supersedes(t) {
-		return false
-	}
+func (r *recovery) admit(t Token) {
 	s := r.s
 	advanced := t.Gen > r.gen || t.Origin < r.origin
 	r.gen, r.origin = t.Gen, t.Origin
-	if advanced {
-		// The watermark advanced: every token of the old lineage is
-		// dead. A FLUSH held from a superseded round must not be
-		// forwarded when this member completes.
-		if s.heldFlush != nil && !r.supersedes(*s.heldFlush) {
-			s.heldFlush = nil
-		}
-		// An initiator whose round was superseded by another member's
-		// regeneration relinquishes the round; if it is still draining
-		// it will rejoin the retry as an ordinary participant.
-		if s.initiating && t.Initiator != s.env.Self() {
-			s.initiating = false
-			s.emit(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
-		}
-	}
-	if t.Epoch > r.maxEpoch {
-		r.maxEpoch = t.Epoch
+	// An initiator whose round was superseded by another member's
+	// regeneration relinquishes the round; if it is still draining it
+	// will rejoin the retry as an ordinary participant.
+	if advanced && s.initiating && t.Initiator != s.env.Self() {
+		s.initiating = false
+		s.emit(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
 	}
 	r.lastMode = t.Mode
 	r.strikes = 0
 	r.arm()
-	return true
-}
-
-// noteEpoch keeps the regeneration seed at the highest epoch this member
-// has reached locally.
-func (r *recovery) noteEpoch(e uint64) {
-	if e > r.maxEpoch {
-		r.maxEpoch = e
-	}
 }
 
 // skipped reports whether p is routed around in ring arithmetic:
@@ -377,63 +350,31 @@ func (r *recovery) onWedge() {
 }
 
 // regenerate creates a replacement token one generation up. An idle
-// member emits a NORMAL token seeded with the highest epoch seen; a
-// member caught mid-switch re-runs the round from PREPARE so the vector
-// is rebuilt over the live membership ("abort and retry").
+// member emits a NORMAL token at its own epoch — every token it admitted
+// caught it up to the ring's — and a member caught mid-switch re-runs the
+// round from PREPARE so the vector is rebuilt over the live membership
+// ("abort and retry"). A FLUSH it holds now belongs to a superseded
+// lineage and dies when released (Switch.releaseFlush).
 func (r *recovery) regenerate() {
 	s := r.s
 	r.gen++
 	r.origin = s.env.Self()
 	s.emit(obs.TokenRegen(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
-	if s.heldFlush != nil {
-		s.heldFlush = nil
-	}
 	if s.Switching() {
 		if s.initiating {
 			s.emit(obs.SwitchAbort(s.env.Now(), s.env.Self(), s.deliverEpoch, r.gen))
 		}
-		r.retryRound(r.gen, s.env.Self())
+		s.initiate(r.gen, s.env.Self())
 		r.arm()
 		return
 	}
-	r.noteEpoch(s.deliverEpoch)
 	r.lastMode = ModeNormal
 	s.onToken(Token{
 		Mode:      ModeNormal,
-		Epoch:     r.maxEpoch,
+		Epoch:     s.deliverEpoch,
 		Initiator: s.env.Self(),
 		Gen:       r.gen,
 		Origin:    s.env.Self(),
 	})
 	r.arm()
-}
-
-// retryRound restarts the in-flight switch from PREPARE under the given
-// token lineage, with this member as the new initiator. Members that
-// already redirected their sends report their (now final) counts again;
-// slots of members that are gone stay zero, so completion waits only on
-// the live membership.
-func (r *recovery) retryRound(gen uint64, origin ids.ProcID) {
-	s := r.s
-	if !s.initiating {
-		// A takeover: this member was an ordinary participant and is now
-		// the round's initiator. Record the start like the normal path in
-		// onToken does, so the audit trail sees every initiator of a
-		// round, not just the first.
-		s.initiating = true
-		s.started = s.env.Now()
-		s.emit(obs.SwitchStart(s.started, s.env.Self(), s.deliverEpoch, gen))
-	}
-	s.expected = nil
-	prep := Token{
-		Mode:      ModePrepare,
-		Epoch:     s.deliverEpoch,
-		Initiator: s.env.Self(),
-		Vector:    make([]uint64, s.env.Ring().Size()),
-		Gen:       gen,
-		Origin:    origin,
-	}
-	s.applyPrepare(&prep)
-	r.lastMode = ModePrepare
-	s.passToken(prep)
 }

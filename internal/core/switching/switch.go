@@ -293,6 +293,9 @@ type Switch struct {
 	started    time.Duration
 	// heldFlush is a FLUSH token waiting for local completion.
 	heldFlush *Token
+	// passed is the last token this member passed on: the round of its
+	// lineage the member has acted on (see classify).
+	passed Token
 
 	// held is the current token hold (see tokenHold), nil until the
 	// first one.
@@ -640,49 +643,101 @@ func (s *Switch) onControl(src ids.ProcID, pkt []byte) {
 		s.countMalformed(src, obs.MalformedRange)
 		return
 	}
-	if s.rec != nil && !s.rec.admit(t) {
-		return // stale lineage: absorb the superseded duplicate token
+	s.accept(t)
+}
+
+// verdict is what a member makes of a token's round (classify).
+type verdict uint8
+
+const (
+	current verdict = iota // the token goes to its phase's handler
+	past                   // a round this member has left: dropped
+	future                 // the ring is ahead: catch up, then current
+)
+
+// classify is the control plane's one admission rule: it judges t's
+// round — its lineage (Gen, Origin) and its step (Epoch, Mode) — against
+// this member's own progress. A lineage's token only moves forward
+// through the steps, NORMAL(e) < PREPARE(e) < SWITCH(e) < FLUSH(e) <
+// NORMAL(e+1), and only NORMAL repeats a step (idle rotation). Messages
+// that carry their round, with past rounds discarded and future ones
+// jumped to, make the protocol communication-closed (Damian et al.;
+// DESIGN §2.1). In a crash-free run every token is current.
+func (s *Switch) classify(t Token) verdict {
+	if s.rec != nil && !s.rec.supersedes(t) {
+		return past // a superseded lineage
+	}
+	if t.Mode != ModeNormal {
+		switch {
+		case t.Epoch+1 < s.deliverEpoch:
+			// The member has pruned that epoch's state, its send
+			// count included: it can no longer take part.
+			return past
+		case t.Initiator == s.env.Self():
+			if !s.initiating {
+				return past // a round a newer lineage relieved it of
+			}
+		case t.Gen == s.passed.Gen && t.Origin == s.passed.Origin &&
+			(t.Epoch < s.passed.Epoch || t.Epoch == s.passed.Epoch && t.Mode <= s.passed.Mode):
+			// This member already passed this step of the lineage on:
+			// the token is lapping the ring without its initiator.
+			return past
+		}
+	}
+	if s.ringEpoch(t) > s.deliverEpoch {
+		return future
+	}
+	return current
+}
+
+// ringEpoch is the epoch t shows the ring has reached: the token's own,
+// or the one after it for a FLUSH whose round this member never entered
+// (it did not redirect its sends) — every flusher has closed t.Epoch.
+func (s *Switch) ringEpoch(t Token) uint64 {
+	if t.Mode == ModeFlush && s.sendEpoch <= t.Epoch {
+		return t.Epoch + 1
+	}
+	return t.Epoch
+}
+
+// accept is the control plane's one entry point, for a token off the
+// wire and one looped back alike: a past token is dropped — it does not
+// re-arm the wedge timer — and a future one catches the member up
+// before it is handled as current.
+func (s *Switch) accept(t Token) {
+	v := s.classify(t)
+	if v == past {
+		return
+	}
+	if s.rec != nil {
+		s.rec.admit(t)
+	}
+	if v == future {
+		s.forceAdvance(s.ringEpoch(t))
 	}
 	s.onToken(t)
 }
 
-// onToken is the heart of §2's state machine.
+// onToken is the heart of §2's state machine. It sees only current
+// tokens (accept).
 func (s *Switch) onToken(t Token) {
 	self := s.env.Self()
 	switch t.Mode {
 	case ModeNormal:
-		if s.rec != nil {
-			if t.Epoch > s.deliverEpoch {
-				// The ring closed epochs while this member was out of
-				// rotation: adopt them.
-				s.forceAdvance(t.Epoch)
-			}
-			if s.Switching() {
-				// A regenerated NORMAL token reached a member whose
-				// switch round is still half-applied (the original
-				// round's token died): re-run the round from PREPARE.
-				s.emit(obs.SwitchAbort(s.env.Now(), self, s.deliverEpoch, t.Gen))
-				s.rec.retryRound(t.Gen, t.Origin)
-				return
-			}
+		if s.Switching() {
+			// A regenerated NORMAL token reached a member whose switch
+			// round is still half-applied (the original round's token
+			// died): re-run the round from PREPARE.
+			s.emit(obs.SwitchAbort(s.env.Now(), self, s.deliverEpoch, t.Gen))
+			s.initiate(t.Gen, t.Origin)
+			return
 		}
-		if s.wantSwitch && !s.Switching() {
+		if s.wantSwitch {
 			// Become the initiator: this is the only place a switch can
 			// start, so concurrent initiators are impossible (§2).
 			s.wantSwitch = false
-			s.initiating = true
-			s.started = s.env.Now()
-			s.emit(obs.SwitchStart(s.started, self, s.deliverEpoch, t.Gen))
-			prep := Token{
-				Mode:      ModePrepare,
-				Epoch:     s.deliverEpoch,
-				Initiator: self,
-				Vector:    make([]uint64, s.env.Ring().Size()),
-				Gen:       t.Gen,
-				Origin:    t.Origin,
-			}
-			s.applyPrepare(&prep)
-			s.passToken(prep)
+			s.initiating = false // a fresh round, whatever became of the last
+			s.initiate(t.Gen, t.Origin)
 			return
 		}
 		// Idle rotation: hold, then pass, advertising the current epoch
@@ -692,51 +747,30 @@ func (s *Switch) onToken(t Token) {
 
 	case ModePrepare:
 		if t.Initiator == self {
-			if s.rec != nil && !s.initiating {
-				return // disowned round: a newer lineage superseded it
-			}
 			// Vector complete: disseminate it.
 			t.Mode = ModeSwitch
 			s.learnVector(t.Vector, t.Epoch)
 			s.passToken(t)
 			return
 		}
-		if s.rec != nil && t.Epoch > s.deliverEpoch {
-			s.forceAdvance(t.Epoch)
-		}
 		s.applyPrepare(&t)
 		s.passToken(t)
 
 	case ModeSwitch:
 		if t.Initiator == self {
-			if s.rec != nil && !s.initiating {
-				return
-			}
 			// Everyone has the vector; start the flush round.
 			t.Mode = ModeFlush
 			s.forwardFlushWhenDone(t)
 			return
 		}
-		if s.rec != nil {
-			if t.Epoch > s.deliverEpoch {
-				s.forceAdvance(t.Epoch)
-			}
-			if t.Epoch == s.deliverEpoch && !s.Switching() {
-				// Late join: the round's PREPARE skipped this member
-				// (it was suspected). Redirect now; the vector is
-				// already fixed without its counts.
-				s.setSendEpoch(t.Epoch + 1)
-				s.emit(obs.Phase(s.env.Now(), self, uint8(ModeSwitch), t.Epoch, t.Gen))
-			}
-		}
+		// A member the round's PREPARE skipped (it was suspected) joins
+		// late; the vector is already fixed without its counts.
+		s.redirect(t)
 		s.learnVector(t.Vector, t.Epoch)
 		s.passToken(t)
 
 	case ModeFlush:
 		if t.Initiator == self {
-			if s.rec != nil && !s.initiating {
-				return
-			}
 			// The flush completed the full circle: every member has
 			// delivered all old-protocol messages.
 			rec := Record{
@@ -761,13 +795,34 @@ func (s *Switch) onToken(t Token) {
 			})
 			return
 		}
-		if s.rec != nil && !s.Switching() && s.deliverEpoch <= t.Epoch {
-			// This member missed the whole round (it was out of the
-			// ring): adopt the flushed epoch and forward.
-			s.forceAdvance(t.Epoch + 1)
-		}
 		s.forwardFlushWhenDone(t)
 	}
+}
+
+// initiate starts a switch round closing the current epoch under the
+// given token lineage, with this member as the initiator — a fresh round,
+// or a retry: members that already redirected their sends report their
+// (now final) counts again, and slots of members that are gone stay
+// zero, so completion waits only on the live membership.
+func (s *Switch) initiate(gen uint64, origin ids.ProcID) {
+	if !s.initiating {
+		// Recorded for a takeover too, so the audit trail sees every
+		// initiator of a round, not just the first.
+		s.initiating = true
+		s.started = s.env.Now()
+		s.emit(obs.SwitchStart(s.started, s.env.Self(), s.deliverEpoch, gen))
+	}
+	s.expected = nil
+	prep := Token{
+		Mode:      ModePrepare,
+		Epoch:     s.deliverEpoch,
+		Initiator: s.env.Self(),
+		Vector:    make([]uint64, s.env.Ring().Size()),
+		Gen:       gen,
+		Origin:    origin,
+	}
+	s.applyPrepare(&prep)
+	s.passToken(prep)
 }
 
 // setSendEpoch advances the epoch new sends go to. This is the atomic
@@ -790,18 +845,21 @@ func (s *Switch) setSendEpoch(epoch uint64) {
 	s.rollEpochKey()
 }
 
+// redirect makes this member's PREPARE step for t's epoch if it has not
+// yet: new sends move to the next epoch.
+func (s *Switch) redirect(t Token) {
+	if t.Epoch == s.deliverEpoch && !s.Switching() {
+		s.setSendEpoch(t.Epoch + 1)
+		s.emit(obs.Phase(s.env.Now(), s.env.Self(), uint8(t.Mode), t.Epoch, t.Gen))
+	}
+}
+
 // applyPrepare redirects sending to the new epoch (first PREPARE for the
 // current epoch) and records this member's send count in the token's
 // vector. On a recovery retry the member has already redirected — or
 // even completed — and simply reports its retained, now-final count.
 func (s *Switch) applyPrepare(t *Token) {
-	if t.Epoch == s.deliverEpoch && !s.Switching() {
-		s.setSendEpoch(t.Epoch + 1)
-		s.emit(obs.Phase(s.env.Now(), s.env.Self(), uint8(ModePrepare), t.Epoch, t.Gen))
-	}
-	if t.Epoch >= s.sendEpoch {
-		return // defensive: an epoch still open for sends; count not final
-	}
+	s.redirect(*t)
 	pos := s.env.Ring().Position(s.env.Self())
 	if pos >= 0 && pos < len(t.Vector) {
 		t.Vector[pos] = s.sent[t.Epoch]
@@ -834,14 +892,7 @@ func (s *Switch) forceAdvance(target uint64) {
 	if s.sendEpoch < s.deliverEpoch {
 		s.setSendEpoch(s.deliverEpoch)
 	}
-	if s.rec != nil {
-		s.rec.noteEpoch(s.deliverEpoch)
-	}
-	if s.heldFlush != nil {
-		t := *s.heldFlush
-		s.heldFlush = nil
-		s.forwardFlushWhenDone(t)
-	}
+	s.releaseFlush()
 }
 
 // learnVector records the closing epoch's expected counts and checks
@@ -885,19 +936,12 @@ func (s *Switch) checkComplete() {
 		}
 	}
 	s.emit(obs.EpochAdvance(s.env.Now(), s.env.Self(), s.deliverEpoch))
-	if s.rec != nil {
-		s.rec.noteEpoch(s.deliverEpoch)
-	}
 	pend := s.buffer[s.deliverEpoch]
 	delete(s.buffer, s.deliverEpoch)
 	for _, b := range pend {
 		s.app.Deliver(b.src, b.payload)
 	}
-	if s.heldFlush != nil {
-		t := *s.heldFlush
-		s.heldFlush = nil
-		s.forwardFlushWhenDone(t)
-	}
+	s.releaseFlush()
 }
 
 // forwardFlushWhenDone passes a FLUSH token if this member has completed
@@ -908,6 +952,20 @@ func (s *Switch) forwardFlushWhenDone(t Token) {
 		return
 	}
 	s.heldFlush = &t
+}
+
+// releaseFlush takes up the held FLUSH once the member's epoch moved. It
+// is classified again first: a newer lineage may have superseded its
+// round while it was held.
+func (s *Switch) releaseFlush() {
+	if s.heldFlush == nil {
+		return
+	}
+	t := *s.heldFlush
+	s.heldFlush = nil
+	if s.classify(t) != past {
+		s.forwardFlushWhenDone(t)
+	}
 }
 
 // holdThenPass keeps the token for the configured interval, then passes
@@ -963,12 +1021,10 @@ func (h *tokenHold) expire() {
 	}
 	switch {
 	case h.action == holdLoop:
-		// A loop-back is an arrival like any other: through the lineage
-		// filter, so it re-arms the wedge timer and a superseded token
-		// dies here instead of rotating beside its replacement.
-		if s.rec == nil || s.rec.admit(t) {
-			s.onToken(t)
-		}
+		// A loop-back is an arrival like any other: a current one
+		// re-arms the wedge timer, and a superseded token or a lap
+		// without its initiator dies here instead of rotating on.
+		s.accept(t)
 	case h.action == holdPass && t.Mode == ModeNormal && s.wantSwitch && !s.Switching():
 		// A request arrived while holding the NORMAL token.
 		s.onToken(t)
@@ -992,6 +1048,7 @@ func (s *Switch) passToken(t Token) {
 		}
 	}
 	s.emit(obs.TokenPass(s.env.Now(), s.env.Self(), succ, uint8(t.Mode), t.Epoch, t.Gen))
+	s.passed = t
 	if succ == s.env.Self() {
 		s.hold(t, holdLoop)
 		return
