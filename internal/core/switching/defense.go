@@ -167,21 +167,43 @@ func (s *Switch) sealCurrentTo(dst, payload []byte) []byte {
 	return s.epochSealer(epoch).SealTo(dst, payload)
 }
 
-// epochSealer returns the cached sealer (derived key + keyed HMAC +
-// precomputed header) for an epoch, memoized. The schedule is pruned as
-// epochs retire (see rollEpochKey); verification of a from-ahead frame
-// may derive and cache a future epoch's sealer early, which is
-// harmless — derivation is deterministic.
+// epochSealer returns the sealer (derived key + keyed HMAC +
+// precomputed header) for an epoch this member seals under, keeping it
+// in the schedule. The schedule is pruned as epochs retire (see
+// rollEpochKey).
 func (s *Switch) epochSealer(epoch uint64) *wire.AuthSealer {
-	if a, ok := s.epochSealers[epoch]; ok {
-		return a
+	a, kept := s.sealerFor(epoch)
+	if !kept {
+		s.keepSealer(a)
 	}
+	return a
+}
+
+// sealerFor returns the kept sealer for epoch, or else the probe: the
+// one sealer held outside the schedule, derived to check frames that
+// claim an epoch nothing has been sealed or verified under yet. A claim
+// is unbounded above, so an unverified epoch must not enter the
+// schedule; the probe is reused while claims name its epoch, so a run
+// of forgeries derives their key once.
+func (s *Switch) sealerFor(epoch uint64) (a *wire.AuthSealer, kept bool) {
+	if a, kept = s.epochSealers[epoch]; kept {
+		return a, true
+	}
+	if s.probe == nil || s.probe.Epoch() != epoch {
+		s.probe = wire.NewAuthSealer(wire.DeriveEpochKey(s.cfg.Defense.Auth.SessionKey, epoch), epoch)
+	}
+	return s.probe, false
+}
+
+// keepSealer adds a to the schedule, taking it out of the probe slot.
+func (s *Switch) keepSealer(a *wire.AuthSealer) {
 	if s.epochSealers == nil {
 		s.epochSealers = make(map[uint64]*wire.AuthSealer)
 	}
-	a := wire.NewAuthSealer(wire.DeriveEpochKey(s.cfg.Defense.Auth.SessionKey, epoch), epoch)
-	s.epochSealers[epoch] = a
-	return a
+	s.epochSealers[a.Epoch()] = a
+	if s.probe == a {
+		s.probe = nil
+	}
 }
 
 // rollEpochKey records the moment the send epoch advanced — opening the
@@ -232,10 +254,16 @@ func (s *Switch) recvAuth(src ids.ProcID, pkt []byte) ([]byte, bool) {
 		s.countAuthFailed(src, epoch, obs.AuthStaleEpoch)
 		return nil, false
 	}
-	payload, err := s.epochSealer(epoch).Open(pkt)
+	// A sealer enters the schedule only once a frame verifies under
+	// it: forgeries naming ever-new epochs must not grow it.
+	a, kept := s.sealerFor(epoch)
+	payload, err := a.Open(pkt)
 	if err != nil {
 		s.countAuthFailed(src, epoch, obs.AuthBadMAC)
 		return nil, false
+	}
+	if !kept {
+		s.keepSealer(a)
 	}
 	if epoch > s.maxAuthEpoch {
 		// The group provably rolled past this member's send epoch: flush

@@ -309,8 +309,11 @@ type Switch struct {
 	droppedBy map[ids.ProcID]uint64
 	// epochSealers memoizes the per-epoch authenticated sealer — derived
 	// key plus cached keyed HMAC — so steady-state sealing and opening
-	// allocate nothing.
+	// allocate nothing. It holds only epochs this member sealed or
+	// verified a frame under; probe is the one sealer for a claimed
+	// epoch that has not verified yet (see sealerFor).
 	epochSealers map[uint64]*wire.AuthSealer
+	probe        *wire.AuthSealer
 	// keyRolledAt is when sendEpoch last advanced — the start of the
 	// grace window during which the previous epoch's key is still
 	// accepted on ingress.

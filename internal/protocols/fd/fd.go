@@ -64,7 +64,7 @@ type Detector struct {
 	lastSeen  []time.Duration
 	suspected []bool
 
-	timers  []proto.Timer
+	timer   proto.Timer
 	stopped bool
 }
 
@@ -89,34 +89,33 @@ func (d *Detector) Init(env proto.Env, down proto.Down) error {
 	for _, p := range members {
 		d.lastSeen[p] = env.Now()
 	}
-	d.tick(d.cfg.Interval, d.beat)
-	d.tick(d.cfg.Interval, d.check)
+	d.timer = env.After(d.cfg.Interval, d.tick)
 	return nil
 }
 
-// tick runs fn every interval on one re-armed timer.
-func (d *Detector) tick(every time.Duration, fn func()) {
-	var t proto.Timer
-	t = d.env.After(every, func() {
-		if d.stopped {
-			return
-		}
-		fn()
-		if d.stopped {
-			return
-		}
-		t.Reset(every)
-	})
-	d.timers = append(d.timers, t)
+// tick is the detector's one timer: every Interval it beats, then
+// checks, then re-arms.
+func (d *Detector) tick() {
+	if d.stopped {
+		return
+	}
+	d.beat()
+	if d.stopped {
+		return
+	}
+	d.check()
+	if d.stopped {
+		return
+	}
+	d.timer.Reset(d.cfg.Interval)
 }
 
 // Stop halts heartbeating and checking.
 func (d *Detector) Stop() {
 	d.stopped = true
-	for _, t := range d.timers {
-		t.Stop()
+	if d.timer != nil {
+		d.timer.Stop()
 	}
-	d.timers = nil
 }
 
 // Recv consumes a heartbeat; wire the detector's multiplex channel

@@ -74,26 +74,50 @@ func TestSealAuthToBytesMatchSealAuth(t *testing.T) {
 	}
 }
 
+// TestAuthSealerAllocs covers both sides of the memo: a 256-byte
+// payload is too long to remember and always runs HMAC, a heartbeat-
+// sized one hits after its first seal, and a rotation of more short
+// payloads than the memo holds misses and is remembered every time.
 func TestAuthSealerAllocs(t *testing.T) {
 	key := DeriveEpochKey([]byte("alloc test session"), 5)
 	sealer := NewAuthSealer(key, 5)
-	payload := bytes.Repeat([]byte{0xEF}, 256)
-	dst := make([]byte, 0, MaxAuthOverhead+len(payload))
-	allocs := testing.AllocsPerRun(100, func() {
-		benchSink = sealer.SealTo(dst, payload)
-	})
-	if allocs != 0 {
-		t.Fatalf("AuthSealer.SealTo allocated %.1f times per op, want 0", allocs)
+	long := bytes.Repeat([]byte{0xEF}, 256)
+	var rotation [][]byte
+	for i := 0; i <= memoSlots; i++ {
+		rotation = append(rotation, []byte{byte(i), 1})
 	}
-	pkt := sealer.SealTo(nil, payload)
-	allocs = testing.AllocsPerRun(100, func() {
-		p, err := sealer.Open(pkt)
-		if err != nil || len(p) != len(payload) {
-			t.Fatal("open failed")
+	cases := []struct {
+		name     string
+		payloads [][]byte
+	}{
+		{"long", [][]byte{long}},
+		{"repeat", [][]byte{{3, 1}}},
+		{"rotation", rotation},
+	}
+	for _, c := range cases {
+		dst := make([]byte, 0, MaxAuthOverhead+len(long))
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			benchSink = sealer.SealTo(dst, c.payloads[i%len(c.payloads)])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: AuthSealer.SealTo allocated %.1f times per op, want 0", c.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AuthSealer.Open allocated %.1f times per op, want 0", allocs)
+		var pkts [][]byte
+		for _, p := range c.payloads {
+			pkts = append(pkts, SealAuth(key, 5, p))
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			pkt := pkts[i%len(pkts)]
+			i++
+			if p, err := sealer.Open(pkt); err != nil || len(p) != len(pkt)-2-MACSize {
+				t.Fatal("open failed")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: AuthSealer.Open allocated %.1f times per op, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -14,7 +14,9 @@ var fuzzAuthKey = DeriveEpochKey([]byte("fuzz session key"), 0)
 // FuzzOpenAuth drives OpenAuth and AuthEpoch over arbitrary bytes. The
 // contract: never panic, classify every input as ErrAuthFrame /
 // ErrAuth / accept, and only accept canonical envelopes sealed under
-// the verification key.
+// the verification key. Each input is also opened twice through one
+// AuthSealer for its claimed epoch — the second time with the first
+// result in its memo — and both results must equal OpenAuth's.
 func FuzzOpenAuth(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{authMagic})
@@ -27,6 +29,13 @@ func FuzzOpenAuth(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := OpenAuth(fuzzAuthKey, data)
+		claimed, _ := AuthEpoch(data)
+		sealer := NewAuthSealer(fuzzAuthKey, claimed)
+		for rep := 0; rep < 2; rep++ {
+			if got, serr := sealer.Open(data); serr != err || !bytes.Equal(got, payload) {
+				t.Fatalf("open %d: AuthSealer.Open = %x, %v; OpenAuth = %x, %v", rep, got, serr, payload, err)
+			}
+		}
 		switch {
 		case err == nil:
 			// Accepted envelopes are canonical: re-sealing the payload
