@@ -435,21 +435,3 @@ func BenchmarkWireHeader(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkDESScheduler measures the simulator's event throughput.
-func BenchmarkDESScheduler(b *testing.B) {
-	b.ReportAllocs()
-	sim := des.New(1)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < b.N {
-			sim.After(time.Microsecond, tick)
-		}
-	}
-	sim.After(time.Microsecond, tick)
-	if err := sim.Run(0); err != nil {
-		b.Fatal(err)
-	}
-}

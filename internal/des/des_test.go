@@ -230,7 +230,7 @@ func TestTimerWhen(t *testing.T) {
 // TestStoppedTimerCompaction exercises the stop-heavy workload of fifo
 // resend/heartbeat/recovery timers: almost every scheduled timer is
 // cancelled before firing. The queue must shed stopped entries instead
-// of retaining them until they surface at the top of the heap.
+// of retaining them until they reach the front of the queue.
 func TestStoppedTimerCompaction(t *testing.T) {
 	s := New(1)
 	// A far-future live event keeps the queue non-empty throughout.
@@ -246,8 +246,8 @@ func TestStoppedTimerCompaction(t *testing.T) {
 		}
 		// Compaction must keep the raw queue bounded by ~2× the live
 		// count (plus the pre-compaction floor).
-		if len(s.queue) > 128 {
-			t.Fatalf("queue holds %d entries with 1 live timer", len(s.queue))
+		if s.queued > 128 {
+			t.Fatalf("queue holds %d entries with 1 live timer", s.queued)
 		}
 	}
 	if err := s.Run(0); err != nil {
@@ -299,8 +299,8 @@ func TestCompactionPreservesOrder(t *testing.T) {
 
 // BenchmarkStopHeavyTimers measures the resend-timer pattern: schedule
 // a timeout, cancel it almost immediately, repeat — with a standing
-// population of far-out timers so stopped entries never surface at the
-// heap top on their own. Before heap compaction this retained every
+// population of far-out timers so stopped entries never reach the
+// front of the queue on their own. Before heap compaction this retained every
 // stopped timer for the whole run (O(total timers) heap); with
 // compaction the queue stays at O(live timers).
 func BenchmarkStopHeavyTimers(b *testing.B) {
@@ -315,7 +315,7 @@ func BenchmarkStopHeavyTimers(b *testing.B) {
 		tm.Stop()
 	}
 	b.StopTimer()
-	if len(s.queue) > 1024 {
-		b.Fatalf("queue grew to %d entries; compaction not effective", len(s.queue))
+	if s.queued > 1024 {
+		b.Fatalf("queue grew to %d entries; compaction not effective", s.queued)
 	}
 }
