@@ -10,18 +10,14 @@ import (
 )
 
 // TestResetStates re-arms a timer from each of its three states and
-// checks what fires, when, and that every arm takes exactly one event id.
+// checks what fires and when.
 func TestResetStates(t *testing.T) {
 	s := New(1)
 	var fired []time.Duration
 	tm := s.After(10*time.Millisecond, func() { fired = append(fired, s.Now()) })
 
 	// Pending: the earlier arm is cancelled, the new one fires.
-	id := s.nextID
 	tm.Reset(30 * time.Millisecond)
-	if s.nextID != id+1 {
-		t.Fatalf("Reset of a pending timer took %d ids, want 1", s.nextID-id)
-	}
 	if !tm.Active() || tm.When() != 30*time.Millisecond || s.Pending() != 1 {
 		t.Fatalf("after pending Reset: active=%v when=%v pending=%d", tm.Active(), tm.When(), s.Pending())
 	}
@@ -38,11 +34,7 @@ func TestResetStates(t *testing.T) {
 	if tm.Active() {
 		t.Fatal("fired timer still active")
 	}
-	id = s.nextID
 	tm.Reset(5 * time.Millisecond)
-	if s.nextID != id+1 {
-		t.Fatalf("Reset of a fired timer took %d ids, want 1", s.nextID-id)
-	}
 	s.RunUntil(time.Second)
 	if len(fired) != 2 || fired[1] != 35*time.Millisecond {
 		t.Fatalf("fired = %v, want second firing at 35ms", fired)
@@ -53,11 +45,7 @@ func TestResetStates(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop of a pending timer reported false")
 	}
-	id = s.nextID
 	tm.Reset(2 * time.Second)
-	if s.nextID != id+1 {
-		t.Fatalf("Reset of a stopped timer took %d ids, want 1", s.nextID-id)
-	}
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", s.Pending())
 	}
@@ -84,9 +72,9 @@ func TestResetStates(t *testing.T) {
 
 // TestResetEqualsStopAfter runs the same script twice — once re-arming
 // with Reset, once with Stop followed by After — and requires the same
-// firing order and the same id consumption.
+// firing order.
 func TestResetEqualsStopAfter(t *testing.T) {
-	run := func(useReset bool) (log []int, ids uint64) {
+	run := func(useReset bool) (log []int) {
 		s := New(3)
 		rng := rand.New(rand.NewSource(99))
 		timers := make([]*Timer, 40)
@@ -111,13 +99,9 @@ func TestResetEqualsStopAfter(t *testing.T) {
 		if err := s.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		return log, s.nextID
+		return log
 	}
-	a, aIDs := run(true)
-	b, bIDs := run(false)
-	if aIDs != bIDs {
-		t.Fatalf("Reset consumed %d ids, Stop+After %d", aIDs, bIDs)
-	}
+	a, b := run(true), run(false)
 	if len(a) != len(b) {
 		t.Fatalf("Reset fired %d events, Stop+After %d", len(a), len(b))
 	}
@@ -169,8 +153,10 @@ func freeSlots(s *Sim) []int32 {
 }
 
 // checkFreeSlots fails if a free call slot still holds a callback or
-// handle, if the free slots and the slots linked from the open buckets
-// do not partition the table, or if the recent table misnames a bucket.
+// handle, if the free slots and the slots linked from the buckets do not
+// partition the table, if the run is not strictly descending by when —
+// one bucket per instant —, if a bucket's tail is not its last linked
+// slot, or if a bucket other than the root is drained.
 func checkFreeSlots(t *testing.T, s *Sim, when string) {
 	t.Helper()
 	seen := make([]bool, len(s.calls))
@@ -188,9 +174,12 @@ func checkFreeSlots(t *testing.T, s *Sim, when string) {
 		}
 	}
 	queued := 0
-	for i, in := range s.heap {
-		if in.head < 0 && i != 0 {
-			t.Fatalf("%s: heap element %d, %+v, is drained but not the root", when, i, in)
+	for i, in := range s.run {
+		if i > 0 && s.run[i-1].when <= in.when {
+			t.Fatalf("%s: bucket %d, %+v, follows %+v: the run is not strictly descending", when, i, in, s.run[i-1])
+		}
+		if in.head < 0 && i != len(s.run)-1 {
+			t.Fatalf("%s: bucket %d, %+v, is drained but not the root", when, i, in)
 		}
 		last := int32(-1)
 		for slot := in.head; slot >= 0; slot = s.next[slot] {
@@ -198,8 +187,8 @@ func checkFreeSlots(t *testing.T, s *Sim, when string) {
 			queued++
 			last = slot
 		}
-		if r := s.recent[recentIndex(in.when)]; r.first == in.first && (!r.open || r.when != in.when || r.tail != last) {
-			t.Fatalf("%s: the table names bucket %+v as %+v, whose tail is %d", when, in, r, last)
+		if in.tail != last {
+			t.Fatalf("%s: bucket %d, %+v, ends at slot %d", when, i, in, last)
 		}
 	}
 	if queued != s.queued || len(free)+queued != len(s.calls) {
@@ -208,21 +197,17 @@ func checkFreeSlots(t *testing.T, s *Sim, when string) {
 	}
 }
 
-// TestQueueEntryHasNoPointers pins the queue's design: the heap's
-// buckets, the recent table and the links between entries are plain
-// words, so sifting and linking need no GC write barrier. A field that
-// can hold a pointer belongs in the call table.
+// TestQueueEntryHasNoPointers pins the queue's design: the run's
+// buckets and the links between entries are plain words, so shifting and
+// linking need no GC write barrier. A field that can hold a pointer
+// belongs in the call table.
 func TestQueueEntryHasNoPointers(t *testing.T) {
 	var s Sim
-	for _, typ := range []reflect.Type{
-		reflect.TypeOf(s.heap).Elem(),
-		reflect.TypeOf(s.recent).Elem(),
-	} {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			if !plainWord(f.Type) {
-				t.Errorf("%v: field %s is a %v, which can hold a pointer", typ, f.Name, f.Type)
-			}
+	typ := reflect.TypeOf(s.run).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !plainWord(f.Type) {
+			t.Errorf("%v: field %s is a %v, which can hold a pointer", typ, f.Name, f.Type)
 		}
 	}
 	if typ := reflect.TypeOf(s.next).Elem(); !plainWord(typ) {
@@ -241,89 +226,91 @@ func plainWord(typ reflect.Type) bool {
 	return false
 }
 
-// collide returns the first instant after when that hashes to when's
-// entry in Sim.recent.
-func collide(when time.Duration) time.Duration {
-	for c := when + 1; ; c++ {
-		if recentIndex(c) == recentIndex(when) {
-			return c
-		}
-	}
-}
-
-// TestSecondBucketForOneInstant builds the state the join rule allows:
-// two open buckets for one instant, because another instant took the
-// table entry in between. It then stops, re-arms and compacts across
-// them, schedules into an instant whose bucket has closed, and requires
-// every entry to fire in (when, id) order.
-func TestSecondBucketForOneInstant(t *testing.T) {
+// TestOneBucketPerInstant pins the run's shape through every way in and
+// out of a bucket: joins at the tail, a new instant inserted between two
+// others, stops and re-arms inside a shared instant, a compaction that
+// drops a dead tail and a bucket of dead entries, and a handler that
+// schedules into the drained root it runs from. Every entry must fire in
+// (when, call order).
+func TestOneBucketPerInstant(t *testing.T) {
 	s := New(1)
-	const T, T2 = 10 * time.Millisecond, 30 * time.Millisecond
-	Tc := collide(T)
-	if recentIndex(T2) == recentIndex(T) {
-		t.Fatal("T2 must not share T's table entry")
-	}
+	const T, Tmid, T2 = 10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond
 	var got []string
 	fire := func(label string) func() {
 		return func() { got = append(got, fmt.Sprintf("%s@%v", label, s.Now())) }
 	}
-	// keys lists the open buckets' heap keys in firing order.
-	keys := func() []instant {
-		k := append([]instant(nil), s.heap...)
-		sort.Slice(k, func(i, j int) bool { return less(&k[i], &k[j]) })
-		return k
+	whens := func() []time.Duration {
+		var w []time.Duration
+		for _, in := range s.run {
+			w = append(w, in.when)
+		}
+		return w
 	}
 
-	a := s.At(T, fire("a"))  // id 0: opens the first bucket for T
-	s.Schedule(T, fire("1")) // id 1: joins it
-	s.At(Tc, fire("2"))      // id 2: Tc takes T's table entry
-	b := s.At(T, fire("b"))  // id 3: a miss, so a second bucket for T
-	s.Schedule(T, fire("4")) // id 4: joins the second bucket, not the first
-	k := keys()
-	if len(k) != 3 || k[0].when != T || k[0].first != 0 || k[1].when != T || k[1].first != 3 || k[2].when != Tc {
-		t.Fatalf("heap keys = %+v, want (T,0) (T,3) (Tc,2)", k)
+	a := s.At(T, fire("a"))  // T's bucket
+	s.Schedule(T, fire("1")) // joins it
+	s.At(T2, fire("2"))      // a later instant: inserted at the latest end
+	b := s.At(T, fire("b"))  // joins T's bucket, the root
+	s.Schedule(T, fire("4"))
+	if w := whens(); !reflect.DeepEqual(w, []time.Duration{T2, T}) {
+		t.Fatalf("run = %v, want [T2 T]", w)
 	}
-	tail := s.recent[recentIndex(T)].tail
-	if k[1].head != b.slot || s.next[k[1].head] != tail || s.next[tail] != -1 {
-		t.Fatalf("second bucket for T = %+v with tail %d, want b's arm then id 4", k[1], tail)
+	if root := s.run[1]; root.head != a.slot || s.next[b.slot] != root.tail || s.next[root.tail] != -1 {
+		t.Fatalf("T's bucket = %+v, want a's arm first and entry 4 last, after b's", root)
 	}
-	checkFreeSlots(t, s, "two buckets for T")
+	checkFreeSlots(t, s, "two instants")
 
-	a.Stop()                         // id 0 dies in the first bucket, which keeps its key
-	b.Reset(T)                       // id 5: id 3 dies, and the new arm joins the second bucket
-	for i := 0; s.stopped > 0; i++ { // ids 6, 7, ...: stopped fillers until compaction runs
-		when := T
+	a.Stop()   // a dies at the head of T's bucket
+	b.Reset(T) // b's first arm dies, and the new arm joins at the tail
+	for i := 0; s.stopped > 0; i++ {
+		// Stopped fillers until compaction runs: T's bucket ends in a
+		// dead filler, and Tmid's bucket holds only dead entries.
+		when := Tmid
 		if i%2 == 1 {
-			when = T2
+			when = T
 		}
 		s.At(when, fire("filler")).Stop()
 	}
-	if n := len(s.heap); n != 3 {
-		t.Fatalf("after compaction %d buckets are open, want 3: T2's held only dead entries", n)
+	if w := whens(); !reflect.DeepEqual(w, []time.Duration{T2, T}) {
+		t.Fatalf("after compaction run = %v, want [T2 T]: Tmid's bucket held only dead entries", w)
 	}
 	checkFreeSlots(t, s, "after compaction")
-	s.Schedule(T, fire("T after compaction")) // the second bucket is still T's latest
-	s.Schedule(T2, fire("T2"))                // T2's bucket closed: a new one opens
-	if n := len(s.heap); n != 4 {
-		t.Fatalf("%d buckets are open, want 4", n)
+	s.Schedule(T, fire("T after compaction")) // joins at the tail compaction restored
+	s.Schedule(Tmid, fire("mid"))             // a new instant between T2 and T
+	s.Schedule(T2, fire("T2 again"))          // joins T2's bucket past both
+	if w := whens(); !reflect.DeepEqual(w, []time.Duration{T2, Tmid, T}) {
+		t.Fatalf("run = %v, want [T2 Tmid T]", w)
 	}
+	checkFreeSlots(t, s, "three instants")
 
-	s.RunUntil(T)                        // drains and closes both buckets for T
-	s.Schedule(T, fire("T after drain")) // the table names a closed bucket: a new one opens
-	checkFreeSlots(t, s, "after RunUntil")
+	// The last entry at T finds its bucket drained, schedules into it,
+	// and the new entry runs next, at the same instant.
+	s.Schedule(T, func() {
+		root := s.run[len(s.run)-1]
+		if root.when != T || root.head != -1 || root.tail != -1 {
+			t.Errorf("root = %+v while its last entry runs, want drained at T", root)
+		}
+		checkFreeSlots(t, s, "drained root")
+		n := len(s.run)
+		s.Schedule(s.Now(), fire("into the drained root"))
+		if len(s.run) != n {
+			t.Errorf("scheduling at now opened a bucket: %d of them, was %d", len(s.run), n)
+		}
+		checkFreeSlots(t, s, "drained root joined")
+	})
 	if err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	checkFreeSlots(t, s, "after the queue drained")
 	want := []string{
-		"1@10ms", "4@10ms", "b@10ms", "T after compaction@10ms", "T after drain@10ms",
-		fmt.Sprintf("2@%v", Tc), "T2@30ms",
+		"1@10ms", "4@10ms", "b@10ms", "T after compaction@10ms", "into the drained root@10ms",
+		"mid@20ms", "2@30ms", "T2 again@30ms",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fired %q, want %q", got, want)
 	}
-	if s.Pending() != 0 || s.queued != 0 {
-		t.Fatalf("drained queue: Pending = %d, queued = %d", s.Pending(), s.queued)
+	if s.Pending() != 0 || s.queued != 0 || len(s.run) != 0 {
+		t.Fatalf("drained queue: Pending = %d, queued = %d, %d buckets", s.Pending(), s.queued, len(s.run))
 	}
 }
 
@@ -377,36 +364,17 @@ const burstStep = 11_000_011
 
 // pickWhen draws the timestamp of the property test's next operation.
 // Most land on few distinct instants: the current one, or one of the
-// instants just past each of the next four whole milliseconds that share
-// table entry 0 — so a bucket for one of them is routinely displaced by
-// another's, and a second bucket for the first has to open. The rest
-// spread over 40 ms, some in the past.
+// next four whole milliseconds, so buckets are routinely joined. The
+// rest spread over 40 ms, some in the past.
 func pickWhen(rng *rand.Rand, now time.Duration) time.Duration {
 	switch k := rng.Intn(10); {
 	case k < 3:
 		return now
 	case k < 7:
-		c := now.Truncate(time.Millisecond) + time.Duration(rng.Intn(4))*time.Millisecond
-		for recentIndex(c) != 0 {
-			c++
-		}
-		return c
+		return now.Truncate(time.Millisecond) + time.Duration(rng.Intn(4))*time.Millisecond
 	default:
 		return now + time.Duration(rng.Intn(40)-2)*time.Millisecond
 	}
-}
-
-// twoBucketsForOneInstant reports whether two open buckets share a
-// timestamp.
-func twoBucketsForOneInstant(s *Sim) bool {
-	seen := make(map[time.Duration]bool, len(s.heap))
-	for _, in := range s.heap {
-		if seen[in.when] {
-			return true
-		}
-		seen[in.when] = true
-	}
-	return false
 }
 
 type realWorld struct {
@@ -447,7 +415,8 @@ func (w *realWorld) log() []firing                   { return w.fired }
 func (w *realWorld) record(f firing)                 { w.fired = append(w.fired, f) }
 
 // refWorld is the reference: every live event in one slice, re-sorted by
-// (when, id) before each pop. No heap, no lazy deletion, no compaction.
+// (when, id) before each pop, where ids are handed out in call order. No
+// buckets, no lazy deletion, no compaction.
 type refEvent struct {
 	when   time.Duration
 	id     uint64
@@ -552,10 +521,11 @@ func (w *refWorld) record(f firing) { w.fired = append(w.fired, f) }
 // TestSchedulerMatchesReference drives random Schedule/At/Stop/Reset/
 // Step/RunUntil sequences — stop- and reset-heavy enough to compact the
 // queue many times over, and tie-heavy enough (pickWhen, onFire's bursts)
-// that instants are shared, joined at the current time and given second
-// buckets — through the real scheduler and the sorted-slice reference,
-// and requires identical firing order, firing times, return values,
-// clocks and pending counts throughout.
+// that instants are shared and joined at the current time — through the
+// real scheduler and the sorted-slice reference, and requires identical
+// firing order, firing times, return values, clocks and pending counts
+// throughout, and the run's shape (checkFreeSlots: one bucket per
+// instant) after every operation.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -563,9 +533,9 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		real := &realWorld{s: sim, rearms: map[int]int{}}
 		ref := &refWorld{armed: map[int]uint64{}, rearms: map[int]int{}}
 		worlds := [2]world{real, ref}
-		handles, compactions, doubled, tag := 0, 0, 0, 0
+		handles, compactions, joins, tag := 0, 0, 0, 0
 		for op := 0; op < 3000; op++ {
-			before := sim.queued
+			queued, buckets := sim.queued, len(sim.run)
 			when := pickWhen(rng, real.now())
 			pick := 0
 			if handles > 0 {
@@ -583,12 +553,32 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				}
 				handles++
 			case k < 65 && handles > 0:
+				// Compaction zeroes stopped; nothing else lowers it
+				// outside a Step.
+				stopped := sim.stopped
 				if a, b := real.stop(pick), ref.stop(pick); a != b {
 					t.Fatalf("seed %d op %d: Stop = %v, reference %v", seed, op, a, b)
 				}
+				if sim.stopped < stopped {
+					compactions++
+				}
 			case k < 85 && handles > 0:
-				for _, w := range worlds {
-					w.reset(pick, when-w.now())
+				// One re-arm in twenty is a storm, a wedge timer's life:
+				// the handle is re-armed more times than there are live
+				// entries, each arm superseding the last, so the queue
+				// has to compact.
+				n := 1
+				if tag%20 == 0 {
+					n = ref.pending() + 3
+				}
+				for i := 0; i < n; i++ {
+					stopped := sim.stopped
+					for _, w := range worlds {
+						w.reset(pick, when-w.now())
+					}
+					if sim.stopped < stopped {
+						compactions++
+					}
 				}
 			case k < 93:
 				if a, b := real.step(), ref.step(); a != b {
@@ -599,12 +589,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 					w.runUntil(when)
 				}
 			}
-			if sim.queued < before-1 {
-				compactions++
+			if sim.queued > queued && len(sim.run) <= buckets {
+				joins++
 			}
-			if twoBucketsForOneInstant(sim) {
-				doubled++
-			}
+			checkFreeSlots(t, sim, fmt.Sprintf("seed %d op %d", seed, op))
 			if real.now() != ref.now() || real.pending() != ref.pending() {
 				t.Fatalf("seed %d op %d: now/pending = %v/%d, reference %v/%d",
 					seed, op, real.now(), real.pending(), ref.now(), ref.pending())
@@ -626,8 +614,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		if compactions == 0 {
 			t.Fatalf("seed %d: the queue never compacted; the script is not stop-heavy enough", seed)
 		}
-		if doubled == 0 {
-			t.Fatalf("seed %d: no instant ever had two buckets; the script is not tie-heavy enough", seed)
+		if joins == 0 {
+			t.Fatalf("seed %d: no entry ever joined a queued instant; the script is not tie-heavy enough", seed)
 		}
 		if len(sim.calls) > real.highWater {
 			t.Fatalf("seed %d: call table holds %d slots, queue high-water mark %d: slots are not reused",
@@ -653,13 +641,17 @@ func compareLogs(t *testing.T, seed int64, op int, got, want []firing) {
 // TestScheduleStepAllocs: once the queue's tables have grown, a
 // handle-less event costs no allocation to schedule or to run — neither
 // on an instant of its own nor in a same-instant burst, where handlers
-// schedule at the current time burstDepth deep.
+// schedule at the current time burstDepth deep — and neither does an
+// insert at either end of a deep run: the near-term events go in at its
+// earliest end, and a far timer re-armed past every queued instant goes
+// in at its latest, leaving a dead bucket behind until compaction.
 func TestScheduleStepAllocs(t *testing.T) {
 	s := New(1)
 	nop := func() {}
 	for i := 0; i < 256; i++ {
 		s.Schedule(time.Hour+time.Duration(i), nop)
 	}
+	far := s.After(2*time.Hour, nop)
 	depth := 0
 	var burst func()
 	burst = func() {
@@ -669,19 +661,39 @@ func TestScheduleStepAllocs(t *testing.T) {
 			s.Schedule(s.Now(), nop)
 		}
 	}
-	if n := testing.AllocsPerRun(1000, func() {
+	round := func() {
 		s.Schedule(s.Now()+time.Microsecond, nop)
 		s.Schedule(s.Now()+2*time.Microsecond, nop)
+		far.Reset(2 * time.Hour)
 		s.Step()
 		s.Step()
 		depth = 0
 		s.Schedule(s.Now()+time.Microsecond, burst)
 		s.RunUntil(s.Now() + time.Microsecond)
-	}); n != 0 {
-		t.Errorf("Schedule+Step allocates %v per run, want 0", n)
 	}
-	if depth != burstDepth || s.Pending() != 256 {
-		t.Fatalf("burst reached depth %d with %d pending, want %d with 256", depth, s.Pending(), burstDepth)
+	// Grow the run to its high-water size: far's dead buckets pile up
+	// until they outnumber the live entries and compaction sheds them.
+	highWater := 0
+	for i := 0; i < 2000; i++ {
+		round()
+		highWater = max(highWater, len(s.run))
+	}
+	if highWater < 2*256 {
+		t.Fatalf("the run peaked at %d buckets, want at least %d", highWater, 2*256)
+	}
+	// The tables must not grow past their high-water either: a rare
+	// regrowth would vanish in AllocsPerRun's rounded-down average.
+	caps := func() [3]int { return [3]int{cap(s.run), cap(s.calls), cap(s.next)} }
+	grown := caps()
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Errorf("Schedule, Reset and Step on a deep run allocate %v per round, want 0", n)
+	}
+	if c := caps(); c != grown {
+		t.Errorf("run, calls and next capacities grew %v → %v past their high-water", grown, c)
+	}
+	if depth != burstDepth || s.Pending() != 257 || s.run[0].when <= time.Hour+255 {
+		t.Fatalf("burst reached depth %d with %d pending and %v latest, want %d with 257 and far's arm",
+			depth, s.Pending(), s.run[0].when, burstDepth)
 	}
 }
 
@@ -761,6 +773,26 @@ func BenchmarkTimerReset(b *testing.B) {
 	}
 }
 
+// BenchmarkFarArm is the run's worst case: one far-future timer re-armed
+// past 500 queued near-term instants — about the longest run fault_mix
+// holds — so every arm walks the whole run and goes in at its latest
+// end, and the dead arms it leaves pile up there until compaction.
+func BenchmarkFarArm(b *testing.B) {
+	s := New(1)
+	nop := func() {}
+	for i := 0; i < 500; i++ {
+		s.Schedule(time.Duration(i+1)*time.Millisecond, nop)
+	}
+	far := s.After(time.Hour, nop)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		far.Reset(time.Hour + time.Duration(i))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(s.run)), "instants")
+}
+
 // BenchmarkTiedInstants is one event of the shape the workloads run: ten
 // members, each with three self-re-arming ticks of 20, 25 and 50 ms in
 // the same phase, so every tick instant is shared by ten or more timers.
@@ -799,7 +831,7 @@ func BenchmarkTiedInstants(b *testing.B) {
 		s.Step()
 		if i%256 == 0 {
 			entries += s.Pending()
-			instants += len(s.heap)
+			instants += len(s.run)
 			samples++
 		}
 	}

@@ -22,23 +22,17 @@ import (
 // concurrent use: all handlers run on the caller's goroutine, one at a
 // time, which is precisely what makes executions deterministic.
 //
-// The queue orders instants, not events. Every queued entry waits in a
-// bucket: a FIFO of entries that share one timestamp, linked through
-// next in id order. The heap holds one key per open bucket, so entries
-// that join an instant already queued — a third of all pushes on the
-// paper experiment, over half under chaos — cost no sift at all, and a
-// handler that schedules at the current time appends to the bucket it
-// is running from.
+// The queue orders instants, not events. Every queued entry waits in the
+// bucket of its timestamp: a FIFO of the entries that share one instant,
+// linked through next in call order. There is exactly one bucket per
+// queued instant, and the buckets form one run sorted latest-first, so
+// the earliest instant is the last element and a pop is a slice shrink.
 type Sim struct {
 	now time.Duration
-	// heap is a binary min-heap of the open buckets ordered by (when,
-	// first). Its elements hold no pointer, so sifting moves plain words
-	// with no GC write barrier.
-	heap []instant
-	// recent maps a hash of a timestamp to the bucket last opened for a
-	// timestamp with that hash. A new entry joins that bucket only if it
-	// is still open and its when matches; otherwise it opens another.
-	recent [recentSize]opening
+	// run holds one bucket per queued instant, strictly descending by
+	// when. Its elements hold no pointer, so shifting them moves plain
+	// words with no GC write barrier.
+	run []instant
 	// calls holds each queued entry's callback and handle, indexed by the
 	// entry's slot. next[slot] is the following entry of the slot's
 	// bucket (-1 at the tail), or, for a free slot, the next free one
@@ -51,7 +45,6 @@ type Sim struct {
 	freeSlot int32
 	// queued counts entries in the buckets, live and dead.
 	queued int
-	nextID uint64
 	rng    *rand.Rand
 	// executed counts handler invocations, for run-away detection and
 	// statistics.
@@ -66,46 +59,19 @@ type Sim struct {
 	stopped int
 }
 
-// instant is one open bucket: its heap key and the slot of its first
-// queued entry, head (-1 once it has drained). The key is the bucket's
-// timestamp and the id of the entry it was opened with. Ids are handed
-// out in call order, one per Schedule/At/After/Reset, so appending keeps
-// a bucket in id order. A bucket is appended to only while it is the
-// last one opened for its timestamp: every id in an older bucket for the
-// same timestamp is smaller than every id in a newer one, so (when,
-// first) sorts the buckets — and hence all entries — in (when, id)
-// order, a total order that is a function of the call sequence alone.
+// instant is the bucket of one queued timestamp: the slots of its first
+// and last queued entries, head and tail (both -1 once it has drained).
+// An entry joins its instant's bucket at the tail, at the call, so a
+// bucket is in call order; buckets are unique per when, so the queue
+// fires in (when, call order), a total order that is a function of the
+// call sequence alone.
 //
-// Only the root drains: a drained bucket stays open at the top of the
-// heap until the next Step, so entries scheduled for the current time
-// while it runs join it instead of opening another.
+// Only the root — the last bucket of the run — drains: a drained root
+// stays in place until the next Step, so entries scheduled for the
+// current time while it runs join it.
 type instant struct {
-	when  time.Duration
-	first uint64
-	head  int32
-}
-
-// opening is an entry of Sim.recent: the key of the bucket it names and
-// that bucket's last slot — the only place a tail is kept, since only a
-// bucket the table names can be joined. tail is -1 while the bucket is
-// drained; open turns false when it closes.
-type opening struct {
-	when  time.Duration
-	first uint64
-	tail  int32
-	open  bool
-}
-
-// recentSize is the number of entries in Sim.recent: a fixed table, not
-// a map, so a miss costs one extra bucket and never an allocation.
-const (
-	recentBits = 4
-	recentSize = 1 << recentBits
-)
-
-// recentIndex hashes a timestamp into Sim.recent (Fibonacci hashing).
-func recentIndex(when time.Duration) int {
-	return int(uint64(when) * 0x9e3779b97f4a7c15 >> (64 - recentBits))
+	when       time.Duration
+	head, tail int32
 }
 
 // call is what a queued entry runs.
@@ -126,10 +92,11 @@ func (s *Sim) live(slot int32) bool {
 	return t == nil || (t.pending && t.slot == slot)
 }
 
-// enqueue stores c in a free slot and appends it to when's bucket — the
-// one last opened for when, if it is still open, else a new one keyed by
-// id. It returns the slot.
-func (s *Sim) enqueue(when time.Duration, id uint64, c call) int32 {
+// enqueue stores c in a free slot and appends it to when's bucket. The
+// walk starts at the run's earliest end and stops at the first bucket
+// not earlier than when: that is when's bucket, or else the place where
+// a new one goes. It returns the slot.
+func (s *Sim) enqueue(when time.Duration, c call) int32 {
 	var slot int32
 	if slot = s.freeSlot; slot >= 0 {
 		s.freeSlot = s.next[slot]
@@ -141,18 +108,25 @@ func (s *Sim) enqueue(when time.Duration, id uint64, c call) int32 {
 	}
 	s.next[slot] = -1
 	s.queued++
-	r := &s.recent[recentIndex(when)]
-	if r.open && r.when == when {
-		if r.tail < 0 {
-			s.heap[0].head = slot // a drained bucket is the root
+	q := s.run
+	i := len(q)
+	for i > 0 && q[i-1].when < when {
+		i--
+	}
+	if i > 0 && q[i-1].when == when {
+		b := &q[i-1]
+		if b.tail < 0 {
+			b.head = slot // the drained root
 		} else {
-			s.next[r.tail] = slot
+			s.next[b.tail] = slot
 		}
-		r.tail = slot
+		b.tail = slot
 		return slot
 	}
-	*r = opening{when: when, first: id, tail: slot, open: true}
-	s.push(instant{when: when, first: id, head: slot})
+	q = append(q, instant{})
+	copy(q[i+1:], q[i:])
+	q[i] = instant{when: when, head: slot, tail: slot}
+	s.run = q
 	return slot
 }
 
@@ -166,25 +140,11 @@ func (s *Sim) release(slot int32) call {
 	return c
 }
 
-// advance unlinks slot, the root's first entry, from the root. If that
-// drains the root and the table names it — first ids are never reused,
-// so a matching first is this bucket — its tail goes too.
+// advance unlinks slot, the root's first entry, from the root.
 func (s *Sim) advance(slot int32) {
-	root := &s.heap[0]
+	root := &s.run[len(s.run)-1]
 	if root.head = s.next[slot]; root.head < 0 {
-		if r := &s.recent[recentIndex(root.when)]; r.first == root.first {
-			r.tail = -1
-		}
-	}
-}
-
-// closeRoot takes the drained root out of the heap and, if the table
-// names it, marks it closed there.
-func (s *Sim) closeRoot() {
-	root := s.heap[0]
-	s.pop()
-	if r := &s.recent[recentIndex(root.when)]; r.first == root.first {
-		r.open = false
+		root.tail = -1
 	}
 }
 
@@ -233,9 +193,9 @@ func (t *Timer) Stop() bool {
 
 // Reset re-arms the timer to run its callback d from now, whether it is
 // pending, has fired, or was stopped. It is exactly Stop followed by
-// After with the same callback — one new event id, taken at the call —
-// minus the allocation, so swapping one for the other leaves the
-// execution order untouched.
+// After with the same callback — one new entry, appended to its bucket at
+// the call — minus the allocation, so swapping one for the other leaves
+// the execution order untouched.
 func (t *Timer) Reset(d time.Duration) {
 	s := t.sim
 	if d < 0 {
@@ -266,8 +226,7 @@ func (s *Sim) Schedule(when time.Duration, fn func()) {
 	if when < s.now {
 		when = s.now
 	}
-	s.enqueue(when, s.nextID, call{fn: fn})
-	s.nextID++
+	s.enqueue(when, call{fn: fn})
 }
 
 // At schedules fn to run at absolute virtual time when. Scheduling in
@@ -285,15 +244,14 @@ func (s *Sim) At(when time.Duration, fn func()) *Timer {
 	return t
 }
 
-// arm queues a fresh entry for t under the next event id; any entry of
-// an earlier arm goes stale because t.slot no longer matches it.
+// arm queues a fresh entry for t; any entry of an earlier arm goes stale
+// because t.slot no longer matches it.
 func (s *Sim) arm(t *Timer, when time.Duration) {
 	if when < s.now {
 		when = s.now
 	}
 	t.when, t.pending = when, true
-	t.slot = s.enqueue(when, s.nextID, call{fn: t.fn, t: t})
-	s.nextID++
+	t.slot = s.enqueue(when, call{fn: t.fn, t: t})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -305,17 +263,16 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 }
 
 // compact drops the dead entries from every bucket once they make up
-// more than half the queue (and the queue is big enough to matter),
-// closes the buckets left empty and rebuilds the heap from the rest. A
-// bucket keeps its key when it loses entries — its surviving ids still
-// all sort between those of the buckets around it — so execution order,
-// and thus determinism, is unaffected.
+// more than half the queue (and the queue is big enough to matter), and
+// the buckets left empty from the run. It filters the run in place, so
+// the buckets keep their order, and each keeps its survivors in theirs:
+// execution order, and thus determinism, is unaffected.
 func (s *Sim) compact() {
 	if s.queued < 64 || s.stopped*2 <= s.queued {
 		return
 	}
-	kept := s.heap[:0]
-	for _, in := range s.heap {
+	kept := s.run[:0]
+	for _, in := range s.run {
 		head, last := int32(-1), int32(-1)
 		for slot := in.head; slot >= 0; {
 			following := s.next[slot]
@@ -331,25 +288,14 @@ func (s *Sim) compact() {
 			}
 			slot = following
 		}
-		r := &s.recent[recentIndex(in.when)]
-		named := r.first == in.first // the table names this bucket
 		if last < 0 {
-			if named {
-				r.open = false
-			}
 			continue
 		}
 		s.next[last] = -1
-		if named {
-			r.tail = last
-		}
-		in.head = head
+		in.head, in.tail = head, last
 		kept = append(kept, in)
 	}
-	s.heap = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		s.siftDown(i, kept[i])
-	}
+	s.run = kept
 	s.stopped = 0
 }
 
@@ -372,7 +318,7 @@ func (s *Sim) Step() bool {
 	if !ok {
 		return false
 	}
-	s.now = s.heap[0].when
+	s.now = s.run[len(s.run)-1].when
 	s.advance(slot)
 	c := s.release(slot)
 	if c.t != nil {
@@ -403,7 +349,7 @@ func (s *Sim) Run(maxEvents uint64) error {
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (s *Sim) RunUntil(deadline time.Duration) {
 	for {
-		if _, ok := s.front(); !ok || s.heap[0].when > deadline {
+		if _, ok := s.front(); !ok || s.run[len(s.run)-1].when > deadline {
 			break
 		}
 		s.Step()
@@ -419,13 +365,13 @@ func (s *Sim) Pending() int {
 }
 
 // front returns the slot of the earliest live entry — the root's first
-// — or false if no live entry is queued. On the way it closes drained
+// — or false if no live entry is queued. On the way it drops drained
 // buckets and frees the dead entries it passes.
 func (s *Sim) front() (int32, bool) {
-	for len(s.heap) > 0 {
-		switch slot := s.heap[0].head; {
+	for n := len(s.run); n > 0; n = len(s.run) {
+		switch slot := s.run[n-1].head; {
 		case slot < 0:
-			s.closeRoot()
+			s.run = s.run[:n-1]
 		case s.live(slot):
 			return slot, true
 		default:
@@ -435,63 +381,4 @@ func (s *Sim) front() (int32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// less orders instants by (when, first): all of an instant's entries
-// fire before those of any instant that sorts after it.
-func less(a, b *instant) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.first < b.first
-}
-
-// push adds in to the heap: the hole opened at the end climbs until in's
-// parent sorts before it, so each level costs one move instead of a swap.
-func (s *Sim) push(in instant) {
-	s.heap = append(s.heap, instant{})
-	q := s.heap
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(&in, &q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = in
-}
-
-// pop removes the root.
-func (s *Sim) pop() {
-	q := s.heap
-	n := len(q) - 1
-	last := q[n]
-	s.heap = q[:n]
-	if n > 0 {
-		s.siftDown(0, last)
-	}
-}
-
-// siftDown places in at or below index i: the hole sinks past every child
-// that sorts before in.
-func (s *Sim) siftDown(i int, in instant) {
-	q := s.heap
-	n := len(q)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && less(&q[r], &q[child]) {
-			child = r
-		}
-		if !less(&q[child], &in) {
-			break
-		}
-		q[i] = q[child]
-		i = child
-	}
-	q[i] = in
 }

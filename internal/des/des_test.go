@@ -259,7 +259,7 @@ func TestStoppedTimerCompaction(t *testing.T) {
 }
 
 // TestCompactionPreservesOrder stops a random half of a large schedule
-// and checks the survivors still fire in exact (when, id) order.
+// and checks the survivors still fire in exact (when, call order) order.
 func TestCompactionPreservesOrder(t *testing.T) {
 	s := New(7)
 	var got []int
@@ -279,7 +279,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 			kept = append(kept, i)
 		}
 	}
-	// Expected order: by (when, id); id order equals creation order.
+	// Expected order: by when, then by creation order.
 	sort.SliceStable(kept, func(a, b int) bool {
 		return timers[kept[a]].When() < timers[kept[b]].When()
 	})
@@ -300,9 +300,11 @@ func TestCompactionPreservesOrder(t *testing.T) {
 // BenchmarkStopHeavyTimers measures the resend-timer pattern: schedule
 // a timeout, cancel it almost immediately, repeat — with a standing
 // population of far-out timers so stopped entries never reach the
-// front of the queue on their own. Before heap compaction this retained every
-// stopped timer for the whole run (O(total timers) heap); with
-// compaction the queue stays at O(live timers).
+// front of the queue on their own. Before compaction this retained every
+// stopped timer for the whole run (O(total timers) queue); with
+// compaction the queue stays at O(live timers). Each dead arm is a
+// bucket of its own at the run's earliest end, which every later arm
+// walks past until compaction sheds it.
 func BenchmarkStopHeavyTimers(b *testing.B) {
 	s := New(1)
 	// Standing far-future population (heartbeats that never fire).

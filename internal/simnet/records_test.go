@@ -35,7 +35,7 @@ func TestMulticastAllocs(t *testing.T) {
 		}
 		drain(sim)
 	}
-	for i := 0; i < 10; i++ { // fill the free lists, grow the rings and the heap
+	for i := 0; i < 10; i++ { // fill the free lists, grow the rings and the run
 		round()
 	}
 	delivered = 0
