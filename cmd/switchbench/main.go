@@ -32,9 +32,10 @@
 // deterministic per seed. Compare artifacts across runs with
 // cmd/benchdiff.
 //
-// The chaos-only flags (-schedules, -telemetry and every -chaos-*) are
-// rejected unless the experiment is chaos or all, so a flag that would
-// be silently ignored fails before anything runs.
+// A flag that only some experiments read (see flagReaders) is rejected
+// when set for any other experiment except all, and -schedules,
+// -senders, -measure and -warmup must be positive, so a value that
+// would be silently ignored or replaced fails before anything runs.
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -64,18 +66,16 @@ func run(args []string) error {
 	var (
 		experiment   = fs.String("experiment", "all", "figure2 | overhead | hysteresis | p2p | chaos | all")
 		seed         = fs.Int64("seed", 1, "simulation seed")
-		schedules    = fs.Int("schedules", 200, "fault schedules for the chaos sweep")
+		schedules    = fs.Int("schedules", 200, "chaos: fault schedules to sweep")
 		chaosSettle  = fs.Duration("chaos-settle", 0, "chaos: settle window after faults heal (0: package default)")
 		chaosDrain   = fs.Duration("chaos-drain", 0, "chaos: drain window for liveness probes (0: package default)")
 		chaosCorrupt = fs.Bool("chaos-corruption", false, "chaos: add corruption/truncation/garbage faults (E15)")
 		chaosForgery = fs.Bool("chaos-forgery", false, "chaos: add forged-frame/wire-replay faults (E16)")
 		chaosCrowd   = fs.Bool("chaos-flashcrowd", false, "chaos: add flash-crowd faults, plus the E17 latency/shed study")
 		chaosGray    = fs.Bool("chaos-gray", false, "chaos: add gray-failure faults (slow nodes, asymmetric links, flapping), plus the E20 stability study")
-		senders      = fs.Int("senders", 10, "maximum active senders for figure2")
-		measure      = fs.Duration("measure", 10*time.Second, "virtual measurement window per point")
-		warmup       = fs.Duration("warmup", 2*time.Second, "virtual warmup discarded from statistics")
-		msgBytes     = fs.Int("msgbytes", 0, "application payload size (default: calibrated 2240)")
-		hybrid       = fs.Bool("hybrid", true, "include the switching hybrid in figure2")
+		senders      = fs.Int("senders", 10, "figure2: maximum active senders")
+		measure      = fs.Duration("measure", 10*time.Second, "figure2: virtual measurement window per point")
+		warmup       = fs.Duration("warmup", 2*time.Second, "figure2: virtual warmup discarded from statistics")
 		parallel     = fs.Int("parallel", 0, "worker count for sweep runs (<= 0: GOMAXPROCS); results are identical for any value")
 		jsonDir      = fs.String("json", "", "directory to write BENCH_<experiment>.json artifacts (empty: no artifacts)")
 		traceDir     = fs.String("trace", "", "directory to write TRACE_<experiment>.jsonl event streams (empty: no traces)")
@@ -85,20 +85,23 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *experiment != "chaos" && *experiment != "all" {
-		var chaosOnly []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "schedules" || f.Name == "telemetry" || strings.HasPrefix(f.Name, "chaos-") {
-				chaosOnly = append(chaosOnly, "-"+f.Name)
-			}
-		})
-		if len(chaosOnly) > 0 {
-			return fmt.Errorf("%s: only -experiment chaos or all uses it, not %q",
-				strings.Join(chaosOnly, ", "), *experiment)
-		}
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlagScope(*experiment, set); err != nil {
+		return err
 	}
-	if *schedules < 0 {
-		return fmt.Errorf("-schedules %d: must not be negative", *schedules)
+	for _, f := range []struct {
+		name     string
+		positive bool
+	}{
+		{"schedules", *schedules > 0},
+		{"senders", *senders > 0},
+		{"measure", *measure > 0},
+		{"warmup", *warmup > 0},
+	} {
+		if !f.positive {
+			return fmt.Errorf("-%s %s: must be positive", f.name, fs.Lookup(f.name).Value)
+		}
 	}
 	// Validate output directories before running anything: experiments
 	// take minutes, and a typo'd path should fail in milliseconds.
@@ -111,9 +114,6 @@ func run(args []string) error {
 	rc.Seed = *seed
 	rc.Measure = *measure
 	rc.Warmup = *warmup
-	if *msgBytes > 0 {
-		rc.MsgBytes = *msgBytes
-	}
 	// The resolved worker count (for configs and the timing section).
 	workers := engine.New(*parallel).Workers()
 	// Sweep jobs report progress from worker goroutines; serialize the
@@ -167,7 +167,7 @@ func run(args []string) error {
 		cfg := harness.Figure2Config{
 			Run:           rc,
 			MaxSenders:    *senders,
-			IncludeHybrid: *hybrid,
+			IncludeHybrid: true,
 			Parallel:      workers,
 			Trace:         tracing,
 			Progress:      progress,
@@ -275,7 +275,7 @@ func run(args []string) error {
 			return err
 		}
 		if *telemetryDir != "" {
-			tart := harness.NewBenchTelemetry(*seed, telemetry.DefaultInterval, res)
+			tart := harness.NewBenchTelemetry(*seed, telemetry.Interval, res)
 			tart.SetTiming(time.Since(start), workers)
 			b, err := harness.EncodeBench(tart)
 			if err != nil {
@@ -337,6 +337,42 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
+}
+
+// flagReaders names, for each flag that only some experiments read, the
+// experiments that read it. -experiment all reads every flag.
+var flagReaders = map[string][]string{
+	"senders":          {"figure2"},
+	"measure":          {"figure2"},
+	"warmup":           {"figure2"},
+	"trace":            {"figure2", "overhead", "hysteresis", "chaos"},
+	"schedules":        {"chaos"},
+	"telemetry":        {"chaos"},
+	"chaos-settle":     {"chaos"},
+	"chaos-drain":      {"chaos"},
+	"chaos-corruption": {"chaos"},
+	"chaos-forgery":    {"chaos"},
+	"chaos-flashcrowd": {"chaos"},
+	"chaos-gray":       {"chaos"},
+}
+
+// checkFlagScope rejects every flag in set that the experiment does not
+// read, naming each flag and the experiments that do read it.
+func checkFlagScope(experiment string, set []string) error {
+	if experiment == "all" {
+		return nil
+	}
+	var ignored []string
+	for _, name := range set {
+		readers, scoped := flagReaders[name]
+		if scoped && !slices.Contains(readers, experiment) {
+			ignored = append(ignored, fmt.Sprintf("-%s (read by %s, all)", name, strings.Join(readers, ", ")))
+		}
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("-experiment %s ignores %s", experiment, strings.Join(ignored, "; "))
+	}
+	return nil
 }
 
 // ensureWritableDir creates the output directory if needed and proves

@@ -14,7 +14,7 @@ import (
 	"repro/internal/harness"
 )
 
-// tiny returns flags for a fast (but real) run.
+// tiny returns flags for a fast (but real) run of figure2 or all.
 func tiny(extra ...string) []string {
 	base := []string{
 		"-measure", "400ms",
@@ -25,25 +25,25 @@ func tiny(extra ...string) []string {
 }
 
 func TestFigure2Small(t *testing.T) {
-	if err := run(tiny("-experiment", "figure2", "-senders", "2", "-hybrid=false")); err != nil {
+	if err := run(tiny("-experiment", "figure2", "-senders", "2")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFigure2WithHybrid(t *testing.T) {
-	if err := run(tiny("-experiment", "figure2", "-senders", "1", "-hybrid")); err != nil {
+	if err := run(tiny("-experiment", "figure2", "-senders", "1")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOverheadExperiment(t *testing.T) {
-	if err := run(tiny("-experiment", "overhead")); err != nil {
+	if err := run([]string{"-experiment", "overhead", "-quiet"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHysteresisExperiment(t *testing.T) {
-	if err := run(tiny("-experiment", "hysteresis")); err != nil {
+	if err := run([]string{"-experiment", "hysteresis", "-quiet"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,38 +81,83 @@ func TestChaosOnlyFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestNegativeSchedulesExits: a negative -schedules makes the command
-// exit 1 with an error naming the flag, before anything runs — not
-// panic inside the sweep.
+// TestFigure2OnlyFlagsRejected: a flag that only figure2 reads, or
+// -trace given to p2p (which records no trace), fails before anything
+// runs for an experiment that would ignore it, naming the flag.
+func TestFigure2OnlyFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-experiment", "overhead", "-senders", "3", "-quiet"}, "-senders"},
+		{[]string{"-experiment", "hysteresis", "-measure", "1s", "-quiet"}, "-measure"},
+		{[]string{"-experiment", "p2p", "-warmup", "1s", "-quiet"}, "-warmup"},
+		{[]string{"-experiment", "chaos", "-senders", "3", "-schedules", "2", "-quiet"}, "-senders"},
+		{[]string{"-experiment", "p2p", "-trace", t.TempDir(), "-quiet"}, "-trace"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// TestFlagScopeAcceptsReaders: every scoped flag is accepted by each
+// experiment that reads it, and all accepts every flag at once.
+func TestFlagScopeAcceptsReaders(t *testing.T) {
+	var every []string
+	for name, readers := range flagReaders {
+		every = append(every, name)
+		for _, e := range readers {
+			if err := checkFlagScope(e, []string{name}); err != nil {
+				t.Errorf("-experiment %s -%s: %v", e, name, err)
+			}
+		}
+	}
+	if err := checkFlagScope("all", every); err != nil {
+		t.Errorf("-experiment all: %v", err)
+	}
+}
+
+// TestNegativeSchedulesExits: a non-positive -schedules, -senders,
+// -measure or -warmup makes the command exit 1 with an error naming the
+// flag, before anything runs — not panic inside the sweep, and not
+// silently run the default in its place.
 func TestNegativeSchedulesExits(t *testing.T) {
-	if os.Getenv("SWITCHBENCH_RUN_MAIN") == "1" {
-		os.Args = []string{"switchbench", "-experiment", "chaos", "-schedules", "-1", "-quiet"}
+	if args := os.Getenv("SWITCHBENCH_RUN_MAIN"); args != "" {
+		os.Args = append([]string{"switchbench", "-quiet"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSchedulesExits$")
-	cmd.Env = append(os.Environ(), "SWITCHBENCH_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("exit = %v, want status 1; stderr:\n%s", err, stderr.String())
-	}
-	if msg := stderr.String(); strings.Contains(msg, "panic") || !strings.Contains(msg, "-schedules") {
-		t.Errorf("stderr = %q, want an error naming -schedules and no panic", msg)
+	for _, tc := range []struct {
+		args string
+		flag string
+	}{
+		{"-experiment chaos -schedules -1", "-schedules"},
+		{"-experiment chaos -schedules 0", "-schedules"},
+		{"-experiment figure2 -senders 0", "-senders"},
+		{"-experiment figure2 -measure 0s", "-measure"},
+		{"-experiment figure2 -warmup 0s", "-warmup"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSchedulesExits$")
+		cmd.Env = append(os.Environ(), "SWITCHBENCH_RUN_MAIN="+tc.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: exit = %v, want status 1; stderr:\n%s", tc.args, err, stderr.String())
+			continue
+		}
+		if msg := stderr.String(); strings.Contains(msg, "panic") || !strings.Contains(msg, tc.flag) {
+			t.Errorf("%s: stderr = %q, want an error naming %s and no panic", tc.args, msg, tc.flag)
+		}
 	}
 }
 
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
-	}
-}
-
-func TestMsgBytesOverride(t *testing.T) {
-	if err := run(tiny("-experiment", "figure2", "-senders", "1", "-hybrid=false", "-msgbytes", "512")); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -194,7 +239,7 @@ func scrubArtifact(t *testing.T, path string) []byte {
 // BENCH_<experiment>.json per experiment with the expected schema tag.
 func TestJSONArtifactsWritten(t *testing.T) {
 	dir := t.TempDir()
-	args := tiny("-experiment", "all", "-senders", "2", "-hybrid=false",
+	args := tiny("-experiment", "all", "-senders", "2",
 		"-schedules", "4", "-parallel", "2", "-json", dir)
 	if err := run(args); err != nil {
 		t.Fatal(err)

@@ -165,7 +165,6 @@ func runWireAdversary() error {
 	cfg := switching.Hardened(sessionKey, plain(0), plain(1))
 	cfg.TokenInterval = 2 * time.Millisecond
 	cfg.Defense.QuarantineThreshold = 50
-	cfg.Defense.Auth.Grace = 20 * time.Millisecond
 	cluster, err := swtest.NewSwitched(12, simnet.Config{Nodes: members, PropDelay: 300 * time.Microsecond}, members, cfg)
 	if err != nil {
 		return err

@@ -195,139 +195,69 @@ func (s Schedule) Kinds() []Kind {
 	return out
 }
 
-// GenConfig tunes the schedule generator.
+// GenConfig selects the fault tiers the schedule generator draws from.
+// The base tier (crashes, partitions, bursts) is always on. Each other
+// tier's draws come after every draw of the tiers listed before it, so
+// turning a tier on only appends to the schedules the other tiers
+// would generate.
 type GenConfig struct {
-	// N is the group size (default 4; minimum 4 so that one member can
-	// crash and another partition while both sequencer members stay
-	// up).
-	N int
-	// Horizon is the window in which faults, traffic and switch
-	// requests are placed (default 400ms). All partitions and bursts
-	// heal before the horizon.
-	Horizon time.Duration
-	// CrashProb / PartitionProb / BurstProb are the independent
-	// probabilities of each fault class appearing in a schedule
-	// (defaults 0.6 / 0.5 / 0.5). A schedule that rolls none of them is
-	// given a crash so every schedule exercises recovery.
-	CrashProb     float64
-	PartitionProb float64
-	BurstProb     float64
-	// Messages is how many background multicasts to schedule
-	// (default 14).
-	Messages int
-	// Corruption enables the adversarial-input fault classes with
-	// default probabilities (CorruptProb 0.5, TruncateProb 0.4,
-	// GarbageProb 0.4). With it false and the probabilities zero, the
-	// generator draws exactly the base tier's random sequence, so a
-	// seed expands to the same base schedule.
+	// Corruption adds the adversarial-input fault classes: bit
+	// corruption, truncation and spoofed garbage.
 	Corruption bool
-	// CorruptProb / TruncateProb / GarbageProb are the independent
-	// probabilities of each adversarial-input fault class appearing in
-	// a schedule. They default to zero unless Corruption is set.
-	CorruptProb  float64
-	TruncateProb float64
-	GarbageProb  float64
-	// Forgery enables the authentication fault classes with default
-	// probabilities (ForgeProb 0.5, ReplayProb 0.5). Their draws come
-	// after every base-tier and corruption draw, so enabling forgery only
-	// appends to the schedules the other configs would generate.
+	// Forgery adds the authentication fault classes: forged frames and
+	// wire replays.
 	Forgery bool
-	// ForgeProb / ReplayProb are the independent probabilities of each
-	// authentication fault class appearing in a schedule. They default
-	// to zero unless Forgery is set.
-	ForgeProb  float64
-	ReplayProb float64
-	// FlashCrowd enables the flash-crowd fault class with its default
-	// probability (FlashCrowdProb 0.6). Its draws come after every
-	// base-tier, corruption and forgery draw, so enabling flash crowds
-	// only appends to the schedules the other configs would generate.
+	// FlashCrowd adds the flash-crowd fault class: a sender spike.
 	FlashCrowd bool
-	// FlashCrowdProb is the probability of a flash-crowd spike
-	// appearing in a schedule. It defaults to zero unless FlashCrowd is
-	// set.
-	FlashCrowdProb float64
-	// GrayFailure enables the gray fault classes with default
-	// probabilities (SlowNodeProb 0.5, LinkFaultProb 0.5, FlapProb
-	// 0.6). Their draws come after every base-tier, corruption, forgery
-	// and flash-crowd draw, so enabling gray failures only appends to
-	// the schedules the other configs would generate.
+	// GrayFailure adds the gray fault classes: slow nodes, lossy
+	// asymmetric links and flapping links.
 	GrayFailure bool
-	// SlowNodeProb / LinkFaultProb / FlapProb are the independent
-	// probabilities of each gray fault class appearing in a schedule.
-	// They default to zero unless GrayFailure is set.
-	SlowNodeProb  float64
-	LinkFaultProb float64
-	FlapProb      float64
 }
 
-func (c *GenConfig) defaults() {
-	if c.N == 0 {
-		c.N = 4
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 400 * time.Millisecond
-	}
-	if c.CrashProb == 0 {
-		c.CrashProb = 0.6
-	}
-	if c.PartitionProb == 0 {
-		c.PartitionProb = 0.5
-	}
-	if c.BurstProb == 0 {
-		c.BurstProb = 0.5
-	}
-	if c.Messages == 0 {
-		c.Messages = 14
-	}
-	if c.Corruption {
-		if c.CorruptProb == 0 {
-			c.CorruptProb = 0.5
-		}
-		if c.TruncateProb == 0 {
-			c.TruncateProb = 0.4
-		}
-		if c.GarbageProb == 0 {
-			c.GarbageProb = 0.4
-		}
-	}
-	if c.Forgery {
-		if c.ForgeProb == 0 {
-			c.ForgeProb = 0.5
-		}
-		if c.ReplayProb == 0 {
-			c.ReplayProb = 0.5
-		}
-	}
-	if c.FlashCrowd {
-		if c.FlashCrowdProb == 0 {
-			c.FlashCrowdProb = 0.6
-		}
-	}
-	if c.GrayFailure {
-		if c.SlowNodeProb == 0 {
-			c.SlowNodeProb = 0.5
-		}
-		if c.LinkFaultProb == 0 {
-			c.LinkFaultProb = 0.5
-		}
-		if c.FlapProb == 0 {
-			c.FlapProb = 0.6
-		}
-	}
-}
+// The generator's fixed shape.
+const (
+	// groupSize is the group size: 4, the minimum at which one member
+	// can crash and another partition while both sequencer members stay
+	// up.
+	groupSize = 4
+	// horizon is the window in which faults, traffic and switch requests
+	// are placed. All partitions and bursts heal before it.
+	horizon = 400 * time.Millisecond
+	// messages is how many background multicasts a schedule carries.
+	messages = 14
+)
+
+// The independent probability of each fault class appearing in a
+// schedule whose tier is on. A schedule that rolls none of the base
+// classes is given a crash so every schedule exercises recovery.
+const (
+	crashProb     = 0.6
+	partitionProb = 0.5
+	burstProb     = 0.5
+
+	corruptProb  = 0.5
+	truncateProb = 0.4
+	garbageProb  = 0.4
+
+	forgeProb  = 0.5
+	replayProb = 0.5
+
+	flashCrowdProb = 0.6
+
+	slowNodeProb  = 0.5
+	linkFaultProb = 0.5
+	flapProb      = 0.6
+)
 
 // Generate expands a seed into a deterministic fault schedule. Faults
 // only target members ≥ 2: members 0 and 1 act as the sequencers of the
 // two sub-protocols, and killing a sub-protocol's own coordinator tests
 // that protocol's (absent) fault tolerance, not the switching layer's.
+// The error is always nil.
 func Generate(seed int64, cfg GenConfig) (Schedule, error) {
-	cfg.defaults()
-	if cfg.N < 4 {
-		return Schedule{}, fmt.Errorf("chaos: need N >= 4, got %d", cfg.N)
-	}
 	rng := rand.New(rand.NewSource(seed))
-	h := cfg.Horizon
-	s := Schedule{Seed: seed, N: cfg.N, Horizon: h}
+	h := horizon
+	s := Schedule{Seed: seed, N: groupSize, Horizon: h}
 
 	window := func(lo, hi float64) (time.Duration, time.Duration) {
 		a := time.Duration((lo + rng.Float64()*(hi-lo-0.1)) * float64(h))
@@ -337,17 +267,17 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 		}
 		return a, b
 	}
-	victim := func() ids.ProcID { return ids.ProcID(2 + rng.Intn(cfg.N-2)) }
+	victim := func() ids.ProcID { return ids.ProcID(2 + rng.Intn(groupSize-2)) }
 
-	if rng.Float64() < cfg.CrashProb {
+	if rng.Float64() < crashProb {
 		at, _ := window(0.2, 0.8)
 		s.Events = append(s.Events, Event{At: at, Kind: KindCrash, Target: victim()})
 	}
-	if rng.Float64() < cfg.PartitionProb {
+	if rng.Float64() < partitionProb {
 		at, until := window(0.1, 0.8)
 		s.Events = append(s.Events, Event{At: at, Kind: KindPartition, Target: victim(), Until: until})
 	}
-	if rng.Float64() < cfg.BurstProb {
+	if rng.Float64() < burstProb {
 		at, until := window(0.1, 0.8)
 		s.Events = append(s.Events, Event{
 			At: at, Kind: KindBurst, Until: until,
@@ -371,43 +301,43 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 	}
 	sort.Slice(s.Switches, func(i, j int) bool { return s.Switches[i].At < s.Switches[j].At })
 
-	for i := 0; i < cfg.Messages; i++ {
+	for i := 0; i < messages; i++ {
 		s.Traffic = append(s.Traffic, Send{
 			At:   time.Duration(rng.Float64() * float64(h)),
-			From: ids.ProcID(rng.Intn(cfg.N)),
+			From: ids.ProcID(rng.Intn(groupSize)),
 		})
 	}
 	sort.Slice(s.Traffic, func(i, j int) bool { return s.Traffic[i].At < s.Traffic[j].At })
 
 	// Adversarial-input faults. Their draws come after every base-tier
-	// draw (and are skipped entirely at probability zero), so a base
+	// draw (and are skipped entirely with the tier off), so a base
 	// config consumes exactly the base tier's random stream and expands
 	// to a byte-identical schedule.
 	var corr []Event
-	if cfg.CorruptProb > 0 && rng.Float64() < cfg.CorruptProb {
+	if cfg.Corruption && rng.Float64() < corruptProb {
 		at, until := window(0.1, 0.8)
 		corr = append(corr, Event{
 			At: at, Kind: KindCorrupt, Until: until,
 			Corrupt: 0.05 + 0.15*rng.Float64(),
 		})
 	}
-	if cfg.TruncateProb > 0 && rng.Float64() < cfg.TruncateProb {
+	if cfg.Corruption && rng.Float64() < truncateProb {
 		at, until := window(0.1, 0.8)
 		corr = append(corr, Event{
 			At: at, Kind: KindTruncate, Until: until,
 			Truncate: 0.03 + 0.1*rng.Float64(),
 		})
 	}
-	if cfg.GarbageProb > 0 && rng.Float64() < cfg.GarbageProb {
+	if cfg.Corruption && rng.Float64() < garbageProb {
 		// A small burst of garbage packets, each fully determined here
 		// (spoofed source, target, size) so the replay needs no draws.
 		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
-			from := rng.Intn(cfg.N)
+			from := rng.Intn(groupSize)
 			corr = append(corr, Event{
 				At:     time.Duration((0.1 + 0.8*rng.Float64()) * float64(h)),
 				Kind:   KindGarbage,
 				From:   ids.ProcID(from),
-				Target: ids.ProcID((from + 1 + rng.Intn(cfg.N-1)) % cfg.N),
+				Target: ids.ProcID((from + 1 + rng.Intn(groupSize-1)) % groupSize),
 				Size:   1 + rng.Intn(64),
 			})
 		}
@@ -417,8 +347,8 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 			// so the sweep exercises the suspect-instead-of-wedge
 			// escalation (the falsely accused live peer is restored by
 			// its next heartbeat).
-			from := rng.Intn(cfg.N)
-			target := ids.ProcID((from + 1 + rng.Intn(cfg.N-1)) % cfg.N)
+			from := rng.Intn(groupSize)
+			target := ids.ProcID((from + 1 + rng.Intn(groupSize-1)) % groupSize)
 			start := time.Duration((0.1 + 0.6*rng.Float64()) * float64(h))
 			for i := 0; i < quarantineThreshold+5; i++ {
 				corr = append(corr, Event{
@@ -437,21 +367,21 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 	}
 
 	// Authentication faults. Their draws come after every base-tier and
-	// corruption draw (and are skipped entirely at probability zero), so
+	// corruption draw (and are skipped entirely with the tier off), so
 	// corruption-only and base configs consume exactly their own
 	// random streams and expand to byte-identical schedules.
 	var forg []Event
-	if cfg.ForgeProb > 0 && rng.Float64() < cfg.ForgeProb {
+	if cfg.Forgery && rng.Float64() < forgeProb {
 		// A handful of forged frames, each fully determined here
 		// (spoofed source, target, claimed epoch, uniqueness tag) so the
 		// replay needs no draws.
 		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-			from := rng.Intn(cfg.N)
+			from := rng.Intn(groupSize)
 			forg = append(forg, Event{
 				At:     time.Duration((0.1 + 0.8*rng.Float64()) * float64(h)),
 				Kind:   KindForge,
 				From:   ids.ProcID(from),
-				Target: ids.ProcID((from + 1 + rng.Intn(cfg.N-1)) % cfg.N),
+				Target: ids.ProcID((from + 1 + rng.Intn(groupSize-1)) % groupSize),
 				Epoch:  uint64(rng.Intn(3)),
 				Size:   i,
 			})
@@ -461,8 +391,8 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 			// — enough frames to cross the quarantine threshold, so the
 			// sweep exercises the suspect-instead-of-wedge escalation on
 			// the authentication path too.
-			from := rng.Intn(cfg.N)
-			target := ids.ProcID((from + 1 + rng.Intn(cfg.N-1)) % cfg.N)
+			from := rng.Intn(groupSize)
+			target := ids.ProcID((from + 1 + rng.Intn(groupSize-1)) % groupSize)
 			epoch := uint64(rng.Intn(3))
 			start := time.Duration((0.1 + 0.6*rng.Float64()) * float64(h))
 			for i := 0; i < quarantineThreshold+5; i++ {
@@ -477,7 +407,7 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 			}
 		}
 	}
-	if cfg.ReplayProb > 0 && rng.Float64() < cfg.ReplayProb {
+	if cfg.Forgery && rng.Float64() < replayProb {
 		// Wire replays land in the later part of the horizon, after
 		// traffic has been captured — and often after a switch round has
 		// retired the epoch the captured frame was sealed in.
@@ -496,10 +426,10 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 	}
 
 	// Flash-crowd faults. Their draws come after every base-tier,
-	// corruption and forgery draw (and are skipped entirely at
-	// probability zero), so all earlier tiers consume exactly their own
+	// corruption and forgery draw (and are skipped entirely with the
+	// tier off), so all earlier tiers consume exactly their own
 	// random streams and expand to byte-identical schedules.
-	if cfg.FlashCrowdProb > 0 && rng.Float64() < cfg.FlashCrowdProb {
+	if cfg.FlashCrowd && rng.Float64() < flashCrowdProb {
 		at, until := window(0.15, 0.6)
 		s.Events = append(s.Events, Event{
 			At: at, Kind: KindFlashCrowd, Until: until,
@@ -510,15 +440,15 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 	}
 
 	// Gray faults. Their draws come after every base-tier, corruption,
-	// forgery and flash-crowd draw (and are skipped entirely at
-	// probability zero), so all earlier tiers consume exactly their own
+	// forgery and flash-crowd draw (and are skipped entirely with the
+	// tier off), so all earlier tiers consume exactly their own
 	// random streams and expand to byte-identical schedules. Every gray
 	// window ends by 0.85×horizon: the faulted member must resume clean
 	// heartbeats — and its flap-damping penalty must decay past reuse —
 	// well before the post-heal probes, or the eventual-re-inclusion
 	// invariant would be testing the schedule instead of the detector.
 	var gray []Event
-	if cfg.SlowNodeProb > 0 && rng.Float64() < cfg.SlowNodeProb {
+	if cfg.GrayFailure && rng.Float64() < slowNodeProb {
 		at, until := window(0.1, 0.6)
 		gray = append(gray, Event{
 			At: at, Kind: KindSlowNode, Target: victim(), Until: until,
@@ -528,7 +458,7 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 			Size: 2 + rng.Intn(5),
 		})
 	}
-	if cfg.LinkFaultProb > 0 && rng.Float64() < cfg.LinkFaultProb {
+	if cfg.GrayFailure && rng.Float64() < linkFaultProb {
 		at, until := window(0.1, 0.6)
 		from := victim()
 		gray = append(gray, Event{
@@ -537,13 +467,13 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 			// the member that ends up suspected (and possibly damped) is
 			// never a sub-protocol coordinator.
 			From:   from,
-			Target: ids.ProcID((int(from) + 1 + rng.Intn(cfg.N-1)) % cfg.N),
+			Target: ids.ProcID((int(from) + 1 + rng.Intn(groupSize-1)) % groupSize),
 			Drop:   0.1 + 0.4*rng.Float64(),
 			Dup:    0.2 * rng.Float64(),
 			Jitter: time.Duration(rng.Intn(3000)) * time.Microsecond,
 		})
 	}
-	if cfg.FlapProb > 0 && rng.Float64() < cfg.FlapProb {
+	if cfg.GrayFailure && rng.Float64() < flapProb {
 		// Flap windows are drawn longer than the generic window helper
 		// gives: a flap only produces suspect→restore cycles when each
 		// blocked half-cycle outlasts the failure-detector timeout, and
@@ -557,7 +487,7 @@ func Generate(seed int64, cfg GenConfig) (Schedule, error) {
 		gray = append(gray, Event{
 			At: at, Kind: KindFlap, Until: until,
 			From:   from,
-			Target: ids.ProcID((int(from) + 1 + rng.Intn(cfg.N-1)) % cfg.N),
+			Target: ids.ProcID((int(from) + 1 + rng.Intn(groupSize-1)) % groupSize),
 			// Half-cycle comfortably past the detector timeout (5× the
 			// 5ms heartbeat interval the runner configures).
 			Period: time.Duration(30+rng.Intn(31)) * time.Millisecond,

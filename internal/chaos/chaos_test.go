@@ -43,12 +43,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateRejectsSmallGroups(t *testing.T) {
-	if _, err := Generate(1, GenConfig{N: 3}); err == nil {
-		t.Fatal("accepted N=3")
-	}
-}
-
 // TestSweep is E13's acceptance gate: ≥200 seeded fault schedules —
 // crashes, partitions, and drop/duplicate/reorder bursts, all with
 // switch rounds in flight — every one of which must run to completion

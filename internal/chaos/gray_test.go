@@ -221,7 +221,7 @@ func TestGrayFixedDetectorBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(sched, RunConfig{FixedDetector: true, DisruptionBudget: 1 << 30})
+		res, err := Run(sched, RunConfig{FixedDetector: true})
 		if err != nil {
 			t.Fatal(err)
 		}

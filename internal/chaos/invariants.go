@@ -216,12 +216,12 @@ func checkNoSilentLoss(c *swtest.SwitchedCluster, live []ids.ProcID) []string {
 
 // checkBoundedDisruption asserts the damping layer's first always-on
 // guarantee: the recovery actions a run takes — token regenerations
-// plus switch-round aborts, all members together — never exceed the
-// budget within any single disruptionWindow of virtual time. A healthy
+// plus switch-round aborts, all members together — never exceed
+// disruptionBudget within any single disruptionWindow of virtual time. A healthy
 // run churns briefly around each fault and settles; a detector driven
 // into continuous thrash by a flapping link fails here even if the run
 // eventually converges. Vacuously true on quiet runs.
-func checkBoundedDisruption(d *disruptionTracker, budget int) []string {
+func checkBoundedDisruption(d *disruptionTracker) []string {
 	var v []string
 	idxs := make([]int64, 0, len(d.counts))
 	for i := range d.counts {
@@ -229,10 +229,10 @@ func checkBoundedDisruption(d *disruptionTracker, budget int) []string {
 	}
 	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
 	for _, i := range idxs {
-		if n := d.counts[i]; n > budget {
+		if n := d.counts[i]; n > disruptionBudget {
 			at := time.Duration(i) * disruptionWindow
 			v = append(v, fmt.Sprintf("bounded disruption: %d recovery actions (regens+aborts) in window [%v,%v), budget %d",
-				n, at, at+disruptionWindow, budget))
+				n, at, at+disruptionWindow, disruptionBudget))
 		}
 	}
 	return v
@@ -269,10 +269,10 @@ func checkEventualReinclusion(c *swtest.SwitchedCluster, live []ids.ProcID) []st
 // non-initiator member at a random point while the round is in flight.
 // It returns the virtual time from the crash until every survivor has
 // completed the switch (epoch advanced, not mid-round). The recovery
-// layer's worst-case detection is SwitchTimeout (3×TokenInterval) plus
-// the ring-position stagger, and the retried round completes in a few
-// propagation delays, so the paper-facing bound asserted by the tests
-// is 10×TokenInterval.
+// layer's worst-case detection is the in-round wedge timeout
+// (3×TokenInterval) plus the ring-position stagger, and the retried
+// round completes in a few propagation delays, so the paper-facing
+// bound asserted by the tests is 10×TokenInterval.
 func MeasureRecovery(seed int64, n int, ti time.Duration) (time.Duration, error) {
 	swCfg := switching.Config{
 		Protocols:     pair(),

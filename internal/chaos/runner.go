@@ -19,11 +19,6 @@ import (
 
 // RunConfig tunes the schedule runner.
 type RunConfig struct {
-	// TokenInterval is the switching layer's idle rotation pace
-	// (default 5ms). Recovery timeouts scale from it.
-	TokenInterval time.Duration
-	// PropDelay is the simulated one-way network delay (default 300µs).
-	PropDelay time.Duration
 	// Settle is how long after the horizon (all faults healed) the
 	// system gets to converge before the liveness probes are sent
 	// (default 400ms — dozens of token rotations and several failure
@@ -37,10 +32,6 @@ type RunConfig struct {
 	// network event of the run (the runner always keeps its own metrics
 	// registry and flight recorder regardless).
 	Recorder obs.Recorder
-	// FlightSize bounds the flight recorder's ring (default
-	// obs.DefaultFlightSize events). The tail is dumped into the result
-	// when an invariant fails.
-	FlightSize int
 	// Telemetry, when set, additionally runs the windowed sampler and
 	// switch-decision audit trail over the run's event stream and
 	// attaches the series to the result. Nil keeps the exact recorder
@@ -51,30 +42,30 @@ type RunConfig struct {
 	// without adaptive suspicion and flap damping — the baseline arm of
 	// the E20 stability study.
 	FixedDetector bool
-	// DisruptionBudget caps the recovery actions (token regenerations
-	// plus switch-round aborts, summed over members) the
-	// bounded-disruption invariant tolerates per disruptionWindow of
-	// virtual time (default 40).
-	DisruptionBudget int
 }
 
 func (c *RunConfig) defaults() {
-	if c.TokenInterval == 0 {
-		c.TokenInterval = 5 * time.Millisecond
-	}
-	if c.PropDelay == 0 {
-		c.PropDelay = 300 * time.Microsecond
-	}
 	if c.Settle == 0 {
 		c.Settle = 400 * time.Millisecond
 	}
 	if c.Drain == 0 {
 		c.Drain = time.Second
 	}
-	if c.DisruptionBudget == 0 {
-		c.DisruptionBudget = 40
-	}
 }
+
+// The runner's fixed parameters.
+const (
+	// TokenInterval is the switching layer's idle rotation pace.
+	// Recovery timeouts scale from it.
+	TokenInterval = 5 * time.Millisecond
+	// propDelay is the simulated one-way network delay.
+	propDelay = 300 * time.Microsecond
+	// disruptionBudget caps the recovery actions (token regenerations
+	// plus switch-round aborts, summed over members) the
+	// bounded-disruption invariant tolerates per disruptionWindow of
+	// virtual time.
+	disruptionBudget = 40
+)
 
 // disruptionWindow is the virtual-time bucket width of the
 // bounded-disruption invariant: recovery actions are counted per
@@ -206,7 +197,7 @@ func Run(sched Schedule, cfg RunConfig) (*Result, error) {
 func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (*Result, *swtest.SwitchedCluster, error) {
 	cfg.defaults()
 	metrics := obs.NewMetrics()
-	flight := obs.NewFlightRecorder(cfg.FlightSize)
+	flight := obs.NewFlightRecorder(obs.DefaultFlightSize)
 	disrupt := newDisruptionTracker()
 	recs := []obs.Recorder{metrics.Recorder(), flight, disrupt, cfg.Recorder}
 	var tel *telemetry.Telemetry
@@ -221,7 +212,7 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 		recs = append(recs, tel)
 	}
 	rec := obs.Multi(recs...)
-	ti := cfg.TokenInterval
+	ti := TokenInterval
 	// One stack for every schedule: Hardened, at values tight enough that
 	// each defence is exercised whichever faults the schedule holds.
 	swCfg := switching.Hardened(chaosSessionKey, pair()...)
@@ -254,7 +245,7 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 	// member is unaffected.
 	netCfg := simnet.Config{
 		Nodes:     sched.N,
-		PropDelay: cfg.PropDelay,
+		PropDelay: propDelay,
 		RecvCPU:   50 * time.Microsecond,
 		SendCPU:   30 * time.Microsecond,
 	}
@@ -442,7 +433,7 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 		res.Violations = append(res.Violations, checkDeliveries(tr, res.Live, sched.N)...)
 		res.Violations = append(res.Violations, checkBoundedMemory(c, res.Live)...)
 		res.Violations = append(res.Violations, checkNoSilentLoss(c, res.Live)...)
-		res.Violations = append(res.Violations, checkBoundedDisruption(disrupt, cfg.DisruptionBudget)...)
+		res.Violations = append(res.Violations, checkBoundedDisruption(disrupt)...)
 		res.Violations = append(res.Violations, checkEventualReinclusion(c, res.Live)...)
 	}
 	if res.Failed() {

@@ -15,64 +15,60 @@ import (
 // heartbeat detector:
 //
 //   - *Graded suspicion* (phi-accrual style, deterministic): each
-//     member tracks per-peer heartbeat inter-arrival statistics and
-//     raises a suspicion when the current silence, scaled against the
-//     peer's observed mean inter-arrival, crosses RaiseLevel. The
-//     level is integer-scaled (obs.SuspicionScale) so sweeps stay
-//     byte-identical on any worker count.
+//     member tracks per-peer heartbeat inter-arrival statistics over
+//     the last windowSize samples and, once it has minSamples, raises a
+//     suspicion when the current silence, scaled against the peer's
+//     observed mean inter-arrival, crosses RaiseLevel. The level is
+//     integer-scaled (obs.SuspicionScale) so sweeps stay byte-identical
+//     on any worker count.
 //
 //   - *Flap damping* (BGP style): a peer whose suspicion clears and
-//     re-fires repeatedly accrues FlapPenalty per flap. At SuppressAt
+//     re-fires repeatedly accrues flapPenalty per flap. At suppressAt
 //     the peer enters degraded mode — skipped in ring rotation without
 //     a token regeneration, and its further suspicion transitions no
 //     longer abort switch rounds. The penalty halves every HalfLife;
-//     at or below ReuseAt the peer is cleanly re-included.
+//     at or below reuseAt the peer is cleanly re-included.
 //
-// All fields default sensibly from the detector's heartbeat interval;
-// the zero value is a working configuration.
+// Both fields default from the detector's heartbeat interval; the zero
+// value is a working configuration.
 type AdaptiveConfig struct {
-	// WindowSize is how many recent inter-arrival samples feed each
-	// peer's mean. Defaults to 8.
-	WindowSize int
-	// MinSamples is how many samples a peer must have before graded
-	// suspicion can fire (cold peers fall back to the fixed detector).
-	// Defaults to 3.
-	MinSamples int
 	// RaiseLevel is the integer-scaled suspicion threshold: suspicion
 	// fires when elapsed×obs.SuspicionScale/mean ≥ RaiseLevel.
 	// Defaults to 5×obs.SuspicionScale — for a steady heartbeat stream
 	// this matches the fixed detector's 5×Interval timeout, so true
 	// crashes are detected at equal latency.
 	RaiseLevel int64
-	// FlapPenalty is charged each time a suspicion of the peer clears
-	// (one completed flap). Defaults to 1000.
-	FlapPenalty int64
-	// SuppressAt is the accumulated penalty at which the peer enters
-	// degraded mode. Defaults to 2500 (the third flap within a few
-	// half-lives).
-	SuppressAt int64
-	// ReuseAt is the decayed penalty at or below which a degraded peer
-	// is re-included (it must be below SuppressAt). Defaults to 1000.
-	ReuseAt int64
 	// HalfLife is the penalty decay half-life. Defaults to 10× the
 	// detector's heartbeat interval.
 	HalfLife time.Duration
 }
 
+// The fixed parameters of graded suspicion and flap damping.
+const (
+	// windowSize is how many recent inter-arrival samples feed each
+	// peer's mean.
+	windowSize = 8
+	// minSamples is how many samples a peer must have before graded
+	// suspicion can fire (cold peers fall back to the fixed detector).
+	minSamples = 3
+	// flapPenalty is charged each time a suspicion of the peer clears
+	// (one completed flap).
+	flapPenalty = 1000
+	// suppressAt is the accumulated penalty at which the peer enters
+	// degraded mode: the third flap within a few half-lives.
+	suppressAt = 2500
+	// reuseAt is the decayed penalty at or below which a degraded peer
+	// is re-included. It is below suppressAt.
+	reuseAt = 1000
+)
+
 // Validate checks the adaptive configuration.
 func (c AdaptiveConfig) Validate() error {
-	if c.WindowSize < 0 || c.MinSamples < 0 {
-		return fmt.Errorf("switching: negative adaptive sample bound")
-	}
-	if c.RaiseLevel < 0 || c.FlapPenalty < 0 || c.SuppressAt < 0 || c.ReuseAt < 0 {
+	if c.RaiseLevel < 0 {
 		return fmt.Errorf("switching: negative adaptive threshold")
 	}
 	if c.HalfLife < 0 {
 		return fmt.Errorf("switching: negative adaptive half-life")
-	}
-	if c.SuppressAt > 0 && c.ReuseAt >= c.SuppressAt {
-		return fmt.Errorf("switching: adaptive reuse threshold %d must be below suppress threshold %d",
-			c.ReuseAt, c.SuppressAt)
 	}
 	return nil
 }
@@ -80,23 +76,8 @@ func (c AdaptiveConfig) Validate() error {
 // withDefaults resolves zero fields against the detector's heartbeat
 // interval.
 func (c AdaptiveConfig) withDefaults(interval time.Duration) AdaptiveConfig {
-	if c.WindowSize == 0 {
-		c.WindowSize = 8
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 3
-	}
 	if c.RaiseLevel == 0 {
 		c.RaiseLevel = 5 * obs.SuspicionScale
-	}
-	if c.FlapPenalty == 0 {
-		c.FlapPenalty = 1000
-	}
-	if c.SuppressAt == 0 {
-		c.SuppressAt = 2500
-	}
-	if c.ReuseAt == 0 {
-		c.ReuseAt = 1000
 	}
 	if c.HalfLife == 0 {
 		c.HalfLife = 10 * interval
@@ -124,7 +105,7 @@ type peerStat struct {
 	penalty   int64
 	penaltyAt time.Duration
 	// damped marks degraded mode: skipped in ring rotation, suspicion
-	// transitions ignored, until the penalty decays to ReuseAt.
+	// transitions ignored, until the penalty decays to reuseAt.
 	damped bool
 }
 
@@ -159,7 +140,7 @@ func newAdaptive(r *recovery, cfg AdaptiveConfig, dcfg fd.Config) *adaptive {
 func (a *adaptive) stat(p ids.ProcID) *peerStat {
 	ps := a.peers[p]
 	if ps == nil {
-		ps = &peerStat{samples: make([]int64, a.cfg.WindowSize)}
+		ps = &peerStat{samples: make([]int64, windowSize)}
 		a.peers[p] = ps
 	}
 	return ps
@@ -221,7 +202,7 @@ func (a *adaptive) check() {
 			continue
 		}
 		ps := a.peers[p]
-		if ps == nil || !ps.seen || ps.count < a.cfg.MinSamples || ps.suspicious {
+		if ps == nil || !ps.seen || ps.count < minSamples || ps.suspicious {
 			continue
 		}
 		if a.r.det.Suspected(p) {
@@ -257,10 +238,10 @@ func (a *adaptive) onRestore(p ids.ProcID) {
 		a.s.emit(obs.SuspicionClear(now, self, p))
 	}
 	ps.flaps++
-	ps.penalty = a.decayed(ps, now) + a.cfg.FlapPenalty
+	ps.penalty = a.decayed(ps, now) + flapPenalty
 	ps.penaltyAt = now
 	a.s.emit(obs.FlapPenalty(now, self, p, ps.penalty, ps.flaps))
-	if !ps.damped && ps.penalty >= a.cfg.SuppressAt {
+	if !ps.damped && ps.penalty >= suppressAt {
 		ps.damped = true
 		a.armReinclude(p)
 	}
@@ -280,7 +261,7 @@ func (a *adaptive) decayed(ps *peerStat, now time.Duration) int64 {
 }
 
 // armReinclude polls the penalty decay once per half-life while p is
-// damped, re-including p as soon as the penalty reaches ReuseAt and p
+// damped, re-including p as soon as the penalty reaches reuseAt and p
 // is no longer suspected.
 func (a *adaptive) armReinclude(p ids.ProcID) {
 	a.s.env.After(a.cfg.HalfLife, func() {
@@ -292,7 +273,7 @@ func (a *adaptive) armReinclude(p ids.ProcID) {
 			return
 		}
 		now := a.s.env.Now()
-		if pen := a.decayed(ps, now); pen <= a.cfg.ReuseAt && !a.r.det.Suspected(p) {
+		if pen := a.decayed(ps, now); pen <= reuseAt && !a.r.det.Suspected(p) {
 			ps.damped = false
 			ps.penalty, ps.penaltyAt = pen, now
 			a.s.emit(obs.Reinclude(now, a.s.env.Self(), p, pen))

@@ -27,13 +27,15 @@ func authPair() []switching.ProtocolFactory {
 	return []switching.ProtocolFactory{mk, mk}
 }
 
-func authConfig(grace time.Duration) switching.Config {
+// authConfig rotates the token every 2ms, so the grace window after a
+// key roll is 20ms (10 token intervals).
+func authConfig() switching.Config {
 	return switching.Config{
 		Protocols:     authPair(),
 		TokenInterval: 2 * time.Millisecond,
 		Defense: &switching.DefenseConfig{
 			QuarantineThreshold: 1000,
-			Auth:                &switching.AuthConfig{SessionKey: authSessionKey, Grace: grace},
+			Auth:                &switching.AuthConfig{SessionKey: authSessionKey},
 		},
 	}
 }
@@ -48,6 +50,17 @@ func authFailsFrom(events []obs.Event, p, peer ids.ProcID) uint64 {
 		}
 	}
 	return n
+}
+
+// quarantinedBy returns the peers member p quarantined, in order.
+func quarantinedBy(events []obs.Event, p ids.ProcID) []ids.ProcID {
+	var out []ids.ProcID
+	for _, e := range events {
+		if e.Type == obs.EvQuarantine && e.Proc == p {
+			out = append(out, e.Peer)
+		}
+	}
+	return out
 }
 
 // epochFrame builds the exact transport bytes member sender would emit
@@ -72,8 +85,8 @@ func epochFrame(epoch uint64, sender ids.ProcID, seq uint64, body string) []byte
 // and counted, while the same kind of old-epoch frame arriving within
 // the grace window (in flight during the switch) is still delivered.
 func TestAuthCrossEpochReplayRejected(t *testing.T) {
-	const grace = 30 * time.Millisecond
-	cfg := authConfig(grace)
+	const grace = 20 * time.Millisecond // authConfig's window
+	cfg := authConfig()
 	col := obs.NewCollector()
 	cfg.Recorder = col
 	c, err := swtest.NewSwitched(41, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond}, 4, cfg)
@@ -143,10 +156,8 @@ func TestAuthCrossEpochReplayRejected(t *testing.T) {
 // all counted and dropped at the trust boundary; the forged body never
 // reaches any application and the ring keeps rotating.
 func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
-	cfg := authConfig(0)
+	cfg := authConfig()
 	cfg.Defense.QuarantineThreshold = 5
-	var quarantined []ids.ProcID
-	cfg.Defense.OnQuarantine = func(p ids.ProcID) { quarantined = append(quarantined, p) }
 	col := obs.NewCollector()
 	cfg.Recorder = col
 	c, err := swtest.NewSwitched(42, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond}, 4, cfg)
@@ -191,8 +202,8 @@ func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
 	if stats.Quarantines != 1 {
 		t.Errorf("Quarantines = %d, want 1", stats.Quarantines)
 	}
-	if len(quarantined) != 1 || quarantined[0] != 2 {
-		t.Errorf("OnQuarantine fired for %v, want [2]", quarantined)
+	if q := quarantinedBy(col.Events(), 0); len(q) != 1 || q[0] != 2 {
+		t.Errorf("member 0 quarantined %v, want [2]", q)
 	}
 	if stats.TokenPasses == 0 {
 		t.Error("ring stopped rotating under forgery")
@@ -221,8 +232,8 @@ func TestQuarantineCountsBothDropKinds(t *testing.T) {
 	cfg := switching.Hardened(hardeningSessionKey, recPair()...)
 	cfg.TokenInterval = 2 * time.Millisecond
 	cfg.Defense.QuarantineThreshold = threshold
-	var quarantined []ids.ProcID
-	cfg.Defense.OnQuarantine = func(p ids.ProcID) { quarantined = append(quarantined, p) }
+	col := obs.NewCollector()
+	cfg.Recorder = col
 	c, err := swtest.NewSwitched(44, simnet.Config{Nodes: 4, PropDelay: 100 * time.Microsecond}, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +253,7 @@ func TestQuarantineCountsBothDropKinds(t *testing.T) {
 			t.Fatalf("after %d drops: auth failed %d, malformed %d; want %d, %d",
 				threshold-1, st.AuthFailed, st.MalformedDropped, k, threshold-1-k)
 		}
-		if st.Quarantines != 0 || len(quarantined) != 0 {
+		if st.Quarantines != 0 || len(quarantinedBy(col.Events(), 0)) != 0 {
 			t.Errorf("quarantined at drop %d of threshold %d", threshold-1, threshold)
 		}
 		victim.Recv(2, undecodable)
@@ -257,23 +268,23 @@ func TestQuarantineCountsBothDropKinds(t *testing.T) {
 	if st.Quarantines != 1 {
 		t.Errorf("Quarantines = %d, want 1", st.Quarantines)
 	}
-	if len(quarantined) != 1 || quarantined[0] != 2 {
-		t.Errorf("OnQuarantine fired for %v, want [2]", quarantined)
+	if q := quarantinedBy(col.Events(), 0); len(q) != 1 || q[0] != 2 {
+		t.Errorf("member 0 quarantined %v, want [2]", q)
 	}
 }
 
 // TestAuthSessionEndToEnd runs real traffic across a switch with auth
 // enabled: every body is delivered everywhere with zero auth failures —
 // the grace window absorbs the old-epoch frames in flight around the
-// key roll. The same scenario with a degenerate 1ns grace shows the
-// window is load-bearing (stragglers get rejected) yet degrades to
-// latency, not loss: FIFO retransmissions re-seal under the current
-// key, so delivery still converges.
+// key roll. The same scenario with a 100µs token interval, whose 1ms
+// grace window is shorter than the 2ms flight time, shows the window is
+// load-bearing (stragglers get rejected) yet degrades to latency, not
+// loss: FIFO retransmissions re-seal under the current key, so delivery
+// still converges.
 func TestAuthSessionEndToEnd(t *testing.T) {
-	run := func(grace time.Duration) (*swtest.SwitchedCluster, switching.Stats) {
-		cfg := authConfig(grace)
-		cfg.Control = fifo.Config{ResendInterval: 5 * time.Millisecond, AckInterval: 10 * time.Millisecond,
-			HeartbeatInterval: 5 * time.Millisecond}
+	run := func(tokenInterval time.Duration) (*swtest.SwitchedCluster, switching.Stats) {
+		cfg := authConfig()
+		cfg.TokenInterval = tokenInterval
 		// A long propagation delay keeps data frames in flight across
 		// the PREPARE sweep, so old-epoch frames genuinely arrive after
 		// their receivers rolled the key — the grace window's case.
@@ -302,7 +313,7 @@ func TestAuthSessionEndToEnd(t *testing.T) {
 		return c, total
 	}
 
-	c, healthy := run(0) // default grace: 10× token interval
+	c, healthy := run(2 * time.Millisecond)
 	if healthy.AuthFailed != 0 {
 		t.Errorf("healthy run rejected %d frames", healthy.AuthFailed)
 	}
@@ -320,9 +331,9 @@ func TestAuthSessionEndToEnd(t *testing.T) {
 	}
 	c.Stop()
 
-	c2, starved := run(time.Nanosecond)
+	c2, starved := run(100 * time.Microsecond)
 	if starved.AuthFailed == 0 {
-		t.Error("1ns grace rejected nothing — the grace path is not being exercised")
+		t.Error("1ms grace rejected nothing — the grace path is not being exercised")
 	}
 	for p := 0; p < 4; p++ {
 		bodies, err := c2.AppBodies(ids.ProcID(p))
@@ -338,16 +349,12 @@ func TestAuthSessionEndToEnd(t *testing.T) {
 
 // TestAuthConfigValidation covers the new Validate rules.
 func TestAuthConfigValidation(t *testing.T) {
-	cfg := authConfig(0)
+	cfg := authConfig()
 	cfg.Defense.Auth.SessionKey = nil
 	if err := cfg.Validate(); err == nil {
 		t.Error("empty session key accepted")
 	}
-	cfg = authConfig(-time.Second)
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative grace accepted")
-	}
-	if err := authConfig(0).Validate(); err != nil {
+	if err := authConfig().Validate(); err != nil {
 		t.Errorf("valid auth config rejected: %v", err)
 	}
 }

@@ -327,11 +327,9 @@ func TestBatchRecvAllocs(t *testing.T) {
 		Defense: &DefenseConfig{QuarantineThreshold: 8, Auth: &AuthConfig{SessionKey: []byte("alloc gate")}},
 	}}
 	s.batch = newBatcher(s, &captureDown{}, 8)
-	if s.ovl, err = newOverload(s, OverloadConfig{
+	s.ovl = newOverload(s, OverloadConfig{
 		IngressQueueCap: 16, EgressQueueCap: 16, ServiceInterval: time.Millisecond, BatchMax: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	var acc batchAcc
 	for i := 0; i < 8; i++ {
 		acc.add(muxFrame(ch, "payload"))

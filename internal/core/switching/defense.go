@@ -2,7 +2,6 @@ package switching
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/obs"
@@ -29,9 +28,6 @@ type DefenseConfig struct {
 	// against it instead of wedging on its garbage. Required (> 0).
 	// Authentication failures advance the same per-peer count.
 	QuarantineThreshold int
-	// OnQuarantine, if set, is invoked (once per peer) when the
-	// threshold is crossed.
-	OnQuarantine func(ids.ProcID)
 	// Auth keys the envelope: frames are MACed under a per-epoch key
 	// derived from the group session key. Required — there is one
 	// envelope, and it is authenticated. See AuthConfig.
@@ -51,15 +47,16 @@ type DefenseConfig struct {
 type AuthConfig struct {
 	// SessionKey is the group session secret. Required (non-empty).
 	SessionKey []byte
-	// Grace bounds how long after this member rolls its send epoch it
-	// keeps accepting frames sealed under the previous epoch's key —
-	// covering legitimately in-flight old-epoch frames during a switch
-	// round. Beyond the window, previous-epoch frames are rejected as
-	// replays. Defaults to 10× the token interval. Same-epoch and
-	// newer-epoch frames are always accepted when their MAC verifies
-	// (an attacker without the session key can forge neither).
-	Grace time.Duration
 }
+
+// authGraceIntervals is the grace window in token intervals: how long
+// after this member rolls its send epoch it keeps accepting frames
+// sealed under the previous epoch's key — covering legitimately
+// in-flight old-epoch frames during a switch round. Beyond the window,
+// previous-epoch frames are rejected as replays. Same-epoch and
+// newer-epoch frames are always accepted when their MAC verifies (an
+// attacker without the session key can forge neither).
+const authGraceIntervals = 10
 
 // Validate checks the defense configuration.
 func (c DefenseConfig) Validate() error {
@@ -71,9 +68,6 @@ func (c DefenseConfig) Validate() error {
 	}
 	if len(c.Auth.SessionKey) == 0 {
 		return fmt.Errorf("switching: auth mode requires a non-empty session key")
-	}
-	if c.Auth.Grace < 0 {
-		return fmt.Errorf("switching: negative auth grace window %v", c.Auth.Grace)
 	}
 	return nil
 }
@@ -118,9 +112,6 @@ func (s *Switch) noteDefenseDrop(src ids.ProcID) {
 	s.emit(obs.Quarantine(s.env.Now(), s.env.Self(), src, d.QuarantineThreshold))
 	if s.rec != nil {
 		s.rec.det.ForceSuspect(src)
-	}
-	if d.OnQuarantine != nil {
-		d.OnQuarantine(src)
 	}
 }
 
@@ -234,7 +225,7 @@ func (s *Switch) epochAcceptable(epoch uint64) bool {
 		return true
 	}
 	if epoch+1 == s.sendEpoch {
-		return s.env.Now()-s.keyRolledAt <= s.authGrace
+		return s.env.Now()-s.keyRolledAt <= authGraceIntervals*s.cfg.TokenInterval
 	}
 	return false
 }

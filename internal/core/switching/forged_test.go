@@ -134,7 +134,6 @@ func TestLayerIngressSurvivesForgedFrames(t *testing.T) {
 // no FORGED body may reach any application, and the ring must keep
 // rotating.
 func TestSwitchIngressSurvivesForgedAndReplayed(t *testing.T) {
-	const grace = 5 * time.Millisecond
 	col := obs.NewCollector()
 	cfg := switching.Config{
 		Protocols:     recPair(),
@@ -142,7 +141,7 @@ func TestSwitchIngressSurvivesForgedAndReplayed(t *testing.T) {
 		Recorder:      col,
 		Defense: &switching.DefenseConfig{
 			QuarantineThreshold: 100,
-			Auth:                &switching.AuthConfig{SessionKey: hardeningSessionKey, Grace: grace},
+			Auth:                &switching.AuthConfig{SessionKey: hardeningSessionKey},
 		},
 	}
 	c, err := swtest.NewSwitched(1, simnet.Config{Nodes: 4, PropDelay: 100 * time.Microsecond}, 4, cfg)

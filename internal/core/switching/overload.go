@@ -37,9 +37,11 @@ type OverloadConfig struct {
 	EgressQueueCap int
 	// LowWatermark and HighWatermark drive backpressure on the egress
 	// queue depth: crossing High pauses local senders
-	// (OnBackpressure(true), Stats.Backpressured), draining back to Low
-	// resumes them. Defaults: High = 3/4 of EgressQueueCap, Low =
-	// High/3. When both are set, Low must be below High.
+	// (obs.EvBackpressureOn, Stats.Backpressured, Switch.Backpressured),
+	// draining back to Low resumes them (obs.EvBackpressureOff).
+	// Defaults: High = 3/4 of EgressQueueCap (at least 1), Low = High/3.
+	// Low must be below High and High at most EgressQueueCap, defaults
+	// included.
 	LowWatermark  int
 	HighWatermark int
 	// ServiceInterval paces both queues: one ingress frame is handed to
@@ -56,9 +58,6 @@ type OverloadConfig struct {
 	// the retry budget: after MaxRetryShift failed attempts the send is
 	// shed for good. Defaults to 4; must be in [0, 16].
 	MaxRetryShift int
-	// OnBackpressure, if set, is invoked on every pause (true) / resume
-	// (false) transition of the egress watermarks.
-	OnBackpressure func(paused bool)
 	// BatchMax, when > 1, enables egress frame batching: each egress
 	// service tick drains up to BatchMax same-epoch casts instead of
 	// one, and every mux frame generated within one event-loop step
@@ -81,13 +80,13 @@ func (c OverloadConfig) Validate() error {
 	if c.LowWatermark < 0 || c.HighWatermark < 0 {
 		return fmt.Errorf("switching: negative overload watermark")
 	}
-	if c.HighWatermark > 0 && c.LowWatermark >= c.HighWatermark {
-		return fmt.Errorf("switching: overload low watermark %d must be below high watermark %d",
-			c.LowWatermark, c.HighWatermark)
+	low, high := c.watermarks()
+	if low >= high {
+		return fmt.Errorf("switching: overload low watermark %d must be below high watermark %d", low, high)
 	}
-	if c.HighWatermark > c.EgressQueueCap {
+	if high > c.EgressQueueCap {
 		return fmt.Errorf("switching: overload high watermark %d above egress queue cap %d",
-			c.HighWatermark, c.EgressQueueCap)
+			high, c.EgressQueueCap)
 	}
 	if c.ServiceInterval < 0 || c.RetryBackoff < 0 {
 		return fmt.Errorf("switching: negative overload interval")
@@ -99,6 +98,19 @@ func (c OverloadConfig) Validate() error {
 		return fmt.Errorf("switching: overload batch max %d out of range [0, 256]", c.BatchMax)
 	}
 	return nil
+}
+
+// watermarks returns the low and high watermarks with their defaults
+// resolved: the one place both Validate and the layer read them.
+func (c OverloadConfig) watermarks() (low, high int) {
+	low, high = c.LowWatermark, c.HighWatermark
+	if high == 0 {
+		high = max(c.EgressQueueCap*3/4, 1)
+	}
+	if low == 0 {
+		low = high / 3
+	}
+	return low, high
 }
 
 // OverloadAccounting is the overload layer's conservation ledger,
@@ -180,8 +192,9 @@ type overload struct {
 	acct OverloadAccounting
 }
 
-// newOverload normalizes the defaults and builds the layer.
-func newOverload(s *Switch, cfg OverloadConfig) (*overload, error) {
+// newOverload normalizes the defaults and builds the layer. The
+// configuration has passed Validate.
+func newOverload(s *Switch, cfg OverloadConfig) *overload {
 	if cfg.ServiceInterval == 0 {
 		cfg.ServiceInterval = s.cfg.TokenInterval / 4
 		if cfg.ServiceInterval <= 0 {
@@ -194,19 +207,7 @@ func newOverload(s *Switch, cfg OverloadConfig) (*overload, error) {
 	if cfg.MaxRetryShift == 0 {
 		cfg.MaxRetryShift = 4
 	}
-	if cfg.HighWatermark == 0 {
-		cfg.HighWatermark = cfg.EgressQueueCap * 3 / 4
-		if cfg.HighWatermark < 1 {
-			cfg.HighWatermark = 1
-		}
-	}
-	if cfg.LowWatermark == 0 {
-		cfg.LowWatermark = cfg.HighWatermark / 3
-	}
-	if cfg.LowWatermark >= cfg.HighWatermark {
-		return nil, fmt.Errorf("switching: overload low watermark %d must be below high watermark %d",
-			cfg.LowWatermark, cfg.HighWatermark)
-	}
+	cfg.LowWatermark, cfg.HighWatermark = cfg.watermarks()
 	o := &overload{
 		s:       s,
 		cfg:     cfg,
@@ -216,7 +217,7 @@ func newOverload(s *Switch, cfg OverloadConfig) (*overload, error) {
 	o.drainFn = o.drainEgress
 	o.acct.IngressCap = cfg.IngressQueueCap
 	o.acct.EgressCap = cfg.EgressQueueCap
-	return o, nil
+	return o
 }
 
 func (o *overload) stop() {
@@ -351,9 +352,6 @@ func (o *overload) enqueueEgress(ent egressEntry) {
 	if !o.paused && o.egress.Len() >= o.cfg.HighWatermark {
 		o.paused = true
 		s.emit(obs.BackpressureOn(s.env.Now(), s.env.Self(), o.egress.Len()))
-		if o.cfg.OnBackpressure != nil {
-			o.cfg.OnBackpressure(true)
-		}
 	}
 	o.armEgress()
 }
@@ -390,9 +388,6 @@ func (o *overload) drainEgress() {
 	if o.paused && o.egress.Len() <= o.cfg.LowWatermark {
 		o.paused = false
 		s.emit(obs.BackpressureOff(s.env.Now(), s.env.Self(), o.egress.Len()))
-		if o.cfg.OnBackpressure != nil {
-			o.cfg.OnBackpressure(false)
-		}
 	}
 	o.armEgress()
 }

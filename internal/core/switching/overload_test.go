@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core/switching"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/simnet"
 )
@@ -31,6 +32,11 @@ func TestOverloadConfigValidate(t *testing.T) {
 		{"defaults only", func(c *switching.OverloadConfig) {
 			*c = switching.OverloadConfig{IngressQueueCap: 4, EgressQueueCap: 4}
 		}, ""},
+		// High defaults to 3/4 of the egress cap, 3 here: Validate must
+		// judge Low against it, as New does.
+		{"low at the default high", func(c *switching.OverloadConfig) {
+			*c = switching.OverloadConfig{IngressQueueCap: 8, EgressQueueCap: 4, LowWatermark: 3}
+		}, "must be below high"},
 		{"zero ingress cap", func(c *switching.OverloadConfig) { c.IngressQueueCap = 0 }, "ingress queue cap"},
 		{"negative ingress cap", func(c *switching.OverloadConfig) { c.IngressQueueCap = -1 }, "ingress queue cap"},
 		{"zero egress cap", func(c *switching.OverloadConfig) { c.EgressQueueCap = 0 }, "egress queue cap"},
@@ -78,8 +84,9 @@ func TestOverloadConfigValidate(t *testing.T) {
 // network loss, which the reliable FIFO repairs).
 func TestOverloadFlood(t *testing.T) {
 	const n = 4
-	onOff := make(map[bool]int)
+	col := obs.NewCollector()
 	cfg := switching.Config{
+		Recorder:      col,
 		TokenInterval: 2 * time.Millisecond,
 		Overload: &switching.OverloadConfig{
 			IngressQueueCap: 4,
@@ -89,7 +96,6 @@ func TestOverloadFlood(t *testing.T) {
 			ServiceInterval: 300 * time.Microsecond,
 			RetryBackoff:    600 * time.Microsecond,
 			MaxRetryShift:   2,
-			OnBackpressure:  func(paused bool) { onOff[paused]++ },
 		},
 	}
 	c := newCluster(t, 7, simnet.Config{Nodes: n, PropDelay: 100 * time.Microsecond}, n, cfg)
@@ -153,8 +159,13 @@ func TestOverloadFlood(t *testing.T) {
 	if totalRetried == 0 {
 		t.Error("flood never retried a rejected send")
 	}
-	if onOff[true] == 0 || onOff[false] == 0 {
-		t.Errorf("OnBackpressure saw %d pauses and %d resumes, want both > 0", onOff[true], onOff[false])
+	onOff := make(map[obs.EventType]int)
+	for _, e := range col.Events() {
+		onOff[e.Type]++
+	}
+	if onOff[obs.EvBackpressureOn] == 0 || onOff[obs.EvBackpressureOff] == 0 {
+		t.Errorf("the trace has %d pauses and %d resumes, want both > 0",
+			onOff[obs.EvBackpressureOn], onOff[obs.EvBackpressureOff])
 	}
 
 	// Everything actually sent is delivered everywhere, in one order:

@@ -40,21 +40,6 @@ type RecoveryConfig struct {
 	// Detector tunes the heartbeat failure detector. The zero value
 	// uses fd defaults (20ms interval, 5x timeout).
 	Detector fd.Config
-	// WedgeTimeout is the base token-silence timeout while the ring is
-	// idle (NORMAL rotation). Defaults to 2*n*TokenInterval for an
-	// n-member group — one full rotation plus slack.
-	WedgeTimeout time.Duration
-	// SwitchTimeout is the base token-silence timeout while a switch
-	// round (PREPARE/SWITCH/FLUSH) is in flight. Rounds pass the token
-	// without holding it, so this can be much tighter than WedgeTimeout.
-	// Defaults to 3*TokenInterval.
-	SwitchTimeout time.Duration
-	// MaxBackoffShift caps the exponential backoff applied to the
-	// timeouts after consecutive regenerations that produced no token
-	// sighting (timeout << shift). Defaults to 6 (64x). Regardless of
-	// the shift, the backed-off timeout saturates at maxRecoveryBackoff
-	// rather than overflowing time.Duration.
-	MaxBackoffShift int
 	// Adaptive enables the gray-failure detector extensions: graded
 	// phi-accrual-style suspicion over per-peer heartbeat inter-arrival
 	// statistics, and BGP-style flap damping that routes repeatedly
@@ -65,25 +50,34 @@ type RecoveryConfig struct {
 
 // Validate checks the recovery configuration.
 func (c RecoveryConfig) Validate() error {
-	if c.WedgeTimeout < 0 || c.SwitchTimeout < 0 {
-		return fmt.Errorf("switching: negative recovery timeout")
-	}
-	if c.MaxBackoffShift < 0 {
-		return fmt.Errorf("switching: negative recovery backoff shift")
-	}
 	if c.Adaptive != nil {
-		if err := c.Adaptive.Validate(); err != nil {
-			return err
-		}
+		return c.Adaptive.Validate()
 	}
 	return nil
 }
 
+// The wedge detector's timing, in token intervals.
+const (
+	// idleWedgeRotations is the base token-silence timeout while the
+	// ring is idle (NORMAL rotation), in full rotations: one rotation
+	// plus slack.
+	idleWedgeRotations = 2
+	// roundWedgeIntervals is the base token-silence timeout while a
+	// switch round (PREPARE/SWITCH/FLUSH) is in flight, in token
+	// intervals. Rounds pass the token without holding it, so this is
+	// much tighter than the idle timeout.
+	roundWedgeIntervals = 3
+	// maxBackoffShift caps the exponential backoff applied to the
+	// timeouts after consecutive regenerations that produced no token
+	// sighting (timeout << shift, at most 64x). Regardless of the
+	// shift, the backed-off timeout saturates at maxRecoveryBackoff.
+	maxBackoffShift = 6
+)
+
 // maxRecoveryBackoff is the ceiling of the exponential wedge backoff:
-// however large the strike shift or the configured base timeout, the
-// backed-off wait never exceeds this (and in particular never
-// overflows time.Duration into a negative — that is, instantly firing
-// — timer).
+// however large the strike shift or the base timeout, the backed-off
+// wait never exceeds this (and in particular never overflows
+// time.Duration into a negative — that is, instantly firing — timer).
 const maxRecoveryBackoff = time.Minute
 
 // backoffTimeout returns base << shift saturated at maxRecoveryBackoff.
@@ -100,7 +94,6 @@ func backoffTimeout(base time.Duration, shift int) time.Duration {
 // recovery is one member's wedge detector and ring-repair state.
 type recovery struct {
 	s   *Switch
-	cfg RecoveryConfig
 	det *fd.Detector
 	// ad is the optional gray-failure layer (nil with the fixed
 	// detector).
@@ -118,21 +111,20 @@ type recovery struct {
 	// in between; it drives the exponential backoff.
 	strikes int
 	timer   proto.Timer
+	// idleTimeout and roundTimeout are the base wedge timeouts for
+	// NORMAL rotation and for a switch round in flight.
+	idleTimeout, roundTimeout time.Duration
 }
 
 // newRecovery wires the failure detector onto the switch's multiplex and
 // arms the initial wedge timer.
 func newRecovery(s *Switch, cfg RecoveryConfig) (*recovery, error) {
-	if cfg.WedgeTimeout <= 0 {
-		cfg.WedgeTimeout = 2 * time.Duration(s.env.Ring().Size()) * s.cfg.TokenInterval
+	r := &recovery{
+		s:            s,
+		lastMode:     ModeNormal,
+		idleTimeout:  idleWedgeRotations * time.Duration(s.env.Ring().Size()) * s.cfg.TokenInterval,
+		roundTimeout: roundWedgeIntervals * s.cfg.TokenInterval,
 	}
-	if cfg.SwitchTimeout <= 0 {
-		cfg.SwitchTimeout = 3 * s.cfg.TokenInterval
-	}
-	if cfg.MaxBackoffShift == 0 {
-		cfg.MaxBackoffShift = 6
-	}
-	r := &recovery{s: s, cfg: cfg, lastMode: ModeNormal}
 	dcfg := cfg.Detector
 	userSuspect := dcfg.OnSuspect
 	dcfg.OnSuspect = func(p ids.ProcID) {
@@ -294,15 +286,11 @@ func (r *recovery) livePosition() int {
 // doubled per strike (saturating at maxRecoveryBackoff), plus the
 // live-position stagger.
 func (r *recovery) timeout() time.Duration {
-	base := r.cfg.WedgeTimeout
+	base := r.idleTimeout
 	if r.lastMode != ModeNormal || r.s.Switching() {
-		base = r.cfg.SwitchTimeout
+		base = r.roundTimeout
 	}
-	shift := r.strikes
-	if shift > r.cfg.MaxBackoffShift {
-		shift = r.cfg.MaxBackoffShift
-	}
-	return backoffTimeout(base, shift) + time.Duration(r.livePosition())*r.s.cfg.TokenInterval
+	return backoffTimeout(base, r.strikes) + time.Duration(r.livePosition())*r.s.cfg.TokenInterval
 }
 
 // arm (re)starts the wedge timer: one handle, re-armed on every token
@@ -342,7 +330,7 @@ func (r *recovery) onWedge() {
 	if s.stopped {
 		return
 	}
-	if r.strikes < r.cfg.MaxBackoffShift {
+	if r.strikes < maxBackoffShift {
 		r.strikes++
 	}
 	s.emit(obs.WedgeTimeout(s.env.Now(), s.env.Self(), r.strikes))

@@ -361,10 +361,6 @@ func TestConfigValidate(t *testing.T) {
 		{"one protocol", switching.Config{Protocols: orderedPair()[:1]}},
 		{"negative token interval", switching.Config{Protocols: orderedPair(),
 			TokenInterval: -time.Millisecond}},
-		{"negative wedge timeout", switching.Config{Protocols: orderedPair(),
-			Recovery: &switching.RecoveryConfig{WedgeTimeout: -time.Second}}},
-		{"negative backoff shift", switching.Config{Protocols: orderedPair(),
-			Recovery: &switching.RecoveryConfig{MaxBackoffShift: -1}}},
 		{"zero quarantine threshold", switching.Config{Protocols: orderedPair(),
 			Defense: &switching.DefenseConfig{}}},
 		{"negative quarantine threshold", switching.Config{Protocols: orderedPair(),

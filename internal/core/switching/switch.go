@@ -42,8 +42,6 @@ type Config struct {
 	// TokenInterval is how long a member holds a NORMAL token before
 	// passing it on — the idle rotation pace. Defaults to 5ms.
 	TokenInterval time.Duration
-	// Control tunes the reliable channel carrying the token.
-	Control fifo.Config
 	// OnSwitchComplete, if set, is invoked at the initiator when its
 	// FLUSH token returns.
 	OnSwitchComplete func(Record)
@@ -318,8 +316,6 @@ type Switch struct {
 	// grace window during which the previous epoch's key is still
 	// accepted on ingress.
 	keyRolledAt time.Duration
-	// authGrace is Defense.Auth.Grace normalized to its default.
-	authGrace time.Duration
 	// maxAuthEpoch is the newest epoch this member has verified a MAC
 	// under. A member that missed a switch round (partitioned, say)
 	// seals its egress under this instead of its own lagging sendEpoch:
@@ -375,10 +371,6 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 	if cfg.Defense != nil {
 		// Seal below the multiplex: one envelope covers the mux header
 		// and every protocol header above it.
-		s.authGrace = cfg.Defense.Auth.Grace
-		if s.authGrace == 0 {
-			s.authGrace = 10 * cfg.TokenInterval
-		}
 		transport = authTransport{s: s, down: transport}
 	}
 	if cfg.Overload != nil && cfg.Overload.BatchMax > 1 {
@@ -402,7 +394,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 	ctl, err := proto.Build(env,
 		proto.UpFunc(s.onControl),
 		mux.Port(ids.ControlChannel),
-		fifo.New(cfg.Control))
+		fifo.New(fifo.Config{}))
 	if err != nil {
 		return nil, fmt.Errorf("switching: control stack: %w", err)
 	}
@@ -429,11 +421,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 		s.rec = rec
 	}
 	if cfg.Overload != nil {
-		ovl, err := newOverload(s, *cfg.Overload)
-		if err != nil {
-			return nil, err
-		}
-		s.ovl = ovl
+		s.ovl = newOverload(s, *cfg.Overload)
 	}
 	// The first ring member injects the NORMAL token.
 	if env.Self() == s.members[0] {

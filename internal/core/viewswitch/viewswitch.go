@@ -69,14 +69,6 @@ type Config struct {
 	// Protocols[e % len(Protocols)]. One protocol is allowed (pure
 	// membership changes).
 	Protocols []switching.ProtocolFactory
-	// Coordinator drives view changes; defaults to the first ring
-	// member.
-	Coordinator ids.ProcID
-	// Control tunes the reliable control channel.
-	Control fifo.Config
-	// OnViewInstalled, if set, fires at every member when it installs a
-	// view.
-	OnViewInstalled func(Installed)
 	// Detector, if non-nil, runs a heartbeat failure detector on a
 	// private channel. With AutoEvict set, the coordinator reacts to a
 	// suspicion by evicting the suspect through a view change — the
@@ -84,22 +76,9 @@ type Config struct {
 	// member holding it).
 	Detector *fd.Config
 	// AutoEvict makes the coordinator evict suspected members
-	// automatically. Requires Detector.
+	// automatically: the view message is a proto.AppMsg with IsView
+	// set. Requires Detector.
 	AutoEvict bool
-	// EvictView builds the application-level view message for an
-	// automatic eviction. nil synthesizes a proto.AppMsg with IsView
-	// set.
-	EvictView func(members []ids.ProcID) []byte
-}
-
-// Installed describes one view installation at one member.
-type Installed struct {
-	// Epoch is the newly opened epoch.
-	Epoch uint64
-	// Members is the new view.
-	Members []ids.ProcID
-	// At is the local (virtual) installation time.
-	At time.Duration
 }
 
 // Stats counts manager activity.
@@ -121,6 +100,8 @@ type Manager struct {
 	env proto.Env
 	app proto.Up
 	mux *switching.Multiplex
+	// coord drives view changes: the first ring member.
+	coord ids.ProcID
 
 	ctl    *proto.Stack
 	protos []*proto.Stack
@@ -190,12 +171,6 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Manage
 	if len(cfg.Protocols) < 1 {
 		return nil, fmt.Errorf("viewswitch: need at least one protocol")
 	}
-	if !cfg.Coordinator.Valid() {
-		cfg.Coordinator = env.Ring().Members()[0]
-	}
-	if !env.Ring().Contains(cfg.Coordinator) {
-		return nil, fmt.Errorf("viewswitch: coordinator %v not in the group", cfg.Coordinator)
-	}
 	mux, err := switching.NewMultiplex(transport)
 	if err != nil {
 		return nil, err
@@ -203,6 +178,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Manage
 	m := &Manager{
 		cfg:    cfg,
 		env:    env,
+		coord:  env.Ring().Members()[0],
 		app:    app,
 		mux:    mux,
 		view:   make(map[ids.ProcID]bool),
@@ -213,7 +189,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Manage
 	for _, p := range env.Ring().Members() {
 		m.view[p] = true
 	}
-	ctl, err := proto.Build(env, proto.UpFunc(m.onControl), mux.Port(ids.ControlChannel), fifo.New(cfg.Control))
+	ctl, err := proto.Build(env, proto.UpFunc(m.onControl), mux.Port(ids.ControlChannel), fifo.New(fifo.Config{}))
 	if err != nil {
 		return nil, fmt.Errorf("viewswitch: control stack: %w", err)
 	}
@@ -349,7 +325,7 @@ func (m *Manager) RequestEviction(dead []ids.ProcID, viewPayload []byte) error {
 	}
 	doomed := make(map[ids.ProcID]bool, len(dead))
 	for _, p := range dead {
-		if p == m.cfg.Coordinator {
+		if p == m.coord {
 			return fmt.Errorf("viewswitch: cannot evict the coordinator")
 		}
 		doomed[p] = true
@@ -364,7 +340,7 @@ func (m *Manager) RequestEviction(dead []ids.ProcID, viewPayload []byte) error {
 }
 
 func (m *Manager) startChange(members, dead []ids.ProcID, viewPayload []byte) error {
-	if m.env.Self() != m.cfg.Coordinator {
+	if m.env.Self() != m.coord {
 		return ErrNotCoordinator
 	}
 	if m.collecting || m.flushing {
@@ -395,7 +371,7 @@ func (m *Manager) startChange(members, dead []ids.ProcID, viewPayload []byte) er
 
 // onSuspect reacts to a failure-detector suspicion.
 func (m *Manager) onSuspect(p ids.ProcID) {
-	if m.stopped || m.env.Self() != m.cfg.Coordinator || p == m.cfg.Coordinator {
+	if m.stopped || m.env.Self() != m.coord || p == m.coord {
 		return
 	}
 	if m.collecting {
@@ -431,12 +407,9 @@ func (m *Manager) onSuspect(p ids.ProcID) {
 
 // evictPayload builds the app-level view message for an auto-eviction.
 func (m *Manager) evictPayload(members []ids.ProcID) []byte {
-	if m.cfg.EvictView != nil {
-		return m.cfg.EvictView(members)
-	}
 	vm := proto.AppMsg{
-		ID:     proto.MakeMsgID(m.cfg.Coordinator, uint32(0xfff00000)+uint32(m.epoch)),
-		Sender: m.cfg.Coordinator,
+		ID:     proto.MakeMsgID(m.coord, uint32(0xfff00000)+uint32(m.epoch)),
+		Sender: m.coord,
 		IsView: true,
 		View:   members,
 	}
@@ -462,12 +435,12 @@ func (m *Manager) onControl(src ids.ProcID, pkt []byte) {
 		}
 		e := wire.NewEncoder(24 + 2*len(recv))
 		e.U8(kindReport).Uvarint(epoch).Uvarint(m.sent[epoch]).Counts(recv)
-		_ = m.ctl.Send(m.cfg.Coordinator, e.Bytes())
+		_ = m.ctl.Send(m.coord, e.Bytes())
 	case kindReport:
 		epoch := d.Uvarint()
 		count := d.Uvarint()
 		recv := d.Counts()
-		if d.Err() != nil || m.env.Self() != m.cfg.Coordinator || !m.collecting || epoch != m.epoch {
+		if d.Err() != nil || m.env.Self() != m.coord || !m.collecting || epoch != m.epoch {
 			return
 		}
 		m.reports[src] = count
@@ -478,7 +451,7 @@ func (m *Manager) onControl(src ids.ProcID, pkt []byte) {
 		vector := d.Counts()
 		members := d.Procs()
 		payload := d.BytesField()
-		if d.Err() != nil || epoch != m.epoch || src != m.cfg.Coordinator {
+		if d.Err() != nil || epoch != m.epoch || src != m.coord {
 			return
 		}
 		m.pendingView = &viewMsg{epoch: epoch, vector: vector, members: members, payload: payload}
@@ -599,11 +572,8 @@ func (m *Manager) tryInstall() {
 	m.stats.ViewsInstalled++
 	// The view message lands exactly between the epochs — the Virtual
 	// Synchrony install point.
-	m.app.Deliver(m.cfg.Coordinator, v.payload)
-	if m.cfg.OnViewInstalled != nil {
-		m.cfg.OnViewInstalled(Installed{Epoch: m.epoch, Members: append([]ids.ProcID(nil), v.members...), At: m.env.Now()})
-	}
-	if m.env.Self() == m.cfg.Coordinator {
+	m.app.Deliver(m.coord, v.payload)
+	if m.env.Self() == m.coord {
 		m.records = append(m.records, Record{Epoch: v.epoch, Started: m.started, Finished: m.env.Now()})
 	}
 	// Unblock: drain queued sends into the new epoch (if still in

@@ -340,21 +340,15 @@ func TestRandomizedVSPreservation(t *testing.T) {
 }
 
 func TestCallbacksAndRecords(t *testing.T) {
-	installs := 0
-	cfg := viewswitch.Config{
-		OnViewInstalled: func(v viewswitch.Installed) {
-			installs++
-			if v.Epoch != 1 || len(v.Members) != 3 {
-				t.Errorf("Installed = %+v", v)
-			}
-		},
-	}
-	c := newCluster(t, 8, simnet.Config{Nodes: 3, PropDelay: 300 * time.Microsecond}, 3, cfg)
+	c := newCluster(t, 8, simnet.Config{Nodes: 3, PropDelay: 300 * time.Microsecond}, 3, viewswitch.Config{})
 	c.sim.At(time.Millisecond, func() { c.requestView(t, ids.Procs(3), 900) })
 	c.sim.RunUntil(2 * time.Second)
 	c.stop()
-	if installs != 3 {
-		t.Errorf("OnViewInstalled fired %d times, want 3 (once per member)", installs)
+	for p, m := range c.members {
+		if st := m.mgr.Stats(); st.ViewsInstalled != 1 || m.mgr.Epoch() != 1 || len(m.mgr.View()) != 3 {
+			t.Errorf("member %d: %d views installed, epoch %d, view %v; want 1, 1, 3 members",
+				p, st.ViewsInstalled, m.mgr.Epoch(), m.mgr.View())
+		}
 	}
 	recs := c.members[0].mgr.Records()
 	if len(recs) != 1 || recs[0].Epoch != 0 || recs[0].Duration() <= 0 {
@@ -405,10 +399,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := viewswitch.New(node, app, node.Transport(), viewswitch.Config{}); err == nil {
 		t.Error("no protocols accepted")
-	}
-	bad := viewswitch.Config{Protocols: orderedPair(), Coordinator: 9}
-	if _, err := viewswitch.New(node, app, node.Transport(), bad); err == nil {
-		t.Error("out-of-group coordinator accepted")
 	}
 	evictNoDet := viewswitch.Config{Protocols: orderedPair(), AutoEvict: true}
 	if _, err := viewswitch.New(node, app, node.Transport(), evictNoDet); err == nil {

@@ -107,10 +107,7 @@ func RunChaosSweep(cfg ChaosSweepConfig) (*ChaosSweepResult, error) {
 	if cfg.RecoverySeeds == 0 {
 		cfg.RecoverySeeds = 25
 	}
-	ti := cfg.Run.TokenInterval
-	if ti == 0 {
-		ti = 5 * time.Millisecond
-	}
+	ti := chaos.TokenInterval
 	progress := cfg.Progress
 	if progress == nil {
 		progress = func(string) {}

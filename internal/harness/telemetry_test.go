@@ -26,7 +26,7 @@ func TestChaosTelemetrySweepByteIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		art := NewBenchTelemetry(cfg.Seed, telemetry.DefaultInterval, res)
+		art := NewBenchTelemetry(cfg.Seed, telemetry.Interval, res)
 		art.SetTiming(time.Duration(parallel)*time.Millisecond, parallel) // differs per run on purpose
 		art.ScrubTiming()
 		b, err := EncodeBench(art)
@@ -56,7 +56,7 @@ func TestChaosTelemetrySweepByteIdenticalAcrossWorkers(t *testing.T) {
 
 	// The summary counters the benchdiff gate reads must be non-trivial:
 	// a sweep with switch requests audits completed rounds.
-	art := NewBenchTelemetry(1, telemetry.DefaultInterval, seq)
+	art := NewBenchTelemetry(1, telemetry.Interval, seq)
 	if art.RoundsComplete == 0 {
 		t.Error("no completed rounds audited across the sweep")
 	}

@@ -213,7 +213,7 @@ type Telemetry struct {
 
 // New builds a Sampler + Audit pair from one config.
 func New(cfg Config) *Telemetry {
-	return &Telemetry{Sampler: NewSampler(cfg), Audit: NewAudit(cfg)}
+	return &Telemetry{Sampler: NewSampler(), Audit: NewAudit(cfg)}
 }
 
 // Record feeds both consumers.

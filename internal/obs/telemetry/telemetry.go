@@ -30,15 +30,13 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultInterval is the window width when Config.Interval is zero:
-// wide enough that an idle ring produces sparse series, narrow enough
-// to resolve a flash-crowd spike (E17 spikes last one second).
-const DefaultInterval = 100 * time.Millisecond
+// Interval is the sampling window width: wide enough that an idle ring
+// produces sparse series, narrow enough to resolve a flash-crowd spike
+// (E17 spikes last one second).
+const Interval = 100 * time.Millisecond
 
 // Config tunes a telemetry instance.
 type Config struct {
-	// Interval is the sampling window width (DefaultInterval when 0).
-	Interval time.Duration
 	// Protocols is the length of the protocol cycle, used by the audit
 	// trail to resolve an epoch to the protocol before/after the
 	// switch. Zero means unknown (records carry -1).
@@ -93,29 +91,20 @@ type memberAccum struct {
 // append-only series of closed windows. It is a single-run recorder:
 // sweeps build one per run and merge the outputs in run-index order.
 type Sampler struct {
-	interval time.Duration
 	cur      int64 // open window index (-1 until the first advance)
 	open     map[ids.ProcID]*memberAccum
 	series   []Window
 	suspects map[ids.ProcID]map[ids.ProcID]struct{}
 }
 
-// NewSampler returns an empty sampler with the configured window width.
-func NewSampler(cfg Config) *Sampler {
-	iv := cfg.Interval
-	if iv <= 0 {
-		iv = DefaultInterval
-	}
+// NewSampler returns an empty sampler.
+func NewSampler() *Sampler {
 	return &Sampler{
-		interval: iv,
 		cur:      -1,
 		open:     make(map[ids.ProcID]*memberAccum),
 		suspects: make(map[ids.ProcID]map[ids.ProcID]struct{}),
 	}
 }
-
-// Interval returns the window width.
-func (s *Sampler) Interval() time.Duration { return s.interval }
 
 // Enabled reports true (Recorder contract).
 func (s *Sampler) Enabled() bool { return true }
@@ -165,7 +154,7 @@ func (s *Sampler) Tick(at time.Duration) {
 	if at < 0 {
 		at = 0
 	}
-	idx := int64(at / s.interval)
+	idx := int64(at / Interval)
 	if idx == s.cur {
 		return
 	}
@@ -190,7 +179,7 @@ func (s *Sampler) flush() {
 	}
 	w := Window{
 		Index:   s.cur,
-		StartNS: time.Duration(s.cur) * s.interval,
+		StartNS: time.Duration(s.cur) * Interval,
 		Members: make([]MemberWindow, 0, len(s.open)),
 	}
 	procs := make([]ids.ProcID, 0, len(s.open))

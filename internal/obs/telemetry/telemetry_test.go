@@ -10,7 +10,7 @@ import (
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestSamplerWindowsAndConsistency(t *testing.T) {
-	s := NewSampler(Config{Interval: 100 * time.Millisecond})
+	s := NewSampler()
 	// The cumulative registry is fed the same events, as chaos.Run feeds
 	// its own registry beside the sampler.
 	m := obs.NewMetrics()
@@ -71,7 +71,7 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 }
 
 func TestSamplerGauges(t *testing.T) {
-	s := NewSampler(Config{Interval: 100 * time.Millisecond})
+	s := NewSampler()
 	s.Record(obs.QueueDepth(ms(10), 3, 7))
 	s.Record(obs.QueueDepth(ms(20), 3, 4)) // last sample in window wins
 	s.Record(obs.Suspect(ms(30), 2, 5))
@@ -104,7 +104,7 @@ func TestSamplerGauges(t *testing.T) {
 // the gauge in the window the clear landed in — including all the way
 // back to zero, which the EvSuspect-only path could never show.
 func TestSamplerSuspectGaugeFalls(t *testing.T) {
-	s := NewSampler(Config{Interval: 100 * time.Millisecond})
+	s := NewSampler()
 	s.Record(obs.Suspect(ms(10), 2, 5))
 	s.Record(obs.Suspect(ms(20), 2, 6))
 	s.Record(obs.SuspectCleared(ms(110), 2, 5))
@@ -135,10 +135,7 @@ func TestSamplerSuspectGaugeFalls(t *testing.T) {
 }
 
 func TestSamplerFinishIdempotentAndTickOnly(t *testing.T) {
-	s := NewSampler(Config{}) // default interval
-	if s.Interval() != DefaultInterval {
-		t.Fatalf("default interval = %v", s.Interval())
-	}
+	s := NewSampler()
 	// Tick without events opens nothing and emits nothing.
 	s.Tick(ms(500))
 	s.Finish(ms(1000))
@@ -219,7 +216,7 @@ func TestMergeTagsRuns(t *testing.T) {
 }
 
 func TestTelemetryBundle(t *testing.T) {
-	tel := New(Config{Interval: 50 * time.Millisecond, Protocols: 2})
+	tel := New(Config{Protocols: 2})
 	if !tel.Enabled() {
 		t.Fatal("telemetry recorder disabled")
 	}

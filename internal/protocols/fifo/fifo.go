@@ -29,13 +29,16 @@ const (
 	kindHeartbeat                  // sender's next cast seq (tail-loss probe)
 )
 
-// Config tunes the reliability machinery. The zero value is completed by
-// DefaultConfig.
-type Config struct {
-	// ResendInterval is how often a receiver re-requests missing
+// Config configures a fifo layer. It has no fields: the reliability
+// machinery runs on the fixed intervals below.
+type Config struct{}
+
+// The periodic ticks of the reliability machinery.
+const (
+	// resendInterval is how often a receiver re-requests missing
 	// packets while it has gaps.
-	ResendInterval time.Duration
-	// AckInterval is how often a receiver considers sending cumulative
+	resendInterval = 20 * time.Millisecond
+	// ackInterval is how often a receiver considers sending cumulative
 	// acks (which garbage-collect the sender's retransmission buffers).
 	// A tick acks peer p only when the ack says something new — its
 	// (castNext, sendNext) differs from the last ack sent to p, so the
@@ -43,39 +46,11 @@ type Config struct {
 	// arrived since that ack. A sender heartbeats only while it holds
 	// unacknowledged data, so a lost ack is re-sent on the next tick,
 	// and an idle stream costs no frames at all.
-	AckInterval time.Duration
-	// HeartbeatInterval is how often a sender with unacknowledged data
+	ackInterval = 50 * time.Millisecond
+	// heartbeatInterval is how often a sender with unacknowledged data
 	// announces its stream position so receivers can detect tail loss.
-	HeartbeatInterval time.Duration
-	// CastWindow bounds the number of unacknowledged outgoing casts
-	// (flow control): further casts queue locally until acks free
-	// window space. Zero means unlimited.
-	CastWindow int
-}
-
-// DefaultConfig returns production-ish defaults for the simulated
-// environment.
-func DefaultConfig() Config {
-	return Config{
-		ResendInterval:    20 * time.Millisecond,
-		AckInterval:       50 * time.Millisecond,
-		HeartbeatInterval: 25 * time.Millisecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ResendInterval <= 0 {
-		c.ResendInterval = d.ResendInterval
-	}
-	if c.AckInterval <= 0 {
-		c.AckInterval = d.AckInterval
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = d.HeartbeatInterval
-	}
-	return c
-}
+	heartbeatInterval = 25 * time.Millisecond
+)
 
 // Stats counts protocol activity, exported for tests and benchmarks.
 type Stats struct {
@@ -84,13 +59,10 @@ type Stats struct {
 	Retransmits    uint64
 	NacksSent      uint64
 	DupsSuppressed uint64
-	// CastsQueued counts casts delayed by the flow-control window.
-	CastsQueued uint64
 }
 
 // Layer is one process's instance of the protocol.
 type Layer struct {
-	cfg  Config
 	env  proto.Env
 	down proto.Down
 	up   proto.Up
@@ -106,9 +78,6 @@ type Layer struct {
 	// to cover every member. A packet from outside it is malformed.
 	peers []peer
 
-	// castQueue holds casts awaiting flow-control window space.
-	castQueue [][]byte
-
 	timers  []proto.Timer
 	stopped bool
 	stats   Stats
@@ -120,8 +89,8 @@ type Layer struct {
 var _ proto.Layer = (*Layer)(nil)
 
 // New creates a fifo layer.
-func New(cfg Config) *Layer {
-	return &Layer{cfg: cfg.withDefaults()}
+func New(Config) *Layer {
+	return &Layer{}
 }
 
 // peer is everything one process keeps about one peer. The zero value is
@@ -230,9 +199,9 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 		size = max(size, int(m)+1)
 	}
 	l.peers = make([]peer, size)
-	l.scheduleTick(l.cfg.ResendInterval, l.resendTick)
-	l.scheduleTick(l.cfg.AckInterval, l.ackTick)
-	l.scheduleTick(l.cfg.HeartbeatInterval, l.heartbeatTick)
+	l.scheduleTick(resendInterval, l.resendTick)
+	l.scheduleTick(ackInterval, l.ackTick)
+	l.scheduleTick(heartbeatInterval, l.heartbeatTick)
 	return nil
 }
 
@@ -265,40 +234,13 @@ func (l *Layer) Stop() {
 // Stats returns a copy of the counters.
 func (l *Layer) Stats() Stats { return l.stats }
 
-// Cast implements proto.Layer: reliable FIFO multicast, subject to the
-// flow-control window.
+// Cast implements proto.Layer: reliable FIFO multicast.
 func (l *Layer) Cast(payload []byte) error {
-	if l.cfg.CastWindow > 0 && l.castOut.n >= l.cfg.CastWindow {
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
-		l.castQueue = append(l.castQueue, buf)
-		l.stats.CastsQueued++
-		return nil
-	}
-	return l.castNow(payload)
-}
-
-func (l *Layer) castNow(payload []byte) error {
 	pkt := encodeData(kindCast, l.castOut.next(), payload)
 	l.castOut.add(pkt)
 	l.stats.CastsSent++
 	return l.down.Cast(pkt)
 }
-
-// drainCastQueue sends queued casts as window space frees up.
-func (l *Layer) drainCastQueue() {
-	for len(l.castQueue) > 0 {
-		if l.cfg.CastWindow > 0 && l.castOut.n >= l.cfg.CastWindow {
-			return
-		}
-		payload := l.castQueue[0]
-		l.castQueue = l.castQueue[1:]
-		_ = l.castNow(payload)
-	}
-}
-
-// QueuedCasts returns the number of casts waiting for window space.
-func (l *Layer) QueuedCasts() int { return len(l.castQueue) }
 
 // Send implements proto.Layer: reliable FIFO unicast to a member.
 func (l *Layer) Send(dst ids.ProcID, payload []byte) error {
@@ -452,7 +394,6 @@ func (l *Layer) onAck(p *peer, castNext, sendNext uint64) {
 	}
 	l.castOut.release(acked)
 	p.sendOut.release(sendNext)
-	l.drainCastQueue()
 }
 
 // onHeartbeat learns the sender's stream horizon and repairs tail loss.
@@ -489,7 +430,7 @@ func (l *Layer) resendTick() {
 }
 
 // ackTick sends a cumulative ack to every peer it says something new to
-// or that asked for one (Config.AckInterval), in ring order (determinism,
+// or that asked for one (see ackInterval), in ring order (determinism,
 // as in resendTick).
 func (l *Layer) ackTick() {
 	self := l.env.Self()

@@ -77,7 +77,7 @@ func TestUnicastSend(t *testing.T) {
 
 func TestRecoveryFromLoss(t *testing.T) {
 	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond, DropProb: 0.3}
-	c, layers, _ := tappedCluster(t, 7, cfg, 3, Config{})
+	c, layers, _ := tappedCluster(t, 7, cfg, 3)
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := c.Cast(0, []byte(fmt.Sprintf("m%03d", i))); err != nil {
@@ -182,7 +182,7 @@ func TestGarbageCollection(t *testing.T) {
 	cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
 	var layers []*Layer
 	c, err := ptest.New(1, cfg, 2, func(proto.Env) []proto.Layer {
-		l := New(Config{AckInterval: 10 * time.Millisecond})
+		l := New(Config{})
 		layers = append(layers, l)
 		return []proto.Layer{l}
 	})
@@ -243,12 +243,12 @@ func (t *ackTap) Stop()                           {}
 
 // tappedCluster builds an n-member cluster of fifo layers, each over an
 // ackTap.
-func tappedCluster(t *testing.T, seed int64, cfg simnet.Config, n int, fc Config) (*ptest.Cluster, []*Layer, []*ackTap) {
+func tappedCluster(t *testing.T, seed int64, cfg simnet.Config, n int) (*ptest.Cluster, []*Layer, []*ackTap) {
 	t.Helper()
 	var layers []*Layer
 	var taps []*ackTap
 	c, err := ptest.New(seed, cfg, n, func(proto.Env) []proto.Layer {
-		l, tap := New(fc), &ackTap{}
+		l, tap := New(Config{}), &ackTap{}
 		layers, taps = append(layers, l), append(taps, tap)
 		return []proto.Layer{l, tap}
 	})
@@ -263,7 +263,7 @@ func tappedCluster(t *testing.T, seed int64, cfg simnet.Config, n int, fc Config
 // not one per tick.
 func TestIdleStreamIsNotReacked(t *testing.T) {
 	cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
-	c, layers, taps := tappedCluster(t, 1, cfg, 2, Config{AckInterval: 10 * time.Millisecond})
+	c, layers, taps := tappedCluster(t, 1, cfg, 2)
 	if err := c.Cast(0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestIdleStreamIsNotReacked(t *testing.T) {
 	if n := layers[0].castOut.n; n != 0 {
 		t.Errorf("castOut retained %d packets", n)
 	}
-	// One tick per 10 ms would be ~100 acks.
+	// One ack per tick would be ~20 acks.
 	if taps[1].acks > 2 {
 		t.Errorf("receiver sent %d acks for one cast in 1 s, want at most 2", taps[1].acks)
 	}
@@ -285,7 +285,7 @@ func TestIdleStreamIsNotReacked(t *testing.T) {
 // again, so the sender's buffer still drains once the link heals.
 func TestHeartbeatSolicitsLostAck(t *testing.T) {
 	cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
-	c, layers, taps := tappedCluster(t, 1, cfg, 2, Config{AckInterval: 10 * time.Millisecond})
+	c, layers, taps := tappedCluster(t, 1, cfg, 2)
 	c.Net.Block(1, 0)
 	if err := c.Cast(0, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -395,73 +395,6 @@ func TestIdleStackSendsNoAcks(t *testing.T) {
 	}
 }
 
-func TestFlowControlWindow(t *testing.T) {
-	cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
-	var layers []*Layer
-	c, err := ptest.New(1, cfg, 2, func(proto.Env) []proto.Layer {
-		l := New(Config{CastWindow: 3, AckInterval: 5 * time.Millisecond})
-		layers = append(layers, l)
-		return []proto.Layer{l}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := c.Cast(0, []byte(fmt.Sprintf("m%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sender := layers[0]
-	// Only the window's worth went out immediately; the rest queued.
-	if got := sender.Stats().CastsSent; got != 3 {
-		t.Fatalf("CastsSent = %d immediately, want 3 (window)", got)
-	}
-	if sender.QueuedCasts() != n-3 {
-		t.Fatalf("QueuedCasts = %d, want %d", sender.QueuedCasts(), n-3)
-	}
-	if sender.Stats().CastsQueued != n-3 {
-		t.Fatalf("CastsQueued stat = %d, want %d", sender.Stats().CastsQueued, n-3)
-	}
-	// Acks open the window; everything drains in order.
-	c.Run(5 * time.Second)
-	got := c.Bodies(1)
-	if len(got) != n {
-		t.Fatalf("delivered %d/%d with flow control", len(got), n)
-	}
-	for i, b := range got {
-		if b != fmt.Sprintf("m%d", i) {
-			t.Fatalf("order violated under flow control: %v", got)
-		}
-	}
-	if sender.QueuedCasts() != 0 {
-		t.Error("queue not drained")
-	}
-}
-
-func TestFlowControlUnderLoss(t *testing.T) {
-	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond, DropProb: 0.25}
-	c, err := ptest.New(5, cfg, 3, func(proto.Env) []proto.Layer {
-		return []proto.Layer{New(Config{CastWindow: 2})}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 15
-	for i := 0; i < n; i++ {
-		if err := c.Cast(0, []byte(fmt.Sprintf("m%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Run(30 * time.Second)
-	for p := 1; p < 3; p++ {
-		got := c.Bodies(ids.ProcID(p))
-		if len(got) != n {
-			t.Fatalf("member %d delivered %d/%d under loss with window 2", p, len(got), n)
-		}
-	}
-}
-
 func TestStopCancelsTimers(t *testing.T) {
 	cfg := simnet.Config{Nodes: 2}
 	c := cluster(t, 1, cfg, 2)
@@ -493,13 +426,6 @@ func TestInitNilWiring(t *testing.T) {
 	l := New(Config{})
 	if err := l.Init(nil, nil, nil); err == nil {
 		t.Error("Init accepted nil wiring")
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.ResendInterval <= 0 || c.AckInterval <= 0 || c.HeartbeatInterval <= 0 {
-		t.Errorf("withDefaults left zero intervals: %+v", c)
 	}
 }
 
@@ -591,7 +517,7 @@ func TestRetransmitRing(t *testing.T) {
 // the multicast ring or of any unicast ring still references one.
 func TestAckedPacketsAreNotRetained(t *testing.T) {
 	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
-	c, layers, _ := tappedCluster(t, 1, cfg, 3, Config{AckInterval: 10 * time.Millisecond})
+	c, layers, _ := tappedCluster(t, 1, cfg, 3)
 	for i := 0; i < 20; i++ {
 		if err := c.Cast(0, []byte("c")); err != nil {
 			t.Fatal(err)

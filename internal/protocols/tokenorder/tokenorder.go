@@ -39,9 +39,6 @@ type Config struct {
 	// on, modelling per-hop protocol processing. It must be positive to
 	// bound the rotation rate; zero defaults to 1ms.
 	HoldDelay time.Duration
-	// MaxPerToken bounds how many pending messages one token visit may
-	// flush (fairness). Zero means unlimited.
-	MaxPerToken int
 	// BatchFlush, when set, coalesces all messages flushed in one token
 	// visit into a single multi-message frame (token-carried batching):
 	// one frame — and one envelope, one MAC — per visit instead of one
@@ -168,9 +165,6 @@ func (l *Layer) acquireToken(seq uint64) {
 // multi-message frame for the whole visit.
 func (l *Layer) flush() {
 	n := l.queue.Len()
-	if l.cfg.MaxPerToken > 0 && n > l.cfg.MaxPerToken {
-		n = l.cfg.MaxPerToken
-	}
 	if n == 0 {
 		return
 	}

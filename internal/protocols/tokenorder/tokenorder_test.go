@@ -149,27 +149,6 @@ func TestSenderWaitsForToken(t *testing.T) {
 	}
 }
 
-func TestMaxPerTokenFairness(t *testing.T) {
-	cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
-	c, err := ptest.New(1, cfg, 2, func(proto.Env) []proto.Layer {
-		return []proto.Layer{New(Config{HoldDelay: time.Millisecond, MaxPerToken: 2}), fifo.New(fifo.Config{})}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := c.Cast(1, []byte(fmt.Sprintf("%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Run(2 * time.Second)
-	c.Stop()
-	got := c.Bodies(0)
-	if len(got) != 6 {
-		t.Fatalf("delivered %d, want 6 (bounded flush must still drain)", len(got))
-	}
-}
-
 func TestSingletonGroup(t *testing.T) {
 	cfg := simnet.Config{Nodes: 1}
 	c := cluster(t, 1, cfg, 1, Config{HoldDelay: time.Millisecond})

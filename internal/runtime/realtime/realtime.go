@@ -30,8 +30,6 @@ type Config struct {
 	Jitter time.Duration
 	// Seed seeds the per-group random source (jitter, layer RNGs).
 	Seed int64
-	// MailboxDepth bounds each member's pending-event queue.
-	MailboxDepth int
 	// Recorder, if set, receives an obs.EvDrop event for every posted
 	// event discarded at a full mailbox. Unlike the DES runtime, nodes
 	// here run on separate goroutines, so the recorder must be safe for
@@ -40,10 +38,11 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
+// mailboxDepth bounds each member's pending-event queue: an event
+// posted to a full mailbox is dropped and counted.
+const mailboxDepth = 1024
+
 func (c Config) withDefaults() Config {
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 1024
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -77,7 +76,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		n := &Node{
 			group:   g,
 			self:    ids.ProcID(i),
-			mailbox: make(chan func(), cfg.MailboxDepth),
+			mailbox: make(chan func(), mailboxDepth),
 			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i))),
 			done:    make(chan struct{}),
 		}

@@ -381,7 +381,7 @@ func (l *lockedCollector) Enabled() bool { return true }
 // reason, instead of vanishing.
 func TestMailboxDropCounted(t *testing.T) {
 	rec := &lockedCollector{col: obs.NewCollector()}
-	g, err := NewGroup(Config{Nodes: 1, MailboxDepth: 1, Recorder: rec})
+	g, err := NewGroup(Config{Nodes: 1, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,9 @@ func TestMailboxDropCounted(t *testing.T) {
 	defer close(block)
 	n.post(func() { close(started); <-block })
 	<-started // the loop is now parked inside the blocker
-	n.post(func() {})
+	for i := 0; i < mailboxDepth; i++ {
+		n.post(func() {})
+	}
 	if got := n.Dropped(); got != 0 {
 		t.Fatalf("drop counted while the mailbox still had room: %d", got)
 	}
