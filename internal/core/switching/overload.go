@@ -1,6 +1,7 @@
 package switching
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -183,7 +184,9 @@ type overload struct {
 
 	// egress is the bounded queue of outgoing casts; paused is the
 	// backpressure state; retrying counts casts waiting on a retry.
+	// spare recycles the frames of drained casts into admitted ones.
 	egress      proto.Queue[egressEntry]
+	spare       wire.Spares
 	sending     bool
 	egressTimer proto.Timer
 	paused      bool
@@ -324,11 +327,9 @@ func (o *overload) admitCast(payload []byte) error {
 	o.acct.Casts++
 	epoch := s.sendEpoch
 	// The queue retains the frame and the caller keeps payload, so the
-	// frame is a copy: one right-sized allocation via Frame (Prepend
-	// would cost two).
-	e := wire.NewEncoder(10 + len(payload))
-	e.Uvarint(epoch)
-	ent := egressEntry{frame: e.Frame(payload), epoch: epoch}
+	// frame is a copy, in a spare buffer: drainEgress gives it back.
+	frame := binary.AppendUvarint(o.spare.Get(10+len(payload)), epoch)
+	ent := egressEntry{frame: append(frame, payload...), epoch: epoch}
 	if o.egress.Len() >= o.cfg.EgressQueueCap {
 		o.scheduleRetry(ent, 1)
 		return nil
@@ -384,6 +385,8 @@ func (o *overload) drainEgress() {
 		ent := o.egress.Pop()
 		o.acct.EgressSent++
 		_ = s.protos[ent.epoch%uint64(len(s.protos))].Cast(ent.frame)
+		// The sub-protocol copied whatever it keeps.
+		o.spare.Put(ent.frame)
 	}
 	if o.paused && o.egress.Len() <= o.cfg.LowWatermark {
 		o.paused = false

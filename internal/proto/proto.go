@@ -74,11 +74,20 @@ type Env interface {
 
 // Down is a layer's handle to the layer beneath it (ultimately the
 // network).
+//
+// A payload handed down is borrowed for the call: the caller may reuse
+// or overwrite it as soon as Cast or Send returns. A layer below that
+// keeps the payload — to retransmit it, queue it, or hand it up later —
+// or hands it up during the call keeps a copy, never the caller's
+// slice. Layers build frames in pooled and recycled buffers on the
+// strength of this rule (package wire).
 type Down interface {
 	// Cast multicasts payload to the whole group, including the caller's
 	// own process (protocols rely on hearing their own multicasts).
+	// payload is borrowed for the call.
 	Cast(payload []byte) error
-	// Send sends payload point-to-point to dst.
+	// Send sends payload point-to-point to dst. payload is borrowed for
+	// the call.
 	Send(dst ids.ProcID, payload []byte) error
 }
 
@@ -107,10 +116,13 @@ var _ Up = UpFunc(nil)
 type Layer interface {
 	// Init wires the layer between its neighbours.
 	Init(env Env, down Down, up Up) error
-	// Cast handles a multicast request from the layer above.
+	// Cast handles a multicast request from the layer above. payload is
+	// borrowed for the call (see Down): a layer that keeps it, or hands
+	// it up, keeps a copy.
 	Cast(payload []byte) error
-	// Send handles a point-to-point request from the layer above.
-	// Layers without point-to-point semantics return ErrUnsupported.
+	// Send handles a point-to-point request from the layer above, under
+	// the same rule as Cast. Layers without point-to-point semantics
+	// return ErrUnsupported.
 	Send(dst ids.ProcID, payload []byte) error
 	// Recv handles a payload arriving from the layer below; src is the
 	// sender as reported by that layer. Same contract as Up.Deliver:

@@ -36,15 +36,11 @@ func (r *Reorder[V]) Next() uint64 { return r.next }
 // Pending returns the number of arrivals buffered behind a gap.
 func (r *Reorder[V]) Pending() int { return len(r.pending) }
 
-// Missing returns the seqs from Next through last that have not arrived.
-func (r *Reorder[V]) Missing(last uint64) []uint64 {
-	var out []uint64
-	for s := r.next; s <= last; s++ {
-		if _, ok := r.pending[s]; !ok {
-			out = append(out, s)
-		}
-	}
-	return out
+// Buffered reports whether seq has arrived and waits behind a gap. Gap
+// repair walks the seqs from Next up and asks for every one that is not.
+func (r *Reorder[V]) Buffered(seq uint64) bool {
+	_, ok := r.pending[seq]
+	return ok
 }
 
 // Push offers arrival v with sequence number seq and hands deliver every

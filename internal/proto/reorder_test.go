@@ -88,18 +88,25 @@ func TestReorderInOrderNeverTouchesTheMap(t *testing.T) {
 	}
 }
 
-// TestReorderMissing: the seqs gap repair asks for.
-func TestReorderMissing(t *testing.T) {
+// TestReorderBuffered: what gap repair reads — the seqs from Next up
+// that are not buffered are the ones it asks for.
+func TestReorderBuffered(t *testing.T) {
 	var r Reorder[int]
 	nop := func(int) {}
 	for _, seq := range []uint64{0, 1, 4, 6} {
 		r.Push(seq, 0, nop)
 	}
-	if got, want := r.Missing(7), []uint64{2, 3, 5, 7}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Missing(7) = %v, want %v", got, want)
+	var missing []uint64
+	for s := r.Next(); s <= 7; s++ {
+		if !r.Buffered(s) {
+			missing = append(missing, s)
+		}
 	}
-	if got := r.Missing(1); got != nil {
-		t.Errorf("Missing below Next = %v, want none", got)
+	if want := []uint64{2, 3, 5, 7}; !reflect.DeepEqual(missing, want) {
+		t.Errorf("seqs not buffered from Next through 7 = %v, want %v", missing, want)
+	}
+	if r.Buffered(0) || r.Buffered(1) {
+		t.Error("a delivered seq reads as buffered")
 	}
 }
 

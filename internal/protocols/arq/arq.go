@@ -135,22 +135,31 @@ func (c *common) InFlight(dst ids.ProcID) int {
 
 // Cast implements proto.Layer: a multicast over point-to-point ARQ is a
 // reliable send to every other member (the sender loops its own copy
-// back locally, preserving the group convention).
+// back locally, preserving the group convention). The caller may reuse
+// payload once Cast returns, and the layer above may keep what it is
+// delivered, so the loopback delivers a copy: the one every window
+// holds, which nothing writes.
 func (c *common) Cast(payload []byte) error {
+	buf := clone(payload)
 	for _, p := range c.env.Members() {
 		if p == c.env.Self() {
 			continue
 		}
-		if err := c.Send(p, payload); err != nil {
+		if err := c.enqueue(p, buf); err != nil {
 			return err
 		}
 	}
-	c.up.Deliver(c.env.Self(), payload)
+	c.up.Deliver(c.env.Self(), buf)
 	return nil
 }
 
 // Send implements proto.Layer: reliable FIFO unicast.
 func (c *common) Send(dst ids.ProcID, payload []byte) error {
+	return c.enqueue(dst, clone(payload))
+}
+
+// enqueue appends buf, a copy the layer owns, to dst's window.
+func (c *common) enqueue(dst ids.ProcID, buf []byte) error {
 	if c.stopped {
 		return fmt.Errorf("%s: stopped", c.name)
 	}
@@ -159,11 +168,16 @@ func (c *common) Send(dst ids.ProcID, payload []byte) error {
 		o = &outState{}
 		c.out[dst] = o
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
 	o.window = append(o.window, buf)
 	c.pump(dst, o)
 	return nil
+}
+
+// clone returns a copy of payload the layer owns.
+func clone(payload []byte) []byte {
+	buf := make([]byte, len(payload))
+	copy(buf, payload)
+	return buf
 }
 
 // pump transmits whatever the window permits.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
+	"repro/internal/des"
 	"repro/internal/ids"
 	"repro/internal/proto"
 	"repro/internal/protocols/ptest"
@@ -115,6 +116,41 @@ func TestCastLoopsBackAndReachesPeer(t *testing.T) {
 			if got := c.Bodies(ids.ProcID(p)); len(got) != 1 || got[0] != "both" {
 				t.Fatalf("%s member %d got %v", name, p, got)
 			}
+		}
+	})
+}
+
+// TestCastLoopbackOwnsItsCopy: the loopback delivery of a cast may be
+// kept by the layer above, and the caller may reuse its buffer once Cast
+// returns — so what was delivered must not change when it does.
+func TestCastLoopbackOwnsItsCopy(t *testing.T) {
+	eachProtocol(t, func(t *testing.T, name string, mk func() proto.Layer) {
+		var kept [][]byte
+		c, err := ptest.NewWithApp(1, simnet.Config{Nodes: 2, PropDelay: time.Millisecond}, 2,
+			func(proto.Env) []proto.Layer { return []proto.Layer{mk()} },
+			func(m *ptest.Member, _ *des.Sim) proto.Up {
+				return proto.UpFunc(func(_ ids.ProcID, p []byte) {
+					if m.Node.Self() == 0 {
+						kept = append(kept, p)
+					}
+				})
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := []byte("first")
+		if err := c.Cast(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XXXXX")
+		if err := c.Cast(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "YYYYY")
+		c.Run(time.Second)
+		c.Stop()
+		if len(kept) != 2 || string(kept[0]) != "first" || string(kept[1]) != "XXXXX" {
+			t.Errorf("%s: the sender's kept deliveries read %q, want [first XXXXX]", name, kept)
 		}
 	})
 }

@@ -90,22 +90,29 @@ func (l *SelectiveRepeat) Stop() {
 // Stats returns a copy of the counters.
 func (l *SelectiveRepeat) Stats() Stats { return l.stats }
 
-// Cast implements proto.Layer (see common.Cast).
+// Cast implements proto.Layer (see common.Cast): one copy serves every
+// destination and the loopback delivery.
 func (l *SelectiveRepeat) Cast(payload []byte) error {
+	buf := clone(payload)
 	for _, p := range l.env.Members() {
 		if p == l.env.Self() {
 			continue
 		}
-		if err := l.Send(p, payload); err != nil {
+		if err := l.enqueue(p, buf); err != nil {
 			return err
 		}
 	}
-	l.up.Deliver(l.env.Self(), payload)
+	l.up.Deliver(l.env.Self(), buf)
 	return nil
 }
 
 // Send implements proto.Layer: reliable FIFO unicast.
 func (l *SelectiveRepeat) Send(dst ids.ProcID, payload []byte) error {
+	return l.enqueue(dst, clone(payload))
+}
+
+// enqueue queues buf, a copy the layer owns, for dst.
+func (l *SelectiveRepeat) enqueue(dst ids.ProcID, buf []byte) error {
 	if l.stopped {
 		return fmt.Errorf("selectiverepeat: stopped")
 	}
@@ -114,8 +121,6 @@ func (l *SelectiveRepeat) Send(dst ids.ProcID, payload []byte) error {
 		o = &srOut{unacked: make(map[uint64][]byte)}
 		l.out[dst] = o
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
 	o.pending = append(o.pending, buf)
 	l.pump(dst, o)
 	return nil

@@ -185,9 +185,13 @@ func (d *Detector) Live() []ids.ProcID {
 	return out
 }
 
+// heartbeat is every heartbeat's payload. Shared: a Down only borrows
+// what it is handed, and copies what it keeps.
+var heartbeat = []byte{1}
+
 // beat multicasts one heartbeat.
 func (d *Detector) beat() {
-	_ = d.down.Cast([]byte{1})
+	_ = d.down.Cast(heartbeat)
 }
 
 // check suspects members whose heartbeats stopped.

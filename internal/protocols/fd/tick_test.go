@@ -9,6 +9,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/ids"
 	"repro/internal/proto"
+	"repro/internal/protocols/ptest"
 	"repro/internal/runtime/simenv"
 	"repro/internal/simnet"
 )
@@ -230,4 +231,22 @@ func BenchmarkDetectorInterval(b *testing.B) {
 		sim.RunUntil(sim.Now() + 10*time.Millisecond)
 	}
 	b.ReportMetric(float64(sim.Executed()-start)/float64(b.N), "events/interval")
+}
+
+// nopDown discards what it is handed.
+type nopDown struct{}
+
+func (nopDown) Cast([]byte) error             { return nil }
+func (nopDown) Send(ids.ProcID, []byte) error { return nil }
+
+// TestBeatAllocs: a heartbeat costs the detector no allocation — every
+// beat casts the one shared payload.
+func TestBeatAllocs(t *testing.T) {
+	d := New(Config{Interval: 10 * time.Millisecond})
+	if err := d.Init(ptest.NewFakeEnv(0, 3), nopDown{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(1000, d.beat); got != 0 {
+		t.Errorf("a beat allocates %v, want 0", got)
+	}
 }

@@ -74,6 +74,9 @@ type Layer struct {
 	// castOut is the outgoing multicast stream: the unacked casts, kept
 	// for repair, and the next seq to assign.
 	castOut retransmitRing
+	// spare recycles the buffers of acked packets, of every outgoing
+	// stream, into the next data frames.
+	spare wire.Spares
 	// peers holds the per-peer state, indexed by ProcID and sized at Init
 	// to cover every member. A packet from outside it is malformed.
 	peers []peer
@@ -179,14 +182,6 @@ func (r *reorderBuf) sawSeq(seq uint64) {
 	}
 }
 
-// gaps returns the missing sequence numbers below the known horizon.
-func (r *reorderBuf) gaps() []uint64 {
-	if !r.hasHigh {
-		return nil
-	}
-	return r.Missing(r.highest)
-}
-
 // Init implements proto.Layer.
 func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 	if env == nil || down == nil || up == nil {
@@ -236,7 +231,7 @@ func (l *Layer) Stats() Stats { return l.stats }
 
 // Cast implements proto.Layer: reliable FIFO multicast.
 func (l *Layer) Cast(payload []byte) error {
-	pkt := encodeData(kindCast, l.castOut.next(), payload)
+	pkt := l.dataFrame(kindCast, l.castOut.next(), payload)
 	l.castOut.add(pkt)
 	l.stats.CastsSent++
 	return l.down.Cast(pkt)
@@ -248,20 +243,24 @@ func (l *Layer) Send(dst ids.ProcID, payload []byte) error {
 	if p == nil {
 		return fmt.Errorf("fifo: send to non-member %v", dst)
 	}
-	pkt := encodeData(kindSend, p.sendOut.next(), payload)
+	pkt := l.dataFrame(kindSend, p.sendOut.next(), payload)
 	p.sendOut.add(pkt)
 	l.stats.SendsSent++
 	return l.down.Send(dst, pkt)
 }
 
-// encodeData builds an independently owned data frame (it is retained
-// in the retransmission buffers): one right-sized allocation, appended
-// directly — an encoder would cost a second.
-func encodeData(kind uint8, seq uint64, payload []byte) []byte {
-	out := make([]byte, 0, 12+len(payload))
-	out = append(out, kind)
-	out = binary.AppendUvarint(out, seq)
-	return append(out, payload...)
+// dataFrame builds a data frame the layer owns (it is retained in the
+// retransmission buffers until acked) in a spare buffer: a recycled one
+// in steady state, else one right-sized allocation.
+func (l *Layer) dataFrame(kind uint8, seq uint64, payload []byte) []byte {
+	return appendData(l.spare.Get(12+len(payload)), kind, seq, payload)
+}
+
+// appendData appends the data frame {kind, seq, payload} to dst.
+func appendData(dst []byte, kind uint8, seq uint64, payload []byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, seq)
+	return append(dst, payload...)
 }
 
 // Recv implements proto.Layer.
@@ -351,9 +350,16 @@ func (l *Layer) onData(r *reorderBuf, src ids.ProcID, stream uint8, seq uint64, 
 }
 
 // requestRepairs NACKs every missing seq of src's stream r, of kind
-// stream.
+// stream: those from the next expected through the known horizon that
+// are not buffered, in ascending order.
 func (l *Layer) requestRepairs(src ids.ProcID, stream uint8, r *reorderBuf) {
-	for _, seq := range r.gaps() {
+	if !r.hasHigh {
+		return
+	}
+	for seq := r.Next(); seq <= r.highest; seq++ {
+		if r.Buffered(seq) {
+			continue
+		}
 		e := wire.GetEncoder()
 		e.U8(kindNack).U8(stream).Uvarint(seq)
 		l.stats.NacksSent++
@@ -392,8 +398,18 @@ func (l *Layer) onAck(p *peer, castNext, sendNext uint64) {
 			acked = min(acked, l.peers[m].castAcked)
 		}
 	}
-	l.castOut.release(acked)
-	p.sendOut.release(sendNext)
+	l.release(&l.castOut, acked)
+	l.release(&p.sendOut, sendNext)
+}
+
+// release frees out's packets below seq and gives their buffers back to
+// the spare stack: an acked packet is referenced by nothing else, since
+// every Down it was handed to copied what it kept.
+func (l *Layer) release(out *retransmitRing, seq uint64) {
+	for s := out.base; s < seq && s < out.next(); s++ {
+		l.spare.Put(out.at(s))
+	}
+	out.release(seq)
 }
 
 // onHeartbeat learns the sender's stream horizon and repairs tail loss.

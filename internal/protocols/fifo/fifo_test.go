@@ -647,3 +647,43 @@ func BenchmarkInOrderRecv(b *testing.B) {
 		l.Recv(ids.ProcID(1+i%9), pkt)
 	}
 }
+
+// nackLog records the seqs of the NACKs sent through it.
+type nackLog struct{ seqs []uint64 }
+
+func (d *nackLog) Cast([]byte) error { return nil }
+
+func (d *nackLog) Send(_ ids.ProcID, pkt []byte) error {
+	if pkt[0] == kindNack {
+		seq, _ := binary.Uvarint(pkt[2:])
+		d.seqs = append(d.seqs, seq)
+	}
+	return nil
+}
+
+// TestGapRepairAllocs: gap repair walks a stream's gaps in place — a
+// resend tick over a stream with holes allocates nothing — and asks for
+// the missing seqs in ascending order.
+func TestGapRepairAllocs(t *testing.T) {
+	if ptest.RaceEnabled {
+		t.Skip("the race detector makes the pooled NACK encoders allocate")
+	}
+	l := New(Config{})
+	down := &nackLog{}
+	if err := l.Init(ptest.NewFakeEnv(0, 3), down, proto.UpFunc(func(ids.ProcID, []byte) {})); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{0, 2, 5} {
+		l.Recv(1, encodeData(kindCast, seq, []byte("x")))
+	}
+	got := testing.AllocsPerRun(1000, func() {
+		down.seqs = down.seqs[:0]
+		l.resendTick()
+	})
+	if got != 0 {
+		t.Errorf("a resend tick over three gaps allocates %v, want 0", got)
+	}
+	if want := []uint64{1, 3, 4}; !reflect.DeepEqual(down.seqs, want) {
+		t.Errorf("the tick NACKed %v, want %v", down.seqs, want)
+	}
+}

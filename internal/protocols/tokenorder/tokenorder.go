@@ -56,8 +56,10 @@ type Layer struct {
 	down proto.Down
 	up   proto.Up
 
-	// queue holds payloads awaiting the token.
+	// queue holds payloads awaiting the token, copied into buffers from
+	// spare; flush gives each back once its frame is built.
 	queue proto.Queue[[]byte]
+	spare wire.Spares
 	// holding reports whether this member currently holds the token.
 	holding bool
 	// tokenSeq is the token's next-sequence value while held.
@@ -139,9 +141,7 @@ func (l *Layer) QueueLen() int { return l.queue.Len() }
 
 // Cast implements proto.Layer: enqueue until the token arrives.
 func (l *Layer) Cast(payload []byte) error {
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	l.queue.Push(buf)
+	l.queue.Push(append(l.spare.Get(len(payload)), payload...))
 	if l.holding {
 		l.flush()
 	}
@@ -162,7 +162,8 @@ func (l *Layer) acquireToken(seq uint64) {
 
 // flush multicasts queued messages while the token is held: one frame
 // per message, or — with BatchFlush and more than one queued — a single
-// multi-message frame for the whole visit.
+// multi-message frame for the whole visit. A queued payload's buffer
+// goes back to the spares as soon as the frame holds a copy of it.
 func (l *Layer) flush() {
 	n := l.queue.Len()
 	if n == 0 {
@@ -172,7 +173,9 @@ func (l *Layer) flush() {
 		e := wire.GetEncoder()
 		e.U8(kindBatch).Uvarint(l.tokenSeq).Uvarint(uint64(n))
 		for i := 0; i < n; i++ {
-			e.BytesField(l.queue.Pop())
+			p := l.queue.Pop()
+			e.BytesField(p)
+			l.spare.Put(p)
 		}
 		l.tokenSeq += uint64(n)
 		_ = l.down.Cast(e.Bytes())
@@ -183,9 +186,12 @@ func (l *Layer) flush() {
 		e := wire.GetEncoder()
 		e.U8(kindData).Uvarint(l.tokenSeq)
 		l.tokenSeq++
+		p := l.queue.Pop()
+		frame := e.Frame(p)
+		l.spare.Put(p)
 		// The fifo layer below copies anything it retains, so the frame
 		// can ride a pooled encoder.
-		_ = l.down.Cast(e.Frame(l.queue.Pop()))
+		_ = l.down.Cast(frame)
 		wire.PutEncoder(e)
 	}
 }

@@ -2,14 +2,24 @@ package wire
 
 import "sync"
 
-// This file is the pooled buffer layer under the per-message hot path.
-// Every frame a stack sends used to allocate at each layer boundary
-// (header encode, envelope seal); since every transport in this
-// repository copies payloads on send, those buffers die microseconds
-// after they are built — exactly the lifetime sync.Pool is for. The
-// contract at every call site is the same: anything obtained from a
-// pooled encoder (Bytes, Frame) or a pooled buffer must be handed
-// downstream *before* the Put, and never retained.
+// This file holds the buffers under the per-message hot path, of two
+// kinds, told apart by who still holds a frame once the call that built
+// it returns.
+//
+// Transient frames — a header encode, an envelope seal — are handed
+// downstream and forgotten: every Down copies whatever it keeps (see
+// proto.Down), so the buffer is free again when the call returns. That
+// is the lifetime sync.Pool is for. Anything obtained from a pooled
+// encoder (Bytes, Frame) or a pooled buffer must be handed downstream
+// *before* the Put, and never retained.
+//
+// Kept frames — a retransmission copy waiting for its ack, a cast
+// waiting for the token or for its service tick — outlive the call and
+// belong to one layer until that layer lets them go. Spares recycles
+// those: the layer takes a buffer when it copies a frame in, and gives
+// it back once nothing references it. A frame a layer hands up or down
+// in the meantime is borrowed for the call, so recycling never changes
+// a byte anyone else holds.
 
 // maxPooled bounds the capacity of buffers kept by the pools. Anything
 // larger (a one-off giant frame) is dropped for the GC instead of
@@ -66,3 +76,43 @@ func PutBuf(b *[]byte) {
 	*b = (*b)[:0]
 	bufPool.Put(b)
 }
+
+// Spares is a small owner-local stack of spare byte buffers for frames a
+// layer keeps for a while (see the header comment). It is not safe for
+// concurrent use: each layer instance owns its own, as it owns the
+// frames. The zero value is an empty stack.
+//
+// Get reuses only the most recently returned buffer, and drops it when
+// it is too small, so the stack never holds more buffers than its owner
+// once held at one time: a buffer joins it only by coming back from the
+// owner, and a new one is made only when the stack is empty.
+type Spares struct {
+	bufs [][]byte
+}
+
+// Get returns a zero-length buffer with capacity at least n: the most
+// recently returned one if it is large enough, otherwise a new one.
+func (s *Spares) Get(n int) []byte {
+	if k := len(s.bufs) - 1; k >= 0 {
+		b := s.bufs[k]
+		s.bufs[k] = nil
+		s.bufs = s.bufs[:k]
+		if cap(b) >= n {
+			return b[:0]
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+// Put takes back a buffer its owner no longer references — nor does
+// anything it handed the buffer to. Buffers above maxPooled are left to
+// the collector.
+func (s *Spares) Put(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooled {
+		return
+	}
+	s.bufs = append(s.bufs, b[:0])
+}
+
+// Len returns the number of spare buffers held.
+func (s *Spares) Len() int { return len(s.bufs) }
