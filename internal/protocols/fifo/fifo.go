@@ -7,7 +7,9 @@
 // Mechanism: per-stream sequence numbers with receiver-side reordering,
 // NACK-based retransmission for gap repair, sender heartbeats for
 // tail-loss detection, and cumulative acknowledgements for send-buffer
-// garbage collection.
+// garbage collection. A gap is NACKed when it is first seen; a resend
+// tick retries lost NACKs and runs only while some stream has a gap. The
+// ack and heartbeat ticks run for the layer's whole life.
 package fifo
 
 import (
@@ -33,7 +35,23 @@ const (
 // machinery runs on the fixed intervals below.
 type Config struct{}
 
-// The periodic ticks of the reliability machinery.
+// The ticks of the reliability machinery. Each fires on a grid of its
+// interval from Init.
+//
+// The resend tick runs on demand: the NACK of a newly seen gap arms it
+// for its next grid instant, and it re-arms only while a gap remains, so
+// a loss-free run never fires it. A skipped tick would have sent nothing
+// and drawn no randomness, so skipping it reorders nothing. An arm made
+// on demand does queue behind the events scheduled for its instant
+// before the gap opened, where a periodic arm queued ahead of them; that
+// changes an execution only when the tick then NACKs, that is, under
+// loss.
+//
+// The ack and heartbeat ticks stay periodic. Both do work at instants
+// other events share: made on demand, each alone moved paper_switch's
+// median latency, from 21.685 ms to 21.28 ms (heartbeat) or 21.40 ms
+// (ack). Arming either on demand needs an argument that it keeps every
+// virtual-time number.
 const (
 	// resendInterval is how often a receiver re-requests missing
 	// packets while it has gaps.
@@ -81,7 +99,12 @@ type Layer struct {
 	// to cover every member. A packet from outside it is malformed.
 	peers []peer
 
-	timers  []proto.Timer
+	timers []proto.Timer
+	// resend is the resend tick's handle, armed only while some incoming
+	// stream has a gap: nil until the first gap, then re-armed in place.
+	// start is the Init time its grid counts from.
+	resend  proto.Timer
+	start   time.Duration
 	stopped bool
 	stats   Stats
 	// malformed counts packets dropped by the defensive ingress
@@ -194,7 +217,7 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 		size = max(size, int(m)+1)
 	}
 	l.peers = make([]peer, size)
-	l.scheduleTick(resendInterval, l.resendTick)
+	l.start = env.Now()
 	l.scheduleTick(ackInterval, l.ackTick)
 	l.scheduleTick(heartbeatInterval, l.heartbeatTick)
 	return nil
@@ -350,11 +373,26 @@ func (l *Layer) onData(r *reorderBuf, src ids.ProcID, stream uint8, seq uint64, 
 }
 
 // requestRepairs NACKs every missing seq of src's stream r, of kind
-// stream: those from the next expected through the known horizon that
-// are not buffered, in ascending order.
+// stream, and arms the resend tick, if it is idle, to retry them at its
+// next grid instant.
 func (l *Layer) requestRepairs(src ids.ProcID, stream uint8, r *reorderBuf) {
-	if !r.hasHigh {
-		return
+	if l.nackGaps(src, stream, r) && !l.stopped && (l.resend == nil || !l.resend.Active()) {
+		d := resendInterval - (l.env.Now()-l.start)%resendInterval
+		if l.resend == nil {
+			l.resend = l.env.After(d, l.resendTick)
+			l.timers = append(l.timers, l.resend)
+		} else {
+			l.resend.Reset(d)
+		}
+	}
+}
+
+// nackGaps NACKs the missing seqs of src's stream r, of kind stream:
+// those from the next expected through the known horizon that are not
+// buffered, in ascending order. It reports whether r has a gap.
+func (l *Layer) nackGaps(src ids.ProcID, stream uint8, r *reorderBuf) bool {
+	if !r.hasHigh || r.Next() > r.highest {
+		return false
 	}
 	for seq := r.Next(); seq <= r.highest; seq++ {
 		if r.Buffered(seq) {
@@ -363,10 +401,12 @@ func (l *Layer) requestRepairs(src ids.ProcID, stream uint8, r *reorderBuf) {
 		e := wire.GetEncoder()
 		e.U8(kindNack).U8(stream).Uvarint(seq)
 		l.stats.NacksSent++
-		// Best effort: the resend tick retries if this NACK is lost.
+		// Best effort: the resend tick runs while the gap is open, and
+		// NACKs it again if this one is lost.
 		_ = l.down.Send(src, e.Bytes())
 		wire.PutEncoder(e)
 	}
+	return true
 }
 
 // onNack retransmits the requested packet to the requester.
@@ -434,14 +474,23 @@ func (l *Layer) onHeartbeat(src ids.ProcID, p *peer, stream uint8, next uint64) 
 	l.requestRepairs(src, stream, r)
 }
 
-// resendTick re-requests all outstanding gaps (NACKs may be lost too).
+// resendTick re-requests all outstanding gaps (NACKs may be lost too)
+// and re-arms while any remains. It re-arms after its last NACK, as a
+// periodic tick would, so the arm keeps its place in call order.
 // Peers are visited in ring order, so the NACKs go out in the same order
 // on every run and the network's seeded fault stream stays in step.
 func (l *Layer) resendTick() {
+	if l.stopped {
+		return
+	}
+	open := false
 	for _, src := range l.members {
 		p := &l.peers[src]
-		l.requestRepairs(src, kindCast, &p.castIn)
-		l.requestRepairs(src, kindSend, &p.sendIn)
+		open = l.nackGaps(src, kindCast, &p.castIn) || open
+		open = l.nackGaps(src, kindSend, &p.sendIn) || open
+	}
+	if open && !l.stopped {
+		l.resend.Reset(resendInterval)
 	}
 }
 
