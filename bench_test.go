@@ -91,7 +91,7 @@ func BenchmarkFigure2Hybrid(b *testing.B) {
 			var last harness.Result
 			for i := 0; i < b.N; i++ {
 				res, err := harness.RunSwitched(benchRunConfig(int64(i+1), n),
-					switching.ThresholdOracle{Threshold: 5.5}, 50*time.Millisecond)
+					switching.ThresholdOracle{Threshold: 5.5})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -143,7 +143,6 @@ func BenchmarkSwitchOverhead(b *testing.B) {
 				cfg := harness.DefaultOverheadConfig()
 				cfg.From = from
 				cfg.Run = benchRunConfig(int64(i+1), 5)
-				cfg.SwitchAt = time.Second
 				res, err := harness.RunOverhead(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -164,13 +163,12 @@ func BenchmarkHysteresis(b *testing.B) {
 	cfg.Run.Warmup = 300 * time.Millisecond
 	cfg.Run.Measure = 6 * time.Second
 	cfg.Run.Drain = 2 * time.Second
-	cfg.LoadPeriod = time.Second
 	b.Run("threshold", func(b *testing.B) {
 		var last *harness.HysteresisResult
 		for i := 0; i < b.N; i++ {
 			c := cfg
 			c.Run.Seed = int64(i + 1)
-			res, err := harness.RunHysteresis(c, switching.ThresholdOracle{Threshold: cfg.Threshold}, "threshold")
+			res, err := harness.RunHysteresis(c, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -184,11 +182,7 @@ func BenchmarkHysteresis(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := cfg
 			c.Run.Seed = int64(i + 1)
-			oracle, err := switching.NewHysteresisOracle(cfg.Low, cfg.High)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := harness.RunHysteresis(c, oracle, "hysteresis")
+			res, err := harness.RunHysteresis(c, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -225,7 +219,7 @@ func BenchmarkSwitchTokenIntervalAblation(b *testing.B) {
 				rc := benchRunConfig(int64(i+1), 2)
 				var rec *switching.Record
 				run, err := harness.NewSwitchedRun(rc, switching.Config{
-					Protocols:        harness.Factories(rc.TokenHold),
+					Protocols:        harness.Factories(),
 					TokenInterval:    interval,
 					OnSwitchComplete: func(r switching.Record) { rec = &r },
 				})
@@ -260,7 +254,6 @@ func BenchmarkViewSwitchVsSP(b *testing.B) {
 			cfg := harness.DefaultOverheadConfig()
 			cfg.Run = benchRunConfig(int64(i+1), 3)
 			cfg.From = harness.Sequencer
-			cfg.SwitchAt = time.Second
 			res, err := harness.RunOverhead(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -303,7 +296,7 @@ func runViewSwitchOnce(seed int64) (time.Duration, uint64, error) {
 	for _, node := range group.Nodes() {
 		app := proto.UpFunc(func(ids.ProcID, []byte) {})
 		mgr, err := viewswitch.New(node, app, node.Transport(), viewswitch.Config{
-			Protocols: harness.Factories(rc.TokenHold),
+			Protocols: harness.Factories(),
 		})
 		if err != nil {
 			return 0, 0, err

@@ -165,12 +165,11 @@ func run(args []string) error {
 	doFigure2 := func() error {
 		fmt.Println("=== E3/E4: Figure 2 ===")
 		cfg := harness.Figure2Config{
-			Run:           rc,
-			MaxSenders:    *senders,
-			IncludeHybrid: true,
-			Parallel:      workers,
-			Trace:         tracing,
-			Progress:      progress,
+			Run:        rc,
+			MaxSenders: *senders,
+			Parallel:   workers,
+			Trace:      tracing,
+			Progress:   progress,
 		}
 		start := time.Now()
 		res, err := harness.RunFigure2(cfg)
@@ -192,16 +191,13 @@ func run(args []string) error {
 		cfg.Parallel = workers
 		cfg.Trace = tracing
 		start := time.Now()
-		res, err := harness.RunOverhead(cfg)
+		// The single §7 measurement is the sweep's cell at the default
+		// load and direction.
+		res, rows, err := harness.RunOverheadSweep(cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Render())
-		progress("overhead sweep")
-		rows, err := harness.RunOverheadSweep(cfg, []int{2, 5, 8})
-		if err != nil {
-			return err
-		}
 		fmt.Println(harness.RenderOverheadSweep(rows))
 		if tracing {
 			// Run 0 is the single §7 measurement; the sweep rows follow
@@ -252,14 +248,12 @@ func run(args []string) error {
 		cfg.Run.Drain = *chaosDrain
 		cfg.Gen.Corruption = *chaosCorrupt
 		cfg.Gen.Forgery = *chaosForgery
-		cfg.FlashCrowd = *chaosCrowd
-		cfg.GrayFailure = *chaosGray
+		cfg.Gen.FlashCrowd = *chaosCrowd
+		cfg.Gen.GrayFailure = *chaosGray
 		cfg.Parallel = workers
 		cfg.Trace = tracing
+		cfg.Telemetry = *telemetryDir != ""
 		cfg.Progress = progress
-		if *telemetryDir != "" {
-			cfg.Telemetry = &telemetry.Config{}
-		}
 		start := time.Now()
 		res, err := harness.RunChaosSweep(cfg)
 		if err != nil {

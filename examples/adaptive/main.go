@@ -36,7 +36,7 @@ func run() error {
 	rc.Measure = 24 * time.Second
 	rc.Drain = 4 * time.Second
 
-	swCfg := switching.PaperExact(harness.Factories(rc.TokenHold)...)
+	swCfg := switching.PaperExact(harness.Factories()...)
 	swCfg.OnSwitchComplete = func(r switching.Record) {
 		fmt.Printf("  t=%-6v switch by %v closed epoch %d (took %v)\n",
 			r.Started.Round(time.Millisecond), r.Initiator, r.Epoch,

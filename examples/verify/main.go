@@ -34,7 +34,7 @@ func main() {
 
 func run(args []string) error {
 	const members = 4
-	cfg := switching.PaperExact(harness.Factories(time.Millisecond)...)
+	cfg := switching.PaperExact(harness.Factories()...)
 	cluster, err := swtest.NewSwitched(5, simnet.Ethernet10Mbit(members), members, cfg)
 	if err != nil {
 		return err

@@ -32,12 +32,11 @@ type RunConfig struct {
 	// network event of the run (the runner always keeps its own metrics
 	// registry and flight recorder regardless).
 	Recorder obs.Recorder
-	// Telemetry, when set, additionally runs the windowed sampler and
-	// switch-decision audit trail over the run's event stream and
-	// attaches the series to the result. Nil keeps the exact recorder
-	// fan-out of telemetry-free runs (and the obs.Nop fast path when
-	// nothing else records).
-	Telemetry *telemetry.Config
+	// Telemetry additionally runs the windowed sampler and switch-decision
+	// audit trail over the run's event stream and attaches the series to
+	// the result. Off keeps the exact recorder fan-out of telemetry-free
+	// runs (and the obs.Nop fast path when nothing else records).
+	Telemetry bool
 	// FixedDetector runs the fixed-timeout failure detector alone,
 	// without adaptive suspicion and flap damping — the baseline arm of
 	// the E20 stability study.
@@ -201,12 +200,8 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 	disrupt := newDisruptionTracker()
 	recs := []obs.Recorder{metrics.Recorder(), flight, disrupt, cfg.Recorder}
 	var tel *telemetry.Telemetry
-	if cfg.Telemetry != nil {
-		tc := *cfg.Telemetry
-		if tc.Protocols == 0 {
-			tc.Protocols = len(pair())
-		}
-		tel = telemetry.New(tc)
+	if cfg.Telemetry {
+		tel = telemetry.New(len(pair()))
 		// Appended conditionally: a typed-nil *Telemetry inside the
 		// interface would defeat Multi's nil filter.
 		recs = append(recs, tel)

@@ -21,7 +21,7 @@ func TestTelemetryWindowsMatchCumulativeMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		res, err := Run(sched, RunConfig{Telemetry: &telemetry.Config{}})
+		res, err := Run(sched, RunConfig{Telemetry: true})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -79,7 +79,7 @@ func TestAuditRoundsExactlyOnce(t *testing.T) {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
 		col := obs.NewCollector()
-		res, err := Run(sched, RunConfig{Recorder: col, Telemetry: &telemetry.Config{}})
+		res, err := Run(sched, RunConfig{Recorder: col, Telemetry: true})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}

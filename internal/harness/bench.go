@@ -50,8 +50,6 @@ type RunConfig struct {
 	RatePerSender float64
 	// MsgBytes is the application payload size.
 	MsgBytes int
-	// TokenHold is the token protocol's per-hop hold time.
-	TokenHold time.Duration
 	// Warmup is discarded; Measure is the sampled window; Drain lets
 	// in-flight messages land after sending stops.
 	Warmup, Measure, Drain time.Duration
@@ -71,7 +69,6 @@ func DefaultRunConfig() RunConfig {
 		ActiveSenders: 1,
 		RatePerSender: 50,
 		MsgBytes:      2240,
-		TokenHold:     time.Millisecond,
 		Warmup:        2 * time.Second,
 		Measure:       10 * time.Second,
 		Drain:         5 * time.Second,
@@ -91,9 +88,6 @@ func (rc RunConfig) withDefaults() RunConfig {
 	}
 	if rc.MsgBytes <= 0 {
 		rc.MsgBytes = d.MsgBytes
-	}
-	if rc.TokenHold <= 0 {
-		rc.TokenHold = d.TokenHold
 	}
 	if rc.Warmup <= 0 {
 		rc.Warmup = d.Warmup
@@ -117,8 +111,11 @@ func (rc RunConfig) netConfig() simnet.Config {
 	return cfg
 }
 
+// tokenHold is the token protocol's per-hop hold time.
+const tokenHold = time.Millisecond
+
 // Layers builds the stack (top first) for one protocol kind.
-func Layers(kind ProtocolKind, tokenHold time.Duration) []proto.Layer {
+func Layers(kind ProtocolKind) []proto.Layer {
 	switch kind {
 	case Sequencer:
 		return []proto.Layer{seqorder.New(0), fifo.New(fifo.Config{})}
@@ -130,10 +127,10 @@ func Layers(kind ProtocolKind, tokenHold time.Duration) []proto.Layer {
 }
 
 // Factories returns switching-protocol factories for [Sequencer, Token].
-func Factories(tokenHold time.Duration) []switching.ProtocolFactory {
+func Factories() []switching.ProtocolFactory {
 	return []switching.ProtocolFactory{
-		func(proto.Env) []proto.Layer { return Layers(Sequencer, tokenHold) },
-		func(proto.Env) []proto.Layer { return Layers(Token, tokenHold) },
+		func(proto.Env) []proto.Layer { return Layers(Sequencer) },
+		func(proto.Env) []proto.Layer { return Layers(Token) },
 	}
 }
 
@@ -274,7 +271,7 @@ func RunDirect(kind ProtocolKind, rc RunConfig) (Result, error) {
 	col := newCollector(rc)
 	app := measuringApp(col)
 	cluster, err := ptest.NewWithApp(rc.Seed, rc.netConfig(), rc.Group,
-		func(proto.Env) []proto.Layer { return Layers(kind, rc.TokenHold) },
+		func(proto.Env) []proto.Layer { return Layers(kind) },
 		func(_ *ptest.Member, sim *des.Sim) proto.Up { return app(sim) })
 	if err != nil {
 		return Result{}, err
@@ -317,7 +314,7 @@ type SwitchedRun struct {
 func NewSwitchedRun(rc RunConfig, swCfg switching.Config) (*SwitchedRun, error) {
 	rc = rc.withDefaults()
 	if swCfg.Protocols == nil {
-		swCfg.Protocols = Factories(rc.TokenHold)
+		swCfg.Protocols = Factories()
 	}
 	if swCfg.Recorder == nil {
 		swCfg.Recorder = rc.Recorder
@@ -369,12 +366,16 @@ func (r *SwitchedRun) Finish() Result {
 		Delivered: r.Collector.delivered, Events: r.Cluster.Sim.Executed()}
 }
 
+// pollEvery is how often a controller samples the active-sender metric
+// (the Figure 2 hybrid's and the oscillation study's).
+const pollEvery = 100 * time.Millisecond
+
 // RunSwitched measures the hybrid: the switching protocol over both
 // total-order protocols, a controller polling the active-sender metric
 // through the given oracle.
-func RunSwitched(rc RunConfig, oracle switching.Oracle, pollEvery time.Duration) (Result, error) {
+func RunSwitched(rc RunConfig, oracle switching.Oracle) (Result, error) {
 	rc = rc.withDefaults()
-	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories(rc.TokenHold)...))
+	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories()...))
 	if err != nil {
 		return Result{}, err
 	}

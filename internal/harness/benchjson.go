@@ -25,47 +25,9 @@ import (
 // byte-identical for any worker count; ScrubTiming zeroes the section
 // for such comparisons (see the determinism tests).
 
-// BenchSchemaVersion is the current artifact schema version; bump it on
-// any incompatible field change.
-//
-// Version 2: LatencyStats gained stddev_ms/min_ms and an optional
-// log-scaled histogram; overhead rows carry the run's delivery-latency
-// stats; the chaos artifact adds per-member metrics and flight-recorder
-// dumps on failures.
-//
-// Version 3: the chaos artifact adds the adversarial-input hardening
-// counters — schedules with corruption/truncation/garbage faults, and
-// malformed-drop/quarantine totals in the switching section (all
-// omitted when zero, so corruption-free artifacts carry no new keys).
-//
-// Version 4: the chaos artifact adds the authenticated-session counters
-// (E16) — schedules with forgery/replay faults, forged/replayed frame
-// totals, and the auth-rejection total in the switching section (all
-// omitted when zero, so forgery-free artifacts keep their v3 shape).
-//
-// Version 5: the chaos artifact adds the overload counters (E17) —
-// schedules with flash-crowd faults, shed/backpressure/retry totals in
-// the switching section, and the flash-crowd latency/shed-rate rows
-// (all omitted when zero or absent, so crowd-free artifacts keep their
-// v4 shape).
-//
-// Version 6: the perf artifact (E18), since retired — performance
-// claims go through bench/ (EXPERIMENTS.md, "Perf ledger").
-//
-// Version 7: the telemetry artifact (E19) — the windowed time-series
-// and switch-decision audit trail of a chaos sweep, emitted as
-// BENCH_telemetry.json when the sweep ran with telemetry on. The chaos
-// artifact's failure entries gain an optional telemetry_tail (the last
-// windows before the violation); telemetry-free sweeps keep their v6
-// shape.
-//
-// Version 8: the gray-failure counters (E20) — schedules with
-// slow-node/asymmetric-link/flapping faults, the adaptive-detector
-// totals (graded suspicions, flap penalties, degraded-mode skips,
-// re-inclusions) in the switching section, and the E20 stability rows
-// (switch_aborts/token_regens per flap cadence and detector arm — the
-// leaves cmd/benchdiff gates). All omitted when zero or absent, so
-// gray-free artifacts keep their v7 shape.
+// BenchSchemaVersion tags every artifact with its layout, so a diff
+// across an incompatible field change shows as a version change instead
+// of as silently renamed or reinterpreted leaves.
 const BenchSchemaVersion = 8
 
 // BenchTiming is the non-deterministic wall-clock section of an
@@ -154,45 +116,39 @@ type BenchFigure2 struct {
 	MeasureMS       float64           `json:"measure_ms"`
 	Rows            []BenchFigure2Row `json:"rows"`
 	CrossoverAfter  int               `json:"crossover_after"`
-	HybridThreshold float64           `json:"hybrid_threshold,omitempty"`
+	HybridThreshold float64           `json:"hybrid_threshold"`
 }
 
 // BenchFigure2Row is one sender-count point.
 type BenchFigure2Row struct {
-	Senders   int         `json:"senders"`
-	Sequencer BenchStats  `json:"sequencer"`
-	Token     BenchStats  `json:"token"`
-	Hybrid    *BenchStats `json:"hybrid,omitempty"`
-	Events    uint64      `json:"events"`
+	Senders   int        `json:"senders"`
+	Sequencer BenchStats `json:"sequencer"`
+	Token     BenchStats `json:"token"`
+	Hybrid    BenchStats `json:"hybrid"`
+	Events    uint64     `json:"events"`
 }
 
 // NewBenchFigure2 converts a Figure-2 result into its artifact.
 func NewBenchFigure2(res *Figure2Result) *BenchFigure2 {
 	rc := res.Run.withDefaults()
 	out := &BenchFigure2{
-		Group:          rc.Group,
-		RatePerSender:  rc.RatePerSender,
-		MsgBytes:       rc.MsgBytes,
-		MeasureMS:      Millis(rc.Measure),
-		CrossoverAfter: res.CrossoverAfter,
-	}
-	if res.IncludedHybrid {
-		out.HybridThreshold = res.HybridThreshold
+		Group:           rc.Group,
+		RatePerSender:   rc.RatePerSender,
+		MsgBytes:        rc.MsgBytes,
+		MeasureMS:       Millis(rc.Measure),
+		CrossoverAfter:  res.CrossoverAfter,
+		HybridThreshold: res.HybridThreshold,
 	}
 	var events uint64
 	for _, row := range res.Rows {
 		events += row.Events
-		br := BenchFigure2Row{
+		out.Rows = append(out.Rows, BenchFigure2Row{
 			Senders:   row.ActiveSenders,
 			Sequencer: toBenchStats(row.Sequencer),
 			Token:     toBenchStats(row.Token),
+			Hybrid:    toBenchStats(row.Hybrid),
 			Events:    row.Events,
-		}
-		if res.IncludedHybrid {
-			h := toBenchStats(row.Hybrid)
-			br.Hybrid = &h
-		}
-		out.Rows = append(out.Rows, br)
+		})
 	}
 	out.BenchMeta = benchMeta("figure2", rc.Seed, events)
 	return out

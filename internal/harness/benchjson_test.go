@@ -47,7 +47,6 @@ func TestEncodeBenchShape(t *testing.T) {
 			Hybrid:    LatencyStats{Count: 1, Mean: time.Millisecond},
 			Events:    42}},
 		CrossoverAfter:  0,
-		IncludedHybrid:  true,
 		HybridThreshold: 5.5,
 		Run:             DefaultRunConfig(),
 	}

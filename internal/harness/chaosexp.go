@@ -21,23 +21,14 @@ type ChaosSweepConfig struct {
 	Schedules int
 	// Seed offsets the schedule seeds (schedule i uses Seed+i).
 	Seed int64
-	// Gen tunes the fault-schedule generator.
+	// Gen tunes the fault-schedule generator, and its tier flags the
+	// sweep's studies: with Gen.FlashCrowd the sweep appends the E17
+	// latency/shed-rate study (RunFlashCrowd, seeded from Seed) to the
+	// result, and with Gen.GrayFailure the E20 stability study
+	// (RunGrayStudy, seeded from Seed).
 	Gen chaos.GenConfig
-	// FlashCrowd adds the overload tier: the generator draws flash-crowd
-	// windows (Gen.FlashCrowd), and the sweep appends the E17 latency/
-	// shed-rate study (RunFlashCrowd with its defaults, seeded from
-	// Seed) to the result.
-	FlashCrowd bool
-	// GrayFailure adds the gray tier: the generator draws slow-node,
-	// asymmetric-link and flapping windows (Gen.GrayFailure), and the
-	// sweep appends the E20 stability study (RunGrayStudy with its
-	// defaults, seeded from Seed) to the result.
-	GrayFailure bool
 	// Run tunes the schedule runner.
 	Run chaos.RunConfig
-	// RecoverySeeds is how many crash-during-round runs to measure for
-	// the recovery-time bound (default 25).
-	RecoverySeeds int
 	// Parallel is the sweep's worker count (<= 0 uses GOMAXPROCS).
 	// Every schedule is an independent seeded simulation, so the
 	// aggregated result is identical for any value.
@@ -45,11 +36,10 @@ type ChaosSweepConfig struct {
 	// Trace collects the full event stream of every schedule run,
 	// tagged by run index, into Result.Trace.
 	Trace bool
-	// Telemetry, when set, runs the windowed sampler and switch-decision
-	// audit trail on every schedule run; the per-run series merge into
-	// Result.Windows/Rounds (tagged by run index) and the cumulative
-	// telemetry registries into Result.Telemetry.
-	Telemetry *telemetry.Config
+	// Telemetry runs the windowed sampler and switch-decision audit trail
+	// on every schedule run; the per-run series merge into
+	// Result.Windows/Rounds (tagged by run index).
+	Telemetry bool
 	// Progress receives per-phase status lines (optional). It may be
 	// called concurrently from worker goroutines.
 	Progress func(string)
@@ -57,8 +47,12 @@ type ChaosSweepConfig struct {
 
 // DefaultChaosSweepConfig matches the E13 acceptance run.
 func DefaultChaosSweepConfig() ChaosSweepConfig {
-	return ChaosSweepConfig{Schedules: 200, Seed: 1, RecoverySeeds: 25}
+	return ChaosSweepConfig{Schedules: 200, Seed: 1}
 }
+
+// chaosRecoverySeeds is how many crash-during-round runs the sweep
+// measures for the recovery-time bound.
+const chaosRecoverySeeds = 25
 
 // ChaosSweepResult aggregates a sweep.
 type ChaosSweepResult struct {
@@ -92,10 +86,10 @@ type ChaosSweepResult struct {
 	// order when ChaosSweepConfig.Telemetry was set.
 	Windows []telemetry.Window
 	Rounds  []telemetry.Round
-	// FlashCrowd holds the E17 rows when ChaosSweepConfig.FlashCrowd was
+	// FlashCrowd holds the E17 rows when the sweep's Gen.FlashCrowd was
 	// set.
 	FlashCrowd []FlashCrowdRow
-	// Gray holds the E20 rows when ChaosSweepConfig.GrayFailure was set.
+	// Gray holds the E20 rows when the sweep's Gen.GrayFailure was set.
 	Gray []GrayStudyRow
 }
 
@@ -104,19 +98,10 @@ func RunChaosSweep(cfg ChaosSweepConfig) (*ChaosSweepResult, error) {
 	if cfg.Schedules == 0 {
 		cfg.Schedules = 200
 	}
-	if cfg.RecoverySeeds == 0 {
-		cfg.RecoverySeeds = 25
-	}
 	ti := chaos.TokenInterval
 	progress := cfg.Progress
 	if progress == nil {
 		progress = func(string) {}
-	}
-	if cfg.FlashCrowd {
-		cfg.Gen.FlashCrowd = true
-	}
-	if cfg.GrayFailure {
-		cfg.Gen.GrayFailure = true
 	}
 
 	res := &ChaosSweepResult{
@@ -143,9 +128,7 @@ func RunChaosSweep(cfg ChaosSweepConfig) (*ChaosSweepResult, error) {
 				return chaosRun{}, err
 			}
 			rc := cfg.Run
-			if cfg.Telemetry != nil {
-				rc.Telemetry = cfg.Telemetry
-			}
+			rc.Telemetry = cfg.Telemetry
 			var col *obs.Collector
 			if cfg.Trace {
 				col = obs.NewCollector()
@@ -191,12 +174,12 @@ func RunChaosSweep(cfg ChaosSweepConfig) (*ChaosSweepResult, error) {
 	if cfg.Trace {
 		res.Trace = obs.MergeRuns(traces)
 	}
-	if cfg.Telemetry != nil {
+	if cfg.Telemetry {
 		res.Windows = telemetry.MergeWindows(windows)
 		res.Rounds = telemetry.MergeRounds(rounds)
 	}
 
-	recov, err := engine.Map(pool, cfg.RecoverySeeds, cfg.Seed,
+	recov, err := engine.Map(pool, chaosRecoverySeeds, cfg.Seed,
 		func(j engine.Job) (time.Duration, error) {
 			d, err := chaos.MeasureRecovery(j.Seed, 4, ti)
 			if err != nil {
@@ -214,8 +197,8 @@ func RunChaosSweep(cfg ChaosSweepConfig) (*ChaosSweepResult, error) {
 	}
 	progress("recovery bound family done")
 
-	if cfg.FlashCrowd {
-		rows, err := RunFlashCrowd(FlashCrowdConfig{Seed: cfg.Seed, Parallel: cfg.Parallel})
+	if cfg.Gen.FlashCrowd {
+		rows, err := RunFlashCrowd(cfg.Seed, cfg.Parallel)
 		if err != nil {
 			return nil, err
 		}
@@ -223,8 +206,8 @@ func RunChaosSweep(cfg ChaosSweepConfig) (*ChaosSweepResult, error) {
 		progress("flash-crowd study done")
 	}
 
-	if cfg.GrayFailure {
-		rows, err := RunGrayStudy(GrayStudyConfig{Seed: cfg.Seed, Parallel: cfg.Parallel})
+	if cfg.Gen.GrayFailure {
+		rows, err := RunGrayStudy(cfg.Seed, cfg.Parallel)
 		if err != nil {
 			return nil, err
 		}

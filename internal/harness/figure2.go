@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core/switching"
 	"repro/internal/harness/engine"
@@ -18,9 +17,7 @@ type Figure2Row struct {
 	ActiveSenders int
 	Sequencer     LatencyStats
 	Token         LatencyStats
-	// Hybrid is only filled when the experiment is run with
-	// IncludeHybrid.
-	Hybrid LatencyStats
+	Hybrid        LatencyStats
 	// Events is the total number of DES events the point's runs
 	// executed (sequencer + token + hybrid); deterministic per seed.
 	Events uint64
@@ -33,7 +30,6 @@ type Figure2Result struct {
 	// is still faster (the paper finds the crossover between 5 and 6).
 	// Zero means the curves never cross.
 	CrossoverAfter int
-	IncludedHybrid bool
 	// HybridThreshold is the oracle threshold every hybrid point ran
 	// with. It is computed once, from the complete sequencer/token
 	// curves, so hybrid results do not depend on sweep execution order.
@@ -48,9 +44,8 @@ type Figure2Result struct {
 
 // Figure2Config parameterizes the sweep.
 type Figure2Config struct {
-	Run           RunConfig
-	MaxSenders    int
-	IncludeHybrid bool
+	Run        RunConfig
+	MaxSenders int
 	// Parallel is the worker count for the sweep's independent DES
 	// runs; <= 0 uses GOMAXPROCS. Results are identical for any value.
 	Parallel int
@@ -65,14 +60,10 @@ type Figure2Config struct {
 // RunFigure2 sweeps the active-sender axis and measures each protocol.
 //
 // The sweep runs in two phases. Phase 1 measures the raw sequencer and
-// token curves at every sender count (in parallel). Phase 2, when
-// IncludeHybrid is set, computes the crossover threshold once from the
-// complete curves and measures every hybrid point against that single
-// fixed threshold (again in parallel). Earlier versions seeded each
-// hybrid point's oracle from the crossover of the *partial* rows
-// accumulated so far, which made hybrid results depend on sweep
-// execution order; the two-phase structure is both the bugfix and what
-// makes the sweep safely parallel.
+// token curves at every sender count (in parallel). Phase 2 computes the
+// crossover threshold once from the complete curves and measures every
+// hybrid point against that single fixed threshold (again in parallel),
+// so hybrid results do not depend on sweep execution order.
 func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 	if cfg.MaxSenders <= 0 {
 		cfg.MaxSenders = 10
@@ -85,7 +76,7 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 		progress = func(string) {}
 	}
 	pool := engine.New(cfg.Parallel)
-	res := &Figure2Result{IncludedHybrid: cfg.IncludeHybrid, Run: cfg.Run.withDefaults()}
+	res := &Figure2Result{Run: cfg.Run.withDefaults()}
 
 	// Phase 1: the raw protocol curves. Each point is an independent
 	// pair of seeded runs; the pool collects rows by index.
@@ -118,44 +109,42 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 
 	// Phase 2: every hybrid point runs with the one threshold derived
 	// from the complete curves above.
-	if cfg.IncludeHybrid {
-		res.HybridThreshold = res.CrossoverGuess()
-		type hybridPoint struct {
-			res   Result
-			trace []obs.Event
-		}
-		hybs, err := engine.Map(pool, cfg.MaxSenders, cfg.Run.Seed,
-			func(j engine.Job) (hybridPoint, error) {
-				rc := cfg.Run
-				rc.ActiveSenders = j.Index + 1
-				var col *obs.Collector
-				if cfg.Trace {
-					col = obs.NewCollector()
-					rc.Recorder = col
-				}
-				progress(fmt.Sprintf("senders=%d hybrid", rc.ActiveSenders))
-				r, err := runHybridPoint(rc, res.HybridThreshold)
-				if err != nil {
-					return hybridPoint{}, err
-				}
-				p := hybridPoint{res: r}
-				if col != nil {
-					p.trace = col.Events()
-				}
-				return p, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		var traces [][]obs.Event
-		for i := range res.Rows {
-			res.Rows[i].Hybrid = hybs[i].res.Stats
-			res.Rows[i].Events += hybs[i].res.Events
-			traces = append(traces, hybs[i].trace)
-		}
-		if cfg.Trace {
-			res.Trace = obs.MergeRuns(traces)
-		}
+	res.HybridThreshold = res.CrossoverGuess()
+	type hybridPoint struct {
+		res   Result
+		trace []obs.Event
+	}
+	hybs, err := engine.Map(pool, cfg.MaxSenders, cfg.Run.Seed,
+		func(j engine.Job) (hybridPoint, error) {
+			rc := cfg.Run
+			rc.ActiveSenders = j.Index + 1
+			var col *obs.Collector
+			if cfg.Trace {
+				col = obs.NewCollector()
+				rc.Recorder = col
+			}
+			progress(fmt.Sprintf("senders=%d hybrid", rc.ActiveSenders))
+			r, err := runHybridPoint(rc, res.HybridThreshold)
+			if err != nil {
+				return hybridPoint{}, err
+			}
+			p := hybridPoint{res: r}
+			if col != nil {
+				p.trace = col.Events()
+			}
+			return p, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	var traces [][]obs.Event
+	for i := range res.Rows {
+		res.Rows[i].Hybrid = hybs[i].res.Stats
+		res.Rows[i].Events += hybs[i].res.Events
+		traces = append(traces, hybs[i].trace)
+	}
+	if cfg.Trace {
+		res.Trace = obs.MergeRuns(traces)
 	}
 	return res, nil
 }
@@ -188,7 +177,7 @@ func (r *Figure2Result) computeCrossover() int {
 // runHybridPoint measures the switching hybrid at a fixed load with a
 // threshold oracle at the crossover.
 func runHybridPoint(rc RunConfig, threshold float64) (Result, error) {
-	return RunSwitched(rc, switching.ThresholdOracle{Threshold: threshold}, 100*time.Millisecond)
+	return RunSwitched(rc, switching.ThresholdOracle{Threshold: threshold})
 }
 
 // Render prints the figure as the table cmd/switchbench and
@@ -199,21 +188,13 @@ func (r *Figure2Result) Render() string {
 	b.WriteString("Figure 2 — message latency (ms) vs. number of active senders\n")
 	fmt.Fprintf(&b, "group=%d, %g msgs/s per sender, %d-byte messages, 10 Mbit/s shared medium\n\n",
 		rc.Group, rc.RatePerSender, rc.MsgBytes)
-	fmt.Fprintf(&b, "%8s %14s %14s", "senders", "sequencer", "token")
-	if r.IncludedHybrid {
-		fmt.Fprintf(&b, " %14s", "hybrid")
-	}
-	b.WriteString("  (mean±σ)\n")
+	fmt.Fprintf(&b, "%8s %14s %14s %14s  (mean±σ)\n", "senders", "sequencer", "token", "hybrid")
 	cell := func(s LatencyStats) string {
 		return fmt.Sprintf("%s±%s", FormatMillis(s.Mean), FormatMillis(s.StdDev))
 	}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14s %14s", row.ActiveSenders,
-			cell(row.Sequencer), cell(row.Token))
-		if r.IncludedHybrid {
-			fmt.Fprintf(&b, " %14s", cell(row.Hybrid))
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "%8d %14s %14s %14s\n", row.ActiveSenders,
+			cell(row.Sequencer), cell(row.Token), cell(row.Hybrid))
 	}
 	if r.CrossoverAfter > 0 {
 		fmt.Fprintf(&b, "\ncrossover: between %d and %d active senders (paper: between 5 and 6)\n",
@@ -221,9 +202,7 @@ func (r *Figure2Result) Render() string {
 	} else {
 		b.WriteString("\ncrossover: not observed in range\n")
 	}
-	if r.IncludedHybrid {
-		fmt.Fprintf(&b, "hybrid oracle threshold: %.1f active senders\n", r.HybridThreshold)
-	}
+	fmt.Fprintf(&b, "hybrid oracle threshold: %.1f active senders\n", r.HybridThreshold)
 	b.WriteString("\n" + r.Plot())
 	return b.String()
 }

@@ -20,117 +20,75 @@ import (
 // 10x, does the system degrade gracefully and recover, instead of
 // growing queues without bound?
 
-// FlashCrowdConfig parameterizes the study.
-type FlashCrowdConfig struct {
-	Seed int64
-	// Multipliers are the spike sizes to sweep (default 2, 4, 10).
-	Multipliers []int
-	// Run is the base workload; its zero fields default to a smaller,
-	// faster variant of the §7 setup (6 members, 2 senders at 100 msg/s).
-	Run RunConfig
-	// Overload tunes the switching layer's protection; zero fields get
-	// caps tight enough that a 10x crowd visibly sheds.
-	Overload switching.OverloadConfig
-	// SpikeStart/SpikeDur place the crowd inside the measurement window
-	// (offsets from the end of warmup). RecoveryGrace is how long after
-	// the spike ends the "after" latency bucket waits, giving the queues
-	// their drain time.
-	SpikeStart, SpikeDur, RecoveryGrace time.Duration
-	// Parallel is the sweep's worker count (<= 0 uses GOMAXPROCS); the
-	// rows are identical for any value.
-	Parallel int
-}
+// flashMultipliers are the spike sizes the study sweeps.
+var flashMultipliers = []int{2, 4, 10}
 
-func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Multipliers) == 0 {
-		c.Multipliers = []int{2, 4, 10}
-	}
-	if c.Run.Group <= 0 {
-		c.Run.Group = 6
-	}
-	if c.Run.ActiveSenders <= 0 {
-		c.Run.ActiveSenders = 2
-	}
-	if c.Run.RatePerSender <= 0 {
-		c.Run.RatePerSender = 100
-	}
-	if c.Run.MsgBytes <= 0 {
-		c.Run.MsgBytes = 512
-	}
-	if c.Run.Warmup <= 0 {
-		c.Run.Warmup = time.Second
-	}
-	if c.Run.Measure <= 0 {
-		c.Run.Measure = 7 * time.Second
-	}
-	if c.Run.Drain <= 0 {
-		c.Run.Drain = 2 * time.Second
-	}
-	// The crowd study runs on a faster NIC than the paper's calibrated
-	// early-90s Ethernet: with 600µs-per-packet receive processing the
-	// network model's (unbounded) CPU queue would absorb the spike before
-	// the switching layer's bounded queues ever saw it. Here protocol
-	// processing is cheap and the overload layer is the bottleneck, which
-	// is the regime the study is about.
-	if c.Run.Net == nil {
-		c.Run.Net = &simnet.Config{
+// The crowd sits inside the measurement window: it starts flashSpikeStart
+// after warmup and lasts flashSpikeDur. The "after" latency bucket waits
+// flashRecoveryGrace past the spike's end, giving the queues their drain
+// time.
+const (
+	flashSpikeStart    = 2 * time.Second
+	flashSpikeDur      = time.Second
+	flashRecoveryGrace = 2 * time.Second
+)
+
+// flashCrowdRun is the study's base workload: a smaller, faster variant
+// of the §7 setup (6 members, 2 senders at 100 msg/s).
+//
+// It runs on a faster NIC than the paper's calibrated early-90s
+// Ethernet: with 600µs-per-packet receive processing the network
+// model's (unbounded) CPU queue would absorb the spike before the
+// switching layer's bounded queues ever saw it. Here protocol
+// processing is cheap and the overload layer is the bottleneck, which
+// is the regime the study is about.
+func flashCrowdRun(seed int64) RunConfig {
+	return RunConfig{
+		Seed:          seed,
+		Group:         6,
+		ActiveSenders: 2,
+		RatePerSender: 100,
+		MsgBytes:      512,
+		Warmup:        time.Second,
+		Measure:       7 * time.Second,
+		Drain:         2 * time.Second,
+		Net: &simnet.Config{
 			PropDelay:     50 * time.Microsecond,
 			BitsPerSecond: 100e6,
 			FrameOverhead: 64,
 			RecvCPU:       100 * time.Microsecond,
 			SendCPU:       50 * time.Microsecond,
-		}
+		},
 	}
-	// The operating point encodes a lesson the first tunings learned the
-	// hard way: an ingress shed is a FIFO gap the reliable layer repairs
-	// by NACK + retransmit, and under sustained overload the repair
-	// traffic itself re-saturates the queues (congestion collapse — E17's
-	// "after" column never recovers). So the layer sheds at the *source*:
-	// ingress service keeps headroom over the 10x crowd's arrival rate,
-	// while the tight egress cap turns away burst excess before it ever
-	// costs a sequence number — a shed cast needs no repair, so admitted
-	// traffic keeps flowing at bounded latency.
-	if c.Overload.IngressQueueCap == 0 {
-		c.Overload.IngressQueueCap = 64
-	}
-	if c.Overload.EgressQueueCap == 0 {
-		c.Overload.EgressQueueCap = 3
-	}
-	if c.Overload.HighWatermark == 0 {
-		c.Overload.HighWatermark = 2
-	}
-	if c.Overload.LowWatermark == 0 {
-		c.Overload.LowWatermark = 1
-	}
-	if c.Overload.ServiceInterval == 0 {
-		c.Overload.ServiceInterval = 200 * time.Microsecond
-	}
-	if c.Overload.RetryBackoff == 0 {
-		c.Overload.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.Overload.MaxRetryShift == 0 {
-		c.Overload.MaxRetryShift = 2
-	}
-	if c.SpikeStart <= 0 {
-		c.SpikeStart = 2 * time.Second
-	}
-	if c.SpikeDur <= 0 {
-		c.SpikeDur = time.Second
-	}
-	if c.RecoveryGrace <= 0 {
-		c.RecoveryGrace = 2 * time.Second
-	}
-	return c
+}
+
+// flashCrowdOverload is the switching layer's protection, with caps
+// tight enough that a 10x crowd visibly sheds.
+//
+// The operating point encodes a lesson the first tunings learned the
+// hard way: an ingress shed is a FIFO gap the reliable layer repairs by
+// NACK + retransmit, and under sustained overload the repair traffic
+// itself re-saturates the queues (congestion collapse — E17's "after"
+// column never recovers). So the layer sheds at the *source*: ingress
+// service keeps headroom over the 10x crowd's arrival rate, while the
+// tight egress cap turns away burst excess before it ever costs a
+// sequence number — a shed cast needs no repair, so admitted traffic
+// keeps flowing at bounded latency.
+var flashCrowdOverload = switching.OverloadConfig{
+	IngressQueueCap: 64,
+	EgressQueueCap:  3,
+	HighWatermark:   2,
+	LowWatermark:    1,
+	ServiceInterval: 200 * time.Microsecond,
+	RetryBackoff:    2 * time.Millisecond,
+	MaxRetryShift:   2,
 }
 
 // FlashCrowdRow is one spike multiplier's outcome.
 type FlashCrowdRow struct {
 	Multiplier int
 	// Before/During/After are delivery-latency stats bucketed by send
-	// time relative to the spike window (After starts RecoveryGrace
+	// time relative to the spike window (After starts flashRecoveryGrace
 	// past the spike's end).
 	Before, During, After LatencyStats
 	// Overload counters summed over the group.
@@ -148,13 +106,14 @@ type FlashCrowdRow struct {
 }
 
 // RunFlashCrowd sweeps the spike multipliers. Each multiplier is one
-// seeded deterministic run; the sweep parallelizes over them.
-func RunFlashCrowd(cfg FlashCrowdConfig) ([]FlashCrowdRow, error) {
-	cfg = cfg.withDefaults()
-	pool := engine.New(cfg.Parallel)
-	return engine.Map(pool, len(cfg.Multipliers), cfg.Seed,
+// deterministic run seeded from seed; the sweep parallelizes over them
+// on parallel workers (<= 0 uses GOMAXPROCS), and the rows are identical
+// for any worker count.
+func RunFlashCrowd(seed int64, parallel int) ([]FlashCrowdRow, error) {
+	pool := engine.New(parallel)
+	return engine.Map(pool, len(flashMultipliers), seed,
 		func(j engine.Job) (FlashCrowdRow, error) {
-			return runFlashCrowd(cfg, j.Seed, cfg.Multipliers[j.Index])
+			return runFlashCrowd(j.Seed, flashMultipliers[j.Index])
 		})
 }
 
@@ -164,24 +123,19 @@ func RunFlashCrowd(cfg FlashCrowdConfig) ([]FlashCrowdRow, error) {
 const spikeBurst = 6
 
 // runFlashCrowd measures one spike multiplier.
-func runFlashCrowd(cfg FlashCrowdConfig, seed int64, mult int) (FlashCrowdRow, error) {
-	if mult < 1 {
-		return FlashCrowdRow{}, fmt.Errorf("harness: flash-crowd multiplier %d must be >= 1", mult)
-	}
-	rc := cfg.Run
-	rc.Seed = seed
-	ovl := cfg.Overload
+func runFlashCrowd(seed int64, mult int) (FlashCrowdRow, error) {
+	rc := flashCrowdRun(seed)
+	ovl := flashCrowdOverload
 	run, err := NewSwitchedRun(rc, switching.Config{Overload: &ovl})
 	if err != nil {
 		return FlashCrowdRow{}, err
 	}
-	rc = run.rc
 	run.Collector.keepTimes = true
 	sim := run.Cluster.Sim
 	interval := time.Duration(float64(time.Second) / rc.RatePerSender)
 	stopAt := rc.Warmup + rc.Measure
-	spikeStart := rc.Warmup + cfg.SpikeStart
-	spikeEnd := spikeStart + cfg.SpikeDur
+	spikeStart := rc.Warmup + flashSpikeStart
+	spikeEnd := spikeStart + flashSpikeDur
 
 	// Base senders: the steady workload, phase-shifted and jittered like
 	// senderSchedule, but backpressure-aware — a paused member skips the
@@ -242,7 +196,7 @@ func runFlashCrowd(cfg FlashCrowdConfig, seed int64, mult int) (FlashCrowdRow, e
 			before = append(before, ts.lat)
 		case ts.sentAt < spikeEnd:
 			during = append(during, ts.lat)
-		case ts.sentAt >= spikeEnd+cfg.RecoveryGrace:
+		case ts.sentAt >= spikeEnd+flashRecoveryGrace:
 			after = append(after, ts.lat)
 		}
 	}

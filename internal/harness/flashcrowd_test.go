@@ -11,14 +11,17 @@ import (
 // the system must recover to its pre-spike latency once the crowd
 // leaves, rather than spiraling into retransmission-driven collapse.
 func TestFlashCrowdRecovery(t *testing.T) {
-	rows, err := RunFlashCrowd(FlashCrowdConfig{Multipliers: []int{10}})
+	rows, err := RunFlashCrowd(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
+	if len(rows) != len(flashMultipliers) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(flashMultipliers))
 	}
-	r := rows[0]
+	r := rows[len(rows)-1]
+	if r.Multiplier != 10 {
+		t.Fatalf("last row is the %dx crowd, want 10x", r.Multiplier)
+	}
 	if r.Before.Count == 0 || r.During.Count == 0 {
 		t.Fatalf("latency buckets empty: before %d during %d", r.Before.Count, r.During.Count)
 	}
@@ -60,11 +63,11 @@ func TestFlashCrowdRecovery(t *testing.T) {
 // rows are byte-identical whether the multipliers run on one worker or
 // four.
 func TestFlashCrowdParallelIdentical(t *testing.T) {
-	seq, err := RunFlashCrowd(FlashCrowdConfig{Parallel: 1})
+	seq, err := RunFlashCrowd(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFlashCrowd(FlashCrowdConfig{Parallel: 4})
+	par, err := RunFlashCrowd(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,44 +22,24 @@ import (
 // the companion crash-detection-latency measurement shows the price is
 // not paid in slower detection of genuine crashes.
 
-// GrayStudyConfig parameterizes the study.
-type GrayStudyConfig struct {
-	Seed int64
-	// Periods are the flap half-cycles to sweep (default 30, 45,
-	// 90ms). Every blocked half-cycle outlasts the detector timeout
-	// (25ms at the runner's 5ms heartbeat), so each cycle produces a
-	// full suspect→restore round trip; shorter periods flap faster,
-	// and the damping half-life draws the line — fast cadences
-	// accumulate penalty faster than it decays and get suppressed,
-	// slow ones decay between flaps and stay undamped (tolerated).
-	Periods []time.Duration
-	// Schedules is how many seeded schedules each (period, arm) cell
-	// runs (default 12). The same schedule seeds are replayed in every
-	// cell, so rows differ only by cadence and detector.
-	Schedules int
-	// DetectSeeds is how many crash-detection-latency runs each arm
-	// measures (default 12).
-	DetectSeeds int
-	// Parallel is the sweep's worker count (<= 0 uses GOMAXPROCS); the
-	// rows are identical for any value.
-	Parallel int
-}
+// grayPeriods are the flap half-cycles the study sweeps. Every blocked
+// half-cycle outlasts the detector timeout (25ms at the runner's 5ms
+// heartbeat), so each cycle produces a full suspect→restore round trip;
+// shorter periods flap faster, and the damping half-life draws the
+// line — fast cadences accumulate penalty faster than it decays and get
+// suppressed, slow ones decay between flaps and stay undamped
+// (tolerated).
+var grayPeriods = []time.Duration{30 * time.Millisecond, 45 * time.Millisecond, 90 * time.Millisecond}
 
-func (c GrayStudyConfig) withDefaults() GrayStudyConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Periods) == 0 {
-		c.Periods = []time.Duration{30 * time.Millisecond, 45 * time.Millisecond, 90 * time.Millisecond}
-	}
-	if c.Schedules == 0 {
-		c.Schedules = 12
-	}
-	if c.DetectSeeds == 0 {
-		c.DetectSeeds = 12
-	}
-	return c
-}
+const (
+	// graySchedules is how many seeded schedules each (period, arm) cell
+	// runs. The same schedule seeds are replayed in every cell, so rows
+	// differ only by cadence and detector.
+	graySchedules = 12
+	// grayDetectSeeds is how many crash-detection-latency runs each arm
+	// measures.
+	grayDetectSeeds = 12
+)
 
 // GrayStudyRow is one (flap period, detector arm) cell.
 type GrayStudyRow struct {
@@ -142,17 +122,17 @@ func grayStudySchedule(seed int64, period time.Duration) (chaos.Schedule, error)
 	return sched, nil
 }
 
-// RunGrayStudy sweeps the (period, arm) grid. Each cell replays the
-// same seeded schedules, so the aggregated rows are deterministic and
-// identical for any worker count.
-func RunGrayStudy(cfg GrayStudyConfig) ([]GrayStudyRow, error) {
-	cfg = cfg.withDefaults()
-	pool := engine.New(cfg.Parallel)
+// RunGrayStudy sweeps the (period, arm) grid on parallel workers (<= 0
+// uses GOMAXPROCS). Each cell replays the same schedules seeded from
+// seed, so the aggregated rows are deterministic and identical for any
+// worker count.
+func RunGrayStudy(seed int64, parallel int) ([]GrayStudyRow, error) {
+	pool := engine.New(parallel)
 
 	// Detection latency per arm first: one seeded family, both
 	// detectors measured on the same seeds.
 	type detect struct{ fixed, adaptive time.Duration }
-	lat, err := engine.Map(pool, cfg.DetectSeeds, cfg.Seed,
+	lat, err := engine.Map(pool, grayDetectSeeds, seed,
 		func(j engine.Job) (detect, error) {
 			f, err := chaos.MeasureDetection(j.Seed, 4, 5*time.Millisecond, true)
 			if err != nil {
@@ -185,27 +165,27 @@ func RunGrayStudy(cfg GrayStudyConfig) ([]GrayStudyRow, error) {
 		fixed  bool
 	}
 	var cells []cell
-	for _, p := range cfg.Periods {
+	for _, p := range grayPeriods {
 		cells = append(cells, cell{p, true}, cell{p, false})
 	}
-	return engine.Map(pool, len(cells), cfg.Seed,
+	return engine.Map(pool, len(cells), seed,
 		func(j engine.Job) (GrayStudyRow, error) {
 			cl := cells[j.Index]
 			row := GrayStudyRow{
 				Period:        cl.period,
 				Fixed:         cl.fixed,
-				Schedules:     cfg.Schedules,
+				Schedules:     graySchedules,
 				DetectLatency: detectP50[cl.fixed],
 			}
-			for i := 0; i < cfg.Schedules; i++ {
-				seed := engine.DeriveSeed(cfg.Seed, i)
-				sched, err := grayStudySchedule(seed, cl.period)
+			for i := 0; i < graySchedules; i++ {
+				s := engine.DeriveSeed(seed, i)
+				sched, err := grayStudySchedule(s, cl.period)
 				if err != nil {
-					return GrayStudyRow{}, fmt.Errorf("harness: gray study seed %d: %w", seed, err)
+					return GrayStudyRow{}, fmt.Errorf("harness: gray study seed %d: %w", s, err)
 				}
 				res, err := chaos.Run(sched, chaos.RunConfig{FixedDetector: cl.fixed})
 				if err != nil {
-					return GrayStudyRow{}, fmt.Errorf("harness: gray study seed %d: %w", seed, err)
+					return GrayStudyRow{}, fmt.Errorf("harness: gray study seed %d: %w", s, err)
 				}
 				if res.Failed() {
 					row.Violations++

@@ -78,7 +78,7 @@ func TestLayersUnknownKindPanics(t *testing.T) {
 			t.Error("Layers(unknown) did not panic")
 		}
 	}()
-	Layers(ProtocolKind(9), time.Millisecond)
+	Layers(ProtocolKind(9))
 }
 
 func TestRunDirectDeliversEverything(t *testing.T) {
@@ -161,7 +161,7 @@ func TestRunSwitchedHybridTracksBestProtocol(t *testing.T) {
 	// sequencer: its latency must be far below the token's.
 	rc := shortRun()
 	rc.ActiveSenders = 1
-	hyb, err := RunSwitched(rc, switching.ThresholdOracle{Threshold: 5.5}, 50*time.Millisecond)
+	hyb, err := RunSwitched(rc, switching.ThresholdOracle{Threshold: 5.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRunSwitchedHybridTracksBestProtocol(t *testing.T) {
 	// At 8 senders the oracle must have switched to the token: hybrid
 	// beats the raw sequencer.
 	rc.ActiveSenders = 8
-	hyb8, err := RunSwitched(rc, switching.ThresholdOracle{Threshold: 5.5}, 50*time.Millisecond)
+	hyb8, err := RunSwitched(rc, switching.ThresholdOracle{Threshold: 5.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,6 @@ func TestOverheadExperiment(t *testing.T) {
 	cfg.Run.Warmup = 500 * time.Millisecond
 	cfg.Run.Measure = 2 * time.Second
 	cfg.Run.Drain = 2 * time.Second
-	cfg.SwitchAt = time.Second
 	fromToken, err := RunOverhead(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,13 +224,12 @@ func TestOverheadSweepRender(t *testing.T) {
 	cfg.Run.Warmup = 300 * time.Millisecond
 	cfg.Run.Measure = time.Second
 	cfg.Run.Drain = 2 * time.Second
-	cfg.SwitchAt = 600 * time.Millisecond
-	rows, err := RunOverheadSweep(cfg, []int{2})
+	_, rows, err := RunOverheadSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (both directions)", len(rows))
+	if len(rows) != 2*len(overheadSenders) {
+		t.Fatalf("rows = %d, want %d (both directions)", len(rows), 2*len(overheadSenders))
 	}
 	out := RenderOverheadSweep(rows)
 	if !strings.Contains(out, "from token") {
@@ -247,7 +245,6 @@ func TestHysteresisDampsOscillation(t *testing.T) {
 	cfg.Run.Warmup = 300 * time.Millisecond
 	cfg.Run.Measure = 6 * time.Second
 	cfg.Run.Drain = 2 * time.Second
-	cfg.LoadPeriod = time.Second
 	rows, err := RunHysteresisComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +268,6 @@ func TestHysteresisDampsOscillation(t *testing.T) {
 
 func TestP2PExperiment(t *testing.T) {
 	cfg := DefaultP2PConfig()
-	cfg.RunFor = 500 * time.Millisecond
-	cfg.Offered = 80
 	sw, err := RunP2P(StopWait, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,10 +301,7 @@ func TestP2PExperiment(t *testing.T) {
 }
 
 func TestP2PTable(t *testing.T) {
-	cfg := DefaultP2PConfig()
-	cfg.RunFor = 300 * time.Millisecond
-	cfg.Offered = 50
-	rows, err := RunP2PSweep(cfg)
+	rows, err := RunP2PSweep(DefaultP2PConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +316,6 @@ func TestP2PTable(t *testing.T) {
 func TestChaosSweepSmall(t *testing.T) {
 	cfg := DefaultChaosSweepConfig()
 	cfg.Schedules = 5
-	cfg.RecoverySeeds = 3
 	res, err := RunChaosSweep(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -34,18 +34,9 @@ type HysteresisResult struct {
 
 // HysteresisConfig parameterizes the oscillation experiment.
 type HysteresisConfig struct {
+	// Run is the workload; the ramp spreads hysteresisLevels evenly over
+	// its measurement window.
 	Run RunConfig
-	// LoadPeriod is how long the load stays at each level of the ramp.
-	LoadPeriod time.Duration
-	// Levels is the repeating active-sender ramp. The default hovers
-	// around the crossover (paper: between 5 and 6).
-	Levels []int
-	// Threshold is the aggressive oracle's cut-over; Low/High the
-	// hysteresis band.
-	Threshold float64
-	Low, High float64
-	// PollEvery is the controller's metric sampling interval.
-	PollEvery time.Duration
 	// Parallel is the comparison's worker count (<= 0 uses GOMAXPROCS);
 	// both policies are independent runs and results are identical for
 	// any value.
@@ -55,46 +46,58 @@ type HysteresisConfig struct {
 	Trace bool
 }
 
-// DefaultHysteresisConfig hovers the load around the crossover.
+// hysteresisLevels is the repeating active-sender ramp. It hovers
+// around the crossover (paper: between 5 and 6).
+var hysteresisLevels = []int{5, 6, 5, 6, 5, 6, 5, 6}
+
+// The two policies: the aggressive oracle cuts over at the crossover;
+// the hysteresis band switches up there too, but only switches back
+// once the load has clearly receded. The asymmetric band is what stops
+// a load hovering at the crossover from flapping the protocol.
+const (
+	hysteresisThreshold = 5.5
+	hysteresisLow       = 3.5
+	hysteresisHigh      = 5.5
+)
+
+// DefaultHysteresisConfig hovers the load around the crossover, two
+// seconds per ramp level.
 func DefaultHysteresisConfig() HysteresisConfig {
 	rc := DefaultRunConfig()
 	rc.Measure = 16 * time.Second
-	return HysteresisConfig{
-		Run:        rc,
-		LoadPeriod: 2 * time.Second,
-		Levels:     []int{5, 6, 5, 6, 5, 6, 5, 6},
-		Threshold:  5.5,
-		// Switch up at the crossover, but only switch back once the
-		// load has clearly receded: the asymmetric band is what stops
-		// a load hovering at the crossover from flapping the protocol.
-		Low:       3.5,
-		High:      5.5,
-		PollEvery: 100 * time.Millisecond,
-	}
+	return HysteresisConfig{Run: rc}
 }
 
-// RunHysteresis runs the ramp under one oracle and reports oscillation
-// and latency.
-func RunHysteresis(cfg HysteresisConfig, oracle switching.Oracle, policy string) (*HysteresisResult, error) {
+// RunHysteresis runs the ramp under one policy — the bare threshold
+// oracle, or with damped set the hysteresis band — and reports
+// oscillation and latency.
+func RunHysteresis(cfg HysteresisConfig, damped bool) (*HysteresisResult, error) {
+	var oracle switching.Oracle = switching.ThresholdOracle{Threshold: hysteresisThreshold}
+	policy := "threshold (aggressive)"
+	if damped {
+		h, err := switching.NewHysteresisOracle(hysteresisLow, hysteresisHigh)
+		if err != nil {
+			return nil, err
+		}
+		oracle, policy = h, "hysteresis"
+	}
 	rc := cfg.Run.withDefaults()
 	var col *obs.Collector
 	if cfg.Trace {
 		col = obs.NewCollector()
 		rc.Recorder = col
 	}
-	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories(rc.TokenHold)...))
+	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories()...))
 	if err != nil {
 		return nil, err
 	}
 	sim := run.Cluster.Sim
 
-	// The time-varying load: level changes every LoadPeriod.
+	// The time-varying load: the ramp's levels share the measurement
+	// window equally.
+	loadPeriod := rc.Measure / time.Duration(len(hysteresisLevels))
 	level := func() int {
-		if len(cfg.Levels) == 0 {
-			return rc.ActiveSenders
-		}
-		idx := int(sim.Now()/cfg.LoadPeriod) % len(cfg.Levels)
-		return cfg.Levels[idx]
+		return hysteresisLevels[int(sim.Now()/loadPeriod)%len(hysteresisLevels)]
 	}
 	// Per-sender constant-rate ticks, active only while the ramp level
 	// includes the sender.
@@ -116,7 +119,7 @@ func RunHysteresis(cfg HysteresisConfig, oracle switching.Oracle, policy string)
 	}
 
 	ctrl, err := switching.NewController(run.Cluster.Members[0].Switch, oracle,
-		func() float64 { return float64(level()) }, cfg.PollEvery)
+		func() float64 { return float64(level()) }, pollEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -142,20 +145,7 @@ func RunHysteresisComparison(cfg HysteresisConfig) ([]HysteresisResult, error) {
 	pool := engine.New(cfg.Parallel)
 	rows, err := engine.Map(pool, 2, cfg.Run.Seed,
 		func(j engine.Job) (HysteresisResult, error) {
-			var (
-				oracle switching.Oracle
-				policy string
-			)
-			if j.Index == 0 {
-				oracle, policy = switching.ThresholdOracle{Threshold: cfg.Threshold}, "threshold (aggressive)"
-			} else {
-				h, err := switching.NewHysteresisOracle(cfg.Low, cfg.High)
-				if err != nil {
-					return HysteresisResult{}, err
-				}
-				oracle, policy = h, "hysteresis"
-			}
-			r, err := RunHysteresis(cfg, oracle, policy)
+			r, err := RunHysteresis(cfg, j.Index == 1)
 			if err != nil {
 				return HysteresisResult{}, err
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -42,8 +43,6 @@ type OverheadConfig struct {
 	// From selects the old protocol (the one whose latency dominates
 	// the overhead). The new protocol is the other one.
 	From ProtocolKind
-	// SwitchAt is when the switch is requested.
-	SwitchAt time.Duration
 	// Parallel is the sweep's worker count (<= 0 uses GOMAXPROCS);
 	// results are identical for any value.
 	Parallel int
@@ -57,13 +56,15 @@ func DefaultOverheadConfig() OverheadConfig {
 	rc := DefaultRunConfig()
 	rc.ActiveSenders = 5
 	rc.Measure = 6 * time.Second
-	return OverheadConfig{Run: rc, From: Token, SwitchAt: rc.Warmup + 2*time.Second}
+	return OverheadConfig{Run: rc, From: Token}
 }
 
-// RunOverhead measures one switch under load.
+// RunOverhead measures one switch under load, requested a third of the
+// way into the measurement window.
 func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	rc := cfg.Run.withDefaults()
-	protos := Factories(rc.TokenHold)
+	switchAt := rc.Warmup + rc.Measure/3
+	protos := Factories()
 	if cfg.From == Token {
 		protos[0], protos[1] = protos[1], protos[0]
 	}
@@ -82,7 +83,7 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	// Record the group-wide app-delivery timeline to find the hiccup.
 	var deliveries []time.Duration
 	run.SetDeliveryHook(func(now time.Duration) { deliveries = append(deliveries, now) })
-	run.Cluster.Sim.At(cfg.SwitchAt, func() {
+	run.Cluster.Sim.At(switchAt, func() {
 		run.Cluster.Members[0].Switch.RequestSwitch()
 	})
 	run.StartWorkload()
@@ -90,7 +91,7 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("harness: the switch never completed")
 	}
-	steady, hiccup := analyzeGaps(deliveries, cfg.SwitchAt, rec)
+	steady, hiccup := analyzeGaps(deliveries, switchAt, rec)
 	out := &OverheadResult{
 		ActiveSenders:  rc.ActiveSenders,
 		SwitchDuration: rec.Duration(),
@@ -153,19 +154,30 @@ func (r *OverheadResult) Render() string {
 	return b.String()
 }
 
+// overheadSenders is the sweep's sender-count axis.
+var overheadSenders = []int{2, 5, 8}
+
 // RunOverheadSweep measures the switch duration in both directions and
 // across sender counts — the ablation for DESIGN.md §5 ("the overhead
 // of switching depends on the latency of the protocol being switched
 // away from"). The (senders × direction) grid runs on a worker pool;
 // rows come back in deterministic sweep order regardless of
-// base.Parallel.
-func RunOverheadSweep(base OverheadConfig, senders []int) ([]OverheadResult, error) {
+// base.Parallel. Every cell runs base with only its sender count and
+// direction replaced, so the cell at base's own load and direction is
+// RunOverhead(base): it comes back as single instead of being run twice.
+func RunOverheadSweep(base OverheadConfig) (single *OverheadResult, rows []OverheadResult, err error) {
 	dirs := []ProtocolKind{Sequencer, Token}
+	senders := base.Run.withDefaults().ActiveSenders
+	si, di := slices.Index(overheadSenders, senders), slices.Index(dirs, base.From)
+	if si < 0 || di < 0 {
+		return nil, nil, fmt.Errorf("harness: %d senders from %v is not a cell of the sweep (senders %v)",
+			senders, base.From, overheadSenders)
+	}
 	pool := engine.New(base.Parallel)
-	out, err := engine.Map(pool, len(senders)*len(dirs), base.Run.Seed,
+	rows, err = engine.Map(pool, len(overheadSenders)*len(dirs), base.Run.Seed,
 		func(j engine.Job) (OverheadResult, error) {
 			cfg := base
-			cfg.Run.ActiveSenders = senders[j.Index/len(dirs)]
+			cfg.Run.ActiveSenders = overheadSenders[j.Index/len(dirs)]
 			cfg.From = dirs[j.Index%len(dirs)]
 			r, err := RunOverhead(cfg)
 			if err != nil {
@@ -175,9 +187,9 @@ func RunOverheadSweep(base OverheadConfig, senders []int) ([]OverheadResult, err
 			return *r, nil
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return &rows[si*len(dirs)+di], rows, nil
 }
 
 // RenderOverheadSweep prints the sweep as a table.

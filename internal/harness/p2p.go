@@ -46,17 +46,28 @@ func (k ARQKind) String() string {
 // arqStats abstracts the two stats-bearing layer families.
 type arqStats interface{ Stats() arq.Stats }
 
+// The E11 link workload: p2pOffered frames of p2pMsgBytes each are
+// offered at once and admitted as fast as the p2pWindow-frame window
+// allows, with a p2pTimeout retransmission timer, for p2pRunFor.
+const (
+	p2pWindow   = 16
+	p2pTimeout  = 30 * time.Millisecond
+	p2pOffered  = 200
+	p2pMsgBytes = 256
+	p2pRunFor   = time.Second
+)
+
 // newARQ builds one layer of the given kind.
-func newARQ(kind ARQKind, window int, timeout time.Duration) (proto.Layer, arqStats, error) {
+func newARQ(kind ARQKind) (proto.Layer, arqStats, error) {
 	switch kind {
 	case StopWait:
-		l := arq.NewStopAndWait(timeout)
+		l := arq.NewStopAndWait(p2pTimeout)
 		return l, l, nil
 	case GoBackN:
-		l := arq.NewGoBackN(window, timeout)
+		l := arq.NewGoBackN(p2pWindow, p2pTimeout)
 		return l, l, nil
 	case SelectiveRepeat:
-		l := arq.NewSelectiveRepeat(window, timeout)
+		l := arq.NewSelectiveRepeat(p2pWindow, p2pTimeout)
 		return l, l, nil
 	default:
 		return nil, nil, fmt.Errorf("harness: unknown ARQ kind %d", kind)
@@ -65,13 +76,8 @@ func newARQ(kind ARQKind, window int, timeout time.Duration) (proto.Layer, arqSt
 
 // P2PConfig parameterizes one link measurement.
 type P2PConfig struct {
-	Seed     int64
-	Link     simnet.Config // must have Nodes == 2
-	Window   int
-	Timeout  time.Duration
-	Offered  int // frames offered as fast as the window admits
-	MsgBytes int
-	RunFor   time.Duration
+	Seed int64
+	Link simnet.Config // must have Nodes == 2
 	// Parallel is the E11 table's worker count (<= 0 uses GOMAXPROCS);
 	// the table is identical for any value.
 	Parallel int
@@ -80,13 +86,8 @@ type P2PConfig struct {
 // DefaultP2PConfig returns the E11 parameters.
 func DefaultP2PConfig() P2PConfig {
 	return P2PConfig{
-		Seed:     1,
-		Link:     simnet.Config{Nodes: 2, PropDelay: 10 * time.Millisecond},
-		Window:   16,
-		Timeout:  30 * time.Millisecond,
-		Offered:  200,
-		MsgBytes: 256,
-		RunFor:   time.Second,
+		Seed: 1,
+		Link: simnet.Config{Nodes: 2, PropDelay: 10 * time.Millisecond},
 	}
 }
 
@@ -105,12 +106,12 @@ func RunP2P(kind ARQKind, cfg P2PConfig) (*P2PResult, error) {
 	if cfg.Link.Nodes != 2 {
 		return nil, fmt.Errorf("harness: p2p needs exactly 2 nodes, got %d", cfg.Link.Nodes)
 	}
-	if _, _, err := newARQ(kind, cfg.Window, cfg.Timeout); err != nil {
+	if _, _, err := newARQ(kind); err != nil {
 		return nil, err // validate the kind before the factory can panic
 	}
 	var stats arqStats
 	cluster, err := ptest.New(cfg.Seed, cfg.Link, 2, func(env proto.Env) []proto.Layer {
-		l, s, err := newARQ(kind, cfg.Window, cfg.Timeout)
+		l, s, err := newARQ(kind)
 		if err != nil {
 			panic(err) // unreachable: kind validated above
 		}
@@ -122,13 +123,13 @@ func RunP2P(kind ARQKind, cfg P2PConfig) (*P2PResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, cfg.MsgBytes)
-	for i := 0; i < cfg.Offered; i++ {
+	payload := make([]byte, p2pMsgBytes)
+	for i := 0; i < p2pOffered; i++ {
 		if err := cluster.Members[0].Stack.Send(1, payload); err != nil {
 			return nil, err
 		}
 	}
-	cluster.Run(cfg.RunFor)
+	cluster.Run(p2pRunFor)
 	res := &P2PResult{
 		Kind:        kind,
 		Delivered:   len(cluster.Members[1].Delivered),
@@ -181,7 +182,7 @@ func RunP2PSweep(base P2PConfig) ([]P2PRow, error) {
 			return P2PRow{
 				Link:   link.name,
 				Result: *res,
-				PerSec: float64(res.Delivered) / base.RunFor.Seconds(),
+				PerSec: float64(res.Delivered) / p2pRunFor.Seconds(),
 			}, nil
 		})
 }

@@ -18,7 +18,7 @@ import (
 // order. With the two-phase sweep, the hybrid stats must be identical
 // whether the points run in order 1..N, reversed, or in parallel.
 func TestFigure2HybridThresholdOrderIndependent(t *testing.T) {
-	cfg := Figure2Config{Run: shortRun(), MaxSenders: 3, IncludeHybrid: true, Parallel: 1}
+	cfg := Figure2Config{Run: shortRun(), MaxSenders: 3, Parallel: 1}
 	forward, err := RunFigure2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestFigure2HybridThresholdOrderIndependent(t *testing.T) {
 // -parallel 8.
 func TestFigure2JSONByteIdenticalAcrossWorkers(t *testing.T) {
 	encode := func(parallel int) []byte {
-		cfg := Figure2Config{Run: shortRun(), MaxSenders: 3, IncludeHybrid: true, Parallel: parallel}
+		cfg := Figure2Config{Run: shortRun(), MaxSenders: 3, Parallel: parallel}
 		res, err := RunFigure2(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,6 @@ func TestFigure2JSONByteIdenticalAcrossWorkers(t *testing.T) {
 func TestChaosSweepParallelDeterminismAndFailurePropagation(t *testing.T) {
 	cfg := DefaultChaosSweepConfig()
 	cfg.Schedules = 6
-	cfg.RecoverySeeds = 3
 
 	cfg.Parallel = 1
 	seq, err := RunChaosSweep(cfg)
@@ -144,7 +143,6 @@ func TestChaosCorruptionSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	sweep := func(parallel int) (*ChaosSweepResult, []byte) {
 		cfg := DefaultChaosSweepConfig()
 		cfg.Schedules = 20
-		cfg.RecoverySeeds = 3
 		cfg.Gen.Corruption = true
 		cfg.Parallel = parallel
 		res, err := RunChaosSweep(cfg)
@@ -191,8 +189,7 @@ func TestChaosFlashCrowdSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	sweep := func(parallel int) (*ChaosSweepResult, []byte) {
 		cfg := DefaultChaosSweepConfig()
 		cfg.Schedules = 20
-		cfg.RecoverySeeds = 3
-		cfg.FlashCrowd = true
+		cfg.Gen.FlashCrowd = true
 		cfg.Parallel = parallel
 		res, err := RunChaosSweep(cfg)
 		if err != nil {
@@ -242,8 +239,7 @@ func TestChaosGraySweepByteIdenticalAcrossWorkers(t *testing.T) {
 	sweep := func(parallel int) (*ChaosSweepResult, []byte) {
 		cfg := DefaultChaosSweepConfig()
 		cfg.Schedules = 20
-		cfg.RecoverySeeds = 3
-		cfg.GrayFailure = true
+		cfg.Gen.GrayFailure = true
 		cfg.Parallel = parallel
 		res, err := RunChaosSweep(cfg)
 		if err != nil {
@@ -291,7 +287,7 @@ func TestChaosGraySweepByteIdenticalAcrossWorkers(t *testing.T) {
 // than the fixed arm's by more than one heartbeat — the stability is
 // not bought with slower detection of genuine crashes.
 func TestGrayStudyDampingReducesChurn(t *testing.T) {
-	rows, err := RunGrayStudy(GrayStudyConfig{Seed: 1, Parallel: 4})
+	rows, err := RunGrayStudy(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +336,13 @@ func TestOverheadAndP2PSweepsParallelDeterminism(t *testing.T) {
 	ocfg.Run.Warmup = 300 * time.Millisecond
 	ocfg.Run.Measure = time.Second
 	ocfg.Run.Drain = 2 * time.Second
-	ocfg.SwitchAt = 600 * time.Millisecond
 	ocfg.Parallel = 1
-	oseq, err := RunOverheadSweep(ocfg, []int{2, 5})
+	_, oseq, err := RunOverheadSweep(ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ocfg.Parallel = 4
-	opar, err := RunOverheadSweep(ocfg, []int{2, 5})
+	_, opar, err := RunOverheadSweep(ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +351,6 @@ func TestOverheadAndP2PSweepsParallelDeterminism(t *testing.T) {
 	}
 
 	pcfg := DefaultP2PConfig()
-	pcfg.RunFor = 300 * time.Millisecond
-	pcfg.Offered = 50
 	pcfg.Parallel = 1
 	pseq, err := RunP2PSweep(pcfg)
 	if err != nil {
@@ -376,7 +369,6 @@ func TestOverheadAndP2PSweepsParallelDeterminism(t *testing.T) {
 	hcfg.Run.Warmup = 300 * time.Millisecond
 	hcfg.Run.Measure = 3 * time.Second
 	hcfg.Run.Drain = 2 * time.Second
-	hcfg.LoadPeriod = time.Second
 	hcfg.Parallel = 1
 	hseq, err := RunHysteresisComparison(hcfg)
 	if err != nil {
@@ -471,7 +463,6 @@ func TestChaosForgerySweepByteIdenticalAcrossWorkers(t *testing.T) {
 	sweep := func(parallel int) (*ChaosSweepResult, []byte) {
 		cfg := DefaultChaosSweepConfig()
 		cfg.Schedules = 20
-		cfg.RecoverySeeds = 3
 		cfg.Gen.Corruption = true
 		cfg.Gen.Forgery = true
 		cfg.Parallel = parallel
@@ -510,5 +501,75 @@ func TestChaosForgerySweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if n := seq.KindCounts[chaos.KindForge] + seq.KindCounts[chaos.KindReplay]; n == 0 {
 		t.Error("forgery sweep generated no forgery faults")
+	}
+}
+
+// TestChaosSweepTierFromGen pins that each chaos tier is set in one
+// place: a sweep whose generator draws flash-crowd (or gray-failure)
+// faults also runs that tier's study, and only that one.
+func TestChaosSweepTierFromGen(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		gen         chaos.GenConfig
+		crowd, gray bool
+	}{
+		{"flash-crowd", chaos.GenConfig{FlashCrowd: true}, true, false},
+		{"gray-failure", chaos.GenConfig{GrayFailure: true}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunChaosSweep(ChaosSweepConfig{Schedules: 2, Seed: 1, Gen: tc.gen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(res.FlashCrowd) > 0; got != tc.crowd {
+				t.Errorf("%d E17 rows, want rows: %v", len(res.FlashCrowd), tc.crowd)
+			}
+			if got := len(res.Gray) > 0; got != tc.gray {
+				t.Errorf("%d E20 rows, want rows: %v", len(res.Gray), tc.gray)
+			}
+		})
+	}
+}
+
+// TestOverheadSweepHoldsTheSingleMeasurement pins E5's one-run headline:
+// the single §7 measurement is the sweep's (5 senders, from token) cell,
+// trace included, so the sweep hands that cell back instead of the
+// experiment running it a second time.
+func TestOverheadSweepHoldsTheSingleMeasurement(t *testing.T) {
+	cfg := DefaultOverheadConfig()
+	cfg.Run.Warmup = 300 * time.Millisecond
+	cfg.Run.Measure = time.Second
+	cfg.Run.Drain = 2 * time.Second
+	cfg.Trace = true
+	want, err := RunOverhead(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, rows, err := RunOverheadSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.ActiveSenders != 5 || single.From != Token {
+		t.Fatalf("single is the (%d senders, from %v) cell, want (5, from token)", single.ActiveSenders, single.From)
+	}
+	if len(want.Trace) == 0 {
+		t.Fatal("traced run recorded no events")
+	}
+	if !reflect.DeepEqual(*want, *single) {
+		t.Errorf("sweep cell differs from RunOverhead:\n%+v\nvs\n%+v", *single, *want)
+	}
+	cells := 0
+	for _, r := range rows {
+		if reflect.DeepEqual(r, *want) {
+			cells++
+		}
+	}
+	if cells != 1 {
+		t.Errorf("%d sweep rows equal the single measurement, want 1", cells)
+	}
+
+	cfg.Run.ActiveSenders = 3
+	if _, _, err := RunOverheadSweep(cfg); err == nil {
+		t.Error("a base load off the sweep's sender axis was accepted")
 	}
 }

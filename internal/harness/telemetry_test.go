@@ -19,8 +19,7 @@ func TestChaosTelemetrySweepByteIdenticalAcrossWorkers(t *testing.T) {
 	sweep := func(parallel int) (*ChaosSweepResult, []byte) {
 		cfg := DefaultChaosSweepConfig()
 		cfg.Schedules = 20
-		cfg.RecoverySeeds = 3
-		cfg.Telemetry = &telemetry.Config{}
+		cfg.Telemetry = true
 		cfg.Parallel = parallel
 		res, err := RunChaosSweep(cfg)
 		if err != nil {

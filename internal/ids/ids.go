@@ -119,16 +119,6 @@ func (r *Ring) Successor(p ProcID) (ProcID, error) {
 	return r.members[(i+1)%len(r.members)], nil
 }
 
-// Predecessor returns the member before p in rotation order. It returns
-// an error if p is not on the ring.
-func (r *Ring) Predecessor(p ProcID) (ProcID, error) {
-	i, ok := r.index[p]
-	if !ok {
-		return Nobody, fmt.Errorf("ring: %v is not a member", p)
-	}
-	return r.members[(i-1+len(r.members))%len(r.members)], nil
-}
-
 // Position returns p's index in rotation order, or -1 if absent.
 func (r *Ring) Position(p ProcID) int {
 	i, ok := r.index[p]
@@ -136,21 +126,6 @@ func (r *Ring) Position(p ProcID) int {
 		return -1
 	}
 	return i
-}
-
-// Distance returns the number of hops needed to travel from 'from' to
-// 'to' along the ring (0 if equal). It returns an error if either process
-// is not a member.
-func (r *Ring) Distance(from, to ProcID) (int, error) {
-	i, ok := r.index[from]
-	if !ok {
-		return 0, fmt.Errorf("ring: %v is not a member", from)
-	}
-	j, ok := r.index[to]
-	if !ok {
-		return 0, fmt.Errorf("ring: %v is not a member", to)
-	}
-	return (j - i + len(r.members)) % len(r.members), nil
 }
 
 // Procs returns the canonical membership {0, 1, ..., n-1}. It is the

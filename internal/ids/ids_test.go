@@ -89,50 +89,9 @@ func TestRingSuccessorPredecessor(t *testing.T) {
 		if got != want {
 			t.Errorf("Successor(%v) = %v, want %v", p, got, want)
 		}
-		back, err := r.Predecessor(got)
-		if err != nil {
-			t.Fatalf("Predecessor(%v): %v", got, err)
-		}
-		if back != p {
-			t.Errorf("Predecessor(Successor(%v)) = %v, want %v", p, back, p)
-		}
 	}
 	if _, err := r.Successor(9); err == nil {
 		t.Error("Successor(non-member) succeeded, want error")
-	}
-	if _, err := r.Predecessor(9); err == nil {
-		t.Error("Predecessor(non-member) succeeded, want error")
-	}
-}
-
-func TestRingDistance(t *testing.T) {
-	r, err := NewRing(Procs(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		from, to ProcID
-		want     int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{4, 0, 1},
-		{1, 0, 4},
-	}
-	for _, c := range cases {
-		got, err := r.Distance(c.from, c.to)
-		if err != nil {
-			t.Fatalf("Distance(%v,%v): %v", c.from, c.to, err)
-		}
-		if got != c.want {
-			t.Errorf("Distance(%v,%v) = %d, want %d", c.from, c.to, got, c.want)
-		}
-	}
-	if _, err := r.Distance(0, 9); err == nil {
-		t.Error("Distance to non-member succeeded, want error")
-	}
-	if _, err := r.Distance(9, 0); err == nil {
-		t.Error("Distance from non-member succeeded, want error")
 	}
 }
 
@@ -186,33 +145,6 @@ func TestRingRotationProperty(t *testing.T) {
 			cur = next
 		}
 		return cur == start && len(seen) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Distance(from,to) hops along Successor reaches 'to'.
-func TestRingDistanceProperty(t *testing.T) {
-	f := func(seed uint8, a, b uint8) bool {
-		n := int(seed%9) + 2
-		r, err := NewRing(Procs(n))
-		if err != nil {
-			return false
-		}
-		from, to := ProcID(int(a)%n), ProcID(int(b)%n)
-		d, err := r.Distance(from, to)
-		if err != nil {
-			return false
-		}
-		cur := from
-		for i := 0; i < d; i++ {
-			cur, err = r.Successor(cur)
-			if err != nil {
-				return false
-			}
-		}
-		return cur == to
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

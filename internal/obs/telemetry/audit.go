@@ -71,9 +71,11 @@ type Audit struct {
 	rounds    map[uint64]*Round
 }
 
-// NewAudit returns an empty audit trail.
-func NewAudit(cfg Config) *Audit {
-	return &Audit{protocols: cfg.Protocols, rounds: make(map[uint64]*Round)}
+// NewAudit returns an empty audit trail. protocols is the length of the
+// protocol cycle, used to resolve an epoch to the protocol before/after
+// the switch; zero means unknown (records carry -1).
+func NewAudit(protocols int) *Audit {
+	return &Audit{protocols: protocols, rounds: make(map[uint64]*Round)}
 }
 
 // Enabled reports true (Recorder contract).
@@ -211,9 +213,10 @@ type Telemetry struct {
 	Audit   *Audit
 }
 
-// New builds a Sampler + Audit pair from one config.
-func New(cfg Config) *Telemetry {
-	return &Telemetry{Sampler: NewSampler(), Audit: NewAudit(cfg)}
+// New builds a Sampler + Audit pair over a cycle of protocols (see
+// NewAudit).
+func New(protocols int) *Telemetry {
+	return &Telemetry{Sampler: NewSampler(), Audit: NewAudit(protocols)}
 }
 
 // Record feeds both consumers.

@@ -35,14 +35,6 @@ import (
 // (E17 spikes last one second).
 const Interval = 100 * time.Millisecond
 
-// Config tunes a telemetry instance.
-type Config struct {
-	// Protocols is the length of the protocol cycle, used by the audit
-	// trail to resolve an epoch to the protocol before/after the
-	// switch. Zero means unknown (records carry -1).
-	Protocols int
-}
-
 // MemberWindow is one member's aggregate over one window. Counters are
 // deltas (this window only), keyed exactly like the cumulative
 // obs.Metrics registry, so summing a member's windows reproduces its

@@ -146,7 +146,7 @@ func TestSamplerFinishIdempotentAndTickOnly(t *testing.T) {
 }
 
 func TestAuditStitchesRounds(t *testing.T) {
-	a := NewAudit(Config{Protocols: 2})
+	a := NewAudit(2)
 	// Round for epoch 0: initiator 1 starts, member 2 buffers a frame
 	// for epoch 1, everyone advances, initiator completes.
 	a.Record(obs.SwitchStart(ms(10), 1, 0, 3))
@@ -190,7 +190,7 @@ func TestAuditStitchesRounds(t *testing.T) {
 	}
 
 	// Unknown protocol cycle: indices are -1.
-	b := NewAudit(Config{})
+	b := NewAudit(0)
 	b.Record(obs.SwitchStart(ms(1), 0, 0, 1))
 	if rs := b.Finalize(); rs[0].ProtoBefore != -1 || rs[0].ProtoAfter != -1 {
 		t.Errorf("unknown cycle should render -1: %+v", rs[0])
@@ -216,7 +216,7 @@ func TestMergeTagsRuns(t *testing.T) {
 }
 
 func TestTelemetryBundle(t *testing.T) {
-	tel := New(Config{Protocols: 2})
+	tel := New(2)
 	if !tel.Enabled() {
 		t.Fatal("telemetry recorder disabled")
 	}

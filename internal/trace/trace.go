@@ -193,17 +193,6 @@ func (tr Trace) ValidateAtMostOnce() error {
 	return nil
 }
 
-// DeliveriesAt returns, in order, the messages delivered at process p.
-func (tr Trace) DeliveriesAt(p ids.ProcID) []Message {
-	var out []Message
-	for _, e := range tr {
-		if e.Kind == DeliverKind && e.Deliverer == p {
-			out = append(out, e.Msg)
-		}
-	}
-	return out
-}
-
 // Processes returns the set of processes appearing in the trace (as
 // senders or deliverers), in first-appearance order.
 func (tr Trace) Processes() []ids.ProcID {
@@ -234,16 +223,6 @@ func (tr Trace) MessageIDs() []ids.MsgID {
 		}
 	}
 	return out
-}
-
-// SendIndex returns the index of the Send event of message id, or -1.
-func (tr Trace) SendIndex(id ids.MsgID) int {
-	for i, e := range tr {
-		if e.Kind == SendKind && e.Msg.ID == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // Delivered reports whether process p delivers message id somewhere in

@@ -79,18 +79,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestDeliveriesAt(t *testing.T) {
-	m1, m2 := msg(1, 0, "a"), msg(2, 1, "b")
-	tr := Trace{Send(m1), Deliver(2, m1), Send(m2), Deliver(2, m2), Deliver(1, m1)}
-	got := tr.DeliveriesAt(2)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Errorf("DeliveriesAt(2) = %v", got)
-	}
-	if n := len(tr.DeliveriesAt(9)); n != 0 {
-		t.Errorf("DeliveriesAt(9) returned %d messages", n)
-	}
-}
-
 func TestProcessesAndMessageIDs(t *testing.T) {
 	m1, m2 := msg(1, 0, "a"), msg(2, 1, "b")
 	tr := Trace{Send(m1), Deliver(2, m1), Send(m2)}
@@ -105,15 +93,9 @@ func TestProcessesAndMessageIDs(t *testing.T) {
 	}
 }
 
-func TestSendIndexAndDelivered(t *testing.T) {
+func TestDelivered(t *testing.T) {
 	m := msg(7, 0, "a")
 	tr := Trace{Deliver(1, m), Send(m)}
-	if got := tr.SendIndex(7); got != 1 {
-		t.Errorf("SendIndex(7) = %d, want 1", got)
-	}
-	if got := tr.SendIndex(8); got != -1 {
-		t.Errorf("SendIndex(8) = %d, want -1", got)
-	}
 	if !tr.Delivered(1, 7) || tr.Delivered(2, 7) {
 		t.Error("Delivered gave wrong answer")
 	}
