@@ -19,6 +19,7 @@ package repro
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,8 +30,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/metaprop"
 	"repro/internal/proto"
-	"repro/internal/protocols/arq"
-	"repro/internal/protocols/ptest"
 	"repro/internal/runtime/simenv"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -342,62 +341,22 @@ func runViewSwitchOnce(seed int64) (time.Duration, uint64, error) {
 }
 
 // BenchmarkP2PARQ is the §1 point-to-point specialization's trade-off
-// table: throughput and retransmission waste of stop-and-wait vs
-// go-back-N over a slow and a lossy link. Stop-and-wait is RTT-bound
-// but frugal; go-back-N pipelines but resends its whole window on a
-// loss.
+// table, E11 (harness.RunP2PSweep): per link and ARQ protocol, frames
+// delivered per simulated second and retransmissions. Stop-and-wait is
+// RTT-bound but frugal; go-back-N pipelines but resends its whole window
+// on a loss.
 func BenchmarkP2PARQ(b *testing.B) {
-	type linkCase struct {
-		name string
-		cfg  simnet.Config
-	}
-	links := []linkCase{
-		{"fat-pipe", simnet.Config{Nodes: 2, PropDelay: 10 * time.Millisecond}},
-		{"lossy", simnet.Config{Nodes: 2, PropDelay: 2 * time.Millisecond, DropProb: 0.15}},
-	}
-	protos := []struct {
-		name string
-		mk   func() proto.Layer
-	}{
-		{"stopwait", func() proto.Layer { return arq.NewStopAndWait(30 * time.Millisecond) }},
-		{"gobackn", func() proto.Layer { return arq.NewGoBackN(16, 30*time.Millisecond) }},
-		{"selectiverepeat", func() proto.Layer { return arq.NewSelectiveRepeat(16, 30*time.Millisecond) }},
-	}
-	for _, link := range links {
-		for _, pr := range protos {
-			b.Run(link.name+"/"+pr.name, func(b *testing.B) {
-				var delivered int
-				var retx uint64
-				for i := 0; i < b.N; i++ {
-					var layer proto.Layer
-					cluster, err := ptest.New(int64(i+1), link.cfg, 2, func(proto.Env) []proto.Layer {
-						l := pr.mk()
-						if layer == nil {
-							layer = l
-						}
-						return []proto.Layer{l}
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					const offered = 200
-					for j := 0; j < offered; j++ {
-						if err := cluster.Members[0].Stack.Send(1, make([]byte, 256)); err != nil {
-							b.Fatal(err)
-						}
-					}
-					cluster.Run(time.Second)
-					delivered = len(cluster.Members[1].Delivered)
-					type statser interface{ Stats() arq.Stats }
-					if s, ok := layer.(statser); ok {
-						retx = s.Stats().Retransmits
-					}
-					cluster.Stop()
-				}
-				b.ReportMetric(float64(delivered), "delivered-per-s")
-				b.ReportMetric(float64(retx), "retransmits")
-			})
+	var rows []harness.P2PRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = harness.RunP2PSweep(harness.DefaultP2PConfig()); err != nil {
+			b.Fatal(err)
 		}
+	}
+	for _, row := range rows {
+		name := strings.Fields(row.Link)[0] + "/" + row.Result.Kind.String()
+		b.ReportMetric(row.PerSec, name+"-delivered/s")
+		b.ReportMetric(float64(row.Result.Retransmits), name+"-retransmits")
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/protocols/conf"
 	"repro/internal/protocols/fifo"
@@ -172,6 +173,10 @@ func runWireAdversary() error {
 	sim := cluster.Sim
 	// The attacker's packet tap: record genuine wire frames to replay.
 	cluster.Net.SetReplayCapture(64)
+	// The network counts what the adversary put on the wire in the
+	// events it emits; a registry tallies them.
+	wireLog := obs.NewMetrics()
+	cluster.Net.SetRecorder(wireLog)
 
 	honest := func(p ids.ProcID, seq uint32, body string) {
 		m := proto.AppMsg{ID: proto.MakeMsgID(p, seq), Sender: p, Body: []byte(body)}
@@ -253,13 +258,17 @@ func runWireAdversary() error {
 	for p := 0; p < members; p++ {
 		rejected += cluster.Members[p].Switch.Stats().AuthFailed
 	}
-	ns := cluster.Net.Stats()
-	fmt.Printf("\nevery ledger is clean: %d forged and %d replayed frames hit the\n", ns.Forged, ns.Replayed)
+	var forged, replayed uint64
+	for _, p := range wireLog.Procs() {
+		forged += wireLog.Count(p, obs.EvForged)
+		replayed += wireLog.Count(p, obs.EvReplayed)
+	}
+	fmt.Printf("\nevery ledger is clean: %d forged and %d replayed frames hit the\n", forged, replayed)
 	fmt.Printf("wire; %d arrivals were rejected at the authenticated ingress\n", rejected)
 	fmt.Println("(bad MAC or retired epoch) before touching any protocol state.")
-	if rejected < ns.Forged+ns.Replayed {
+	if rejected < forged+replayed {
 		return fmt.Errorf("only %d of %d adversarial frames were rejected at the auth boundary",
-			rejected, ns.Forged+ns.Replayed)
+			rejected, forged+replayed)
 	}
 	return nil
 }

@@ -10,6 +10,16 @@ import (
 	"repro/internal/obs"
 )
 
+// registryTotal sums the registry's count of et over every member,
+// network-wide events (obs.NoProc) included.
+func registryTotal(res *Result, et obs.EventType) uint64 {
+	var n uint64
+	for _, p := range res.Metrics.Procs() {
+		n += res.Metrics.Count(p, et)
+	}
+	return n
+}
+
 // checkStatsViews replays the run's events into a metrics registry and
 // checks each live member's Switch.Stats() against it field by field,
 // under the key "switching/" plus the field's json tag: an event
@@ -18,15 +28,18 @@ import (
 func checkStatsViews(t *testing.T, seed int64, res *Result, c *swtest.SwitchedCluster, events []obs.Event) {
 	t.Helper()
 	m := obs.NewMetrics()
-	rec := m.Recorder()
 	for _, e := range events {
-		rec.Record(e)
+		m.Record(e)
+	}
+	counters := make(map[ids.ProcID]map[string]uint64)
+	for _, mm := range m.Snapshot() {
+		counters[ids.ProcID(mm.Proc)] = mm.Counters
 	}
 	for _, p := range res.Live {
 		st := reflect.ValueOf(c.Members[p].Switch.Stats())
 		for i := 0; i < st.NumField(); i++ {
 			tag, _, _ := strings.Cut(st.Type().Field(i).Tag.Get("json"), ",")
-			if got, want := st.Field(i).Uint(), m.Counter(p, "switching/"+tag); got != want {
+			if got, want := st.Field(i).Uint(), counters[p]["switching/"+tag]; got != want {
 				t.Errorf("seed %d: member %v: Stats.%s = %d, trace counts %d",
 					seed, p, st.Type().Field(i).Name, got, want)
 			}

@@ -205,15 +205,16 @@ func TestMalformedTraceConsistency(t *testing.T) {
 			}
 		}
 		checkStatsViews(t, seed, res, c, col.Events())
-		ns := c.Net.Stats()
-		if corrupts != ns.Corrupted || truncates != ns.Truncated || garbage != ns.GarbageInjected {
-			t.Errorf("seed %d: trace-derived net counters (corrupt=%d truncate=%d garbage=%d) != simnet stats (%d, %d, %d)",
-				seed, corrupts, truncates, garbage, ns.Corrupted, ns.Truncated, ns.GarbageInjected)
+		regCorrupts, regTruncates := registryTotal(res, obs.EvCorrupt), registryTotal(res, obs.EvTruncate)
+		regGarbage := registryTotal(res, obs.EvGarbage)
+		if corrupts != regCorrupts || truncates != regTruncates || garbage != regGarbage {
+			t.Errorf("seed %d: trace-derived net counters (corrupt=%d truncate=%d garbage=%d) != registry (%d, %d, %d)",
+				seed, corrupts, truncates, garbage, regCorrupts, regTruncates, regGarbage)
 		}
 		sawRejected = sawRejected || res.Stats.AuthFailed+res.Stats.MalformedDropped > 0
-		sawCorrupt = sawCorrupt || ns.Corrupted > 0
-		sawTruncate = sawTruncate || ns.Truncated > 0
-		sawGarbage = sawGarbage || ns.GarbageInjected > 0
+		sawCorrupt = sawCorrupt || regCorrupts > 0
+		sawTruncate = sawTruncate || regTruncates > 0
+		sawGarbage = sawGarbage || regGarbage > 0
 	}
 	if !sawRejected || !sawCorrupt || !sawTruncate || !sawGarbage {
 		t.Errorf("sweep never exercised the hardening path (rejected=%v corrupt=%v truncate=%v garbage=%v) — widen the seed range",

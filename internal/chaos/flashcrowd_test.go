@@ -3,6 +3,8 @@ package chaos
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // withoutFlashCrowd strips flash-crowd events from a schedule's event
@@ -99,7 +101,7 @@ func TestSweepFlashCrowd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, c, err := run(sched, RunConfig{}, nil)
+		res, err := Run(sched, RunConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -109,7 +111,7 @@ func TestSweepFlashCrowd(t *testing.T) {
 		shed += res.Stats.Shed
 		backpressured += res.Stats.Backpressured
 		retried += res.Stats.RetriedSends
-		spikes += c.Net.Stats().SenderSpikes
+		spikes += res.Metrics.Count(obs.NoProc, obs.EvSenderSpike)
 		for _, v := range res.Violations {
 			t.Errorf("seed %d (%v): %s", seed, res.Kinds, v)
 		}

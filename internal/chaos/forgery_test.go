@@ -110,7 +110,7 @@ func TestSweepForgery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, c, err := run(sched, RunConfig{}, nil)
+		res, err := Run(sched, RunConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -119,9 +119,8 @@ func TestSweepForgery(t *testing.T) {
 		}
 		authFailed += res.Stats.AuthFailed
 		quarantines += res.Stats.Quarantines
-		ns := c.Net.Stats()
-		forged += ns.Forged
-		replayed += ns.Replayed
+		forged += res.Forged
+		replayed += res.Replayed
 		for _, v := range res.Violations {
 			t.Errorf("seed %d (%v): %s", seed, res.Kinds, v)
 		}
@@ -204,13 +203,12 @@ func TestAuthTraceConsistency(t *testing.T) {
 		}
 		checkStatsViews(t, seed, res, c, col.Events())
 		sawAuthFail = sawAuthFail || res.Stats.AuthFailed > 0
-		ns := c.Net.Stats()
-		if forged != ns.Forged || replayed != ns.Replayed {
-			t.Errorf("seed %d: trace-derived net counters (forged=%d replayed=%d) != simnet stats (%d, %d)",
-				seed, forged, replayed, ns.Forged, ns.Replayed)
+		if forged != res.Forged || replayed != res.Replayed {
+			t.Errorf("seed %d: trace-derived net counters (forged=%d replayed=%d) != registry (%d, %d)",
+				seed, forged, replayed, res.Forged, res.Replayed)
 		}
-		sawForged = sawForged || ns.Forged > 0
-		sawReplayed = sawReplayed || ns.Replayed > 0
+		sawForged = sawForged || res.Forged > 0
+		sawReplayed = sawReplayed || res.Replayed > 0
 	}
 	if !sawAuthFail || !sawForged || !sawReplayed {
 		t.Errorf("sweep never exercised the auth path (authfail=%v forged=%v replayed=%v) — widen the seed range",

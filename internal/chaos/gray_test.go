@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // withoutGray strips gray-failure events from a schedule's event list,
@@ -136,7 +138,7 @@ func TestSweepGray(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, c, err := run(sched, RunConfig{}, nil)
+		res, err := Run(sched, RunConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -147,10 +149,9 @@ func TestSweepGray(t *testing.T) {
 		stats.penalties += res.Stats.FlapPenalties
 		stats.skips += res.Stats.DegradedSkips
 		stats.reincludes += res.Stats.Reincludes
-		ns := c.Net.Stats()
-		slowSets += ns.SlowNodeSets
-		linkSets += ns.LinkFaultSets
-		flapSets += ns.FlapSets
+		slowSets += registryTotal(res, obs.EvSlowNodeSet)
+		linkSets += registryTotal(res, obs.EvLinkFaultSet)
+		flapSets += registryTotal(res, obs.EvFlapSet)
 		for _, v := range res.Violations {
 			t.Errorf("seed %d (%v): %s", seed, res.Kinds, v)
 		}

@@ -131,8 +131,8 @@ type Result struct {
 	// (deterministic per seed).
 	Events uint64
 	// Forged and Replayed count the adversary's wire-level injections
-	// (the network's own stats; deterministic per seed, zero on
-	// forgery-free schedules).
+	// (the registry's forged and replayed events summed over members;
+	// deterministic per seed, zero on forgery-free schedules).
 	Forged   uint64
 	Replayed uint64
 	// Violations lists every invariant breach; empty means the run
@@ -198,7 +198,7 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 	metrics := obs.NewMetrics()
 	flight := obs.NewFlightRecorder(obs.DefaultFlightSize)
 	disrupt := newDisruptionTracker()
-	recs := []obs.Recorder{metrics.Recorder(), flight, disrupt, cfg.Recorder}
+	recs := []obs.Recorder{metrics, flight, disrupt, cfg.Recorder}
 	var tel *telemetry.Telemetry
 	if cfg.Telemetry {
 		tel = telemetry.New(len(pair()))
@@ -405,8 +405,10 @@ func run(sched Schedule, cfg RunConfig, prepare func(*swtest.SwitchedCluster)) (
 		res.Violations = append(res.Violations, panicked)
 	}
 	res.Events = c.Sim.Executed()
-	ns := c.Net.Stats()
-	res.Forged, res.Replayed = ns.Forged, ns.Replayed
+	for _, p := range metrics.Procs() {
+		res.Forged += metrics.Count(p, obs.EvForged)
+		res.Replayed += metrics.Count(p, obs.EvReplayed)
+	}
 
 	if panicked == "" {
 		for p := 0; p < sched.N; p++ {

@@ -35,9 +35,11 @@ func TestCausalOrderPreservedAcrossSwitch(t *testing.T) {
 	netCfg := simnet.Config{
 		Nodes:     4,
 		PropDelay: 300 * time.Microsecond,
-		Jitter:    2 * time.Millisecond,
 	}
 	c := newCluster(t, 41, netCfg, 4, switching.Config{Protocols: causalPair()})
+	if err := c.Net.SetFaults(0, 0, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	var sent []ptest.SentMsg
 
 	// A causal conversation: member (i mod 4) speaks only after
@@ -122,10 +124,11 @@ func TestCausalOrderRandomizedAcrossSwitches(t *testing.T) {
 			netCfg := simnet.Config{
 				Nodes:     4,
 				PropDelay: 300 * time.Microsecond,
-				Jitter:    time.Millisecond,
-				DropProb:  0.05,
 			}
 			c := newCluster(t, seed, netCfg, 4, switching.Config{Protocols: causalPair()})
+			if err := c.Net.SetFaults(0.05, 0, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
 			var sent []ptest.SentMsg
 			rng := c.Sim.Rand()
 			total := 16 + rng.Intn(8)

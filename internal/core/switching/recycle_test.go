@@ -45,11 +45,14 @@ func TestDeliveriesSurviveRecycledFrames(t *testing.T) {
 	}
 	const n, perMember = 4, 60
 	body := func(p, i int) string { return fmt.Sprintf("m%d.%03d-%x", p, i, i*i) }
-	c, err := swtest.NewSwitchedWithApp(11, simnet.Config{Nodes: n, PropDelay: 200 * time.Microsecond, DropProb: 0.05}, n, cfg,
+	c, err := swtest.NewSwitchedWithApp(11, simnet.Config{Nodes: n, PropDelay: 200 * time.Microsecond}, n, cfg,
 		func(*swtest.SwitchedMember, *des.Sim) proto.Up {
 			return proto.UpFunc(func(_ ids.ProcID, p []byte) { delivered = append(delivered, kept{p, string(p)}) })
 		})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Net.SetFaults(0.05, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < n; p++ {

@@ -215,10 +215,11 @@ func TestSwitchUnderLossAndJitter(t *testing.T) {
 	netCfg := simnet.Config{
 		Nodes:     4,
 		PropDelay: 300 * time.Microsecond,
-		DropProb:  0.1,
-		Jitter:    time.Millisecond,
 	}
 	c := newCluster(t, 5, netCfg, 4, switching.Config{})
+	if err := c.Net.SetFaults(0.1, 0, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		at := time.Duration(i) * 4 * time.Millisecond
 		i := i
@@ -382,10 +383,11 @@ func TestRandomizedSwitchInvariants(t *testing.T) {
 			netCfg := simnet.Config{
 				Nodes:     4,
 				PropDelay: 200 * time.Microsecond,
-				DropProb:  0.05,
-				Jitter:    500 * time.Microsecond,
 			}
 			c := newCluster(t, seed, netCfg, 4, switching.Config{})
+			if err := c.Net.SetFaults(0.05, 0, 500*time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
 			rng := c.Sim.Rand()
 			total := 15 + rng.Intn(10)
 			for i := 0; i < total; i++ {

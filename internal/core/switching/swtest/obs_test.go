@@ -59,20 +59,19 @@ func TestRecorderReachesEveryMember(t *testing.T) {
 
 	// The trace carries enough to rebuild every member's counters.
 	m := obs.NewMetrics()
-	rec := m.Recorder()
 	for _, e := range events {
-		rec.Record(e)
+		m.Record(e)
 	}
 	for p := 0; p < n; p++ {
 		st := c.Members[p].Switch.Stats()
 		pid := ids.ProcID(p)
-		if got := m.Counter(pid, obs.KeyTokenPasses); got != st.TokenPasses {
+		if got := m.Count(pid, obs.EvTokenPass); got != st.TokenPasses {
 			t.Errorf("member %d: replayed token passes %d != stats %d", p, got, st.TokenPasses)
 		}
-		if got := m.Counter(pid, obs.KeySwitchesCompleted); got != st.SwitchesCompleted {
+		if got := m.Count(pid, obs.EvEpochAdvance); got != st.SwitchesCompleted {
 			t.Errorf("member %d: replayed switch completions %d != stats %d", p, got, st.SwitchesCompleted)
 		}
-		if got := m.Counter(pid, obs.KeyBuffered); got != st.Buffered {
+		if got := m.Count(pid, obs.EvBuffered); got != st.Buffered {
 			t.Errorf("member %d: replayed buffer count %d != stats %d", p, got, st.Buffered)
 		}
 	}

@@ -37,8 +37,11 @@ func appMsg(sender ids.ProcID, seq uint32, body string) proto.AppMsg {
 // total-order protocols under load and checks the recorded app-level
 // trace against the Table 1 predicates — the positive half of §6.3.
 func TestTotalOrderAndReliabilityPreserved(t *testing.T) {
-	c := newCluster(t, 31, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond, Jitter: 500 * time.Microsecond}, 4,
+	c := newCluster(t, 31, simnet.Config{Nodes: 4, PropDelay: 300 * time.Microsecond}, 4,
 		switching.Config{})
+	if err := c.Net.SetFaults(0, 0, 500*time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
 	var sent []ptest.SentMsg
 	seq := uint32(0)
 	cast := func(p ids.ProcID, body string) {

@@ -302,10 +302,11 @@ func TestRandomizedVSPreservation(t *testing.T) {
 			netCfg := simnet.Config{
 				Nodes:     4,
 				PropDelay: 300 * time.Microsecond,
-				Jitter:    time.Millisecond,
-				DropProb:  0.05,
 			}
 			c := newCluster(t, seed, netCfg, 4, viewswitch.Config{})
+			if err := c.net.SetFaults(0.05, 0, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
 			rng := c.sim.Rand()
 			total := 12 + rng.Intn(8)
 			for i := 0; i < total; i++ {

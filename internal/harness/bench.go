@@ -39,9 +39,10 @@ func (k ProtocolKind) String() string {
 	}
 }
 
-// RunConfig parameterizes one measurement run. The defaults reproduce
-// the paper's §7 setup: a 10-member group on a 10 Mbit Ethernet with 50
-// messages per second per active sender.
+// RunConfig parameterizes one measurement run. DefaultRunConfig is the
+// paper's §7 setup: a 10-member group on a 10 Mbit Ethernet with 50
+// messages per second per active sender. Every field means what it
+// says; a zero is never replaced by a default.
 type RunConfig struct {
 	Seed          int64
 	Group         int
@@ -50,8 +51,9 @@ type RunConfig struct {
 	RatePerSender float64
 	// MsgBytes is the application payload size.
 	MsgBytes int
-	// Warmup is discarded; Measure is the sampled window; Drain lets
-	// in-flight messages land after sending stops.
+	// Warmup is discarded (zero measures from the start); Measure is
+	// the sampled window; Drain lets in-flight messages land after
+	// sending stops.
 	Warmup, Measure, Drain time.Duration
 	// Recorder, when set, receives the run's structured events: the
 	// switching layer's (hybrid runs only) and the simulated network's.
@@ -75,30 +77,18 @@ func DefaultRunConfig() RunConfig {
 	}
 }
 
-func (rc RunConfig) withDefaults() RunConfig {
-	d := DefaultRunConfig()
-	if rc.Group <= 0 {
-		rc.Group = d.Group
+// validate rejects a run with a non-positive group, sender count, rate,
+// message size or measurement window, or a negative warmup or drain.
+func (rc RunConfig) validate() error {
+	if rc.Group <= 0 || rc.ActiveSenders <= 0 || rc.RatePerSender <= 0 || rc.MsgBytes <= 0 {
+		return fmt.Errorf("harness: run needs a positive group (%d), sender count (%d), rate (%g) and message size (%d)",
+			rc.Group, rc.ActiveSenders, rc.RatePerSender, rc.MsgBytes)
 	}
-	if rc.ActiveSenders <= 0 {
-		rc.ActiveSenders = d.ActiveSenders
+	if rc.Measure <= 0 || rc.Warmup < 0 || rc.Drain < 0 {
+		return fmt.Errorf("harness: run needs a positive measure window (%v) and a non-negative warmup (%v) and drain (%v)",
+			rc.Measure, rc.Warmup, rc.Drain)
 	}
-	if rc.RatePerSender <= 0 {
-		rc.RatePerSender = d.RatePerSender
-	}
-	if rc.MsgBytes <= 0 {
-		rc.MsgBytes = d.MsgBytes
-	}
-	if rc.Warmup <= 0 {
-		rc.Warmup = d.Warmup
-	}
-	if rc.Measure <= 0 {
-		rc.Measure = d.Measure
-	}
-	if rc.Drain <= 0 {
-		rc.Drain = d.Drain
-	}
-	return rc
+	return nil
 }
 
 // netConfig resolves the run's simulated network.
@@ -267,7 +257,9 @@ func measuringApp(col *collector) func(sim *des.Sim) proto.Up {
 // RunDirect measures one protocol without the switching layer — the raw
 // curves of Figure 2.
 func RunDirect(kind ProtocolKind, rc RunConfig) (Result, error) {
-	rc = rc.withDefaults()
+	if err := rc.validate(); err != nil {
+		return Result{}, err
+	}
 	col := newCollector(rc)
 	app := measuringApp(col)
 	cluster, err := ptest.NewWithApp(rc.Seed, rc.netConfig(), rc.Group,
@@ -312,7 +304,9 @@ type SwitchedRun struct {
 // NewSwitchedRun assembles a measuring hybrid cluster without starting
 // the workload (callers install oracles/controllers first).
 func NewSwitchedRun(rc RunConfig, swCfg switching.Config) (*SwitchedRun, error) {
-	rc = rc.withDefaults()
+	if err := rc.validate(); err != nil {
+		return nil, err
+	}
 	if swCfg.Protocols == nil {
 		swCfg.Protocols = Factories()
 	}
@@ -374,7 +368,6 @@ const pollEvery = 100 * time.Millisecond
 // total-order protocols, a controller polling the active-sender metric
 // through the given oracle.
 func RunSwitched(rc RunConfig, oracle switching.Oracle) (Result, error) {
-	rc = rc.withDefaults()
 	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories()...))
 	if err != nil {
 		return Result{}, err

@@ -130,7 +130,7 @@ type BenchFigure2Row struct {
 
 // NewBenchFigure2 converts a Figure-2 result into its artifact.
 func NewBenchFigure2(res *Figure2Result) *BenchFigure2 {
-	rc := res.Run.withDefaults()
+	rc := res.Run
 	out := &BenchFigure2{
 		Group:           rc.Group,
 		RatePerSender:   rc.RatePerSender,

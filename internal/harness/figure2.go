@@ -68,7 +68,10 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 	if cfg.MaxSenders <= 0 {
 		cfg.MaxSenders = 10
 	}
-	if cfg.MaxSenders > cfg.Run.withDefaults().Group {
+	if err := cfg.Run.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.MaxSenders > cfg.Run.Group {
 		return nil, fmt.Errorf("harness: %d senders exceed group size", cfg.MaxSenders)
 	}
 	progress := cfg.Progress
@@ -76,7 +79,7 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 		progress = func(string) {}
 	}
 	pool := engine.New(cfg.Parallel)
-	res := &Figure2Result{Run: cfg.Run.withDefaults()}
+	res := &Figure2Result{Run: cfg.Run}
 
 	// Phase 1: the raw protocol curves. Each point is an independent
 	// pair of seeded runs; the pool collects rows by index.
@@ -183,7 +186,7 @@ func runHybridPoint(rc RunConfig, threshold float64) (Result, error) {
 // Render prints the figure as the table cmd/switchbench and
 // EXPERIMENTS.md use.
 func (r *Figure2Result) Render() string {
-	rc := r.Run.withDefaults()
+	rc := r.Run
 	var b strings.Builder
 	b.WriteString("Figure 2 — message latency (ms) vs. number of active senders\n")
 	fmt.Fprintf(&b, "group=%d, %g msgs/s per sender, %d-byte messages, 10 Mbit/s shared medium\n\n",

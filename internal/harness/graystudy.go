@@ -192,11 +192,11 @@ func RunGrayStudy(seed int64, parallel int) ([]GrayStudyRow, error) {
 				}
 				for _, p := range res.Live {
 					if p == grayVictim {
-						row.VictimRegens += res.Metrics.Counter(p, obs.KeyTokensRegenerated)
+						row.VictimRegens += res.Metrics.Count(p, obs.EvTokenRegen)
 						continue
 					}
-					row.SwitchAborts += res.Metrics.Counter(p, obs.KeySwitchesAborted)
-					row.TokenRegens += res.Metrics.Counter(p, obs.KeyTokensRegenerated)
+					row.SwitchAborts += res.Metrics.Count(p, obs.EvSwitchAbort)
+					row.TokenRegens += res.Metrics.Count(p, obs.EvTokenRegen)
 				}
 				row.FlapPenalties += res.Stats.FlapPenalties
 				row.DegradedSkips += res.Stats.DegradedSkips

@@ -101,6 +101,56 @@ func TestRunDirectDeliversEverything(t *testing.T) {
 	}
 }
 
+// TestZeroWarmupMeasuresFromStart: a zero Warmup is no warmup, so the
+// messages cast in the first 2 s are measured.
+func TestZeroWarmupMeasuresFromStart(t *testing.T) {
+	rc := shortRun()
+	rc.Warmup = 0
+	run, err := NewSwitchedRun(rc, switching.PaperExact(Factories()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const casts = 10
+	for i := 0; i < casts; i++ {
+		run.Cluster.Sim.At(time.Duration(i+1)*150*time.Millisecond, func() { run.Cast(1) })
+	}
+	res := run.Finish()
+	if res.Sent != casts {
+		t.Errorf("%d of the %d casts in the first 2 s measured, want all", res.Sent, casts)
+	}
+	if res.Stats.Count != casts*rc.Group {
+		t.Errorf("samples = %d, want %d (every member delivers every measured cast)", res.Stats.Count, casts*rc.Group)
+	}
+}
+
+// TestRunConfigRejectsNonsense: a field no run can mean is an error, not
+// a default.
+func TestRunConfigRejectsNonsense(t *testing.T) {
+	for name, mutate := range map[string]func(*RunConfig){
+		"group":   func(rc *RunConfig) { rc.Group = 0 },
+		"senders": func(rc *RunConfig) { rc.ActiveSenders = 0 },
+		"rate":    func(rc *RunConfig) { rc.RatePerSender = 0 },
+		"bytes":   func(rc *RunConfig) { rc.MsgBytes = -1 },
+		"measure": func(rc *RunConfig) { rc.Measure = 0 },
+		"warmup":  func(rc *RunConfig) { rc.Warmup = -time.Second },
+		"drain":   func(rc *RunConfig) { rc.Drain = -time.Second },
+	} {
+		rc := shortRun()
+		mutate(&rc)
+		if _, err := RunDirect(Sequencer, rc); err == nil {
+			t.Errorf("RunDirect accepted a bad %s", name)
+		}
+		if _, err := NewSwitchedRun(rc, switching.PaperExact(Factories()...)); err == nil {
+			t.Errorf("NewSwitchedRun accepted a bad %s", name)
+		}
+	}
+	rc := shortRun()
+	rc.Warmup, rc.Drain = 0, 0
+	if _, err := NewSwitchedRun(rc, switching.PaperExact(Factories()...)); err != nil {
+		t.Errorf("zero warmup and drain rejected: %v", err)
+	}
+}
+
 // TestFigure2Shape is E3/E4 at test scale: the sequencer must win at
 // low load, the token at high load.
 func TestFigure2Shape(t *testing.T) {
@@ -267,16 +317,16 @@ func TestHysteresisDampsOscillation(t *testing.T) {
 }
 
 func TestP2PExperiment(t *testing.T) {
-	cfg := DefaultP2PConfig()
-	sw, err := RunP2P(StopWait, cfg)
+	seed, fatPipe := DefaultP2PConfig().Seed, p2pLinks[0]
+	sw, err := runP2P(StopWait, seed, fatPipe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gbn, err := RunP2P(GoBackN, cfg)
+	gbn, err := runP2P(GoBackN, seed, fatPipe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunP2P(SelectiveRepeat, cfg)
+	sr, err := runP2P(SelectiveRepeat, seed, fatPipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +336,8 @@ func TestP2PExperiment(t *testing.T) {
 	if sr.Delivered < gbn.Delivered {
 		t.Errorf("selective repeat (%d) must match go-back-N (%d) on a clean link", sr.Delivered, gbn.Delivered)
 	}
-	// Validation paths.
-	bad := cfg
-	bad.Link.Nodes = 3
-	if _, err := RunP2P(StopWait, bad); err == nil {
-		t.Error("3-node p2p accepted")
-	}
-	if _, err := RunP2P(ARQKind(99), cfg); err == nil {
+	// Validation path.
+	if _, err := runP2P(ARQKind(99), seed, fatPipe); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	if ARQKind(99).String() == "" || StopWait.String() != "stop-and-wait" {

@@ -81,7 +81,7 @@ func RunHysteresis(cfg HysteresisConfig, damped bool) (*HysteresisResult, error)
 		}
 		oracle, policy = h, "hysteresis"
 	}
-	rc := cfg.Run.withDefaults()
+	rc := cfg.Run
 	var col *obs.Collector
 	if cfg.Trace {
 		col = obs.NewCollector()

@@ -62,7 +62,7 @@ func DefaultOverheadConfig() OverheadConfig {
 // RunOverhead measures one switch under load, requested a third of the
 // way into the measurement window.
 func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
-	rc := cfg.Run.withDefaults()
+	rc := cfg.Run
 	switchAt := rc.Warmup + rc.Measure/3
 	protos := Factories()
 	if cfg.From == Token {
@@ -167,7 +167,7 @@ var overheadSenders = []int{2, 5, 8}
 // RunOverhead(base): it comes back as single instead of being run twice.
 func RunOverheadSweep(base OverheadConfig) (single *OverheadResult, rows []OverheadResult, err error) {
 	dirs := []ProtocolKind{Sequencer, Token}
-	senders := base.Run.withDefaults().ActiveSenders
+	senders := base.Run.ActiveSenders
 	si, di := slices.Index(overheadSenders, senders), slices.Index(dirs, base.From)
 	if si < 0 || di < 0 {
 		return nil, nil, fmt.Errorf("harness: %d senders from %v is not a cell of the sweep (senders %v)",

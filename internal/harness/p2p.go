@@ -74,10 +74,9 @@ func newARQ(kind ARQKind) (proto.Layer, arqStats, error) {
 	}
 }
 
-// P2PConfig parameterizes one link measurement.
+// P2PConfig parameterizes the E11 sweep.
 type P2PConfig struct {
 	Seed int64
-	Link simnet.Config // must have Nodes == 2
 	// Parallel is the E11 table's worker count (<= 0 uses GOMAXPROCS);
 	// the table is identical for any value.
 	Parallel int
@@ -85,10 +84,7 @@ type P2PConfig struct {
 
 // DefaultP2PConfig returns the E11 parameters.
 func DefaultP2PConfig() P2PConfig {
-	return P2PConfig{
-		Seed: 1,
-		Link: simnet.Config{Nodes: 2, PropDelay: 10 * time.Millisecond},
-	}
+	return P2PConfig{Seed: 1}
 }
 
 // P2PResult is one (link, protocol) measurement.
@@ -101,16 +97,28 @@ type P2PResult struct {
 	Events uint64
 }
 
-// RunP2P measures one ARQ protocol on one link.
-func RunP2P(kind ARQKind, cfg P2PConfig) (*P2PResult, error) {
-	if cfg.Link.Nodes != 2 {
-		return nil, fmt.Errorf("harness: p2p needs exactly 2 nodes, got %d", cfg.Link.Nodes)
-	}
+// p2pLink is one link of the E11 matrix: a two-node network with the
+// given one-way delay, losing each packet with probability loss.
+type p2pLink struct {
+	name      string
+	propDelay time.Duration
+	loss      float64
+}
+
+// p2pLinks is the fixed E11 link matrix.
+var p2pLinks = []p2pLink{
+	{"fat-pipe (10ms RTT/2)", 10 * time.Millisecond, 0},
+	{"lossy (15% drop)", 2 * time.Millisecond, 0.15},
+}
+
+// runP2P measures one ARQ protocol on one link.
+func runP2P(kind ARQKind, seed int64, link p2pLink) (*P2PResult, error) {
 	if _, _, err := newARQ(kind); err != nil {
 		return nil, err // validate the kind before the factory can panic
 	}
 	var stats arqStats
-	cluster, err := ptest.New(cfg.Seed, cfg.Link, 2, func(env proto.Env) []proto.Layer {
+	netCfg := simnet.Config{Nodes: 2, PropDelay: link.propDelay}
+	cluster, err := ptest.New(seed, netCfg, 2, func(env proto.Env) []proto.Layer {
 		l, s, err := newARQ(kind)
 		if err != nil {
 			panic(err) // unreachable: kind validated above
@@ -121,6 +129,9 @@ func RunP2P(kind ARQKind, cfg P2PConfig) (*P2PResult, error) {
 		return []proto.Layer{l}
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := cluster.Net.SetFaults(link.loss, 0, 0); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, p2pMsgBytes)
@@ -149,33 +160,16 @@ type P2PRow struct {
 	PerSec float64
 }
 
-// p2pLinks is the fixed E11 link matrix.
-func p2pLinks() []struct {
-	name string
-	cfg  simnet.Config
-} {
-	return []struct {
-		name string
-		cfg  simnet.Config
-	}{
-		{"fat-pipe (10ms RTT/2)", simnet.Config{Nodes: 2, PropDelay: 10 * time.Millisecond}},
-		{"lossy (15% drop)", simnet.Config{Nodes: 2, PropDelay: 2 * time.Millisecond, DropProb: 0.15}},
-	}
-}
-
 // RunP2PSweep measures all three ARQ protocols over the fat-pipe and
 // lossy links on a worker pool. Rows come back in deterministic
 // (link, protocol) order for any base.Parallel.
 func RunP2PSweep(base P2PConfig) ([]P2PRow, error) {
-	links := p2pLinks()
 	kinds := []ARQKind{StopWait, GoBackN, SelectiveRepeat}
 	pool := engine.New(base.Parallel)
-	return engine.Map(pool, len(links)*len(kinds), base.Seed,
+	return engine.Map(pool, len(p2pLinks)*len(kinds), base.Seed,
 		func(j engine.Job) (P2PRow, error) {
-			link := links[j.Index/len(kinds)]
-			cfg := base
-			cfg.Link = link.cfg
-			res, err := RunP2P(kinds[j.Index%len(kinds)], cfg)
+			link := p2pLinks[j.Index/len(kinds)]
+			res, err := runP2P(kinds[j.Index%len(kinds)], base.Seed, link)
 			if err != nil {
 				return P2PRow{}, err
 			}

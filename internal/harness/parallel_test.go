@@ -388,7 +388,7 @@ func TestOverheadAndP2PSweepsParallelDeterminism(t *testing.T) {
 // leave the map once the whole group has delivered the message, or on
 // the first delivery of a message outside the measurement window.
 func TestCollectorPrunesSendTimes(t *testing.T) {
-	rc := DefaultRunConfig().withDefaults() // Group=10, Warmup=2s, Measure=10s
+	rc := DefaultRunConfig() // Group=10, Warmup=2s, Measure=10s
 	c := newCollector(rc)
 
 	// In-window message: pruned after the full group delivered it.

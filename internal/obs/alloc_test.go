@@ -26,7 +26,7 @@ func TestRecordAllocsNop(t *testing.T) {
 
 func TestRecordAllocsMetricsCounter(t *testing.T) {
 	m := NewMetrics()
-	r := m.Recorder()
+	var r Recorder = m
 	// Warm the member entry: the first Record allocates the per-member
 	// registry slot, steady state must not.
 	r.Record(TokenPass(time.Millisecond, 1, 2, 1, 3, 0))
@@ -36,7 +36,7 @@ func TestRecordAllocsMetricsCounter(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("metrics counter Record allocated %.1f times per op, want 0", allocs)
 	}
-	if got := m.Counter(1, CounterKey(EvTokenPass)); got != 101*100+1 {
+	if got := m.Count(1, EvTokenPass); got != 101*100+1 {
 		// AllocsPerRun runs the body runs+1 times (one warm-up round
 		// included in its own accounting); just sanity-check it counted.
 		if got == 0 {
@@ -56,8 +56,7 @@ func BenchmarkRecordNop(b *testing.B) {
 }
 
 func BenchmarkRecordMetricsCounter(b *testing.B) {
-	m := NewMetrics()
-	r := m.Recorder()
+	var r Recorder = NewMetrics()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,100 +8,59 @@ import (
 	"repro/internal/ids"
 )
 
-// Counter keys are "<layer>/<name>". A switching-layer key that counts
-// a switching.Stats field is "switching/" plus that field's json tag
-// (pinned by switching's TestStatsCountersMatchEvents), so a member's
-// registry counters and its Stats() compare field by field.
-const (
-	KeyTokenPasses       = "switching/token_passes"
-	KeySwitchesCompleted = "switching/switches_completed"
-	KeyBuffered          = "switching/buffered"
-	KeyStaleDropped      = "switching/stale_dropped"
-	KeyWedgeTimeouts     = "switching/wedge_timeouts"
-	KeyTokensRegenerated = "switching/tokens_regenerated"
-	KeySwitchesAborted   = "switching/switches_aborted"
-	KeyForcedAdvances    = "switching/forced_advances"
-	KeySwitchesStarted   = "switching/switches_started"
-	KeySwitchRounds      = "switching/switch_rounds"
-	KeySuspects          = "switching/suspects"
-	KeySuspectsCleared   = "switching/suspects_cleared"
-	KeySuspicionsRaised  = "switching/suspicions_raised"
-	KeySuspicionsCleared = "switching/suspicions_cleared"
-	KeyFlapPenalties     = "switching/flap_penalties"
-	KeyDegradedSkips     = "switching/degraded_skips"
-	KeyReincludes        = "switching/reincludes"
-	KeyMalformedDropped  = "switching/malformed_dropped"
-	KeyQuarantines       = "switching/quarantines"
-	KeyAuthFailed        = "switching/auth_failed"
-	KeyShed              = "switching/shed"
-	KeyBackpressured     = "switching/backpressured"
-	KeyRetriedSends      = "switching/retried_sends"
-
-	KeyNetCrashes     = "net/crashes"
-	KeyNetPartitions  = "net/partitions"
-	KeyNetHeals       = "net/heals"
-	KeyNetFaultSets   = "net/fault_sets"
-	KeyNetDrops       = "net/drops"
-	KeyNetDelays      = "net/delays"
-	KeyNetCorruptSets = "net/corrupt_sets"
-	KeyNetCorrupts    = "net/corrupts"
-	KeyNetTruncates   = "net/truncates"
-	KeyNetGarbage     = "net/garbage"
-	KeyNetForged      = "net/forged"
-	KeyNetReplayed    = "net/replayed"
-	KeyNetSpikes      = "net/sender_spikes"
-	KeyNetLinkFaults  = "net/link_fault_sets"
-	KeyNetSlowNodes   = "net/slow_node_sets"
-	KeyNetFlapSets    = "net/flap_sets"
-
-	// KeySwitchDuration is the per-member histogram of initiated switch
-	// round durations (EvSwitchComplete).
-	KeySwitchDuration = "switching/switch_duration"
-)
-
-// counterKey maps event types to the counter they increment; types not
-// listed (token holds, phases) are trace-only.
+// counterKey names the counter each event type increments,
+// "<layer>/<name>"; types not listed (token holds, phases) are
+// trace-only. A switching-layer name that counts a switching.Stats
+// field is "switching/" plus that field's json tag (pinned by
+// switching's TestStatsCountersMatchEvents), so a member's registry
+// counters and its Stats() compare field by field. Counts are kept by
+// event type (Tally); these names are applied only when a registry
+// snapshot or a telemetry window is rendered.
 var counterKey = [eventTypeCount]string{
-	EvTokenPass:      KeyTokenPasses,
-	EvTokenRegen:     KeyTokensRegenerated,
-	EvSwitchStart:    KeySwitchesStarted,
-	EvSwitchComplete: KeySwitchRounds,
-	EvSwitchAbort:    KeySwitchesAborted,
-	EvEpochAdvance:   KeySwitchesCompleted,
-	EvEpochForced:    KeyForcedAdvances,
-	EvBuffered:       KeyBuffered,
-	EvStaleDrop:      KeyStaleDropped,
-	EvWedgeTimeout:   KeyWedgeTimeouts,
-	EvSuspect:        KeySuspects,
-	EvCrash:          KeyNetCrashes,
-	EvPartition:      KeyNetPartitions,
-	EvHeal:           KeyNetHeals,
-	EvFaultSet:       KeyNetFaultSets,
-	EvDrop:           KeyNetDrops,
-	EvDelay:          KeyNetDelays,
-	EvCorruptSet:     KeyNetCorruptSets,
-	EvCorrupt:        KeyNetCorrupts,
-	EvTruncate:       KeyNetTruncates,
-	EvGarbage:        KeyNetGarbage,
-	EvMalformedDrop:  KeyMalformedDropped,
-	EvQuarantine:     KeyQuarantines,
-	EvAuthFail:       KeyAuthFailed,
-	EvForged:         KeyNetForged,
-	EvReplayed:       KeyNetReplayed,
-	EvShed:           KeyShed,
-	EvBackpressureOn: KeyBackpressured,
-	EvRetrySend:      KeyRetriedSends,
-	EvSenderSpike:    KeyNetSpikes,
-	EvSuspectCleared: KeySuspectsCleared,
-	EvSuspicionRaise: KeySuspicionsRaised,
-	EvSuspicionClear: KeySuspicionsCleared,
-	EvFlapPenalty:    KeyFlapPenalties,
-	EvDegradedSkip:   KeyDegradedSkips,
-	EvReinclude:      KeyReincludes,
-	EvLinkFaultSet:   KeyNetLinkFaults,
-	EvSlowNodeSet:    KeyNetSlowNodes,
-	EvFlapSet:        KeyNetFlapSets,
+	EvTokenPass:      "switching/token_passes",
+	EvTokenRegen:     "switching/tokens_regenerated",
+	EvSwitchStart:    "switching/switches_started",
+	EvSwitchComplete: "switching/switch_rounds",
+	EvSwitchAbort:    "switching/switches_aborted",
+	EvEpochAdvance:   "switching/switches_completed",
+	EvEpochForced:    "switching/forced_advances",
+	EvBuffered:       "switching/buffered",
+	EvStaleDrop:      "switching/stale_dropped",
+	EvWedgeTimeout:   "switching/wedge_timeouts",
+	EvSuspect:        "switching/suspects",
+	EvCrash:          "net/crashes",
+	EvPartition:      "net/partitions",
+	EvHeal:           "net/heals",
+	EvFaultSet:       "net/fault_sets",
+	EvDrop:           "net/drops",
+	EvDelay:          "net/delays",
+	EvCorruptSet:     "net/corrupt_sets",
+	EvCorrupt:        "net/corrupts",
+	EvTruncate:       "net/truncates",
+	EvGarbage:        "net/garbage",
+	EvMalformedDrop:  "switching/malformed_dropped",
+	EvQuarantine:     "switching/quarantines",
+	EvAuthFail:       "switching/auth_failed",
+	EvForged:         "net/forged",
+	EvReplayed:       "net/replayed",
+	EvShed:           "switching/shed",
+	EvBackpressureOn: "switching/backpressured",
+	EvRetrySend:      "switching/retried_sends",
+	EvSenderSpike:    "net/sender_spikes",
+	EvSuspectCleared: "switching/suspects_cleared",
+	EvSuspicionRaise: "switching/suspicions_raised",
+	EvSuspicionClear: "switching/suspicions_cleared",
+	EvFlapPenalty:    "switching/flap_penalties",
+	EvDegradedSkip:   "switching/degraded_skips",
+	EvReinclude:      "switching/reincludes",
+	EvLinkFaultSet:   "net/link_fault_sets",
+	EvSlowNodeSet:    "net/slow_node_sets",
+	EvFlapSet:        "net/flap_sets",
 }
+
+// switchDurationKey names the histogram of initiated switch round
+// durations (EvSwitchComplete) in a snapshot.
+const switchDurationKey = "switching/switch_duration"
 
 // CounterKey returns the counter an event type increments ("" for
 // trace-only types).
@@ -245,63 +204,102 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return BucketHigh(HistogramBuckets - 1)
 }
 
-// Metrics is the per-member, per-layer registry: counters and latency
-// histograms keyed by "<layer>/<name>". It is a plain accumulator —
-// callers feed it either directly or through the event adapter
-// returned by Recorder.
-type Metrics struct {
-	members map[ids.ProcID]*memberMetrics
+// Tally is one member's share of the event stream: a count per event
+// type and the histogram of the switch rounds it completed as
+// initiator. The registry keeps one per member for a whole run, the
+// telemetry sampler one per member per window.
+type Tally struct {
+	counts    [eventTypeCount]uint64
+	switchDur Histogram
 }
 
-type memberMetrics struct {
-	counters map[string]uint64
-	hists    map[string]*Histogram
+// Record counts e and, for a switch completion, observes the round's
+// duration.
+func (t *Tally) Record(e Event) {
+	if e.Type >= eventTypeCount {
+		return
+	}
+	t.counts[e.Type]++
+	if e.Type == EvSwitchComplete {
+		t.switchDur.Observe(time.Duration(e.Args[0]))
+	}
+}
+
+// Count returns how many events of type et were recorded.
+func (t *Tally) Count(et EventType) uint64 {
+	if et >= eventTypeCount {
+		return 0
+	}
+	return t.counts[et]
+}
+
+// SwitchDurations returns the histogram of switch round durations.
+func (t *Tally) SwitchDurations() *Histogram { return &t.switchDur }
+
+// Merge adds another tally's counts and observations into t.
+func (t *Tally) Merge(o *Tally) {
+	for i, c := range o.counts {
+		t.counts[i] += c
+	}
+	t.switchDur.Merge(o.switchDur)
+}
+
+// Counters renders the non-zero counts of counted event types under
+// their counter names (nil when there are none).
+func (t *Tally) Counters() map[string]uint64 {
+	var out map[string]uint64
+	for et, c := range t.counts {
+		if c == 0 || counterKey[et] == "" {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]uint64)
+		}
+		out[counterKey[et]] = c
+	}
+	return out
+}
+
+// Metrics is the per-member registry: one Tally per member, fed by
+// recording events. Only counted event types (CounterKey non-empty)
+// reach it, so a member appears once one of those has been recorded for
+// it.
+type Metrics struct {
+	members map[ids.ProcID]*Tally
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{members: make(map[ids.ProcID]*memberMetrics)}
+	return &Metrics{members: make(map[ids.ProcID]*Tally)}
 }
 
-func (m *Metrics) member(p ids.ProcID) *memberMetrics {
-	mm := m.members[p]
-	if mm == nil {
-		mm = &memberMetrics{counters: make(map[string]uint64), hists: make(map[string]*Histogram)}
-		m.members[p] = mm
+func (m *Metrics) member(p ids.ProcID) *Tally {
+	t := m.members[p]
+	if t == nil {
+		t = &Tally{}
+		m.members[p] = t
 	}
-	return mm
+	return t
 }
 
-// Add increments member p's counter key by delta.
-func (m *Metrics) Add(p ids.ProcID, key string, delta uint64) {
-	m.member(p).counters[key] += delta
-}
-
-// Observe adds one duration to member p's histogram key.
-func (m *Metrics) Observe(p ids.ProcID, key string, d time.Duration) {
-	mm := m.member(p)
-	h := mm.hists[key]
-	if h == nil {
-		h = &Histogram{}
-		mm.hists[key] = h
+// Record counts a counted event at its member; trace-only events are
+// ignored.
+func (m *Metrics) Record(e Event) {
+	if CounterKey(e.Type) == "" {
+		return
 	}
-	h.Observe(d)
+	m.member(e.Proc).Record(e)
 }
 
-// Counter returns member p's counter value (zero when absent).
-func (m *Metrics) Counter(p ids.ProcID, key string) uint64 {
-	if mm := m.members[p]; mm != nil {
-		return mm.counters[key]
+// Enabled reports true.
+func (m *Metrics) Enabled() bool { return true }
+
+// Count returns how many events of type et were recorded for member p.
+func (m *Metrics) Count(p ids.ProcID, et EventType) uint64 {
+	if t := m.members[p]; t != nil {
+		return t.Count(et)
 	}
 	return 0
-}
-
-// Hist returns member p's histogram (nil when absent).
-func (m *Metrics) Hist(p ids.ProcID, key string) *Histogram {
-	if mm := m.members[p]; mm != nil {
-		return mm.hists[key]
-	}
-	return nil
 }
 
 // Procs returns the members present in the registry, sorted by ProcID.
@@ -319,39 +317,10 @@ func (m *Metrics) Merge(o *Metrics) {
 	if o == nil {
 		return
 	}
-	for p, om := range o.members {
-		mm := m.member(p)
-		for k, v := range om.counters {
-			mm.counters[k] += v
-		}
-		for k, h := range om.hists {
-			dst := mm.hists[k]
-			if dst == nil {
-				dst = &Histogram{}
-				mm.hists[k] = dst
-			}
-			dst.Merge(*h)
-		}
+	for p, t := range o.members {
+		m.member(p).Merge(t)
 	}
 }
-
-// Recorder returns the event adapter that feeds the registry: every
-// event increments its member's mapped counter, and switch completions
-// additionally observe the round duration histogram.
-func (m *Metrics) Recorder() Recorder { return metricsRecorder{m} }
-
-type metricsRecorder struct{ m *Metrics }
-
-func (r metricsRecorder) Record(e Event) {
-	if key := CounterKey(e.Type); key != "" {
-		r.m.Add(e.Proc, key, 1)
-	}
-	if e.Type == EvSwitchComplete {
-		r.m.Observe(e.Proc, KeySwitchDuration, time.Duration(e.Args[0]))
-	}
-}
-
-func (r metricsRecorder) Enabled() bool { return true }
 
 // HistogramJSON is a histogram's artifact form: total count, total
 // duration in microseconds, and the trimmed bucket counts (bucket i
@@ -380,19 +349,10 @@ type MemberMetrics struct {
 func (m *Metrics) Snapshot() []MemberMetrics {
 	out := make([]MemberMetrics, 0, len(m.members))
 	for _, p := range m.Procs() {
-		mm := m.members[p]
-		s := MemberMetrics{Proc: int(p)}
-		if len(mm.counters) > 0 {
-			s.Counters = make(map[string]uint64, len(mm.counters))
-			for k, v := range mm.counters {
-				s.Counters[k] = v
-			}
-		}
-		if len(mm.hists) > 0 {
-			s.Histograms = make(map[string]HistogramJSON, len(mm.hists))
-			for k, h := range mm.hists {
-				s.Histograms[k] = h.ToJSON()
-			}
+		t := m.members[p]
+		s := MemberMetrics{Proc: int(p), Counters: t.Counters()}
+		if t.switchDur.Count() > 0 {
+			s.Histograms = map[string]HistogramJSON{switchDurationKey: t.switchDur.ToJSON()}
 		}
 		out = append(out, s)
 	}

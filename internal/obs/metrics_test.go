@@ -117,7 +117,7 @@ func TestHistogramQuantileInterpolates(t *testing.T) {
 
 func TestMetricsRecorderMapsEvents(t *testing.T) {
 	m := NewMetrics()
-	r := m.Recorder()
+	var r Recorder = m
 	if !r.Enabled() {
 		t.Fatal("metrics recorder disabled")
 	}
@@ -129,21 +129,28 @@ func TestMetricsRecorderMapsEvents(t *testing.T) {
 	r.Record(TokenHold(5, 1, 1, 0, 0)) // trace-only: no counter
 	r.Record(Crash(6, 2))
 
-	if got := m.Counter(1, KeyTokenPasses); got != 2 {
+	if got := m.Count(1, EvTokenPass); got != 2 {
 		t.Errorf("token passes = %d", got)
 	}
-	if got := m.Counter(1, KeyWedgeTimeouts); got != 1 {
+	if got := m.Count(1, EvWedgeTimeout); got != 1 {
 		t.Errorf("wedge timeouts = %d", got)
 	}
-	if got := m.Counter(1, KeyTokensRegenerated); got != 1 {
+	if got := m.Count(1, EvTokenRegen); got != 1 {
 		t.Errorf("regens = %d", got)
 	}
-	if got := m.Counter(2, KeyNetCrashes); got != 1 {
+	if got := m.Count(2, EvCrash); got != 1 {
 		t.Errorf("crashes = %d", got)
 	}
-	h := m.Hist(1, KeySwitchDuration)
-	if h == nil || h.Count() != 1 || h.Sum() != 31*time.Millisecond {
-		t.Errorf("switch duration histogram wrong: %+v", h)
+	if got := m.Count(1, EvTokenHold); got != 0 {
+		t.Errorf("trace-only token holds counted: %d", got)
+	}
+	snap := m.Snapshot()
+	if got := snap[0].Counters[CounterKey(EvTokenPass)]; got != 2 {
+		t.Errorf("snapshot token passes = %d", got)
+	}
+	h, ok := snap[0].Histograms[switchDurationKey]
+	if !ok || h.Count != 1 || h.SumUS != 31000 {
+		t.Errorf("switch duration histogram wrong: %+v", snap[0].Histograms)
 	}
 	if CounterKey(EvTokenHold) != "" || CounterKey(EvPhase) != "" {
 		t.Error("trace-only events must not map to counters")
@@ -152,24 +159,24 @@ func TestMetricsRecorderMapsEvents(t *testing.T) {
 
 func TestMetricsMergeAndSnapshotOrder(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Add(3, KeyTokenPasses, 2)
-	a.Observe(3, KeySwitchDuration, time.Millisecond)
-	b.Add(0, KeyTokenPasses, 1)
-	b.Add(3, KeyTokenPasses, 5)
-	b.Observe(3, KeySwitchDuration, 2*time.Millisecond)
+	a.Record(TokenPass(0, 3, 0, 1, 0, 0))
+	a.Record(TokenPass(0, 3, 0, 1, 0, 0))
+	a.Record(SwitchComplete(0, 3, 0, 1, time.Millisecond))
+	b.Record(TokenPass(0, 0, 1, 1, 0, 0))
+	for i := 0; i < 5; i++ {
+		b.Record(TokenPass(0, 3, 0, 1, 0, 0))
+	}
+	b.Record(SwitchComplete(0, 3, 0, 1, 2*time.Millisecond))
 	a.Merge(b)
 	a.Merge(nil)
-	if got := a.Counter(3, KeyTokenPasses); got != 7 {
+	if got := a.Count(3, EvTokenPass); got != 7 {
 		t.Errorf("merged counter = %d, want 7", got)
-	}
-	if h := a.Hist(3, KeySwitchDuration); h.Count() != 2 {
-		t.Errorf("merged histogram count = %d, want 2", h.Count())
 	}
 	snap := a.Snapshot()
 	if len(snap) != 2 || snap[0].Proc != 0 || snap[1].Proc != 3 {
 		t.Fatalf("snapshot not sorted by proc: %+v", snap)
 	}
-	if snap[1].Histograms[KeySwitchDuration].Count != 2 {
-		t.Error("snapshot lost histogram")
+	if snap[1].Histograms[switchDurationKey].Count != 2 {
+		t.Errorf("merged histogram count = %d, want 2", snap[1].Histograms[switchDurationKey].Count)
 	}
 }

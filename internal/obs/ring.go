@@ -54,6 +54,3 @@ func (f *FlightRecorder) Dropped() uint64 {
 	}
 	return 0
 }
-
-// Total returns how many events were recorded overall.
-func (f *FlightRecorder) Total() uint64 { return f.total }

@@ -36,13 +36,14 @@ import (
 const Interval = 100 * time.Millisecond
 
 // MemberWindow is one member's aggregate over one window. Counters are
-// deltas (this window only), keyed exactly like the cumulative
-// obs.Metrics registry, so summing a member's windows reproduces its
-// final counters — the consistency invariant the chaos tests check.
+// deltas (this window only), kept in the same obs.Tally as the
+// cumulative obs.Metrics registry and rendered under the same names, so
+// summing a member's windows reproduces its final counters — the
+// consistency invariant the chaos tests check.
 type MemberWindow struct {
 	Proc int `json:"proc"`
 	// Counters holds the event-derived counter deltas for the window
-	// (obs.CounterKey mapping; absent keys are zero).
+	// (named by obs.CounterKey; absent keys are zero).
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// SwitchDur is the windowed histogram of switch-round durations
 	// completed in this window, with bucket-quantile accessors
@@ -71,10 +72,11 @@ type Window struct {
 	Members []MemberWindow `json:"members"`
 }
 
-// memberAccum is the mutable per-member state of the open window.
+// memberAccum is the mutable per-member state of the open window: the
+// member's tally of the window's events (the registry's accumulator,
+// named only when the window is rendered) and its gauges.
 type memberAccum struct {
-	counters map[string]uint64
-	hist     obs.Histogram
+	tally    obs.Tally
 	depth    int64
 	suspects int
 }
@@ -108,15 +110,11 @@ func (s *Sampler) Record(e obs.Event) {
 	s.Tick(e.At)
 	acc := s.open[e.Proc]
 	if acc == nil {
-		acc = &memberAccum{counters: make(map[string]uint64)}
+		acc = &memberAccum{}
 		s.open[e.Proc] = acc
 	}
-	if key := obs.CounterKey(e.Type); key != "" {
-		acc.counters[key]++
-	}
+	acc.tally.Record(e)
 	switch e.Type {
-	case obs.EvSwitchComplete:
-		acc.hist.Observe(time.Duration(e.Args[0]))
 	case obs.EvQueueDepth:
 		acc.depth = e.Args[0]
 	case obs.EvSuspect:
@@ -181,16 +179,14 @@ func (s *Sampler) flush() {
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	for _, p := range procs {
 		acc := s.open[p]
-		mw := MemberWindow{Proc: int(p), QueueDepth: acc.depth, Suspects: acc.suspects}
-		if len(acc.counters) > 0 {
-			mw.Counters = acc.counters
-		}
-		if acc.hist.Count() > 0 {
-			hj := acc.hist.ToJSON()
+		mw := MemberWindow{Proc: int(p), Counters: acc.tally.Counters(),
+			QueueDepth: acc.depth, Suspects: acc.suspects}
+		if h := acc.tally.SwitchDurations(); h.Count() > 0 {
+			hj := h.ToJSON()
 			mw.SwitchDur = &hj
-			mw.P50US = int64(acc.hist.Quantile(0.50) / time.Microsecond)
-			mw.P95US = int64(acc.hist.Quantile(0.95) / time.Microsecond)
-			mw.P99US = int64(acc.hist.Quantile(0.99) / time.Microsecond)
+			mw.P50US = int64(h.Quantile(0.50) / time.Microsecond)
+			mw.P95US = int64(h.Quantile(0.95) / time.Microsecond)
+			mw.P99US = int64(h.Quantile(0.99) / time.Microsecond)
 		}
 		w.Members = append(w.Members, mw)
 	}

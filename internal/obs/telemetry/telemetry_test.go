@@ -14,7 +14,7 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 	// The cumulative registry is fed the same events, as chaos.Run feeds
 	// its own registry beside the sampler.
 	m := obs.NewMetrics()
-	rec := obs.Multi(s, m.Recorder())
+	rec := obs.Multi(s, m)
 	// Window 0: two token passes at member 1, one drop at member 2.
 	rec.Record(obs.TokenPass(ms(10), 1, 2, 1, 0, 0))
 	rec.Record(obs.TokenPass(ms(20), 1, 2, 1, 0, 0))
@@ -37,7 +37,7 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 	if len(ws[0].Members) != 2 || ws[0].Members[0].Proc != 1 || ws[0].Members[1].Proc != 2 {
 		t.Fatalf("window 0 members wrong: %+v", ws[0].Members)
 	}
-	if got := ws[0].Members[0].Counters[obs.KeyTokenPasses]; got != 2 {
+	if got := ws[0].Members[0].Counters[obs.CounterKey(obs.EvTokenPass)]; got != 2 {
 		t.Errorf("window 0 member 1 passes = %d", got)
 	}
 	if ws[1].Members[0].SwitchDur == nil || ws[1].Members[0].SwitchDur.Count != 1 {
@@ -48,14 +48,16 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 	}
 
 	// Consistency: windowed sums reproduce the cumulative registry.
-	if len(m.Procs()) != 2 {
+	snap := m.Snapshot()
+	if len(snap) != 2 {
 		t.Fatalf("registry members = %v, want 2", m.Procs())
 	}
-	for _, p := range m.Procs() {
+	for _, mm := range snap {
+		p := mm.Proc
 		sums := make(map[string]uint64)
 		for _, w := range ws {
 			for _, mw := range w.Members {
-				if mw.Proc == int(p) {
+				if mw.Proc == p {
 					for k, v := range mw.Counters {
 						sums[k] += v
 					}
@@ -63,7 +65,7 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 			}
 		}
 		for k, v := range sums {
-			if got := m.Counter(p, k); got != v {
+			if got := mm.Counters[k]; got != v {
 				t.Errorf("member %d key %s: cumulative %d != windowed sum %d", p, k, got, v)
 			}
 		}
@@ -127,7 +129,7 @@ func TestSamplerSuspectGaugeFalls(t *testing.T) {
 	// counter.
 	var cleared uint64
 	for _, w := range ws {
-		cleared += w.Members[0].Counters[obs.KeySuspectsCleared]
+		cleared += w.Members[0].Counters[obs.CounterKey(obs.EvSuspectCleared)]
 	}
 	if cleared != 2 {
 		t.Errorf("suspects_cleared windowed sum = %d, want 2", cleared)

@@ -50,9 +50,6 @@ type outState struct {
 // inState tracks one source's incoming stream.
 type inState struct {
 	next uint64 // next expected seq
-	// ackArmed is set while a delayed cumulative ack is scheduled for
-	// this stream (see DelayAcks).
-	ackArmed bool
 }
 
 // common implements the machinery shared by both ARQ flavours; the
@@ -61,16 +58,13 @@ type common struct {
 	name    string
 	window  int
 	timeout time.Duration
-	// ackDelay > 0 defers cumulative acks (see DelayAcks): a burst of
-	// data frames is answered by one coalesced ack instead of one each.
-	ackDelay time.Duration
-	env      proto.Env
-	down     proto.Down
-	up       proto.Up
-	out      map[ids.ProcID]*outState
-	in       map[ids.ProcID]*inState
-	stopped  bool
-	stats    Stats
+	env     proto.Env
+	down    proto.Down
+	up      proto.Up
+	out     map[ids.ProcID]*outState
+	in      map[ids.ProcID]*inState
+	stopped bool
+	stats   Stats
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
 	malformed uint64
@@ -110,15 +104,6 @@ func (c *common) Stop() {
 
 // Stats returns a copy of the counters.
 func (c *common) Stats() Stats { return c.stats }
-
-// DelayAcks enables coalesced cumulative acknowledgements: instead of
-// acking every data frame immediately (the behaviour kept when
-// d <= 0), the receiver schedules one ack per stream per delay window,
-// so a pipelined burst is answered by a single cumulative ack. The
-// delay must stay well below the sender's retransmission timeout or
-// every burst is needlessly retransmitted; a quarter of the timeout is
-// a safe ceiling. Call before traffic starts.
-func (c *common) DelayAcks(d time.Duration) { c.ackDelay = d }
 
 // InFlight returns how many frames are unacknowledged toward dst.
 func (c *common) InFlight(dst ids.ProcID) int {
@@ -267,20 +252,8 @@ func (c *common) Recv(src ids.ProcID, pkt []byte) {
 			c.stats.DupsDropped++
 		}
 		// Cumulative ack either way (a duplicate means our ack was
-		// lost or the sender timed out early) — immediately, or once
-		// per delay window when acks are coalesced.
-		if c.ackDelay <= 0 {
-			c.sendAck(src, in)
-		} else if !in.ackArmed {
-			in.ackArmed = true
-			c.env.After(c.ackDelay, func() {
-				in.ackArmed = false
-				if c.stopped {
-					return
-				}
-				c.sendAck(src, in)
-			})
-		}
+		// lost or the sender timed out early).
+		c.sendAck(src, in)
 	case kindAck:
 		next := d.Uvarint()
 		if d.Err() != nil {

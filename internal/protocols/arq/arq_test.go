@@ -63,8 +63,11 @@ func TestReliableFIFODelivery(t *testing.T) {
 
 func TestRecoveryFromLoss(t *testing.T) {
 	eachProtocol(t, func(t *testing.T, name string, mk func() proto.Layer) {
-		cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond, DropProb: 0.3}
+		cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
 		c := p2p(t, 7, cfg, mk)
+		if err := c.Net.SetFaults(0.3, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 		const n = 20
 		for i := 0; i < n; i++ {
 			if err := c.Members[0].Stack.Send(1, []byte(fmt.Sprintf("m%02d", i))); err != nil {
@@ -87,8 +90,11 @@ func TestRecoveryFromLoss(t *testing.T) {
 
 func TestRecoveryFromDuplication(t *testing.T) {
 	eachProtocol(t, func(t *testing.T, name string, mk func() proto.Layer) {
-		cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond, DupProb: 0.4}
+		cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
 		c := p2p(t, 3, cfg, mk)
+		if err := c.Net.SetFaults(0, 0.4, 0); err != nil {
+			t.Fatal(err)
+		}
 		const n = 15
 		for i := 0; i < n; i++ {
 			if err := c.Members[0].Stack.Send(1, []byte(fmt.Sprintf("m%02d", i))); err != nil {
@@ -285,8 +291,11 @@ func TestWindowDefaults(t *testing.T) {
 // while go-back-N resends its whole outstanding window.
 func TestSelectiveRepeatRetransmitsLessThanGBN(t *testing.T) {
 	run := func(mk func() proto.Layer, stats func() Stats) (int, uint64) {
-		cfg := simnet.Config{Nodes: 2, PropDelay: 2 * time.Millisecond, DropProb: 0.2}
+		cfg := simnet.Config{Nodes: 2, PropDelay: 2 * time.Millisecond}
 		c := p2p(t, 17, cfg, mk)
+		if err := c.Net.SetFaults(0.2, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 		const n = 60
 		for i := 0; i < n; i++ {
 			if err := c.Members[0].Stack.Send(1, []byte(fmt.Sprintf("m%02d", i))); err != nil {
@@ -388,8 +397,11 @@ func TestInFlightAccounting(t *testing.T) {
 func TestDeterministicEventScheduleUnderLoss(t *testing.T) {
 	eachProtocol(t, func(t *testing.T, name string, mk func() proto.Layer) {
 		run := func() (uint64, int) {
-			cfg := simnet.Config{Nodes: 2, PropDelay: 2 * time.Millisecond, DropProb: 0.25}
+			cfg := simnet.Config{Nodes: 2, PropDelay: 2 * time.Millisecond}
 			c := p2p(t, 42, cfg, mk)
+			if err := c.Net.SetFaults(0.25, 0, 0); err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < 40; i++ {
 				if err := c.Members[0].Stack.Send(1, []byte(fmt.Sprintf("m%02d", i))); err != nil {
 					t.Fatal(err)

@@ -88,8 +88,11 @@ func TestCausalReplyOrdering(t *testing.T) {
 }
 
 func TestConcurrentMessagesBothDelivered(t *testing.T) {
-	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond, Jitter: 2 * time.Millisecond}
+	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
 	c, _ := cluster(t, 5, cfg, 3)
+	if err := c.Net.SetFaults(0, 0, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Cast(0, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +122,11 @@ func TestSenderDeliversOwnMessages(t *testing.T) {
 }
 
 func TestUnderLossAndJitter(t *testing.T) {
-	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond, DropProb: 0.2, Jitter: 2 * time.Millisecond}
+	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond}
 	c, _ := cluster(t, 9, cfg, 4)
+	if err := c.Net.SetFaults(0.2, 0, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
 		for s := 0; s < 4; s++ {
 			if err := c.Cast(ids.ProcID(s), []byte(fmt.Sprintf("s%d-%d", s, i))); err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/protocols/ptest"
 	"repro/internal/simnet"
@@ -76,8 +77,13 @@ func TestUnicastSend(t *testing.T) {
 }
 
 func TestRecoveryFromLoss(t *testing.T) {
-	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond, DropProb: 0.3}
+	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
 	c, layers, _ := tappedCluster(t, 7, cfg, 3)
+	if err := c.Net.SetFaults(0.3, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	faults := obs.NewMetrics()
+	c.Net.SetRecorder(faults)
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := c.Cast(0, []byte(fmt.Sprintf("m%03d", i))); err != nil {
@@ -104,14 +110,21 @@ func TestRecoveryFromLoss(t *testing.T) {
 	if retx == 0 {
 		t.Error("no retransmissions: loss recovery unexercised")
 	}
-	if c.Net.Stats().Dropped == 0 {
+	var dropped uint64
+	for _, p := range faults.Procs() {
+		dropped += faults.Count(p, obs.EvDrop)
+	}
+	if dropped == 0 {
 		t.Error("test network dropped nothing; loss path unexercised")
 	}
 }
 
 func TestRecoveryFromDuplication(t *testing.T) {
-	cfg := simnet.Config{Nodes: 2, DupProb: 0.5}
+	cfg := simnet.Config{Nodes: 2}
 	c := cluster(t, 3, cfg, 2)
+	if err := c.Net.SetFaults(0, 0.5, 0); err != nil {
+		t.Fatal(err)
+	}
 	const n = 20
 	for i := 0; i < n; i++ {
 		if err := c.Cast(0, []byte(fmt.Sprintf("m%d", i))); err != nil {
@@ -125,8 +138,11 @@ func TestRecoveryFromDuplication(t *testing.T) {
 }
 
 func TestRecoveryFromReordering(t *testing.T) {
-	cfg := simnet.Config{Nodes: 2, Jitter: 10 * time.Millisecond}
+	cfg := simnet.Config{Nodes: 2}
 	c := cluster(t, 5, cfg, 2)
+	if err := c.Net.SetFaults(0, 0, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	const n = 30
 	for i := 0; i < n; i++ {
 		if err := c.Cast(0, []byte(fmt.Sprintf("m%02d", i))); err != nil {
@@ -146,8 +162,11 @@ func TestRecoveryFromReordering(t *testing.T) {
 }
 
 func TestMultipleSimultaneousSenders(t *testing.T) {
-	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond, DropProb: 0.2}
+	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
 	c := cluster(t, 11, cfg, 3)
+	if err := c.Net.SetFaults(0.2, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	const per = 10
 	for i := 0; i < per; i++ {
 		for s := 0; s < 3; s++ {
@@ -430,7 +449,7 @@ func TestInitNilWiring(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	cfg := simnet.Config{Nodes: 2, DropProb: 0.3, PropDelay: time.Millisecond}
+	cfg := simnet.Config{Nodes: 2, PropDelay: time.Millisecond}
 	var layers []*Layer
 	c, err := ptest.New(13, cfg, 2, func(proto.Env) []proto.Layer {
 		l := New(Config{})
@@ -438,6 +457,9 @@ func TestStatsCounters(t *testing.T) {
 		return []proto.Layer{l}
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Net.SetFaults(0.3, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {

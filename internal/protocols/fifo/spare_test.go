@@ -72,8 +72,11 @@ func TestCastAckCycleAllocs(t *testing.T) {
 // than the layer once held packets at one time — under loss, with
 // payload sizes that make recycled buffers too small at times.
 func TestSparesWithinHighWater(t *testing.T) {
-	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond, DropProb: 0.2}
+	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
 	c, layers, _ := tappedCluster(t, 5, cfg, 3)
+	if err := c.Net.SetFaults(0.2, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	l := layers[0]
 	held := func() int {
 		n := l.castOut.n

@@ -80,7 +80,7 @@ func TestTamperedPayloadRejected(t *testing.T) {
 	// Build a valid sealed packet, then flip a payload byte and inject.
 	sealed := layers[0].seal([]byte("original"))
 	sealed[len(sealed)-1] ^= 0xff
-	if err := c.Net.Inject(0, 1, sealed); err != nil {
+	if err := c.Net.InjectForged(0, 1, sealed); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(time.Second)

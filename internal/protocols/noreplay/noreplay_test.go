@@ -82,7 +82,7 @@ func TestReplayAttackOverNetwork(t *testing.T) {
 	c.Run(100 * time.Millisecond)
 	// Replay the exact payload twice.
 	for i := 0; i < 2; i++ {
-		if err := c.Net.Inject(0, 1, []byte("pay $100")); err != nil {
+		if err := c.Net.InjectForged(0, 1, []byte("pay $100")); err != nil {
 			t.Fatal(err)
 		}
 	}

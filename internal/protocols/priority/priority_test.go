@@ -23,8 +23,11 @@ func cluster(t *testing.T, seed int64, cfg simnet.Config, n int) *ptest.Cluster 
 }
 
 func TestMasterDeliversFirst(t *testing.T) {
-	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond, Jitter: 3 * time.Millisecond}
+	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond}
 	c := cluster(t, 3, cfg, 4)
+	if err := c.Net.SetFaults(0, 0, 3*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		if err := c.Cast(2, []byte{byte('a' + i)}); err != nil {
 			t.Fatal(err)

@@ -58,8 +58,11 @@ func TestSingleSenderTotalOrder(t *testing.T) {
 }
 
 func TestConcurrentSendersAgree(t *testing.T) {
-	cfg := simnet.Config{Nodes: 5, PropDelay: time.Millisecond, Jitter: 2 * time.Millisecond}
+	cfg := simnet.Config{Nodes: 5, PropDelay: time.Millisecond}
 	c := cluster(t, 3, cfg, 5)
+	if err := c.Net.SetFaults(0, 0, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
 		for s := 0; s < 5; s++ {
 			if err := c.Cast(ids.ProcID(s), []byte(fmt.Sprintf("s%d-%d", s, i))); err != nil {
@@ -82,8 +85,11 @@ func TestSequencerAsSender(t *testing.T) {
 }
 
 func TestTotalOrderUnderLoss(t *testing.T) {
-	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond, DropProb: 0.2}
+	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond}
 	c := cluster(t, 9, cfg, 4)
+	if err := c.Net.SetFaults(0.2, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		for s := 0; s < 4; s++ {
 			if err := c.Cast(ids.ProcID(s), []byte(fmt.Sprintf("s%d-%d", s, i))); err != nil {

@@ -57,8 +57,11 @@ func TestSingleSenderTotalOrder(t *testing.T) {
 }
 
 func TestConcurrentSendersAgree(t *testing.T) {
-	cfg := simnet.Config{Nodes: 5, PropDelay: time.Millisecond, Jitter: 2 * time.Millisecond}
+	cfg := simnet.Config{Nodes: 5, PropDelay: time.Millisecond}
 	c := cluster(t, 3, cfg, 5, Config{HoldDelay: time.Millisecond})
+	if err := c.Net.SetFaults(0, 0, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
 		for s := 0; s < 5; s++ {
 			if err := c.Cast(ids.ProcID(s), []byte(fmt.Sprintf("s%d-%d", s, i))); err != nil {
@@ -72,8 +75,11 @@ func TestConcurrentSendersAgree(t *testing.T) {
 }
 
 func TestTotalOrderUnderLoss(t *testing.T) {
-	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond, DropProb: 0.15}
+	cfg := simnet.Config{Nodes: 4, PropDelay: time.Millisecond}
 	c := cluster(t, 9, cfg, 4, Config{HoldDelay: time.Millisecond})
+	if err := c.Net.SetFaults(0.15, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
 		for s := 0; s < 4; s++ {
 			if err := c.Cast(ids.ProcID(s), []byte(fmt.Sprintf("s%d-%d", s, i))); err != nil {

@@ -11,6 +11,7 @@ import (
 func TestInjectForgedDeliversCrafted(t *testing.T) {
 	cfg := Config{Nodes: 2, PropDelay: time.Millisecond}
 	sim, net := newNet(t, cfg)
+	m := counted(net)
 	got := collect(t, sim, net, 1)
 	frame := []byte("crafted-but-unkeyed frame")
 	if err := net.InjectForged(0, 1, frame); err != nil {
@@ -25,8 +26,8 @@ func TestInjectForgedDeliversCrafted(t *testing.T) {
 	if (*got)[0].at != time.Millisecond {
 		t.Errorf("forged frame arrived at %v, want prop delay %v", (*got)[0].at, time.Millisecond)
 	}
-	if s := net.Stats(); s.Forged != 1 {
-		t.Errorf("Stats.Forged = %d, want 1", s.Forged)
+	if n := m.Count(1, obs.EvForged); n != 1 {
+		t.Errorf("forged events = %d, want 1", n)
 	}
 }
 
@@ -43,6 +44,7 @@ func TestInjectForgedValidation(t *testing.T) {
 func TestReplayCaptureAndInject(t *testing.T) {
 	cfg := Config{Nodes: 2, PropDelay: time.Millisecond}
 	sim, net := newNet(t, cfg)
+	m := counted(net)
 	got := collect(t, sim, net, 1)
 	net.SetReplayCapture(8)
 	if err := net.Unicast(0, 1, []byte("genuine")); err != nil {
@@ -63,8 +65,8 @@ func TestReplayCaptureAndInject(t *testing.T) {
 	if len(*got) != 2 || !bytes.Equal((*got)[1].b, []byte("genuine")) || (*got)[1].src != 0 {
 		t.Fatalf("replay delivery wrong: %v", *got)
 	}
-	if s := net.Stats(); s.Replayed != 1 {
-		t.Errorf("Stats.Replayed = %d, want 1", s.Replayed)
+	if n := m.Count(1, obs.EvReplayed); n != 1 {
+		t.Errorf("replayed events = %d, want 1", n)
 	}
 	if err := net.InjectReplay(5); err == nil {
 		t.Error("out-of-range replay index accepted")
@@ -95,7 +97,10 @@ func TestReplayCaptureBounded(t *testing.T) {
 // TestReplayCaptureRecordsPreFault: the tap sees the sender's bytes
 // even when the receiver-side fault model corrupts the delivery.
 func TestReplayCaptureRecordsPreFault(t *testing.T) {
-	sim, net := newNet(t, Config{Nodes: 2, CorruptProb: 0.999999})
+	sim, net := newNet(t, Config{Nodes: 2})
+	if err := net.SetCorruption(0.999999, 0); err != nil {
+		t.Fatal(err)
+	}
 	collect(t, sim, net, 1)
 	net.SetReplayCapture(1)
 	orig := []byte("pristine payload bytes")
@@ -117,9 +122,10 @@ func TestReplayCaptureRecordsPreFault(t *testing.T) {
 // must produce identical delivery schedules — the tap is invisible.
 func TestCaptureConsumesNoRNG(t *testing.T) {
 	run := func(capture bool) []rcvd {
-		cfg := Config{Nodes: 2, PropDelay: time.Millisecond,
-			Jitter: 500 * time.Microsecond, DropProb: 0.2, DupProb: 0.2}
-		sim, net := newNet(t, cfg)
+		sim, net := newNet(t, Config{Nodes: 2, PropDelay: time.Millisecond})
+		if err := net.SetFaults(0.2, 0.2, 500*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
 		got := collect(t, sim, net, 1)
 		if capture {
 			net.SetReplayCapture(64)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ids"
+	"repro/internal/obs"
 )
 
 // TestLinkFaultsAreAsymmetric pins the directed-link override: a 100%
@@ -14,6 +15,7 @@ import (
 func TestLinkFaultsAreAsymmetric(t *testing.T) {
 	cfg := Config{Nodes: 3, PropDelay: time.Millisecond}
 	sim, net := newNet(t, cfg)
+	m := counted(net)
 	at1 := collect(t, sim, net, 1)
 	at0 := collect(t, sim, net, 0)
 	at2 := collect(t, sim, net, 2)
@@ -56,8 +58,8 @@ func TestLinkFaultsAreAsymmetric(t *testing.T) {
 	if len(*at1)-before != 20 {
 		t.Errorf("cleared link still lossy: %d of 20 delivered", len(*at1)-before)
 	}
-	if net.Stats().LinkFaultSets != 2 {
-		t.Errorf("LinkFaultSets = %d, want 2", net.Stats().LinkFaultSets)
+	if total(m, obs.EvLinkFaultSet) != 2 {
+		t.Errorf("link fault sets = %d, want 2", total(m, obs.EvLinkFaultSet))
 	}
 	if err := net.SetLinkFaults(0, 1, 1.5, 0, 0); err == nil {
 		t.Error("SetLinkFaults accepted drop probability 1.5")
@@ -94,6 +96,7 @@ func TestLinkExtraDelayShiftsArrival(t *testing.T) {
 func TestSlowNodeStretchesCPU(t *testing.T) {
 	cfg := Config{Nodes: 2, PropDelay: time.Millisecond, RecvCPU: 2 * time.Millisecond}
 	sim, net := newNet(t, cfg)
+	m := counted(net)
 	log := collect(t, sim, net, 1)
 	if err := net.SetSlowNode(1, 4); err != nil {
 		t.Fatal(err)
@@ -124,8 +127,8 @@ func TestSlowNodeStretchesCPU(t *testing.T) {
 	if got := (*log)[1].at - (*log)[0].at; got != 3*time.Millisecond {
 		t.Errorf("restored delivery lag = %v, want 3ms", got)
 	}
-	if net.Stats().SlowNodeSets != 2 {
-		t.Errorf("SlowNodeSets = %d, want 2", net.Stats().SlowNodeSets)
+	if total(m, obs.EvSlowNodeSet) != 2 {
+		t.Errorf("slow node sets = %d, want 2", total(m, obs.EvSlowNodeSet))
 	}
 	if err := net.SetSlowNode(1, 0); err == nil {
 		t.Error("SetSlowNode accepted factor 0")
@@ -143,6 +146,7 @@ func TestFlappingTogglesAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := counted(net)
 	var got []time.Duration
 	if err := net.Bind(1, func(_ ids.ProcID, _ []byte) {
 		got = append(got, sim.Now())
@@ -187,8 +191,8 @@ func TestFlappingTogglesAndHeals(t *testing.T) {
 	if afterHeal == 0 {
 		t.Error("no deliveries after the window — the final toggle did not heal the link")
 	}
-	if net.Stats().FlapSets == 0 {
-		t.Error("FlapSets never counted")
+	if total(m, obs.EvFlapSet) == 0 {
+		t.Error("flap sets never counted")
 	}
 	if err := net.SetFlapping(0, 1, -time.Second, time.Second); err == nil {
 		t.Error("SetFlapping accepted a negative period")

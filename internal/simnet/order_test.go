@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ids"
+	"repro/internal/obs"
 )
 
 const orderNodes = 6
@@ -86,7 +87,7 @@ func orderScript(t *testing.T, cfg Config, seed int64) uint64 {
 		case 1:
 			_ = net.Multicast(src, payload(hops))
 		default:
-			_ = net.Inject(src, node(), payload(hops))
+			_ = net.InjectForged(src, node(), payload(hops))
 		}
 	}
 	for p := 0; p < orderNodes; p++ {
@@ -122,7 +123,7 @@ func orderScript(t *testing.T, cfg Config, seed int64) uint64 {
 		case k < 50:
 			_ = net.Multicast(node(), payload(0))
 		case k < 55:
-			_ = net.Inject(node(), node(), payload(0))
+			_ = net.InjectForged(node(), node(), payload(0))
 		case k < 58:
 			// Crash strikes only a node with no frame still in its send CPU,
 			// so the digest never depends on what happens to such frames
@@ -237,6 +238,7 @@ func TestMulticastEventCount(t *testing.T) {
 // the medium for 9.2 ms and push node 2's frame back by as much.
 func TestCrashedSenderLeavesTheWire(t *testing.T) {
 	sim, net := newNet(t, Ethernet10Mbit(3))
+	m := counted(net)
 	got := collect(t, sim, net, 0)
 	for i := 0; i < 5; i++ {
 		if err := net.Unicast(1, 0, make([]byte, 2240)); err != nil {
@@ -256,29 +258,41 @@ func TestCrashedSenderLeavesTheWire(t *testing.T) {
 	if st.WireBytes != 164 {
 		t.Errorf("the wire carried %d B, want 164 (node 2's frame alone)", st.WireBytes)
 	}
-	if st.Unicasts != 6 || st.Dropped != 5 {
-		t.Errorf("%d unicasts, %d dropped; want 6 and 5", st.Unicasts, st.Dropped)
+	if dropped := total(m, obs.EvDrop); st.Unicasts != 6 || dropped != 5 {
+		t.Errorf("%d unicasts, %d dropped; want 6 and 5", st.Unicasts, dropped)
 	}
 }
 
-// TestPartitionedCountsLinks: Partitioned tracks the blocked links
-// themselves, so blocking a link twice and unblocking it once leaves none.
-func TestPartitionedCountsLinks(t *testing.T) {
-	_, net := newNet(t, Config{Nodes: 3})
+// TestBlockIsPerLink: a link is blocked or not, so blocking it twice and
+// unblocking it once opens it, and other links keep their own state.
+func TestBlockIsPerLink(t *testing.T) {
+	sim, net := newNet(t, Config{Nodes: 3})
+	got := collect(t, sim, net, 1)
+	sendBoth := func() {
+		_ = net.Unicast(0, 1, []byte{0})
+		_ = net.Unicast(2, 1, []byte{2})
+		drain(sim)
+	}
 	net.Block(0, 1)
 	net.Block(0, 1)
 	net.Block(2, 1)
 	net.Unblock(0, 1)
-	if !net.Partitioned() {
-		t.Fatal("one link still blocked, Partitioned() false")
+	sendBoth()
+	if len(*got) != 1 || (*got)[0].src != 0 {
+		t.Fatalf("deliveries %+v, want 0's frame alone (2→1 still blocked)", *got)
 	}
 	net.Unblock(2, 1)
 	net.Unblock(2, 1)
-	if net.Partitioned() {
-		t.Fatal("no link blocked, Partitioned() true")
+	sendBoth()
+	if len(*got) != 3 {
+		t.Fatalf("%d deliveries after unblocking every link, want 3", len(*got))
 	}
 	net.Block(0, 9) // out of range: ignored
-	if net.Partitioned() || net.Crashed(9) {
-		t.Fatal("an out-of-range link or node reads as faulted")
+	if net.Crashed(9) {
+		t.Fatal("an out-of-range node reads as crashed")
+	}
+	sendBoth()
+	if len(*got) != 5 {
+		t.Fatalf("an out-of-range block cut a real link: %d deliveries, want 5", len(*got))
 	}
 }

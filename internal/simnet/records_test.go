@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ids"
+	"repro/internal/obs"
 )
 
 func drain(sim *des.Sim) {
@@ -79,15 +80,17 @@ func sameArray(a, b []byte) bool {
 // TestDeliveriesShareOneImmutableFrame: a transmission is snapshotted
 // once and that one frame is what every receiver, and every duplicate, is
 // handed; it never aliases the sender's slice, which the sender may reuse
-// at once; Inject copies the caller's slice. With corruption and
+// at once; InjectForged copies the caller's slice. With corruption and
 // truncation on, the delivery a fault hits is private resp. shorter, and
 // every other delivery of the same frame is intact.
 func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 	const nodes = 5
 	want := []byte("the quick brown fox jumps over the lazy dog")
-	cfg := Ethernet10Mbit(nodes)
-	cfg.DupProb = 0.3
-	sim, net := newNet(t, cfg)
+	sim, net := newNet(t, Ethernet10Mbit(nodes))
+	if err := net.SetFaults(0, 0.3, 0); err != nil {
+		t.Fatal(err)
+	}
+	m := counted(net)
 	var got [][]byte
 	for p := 0; p < nodes; p++ {
 		if err := net.Bind(ids.ProcID(p), func(_ ids.ProcID, b []byte) { got = append(got, b) }); err != nil {
@@ -123,7 +126,7 @@ func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 	}
 
 	deliveries, sent := transmit(func(b []byte) {
-		_ = net.Inject(0, 1, b)
+		_ = net.InjectForged(0, 1, b)
 		_ = net.Unicast(0, 2, b)
 		_ = net.Unicast(3, 3, b)
 	})
@@ -161,12 +164,12 @@ func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 			}
 		}
 	}
-	st := net.Stats()
-	if st.Corrupted == 0 || st.Truncated == 0 || shorter == 0 {
-		t.Errorf("corrupted %d, truncated %d (%d seen): a fault class never fired", st.Corrupted, st.Truncated, shorter)
+	corrupted, truncated := total(m, obs.EvCorrupt), total(m, obs.EvTruncate)
+	if corrupted == 0 || truncated == 0 || shorter == 0 {
+		t.Errorf("corrupted %d, truncated %d (%d seen): a fault class never fired", corrupted, truncated, shorter)
 	}
-	if private == 0 || private > int(st.Corrupted) {
-		t.Errorf("%d deliveries had a buffer of their own for %d corruption hits", private, st.Corrupted)
+	if private == 0 || private > int(corrupted) {
+		t.Errorf("%d deliveries had a buffer of their own for %d corruption hits", private, corrupted)
 	}
 }
 

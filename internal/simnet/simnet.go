@@ -54,20 +54,6 @@ type Config struct {
 	// SendCPU is the per-packet processing time charged to the sending
 	// node's CPU queue before the packet reaches the wire.
 	SendCPU time.Duration
-	// Jitter adds a uniform [0, Jitter) extra delay per receiver,
-	// allowing reordering between packets from different transmissions.
-	Jitter time.Duration
-	// DropProb is the per-receiver probability that a packet is lost.
-	DropProb float64
-	// DupProb is the per-receiver probability that a packet is
-	// delivered twice.
-	DupProb float64
-	// CorruptProb is the per-receiver probability that a delivered
-	// packet has 1-3 of its bits flipped (bit rot / line noise).
-	CorruptProb float64
-	// TruncateProb is the per-receiver probability that a delivered
-	// packet loses a random-length tail (a short datagram).
-	TruncateProb float64
 }
 
 // Validate checks the configuration.
@@ -75,19 +61,7 @@ func (c Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("simnet: need at least one node, got %d", c.Nodes)
 	}
-	if c.DropProb < 0 || c.DropProb >= 1 {
-		return fmt.Errorf("simnet: drop probability %v out of [0,1)", c.DropProb)
-	}
-	if c.DupProb < 0 || c.DupProb >= 1 {
-		return fmt.Errorf("simnet: dup probability %v out of [0,1)", c.DupProb)
-	}
-	if c.CorruptProb < 0 || c.CorruptProb >= 1 {
-		return fmt.Errorf("simnet: corrupt probability %v out of [0,1)", c.CorruptProb)
-	}
-	if c.TruncateProb < 0 || c.TruncateProb >= 1 {
-		return fmt.Errorf("simnet: truncate probability %v out of [0,1)", c.TruncateProb)
-	}
-	if c.PropDelay < 0 || c.RecvCPU < 0 || c.SendCPU < 0 || c.Jitter < 0 {
+	if c.PropDelay < 0 || c.RecvCPU < 0 || c.SendCPU < 0 {
 		return fmt.Errorf("simnet: negative delay in config")
 	}
 	if c.BitsPerSecond < 0 || c.FrameOverhead < 0 {
@@ -117,55 +91,15 @@ func Ethernet10Mbit(nodes int) Config {
 // as long as it likes, and must copy before writing.
 type Handler func(src ids.ProcID, payload []byte)
 
-// Stats aggregates network-level counters. Each fault counter is the
-// number of events of one type the network emitted (see counter);
-// Unicasts, Multicasts, Delivered, Duplicated and WireBytes count
-// traffic no event names.
+// Stats counts the traffic no event names. Faults are counted in the
+// event stream: a recorder such as an obs.Metrics registry attached with
+// SetRecorder sees every drop, corruption, injection and knob change.
 type Stats struct {
-	Unicasts        uint64
-	Multicasts      uint64
-	Delivered       uint64
-	Dropped         uint64
-	Duplicated      uint64
-	WireBytes       uint64
-	Corrupted       uint64
-	Truncated       uint64
-	GarbageInjected uint64
-	Forged          uint64
-	Replayed        uint64
-	SenderSpikes    uint64
-	LinkFaultSets   uint64
-	SlowNodeSets    uint64
-	FlapSets        uint64
-}
-
-// counter returns the field that counts events of type t, or nil for a
-// type no field counts. It is the one place the event → counter mapping
-// is written.
-func (s *Stats) counter(t obs.EventType) *uint64 {
-	switch t {
-	case obs.EvDrop:
-		return &s.Dropped
-	case obs.EvCorrupt:
-		return &s.Corrupted
-	case obs.EvTruncate:
-		return &s.Truncated
-	case obs.EvGarbage:
-		return &s.GarbageInjected
-	case obs.EvForged:
-		return &s.Forged
-	case obs.EvReplayed:
-		return &s.Replayed
-	case obs.EvSenderSpike:
-		return &s.SenderSpikes
-	case obs.EvLinkFaultSet:
-		return &s.LinkFaultSets
-	case obs.EvSlowNodeSet:
-		return &s.SlowNodeSets
-	case obs.EvFlapSet:
-		return &s.FlapSets
-	}
-	return nil
+	Unicasts   uint64
+	Multicasts uint64
+	Delivered  uint64
+	Duplicated uint64
+	WireBytes  uint64
 }
 
 // linkFault holds the per-directed-link fault overrides layered over
@@ -282,9 +216,12 @@ type Network struct {
 	// crashed nodes neither send nor receive (crash-stop injection).
 	crashed []bool
 	// blocked suppresses delivery on a directed link (partition
-	// injection); nBlocked counts the blocked links.
-	blocked  []bool
-	nBlocked int
+	// injection).
+	blocked []bool
+	// jitter, drop, dup, corrupt and truncate are the per-receiver fault
+	// knobs (SetFaults, SetCorruption); all zero draws nothing.
+	jitter                       time.Duration
+	drop, dup, corrupt, truncate float64
 	// linkFaults holds per-directed-link overrides layered over the
 	// global fault knobs (gray asymmetric links); an unset link is the
 	// zero value and draws nothing.
@@ -376,15 +313,8 @@ func (n *Network) Bind(p ids.ProcID, h Handler) error {
 // Stats returns a copy of the counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// emit counts e in its Stats field, if any, and records it. Every event
-// the network emits goes through here, so each fault counter is the
-// count of its event type in the trace.
-func (n *Network) emit(e obs.Event) {
-	if c := n.stats.counter(e.Type); c != nil {
-		*c++
-	}
-	n.rec.Record(e)
-}
+// emit records e. Every event the network emits goes through here.
+func (n *Network) emit(e obs.Event) { n.rec.Record(e) }
 
 // Nodes returns the group size.
 func (n *Network) Nodes() int { return n.cfg.Nodes }
@@ -400,10 +330,7 @@ func (n *Network) Block(src, dst ids.ProcID) {
 	if !n.valid(src) || !n.valid(dst) {
 		return
 	}
-	if l := n.link(src, dst); !n.blocked[l] {
-		n.blocked[l] = true
-		n.nBlocked++
-	}
+	n.blocked[n.link(src, dst)] = true
 }
 
 // Unblock re-enables packets from src to dst.
@@ -411,10 +338,7 @@ func (n *Network) Unblock(src, dst ids.ProcID) {
 	if !n.valid(src) || !n.valid(dst) {
 		return
 	}
-	if l := n.link(src, dst); n.blocked[l] {
-		n.blocked[l] = false
-		n.nBlocked--
-	}
+	n.blocked[n.link(src, dst)] = false
 }
 
 // Partition splits the group: every pair crossing the cut between side a
@@ -434,40 +358,53 @@ func (n *Network) Partition(a, b []ids.ProcID) {
 // Heal removes every pairwise block, ending all partitions at once.
 func (n *Network) Heal() {
 	clear(n.blocked)
-	n.nBlocked = 0
 	n.emit(obs.Heal(n.sim.Now()))
 }
 
-// Partitioned reports whether any pairwise block is currently in place.
-func (n *Network) Partitioned() bool { return n.nBlocked > 0 }
+// checkProb rejects a fault probability outside [0,1).
+func checkProb(what string, p float64) error {
+	if p < 0 || p >= 1 {
+		return fmt.Errorf("simnet: %s probability %v out of [0,1)", what, p)
+	}
+	return nil
+}
 
-// SetFaults replaces the per-receiver fault knobs at run time — the hook
-// the chaos harness uses to inject drop/duplicate/reorder bursts at
-// virtual times. It returns an error (changing nothing) for values the
-// static Config would reject.
+// SetFaults sets the per-receiver fault knobs: the probability that a
+// packet is lost, the probability that it is delivered twice, and a
+// uniform [0, jitter) extra delay per receiver that lets packets from
+// different transmissions reorder. A network starts with all three at
+// zero; the chaos harness changes them at virtual times to inject
+// bursts. It returns an error (changing nothing) for a probability
+// outside [0,1) or a negative jitter.
 func (n *Network) SetFaults(dropProb, dupProb float64, jitter time.Duration) error {
-	probe := n.cfg
-	probe.DropProb, probe.DupProb, probe.Jitter = dropProb, dupProb, jitter
-	if err := probe.Validate(); err != nil {
+	if err := checkProb("drop", dropProb); err != nil {
 		return err
 	}
-	n.cfg = probe
+	if err := checkProb("dup", dupProb); err != nil {
+		return err
+	}
+	if jitter < 0 {
+		return fmt.Errorf("simnet: negative jitter %v", jitter)
+	}
+	n.drop, n.dup, n.jitter = dropProb, dupProb, jitter
 	n.emit(obs.FaultSet(n.sim.Now(),
 		int64(dropProb*1000), int64(dupProb*1000), jitter))
 	return nil
 }
 
-// SetCorruption replaces the per-receiver corruption knobs at run time
-// — the hook the chaos harness uses to inject bit-flip and truncation
-// bursts at virtual times. It returns an error (changing nothing) for
-// values the static Config would reject.
+// SetCorruption sets the per-receiver corruption knobs: the probability
+// that a delivered packet has 1-3 of its bits flipped (bit rot, line
+// noise) and the probability that it loses a random-length tail (a
+// short datagram). A network starts with both at zero. It returns an
+// error (changing nothing) for a probability outside [0,1).
 func (n *Network) SetCorruption(corruptProb, truncateProb float64) error {
-	probe := n.cfg
-	probe.CorruptProb, probe.TruncateProb = corruptProb, truncateProb
-	if err := probe.Validate(); err != nil {
+	if err := checkProb("corrupt", corruptProb); err != nil {
 		return err
 	}
-	n.cfg = probe
+	if err := checkProb("truncate", truncateProb); err != nil {
+		return err
+	}
+	n.corrupt, n.truncate = corruptProb, truncateProb
 	n.emit(obs.CorruptSet(n.sim.Now(),
 		int64(corruptProb*1000), int64(truncateProb*1000)))
 	return nil
@@ -479,17 +416,16 @@ func (n *Network) SetCorruption(corruptProb, truncateProb float64) error {
 // delay — the gray-failure model's asymmetric link. Passing all-zero
 // knobs clears the override. A link draws its extra randomness after
 // the global draws, and only for a probability that is non-zero. It
-// returns an error (changing nothing) for values the static Config would
-// reject for the global knobs.
+// returns an error (changing nothing) for values SetFaults would reject.
 func (n *Network) SetLinkFaults(from, to ids.ProcID, drop, dup float64, extra time.Duration) error {
 	if !n.valid(from) || !n.valid(to) {
 		return fmt.Errorf("simnet: link fault %v -> %v out of range", from, to)
 	}
-	if drop < 0 || drop >= 1 {
-		return fmt.Errorf("simnet: link drop probability %v out of [0,1)", drop)
+	if err := checkProb("link drop", drop); err != nil {
+		return err
 	}
-	if dup < 0 || dup >= 1 {
-		return fmt.Errorf("simnet: link dup probability %v out of [0,1)", dup)
+	if err := checkProb("link dup", dup); err != nil {
+		return err
 	}
 	if extra < 0 {
 		return fmt.Errorf("simnet: negative link extra delay %v", extra)
@@ -566,7 +502,7 @@ func (n *Network) SetFlapping(from, to ids.ProcID, period, until time.Duration) 
 }
 
 // SetSenderSpike marks the start (mult > 1) or end (mult 1) of a
-// flash-crowd sender spike in the stats and the event trace. The network
+// flash-crowd sender spike in the event trace. The network
 // cannot originate application traffic itself: the workload generator
 // that multiplies its active senders calls this so the trace shows when.
 // It returns an error (changing nothing) for a non-positive multiplier.
@@ -608,7 +544,7 @@ func (n *Network) SampleQueueDepths(every, until time.Duration) error {
 // InjectGarbage delivers size seeded-random bytes to dst, forged to
 // look like they came from src — the cross-version/garbage slice of the
 // adversarial fault model. The bytes bypass the sender-side model (like
-// Inject) but still traverse the receiver-side fault pipeline.
+// InjectForged) but still traverse the receiver-side fault pipeline.
 func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 	if !n.valid(src) || !n.valid(dst) {
 		return fmt.Errorf("simnet: garbage %v -> %v out of range", src, dst)
@@ -870,18 +806,6 @@ func (n *Network) dropSend(src, dst ids.ProcID) {
 	n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
 }
 
-// Inject delivers a raw packet to dst appearing to come from src,
-// bypassing the sender-side model. It exists for adversarial tests
-// (replay attacks against the No Replay property).
-func (n *Network) Inject(src, dst ids.ProcID, payload []byte) error {
-	if !n.valid(src) || !n.valid(dst) {
-		return fmt.Errorf("simnet: inject %v -> %v out of range", src, dst)
-	}
-	// The caller keeps its slice, so the frame is a copy of it.
-	n.scheduleDelivery(src, dst, bytes.Clone(payload), n.sim.Now()+n.cfg.PropDelay)
-	return nil
-}
-
 // scheduleDelivery applies the per-receiver fault model and queues the
 // handler invocation behind dst's CPU. payload is a frame: immutable from
 // here on, and handed as it is to this receiver, to its duplicate and —
@@ -901,7 +825,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 		return
 	}
 	rng := n.sim.Rand()
-	if n.cfg.DropProb > 0 && rng.Float64() < n.cfg.DropProb {
+	if n.drop > 0 && rng.Float64() < n.drop {
 		n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropRandom))
 		return
 	}
@@ -914,7 +838,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 		return
 	}
 	copies := 1
-	if n.cfg.DupProb > 0 && rng.Float64() < n.cfg.DupProb {
+	if n.dup > 0 && rng.Float64() < n.dup {
 		copies = 2
 		n.stats.Duplicated++
 	}
@@ -927,8 +851,8 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 	arrival += lf.extra
 	for c := 0; c < copies; c++ {
 		at := arrival
-		if n.cfg.Jitter > 0 {
-			j := time.Duration(rng.Int63n(int64(n.cfg.Jitter)))
+		if n.jitter > 0 {
+			j := time.Duration(rng.Int63n(int64(n.jitter)))
 			at += j
 			if n.rec.Enabled() {
 				n.emit(obs.Delay(n.sim.Now(), dst, src, j))
@@ -937,7 +861,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 		buf := payload
 		// Corruption faults mutate a private copy of this one delivery. A
 		// draw happens only when its probability is non-zero.
-		if n.cfg.CorruptProb > 0 && len(buf) > 0 && rng.Float64() < n.cfg.CorruptProb {
+		if n.corrupt > 0 && len(buf) > 0 && rng.Float64() < n.corrupt {
 			buf = bytes.Clone(payload)
 			flips := 1 + rng.Intn(3)
 			for i := 0; i < flips; i++ {
@@ -946,7 +870,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 			}
 			n.emit(obs.Corrupt(n.sim.Now(), dst, src, flips))
 		}
-		if n.cfg.TruncateProb > 0 && len(buf) > 0 && rng.Float64() < n.cfg.TruncateProb {
+		if n.truncate > 0 && len(buf) > 0 && rng.Float64() < n.truncate {
 			keep := rng.Intn(len(buf))
 			buf = buf[:keep]
 			n.emit(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))

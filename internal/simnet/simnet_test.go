@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ids"
+	"repro/internal/obs"
 )
 
 func newNet(t *testing.T, cfg Config) (*des.Sim, *Network) {
@@ -17,6 +18,24 @@ func newNet(t *testing.T, cfg Config) (*des.Sim, *Network) {
 		t.Fatal(err)
 	}
 	return sim, net
+}
+
+// counted attaches a fresh registry to net: the network counts its
+// faults only in the events it emits.
+func counted(net *Network) *obs.Metrics {
+	m := obs.NewMetrics()
+	net.SetRecorder(m)
+	return m
+}
+
+// total sums the events of type et over every member of m, network-wide
+// events (obs.NoProc) included.
+func total(m *obs.Metrics, et obs.EventType) uint64 {
+	var n uint64
+	for _, p := range m.Procs() {
+		n += m.Count(p, et)
+	}
+	return n
 }
 
 type rcvd struct {
@@ -39,9 +58,6 @@ func collect(t *testing.T, sim *des.Sim, net *Network, p ids.ProcID) *[]rcvd {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Nodes: 0},
-		{Nodes: 1, DropProb: 1.0},
-		{Nodes: 1, DropProb: -0.1},
-		{Nodes: 1, DupProb: 1.0},
 		{Nodes: 1, PropDelay: -time.Second},
 		{Nodes: 1, BitsPerSecond: -1},
 		{Nodes: 1, FrameOverhead: -1},
@@ -53,6 +69,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := Ethernet10Mbit(10).Validate(); err != nil {
 		t.Errorf("Ethernet10Mbit invalid: %v", err)
+	}
+	_, net := newNet(t, Config{Nodes: 1})
+	for i, f := range [][2]float64{{1.0, 0}, {-0.1, 0}, {0, 1.0}} {
+		if err := net.SetFaults(f[0], f[1], 0); err == nil {
+			t.Errorf("case %d: SetFaults accepted drop %v, dup %v", i, f[0], f[1])
+		}
 	}
 }
 
@@ -89,7 +111,7 @@ func TestUnicastRangeChecks(t *testing.T) {
 	if err := net.Multicast(5, nil); err == nil {
 		t.Error("multicast from unknown node succeeded")
 	}
-	if err := net.Inject(0, 9, nil); err == nil {
+	if err := net.InjectForged(0, 9, []byte("x")); err == nil {
 		t.Error("inject to unknown node succeeded")
 	}
 	if err := net.Bind(9, nil); err == nil {
@@ -250,11 +272,14 @@ func TestSendCPUQueues(t *testing.T) {
 }
 
 func TestDropInjection(t *testing.T) {
-	cfg := Config{Nodes: 2, DropProb: 0.5}
-	sim, net := newNet(t, cfg)
+	sim, net := newNet(t, Config{Nodes: 2})
+	if err := net.SetFaults(0.5, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	m := counted(net)
 	got := collect(t, sim, net, 1)
-	const total = 2000
-	for i := 0; i < total; i++ {
+	const sent = 2000
+	for i := 0; i < sent; i++ {
 		if err := net.Unicast(0, 1, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -262,19 +287,20 @@ func TestDropInjection(t *testing.T) {
 	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	frac := float64(len(*got)) / total
+	frac := float64(len(*got)) / sent
 	if frac < 0.4 || frac > 0.6 {
 		t.Errorf("with 50%% drop, delivered fraction = %v", frac)
 	}
-	st := net.Stats()
-	if st.Dropped == 0 || st.Dropped+uint64(len(*got)) != total {
-		t.Errorf("stats inconsistent: dropped=%d delivered=%d", st.Dropped, len(*got))
+	if dropped := m.Count(1, obs.EvDrop); dropped == 0 || dropped+uint64(len(*got)) != sent {
+		t.Errorf("counts inconsistent: dropped=%d delivered=%d", dropped, len(*got))
 	}
 }
 
 func TestDuplicateInjection(t *testing.T) {
-	cfg := Config{Nodes: 2, DupProb: 0.5}
-	sim, net := newNet(t, cfg)
+	sim, net := newNet(t, Config{Nodes: 2})
+	if err := net.SetFaults(0, 0.5, 0); err != nil {
+		t.Fatal(err)
+	}
 	got := collect(t, sim, net, 1)
 	const total = 1000
 	for i := 0; i < total; i++ {
@@ -294,8 +320,10 @@ func TestDuplicateInjection(t *testing.T) {
 }
 
 func TestJitterCanReorder(t *testing.T) {
-	cfg := Config{Nodes: 2, Jitter: 5 * time.Millisecond}
-	sim, net := newNet(t, cfg)
+	sim, net := newNet(t, Config{Nodes: 2})
+	if err := net.SetFaults(0, 0, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	got := collect(t, sim, net, 1)
 	for i := 0; i < 50; i++ {
 		if err := net.Unicast(0, 1, []byte{byte(i)}); err != nil {
@@ -344,7 +372,7 @@ func TestBlockUnblock(t *testing.T) {
 func TestInjectBypassesSender(t *testing.T) {
 	sim, net := newNet(t, Config{Nodes: 2, SendCPU: time.Hour})
 	got := collect(t, sim, net, 1)
-	if err := net.Inject(0, 1, []byte("forged")); err != nil {
+	if err := net.InjectForged(0, 1, []byte("forged")); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(0); err != nil {
@@ -421,9 +449,6 @@ func TestPartitionAndHeal(t *testing.T) {
 		logs[p] = collect(t, sim, net, ids.ProcID(p))
 	}
 	net.Partition([]ids.ProcID{0, 1}, []ids.ProcID{2, 3})
-	if !net.Partitioned() {
-		t.Fatal("Partitioned() false after Partition")
-	}
 	if err := net.Multicast(0, []byte("cut")); err != nil {
 		t.Fatal(err)
 	}
@@ -438,9 +463,6 @@ func TestPartitionAndHeal(t *testing.T) {
 		t.Fatalf("cross-cut deliveries: %d, %d (want 0, 0)", len(*logs[2]), len(*logs[3]))
 	}
 	net.Heal()
-	if net.Partitioned() {
-		t.Fatal("Partitioned() true after Heal")
-	}
 	if err := net.Multicast(0, []byte("joined")); err != nil {
 		t.Fatal(err)
 	}
