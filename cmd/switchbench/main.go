@@ -33,9 +33,10 @@
 // cmd/benchdiff.
 //
 // A flag that only some experiments read (see flagReaders) is rejected
-// when set for any other experiment except all, and -schedules,
-// -senders, -measure and -warmup must be positive, so a value that
-// would be silently ignored or replaced fails before anything runs.
+// when set for any other experiment except all, -schedules, -senders
+// and -measure must be positive, and -warmup must not be negative (zero
+// measures from the start), so a value that would be silently ignored
+// or replaced fails before anything runs.
 package main
 
 import (
@@ -75,7 +76,7 @@ func run(args []string) error {
 		chaosGray    = fs.Bool("chaos-gray", false, "chaos: add gray-failure faults (slow nodes, asymmetric links, flapping), plus the E20 stability study")
 		senders      = fs.Int("senders", 10, "figure2: maximum active senders")
 		measure      = fs.Duration("measure", 10*time.Second, "figure2: virtual measurement window per point")
-		warmup       = fs.Duration("warmup", 2*time.Second, "figure2: virtual warmup discarded from statistics")
+		warmup       = fs.Duration("warmup", 2*time.Second, "figure2: virtual warmup discarded from statistics (0: measure from the start)")
 		parallel     = fs.Int("parallel", 0, "worker count for sweep runs (<= 0: GOMAXPROCS); results are identical for any value")
 		jsonDir      = fs.String("json", "", "directory to write BENCH_<experiment>.json artifacts (empty: no artifacts)")
 		traceDir     = fs.String("trace", "", "directory to write TRACE_<experiment>.jsonl event streams (empty: no traces)")
@@ -91,16 +92,16 @@ func run(args []string) error {
 		return err
 	}
 	for _, f := range []struct {
-		name     string
-		positive bool
+		name, want string
+		ok         bool
 	}{
-		{"schedules", *schedules > 0},
-		{"senders", *senders > 0},
-		{"measure", *measure > 0},
-		{"warmup", *warmup > 0},
+		{"schedules", "positive", *schedules > 0},
+		{"senders", "positive", *senders > 0},
+		{"measure", "positive", *measure > 0},
+		{"warmup", "zero or positive", *warmup >= 0},
 	} {
-		if !f.positive {
-			return fmt.Errorf("-%s %s: must be positive", f.name, fs.Lookup(f.name).Value)
+		if !f.ok {
+			return fmt.Errorf("-%s %s: must be %s", f.name, fs.Lookup(f.name).Value, f.want)
 		}
 	}
 	// Validate output directories before running anything: experiments

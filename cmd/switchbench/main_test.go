@@ -119,10 +119,10 @@ func TestFlagScopeAcceptsReaders(t *testing.T) {
 	}
 }
 
-// TestNegativeSchedulesExits: a non-positive -schedules, -senders,
-// -measure or -warmup makes the command exit 1 with an error naming the
-// flag, before anything runs — not panic inside the sweep, and not
-// silently run the default in its place.
+// TestNegativeSchedulesExits: a non-positive -schedules, -senders or
+// -measure, or a negative -warmup, makes the command exit 1 with an
+// error naming the flag, before anything runs — not panic inside the
+// sweep, and not silently run the default in its place.
 func TestNegativeSchedulesExits(t *testing.T) {
 	if args := os.Getenv("SWITCHBENCH_RUN_MAIN"); args != "" {
 		os.Args = append([]string{"switchbench", "-quiet"}, strings.Fields(args)...)
@@ -137,7 +137,7 @@ func TestNegativeSchedulesExits(t *testing.T) {
 		{"-experiment chaos -schedules 0", "-schedules"},
 		{"-experiment figure2 -senders 0", "-senders"},
 		{"-experiment figure2 -measure 0s", "-measure"},
-		{"-experiment figure2 -warmup 0s", "-warmup"},
+		{"-experiment figure2 -warmup -1s", "-warmup"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeSchedulesExits$")
 		cmd.Env = append(os.Environ(), "SWITCHBENCH_RUN_MAIN="+tc.args)
@@ -152,6 +152,14 @@ func TestNegativeSchedulesExits(t *testing.T) {
 		if msg := stderr.String(); strings.Contains(msg, "panic") || !strings.Contains(msg, tc.flag) {
 			t.Errorf("%s: stderr = %q, want an error naming %s and no panic", tc.args, msg, tc.flag)
 		}
+	}
+}
+
+// TestZeroWarmupRuns: -warmup 0s is a run measured from the start, as
+// harness.RunConfig takes a zero Warmup, not an error.
+func TestZeroWarmupRuns(t *testing.T) {
+	if err := run([]string{"-experiment", "figure2", "-senders", "1", "-measure", "400ms", "-warmup", "0s", "-quiet"}); err != nil {
+		t.Fatal(err)
 	}
 }
 

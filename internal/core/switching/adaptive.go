@@ -197,7 +197,8 @@ func (a *adaptive) tick() {
 func (a *adaptive) check() {
 	now := a.s.env.Now()
 	self := a.s.env.Self()
-	for _, p := range a.s.members {
+	for i := range a.s.ring.Size() {
+		p := a.s.ring.Member(i)
 		if p == self {
 			continue
 		}

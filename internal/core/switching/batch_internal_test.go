@@ -323,7 +323,7 @@ func TestBatchRecvAllocs(t *testing.T) {
 	ch := ids.ProtocolChannel(0)
 	delivered := 0
 	mux.Bind(ch, proto.UpFunc(func(ids.ProcID, []byte) { delivered++ }))
-	s := &Switch{env: env, obs: obs.OrNop(nil), mux: mux, members: env.Members(), cfg: Config{
+	s := &Switch{env: env, obs: obs.OrNop(nil), mux: mux, ring: env.Ring(), cfg: Config{
 		Defense: &DefenseConfig{QuarantineThreshold: 8, Auth: &AuthConfig{SessionKey: []byte("alloc gate")}},
 	}}
 	s.batch = newBatcher(s, &captureDown{}, 8)

@@ -150,12 +150,22 @@ func (t authTransport) Send(dst ids.ProcID, payload []byte) error {
 // when that is ahead (a lagging member sealing under its retired epoch
 // would be rejected by everyone who completed the switch, wedging it
 // out of the group; see maxAuthEpoch).
+//
+// The sealer of that epoch is kept at hand in s.sealing. When the epoch
+// moves on, the new sealer inherits the old one's memo of sealed
+// payloads, emptied, with its copy buffers: the old one seals nothing
+// more, and only its own loop-backs still in flight would have found
+// their payloads there.
 func (s *Switch) sealCurrentTo(dst, payload []byte) []byte {
-	epoch := s.sendEpoch
-	if s.maxAuthEpoch > epoch {
-		epoch = s.maxAuthEpoch
+	epoch := max(s.sendEpoch, s.maxAuthEpoch)
+	if s.sealing == nil || s.sealing.Epoch() != epoch {
+		a := s.epochSealer(epoch)
+		if s.sealing != nil {
+			a.Inherit(s.sealing)
+		}
+		s.sealing = a
 	}
-	return s.epochSealer(epoch).SealTo(dst, payload)
+	return s.sealing.SealTo(dst, payload)
 }
 
 // epochSealer returns the sealer (derived key + keyed HMAC +
@@ -170,13 +180,17 @@ func (s *Switch) epochSealer(epoch uint64) *wire.AuthSealer {
 	return a
 }
 
-// sealerFor returns the kept sealer for epoch, or else the probe: the
+// sealerFor returns the kept sealer for epoch — the sealing one first,
+// the epoch most frames arrive under — or else the probe: the
 // one sealer held outside the schedule, derived to check frames that
 // claim an epoch nothing has been sealed or verified under yet. A claim
 // is unbounded above, so an unverified epoch must not enter the
 // schedule; the probe is reused while claims name its epoch, so a run
 // of forgeries derives their key once.
 func (s *Switch) sealerFor(epoch uint64) (a *wire.AuthSealer, kept bool) {
+	if s.sealing != nil && s.sealing.Epoch() == epoch {
+		return s.sealing, true
+	}
 	if a, kept = s.epochSealers[epoch]; kept {
 		return a, true
 	}

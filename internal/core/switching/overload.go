@@ -170,15 +170,15 @@ type overload struct {
 	s   *Switch
 	cfg OverloadConfig
 
-	// ingress holds per-peer bounded queues of verified mux frames;
-	// service is one frame per interval, round-robin in ring order
-	// (serveIdx) so draining is deterministic. serveFn/drainFn are the
-	// timer callbacks, bound once so arming a timer does not allocate a
-	// method-value closure.
-	ingress      map[ids.ProcID]*proto.Queue[[]byte]
+	// ingress holds the per-peer bounded queues of verified mux frames,
+	// indexed by ring position; service is one frame per interval,
+	// round-robin in ring order from position next, so draining is
+	// deterministic. serveFn/drainFn are the timer callbacks, bound once
+	// so arming a timer does not allocate a method-value closure.
+	ingress      []proto.Queue[[]byte]
+	next         int
 	serveFn      func()
 	drainFn      func()
-	serveIdx     int
 	draining     bool
 	ingressTimer proto.Timer
 
@@ -214,7 +214,7 @@ func newOverload(s *Switch, cfg OverloadConfig) *overload {
 	o := &overload{
 		s:       s,
 		cfg:     cfg,
-		ingress: make(map[ids.ProcID]*proto.Queue[[]byte]),
+		ingress: make([]proto.Queue[[]byte], s.ring.Size()),
 	}
 	o.serveFn = o.serveIngress
 	o.drainFn = o.drainEgress
@@ -239,24 +239,27 @@ func (o *overload) stop() {
 // channel and failure-detector heartbeats, which keep their direct
 // path — and for frames whose channel header does not decode (the
 // demultiplexer owns malformed accounting). Everything else is consumed:
-// queued under its sender, or shed drop-newest at the cap. The queue
-// holds pkt itself: a delivered frame is immutable and may be retained.
+// queued under its sender's ring position, or shed drop-newest at the
+// cap (a sender outside the ring has no queue, and is shed too). The
+// queue holds pkt itself: a delivered frame is immutable and may be
+// retained.
 func (o *overload) admitIngress(src ids.ProcID, pkt []byte) bool {
 	d := wire.NewDecoder(pkt)
 	ch := d.Channel()
 	if d.Err() != nil || ch == ids.ControlChannel || ch == detectorChannel {
 		return false
 	}
-	q := o.ingress[src]
-	if q == nil {
-		q = &proto.Queue[[]byte]{}
-		o.ingress[src] = q
-	}
-	if q.Len() >= o.cfg.IngressQueueCap {
+	pos := o.s.ring.Position(src)
+	if pos < 0 || o.ingress[pos].Len() >= o.cfg.IngressQueueCap {
+		depth := 0
+		if pos >= 0 {
+			depth = o.ingress[pos].Len()
+		}
 		o.acct.IngressShed++
-		o.s.emit(obs.Shed(o.s.env.Now(), o.s.env.Self(), src, obs.ShedIngress, q.Len()))
+		o.s.emit(obs.Shed(o.s.env.Now(), o.s.env.Self(), src, obs.ShedIngress, depth))
 		return true
 	}
+	q := &o.ingress[pos]
 	q.Push(pkt)
 	o.acct.IngressAdmitted++
 	if d := q.Len(); d > o.acct.IngressMaxDepth {
@@ -282,38 +285,34 @@ func (o *overload) armIngress() {
 // lets the responses they trigger (a sequencer's ordered multicasts,
 // acks) coalesce in the egress batcher instead of trickling out one
 // wire write per served frame.
+//
+// The cursor next is the ring position after the last one served, and
+// the tick stops as soon as nothing is queued: every admitted frame not
+// yet served is in some queue (the ledger identity), so while
+// IngressServed < IngressAdmitted the scan finds a frame.
 func (o *overload) serveIngress() {
 	o.draining = false
 	s := o.s
-	if s.stopped {
-		return
-	}
-	max := o.cfg.BatchMax
-	if max < 1 {
-		max = 1
-	}
-	members := s.members
-	for n := 0; n < max && !s.stopped; n++ {
-		served := false
-		for range members {
-			p := members[o.serveIdx%len(members)]
-			o.serveIdx++
-			q := o.ingress[p]
-			if q == nil || q.Len() == 0 {
-				continue
-			}
-			pkt := q.Pop()
-			o.acct.IngressServed++
-			s.mux.Recv(p, pkt)
-			served = true
-			break
+	limit := max(o.cfg.BatchMax, 1)
+	for n := 0; n < limit && !s.stopped && o.acct.IngressServed < o.acct.IngressAdmitted; n++ {
+		for o.ingress[o.next].Len() == 0 {
+			o.advance()
 		}
-		if !served {
-			break
-		}
+		src := s.ring.Member(o.next)
+		pkt := o.ingress[o.next].Pop()
+		o.advance()
+		o.acct.IngressServed++
+		s.mux.Recv(src, pkt)
 	}
 	if o.acct.IngressAdmitted > o.acct.IngressServed {
 		o.armIngress()
+	}
+}
+
+// advance moves the service cursor to the next ring position.
+func (o *overload) advance() {
+	if o.next++; o.next == len(o.ingress) {
+		o.next = 0
 	}
 }
 
@@ -428,8 +427,8 @@ func (o *overload) scheduleRetry(ent egressEntry, attempt int) {
 // Admitted − Served difference serveIngress re-arms on.
 func (o *overload) accounting() OverloadAccounting {
 	a := o.acct
-	for _, q := range o.ingress {
-		a.IngressQueued += uint64(q.Len())
+	for i := range o.ingress {
+		a.IngressQueued += uint64(o.ingress[i].Len())
 	}
 	a.EgressQueued = uint64(o.egress.Len())
 	a.EgressRetrying = o.retrying

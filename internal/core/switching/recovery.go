@@ -122,7 +122,7 @@ func newRecovery(s *Switch, cfg RecoveryConfig) (*recovery, error) {
 	r := &recovery{
 		s:            s,
 		lastMode:     ModeNormal,
-		idleTimeout:  idleWedgeRotations * time.Duration(s.env.Ring().Size()) * s.cfg.TokenInterval,
+		idleTimeout:  idleWedgeRotations * time.Duration(s.ring.Size()) * s.cfg.TokenInterval,
 		roundTimeout: roundWedgeIntervals * s.cfg.TokenInterval,
 	}
 	dcfg := cfg.Detector
@@ -246,7 +246,7 @@ func (r *recovery) skipped(p ids.ProcID) bool {
 // Damped members are skipped without a token regeneration — the
 // degraded-mode ring repair — and each such bypass is evented.
 func (r *recovery) successor(self ids.ProcID) ids.ProcID {
-	ring := r.s.env.Ring()
+	ring := r.s.ring
 	next := self
 	for i := 0; i < ring.Size(); i++ {
 		succ, err := ring.Successor(next)
@@ -271,7 +271,8 @@ func (r *recovery) successor(self ids.ProcID) ids.ProcID {
 // ring order — the stagger that makes concurrent regenerations unlikely.
 func (r *recovery) livePosition() int {
 	pos := 0
-	for _, p := range r.s.members {
+	for i := range r.s.ring.Size() {
+		p := r.s.ring.Member(i)
 		if p == r.s.env.Self() {
 			return pos
 		}

@@ -257,9 +257,8 @@ type Switch struct {
 	env proto.Env
 	app proto.Up
 	mux *Multiplex
-	// members is the ring order, read once (Ring.Members copies — too
-	// dear for the ingress-service, suspicion and wedge-timeout ticks).
-	members []ids.ProcID
+	// ring is the group's ring, read once.
+	ring *ids.Ring
 
 	ctl    *proto.Stack   // control channel (token transport)
 	protos []*proto.Stack // sub-protocol stacks, one per factory
@@ -312,6 +311,9 @@ type Switch struct {
 	// epoch that has not verified yet (see sealerFor).
 	epochSealers map[uint64]*wire.AuthSealer
 	probe        *wire.AuthSealer
+	// sealing is the sealer of the epoch egress was last sealed under
+	// (see sealCurrentTo).
+	sealing *wire.AuthSealer
 	// keyRolledAt is when sendEpoch last advanced — the start of the
 	// grace window during which the previous epoch's key is still
 	// accepted on ingress.
@@ -359,14 +361,14 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 		cfg.TokenInterval = 5 * time.Millisecond
 	}
 	s := &Switch{
-		cfg:     cfg,
-		env:     env,
-		app:     app,
-		members: env.Ring().Members(),
-		sent:    make(map[uint64]uint64),
-		recv:    make(map[uint64][]uint64),
-		buffer:  make(map[uint64][]bufEntry),
-		obs:     obs.OrNop(cfg.Recorder),
+		cfg:    cfg,
+		env:    env,
+		app:    app,
+		ring:   env.Ring(),
+		sent:   make(map[uint64]uint64),
+		recv:   make(map[uint64][]uint64),
+		buffer: make(map[uint64][]bufEntry),
+		obs:    obs.OrNop(cfg.Recorder),
 	}
 	if cfg.Defense != nil {
 		// Seal below the multiplex: one envelope covers the mux header
@@ -424,7 +426,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 		s.ovl = newOverload(s, *cfg.Overload)
 	}
 	// The first ring member injects the NORMAL token.
-	if env.Self() == s.members[0] {
+	if env.Self() == s.ring.Member(0) {
 		s.hold(Token{Mode: ModeNormal, Initiator: env.Self()}, holdInject)
 	}
 	return s, nil
@@ -475,6 +477,9 @@ func (s *Switch) Stop() {
 	}
 	if s.ovl != nil {
 		s.ovl.stop()
+	}
+	if s.sealing != nil {
+		s.sealing.Release()
 	}
 	s.ctl.Stop()
 	for _, p := range s.protos {
@@ -607,10 +612,10 @@ func (s *Switch) onData(src ids.ProcID, pkt []byte) {
 func (s *Switch) countRecv(epoch uint64, src ids.ProcID) {
 	v := s.recv[epoch]
 	if v == nil {
-		v = make([]uint64, s.env.Ring().Size())
+		v = make([]uint64, s.ring.Size())
 		s.recv[epoch] = v
 	}
-	pos := s.env.Ring().Position(src)
+	pos := s.ring.Position(src)
 	if pos >= 0 {
 		v[pos]++
 	}
@@ -630,7 +635,7 @@ func (s *Switch) onControl(src ids.ProcID, pkt []byte) {
 	// vector longer than the ring would otherwise index past the
 	// per-epoch arrival counts, and a foreign initiator would circulate
 	// forever (no member ever absorbs it as its own round).
-	if len(t.Vector) > s.env.Ring().Size() || s.env.Ring().Position(t.Initiator) < 0 {
+	if len(t.Vector) > s.ring.Size() || s.ring.Position(t.Initiator) < 0 {
 		s.countMalformed(src, obs.MalformedRange)
 		return
 	}
@@ -808,7 +813,7 @@ func (s *Switch) initiate(gen uint64, origin ids.ProcID) {
 		Mode:      ModePrepare,
 		Epoch:     s.deliverEpoch,
 		Initiator: s.env.Self(),
-		Vector:    make([]uint64, s.env.Ring().Size()),
+		Vector:    make([]uint64, s.ring.Size()),
 		Gen:       gen,
 		Origin:    origin,
 	}
@@ -851,7 +856,7 @@ func (s *Switch) redirect(t Token) {
 // even completed — and simply reports its retained, now-final count.
 func (s *Switch) applyPrepare(t *Token) {
 	s.redirect(*t)
-	pos := s.env.Ring().Position(s.env.Self())
+	pos := s.ring.Position(s.env.Self())
 	if pos >= 0 && pos < len(t.Vector) {
 		t.Vector[pos] = s.sent[t.Epoch]
 	}
@@ -1033,7 +1038,7 @@ func (s *Switch) passToken(t Token) {
 		succ = s.rec.successor(s.env.Self())
 	} else {
 		var err error
-		succ, err = s.env.Ring().Successor(s.env.Self())
+		succ, err = s.ring.Successor(s.env.Self())
 		if err != nil {
 			return
 		}

@@ -269,6 +269,26 @@ func TestOverheadExperiment(t *testing.T) {
 	}
 }
 
+// TestAnalyzeGapsDistinctInstants: a multicast lands at every member at
+// one instant, so the delivery timeline repeats each instant. The steady
+// gap is the median gap between distinct instants, not the zero between
+// two members' copies of one delivery, and the hiccup subtracts it.
+func TestAnalyzeGapsDistinctInstants(t *testing.T) {
+	const members = 5
+	ms := time.Millisecond
+	var ts []time.Duration
+	for _, at := range []time.Duration{0, 10 * ms, 20 * ms, 30 * ms, 40 * ms, 100 * ms, 110 * ms} {
+		for range members {
+			ts = append(ts, at)
+		}
+	}
+	rec := &switching.Record{Started: 40 * ms, Finished: 60 * ms}
+	steady, hiccup := analyzeGaps(ts, 40*ms, rec)
+	if steady != 10*ms || hiccup != 50*ms {
+		t.Errorf("analyzeGaps = steady %v, hiccup %v; want 10ms and 50ms", steady, hiccup)
+	}
+}
+
 func TestOverheadSweepRender(t *testing.T) {
 	cfg := DefaultOverheadConfig()
 	cfg.Run.Warmup = 300 * time.Millisecond

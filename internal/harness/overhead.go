@@ -24,7 +24,8 @@ type OverheadResult struct {
 	// Hiccup is the worst app-level delivery gap during the switch,
 	// minus the typical (median) steady-state gap.
 	Hiccup time.Duration
-	// SteadyGap is the median inter-delivery gap before the switch.
+	// SteadyGap is the median gap between distinct group-wide delivery
+	// instants before the switch.
 	SteadyGap time.Duration
 	// From names the protocol being switched away from.
 	From ProtocolKind
@@ -109,12 +110,18 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 
 // analyzeGaps returns the median steady-state delivery gap before the
 // switch and the hiccup (worst gap overlapping the switch window minus
-// the steady gap; never negative).
+// the steady gap; never negative). ts is the group-wide delivery
+// timeline, in order; a gap runs between two distinct delivery instants,
+// because a multicast lands at several members at one instant, and the
+// zero gaps between them would make the median read 0.
 func analyzeGaps(ts []time.Duration, switchAt time.Duration, rec *switching.Record) (steady, hiccup time.Duration) {
 	var preGaps []time.Duration
 	var worst time.Duration
 	windowEnd := rec.Finished + 50*time.Millisecond
 	for i := 1; i < len(ts); i++ {
+		if ts[i] == ts[i-1] {
+			continue
+		}
 		gap := ts[i] - ts[i-1]
 		switch {
 		case ts[i] < switchAt:

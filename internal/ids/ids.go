@@ -6,6 +6,7 @@ package ids
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -63,10 +64,11 @@ func (c ChannelID) String() string { return "ch" + strconv.FormatUint(uint64(c),
 
 // Ring captures a fixed logical ring over the members of a group. The
 // switching protocol rotates its token along this ring; the token-based
-// total-order protocol reuses it.
+// total-order protocol reuses it. Lookups scan the member slice: a group
+// is a handful of members, and at that size a scan is cheaper than a
+// map lookup.
 type Ring struct {
 	members []ProcID
-	index   map[ProcID]int
 }
 
 // NewRing builds a ring from the given membership. The order of the slice
@@ -76,19 +78,15 @@ func NewRing(members []ProcID) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("ring: empty membership")
 	}
-	r := &Ring{
-		members: make([]ProcID, len(members)),
-		index:   make(map[ProcID]int, len(members)),
-	}
-	for i, m := range members {
+	r := &Ring{members: make([]ProcID, 0, len(members))}
+	for _, m := range members {
 		if !m.Valid() {
 			return nil, fmt.Errorf("ring: invalid member %v", m)
 		}
-		if _, dup := r.index[m]; dup {
+		if r.Contains(m) {
 			return nil, fmt.Errorf("ring: duplicate member %v", m)
 		}
-		r.members[i] = m
-		r.index[m] = i
+		r.members = append(r.members, m)
 	}
 	return r, nil
 }
@@ -103,30 +101,27 @@ func (r *Ring) Members() []ProcID {
 	return out
 }
 
+// Member returns the member at ring position i, 0 <= i < Size().
+func (r *Ring) Member(i int) ProcID { return r.members[i] }
+
 // Contains reports whether p is a ring member.
-func (r *Ring) Contains(p ProcID) bool {
-	_, ok := r.index[p]
-	return ok
-}
+func (r *Ring) Contains(p ProcID) bool { return r.Position(p) >= 0 }
 
 // Successor returns the next member after p in rotation order. It returns
 // an error if p is not on the ring.
 func (r *Ring) Successor(p ProcID) (ProcID, error) {
-	i, ok := r.index[p]
-	if !ok {
+	i := r.Position(p)
+	if i < 0 {
 		return Nobody, fmt.Errorf("ring: %v is not a member", p)
 	}
-	return r.members[(i+1)%len(r.members)], nil
+	if i++; i == len(r.members) {
+		i = 0
+	}
+	return r.members[i], nil
 }
 
 // Position returns p's index in rotation order, or -1 if absent.
-func (r *Ring) Position(p ProcID) int {
-	i, ok := r.index[p]
-	if !ok {
-		return -1
-	}
-	return i
-}
+func (r *Ring) Position(p ProcID) int { return slices.Index(r.members, p) }
 
 // Procs returns the canonical membership {0, 1, ..., n-1}. It is the
 // conventional group layout used throughout tests and experiments.

@@ -150,3 +150,37 @@ func TestRingRotationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRingSparseMembership: a ring whose ids are neither 0-based nor in
+// order answers every lookup by ring position, not by id, and treats
+// the gaps between its ids as non-members.
+func TestRingSparseMembership(t *testing.T) {
+	r, err := NewRing([]ProcID{5, 2, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []ProcID{5, 2, 9} {
+		if got := r.Position(p); got != i {
+			t.Errorf("Position(%v) = %d, want %d", p, got, i)
+		}
+		if !r.Contains(p) {
+			t.Errorf("Contains(%v) = false", p)
+		}
+	}
+	for _, p := range []ProcID{0, 1, 3, 10, Nobody} {
+		if r.Contains(p) || r.Position(p) != -1 {
+			t.Errorf("non-member %v: Contains %v, Position %d", p, r.Contains(p), r.Position(p))
+		}
+		if _, err := r.Successor(p); err == nil {
+			t.Errorf("Successor(%v) succeeded for a non-member", p)
+		}
+	}
+	for p, want := range map[ProcID]ProcID{5: 2, 2: 9, 9: 5} {
+		if got, err := r.Successor(p); err != nil || got != want {
+			t.Errorf("Successor(%v) = %v, %v; want %v", p, got, err, want)
+		}
+	}
+	if _, err := NewRing([]ProcID{5, 2, 5}); err == nil {
+		t.Error("NewRing with a duplicate among sparse ids succeeded, want error")
+	}
+}

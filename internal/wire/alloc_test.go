@@ -75,9 +75,11 @@ func TestSealAuthToBytesMatchSealAuth(t *testing.T) {
 }
 
 // TestAuthSealerAllocs covers both sides of the memo: a 256-byte
-// payload is too long to remember and always runs HMAC, a heartbeat-
-// sized one hits after its first seal, and a rotation of more short
-// payloads than the memo holds misses and is remembered every time.
+// payload is remembered once sealed, a heartbeat-sized one hits after
+// its first seal, a rotation of more short payloads than the memo holds
+// misses and is remembered every time, and a 2 KB payload that changes
+// on every seal is copied into the memo and recognised when it comes
+// back.
 func TestAuthSealerAllocs(t *testing.T) {
 	key := DeriveEpochKey([]byte("alloc test session"), 5)
 	sealer := NewAuthSealer(key, 5)
@@ -118,6 +120,20 @@ func TestAuthSealerAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: AuthSealer.Open allocated %.1f times per op, want 0", c.name, allocs)
 		}
+	}
+	// A member's own multicast: a 2 KB payload, sealed and opened again
+	// off the loop-back, a new one each time. Once the memo holds its
+	// copy buffers the round trip allocates nothing.
+	own := bytes.Repeat([]byte{0x2B}, 2048)
+	dst := make([]byte, 0, MaxAuthOverhead+len(own))
+	allocs := testing.AllocsPerRun(100, func() {
+		own[0]++
+		if p, err := sealer.Open(sealer.SealTo(dst, own)); err != nil || len(p) != len(own) {
+			t.Fatal("own frame did not open")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("own 2 KB frame: AuthSealer seal and reopen allocated %.1f times per op, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -109,44 +110,72 @@ func SealAuthTo(dst []byte, key []byte, epoch uint64, payload []byte) []byte {
 // one-byte header) a payload of up to 54 bytes costs two compressions,
 // a 256-byte one six.
 //
-// Short payloads are memoized: the sealer remembers the tags of the
-// last memoSlots payloads of at most memoMax bytes that it sealed or
-// that arrived in a frame it verified. Sealing a remembered payload
-// reuses its tag; opening a frame with this sealer's header and a
-// remembered payload compares the frame's MAC with the remembered tag.
-// The whole input is compared, in constant time, and HMAC does not run.
-// Under a fixed key the tag is a function of header and payload, so the
-// memo returns exactly what computing the MAC would; it belongs to this
-// one key, and only tags that were computed and, on Open, matched enter
-// it. Failure-detector heartbeats are the repeats this pays for: within
-// an epoch every member's heartbeat is the same frame.
+// The sealer memoizes tags, so that a frame it has already MACed does
+// not run HMAC again. It remembers the tags of the last memoSlots
+// payloads of at most memoMax bytes that it sealed or that arrived in a
+// frame it verified, and copies of the last sealedSlots longer payloads
+// that it sealed. Sealing a remembered payload reuses its tag; opening a
+// frame with this sealer's header and a remembered payload compares the
+// frame's MAC with the remembered tag, in constant time, and HMAC does
+// not run. Under a fixed key the tag is a function of header and
+// payload, so the memo returns exactly what computing the MAC would; it
+// belongs to this one key, and only tags that were computed and, on
+// Open, matched enter it. Two repeats pay for it. Failure-detector
+// heartbeats: within an epoch every member's heartbeat is the same
+// frame. And a member's own multicasts: each comes back to it on the
+// loop-back, a data batch of a few kilobytes that it has just sealed.
+//
+// A short payload is compared in constant time. A long one is compared
+// with bytes.Equal, which returns early at the first differing byte:
+// the payload travels in the clear, so how much of it matches a
+// remembered copy tells an observer nothing the wire did not. The tag,
+// the secret-derived part, is always compared in constant time.
 //
 // An AuthSealer is not safe for concurrent use; each member's event
 // loop owns its own (the same discipline as every protocol layer).
 type AuthSealer struct {
-	epoch    uint64
-	mac      hash.Hash
-	hdr      [1 + binary.MaxVarintLen64]byte
+	epoch uint64
+	mac   hash.Hash
+	hdr   [1 + binary.MaxVarintLen64]byte
+	// memoNext fills hdr's padding, which keeps the struct, sealed
+	// pointer included, in the same 224-byte size class as without it.
+	memoNext uint8
 	hdrLen   int
 	sum      [sha256.Size]byte
 	memo     [memoSlots]memoEntry
-	memoNext int
+	// sealed is nil until the sealer seals its first long payload.
+	sealed *sealedMemo
 }
 
-// memoSlots and memoMax size an AuthSealer's memo: how many payloads it
-// remembers, and the longest payload it remembers. A heartbeat or an ack
-// fits; a data frame does not, and always runs HMAC.
+// memoSlots and memoMax size an AuthSealer's memo of short payloads:
+// how many it remembers, and the longest it remembers. A heartbeat or
+// an ack fits; a data frame does not. sealedSlots is how many long
+// payloads it remembers having sealed: enough to span the flight time
+// of a multicast to its own loop-back.
 const (
-	memoSlots = 4
-	memoMax   = 16
+	memoSlots   = 4
+	memoMax     = 16
+	sealedSlots = 2
 )
 
-// memoEntry is one remembered payload and its tag.
+// memoEntry is one remembered short payload and its tag.
 type memoEntry struct {
 	full    bool
 	n       uint8
 	payload [memoMax]byte
 	tag     [MACSize]byte
+}
+
+// sealedMemo remembers the last sealedSlots long payloads a sealer
+// sealed, each copied into a pooled buffer (GetBuf) that its entry
+// keeps for the next one, with its tag. An entry with no buffer, or an
+// empty one, is free: a long payload never equals it.
+type sealedMemo struct {
+	entries [sealedSlots]struct {
+		buf *[]byte
+		tag [MACSize]byte
+	}
+	next int
 }
 
 // NewAuthSealer returns a sealer for the given per-epoch key (see
@@ -171,10 +200,19 @@ func (a *AuthSealer) computeMAC(epochHeader, payload []byte) []byte {
 	return a.mac.Sum(a.sum[:0])
 }
 
-// recall returns the remembered tag of payload, or nil. Every entry of
-// payload's length is compared in full, in constant time.
+// recall returns the remembered tag of payload, or nil. A short
+// payload is compared with every entry of its length in full, in
+// constant time; a long one with the copies of sealed payloads.
 func (a *AuthSealer) recall(payload []byte) []byte {
 	if len(payload) > memoMax {
+		if a.sealed == nil {
+			return nil
+		}
+		for i := range a.sealed.entries {
+			if e := &a.sealed.entries[i]; e.buf != nil && bytes.Equal(*e.buf, payload) {
+				return e.tag[:]
+			}
+		}
 		return nil
 	}
 	var tag []byte
@@ -187,8 +225,8 @@ func (a *AuthSealer) recall(payload []byte) []byte {
 	return tag
 }
 
-// remember stores payload's tag in place of the oldest entry; a payload
-// longer than memoMax is not remembered.
+// remember stores a short payload's tag in place of the oldest entry; a
+// payload longer than memoMax is not remembered.
 func (a *AuthSealer) remember(payload, tag []byte) {
 	if len(payload) > memoMax {
 		return
@@ -200,6 +238,58 @@ func (a *AuthSealer) remember(payload, tag []byte) {
 	copy(e.tag[:], tag)
 }
 
+// rememberSealed stores a copy of a long payload this sealer sealed,
+// and its tag, in place of the oldest.
+func (a *AuthSealer) rememberSealed(payload, tag []byte) {
+	if a.sealed == nil {
+		a.sealed = new(sealedMemo)
+	}
+	m := a.sealed
+	e := &m.entries[m.next]
+	m.next = (m.next + 1) % sealedSlots
+	if e.buf == nil {
+		e.buf = GetBuf()
+	}
+	*e.buf = append((*e.buf)[:0], payload...)
+	copy(e.tag[:], tag)
+}
+
+// Inherit takes over from's memo of sealed payloads, emptied, with its
+// copy buffers, in place of its own: from forgets what it sealed, and
+// this sealer remembers nothing it has not sealed itself. Call it when
+// from stops sealing because this sealer's epoch takes over, so that
+// the buffers pass from epoch to epoch instead of being made anew.
+func (a *AuthSealer) Inherit(from *AuthSealer) {
+	m := from.sealed
+	if m == nil {
+		return
+	}
+	from.sealed = nil
+	a.Release()
+	for i := range m.entries {
+		if e := &m.entries[i]; e.buf != nil {
+			*e.buf = (*e.buf)[:0]
+		}
+	}
+	a.sealed = m
+}
+
+// Release returns the memo's copy buffers to the pool GetBuf draws
+// from, and with them the memory of the long payloads this sealer
+// sealed: a frame carrying one runs HMAC again when opened. Call it
+// when the sealer's owner stops.
+func (a *AuthSealer) Release() {
+	if a.sealed == nil {
+		return
+	}
+	for i := range a.sealed.entries {
+		if e := &a.sealed.entries[i]; e.buf != nil {
+			PutBuf(e.buf)
+		}
+	}
+	a.sealed = nil
+}
+
 // SealTo appends the authenticated envelope and payload to dst and
 // returns the extended slice. Equivalent bytes to SealAuth under the
 // same key and epoch.
@@ -207,7 +297,11 @@ func (a *AuthSealer) SealTo(dst, payload []byte) []byte {
 	tag := a.recall(payload)
 	if tag == nil {
 		tag = a.computeMAC(a.hdr[1:a.hdrLen], payload)[:MACSize]
-		a.remember(payload, tag)
+		if len(payload) > memoMax {
+			a.rememberSealed(payload, tag)
+		} else {
+			a.remember(payload, tag)
+		}
 	}
 	dst = append(dst, a.hdr[:a.hdrLen]...)
 	dst = append(dst, tag...)

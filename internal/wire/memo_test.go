@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"hash"
 	"math/rand"
 	"testing"
 )
@@ -104,5 +105,116 @@ func TestAuthSealerMemoHeaderBound(t *testing.T) {
 	}
 	if _, err := sealer.Open(spliced); !errors.Is(err, ErrAuth) {
 		t.Fatalf("canonical header with another header's MAC: err = %v, want ErrAuth", err)
+	}
+}
+
+// countingMAC counts the MACs a sealer computes: computeMAC ends every
+// one with Sum.
+type countingMAC struct {
+	hash.Hash
+	sums int
+}
+
+func (c *countingMAC) Sum(b []byte) []byte {
+	c.sums++
+	return c.Hash.Sum(b)
+}
+
+// countMACs makes a count the MACs it computes from now on.
+func countMACs(a *AuthSealer) *countingMAC {
+	c := &countingMAC{Hash: a.mac}
+	a.mac = c
+	return c
+}
+
+// TestAuthSealerOpensOwnFrames: a frame carrying a long payload the
+// sealer sealed — a member's own multicast, back on the loop-back —
+// opens without HMAC and with the verdict OpenAuth gives. A tampered
+// copy is rejected exactly as OpenAuth rejects it, and a different
+// payload of the same length runs HMAC.
+func TestAuthSealerOpensOwnFrames(t *testing.T) {
+	key := DeriveEpochKey([]byte("loop-back session"), 4)
+	sealer := NewAuthSealer(key, 4)
+	macs := countMACs(sealer)
+	rng := rand.New(rand.NewSource(4))
+	payload := make([]byte, 2048)
+	rng.Read(payload)
+	pkt := sealer.SealTo(nil, payload)
+	hdr := len(pkt) - MACSize - len(payload)
+
+	check := func(name string, pkt []byte, wantMACs int) {
+		t.Helper()
+		before := macs.sums
+		got, err := sealer.Open(pkt)
+		want, werr := OpenAuth(key, pkt)
+		if err != werr || !bytes.Equal(got, want) {
+			t.Errorf("%s: Open = %d bytes, %v; OpenAuth = %d bytes, %v", name, len(got), err, len(want), werr)
+		}
+		if n := macs.sums - before; n != wantMACs {
+			t.Errorf("%s: Open computed %d MACs, want %d", name, n, wantMACs)
+		}
+	}
+	check("own frame", pkt, 0)
+	check("own frame again", pkt, 0)
+
+	flipped := bytes.Clone(pkt)
+	flipped[hdr+MACSize+1000] ^= 0x01
+	check("one payload byte flipped", flipped, 1)
+	tag := bytes.Clone(pkt)
+	tag[hdr+3] ^= 0x80
+	check("one tag byte flipped", tag, 0)
+	check("last byte cut", pkt[:len(pkt)-1], 1)
+	check("cut to a short payload", pkt[:hdr+MACSize+memoMax], 1)
+	check("cut inside the tag", pkt[:hdr+MACSize-1], 0)
+
+	other := make([]byte, len(payload))
+	rng.Read(other)
+	check("another sender's payload of the same length", SealAuth(key, 4, other), 1)
+	spliced := append(bytes.Clone(pkt[:hdr+MACSize]), other...)
+	check("another payload under the remembered tag", spliced, 1)
+	check("own frame after the misses", pkt, 0)
+}
+
+// TestAuthSealerInheritAndRelease: the epoch that takes over sealing
+// inherits the memo's buffers but none of its entries, so the old
+// sealer's frames run HMAC again and still verify; the new sealer
+// remembers its own frames, and sealing and reopening them allocates
+// nothing once inherited. After Release the memo is empty again.
+func TestAuthSealerInheritAndRelease(t *testing.T) {
+	session := []byte("inherit session")
+	oldKey, newKey := DeriveEpochKey(session, 6), DeriveEpochKey(session, 7)
+	old, next := NewAuthSealer(oldKey, 6), NewAuthSealer(newKey, 7)
+	payload := bytes.Repeat([]byte{0x6B}, 2048)
+	oldPkt := old.SealTo(nil, payload)
+	old.SealTo(nil, payload[1:]) // both entries hold a buffer
+
+	next.Inherit(old)
+	oldMACs := countMACs(old)
+	if _, err := old.Open(oldPkt); err != nil || oldMACs.sums != 1 {
+		t.Fatalf("old sealer's own frame after Inherit: err %v, %d MACs, want nil and 1", err, oldMACs.sums)
+	}
+	nextMACs := countMACs(next)
+	if _, err := next.Open(oldPkt); !errors.Is(err, ErrAuth) {
+		t.Fatalf("the old epoch's frame opened by the new sealer: err %v, want ErrAuth", err)
+	}
+	dst := make([]byte, 0, MaxAuthOverhead+len(payload))
+	allocs := testing.AllocsPerRun(100, func() {
+		payload[0]++
+		if _, err := next.Open(next.SealTo(dst, payload)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("sealing and reopening under the inheriting sealer allocated %.1f times per op, want 0", allocs)
+	}
+	if nextMACs.sums != 101 {
+		t.Errorf("101 seals and reopens computed %d MACs, want 101 (one per seal)", nextMACs.sums)
+	}
+
+	payload[0]++
+	pkt := next.SealTo(nil, payload)
+	next.Release()
+	if _, err := next.Open(pkt); err != nil || nextMACs.sums != 103 {
+		t.Fatalf("own frame after Release: err %v, %d MACs, want nil and 103", err, nextMACs.sums)
 	}
 }
