@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/contract"
 	"repro/internal/core/switching"
 	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
@@ -16,63 +17,61 @@ import (
 )
 
 // frameGuard holds simnet to its delivery contract from the receivers'
-// side. A delivered payload is read-only and may be the very frame every
-// other receiver of the transmission was handed (DESIGN §2.2), so one
-// layer decoding in place would corrupt its neighbours' deliveries. The
-// guard sits between the network and every member's stack, checksums each
-// buffer as it is delivered, and re-verifies all of them when the run is
-// over. Test code only: the production path has no such check.
+// side. A delivered payload is borrowed for the call, read-only, and may
+// be the very frame every other receiver of the transmission is handed
+// (DESIGN §2.2), so one layer decoding in place would corrupt its
+// neighbours' deliveries. The guard sits between the network and every
+// member's stack, checksums each buffer as it is delivered, and checks
+// it again when the receiving call returns — the end of the borrow,
+// after which the network recycles the frame. Test code only: the
+// production path has no such check (a contracts build has its own, in
+// simnet).
 type frameGuard struct {
-	frames []guardedFrame
+	delivered int
+	damaged   []guardedFrame
 }
 
+// guardedFrame is a delivery whose bytes changed during its call.
 type guardedFrame struct {
 	dst, src ids.ProcID
-	b        []byte
-	sum      uint32
+	n        int
+}
+
+// wrap returns dst's handler recv under the guard.
+func (g *frameGuard) wrap(dst ids.ProcID, recv simnet.Handler) simnet.Handler {
+	return func(src ids.ProcID, b []byte) {
+		sum := crc32.ChecksumIEEE(b)
+		recv(src, b)
+		g.delivered++
+		if crc32.ChecksumIEEE(b) != sum {
+			g.damaged = append(g.damaged, guardedFrame{dst: dst, src: src, n: len(b)})
+		}
+	}
 }
 
 // attach rebinds every member's network handler through the guard.
 func (g *frameGuard) attach(t *testing.T, c *swtest.SwitchedCluster) {
 	t.Helper()
 	for _, m := range c.Members {
-		dst, recv := m.Node.Self(), m.Switch.Recv
-		err := c.Net.Bind(dst, func(src ids.ProcID, b []byte) {
-			g.frames = append(g.frames, guardedFrame{dst: dst, src: src, b: b, sum: crc32.ChecksumIEEE(b)})
-			recv(src, b)
-		})
-		if err != nil {
+		if err := c.Net.Bind(m.Node.Self(), g.wrap(m.Node.Self(), m.Switch.Recv)); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// damaged returns the deliveries whose bytes no longer match their
-// checksum at delivery.
-func (g *frameGuard) damaged() []guardedFrame {
-	var out []guardedFrame
-	for _, f := range g.frames {
-		if crc32.ChecksumIEEE(f.b) != f.sum {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func (g *frameGuard) verify(t *testing.T) {
 	t.Helper()
-	if len(g.frames) == 0 {
+	if g.delivered == 0 {
 		t.Fatal("the guard saw no delivery; it is not on the path")
 	}
-	bad := g.damaged()
-	for i, f := range bad {
+	for i, f := range g.damaged {
 		if i == 5 {
 			break
 		}
-		t.Errorf("the %d bytes delivered %v -> %v were written to after delivery", len(f.b), f.src, f.dst)
+		t.Errorf("the %d bytes delivered %v -> %v were written to during delivery", f.n, f.src, f.dst)
 	}
-	if len(bad) > 0 {
-		t.Errorf("%d of %d delivered buffers were written to: some layer decodes in place", len(bad), len(g.frames))
+	if len(g.damaged) > 0 {
+		t.Errorf("%d of %d delivered buffers were written to: some layer decodes in place", len(g.damaged), g.delivered)
 	}
 }
 
@@ -107,9 +106,9 @@ func guardedTraffic(t *testing.T, netCfg simnet.Config, swCfg switching.Config, 
 	if got := c.Members[0].Switch.Stats().SwitchesCompleted; got < 2 {
 		t.Errorf("%d switches completed; the run is meant to cross protocols", got)
 	}
-	// The views a stack retains — new-epoch messages held in Switch.buffer
+	// The copies a stack keeps — new-epoch messages held in Switch.buffer
 	// until a switch completes, frames waiting in the overload ingress
-	// queue — are under the guard only if the run actually holds some.
+	// queue — are taken under the guard only if the run holds some.
 	var buffered uint64
 	queued := 0
 	for _, m := range c.Members {
@@ -195,20 +194,30 @@ func TestFrameGuardCatchesAWrite(t *testing.T) {
 	var g frameGuard
 	g.attach(t, c)
 	scribbles := 0
-	if err := c.Net.Bind(3, func(_ ids.ProcID, b []byte) {
+	if err := c.Net.Bind(3, g.wrap(3, func(_ ids.ProcID, b []byte) {
 		if len(b) > 0 {
-			b[0] ^= 0xFF // an in-place decode; of a multicast, on the frame members 0-2 were handed too
+			b[0] ^= 0xFF // an in-place decode; of a multicast, on the frame members 0-2 are handed too
 			scribbles++
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Cast(0, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(50 * time.Millisecond)
+	caught := func() (msg any) {
+		defer func() { msg = recover() }()
+		c.Run(50 * time.Millisecond)
+		return nil
+	}()
 	c.Stop()
-	if scribbles == 0 || len(g.damaged()) == 0 {
-		t.Errorf("%d scribbles but the guard reports %d damaged of %d deliveries", scribbles, len(g.damaged()), len(g.frames))
+	switch {
+	case contract.Enabled && caught == nil:
+		t.Error("a contracts build ran a write to a delivered frame without a panic")
+	case !contract.Enabled && caught != nil:
+		panic(caught)
+	}
+	if scribbles == 0 || len(g.damaged) != scribbles {
+		t.Errorf("%d scribbles but the guard reports %d damaged of %d deliveries", scribbles, len(g.damaged), g.delivered)
 	}
 }

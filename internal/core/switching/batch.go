@@ -240,8 +240,9 @@ func (s *Switch) recvBatch(src ids.ProcID, pkt []byte) {
 		s.countMalformed(src, obs.MalformedDecode)
 		return
 	}
-	// Second pass: route views of the verified frame. The ingress queue
-	// and the layers above retain them; nothing up here writes to one.
+	// Second pass: route views of the verified frame, borrowed for the
+	// call like the frame itself: the ingress queue and the layers above
+	// copy what they keep, and nothing up here writes to one.
 	for i := uint64(0); i < count; i++ {
 		ln, n := binary.Uvarint(body[off:])
 		off += n

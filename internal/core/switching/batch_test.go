@@ -286,12 +286,13 @@ func scribblePools() {
 	}
 }
 
-// TestRetainedViewsSurviveBufferReuse pins what the zero-copy up-path
-// rests on: simnet snapshots a frame when it is sent, so the views of it
-// that receivers retain — frames waiting in the overload ingress queue,
-// token-batch entries, new-epoch messages held in Switch.buffer across a
-// switch — still read correctly after the sender has re-used every
-// pooled buffer the frame was built in.
+// TestRetainedViewsSurviveBufferReuse pins what the borrowing rule
+// rests on: simnet snapshots a frame when it is sent, and what receivers
+// keep past the call is a copy of it — frames waiting in the overload
+// ingress queue, token-batch entries behind a gap, new-epoch messages
+// held in Switch.buffer across a switch — so all of it still reads
+// correctly after the sender has re-used every pooled buffer the frame
+// was built in, and the network has recycled the frame itself.
 func TestRetainedViewsSurviveBufferReuse(t *testing.T) {
 	const n, per = 4, 20
 	cfg := switching.Config{

@@ -245,9 +245,12 @@ func (s *Switch) epochAcceptable(epoch uint64) bool {
 }
 
 // recvAuth verifies and strips the authenticated envelope, or counts
-// and drops. Returns the inner payload and true on acceptance.
+// and drops. Returns the inner payload and true on acceptance. The
+// envelope's header is parsed once: the split form names the epoch that
+// picks the sealer, and is what the sealer opens.
 func (s *Switch) recvAuth(src ids.ProcID, pkt []byte) ([]byte, bool) {
-	epoch, err := wire.AuthEpoch(pkt)
+	f, err := wire.SplitAuth(pkt)
+	epoch := f.Epoch
 	if err != nil {
 		s.countAuthFailed(src, 0, obs.AuthBadFrame)
 		return nil, false
@@ -262,7 +265,7 @@ func (s *Switch) recvAuth(src ids.ProcID, pkt []byte) ([]byte, bool) {
 	// A sealer enters the schedule only once a frame verifies under
 	// it: forgeries naming ever-new epochs must not grow it.
 	a, kept := s.sealerFor(epoch)
-	payload, err := a.Open(pkt)
+	payload, err := a.OpenFrame(f)
 	if err != nil {
 		s.countAuthFailed(src, epoch, obs.AuthBadMAC)
 		return nil, false

@@ -7,6 +7,14 @@
 // A Layer exchanges raw byte payloads with its neighbours: going down it
 // prepends its own header (package wire), going up it strips it. Every
 // process in a group runs the same stack.
+//
+// One rule governs every payload that crosses a layer boundary, up or
+// down: it is borrowed for the call. The callee reads it, and may hand it
+// (or a part of it) on within the call; to keep it past the call, it
+// copies it into its own buffers (wire.Spares) and gives them back once
+// done. The caller may reuse, overwrite or recycle the bytes as soon as
+// the call returns. Build with the tag contracts (package contract) to
+// have the stack and the simulated network check the rule.
 package proto
 
 import (
@@ -78,9 +86,9 @@ type Env interface {
 // A payload handed down is borrowed for the call: the caller may reuse
 // or overwrite it as soon as Cast or Send returns. A layer below that
 // keeps the payload — to retransmit it, queue it, or hand it up later —
-// or hands it up during the call keeps a copy, never the caller's
-// slice. Layers build frames in pooled and recycled buffers on the
-// strength of this rule (package wire).
+// copies it into its own buffers, never keeping the caller's slice.
+// Layers build frames in pooled and recycled buffers on the strength of
+// this rule (package wire).
 type Down interface {
 	// Cast multicasts payload to the whole group, including the caller's
 	// own process (protocols rely on hearing their own multicasts).
@@ -95,10 +103,11 @@ type Down interface {
 // application).
 type Up interface {
 	// Deliver passes a payload up. src is the message's original sender
-	// as reconstructed by the delivering layer. payload is read-only: it
-	// is usually a view of the frame the network delivered, which other
-	// receivers and other layers may hold too. It may be retained, whole
-	// or in part, for as long as the receiver likes; copy before writing.
+	// as reconstructed by the delivering layer. payload is borrowed for
+	// the call and read-only: it is usually a view of the frame the
+	// network delivered, which other receivers see too, and the network
+	// recycles that frame once the call returns. A receiver that keeps
+	// the payload, whole or in part, copies it into its own buffers.
 	Deliver(src ids.ProcID, payload []byte)
 }
 
@@ -126,8 +135,10 @@ type Layer interface {
 	Send(dst ids.ProcID, payload []byte) error
 	// Recv handles a payload arriving from the layer below; src is the
 	// sender as reported by that layer. Same contract as Up.Deliver:
-	// payload is read-only, may be shared, may be retained. Stripping a
-	// header is a reslice; a layer copies only before it writes.
+	// payload is read-only, may be shared, and is borrowed for the call.
+	// Stripping a header is a reslice; a layer copies only what it keeps
+	// past the call (into its wire.Spares, see Reorder's Keeper) and
+	// never writes to what it was handed.
 	Recv(src ids.ProcID, payload []byte)
 	// Stop cancels timers and releases resources. Idempotent.
 	Stop()

@@ -196,3 +196,56 @@ func TestReorderInOrderAllocs(t *testing.T) {
 		t.Errorf("an in-order Push allocates %v (delivered %d bytes), want 0", got, delivered)
 	}
 }
+
+// bytesKeeper copies into and frees from a stack of its own, counting
+// both: the Keeper fifo, seqorder and tokenorder install.
+type bytesKeeper struct {
+	kept, freed int
+	spare       [][]byte
+}
+
+func (k *bytesKeeper) Keep(p []byte) []byte {
+	k.kept++
+	var b []byte
+	if n := len(k.spare); n > 0 {
+		b, k.spare = k.spare[n-1][:0], k.spare[:n-1]
+	}
+	return append(b, p...)
+}
+
+func (k *bytesKeeper) Free(p []byte) {
+	k.freed++
+	k.spare = append(k.spare, p)
+}
+
+// TestReorderKeepsCopiesOfBufferedArrivals: an arrival delivered at once
+// is handed on as it came; one that waits behind a gap is the keeper's
+// copy, so the borrowed bytes it came in may be overwritten as soon as
+// Push returns, and the copy is freed once delivered.
+func TestReorderKeepsCopiesOfBufferedArrivals(t *testing.T) {
+	var r Reorder[[]byte]
+	k := &bytesKeeper{}
+	r.SetKeeper(k)
+	var got []string
+	deliver := func(p []byte) { got = append(got, string(p)) }
+	frame := []byte("one")
+	r.Push(1, frame, deliver)
+	copy(frame, "XXX") // the borrow has ended
+	if k.kept != 1 || len(got) != 0 {
+		t.Fatalf("a buffered arrival: %d kept, %d delivered", k.kept, len(got))
+	}
+	zero := []byte("zero")
+	var handed []byte
+	r.Push(0, zero, func(p []byte) {
+		if handed == nil {
+			handed = p
+		}
+		deliver(p)
+	})
+	if !reflect.DeepEqual(got, []string{"zero", "one"}) {
+		t.Fatalf("delivered %q, want zero then one", got)
+	}
+	if &handed[0] != &zero[0] || k.kept != 1 || k.freed != 1 {
+		t.Errorf("in-order arrival copied, or %d kept and %d freed, want 1 and 1", k.kept, k.freed)
+	}
+}

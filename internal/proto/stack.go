@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 
+	"repro/internal/contract"
 	"repro/internal/ids"
 )
 
@@ -25,6 +26,18 @@ func (d layerDown) Cast(payload []byte) error                 { return d.l.Cast(
 func (d layerDown) Send(dst ids.ProcID, payload []byte) error { return d.l.Send(dst, payload) }
 
 var _ Down = layerDown{}
+
+// lendingDown hands its callee a private copy of each payload and poisons
+// the copy when the call returns (package contract): a callee that kept
+// the caller's bytes without copying them reads contract.PoisonByte.
+// Build wraps every Down in one in contract builds only.
+type lendingDown struct{ d Down }
+
+func (l lendingDown) Cast(payload []byte) error { return contract.Lend(payload, l.d.Cast) }
+
+func (l lendingDown) Send(dst ids.ProcID, payload []byte) error {
+	return contract.Lend(payload, func(p []byte) error { return l.d.Send(dst, p) })
+}
 
 // layerUp adapts the layer above into the Up interface.
 type layerUp struct{ l Layer }
@@ -50,6 +63,9 @@ func Build(env Env, app Up, transport Down, layers ...Layer) (*Stack, error) {
 		} else {
 			down = layerDown{layers[i+1]}
 		}
+		if contract.Enabled {
+			down = lendingDown{down}
+		}
 		var up Up
 		if i == 0 {
 			up = app
@@ -62,6 +78,9 @@ func Build(env Env, app Up, transport Down, layers ...Layer) (*Stack, error) {
 	}
 	if len(layers) == 0 {
 		s.passApp, s.passTransport = app, transport
+	}
+	if contract.Enabled {
+		s.passTransport = lendingDown{transport}
 	}
 	return s, nil
 }
@@ -80,17 +99,25 @@ func (s *Stack) bottom() Layer {
 	return s.layers[len(s.layers)-1]
 }
 
-// Cast multicasts an application payload through the stack.
+// Cast multicasts an application payload through the stack. payload is
+// borrowed for the call (see Down).
 func (s *Stack) Cast(payload []byte) error {
 	if t := s.top(); t != nil {
+		if contract.Enabled {
+			return contract.Lend(payload, t.Cast)
+		}
 		return t.Cast(payload)
 	}
 	return s.passTransport.Cast(payload)
 }
 
-// Send sends point-to-point through the stack.
+// Send sends point-to-point through the stack, under the same rule as
+// Cast.
 func (s *Stack) Send(dst ids.ProcID, payload []byte) error {
 	if t := s.top(); t != nil {
+		if contract.Enabled {
+			return contract.Lend(payload, func(p []byte) error { return t.Send(dst, p) })
+		}
 		return t.Send(dst, payload)
 	}
 	return s.passTransport.Send(dst, payload)

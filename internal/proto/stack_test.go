@@ -111,7 +111,7 @@ func TestStackCompositionOrder(t *testing.T) {
 	var wirePayload []byte
 	tr := &loopTransport{}
 	var delivered []byte
-	app := UpFunc(func(_ ids.ProcID, b []byte) { delivered = b })
+	app := UpFunc(func(_ ids.ProcID, b []byte) { delivered = bytes.Clone(b) }) // borrowed for the call
 	a := &tagLayer{tag: 'A'}
 	b := &tagLayer{tag: 'B'}
 	s, err := Build(env, app, tr, a, b) // A on top of B
@@ -138,7 +138,7 @@ func TestStackSendPath(t *testing.T) {
 	env := newFakeEnv(t, 0, 3)
 	tr := &loopTransport{}
 	var delivered []byte
-	app := UpFunc(func(_ ids.ProcID, b []byte) { delivered = b })
+	app := UpFunc(func(_ ids.ProcID, b []byte) { delivered = bytes.Clone(b) }) // borrowed for the call
 	s, err := Build(env, app, tr, &tagLayer{tag: 'A'})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestEmptyStackPassthrough(t *testing.T) {
 	env := newFakeEnv(t, 0, 1)
 	tr := &loopTransport{}
 	var delivered []byte
-	app := UpFunc(func(_ ids.ProcID, b []byte) { delivered = b })
+	app := UpFunc(func(_ ids.ProcID, b []byte) { delivered = bytes.Clone(b) }) // borrowed for the call
 	s, err := Build(env, app, tr)
 	if err != nil {
 		t.Fatal(err)

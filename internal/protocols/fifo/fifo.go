@@ -93,7 +93,8 @@ type Layer struct {
 	// for repair, and the next seq to assign.
 	castOut retransmitRing
 	// spare recycles the buffers of acked packets, of every outgoing
-	// stream, into the next data frames.
+	// stream, into the next data frames, and holds the copies of arrivals
+	// that wait behind a gap.
 	spare wire.Spares
 	// peers holds the per-peer state, indexed by ProcID and sized at Init
 	// to cover every member. A packet from outside it is malformed.
@@ -217,6 +218,10 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 		size = max(size, int(m)+1)
 	}
 	l.peers = make([]peer, size)
+	for i := range l.peers {
+		l.peers[i].castIn.SetKeeper(proto.SpareKeeper{Spare: &l.spare})
+		l.peers[i].sendIn.SetKeeper(proto.SpareKeeper{Spare: &l.spare})
+	}
 	l.start = env.Now()
 	l.scheduleTick(ackInterval, l.ackTick)
 	l.scheduleTick(heartbeatInterval, l.heartbeatTick)

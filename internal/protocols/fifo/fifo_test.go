@@ -238,11 +238,13 @@ func TestHeartbeatRepairsTailLoss(t *testing.T) {
 }
 
 // ackTap is a pass-through layer under a fifo instance that counts the
-// acks the instance sends.
+// acks the instance sends, and runs received, if set, after each arrival
+// it passes up.
 type ackTap struct {
 	proto.Down
-	up   proto.Up
-	acks int
+	up       proto.Up
+	acks     int
+	received func()
 }
 
 func (t *ackTap) Init(_ proto.Env, down proto.Down, up proto.Up) error {
@@ -257,8 +259,14 @@ func (t *ackTap) Send(dst ids.ProcID, pkt []byte) error {
 	return t.Down.Send(dst, pkt)
 }
 
-func (t *ackTap) Recv(src ids.ProcID, pkt []byte) { t.up.Deliver(src, pkt) }
-func (t *ackTap) Stop()                           {}
+func (t *ackTap) Recv(src ids.ProcID, pkt []byte) {
+	t.up.Deliver(src, pkt)
+	if t.received != nil {
+		t.received()
+	}
+}
+
+func (t *ackTap) Stop() {}
 
 // tappedCluster builds an n-member cluster of fifo layers, each over an
 // ackTap.
@@ -593,7 +601,10 @@ func TestNonMemberSource(t *testing.T) {
 		t.Fatalf("peer table grew to %d entries", len(l.peers))
 	}
 	for p := range l.peers {
-		if !reflect.DeepEqual(l.peers[p], peer{}) {
+		var fresh peer // as Init leaves it
+		fresh.castIn.SetKeeper(proto.SpareKeeper{Spare: &l.spare})
+		fresh.sendIn.SetKeeper(proto.SpareKeeper{Spare: &l.spare})
+		if !reflect.DeepEqual(l.peers[p], fresh) {
 			t.Errorf("peer %d has state after non-member traffic: %+v", p, l.peers[p])
 		}
 	}

@@ -69,11 +69,12 @@ func TestCastAckCycleAllocs(t *testing.T) {
 }
 
 // TestSparesWithinHighWater: the spare stack never holds more buffers
-// than the layer once held packets at one time — under loss, with
-// payload sizes that make recycled buffers too small at times.
+// than the layer once held at one time — unacked packets and copies of
+// arrivals waiting behind a gap together — under loss, with payload
+// sizes that make recycled buffers too small at times.
 func TestSparesWithinHighWater(t *testing.T) {
 	cfg := simnet.Config{Nodes: 3, PropDelay: time.Millisecond}
-	c, layers, _ := tappedCluster(t, 5, cfg, 3)
+	c, layers, taps := tappedCluster(t, 5, cfg, 3)
 	if err := c.Net.SetFaults(0.2, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +82,13 @@ func TestSparesWithinHighWater(t *testing.T) {
 	held := func() int {
 		n := l.castOut.n
 		for p := range l.peers {
-			n += l.peers[p].sendOut.n
+			n += l.peers[p].sendOut.n + l.peers[p].castIn.Pending() + l.peers[p].sendIn.Pending()
 		}
 		return n
 	}
-	// Packets are added only by the casts and sends below, so the most
-	// ever held is the most held right after one of them.
+	// Buffers are taken only by the casts and sends below and by
+	// arrivals, so the most ever held is the most held right after one of
+	// them.
 	highWater := 0
 	check := func(when string) {
 		highWater = max(highWater, held())
@@ -99,6 +101,7 @@ func TestSparesWithinHighWater(t *testing.T) {
 		if err := c.Cast(0, body); err != nil {
 			t.Fatal(err)
 		}
+		taps[0].received = func() { check(fmt.Sprintf("an arrival in step %d", i)) }
 		check(fmt.Sprintf("cast %d", i))
 		if err := c.Members[0].Stack.Send(ids.ProcID(1+i%2), body); err != nil {
 			t.Fatal(err)

@@ -39,15 +39,12 @@ type Layer struct {
 	// Receiver state: the global sequence, reassembled (defensive — the
 	// fifo below already delivers the sequencer's stream in order, but
 	// the layer does not rely on it).
-	in proto.Reorder[orderedMsg]
+	in proto.Reorder[proto.Sourced]
+	// spare holds the copies of messages that wait behind a gap.
+	spare wire.Spares
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
 	malformed uint64
-}
-
-type orderedMsg struct {
-	origin  ids.ProcID
-	payload []byte
 }
 
 var _ proto.Layer = (*Layer)(nil)
@@ -67,6 +64,7 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 		return fmt.Errorf("seqorder: sequencer %v is not a group member", l.sequencer)
 	}
 	l.env, l.down, l.up = env, down, up
+	l.in.SetKeeper(proto.SourcedKeeper{Spare: &l.spare})
 	return nil
 }
 
@@ -130,7 +128,7 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 		}
 		// A duplicate is ignored; a seq beyond proto.MaxSeqAhead (the
 		// sequencer assigns densely, so corrupted or forged) is malformed.
-		if l.in.Push(seq, orderedMsg{origin: origin, payload: d.Remaining()}, l.deliver) == proto.TooFarAhead {
+		if l.in.Push(seq, proto.Sourced{Origin: origin, Payload: d.Remaining()}, l.deliver) == proto.TooFarAhead {
 			l.malformed++
 		}
 	default:
@@ -138,7 +136,7 @@ func (l *Layer) Recv(src ids.ProcID, pkt []byte) {
 	}
 }
 
-func (l *Layer) deliver(m orderedMsg) { l.up.Deliver(m.origin, m.payload) }
+func (l *Layer) deliver(m proto.Sourced) { l.up.Deliver(m.Origin, m.Payload) }
 
 // MalformedDropped returns how many packets the defensive ingress
 // rejected (decode failure or unknown kind).

@@ -73,6 +73,38 @@ func TestReplayCaptureAndInject(t *testing.T) {
 	}
 }
 
+// TestReplayOfARecycledFrame: the tap pins what it captures. A frame is
+// captured and delivered, then frames of the same size class run through
+// the network — enough to reuse any buffer given back — and the replay
+// still delivers the bytes the sender put on the wire.
+func TestReplayOfARecycledFrame(t *testing.T) {
+	sim, net := newNet(t, Config{Nodes: 2, PropDelay: time.Millisecond})
+	got := collect(t, sim, net, 1)
+	net.SetReplayCapture(1)
+	genuine := []byte("genuine frame, captured once")
+	if err := net.Unicast(0, 1, genuine); err != nil {
+		t.Fatal(err)
+	}
+	drain(sim)
+	other := bytes.Repeat([]byte{0xEE}, len(genuine))
+	for i := 0; i < 8; i++ {
+		if err := net.Unicast(0, 1, other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(sim)
+	if err := net.InjectReplay(0); err != nil {
+		t.Fatal(err)
+	}
+	drain(sim)
+	if len(*got) != 10 {
+		t.Fatalf("%d deliveries, want the frame, 8 others and the replay", len(*got))
+	}
+	if replay := (*got)[9]; !bytes.Equal(replay.b, genuine) || replay.src != 0 {
+		t.Errorf("replay delivered %q from %v, want the captured %q from 0", replay.b, replay.src, genuine)
+	}
+}
+
 func TestReplayCaptureBounded(t *testing.T) {
 	sim, net := newNet(t, Config{Nodes: 2})
 	collect(t, sim, net, 1)
@@ -113,7 +145,7 @@ func TestReplayCaptureRecordsPreFault(t *testing.T) {
 	if net.CapturedFrames() != 1 {
 		t.Fatalf("captured %d frames, want 1", net.CapturedFrames())
 	}
-	if !bytes.Equal(net.captured[0].payload, orig) {
+	if !bytes.Equal(net.captured[0].f.b, orig) {
 		t.Error("capture recorded post-corruption bytes")
 	}
 }

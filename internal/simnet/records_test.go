@@ -15,11 +15,11 @@ func drain(sim *des.Sim) {
 	}
 }
 
-// TestMulticastAllocs: a multicast allocates the one snapshot of the
-// sender's payload — the frame every receiver is handed — and nothing
-// else: no buffer per receiver, no closure, timer or record per frame or
-// per delivery. The model is the paper's Ethernet, so both event legs of
-// a delivery (arrival, then the CPU-queued handler) are on the path.
+// TestMulticastAllocs: once warm, a multicast allocates nothing — not
+// its snapshot of the sender's payload, which is a recycled frame, nor a
+// buffer per receiver, nor a closure, timer or record per frame or per
+// delivery. The model is the paper's Ethernet, so both event legs of a
+// delivery (arrival, then the CPU-queued handler) are on the path.
 func TestMulticastAllocs(t *testing.T) {
 	const nodes = 6
 	sim, net := newNet(t, Ethernet10Mbit(nodes))
@@ -40,16 +40,16 @@ func TestMulticastAllocs(t *testing.T) {
 		round()
 	}
 	delivered = 0
-	if got := testing.AllocsPerRun(200, round); got != 3 {
-		t.Errorf("3 multicasts to %d receivers allocate %v, want exactly 3 (one snapshot per transmission)", nodes, got)
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("3 multicasts to %d receivers allocate %v, want 0 (a recycled frame per transmission)", nodes, got)
 	}
 	if delivered != 201*3*nodes {
 		t.Errorf("delivered %d, want %d", delivered, 201*3*nodes)
 	}
 }
 
-// TestUnicastAllocs: a unicast is copied once — the snapshot its one
-// receiver is handed.
+// TestUnicastAllocs: once warm, a unicast allocates nothing, over the
+// wire and on the local loop-back alike.
 func TestUnicastAllocs(t *testing.T) {
 	sim, net := newNet(t, Ethernet10Mbit(3))
 	for p := 0; p < 3; p++ {
@@ -66,8 +66,74 @@ func TestUnicastAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		round()
 	}
-	if got := testing.AllocsPerRun(200, round); got > 2 {
-		t.Errorf("two unicasts allocate %v, want at most 2", got)
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("two unicasts allocate %v, want 0", got)
+	}
+}
+
+// TestFaultedDeliveryAllocs: a duplicated delivery and a truncated one
+// are views of the transmission's frame, so under both faults a warm
+// multicast still allocates nothing. Acks and 2 KB batches, sent in
+// turn, keep frames of their own size classes.
+func TestFaultedDeliveryAllocs(t *testing.T) {
+	const nodes = 4
+	sim, net := newNet(t, Ethernet10Mbit(nodes))
+	if err := net.SetFaults(0, 0.3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetCorruption(0, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < nodes; p++ {
+		if err := net.Bind(ids.ProcID(p), func(ids.ProcID, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack, batch := make([]byte, 6), make([]byte, 2048)
+	round := func() {
+		_ = net.Multicast(0, batch)
+		_ = net.Unicast(1, 0, ack)
+		_ = net.Multicast(2, batch)
+		drain(sim)
+	}
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("a round under duplication and truncation allocates %v, want 0", got)
+	}
+	if st := net.Stats(); st.Duplicated == 0 {
+		t.Error("no delivery was duplicated: the fault is not on the path")
+	}
+}
+
+// TestReentrantSendAllocs: a handler that sends from inside its call
+// draws a frame while the one it was handed is still lent to it; once
+// warm, that costs no allocation either.
+func TestReentrantSendAllocs(t *testing.T) {
+	const nodes = 3
+	sim, net := newNet(t, Ethernet10Mbit(nodes))
+	reply := make([]byte, 48)
+	for p := 0; p < nodes; p++ {
+		self := ids.ProcID(p)
+		if err := net.Bind(self, func(src ids.ProcID, b []byte) {
+			if len(b) == 200 && self != src {
+				_ = net.Unicast(self, src, reply)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, 200)
+	round := func() {
+		_ = net.Multicast(0, payload)
+		drain(sim)
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("a multicast answered from inside its handlers allocates %v, want 0", got)
 	}
 }
 
@@ -82,7 +148,9 @@ func sameArray(a, b []byte) bool {
 // handed; it never aliases the sender's slice, which the sender may reuse
 // at once; InjectForged copies the caller's slice. With corruption and
 // truncation on, the delivery a fault hits is private resp. shorter, and
-// every other delivery of the same frame is intact.
+// every other delivery of the same frame is intact. A delivery is
+// borrowed for the call, so each is recorded as its view (for where it
+// points) and a copy of its bytes (for what it read).
 func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 	const nodes = 5
 	want := []byte("the quick brown fox jumps over the lazy dog")
@@ -91,15 +159,18 @@ func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := counted(net)
-	var got [][]byte
+	type delivery struct{ view, read []byte }
+	var got []delivery
 	for p := 0; p < nodes; p++ {
-		if err := net.Bind(ids.ProcID(p), func(_ ids.ProcID, b []byte) { got = append(got, b) }); err != nil {
+		if err := net.Bind(ids.ProcID(p), func(_ ids.ProcID, b []byte) {
+			got = append(got, delivery{b, bytes.Clone(b)})
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// transmit hands tx a slice holding want, overwrites that slice while
 	// the frame is still in flight, and returns it with what was delivered.
-	transmit := func(tx func(payload []byte)) (deliveries [][]byte, sent []byte) {
+	transmit := func(tx func(payload []byte)) (deliveries []delivery, sent []byte) {
 		got = nil
 		sent = append([]byte(nil), want...)
 		tx(sent)
@@ -113,10 +184,10 @@ func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		deliveries, sent := transmit(func(b []byte) { _ = net.Multicast(ids.ProcID(i%nodes), b) })
 		for _, d := range deliveries {
-			if !bytes.Equal(d, want) {
-				t.Fatalf("multicast %d delivered %q: the sender's later write showed through", i, d)
+			if !bytes.Equal(d.read, want) {
+				t.Fatalf("multicast %d delivered %q: the sender's later write showed through", i, d.read)
 			}
-			if !sameArray(d, deliveries[0]) || sameArray(d, sent) {
+			if !sameArray(d.view, deliveries[0].view) || sameArray(d.view, sent) {
 				t.Fatalf("multicast %d: a delivery has a buffer of its own, or the sender's", i)
 			}
 		}
@@ -134,8 +205,8 @@ func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 		t.Fatalf("%d deliveries of an inject and two unicasts", len(deliveries))
 	}
 	for _, d := range deliveries {
-		if !bytes.Equal(d, want) || sameArray(d, sent) {
-			t.Errorf("delivery %q aliases, or follows, the caller's slice", d)
+		if !bytes.Equal(d.read, want) || sameArray(d.view, sent) {
+			t.Errorf("delivery %q aliases, or follows, the caller's slice", d.read)
 		}
 	}
 
@@ -147,19 +218,19 @@ func TestDeliveriesShareOneImmutableFrame(t *testing.T) {
 		net.SetReplayCapture(0)
 		net.SetReplayCapture(1) // the tap holds the frame itself
 		deliveries, _ := transmit(func(b []byte) { _ = net.Multicast(ids.ProcID(i%nodes), b) })
-		frame := net.captured[0].payload
+		frame := net.captured[0].f.b
 		if !bytes.Equal(frame, want) {
 			t.Fatalf("multicast %d: the frame was written to: %q", i, frame)
 		}
 		for _, d := range deliveries {
 			switch {
-			case len(d) == 0:
-			case !sameArray(d, frame):
+			case len(d.read) == 0:
+			case !sameArray(d.view, frame):
 				private++ // only a corruption hit takes a copy
-			case !bytes.Equal(d, want[:len(d)]):
-				t.Fatalf("multicast %d: a delivery of the shared frame reads %q", i, d)
+			case !bytes.Equal(d.read, want[:len(d.read)]):
+				t.Fatalf("multicast %d: a delivery of the shared frame reads %q", i, d.read)
 			}
-			if len(d) < len(want) {
+			if len(d.read) < len(want) {
 				shorter++
 			}
 		}
@@ -255,13 +326,13 @@ func TestReentrantHandlerIsRecordSafe(t *testing.T) {
 		t.Fatalf("free lists empty after a drained run: tx %d rx %d", len(net.txFree), len(net.rxFree))
 	}
 	for _, r := range net.txFree {
-		if r.f.payload != nil {
+		if r.f.buf != nil {
 			t.Error("a free transmission record still holds a payload")
 		}
 	}
 	for _, r := range net.rxFree {
-		if r.buf != nil || r.h != nil {
-			t.Error("a free delivery record still holds bytes or a handler")
+		if r.buf != nil || r.f != nil || r.h != nil {
+			t.Error("a free delivery record still holds bytes, a frame or a handler")
 		}
 	}
 }

@@ -23,6 +23,10 @@
 // Running such a chain receiver by receiver, in the order the separate
 // events would have fired, is indistinguishable from firing them one by
 // one, so a chain moves no delivery in time or order (DESIGN.md §2.2).
+//
+// Each transmission's bytes are one frame, taken from the network's free
+// list and given back when the frame's last delivery has returned
+// (wireFrame): a handler borrows what it is handed for the call.
 package simnet
 
 import (
@@ -86,9 +90,10 @@ func Ethernet10Mbit(nodes int) Config {
 }
 
 // Handler receives packets addressed to a node. src is the sending node.
-// payload is read-only and may be shared with the other receivers of the
-// same transmission: a handler may retain it, or any sub-slice of it, for
-// as long as it likes, and must copy before writing.
+// payload is borrowed for the call: it is read-only, shared with the
+// other receivers of the same transmission, and recycled into another
+// frame once the call returns. A handler that keeps it, or any part of
+// it, copies it into its own buffers (wire.Spares).
 type Handler func(src ids.ProcID, payload []byte)
 
 // Stats counts the traffic no event names. Faults are counted in the
@@ -114,7 +119,7 @@ type frame struct {
 	src       ids.ProcID
 	dst       ids.ProcID // unicast destination (ignored for multicast)
 	multicast bool
-	payload   []byte
+	buf       *wireFrame
 	tx        time.Duration
 }
 
@@ -123,8 +128,9 @@ type frame struct {
 // values bound once, when the record is first created, and records are
 // recycled through Network.txFree — so a frame in steady state costs the
 // simulator no closure, no timer and no record. The network owns the
-// record and the frame: f.payload is the snapshot taken at the send, and
-// nothing writes to it afterwards.
+// record and the frame: f.buf is the snapshot taken at the send, nothing
+// writes to it afterwards, and the record holds one reference to it
+// until the fan-out is done.
 type txRecord struct {
 	n *Network
 	f frame
@@ -140,10 +146,13 @@ type txRecord struct {
 // the record already back on the free list. buf is the transmission's
 // frame (or a prefix of it, or the private copy a corruption fault took):
 // every other receiver of that transmission may be handed the same bytes.
+// f is the reference to the frame buf views — nil for a private copy —
+// and is dropped only once the handler has returned.
 type rxRecord struct {
 	n        *Network
 	src, dst ids.ProcID
 	buf      []byte
+	f        *wireFrame
 	// h is the handler resolved at arrival, kept for the CPU-queued leg.
 	h Handler
 	// next is the record after this one in its chain: the deliveries
@@ -248,12 +257,15 @@ type Network struct {
 	// cleared when it is released.
 	txFree []*txRecord
 	rxFree []*rxRecord
+	// frames is the free list of frame buffers (wireFrame).
+	frames framePool
 }
 
-// capturedFrame is one recorded wire delivery, replayable verbatim.
+// capturedFrame is one recorded wire delivery, replayable verbatim. It
+// holds a reference to its frame, so the bytes stay the sender's.
 type capturedFrame struct {
 	src, dst ids.ProcID
-	payload  []byte
+	f        *wireFrame
 }
 
 // New creates a network over the given simulator.
@@ -293,6 +305,11 @@ func (n *Network) Crash(p ids.ProcID) {
 		return
 	}
 	n.crashed[p] = true
+	for q := &n.egress[p]; q.count > 0; {
+		r := q.pop()
+		n.unref(r.f.buf)
+		r.release()
+	}
 	n.egress[p] = egressQueue{}
 	n.emit(obs.Crash(n.sim.Now(), p))
 }
@@ -558,7 +575,7 @@ func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 		buf[i] = byte(rng.Intn(256))
 	}
 	n.emit(obs.Garbage(n.sim.Now(), dst, src, size))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.inject(src, dst, buf)
 	return nil
 }
 
@@ -577,22 +594,32 @@ func (n *Network) InjectForged(src, dst ids.ProcID, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("simnet: forged frame must be non-empty")
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	n.emit(obs.Forged(n.sim.Now(), dst, src, len(buf)))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.emit(obs.Forged(n.sim.Now(), dst, src, len(payload)))
+	n.inject(src, dst, payload)
 	return nil
+}
+
+// inject delivers a snapshot of payload to dst one propagation delay
+// from now, bypassing the sender-side model.
+func (n *Network) inject(src, dst ids.ProcID, payload []byte) {
+	f := n.snapshot(payload)
+	n.scheduleDelivery(src, dst, f, n.sim.Now()+n.cfg.PropDelay)
+	n.unref(f)
 }
 
 // SetReplayCapture starts recording delivered wire frames — up to max
 // of them — for later replay via InjectReplay, modeling an adversary
 // with a packet capture. Frames are recorded at delivery scheduling,
 // before the receiver-side fault pipeline, so a replayed frame is the
-// genuine bytes the sender emitted. Capturing consumes no RNG. max <= 0
-// stops capturing (and discards the buffer).
+// genuine bytes the sender emitted. A captured frame is kept out of the
+// network's recycling until the capture is discarded. Capturing consumes
+// no RNG. max <= 0 stops capturing (and discards the buffer).
 func (n *Network) SetReplayCapture(max int) {
 	n.capMax = max
 	if max <= 0 {
+		for _, c := range n.captured {
+			n.unref(c.f)
+		}
 		n.captured = nil
 	}
 }
@@ -608,9 +635,9 @@ func (n *Network) InjectReplay(i int) error {
 	if i < 0 || i >= len(n.captured) {
 		return fmt.Errorf("simnet: replay index %d out of range [0,%d)", i, len(n.captured))
 	}
-	f := n.captured[i]
-	n.emit(obs.Replayed(n.sim.Now(), f.dst, f.src, len(f.payload)))
-	n.scheduleDelivery(f.src, f.dst, f.payload, n.sim.Now()+n.cfg.PropDelay)
+	c := n.captured[i]
+	n.emit(obs.Replayed(n.sim.Now(), c.dst, c.src, len(c.f.b)))
+	n.scheduleDelivery(c.src, c.dst, c.f, n.sim.Now()+n.cfg.PropDelay)
 	return nil
 }
 
@@ -664,8 +691,9 @@ func (r *txRecord) release() {
 	r.n.txFree = append(r.n.txFree, r)
 }
 
-// newRx is newTx for delivery records.
-func (n *Network) newRx(src, dst ids.ProcID, buf []byte) *rxRecord {
+// newRx is newTx for delivery records. f is the frame buf views, or nil
+// for a private copy; the record takes a reference to it.
+func (n *Network) newRx(src, dst ids.ProcID, buf []byte, f *wireFrame) *rxRecord {
 	var r *rxRecord
 	if k := len(n.rxFree); k > 0 {
 		r = n.rxFree[k-1]
@@ -674,7 +702,10 @@ func (n *Network) newRx(src, dst ids.ProcID, buf []byte) *rxRecord {
 		r = &rxRecord{n: n}
 		r.arriveFn, r.handleFn = r.arrive, r.handle
 	}
-	r.src, r.dst, r.buf = src, dst, buf
+	if f != nil {
+		f.ref()
+	}
+	r.src, r.dst, r.buf, r.f = src, dst, buf, f
 	return r
 }
 
@@ -694,6 +725,7 @@ func (r *txRecord) enqueue() {
 			dst = obs.NoProc
 		}
 		n.dropSend(src, dst)
+		n.unref(r.f.buf)
 		r.release()
 		return
 	}
@@ -714,20 +746,22 @@ func (n *Network) serveNext() {
 		r := n.egress[idx].pop()
 		n.lastServed = idx
 		n.wireBusy = true
-		n.stats.WireBytes += uint64(len(r.f.payload) + n.cfg.FrameOverhead)
+		n.stats.WireBytes += uint64(len(r.f.buf.b) + n.cfg.FrameOverhead)
 		n.sim.Schedule(n.sim.Now()+r.f.tx, r.doneFn)
 		return
 	}
 }
 
 // done ends the record's transmission: the record goes back to the free
-// list, the frame fans out to its receivers and the wire serves the next
+// list, the frame fans out to its receivers — the transmission's
+// reference passes to their deliveries — and the wire serves the next
 // queue.
 func (r *txRecord) done() {
 	n, f := r.n, r.f
 	r.release()
 	n.wireBusy = false
 	n.completeFrame(f)
+	n.unref(f.buf)
 	n.serveNext()
 }
 
@@ -738,7 +772,7 @@ func (n *Network) completeFrame(f frame) {
 	now := n.sim.Now()
 	n.fanning = true
 	if !f.multicast {
-		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay)
+		n.scheduleDelivery(f.src, f.dst, f.buf, now+n.cfg.PropDelay)
 	} else {
 		for i := 0; i < n.cfg.Nodes; i++ {
 			dst := ids.ProcID(i)
@@ -749,7 +783,7 @@ func (n *Network) completeFrame(f frame) {
 				// interface would).
 				arrival = now
 			}
-			n.scheduleDelivery(f.src, dst, f.payload, arrival)
+			n.scheduleDelivery(f.src, dst, f.buf, arrival)
 		}
 	}
 	n.closeChains()
@@ -768,15 +802,15 @@ func (n *Network) Unicast(src, dst ids.ProcID, payload []byte) error {
 		return nil // a dead process's residual timers send into the void
 	}
 	n.stats.Unicasts++
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
+	f := n.snapshot(payload)
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
 	if src == dst {
 		// Local loopback: costs send CPU only.
-		n.scheduleDelivery(src, dst, buf, sent)
+		n.scheduleDelivery(src, dst, f, sent)
+		n.unref(f)
 		return nil
 	}
-	n.enqueueFrame(frame{src: src, dst: dst, payload: buf, tx: n.txTime(len(payload))}, sent)
+	n.enqueueFrame(frame{src: src, dst: dst, buf: f, tx: n.txTime(len(payload))}, sent)
 	return nil
 }
 
@@ -793,10 +827,9 @@ func (n *Network) Multicast(src ids.ProcID, payload []byte) error {
 		return nil
 	}
 	n.stats.Multicasts++
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
+	f := n.snapshot(payload)
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
-	n.enqueueFrame(frame{src: src, multicast: true, payload: buf, tx: n.txTime(len(payload))}, sent)
+	n.enqueueFrame(frame{src: src, multicast: true, buf: f, tx: n.txTime(len(payload))}, sent)
 	return nil
 }
 
@@ -807,18 +840,21 @@ func (n *Network) dropSend(src, dst ids.ProcID) {
 }
 
 // scheduleDelivery applies the per-receiver fault model and queues the
-// handler invocation behind dst's CPU. payload is a frame: immutable from
-// here on, and handed as it is to this receiver, to its duplicate and —
-// by the caller — to every other receiver of the transmission. Handlers
-// only read it. A truncation fault is a shorter view of it; a corruption
-// fault, the one thing that writes, takes a private copy first.
-func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration) {
+// handler invocation behind dst's CPU. f is a frame: immutable from here
+// on, and handed as it is to this receiver, to its duplicate and — by
+// the caller — to every other receiver of the transmission. Handlers
+// only read it. Each delivery scheduled holds a reference to it (newRx).
+// A truncation fault is a shorter view of it; a corruption fault, the
+// one thing that writes, takes a private copy first.
+func (n *Network) scheduleDelivery(src, dst ids.ProcID, f *wireFrame, arrival time.Duration) {
 	// Replay capture records the frame before the fault model touches it
 	// — the adversary's tap sees what the sender put on the wire. No RNG
 	// is consumed here, so enabling capture never perturbs a schedule.
 	if n.capMax > 0 && len(n.captured) < n.capMax {
-		n.captured = append(n.captured, capturedFrame{src: src, dst: dst, payload: payload})
+		f.ref()
+		n.captured = append(n.captured, capturedFrame{src: src, dst: dst, f: f})
 	}
+	payload := f.b
 	l := n.link(src, dst)
 	if n.blocked[l] || n.crashed[src] || n.crashed[dst] {
 		n.emit(obs.Drop(n.sim.Now(), dst, src, obs.DropBlocked))
@@ -858,11 +894,11 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				n.emit(obs.Delay(n.sim.Now(), dst, src, j))
 			}
 		}
-		buf := payload
+		buf, shared := payload, f
 		// Corruption faults mutate a private copy of this one delivery. A
 		// draw happens only when its probability is non-zero.
 		if n.corrupt > 0 && len(buf) > 0 && rng.Float64() < n.corrupt {
-			buf = bytes.Clone(payload)
+			buf, shared = bytes.Clone(payload), nil
 			flips := 1 + rng.Intn(3)
 			for i := 0; i < flips; i++ {
 				bit := rng.Intn(len(buf) * 8)
@@ -875,7 +911,7 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 			buf = buf[:keep]
 			n.emit(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))
 		}
-		r := n.newRx(src, dst, buf)
+		r := n.newRx(src, dst, buf, shared)
 		n.queue(r, at, r.arriveFn)
 	}
 }
@@ -927,6 +963,7 @@ func (r *rxRecord) charge() {
 	n := r.n
 	h := n.handlers[r.dst]
 	if h == nil || n.crashed[r.dst] {
+		n.unref(r.f)
 		r.release()
 		return
 	}
@@ -946,17 +983,20 @@ func (r *rxRecord) charge() {
 }
 
 // handle runs the chain's handlers in order. Each record is released
-// before its handler runs on the borrowed, read-only bytes.
+// before its handler runs on the borrowed, read-only bytes; the
+// delivery's reference to the frame is dropped when the handler returns.
 func (r *rxRecord) handle() {
+	n := r.n
 	for r != nil {
-		next, h, src, buf := r.next, r.h, r.src, r.buf
+		next, h, src, buf, f := r.next, r.h, r.src, r.buf, r.f
 		r.release()
 		h(src, buf)
+		n.unref(f)
 		r = next
 	}
 }
 
 func (r *rxRecord) release() {
-	r.buf, r.h, r.next = nil, nil, nil
+	r.buf, r.f, r.h, r.next = nil, nil, nil, nil
 	r.n.rxFree = append(r.n.rxFree, r)
 }

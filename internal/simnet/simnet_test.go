@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -44,11 +45,13 @@ type rcvd struct {
 	b   []byte
 }
 
+// collect records p's deliveries. A delivered payload is borrowed for
+// the call, so each is kept as a copy.
 func collect(t *testing.T, sim *des.Sim, net *Network, p ids.ProcID) *[]rcvd {
 	t.Helper()
 	out := &[]rcvd{}
 	if err := net.Bind(p, func(src ids.ProcID, b []byte) {
-		*out = append(*out, rcvd{src, sim.Now(), b})
+		*out = append(*out, rcvd{src, sim.Now(), bytes.Clone(b)})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +392,7 @@ func TestInjectBypassesSender(t *testing.T) {
 func TestPayloadIsolation(t *testing.T) {
 	sim, net := newNet(t, Config{Nodes: 2})
 	var seen []byte
-	if err := net.Bind(1, func(_ ids.ProcID, b []byte) { seen = b }); err != nil {
+	if err := net.Bind(1, func(_ ids.ProcID, b []byte) { seen = bytes.Clone(b) }); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte("abc")

@@ -41,7 +41,7 @@ const MACSize = 16
 // (10 bytes) + MAC.
 const MaxAuthOverhead = 1 + binary.MaxVarintLen64 + MACSize
 
-// ErrAuthFrame is returned by OpenAuth and AuthEpoch for input that is
+// ErrAuthFrame is returned by SplitAuth and OpenAuth for input that is
 // not structurally an authenticated envelope (too short, wrong magic,
 // malformed epoch varint).
 var ErrAuthFrame = errors.New("wire: bad auth envelope")
@@ -308,77 +308,89 @@ func (a *AuthSealer) SealTo(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Open verifies and strips an envelope sealed under this sealer's epoch
-// and key. A well-formed envelope carrying a different epoch fails with
-// ErrAuth (its MAC cannot verify under this key); pick the sealer with
-// AuthEpoch first. The returned payload aliases pkt.
-func (a *AuthSealer) Open(pkt []byte) ([]byte, error) {
-	if len(pkt) < 1 || pkt[0] != authMagic {
-		return nil, ErrAuthFrame
-	}
-	epoch, n := binary.Uvarint(pkt[1:])
-	if n <= 0 || len(pkt) < 1+n+MACSize {
-		return nil, ErrAuthFrame
-	}
-	if epoch != a.epoch {
-		return nil, ErrAuth
-	}
-	got, payload := pkt[1+n:1+n+MACSize], pkt[1+n+MACSize:]
-	// The memo holds tags over this sealer's own header bytes; a
-	// non-canonical encoding of the same epoch is MACed as it stands.
-	canonical := subtle.ConstantTimeCompare(pkt[:1+n], a.hdr[:a.hdrLen]) == 1
-	if canonical {
-		if tag := a.recall(payload); tag != nil {
-			if subtle.ConstantTimeCompare(tag, got) != 1 {
-				return nil, ErrAuth
-			}
-			return payload, nil
-		}
-	}
-	want := a.computeMAC(pkt[1:1+n], payload)[:MACSize]
-	if !hmac.Equal(want, got) {
-		return nil, ErrAuth
-	}
-	if canonical {
-		a.remember(payload, want)
-	}
-	return payload, nil
+// AuthFrame is an authenticated envelope split into its parts, once, by
+// SplitAuth. Epoch is the epoch the header claims: UNTRUSTED until the
+// frame opens under that epoch's key (the epoch bytes are inside the
+// MAC, so a lying header cannot verify). The switching layer reads it to
+// pick the key, then opens the same split form.
+type AuthFrame struct {
+	Epoch uint64
+	// header is the magic byte and the epoch bytes as they stand; tag
+	// and payload follow them. All three are views of the packet.
+	header, tag, payload []byte
 }
 
-// AuthEpoch peeks the epoch counter from an authenticated envelope
-// without verifying it. The switching layer uses this to pick which
-// epoch key to verify under; the value is UNTRUSTED until OpenAuth
-// succeeds with that epoch's key (the epoch bytes are inside the MAC,
-// so a lying header cannot verify).
-func AuthEpoch(pkt []byte) (uint64, error) {
+// SplitAuth parses an envelope's header without verifying anything. It
+// fails with ErrAuthFrame for input that is not structurally an
+// envelope.
+func SplitAuth(pkt []byte) (AuthFrame, error) {
 	if len(pkt) < 1 || pkt[0] != authMagic {
-		return 0, ErrAuthFrame
+		return AuthFrame{}, ErrAuthFrame
 	}
 	epoch, n := binary.Uvarint(pkt[1:])
 	if n <= 0 || len(pkt) < 1+n+MACSize {
-		return 0, ErrAuthFrame
+		return AuthFrame{}, ErrAuthFrame
 	}
-	return epoch, nil
+	return AuthFrame{
+		Epoch:   epoch,
+		header:  pkt[:1+n],
+		tag:     pkt[1+n : 1+n+MACSize],
+		payload: pkt[1+n+MACSize:],
+	}, nil
+}
+
+// Open verifies and strips an envelope sealed under this sealer's epoch
+// and key: SplitAuth, then OpenFrame. The returned payload aliases pkt.
+func (a *AuthSealer) Open(pkt []byte) ([]byte, error) {
+	f, err := SplitAuth(pkt)
+	if err != nil {
+		return nil, err
+	}
+	return a.OpenFrame(f)
+}
+
+// OpenFrame verifies a split envelope under this sealer's epoch and key
+// and returns its payload, a view of the packet it was split from. An
+// envelope claiming a different epoch fails with ErrAuth (its MAC cannot
+// verify under this key); pick the sealer by f.Epoch first.
+func (a *AuthSealer) OpenFrame(f AuthFrame) ([]byte, error) {
+	if f.Epoch != a.epoch {
+		return nil, ErrAuth
+	}
+	// The memo holds tags over this sealer's own header bytes; a
+	// non-canonical encoding of the same epoch is MACed as it stands.
+	canonical := subtle.ConstantTimeCompare(f.header, a.hdr[:a.hdrLen]) == 1
+	if canonical {
+		if tag := a.recall(f.payload); tag != nil {
+			if subtle.ConstantTimeCompare(tag, f.tag) != 1 {
+				return nil, ErrAuth
+			}
+			return f.payload, nil
+		}
+	}
+	want := a.computeMAC(f.header[1:], f.payload)[:MACSize]
+	if !hmac.Equal(want, f.tag) {
+		return nil, ErrAuth
+	}
+	if canonical {
+		a.remember(f.payload, want)
+	}
+	return f.payload, nil
 }
 
 // OpenAuth verifies and strips the authenticated envelope under the
-// given per-epoch key. The returned payload aliases pkt; callers that
-// retain it must copy. The MAC comparison is constant-time. OpenAuth
-// never panics: any input that is not a well-formed envelope yields
-// ErrAuthFrame, and any MAC mismatch yields ErrAuth.
+// given per-epoch key. The returned payload aliases pkt, and is borrowed
+// as pkt is. The MAC comparison is constant-time. OpenAuth never panics:
+// any input that is not a well-formed envelope yields ErrAuthFrame, and
+// any MAC mismatch yields ErrAuth.
 func OpenAuth(key []byte, pkt []byte) ([]byte, error) {
-	if len(pkt) < 1 || pkt[0] != authMagic {
-		return nil, ErrAuthFrame
+	f, err := SplitAuth(pkt)
+	if err != nil {
+		return nil, err
 	}
-	_, n := binary.Uvarint(pkt[1:])
-	if n <= 0 || len(pkt) < 1+n+MACSize {
-		return nil, ErrAuthFrame
-	}
-	epochHeader := pkt[1 : 1+n]
-	payload := pkt[1+n+MACSize:]
-	want := MAC(key, epochHeader, payload)
-	if !hmac.Equal(want[:], pkt[1+n:1+n+MACSize]) {
+	want := MAC(key, f.header[1:], f.payload)
+	if !hmac.Equal(want[:], f.tag) {
 		return nil, ErrAuth
 	}
-	return payload, nil
+	return f.payload, nil
 }

@@ -11,7 +11,7 @@ import (
 // never verifies, which would leave the accept path dark).
 var fuzzAuthKey = DeriveEpochKey([]byte("fuzz session key"), 0)
 
-// FuzzOpenAuth drives OpenAuth and AuthEpoch over arbitrary bytes. The
+// FuzzOpenAuth drives OpenAuth and SplitAuth over arbitrary bytes. The
 // contract: never panic, classify every input as ErrAuthFrame /
 // ErrAuth / accept, and only accept canonical envelopes sealed under
 // the verification key. Each input is also opened twice through one
@@ -29,8 +29,8 @@ func FuzzOpenAuth(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := OpenAuth(fuzzAuthKey, data)
-		claimed, _ := AuthEpoch(data)
-		sealer := NewAuthSealer(fuzzAuthKey, claimed)
+		claimed, _ := SplitAuth(data)
+		sealer := NewAuthSealer(fuzzAuthKey, claimed.Epoch)
 		for rep := 0; rep < 2; rep++ {
 			if got, serr := sealer.Open(data); serr != err || !bytes.Equal(got, payload) {
 				t.Fatalf("open %d: AuthSealer.Open = %x, %v; OpenAuth = %x, %v", rep, got, serr, payload, err)
@@ -40,22 +40,22 @@ func FuzzOpenAuth(f *testing.F) {
 		case err == nil:
 			// Accepted envelopes are canonical: re-sealing the payload
 			// at the peeked epoch reproduces the input byte-for-byte.
-			epoch, eerr := AuthEpoch(data)
+			split, eerr := SplitAuth(data)
 			if eerr != nil {
-				t.Fatalf("OpenAuth accepted but AuthEpoch failed: %v", eerr)
+				t.Fatalf("OpenAuth accepted but SplitAuth failed: %v", eerr)
 			}
-			if !bytes.Equal(SealAuth(fuzzAuthKey, epoch, payload), data) {
+			if !bytes.Equal(SealAuth(fuzzAuthKey, split.Epoch, payload), data) {
 				t.Fatal("OpenAuth accepted a non-canonical envelope")
 			}
 		case errors.Is(err, ErrAuthFrame):
-			// Structurally bad: AuthEpoch must agree.
-			if _, eerr := AuthEpoch(data); eerr == nil {
-				t.Fatal("OpenAuth says ErrAuthFrame but AuthEpoch parsed it")
+			// Structurally bad: SplitAuth must agree.
+			if _, eerr := SplitAuth(data); eerr == nil {
+				t.Fatal("OpenAuth says ErrAuthFrame but SplitAuth parsed it")
 			}
 		case errors.Is(err, ErrAuth):
 			// Well-formed but unverifiable: the structure must parse.
-			if _, eerr := AuthEpoch(data); eerr != nil {
-				t.Fatalf("OpenAuth says ErrAuth but AuthEpoch failed: %v", eerr)
+			if _, eerr := SplitAuth(data); eerr != nil {
+				t.Fatalf("OpenAuth says ErrAuth but SplitAuth failed: %v", eerr)
 			}
 		default:
 			t.Fatalf("OpenAuth returned unexpected error: %v", err)
@@ -78,8 +78,8 @@ func FuzzAuthRoundTrip(f *testing.F) {
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("round trip: %q, %v", got, err)
 		}
-		if e, err := AuthEpoch(pkt); err != nil || e != epoch {
-			t.Fatalf("AuthEpoch = %d, %v; want %d", e, err, epoch)
+		if f, err := SplitAuth(pkt); err != nil || f.Epoch != epoch {
+			t.Fatalf("SplitAuth epoch = %d, %v; want %d", f.Epoch, err, epoch)
 		}
 		// The adjacent epoch's key must reject the frame: this is the
 		// property the switching layer's replay rejection rests on.

@@ -19,9 +19,9 @@ func TestSealAuthRoundTrip(t *testing.T) {
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("payload mangled: %q vs %q", got, payload)
 			}
-			peeked, err := AuthEpoch(pkt)
-			if err != nil || peeked != epoch {
-				t.Fatalf("AuthEpoch = %d, %v; want %d", peeked, err, epoch)
+			split, err := SplitAuth(pkt)
+			if err != nil || split.Epoch != epoch {
+				t.Fatalf("SplitAuth epoch = %d, %v; want %d", split.Epoch, err, epoch)
 			}
 		}
 	}
@@ -54,8 +54,8 @@ func TestOpenAuthRejectsSplicedEpoch(t *testing.T) {
 	key := DeriveEpochKey(session, 3)
 	pkt := SealAuth(key, 3, []byte("hello"))
 	pkt[1] = 4 // single-byte uvarint: 3 -> 4
-	if e, err := AuthEpoch(pkt); err != nil || e != 4 {
-		t.Fatalf("AuthEpoch after splice = %d, %v", e, err)
+	if f, err := SplitAuth(pkt); err != nil || f.Epoch != 4 {
+		t.Fatalf("SplitAuth epoch after splice = %d, %v", f.Epoch, err)
 	}
 	if _, err := OpenAuth(DeriveEpochKey(session, 4), pkt); !errors.Is(err, ErrAuth) {
 		t.Errorf("spliced epoch verified under epoch-4 key: err = %v", err)
@@ -92,11 +92,8 @@ func TestOpenAuthRejectsMalformed(t *testing.T) {
 		if _, err := OpenAuth(key, pkt); !errors.Is(err, ErrAuthFrame) {
 			t.Errorf("case %d: err = %v, want ErrAuthFrame", i, err)
 		}
-		if _, err := AuthEpoch(pkt); err == nil && len(pkt) > 0 && pkt[0] == authMagic {
-			// AuthEpoch may succeed only on structurally complete envelopes.
-			if len(pkt) < 1+1+MACSize {
-				t.Errorf("case %d: AuthEpoch accepted a short envelope", i)
-			}
+		if _, err := SplitAuth(pkt); !errors.Is(err, ErrAuthFrame) {
+			t.Errorf("case %d: SplitAuth err = %v, want ErrAuthFrame", i, err)
 		}
 	}
 	// Shortest well-formed envelope: empty payload.

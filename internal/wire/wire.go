@@ -159,7 +159,9 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 func (d *Decoder) Err() error { return d.err }
 
 // Remaining returns the unconsumed tail of the buffer: the payload left
-// for the layer above after this layer's header has been stripped.
+// for the layer above after this layer's header has been stripped. It is
+// a view, not a copy, and borrowed as the buffer is: to keep it past the
+// call that lent the buffer, copy it into your Spares.
 func (d *Decoder) Remaining() []byte {
 	if d.err != nil {
 		return nil
@@ -227,9 +229,10 @@ func (d *Decoder) Varint() int64 {
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // BytesField consumes a length-prefixed byte string. The result is a
-// read-only view of the decoder's buffer, retainable for as long as the
-// buffer is; its capacity is clipped to its length, so an append by the
-// caller reallocates instead of scribbling on the next field.
+// read-only view of the decoder's buffer, borrowed as the buffer is (to
+// keep it, copy it into your Spares); its capacity is clipped to its
+// length, so an append by the caller reallocates instead of scribbling
+// on the next field.
 func (d *Decoder) BytesField() []byte {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
