@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core/switching/swtest"
 )
 
 // TestGenerateDeterministic pins the replayability contract: the same
@@ -132,6 +135,32 @@ func TestRunReportsRecoveryWork(t *testing.T) {
 	}
 	if res.Delivered == 0 {
 		t.Error("no deliveries recorded")
+	}
+}
+
+// TestRunEventBudget: a run that livelocks — here an event that
+// re-schedules itself at the same instant for ever, planted before the
+// schedule starts — fails its schedule on the event budget, promptly,
+// instead of running until something else kills it.
+func TestRunEventBudget(t *testing.T) {
+	sched, err := Generate(1, GenConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := run(sched, RunConfig{}, func(c *swtest.SwitchedCluster) {
+		var spin func()
+		spin = func() { c.Sim.At(c.Sim.Now(), spin) }
+		c.Sim.At(10*time.Millisecond, spin)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != eventBudget || len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "event budget: ") {
+		t.Fatalf("livelocked run: %d events, violations %q; want %d and one event-budget violation",
+			res.Events, res.Violations, eventBudget)
+	}
+	if res.FlightRecord == nil {
+		t.Error("the failed run carries no flight record")
 	}
 }
 

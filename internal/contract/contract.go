@@ -13,7 +13,7 @@
 // and no path or allocation changes.
 package contract
 
-import "sync"
+import "repro/internal/wire"
 
 // PoisonByte is what a checked buffer is filled with once its borrow
 // ends: a layer that kept a view reads it, not the bytes it was lent.
@@ -27,19 +27,15 @@ func Poison(b []byte) {
 	}
 }
 
-// lent recycles the copies Lend makes, so that a checked build keeps the
-// allocation profile of an unchecked one.
-var lent = sync.Pool{New: func() any { return new([]byte) }}
-
 // Lend calls f with a private copy of payload and poisons the copy when
 // f returns: the callee sees the caller's bytes for the call and nothing
-// after it.
-func Lend(payload []byte, f func([]byte) error) error {
-	bp := lent.Get().(*[]byte)
-	p := append((*bp)[:0], payload...)
+// after it. The copy comes from the caller's spares and goes back to
+// them, so a checked build keeps the allocation profile of an unchecked
+// one.
+func Lend(spare *wire.Spares, payload []byte, f func([]byte) error) error {
+	p := spare.Copy(payload)
 	err := f(p)
 	Poison(p)
-	*bp = p[:0]
-	lent.Put(bp)
+	spare.Put(p)
 	return err
 }

@@ -69,6 +69,8 @@ type batcher struct {
 	// flushFn is the arm callback, bound once so scheduling a flush
 	// does not allocate a fresh closure per event-loop step.
 	flushFn func()
+	// spare holds the buffers flush builds batch frames in.
+	spare wire.Spares
 }
 
 type dstAcc struct {
@@ -176,11 +178,9 @@ func (b *batcher) flush() {
 		return
 	}
 	if b.cast.count > 0 {
-		bp := wire.GetBuf()
-		pkt := appendBatch(*bp, &b.cast)
+		pkt := b.frame(&b.cast)
 		_ = b.down.Cast(pkt)
-		*bp = pkt[:0]
-		wire.PutBuf(bp)
+		b.spare.Put(pkt)
 		b.cast.reset()
 	}
 	for i := range b.sends {
@@ -188,13 +188,16 @@ func (b *batcher) flush() {
 		if acc.count == 0 {
 			continue
 		}
-		bp := wire.GetBuf()
-		pkt := appendBatch(*bp, acc)
+		pkt := b.frame(acc)
 		_ = b.down.Send(b.sends[i].dst, pkt)
-		*bp = pkt[:0]
-		wire.PutBuf(bp)
+		b.spare.Put(pkt)
 		acc.reset()
 	}
+}
+
+// frame builds acc's batch frame in a buffer from the spares.
+func (b *batcher) frame(acc *batchAcc) []byte {
+	return appendBatch(b.spare.Get(wire.MaxHeader+len(acc.buf)), acc)
 }
 
 // appendBatch appends the batch frame header and accumulated entries

@@ -65,7 +65,7 @@ func (f *fakeEnv) run() {
 }
 
 // captureDown records every transport write, copying (the batcher hands
-// out pooled buffers, exactly like a real transport sees them).
+// out buffers from its spares, exactly like a real transport sees them).
 type captureDown struct {
 	casts [][]byte
 	sends []capturedSend

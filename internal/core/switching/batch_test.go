@@ -1,20 +1,19 @@
 package switching_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core/switching"
+	"repro/internal/core/switching/swtest"
 	"repro/internal/ids"
 	"repro/internal/proto"
 	"repro/internal/protocols/fifo"
 	"repro/internal/protocols/seqorder"
 	"repro/internal/protocols/tokenorder"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 )
 
 // Integration tests for egress batching (OverloadConfig.BatchMax > 1):
@@ -261,28 +260,25 @@ func TestBatchedAcrossSwitch(t *testing.T) {
 	assertAgreement(t, c, n*per)
 }
 
-var junk = bytes.Repeat([]byte{0xAA}, 4096)
-
-// scribblePools takes every pooled encoder and seal buffer the senders
-// can have used, overwrites it to its full capacity, and puts it back —
-// what the next hundred sends would do to them.
-func scribblePools() {
-	var encs []*wire.Encoder
-	var bufs []*[]byte
-	for i := 0; i < 32; i++ {
-		e := wire.GetEncoder()
-		e.Frame(junk)
-		encs = append(encs, e)
-		bp := wire.GetBuf()
-		b := (*bp)[:cap(*bp)]
-		for j := range b {
-			b[j] = 0xAA
+// scribbleSpares overwrites every buffer the members of c hold spare —
+// the ones their next frames will be built in — to its full capacity,
+// and leaves the stacks as they were: what the next sends would do to
+// them.
+func scribbleSpares(c *swtest.SwitchedCluster) {
+	for _, m := range c.Members {
+		for _, sp := range switching.MemberSpares(m.Switch) {
+			bufs := make([][]byte, sp.Len())
+			for i := range bufs {
+				bufs[i] = sp.Get(0)
+				b := bufs[i][:cap(bufs[i])]
+				for j := range b {
+					b[j] = 0xAA
+				}
+			}
+			for i := len(bufs) - 1; i >= 0; i-- {
+				sp.Put(bufs[i])
+			}
 		}
-		bufs = append(bufs, bp)
-	}
-	for i := range encs {
-		wire.PutEncoder(encs[i])
-		wire.PutBuf(bufs[i])
 	}
 }
 
@@ -291,7 +287,7 @@ func scribblePools() {
 // keep past the call is a copy of it — frames waiting in the overload
 // ingress queue, token-batch entries behind a gap, new-epoch messages
 // held in Switch.buffer across a switch — so all of it still reads
-// correctly after the sender has re-used every pooled buffer the frame
+// correctly after the sender has re-used every spare buffer the frame
 // was built in, and the network has recycled the frame itself.
 func TestRetainedViewsSurviveBufferReuse(t *testing.T) {
 	const n, per = 4, 20
@@ -336,7 +332,7 @@ func TestRetainedViewsSurviveBufferReuse(t *testing.T) {
 	}
 	c.Sim.At(8*time.Millisecond, func() { c.Members[0].Switch.RequestSwitch() })
 	for at := time.Duration(0); at < 100*time.Millisecond; at += 50 * time.Microsecond {
-		c.Sim.At(at, scribblePools)
+		c.Sim.At(at, func() { scribbleSpares(c) })
 	}
 	c.Run(500 * time.Millisecond)
 	c.Stop()

@@ -125,24 +125,27 @@ func (s *Switch) noteDefenseDrop(src ids.ProcID) {
 type authTransport struct {
 	s    *Switch
 	down proto.Down
+	// spare holds the buffers the sealed frames are built in.
+	spare wire.Spares
 }
 
-func (t authTransport) Cast(payload []byte) error {
-	bp := wire.GetBuf()
-	pkt := t.s.sealCurrentTo(*bp, payload)
+func (t *authTransport) Cast(payload []byte) error {
+	pkt := t.seal(payload)
 	err := t.down.Cast(pkt)
-	*bp = pkt[:0]
-	wire.PutBuf(bp)
+	t.spare.Put(pkt)
 	return err
 }
 
-func (t authTransport) Send(dst ids.ProcID, payload []byte) error {
-	bp := wire.GetBuf()
-	pkt := t.s.sealCurrentTo(*bp, payload)
+func (t *authTransport) Send(dst ids.ProcID, payload []byte) error {
+	pkt := t.seal(payload)
 	err := t.down.Send(dst, pkt)
-	*bp = pkt[:0]
-	wire.PutBuf(bp)
+	t.spare.Put(pkt)
 	return err
+}
+
+// seal builds payload's sealed frame in a buffer from the spares.
+func (t *authTransport) seal(payload []byte) []byte {
+	return t.s.sealCurrentTo(t.spare.Get(wire.MaxAuthOverhead+len(payload)), payload)
 }
 
 // sealCurrentTo appends payload sealed under the current send epoch's

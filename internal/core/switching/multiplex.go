@@ -37,6 +37,8 @@ type Multiplex struct {
 	// failed to decode (the Switch routes these into its defensive
 	// ingress accounting).
 	onMalformed func(src ids.ProcID)
+	// spare holds the buffers every port builds its tagged frames in.
+	spare wire.Spares
 }
 
 // NewMultiplex creates a multiplexer over the given transport.
@@ -90,22 +92,23 @@ type muxPort struct {
 
 var _ proto.Down = muxPort{}
 
-// The channel tag rides a pooled encoder: everything below the mux —
-// batcher, envelope, transport — consumes or copies the frame
-// synchronously, so the buffer is free again when the call returns.
-
 func (p muxPort) Cast(payload []byte) error {
-	e := wire.GetEncoder()
-	e.Channel(p.ch)
-	err := p.m.down.Cast(e.Frame(payload))
-	wire.PutEncoder(e)
+	frame := p.frame(payload)
+	err := p.m.down.Cast(frame)
+	p.m.spare.Put(frame)
 	return err
 }
 
 func (p muxPort) Send(dst ids.ProcID, payload []byte) error {
-	e := wire.GetEncoder()
-	e.Channel(p.ch)
-	err := p.m.down.Send(dst, e.Frame(payload))
-	wire.PutEncoder(e)
+	frame := p.frame(payload)
+	err := p.m.down.Send(dst, frame)
+	p.m.spare.Put(frame)
 	return err
+}
+
+// frame builds payload's channel-tagged frame in a buffer from the
+// multiplexer's spares.
+func (p muxPort) frame(payload []byte) []byte {
+	e := wire.EncodeInto(p.m.spare.Get(wire.MaxHeader + len(payload)))
+	return e.Channel(p.ch).Frame(payload)
 }

@@ -1,6 +1,7 @@
 package switching
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ids"
@@ -172,5 +173,58 @@ func TestRecordDuration(t *testing.T) {
 	r := Record{Started: 10, Finished: 25}
 	if r.Duration() != 15 {
 		t.Errorf("Duration = %v", r.Duration())
+	}
+}
+
+// reentrantDown re-enters the multiplexer from inside a Cast, as a
+// transport that delivers synchronously would, and records whether the
+// outer frame's bytes survived the inner call.
+type reentrantDown struct {
+	reenter func()
+	depth   int
+	casts   int
+	intact  bool
+}
+
+func (d *reentrantDown) Cast(frame []byte) error {
+	d.casts++
+	if d.reenter == nil || d.depth > 0 {
+		return nil
+	}
+	before := bytes.Clone(frame)
+	d.depth++
+	d.reenter()
+	d.depth--
+	d.intact = bytes.Equal(frame, before)
+	return nil
+}
+
+func (d *reentrantDown) Send(ids.ProcID, []byte) error { return nil }
+
+// TestPortReentranceKeepsOuterFrame: a cast through one port that
+// re-enters the multiplexer, through the same port or another, while
+// its tagged frame is lent below gets a buffer of its own, so the outer
+// frame's bytes are intact when the inner cast returns.
+func TestPortReentranceKeepsOuterFrame(t *testing.T) {
+	for _, inner := range []ids.ChannelID{3, 4} {
+		down := &reentrantDown{}
+		m, err := NewMultiplex(down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := m.Port(3)
+		for i := 0; i < 3; i++ {
+			_ = port.Cast([]byte("warm-up"))
+		}
+		if m.spare.Len() == 0 {
+			t.Fatal("set-up: no spare buffer after the warm-up casts")
+		}
+		down.reenter = func() { _ = m.Port(inner).Cast([]byte("the inner cast, other bytes")) }
+		if err := port.Cast([]byte("the outer cast")); err != nil {
+			t.Fatal(err)
+		}
+		if down.casts != 5 || !down.intact {
+			t.Errorf("inner channel %d: %d frames cast, outer frame intact %v; want 5 and true", inner, down.casts, down.intact)
+		}
 	}
 }

@@ -279,7 +279,8 @@ type Switch struct {
 	// buffer holds arrivals for future epochs until the switch
 	// completes ("messages received over this protocol will be
 	// buffered rather than delivered", §2): copies, in buffers from
-	// spare, which each gets back once its message is delivered.
+	// spare, which each gets back once its message is delivered. Cast
+	// builds its epoch frames in buffers from spare too.
 	buffer map[uint64][]bufEntry
 	spare  wire.Spares
 
@@ -375,7 +376,7 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 	if cfg.Defense != nil {
 		// Seal below the multiplex: one envelope covers the mux header
 		// and every protocol header above it.
-		transport = authTransport{s: s, down: transport}
+		transport = &authTransport{s: s, down: transport}
 	}
 	if cfg.Overload != nil && cfg.Overload.BatchMax > 1 {
 		// Batch between the multiplex and the envelope: one sealed wire
@@ -480,9 +481,6 @@ func (s *Switch) Stop() {
 	if s.ovl != nil {
 		s.ovl.stop()
 	}
-	if s.sealing != nil {
-		s.sealing.Release()
-	}
 	s.ctl.Stop()
 	for _, p := range s.protos {
 		p.Stop()
@@ -572,15 +570,11 @@ func (s *Switch) Cast(payload []byte) error {
 		return s.ovl.admitCast(payload)
 	}
 	epoch := s.sendEpoch
-	e := wire.GetEncoder()
-	e.Uvarint(epoch)
 	s.sent[epoch]++
-	// The epoch frame rides a pooled encoder: every sub-protocol consumes
-	// its cast payload synchronously (copying anything it retains — the
-	// layer ownership contract), so the buffer is free again by the time
-	// Cast returns.
-	err := s.protos[epoch%uint64(len(s.protos))].Cast(e.Frame(payload))
-	wire.PutEncoder(e)
+	e := wire.EncodeInto(s.spare.Get(wire.MaxHeader + len(payload)))
+	frame := e.Uvarint(epoch).Frame(payload)
+	err := s.protos[epoch%uint64(len(s.protos))].Cast(frame)
+	s.spare.Put(frame)
 	return err
 }
 

@@ -347,16 +347,26 @@ func (s *Sim) Run(maxEvents uint64) error {
 
 // RunUntil executes events with timestamps <= deadline, then sets the
 // clock to deadline. Events scheduled beyond the deadline remain queued.
-func (s *Sim) RunUntil(deadline time.Duration) {
+func (s *Sim) RunUntil(deadline time.Duration) { _ = s.RunUntilBounded(deadline, 0) }
+
+// RunUntilBounded is RunUntil with Run's run-away guard: it stops with
+// an error, the clock where the last event left it, once maxEvents
+// handlers have run (0 means no bound).
+func (s *Sim) RunUntilBounded(deadline time.Duration, maxEvents uint64) error {
+	start := s.executed
 	for {
 		if _, ok := s.front(); !ok || s.run[len(s.run)-1].when > deadline {
 			break
+		}
+		if maxEvents > 0 && s.executed-start >= maxEvents {
+			return fmt.Errorf("des: exceeded %d events at t=%v", maxEvents, s.now)
 		}
 		s.Step()
 	}
 	if s.now < deadline {
 		s.now = deadline
 	}
+	return nil
 }
 
 // Pending returns the number of queued live events.

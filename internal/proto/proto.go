@@ -87,8 +87,8 @@ type Env interface {
 // or overwrite it as soon as Cast or Send returns. A layer below that
 // keeps the payload — to retransmit it, queue it, or hand it up later —
 // copies it into its own buffers, never keeping the caller's slice.
-// Layers build frames in pooled and recycled buffers on the strength of
-// this rule (package wire).
+// Layers build frames in buffers from their own wire.Spares, and take
+// them back when the call returns, on the strength of this rule.
 type Down interface {
 	// Cast multicasts payload to the whole group, including the caller's
 	// own process (protocols rely on hearing their own multicasts).

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // Stack composes layers top-to-bottom at one process, wiring each
@@ -17,6 +18,9 @@ type Stack struct {
 	// zero-layer stack, which is a pure passthrough.
 	passApp       Up
 	passTransport Down
+	// spare holds the private copies contract.Lend hands each callee;
+	// nil unless contract.Enabled.
+	spare *wire.Spares
 }
 
 // layerDown adapts the layer beneath into the Down interface.
@@ -31,12 +35,15 @@ var _ Down = layerDown{}
 // the copy when the call returns (package contract): a callee that kept
 // the caller's bytes without copying them reads contract.PoisonByte.
 // Build wraps every Down in one in contract builds only.
-type lendingDown struct{ d Down }
+type lendingDown struct {
+	d     Down
+	spare *wire.Spares
+}
 
-func (l lendingDown) Cast(payload []byte) error { return contract.Lend(payload, l.d.Cast) }
+func (l lendingDown) Cast(payload []byte) error { return contract.Lend(l.spare, payload, l.d.Cast) }
 
 func (l lendingDown) Send(dst ids.ProcID, payload []byte) error {
-	return contract.Lend(payload, func(p []byte) error { return l.d.Send(dst, p) })
+	return contract.Lend(l.spare, payload, func(p []byte) error { return l.d.Send(dst, p) })
 }
 
 // layerUp adapts the layer above into the Up interface.
@@ -56,6 +63,9 @@ func Build(env Env, app Up, transport Down, layers ...Layer) (*Stack, error) {
 		return nil, fmt.Errorf("proto: Build requires env, app and transport")
 	}
 	s := &Stack{layers: layers}
+	if contract.Enabled {
+		s.spare = new(wire.Spares)
+	}
 	for i, l := range layers {
 		var down Down
 		if i == len(layers)-1 {
@@ -64,7 +74,7 @@ func Build(env Env, app Up, transport Down, layers ...Layer) (*Stack, error) {
 			down = layerDown{layers[i+1]}
 		}
 		if contract.Enabled {
-			down = lendingDown{down}
+			down = lendingDown{down, s.spare}
 		}
 		var up Up
 		if i == 0 {
@@ -80,7 +90,7 @@ func Build(env Env, app Up, transport Down, layers ...Layer) (*Stack, error) {
 		s.passApp, s.passTransport = app, transport
 	}
 	if contract.Enabled {
-		s.passTransport = lendingDown{transport}
+		s.passTransport = lendingDown{transport, s.spare}
 	}
 	return s, nil
 }
@@ -104,7 +114,7 @@ func (s *Stack) bottom() Layer {
 func (s *Stack) Cast(payload []byte) error {
 	if t := s.top(); t != nil {
 		if contract.Enabled {
-			return contract.Lend(payload, t.Cast)
+			return contract.Lend(s.spare, payload, t.Cast)
 		}
 		return t.Cast(payload)
 	}
@@ -116,7 +126,7 @@ func (s *Stack) Cast(payload []byte) error {
 func (s *Stack) Send(dst ids.ProcID, payload []byte) error {
 	if t := s.top(); t != nil {
 		if contract.Enabled {
-			return contract.Lend(payload, func(p []byte) error { return t.Send(dst, p) })
+			return contract.Lend(s.spare, payload, func(p []byte) error { return t.Send(dst, p) })
 		}
 		return t.Send(dst, payload)
 	}
@@ -152,3 +162,6 @@ func (s *Stack) SetEpoch(epoch uint64) {
 
 // Len returns the number of layers.
 func (s *Stack) Len() int { return len(s.layers) }
+
+// Layer returns layer i, counted from the top.
+func (s *Stack) Layer(i int) Layer { return s.layers[i] }

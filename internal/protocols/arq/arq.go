@@ -14,6 +14,7 @@
 package arq
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -68,6 +69,10 @@ type common struct {
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
 	malformed uint64
+	// spare holds the buffers data frames are built in; acks are built
+	// in ackFrame.
+	spare    wire.Spares
+	ackFrame [1 + binary.MaxVarintLen64]byte
 }
 
 func newCommon(name string, window int, timeout time.Duration) *common {
@@ -183,12 +188,10 @@ func (c *common) pump(dst ids.ProcID, o *outState) {
 }
 
 func (c *common) transmit(dst ids.ProcID, seq uint64, payload []byte) {
-	e := wire.GetEncoder()
-	e.U8(kindData).Uvarint(seq)
-	// The layer below consumes or copies the frame synchronously, so it
-	// can ride a pooled encoder.
-	_ = c.down.Send(dst, e.Frame(payload))
-	wire.PutEncoder(e)
+	e := wire.EncodeInto(c.spare.Get(wire.MaxHeader + len(payload)))
+	frame := e.U8(kindData).Uvarint(seq).Frame(payload)
+	_ = c.down.Send(dst, frame)
+	c.spare.Put(frame)
 }
 
 // armTimer (re)starts the retransmission timer while data is in flight.
@@ -223,11 +226,9 @@ func (c *common) retransmit(dst ids.ProcID, o *outState) {
 
 // sendAck sends one cumulative ack for a stream's current horizon.
 func (c *common) sendAck(dst ids.ProcID, in *inState) {
-	e := wire.GetEncoder()
-	e.U8(kindAck).Uvarint(in.next)
+	e := wire.EncodeInto(c.ackFrame[:])
 	c.stats.AcksSent++
-	_ = c.down.Send(dst, e.Bytes())
-	wire.PutEncoder(e)
+	_ = c.down.Send(dst, e.U8(kindAck).Uvarint(in.next).Bytes())
 }
 
 // Recv implements proto.Layer.

@@ -94,8 +94,10 @@ type Layer struct {
 	castOut retransmitRing
 	// spare recycles the buffers of acked packets, of every outgoing
 	// stream, into the next data frames, and holds the copies of arrivals
-	// that wait behind a gap.
-	spare wire.Spares
+	// that wait behind a gap. Acks, NACKs and heartbeats are built in
+	// control instead.
+	spare   wire.Spares
+	control [1 + 2*binary.MaxVarintLen64]byte
 	// peers holds the per-peer state, indexed by ProcID and sized at Init
 	// to cover every member. A packet from outside it is malformed.
 	peers []peer
@@ -244,6 +246,10 @@ func (l *Layer) scheduleTick(d time.Duration, fn func()) {
 	})
 	l.timers = append(l.timers, t)
 }
+
+// Spares returns the layer's buffer stack, so that a test can overwrite
+// the buffers it holds spare.
+func (l *Layer) Spares() *wire.Spares { return &l.spare }
 
 // Stop implements proto.Layer.
 func (l *Layer) Stop() {
@@ -403,13 +409,11 @@ func (l *Layer) nackGaps(src ids.ProcID, stream uint8, r *reorderBuf) bool {
 		if r.Buffered(seq) {
 			continue
 		}
-		e := wire.GetEncoder()
-		e.U8(kindNack).U8(stream).Uvarint(seq)
+		e := wire.EncodeInto(l.control[:])
 		l.stats.NacksSent++
 		// Best effort: the resend tick runs while the gap is open, and
 		// NACKs it again if this one is lost.
-		_ = l.down.Send(src, e.Bytes())
-		wire.PutEncoder(e)
+		_ = l.down.Send(src, e.U8(kindNack).U8(stream).Uvarint(seq).Bytes())
 	}
 	return true
 }
@@ -514,10 +518,8 @@ func (l *Layer) ackTick() {
 			continue // nothing new, and not asked for
 		}
 		p.acked = m
-		e := wire.GetEncoder()
-		e.U8(kindAck).Uvarint(m.castNext).Uvarint(m.sendNext)
-		_ = l.down.Send(id, e.Bytes())
-		wire.PutEncoder(e)
+		e := wire.EncodeInto(l.control[:])
+		_ = l.down.Send(id, e.U8(kindAck).Uvarint(m.castNext).Uvarint(m.sendNext).Bytes())
 	}
 }
 
@@ -525,19 +527,15 @@ func (l *Layer) ackTick() {
 // receivers can detect tail loss on both multicast and unicast streams.
 func (l *Layer) heartbeatTick() {
 	if l.castOut.n > 0 {
-		e := wire.GetEncoder()
-		e.U8(kindHeartbeat).U8(kindCast).Uvarint(l.castOut.next())
-		_ = l.down.Cast(e.Bytes())
-		wire.PutEncoder(e)
+		e := wire.EncodeInto(l.control[:])
+		_ = l.down.Cast(e.U8(kindHeartbeat).U8(kindCast).Uvarint(l.castOut.next()).Bytes())
 	}
 	for _, dst := range l.members {
 		out := &l.peers[dst].sendOut
 		if out.n == 0 {
 			continue
 		}
-		e := wire.GetEncoder()
-		e.U8(kindHeartbeat).U8(kindSend).Uvarint(out.next())
-		_ = l.down.Send(dst, e.Bytes())
-		wire.PutEncoder(e)
+		e := wire.EncodeInto(l.control[:])
+		_ = l.down.Send(dst, e.U8(kindHeartbeat).U8(kindSend).Uvarint(out.next()).Bytes())
 	}
 }

@@ -698,9 +698,6 @@ func (d *nackLog) Send(_ ids.ProcID, pkt []byte) error {
 // resend tick over a stream with holes allocates nothing — and asks for
 // the missing seqs in ascending order.
 func TestGapRepairAllocs(t *testing.T) {
-	if ptest.RaceEnabled {
-		t.Skip("the race detector makes the pooled NACK encoders allocate")
-	}
 	l := New(Config{})
 	down := &nackLog{}
 	if err := l.Init(ptest.NewFakeEnv(0, 3), down, proto.UpFunc(func(ids.ProcID, []byte) {})); err != nil {

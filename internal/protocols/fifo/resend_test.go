@@ -131,9 +131,6 @@ func (e simEnv) After(d time.Duration, fn func()) proto.Timer { return e.sim.Aft
 // tick), a tick that NACKs it again, closing the gap and a tick that finds
 // none allocate nothing: the arm re-arms the one handle.
 func TestResendArmAllocs(t *testing.T) {
-	if ptest.RaceEnabled {
-		t.Skip("the race detector makes the pooled NACK encoders allocate")
-	}
 	sim := des.New(1)
 	l := New(Config{})
 	down := &nackLog{}

@@ -40,7 +40,8 @@ type Layer struct {
 	// fifo below already delivers the sequencer's stream in order, but
 	// the layer does not rely on it).
 	in proto.Reorder[proto.Sourced]
-	// spare holds the copies of messages that wait behind a gap.
+	// spare holds the copies of messages that wait behind a gap, and
+	// the buffers the layer builds its frames in.
 	spare wire.Spares
 	// malformed counts packets dropped by the defensive ingress
 	// (decode failure or unknown kind) before any state mutation.
@@ -68,6 +69,10 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 	return nil
 }
 
+// Spares returns the layer's buffer stack, so that a test can overwrite
+// the buffers it holds spare.
+func (l *Layer) Spares() *wire.Spares { return &l.spare }
+
 // Stop implements proto.Layer.
 func (l *Layer) Stop() {}
 
@@ -77,12 +82,10 @@ func (l *Layer) Cast(payload []byte) error {
 		// The sequencer orders its own messages directly.
 		return l.order(l.env.Self(), payload)
 	}
-	e := wire.GetEncoder()
-	e.U8(kindSubmit)
-	// The fifo layer below copies anything it retains, so the frame can
-	// ride a pooled encoder.
-	err := l.down.Send(l.sequencer, e.Frame(payload))
-	wire.PutEncoder(e)
+	e := wire.EncodeInto(l.spare.Get(wire.MaxHeader + len(payload)))
+	frame := e.U8(kindSubmit).Frame(payload)
+	err := l.down.Send(l.sequencer, frame)
+	l.spare.Put(frame)
 	return err
 }
 
@@ -95,10 +98,10 @@ func (l *Layer) Send(ids.ProcID, []byte) error { return proto.ErrUnsupported }
 func (l *Layer) order(origin ids.ProcID, payload []byte) error {
 	seq := l.nextSeq
 	l.nextSeq++
-	e := wire.GetEncoder()
-	e.U8(kindOrder).Uvarint(seq).Proc(origin)
-	err := l.down.Cast(e.Frame(payload))
-	wire.PutEncoder(e)
+	e := wire.EncodeInto(l.spare.Get(wire.MaxHeader + len(payload)))
+	frame := e.U8(kindOrder).Uvarint(seq).Proc(origin).Frame(payload)
+	err := l.down.Cast(frame)
+	l.spare.Put(frame)
 	return err
 }
 

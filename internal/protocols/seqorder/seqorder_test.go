@@ -1,6 +1,7 @@
 package seqorder
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -219,5 +220,55 @@ func TestInOrderRecvAllocs(t *testing.T) {
 	})
 	if got != 0 || delivered != 1001 {
 		t.Errorf("an in-order Recv allocates %v (delivered %d), want 0", got, delivered)
+	}
+}
+
+// reentrantDown re-enters the layer above from inside a Cast, as a
+// transport that delivers synchronously would, and records whether the
+// outer frame's bytes survived the inner call.
+type reentrantDown struct {
+	reenter func()
+	depth   int
+	casts   int
+	intact  bool
+}
+
+func (d *reentrantDown) Cast(frame []byte) error {
+	d.casts++
+	if d.reenter == nil || d.depth > 0 {
+		return nil
+	}
+	before := bytes.Clone(frame)
+	d.depth++
+	d.reenter()
+	d.depth--
+	d.intact = bytes.Equal(frame, before)
+	return nil
+}
+
+func (d *reentrantDown) Send(ids.ProcID, []byte) error { return nil }
+
+// TestReentrantCastKeepsOuterFrame: a cast that re-enters the sequencer
+// while its order frame is lent below gets a buffer of its own, so the
+// outer frame's bytes are intact when the inner cast returns — with
+// spare buffers on hand, not only on the first cast.
+func TestReentrantCastKeepsOuterFrame(t *testing.T) {
+	l := New(0)
+	down := &reentrantDown{}
+	if err := l.Init(ptest.NewFakeEnv(0, 3), down, proto.UpFunc(func(ids.ProcID, []byte) {})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		_ = l.Cast([]byte("warm-up"))
+	}
+	if l.spare.Len() == 0 {
+		t.Fatal("set-up: no spare buffer after the warm-up casts")
+	}
+	down.reenter = func() { _ = l.Cast([]byte("the inner cast, other bytes")) }
+	if err := l.Cast([]byte("the outer cast")); err != nil {
+		t.Fatal(err)
+	}
+	if down.casts != 5 || !down.intact {
+		t.Errorf("%d frames cast, outer frame intact %v; want 5 and true", down.casts, down.intact)
 	}
 }

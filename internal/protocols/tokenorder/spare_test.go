@@ -19,9 +19,6 @@ func (d *countDown) Send(ids.ProcID, []byte) error { d.sends++; return nil }
 // and flushing them when it arrives allocates nothing — one frame per
 // message or one batch frame for the visit.
 func TestQueueFlushAllocs(t *testing.T) {
-	if ptest.RaceEnabled {
-		t.Skip("the race detector makes the pooled frame encoders allocate")
-	}
 	for _, batch := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
 			l := New(Config{BatchFlush: batch})

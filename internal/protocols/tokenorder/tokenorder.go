@@ -13,6 +13,7 @@
 package tokenorder
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -59,8 +60,11 @@ type Layer struct {
 	// queue holds payloads awaiting the token, copied into buffers from
 	// spare; flush gives each back once its frame is built. spare also
 	// holds the copies of arrivals that wait behind a gap.
-	queue proto.Queue[[]byte]
-	spare wire.Spares
+	// The layer's data frames are built in buffers from spare too, and
+	// the token pass in tokenFrame.
+	queue      proto.Queue[[]byte]
+	spare      wire.Spares
+	tokenFrame [1 + binary.MaxVarintLen64]byte
 	// holding reports whether this member currently holds the token.
 	holding bool
 	// tokenSeq is the token's next-sequence value while held.
@@ -118,6 +122,10 @@ func (l *Layer) Init(env proto.Env, down proto.Down, up proto.Up) error {
 	return nil
 }
 
+// Spares returns the layer's buffer stack, so that a test can overwrite
+// the buffers it holds spare.
+func (l *Layer) Spares() *wire.Spares { return &l.spare }
+
 // Stop implements proto.Layer.
 func (l *Layer) Stop() {
 	l.stopped = true
@@ -167,7 +175,11 @@ func (l *Layer) flush() {
 		return
 	}
 	if l.cfg.BatchFlush && n > 1 {
-		e := wire.GetEncoder()
+		size := wire.MaxHeader
+		for i := 0; i < n; i++ {
+			size += binary.MaxVarintLen64 + len(l.queue.At(i))
+		}
+		e := wire.EncodeInto(l.spare.Get(size))
 		e.U8(kindBatch).Uvarint(l.tokenSeq).Uvarint(uint64(n))
 		for i := 0; i < n; i++ {
 			p := l.queue.Pop()
@@ -175,21 +187,19 @@ func (l *Layer) flush() {
 			l.spare.Put(p)
 		}
 		l.tokenSeq += uint64(n)
-		_ = l.down.Cast(e.Bytes())
-		wire.PutEncoder(e)
+		frame := e.Bytes()
+		_ = l.down.Cast(frame)
+		l.spare.Put(frame)
 		return
 	}
 	for i := 0; i < n; i++ {
-		e := wire.GetEncoder()
-		e.U8(kindData).Uvarint(l.tokenSeq)
-		l.tokenSeq++
 		p := l.queue.Pop()
-		frame := e.Frame(p)
+		e := wire.EncodeInto(l.spare.Get(wire.MaxHeader + len(p)))
+		frame := e.U8(kindData).Uvarint(l.tokenSeq).Frame(p)
+		l.tokenSeq++
 		l.spare.Put(p)
-		// The fifo layer below copies anything it retains, so the frame
-		// can ride a pooled encoder.
 		_ = l.down.Cast(frame)
-		wire.PutEncoder(e)
+		l.spare.Put(frame)
 	}
 }
 
@@ -211,10 +221,8 @@ func (l *Layer) passToken() {
 		})
 		return
 	}
-	e := wire.GetEncoder()
-	e.U8(kindToken).Uvarint(l.tokenSeq)
-	_ = l.down.Send(succ, e.Bytes())
-	wire.PutEncoder(e)
+	e := wire.EncodeInto(l.tokenFrame[:])
+	_ = l.down.Send(succ, e.U8(kindToken).Uvarint(l.tokenSeq).Bytes())
 }
 
 // Recv implements proto.Layer. A sequence number (token or data) more

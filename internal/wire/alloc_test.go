@@ -8,7 +8,7 @@ import (
 // Allocation regression tests for the zero-alloc hot path. These pin
 // the per-frame costs the throughput benchmarks depend on: Frame at
 // most one allocation (the encoder's own buffer growing once), the
-// pooled/append-style variants at zero. testing.AllocsPerRun does one
+// Spares-backed/append-style variants at zero. testing.AllocsPerRun does one
 // warm-up call, which absorbs the first-use growth and the HMAC's
 // internal state marshaling.
 
@@ -24,15 +24,17 @@ func TestFrameAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("NewEncoder+Frame allocated %.1f times per op, want <= 1", allocs)
 	}
-	// Pooled encoder: steady state must be allocation-free.
+	// An encoder over a buffer from the owner's Spares, given back once
+	// the frame is handed on: steady state must be allocation-free.
+	var spare Spares
 	allocs = testing.AllocsPerRun(100, func() {
-		e := GetEncoder()
-		e.U8(1).Uvarint(42)
-		benchSink = e.Frame(payload)
-		PutEncoder(e)
+		e := EncodeInto(spare.Get(8 + len(payload)))
+		frame := e.U8(1).Uvarint(42).Frame(payload)
+		benchSink = frame
+		spare.Put(frame)
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled encoder Frame allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("Spares-backed encoder Frame allocated %.1f times per op, want 0", allocs)
 	}
 }
 

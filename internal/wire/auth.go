@@ -167,12 +167,12 @@ type memoEntry struct {
 }
 
 // sealedMemo remembers the last sealedSlots long payloads a sealer
-// sealed, each copied into a pooled buffer (GetBuf) that its entry
-// keeps for the next one, with its tag. An entry with no buffer, or an
-// empty one, is free: a long payload never equals it.
+// sealed, each copied into a buffer its entry keeps for the next one,
+// with its tag. An entry with an empty buffer is free: a long payload
+// never equals it.
 type sealedMemo struct {
 	entries [sealedSlots]struct {
-		buf *[]byte
+		buf []byte
 		tag [MACSize]byte
 	}
 	next int
@@ -209,7 +209,7 @@ func (a *AuthSealer) recall(payload []byte) []byte {
 			return nil
 		}
 		for i := range a.sealed.entries {
-			if e := &a.sealed.entries[i]; e.buf != nil && bytes.Equal(*e.buf, payload) {
+			if e := &a.sealed.entries[i]; bytes.Equal(e.buf, payload) {
 				return e.tag[:]
 			}
 		}
@@ -247,10 +247,12 @@ func (a *AuthSealer) rememberSealed(payload, tag []byte) {
 	m := a.sealed
 	e := &m.entries[m.next]
 	m.next = (m.next + 1) % sealedSlots
-	if e.buf == nil {
-		e.buf = GetBuf()
+	if cap(e.buf) < len(payload) {
+		// Room for twice the payload: a member's frames vary in length,
+		// and seldom double.
+		e.buf = make([]byte, 0, 2*len(payload))
 	}
-	*e.buf = append((*e.buf)[:0], payload...)
+	e.buf = append(e.buf[:0], payload...)
 	copy(e.tag[:], tag)
 }
 
@@ -265,29 +267,10 @@ func (a *AuthSealer) Inherit(from *AuthSealer) {
 		return
 	}
 	from.sealed = nil
-	a.Release()
 	for i := range m.entries {
-		if e := &m.entries[i]; e.buf != nil {
-			*e.buf = (*e.buf)[:0]
-		}
+		m.entries[i].buf = m.entries[i].buf[:0]
 	}
 	a.sealed = m
-}
-
-// Release returns the memo's copy buffers to the pool GetBuf draws
-// from, and with them the memory of the long payloads this sealer
-// sealed: a frame carrying one runs HMAC again when opened. Call it
-// when the sealer's owner stops.
-func (a *AuthSealer) Release() {
-	if a.sealed == nil {
-		return
-	}
-	for i := range a.sealed.entries {
-		if e := &a.sealed.entries[i]; e.buf != nil {
-			PutBuf(e.buf)
-		}
-	}
-	a.sealed = nil
 }
 
 // SealTo appends the authenticated envelope and payload to dst and

@@ -175,12 +175,12 @@ func TestAuthSealerOpensOwnFrames(t *testing.T) {
 	check("own frame after the misses", pkt, 0)
 }
 
-// TestAuthSealerInheritAndRelease: the epoch that takes over sealing
-// inherits the memo's buffers but none of its entries, so the old
-// sealer's frames run HMAC again and still verify; the new sealer
-// remembers its own frames, and sealing and reopening them allocates
-// nothing once inherited. After Release the memo is empty again.
-func TestAuthSealerInheritAndRelease(t *testing.T) {
+// TestAuthSealerInherit: the epoch that takes over sealing inherits the
+// memo's buffers but none of its entries, so the old sealer's frames
+// run HMAC again and still verify; the new sealer remembers its own
+// frames, and sealing and reopening them allocates nothing once
+// inherited.
+func TestAuthSealerInherit(t *testing.T) {
 	session := []byte("inherit session")
 	oldKey, newKey := DeriveEpochKey(session, 6), DeriveEpochKey(session, 7)
 	old, next := NewAuthSealer(oldKey, 6), NewAuthSealer(newKey, 7)
@@ -209,12 +209,5 @@ func TestAuthSealerInheritAndRelease(t *testing.T) {
 	}
 	if nextMACs.sums != 101 {
 		t.Errorf("101 seals and reopens computed %d MACs, want 101 (one per seal)", nextMACs.sums)
-	}
-
-	payload[0]++
-	pkt := next.SealTo(nil, payload)
-	next.Release()
-	if _, err := next.Open(pkt); err != nil || nextMACs.sums != 103 {
-		t.Fatalf("own frame after Release: err %v, %d MACs, want nil and 103", err, nextMACs.sums)
 	}
 }

@@ -23,7 +23,7 @@ func TestSparesReuseMostRecent(t *testing.T) {
 	if got := s.Get(64); cap(got) < 64 || s.Len() != 0 {
 		t.Errorf("Get(64) past a 16-byte spare: cap %d, %d spares left (the small one is dropped)", cap(got), s.Len())
 	}
-	s.Put(make([]byte, 0, maxPooled+1))
+	s.Put(make([]byte, 0, maxSpare+1))
 	s.Put(nil)
 	if s.Len() != 0 {
 		t.Errorf("an oversized and an empty buffer were kept: %d spares", s.Len())

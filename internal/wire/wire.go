@@ -39,6 +39,16 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
+// MaxHeader bounds the header one layer puts in front of a payload: a
+// kind byte and two varints. An owner that frames a payload asks its
+// Spares for MaxHeader more than the payload, so the frame fits.
+const MaxHeader = 1 + 2*binary.MaxVarintLen64
+
+// EncodeInto returns an encoder that appends to buf, emptied: a buffer
+// its owner keeps, from its Spares or a fixed header array. While buf
+// is large enough the encoder writes in place and allocates nothing.
+func EncodeInto(buf []byte) Encoder { return Encoder{buf: buf[:0]} }
+
 // Bytes returns the encoded bytes. The slice aliases the encoder's
 // buffer; callers must not retain it across further writes.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -129,11 +139,12 @@ func (e *Encoder) Prepend(payload []byte) []byte {
 // Frame appends payload after the encoded header in the encoder's own
 // buffer and returns the combined frame — the zero-copy sibling of
 // Prepend. The result aliases the encoder's buffer: it is valid until
-// the encoder's next write, Reset, or release back to the pool, so use
-// it when the frame is consumed synchronously (every transport in this
-// repository copies on send) and Prepend when the frame is retained.
-// With a NewEncoder sized for header+payload this costs one allocation;
-// with a pooled encoder (GetEncoder) it costs none in steady state.
+// the encoder's next write or Reset, or until its owner takes the
+// buffer back, so use it when the frame is handed on for the call (a
+// payload is borrowed for the call) and Prepend when the frame is
+// retained. With a NewEncoder sized for header+payload this costs one
+// allocation; with EncodeInto over a large enough buffer from the
+// owner's Spares it costs none.
 func (e *Encoder) Frame(payload []byte) []byte {
 	e.buf = append(e.buf, payload...)
 	return e.buf
